@@ -9,7 +9,7 @@
 //! module amortizes that shape: [`PreparedMlp`] transposes the weight
 //! matrices once (plus their elementwise absolute values, which the
 //! centre/deviation transformer needs), and
-//! [`propagate_batch`](PreparedMlp::propagate_batch) then propagates `N`
+//! [`propagate_staged`](PreparedMlp::propagate_staged) then propagates `N`
 //! boxes per layer with three GEMMs —
 //!
 //! * `C' = C · Wᵀ + b` (centres),
@@ -61,8 +61,9 @@ struct PreparedLayer {
 }
 
 /// A network pre-arranged (transposed + absolute weights) for repeated
-/// batched IBP. Build once per certification call, reuse across every
-/// box; the preparation cost is `O(params)`.
+/// batched IBP, and — through the same transposed weights — for the
+/// concrete batched forward pass. Build once per policy, reuse across
+/// every box and every decision; the preparation cost is `O(params)`.
 #[derive(Clone, Debug)]
 pub struct PreparedMlp {
     layers: Vec<PreparedLayer>,
@@ -70,8 +71,9 @@ pub struct PreparedMlp {
     output_dim: usize,
 }
 
-/// Caller-owned intermediates for [`PreparedMlp::propagate_batch`]:
-/// ping-pong centre/deviation matrices plus the magnitude accumulator.
+/// Caller-owned intermediates for [`PreparedMlp::propagate_staged`]:
+/// the input staging matrices, ping-pong centre/deviation matrices and
+/// the magnitude accumulator.
 #[derive(Clone, Debug, Default)]
 pub struct IbpBatchScratch {
     c: Matrix,
@@ -89,24 +91,43 @@ impl IbpBatchScratch {
     pub fn new() -> IbpBatchScratch {
         IbpBatchScratch::default()
     }
+
+    /// Sizes the input staging matrices to `n × dim` and hands them out
+    /// (centres, deviations) for the caller to fill row by row; contents
+    /// are unspecified until written.
+    pub fn stage(&mut self, n: usize, dim: usize) -> (&mut Matrix, &mut Matrix) {
+        self.in_c.reshape(n, dim);
+        self.in_d.reshape(n, dim);
+        (&mut self.in_c, &mut self.in_d)
+    }
 }
 
 impl PreparedMlp {
     /// Prepares `net` for batched propagation.
     pub fn new(net: &Mlp) -> PreparedMlp {
+        let mut prepared = PreparedMlp::transposed(net);
+        for layer in &mut prepared.layers {
+            layer.abs_wt = layer.wt.clone();
+            for v in layer.abs_wt.as_mut_slice() {
+                *v = v.abs();
+            }
+        }
+        prepared
+    }
+
+    /// Prepares `net` for [`forward_staged`](Self::forward_staged) only:
+    /// the transposed weights without their absolute values, for policies
+    /// that never certify.
+    pub fn transposed(net: &Mlp) -> PreparedMlp {
         let layers = net
             .layers()
             .iter()
             .map(|layer| {
                 let mut wt = Matrix::zeros(0, 0);
                 layer.weights.transpose_into(&mut wt);
-                let mut abs_wt = wt.clone();
-                for v in abs_wt.as_mut_slice() {
-                    *v = v.abs();
-                }
                 PreparedLayer {
                     wt,
-                    abs_wt,
+                    abs_wt: Matrix::zeros(0, 0),
                     bias: layer.bias.clone(),
                     activation: layer.activation,
                     gamma: gamma(layer.fan_in()),
@@ -130,43 +151,94 @@ impl PreparedMlp {
         self.output_dim
     }
 
-    /// Propagates `N` boxes — row `i` of `centers`/`devs` is box `i` —
-    /// through the network. Returns the output `(centers, devs)`
-    /// matrices, which live in `scratch`.
+    /// The concrete forward pass over the rows staged in `scratch`'s
+    /// centre matrix (see [`IbpBatchScratch::stage`]); the outputs live in
+    /// `scratch`. Every element is the same ascending-`k` fused reduction
+    /// plus bias as [`Mlp::forward`], so row `n` is bitwise identical to
+    /// `net.forward(row n)` — with no per-call transpose.
     ///
     /// # Panics
     ///
-    /// Panics if the input shapes disagree with each other or the
-    /// network.
-    pub fn propagate_batch<'s>(
+    /// Panics if the staged width disagrees with the network.
+    pub fn forward_staged<'s>(&self, scratch: &'s mut IbpBatchScratch) -> &'s Matrix {
+        let IbpBatchScratch {
+            in_c, c, c_next, ..
+        } = scratch;
+        assert_eq!(in_c.cols(), self.input_dim, "bad batch width");
+        for (i, layer) in self.layers.iter().enumerate() {
+            let input: &Matrix = if i == 0 { in_c } else { c };
+            input.matmul_bias_into(&layer.wt, &layer.bias, c_next);
+            for z in c_next.as_mut_slice() {
+                *z = layer.activation.apply(*z);
+            }
+            std::mem::swap(c, c_next);
+        }
+        c
+    }
+
+    /// The first layer's deviation image `D · |W₁|ᵀ` of a fixed block of
+    /// deviation rows. Each element is the same fused reduction
+    /// [`propagate_staged`](Self::propagate_staged) would run, so feeding
+    /// the image back in place of the GEMM leaves every bound bit unchanged.
+    pub fn first_dev_image(&self, devs: &Matrix) -> Matrix {
+        devs.matmul(&self.layers[0].abs_wt)
+    }
+
+    /// Propagates the `N` boxes staged in `scratch` (row `i` of the
+    /// centre/deviation staging matrices is box `i`) through the network.
+    /// Returns the output `(centers, devs)` matrices, which live in
+    /// `scratch`.
+    ///
+    /// `dev_image`, when given, is `(image, offset)` from
+    /// [`first_dev_image`](Self::first_dev_image): staged row `r` must carry
+    /// the deviations of the image's source row `(offset + r) % rows`, and
+    /// the first layer then copies the image instead of recomputing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the staged width disagrees with the network, or if the
+    /// network was prepared with [`transposed`](Self::transposed).
+    pub fn propagate_staged<'s>(
         &self,
-        centers: &Matrix,
-        devs: &Matrix,
         scratch: &'s mut IbpBatchScratch,
+        dev_image: Option<(&Matrix, usize)>,
     ) -> (&'s Matrix, &'s Matrix) {
-        assert_eq!(centers.cols(), self.input_dim, "bad box dimensionality");
-        assert_eq!(centers.rows(), devs.rows(), "centers/devs row mismatch");
-        assert_eq!(centers.cols(), devs.cols(), "centers/devs col mismatch");
-        scratch.c.copy_from(centers);
-        scratch.d.copy_from(devs);
-        let n = centers.rows();
-        for layer in &self.layers {
+        let IbpBatchScratch {
+            c,
+            d,
+            c_next,
+            d_next,
+            abs_in,
+            abs_acc,
+            in_c,
+            in_d,
+        } = scratch;
+        assert_eq!(in_c.cols(), self.input_dim, "bad box dimensionality");
+        let n = in_c.rows();
+        for (i, layer) in self.layers.iter().enumerate() {
+            assert_eq!(layer.abs_wt.rows(), layer.wt.rows(), "prepared without |W|");
+            let (cur_c, cur_d): (&Matrix, &Matrix) = if i == 0 { (in_c, in_d) } else { (c, d) };
             // A = (|C| + D) — the per-input magnitude hull |x| over the box.
-            scratch.abs_in.reshape(n, scratch.c.cols());
-            for ((a, &c), &d) in scratch
-                .abs_in
+            abs_in.reshape(n, cur_c.cols());
+            for ((a, &cv), &dv) in abs_in
                 .as_mut_slice()
                 .iter_mut()
-                .zip(scratch.c.as_slice())
-                .zip(scratch.d.as_slice())
+                .zip(cur_c.as_slice())
+                .zip(cur_d.as_slice())
             {
-                *a = c.abs() + d;
+                *a = cv.abs() + dv;
             }
-            scratch.c.matmul_into(&layer.wt, &mut scratch.c_next);
-            scratch.d.matmul_into(&layer.abs_wt, &mut scratch.d_next);
-            scratch
-                .abs_in
-                .matmul_into(&layer.abs_wt, &mut scratch.abs_acc);
+            cur_c.matmul_into(&layer.wt, c_next);
+            match dev_image {
+                Some((image, offset)) if i == 0 => {
+                    d_next.reshape(n, image.cols());
+                    for r in 0..n {
+                        d_next.set_row(r, image.row((offset + r) % image.rows()));
+                    }
+                }
+                _ => cur_d.matmul_into(&layer.abs_wt, d_next),
+            }
+            abs_in.matmul_into(&layer.abs_wt, abs_acc);
 
             // Elementwise epilogue: bias, rounding slack, activation
             // transformer — the same *mathematical* enclosure as the
@@ -175,12 +247,11 @@ impl PreparedMlp {
             // of `next_up`, so the per-element loop stays SIMD-friendly.
             // The activation dispatch is hoisted out of the loop.
             for r in 0..n {
-                let abs_row = scratch.abs_acc.row(r);
-                let it = scratch
-                    .c_next
+                let abs_row = abs_acc.row(r);
+                let it = c_next
                     .row_mut(r)
                     .iter_mut()
-                    .zip(scratch.d_next.row_mut(r))
+                    .zip(d_next.row_mut(r))
                     .zip(abs_row)
                     .zip(&layer.bias);
                 match layer.activation {
@@ -217,10 +288,10 @@ impl PreparedMlp {
                     }
                 }
             }
-            std::mem::swap(&mut scratch.c, &mut scratch.c_next);
-            std::mem::swap(&mut scratch.d, &mut scratch.d_next);
+            std::mem::swap(c, c_next);
+            std::mem::swap(d, d_next);
         }
-        (&scratch.c, &scratch.d)
+        (c, d)
     }
 
     /// Convenience wrapper: propagates a sequence of [`BoxState`]s and
@@ -245,32 +316,15 @@ impl PreparedMlp {
         assert!(out_dim < self.output_dim, "output dimension out of range");
         let parts = parts.into_iter();
         let n = parts.len();
-        // Stage the inputs in scratch-owned matrices. `reshape` reuses the
-        // buffers, and `propagate_batch` reads them before reusing the
-        // ping-pong buffers, so the two staging matrices are distinct from
-        // the working set.
-        let (in_c, in_d) = {
-            scratch.in_c.reshape(n, self.input_dim);
-            scratch.in_d.reshape(n, self.input_dim);
-            for (r, part) in parts.enumerate() {
-                scratch.in_c.set_row(r, &part.center);
-                scratch.in_d.set_row(r, &part.dev);
-            }
-            (
-                std::mem::take(&mut scratch.in_c),
-                std::mem::take(&mut scratch.in_d),
-            )
-        };
-        let out = {
-            let (c, d) = self.propagate_batch(&in_c, &in_d, scratch);
-            (0..n)
-                .map(|r| Interval::centered(c.get(r, out_dim), d.get(r, out_dim)))
-                .collect()
-        };
-        // Hand the staging buffers back for the next call.
-        scratch.in_c = in_c;
-        scratch.in_d = in_d;
-        out
+        let (in_c, in_d) = scratch.stage(n, self.input_dim);
+        for (r, part) in parts.enumerate() {
+            in_c.set_row(r, &part.center);
+            in_d.set_row(r, &part.dev);
+        }
+        let (c, d) = self.propagate_staged(scratch, None);
+        (0..n)
+            .map(|r| Interval::centered(c.get(r, out_dim), d.get(r, out_dim)))
+            .collect()
     }
 }
 
@@ -368,5 +422,61 @@ mod tests {
             assert_eq!(solo[0].hi, b.hi);
         }
         assert_eq!(first.len(), 10);
+    }
+
+    /// The transposed weights serve the concrete forward pass bit for bit,
+    /// and a precomputed first-layer deviation image (at any row offset)
+    /// leaves every bound bit unchanged — on widths that exercise every
+    /// GEMM tail and with all three activations.
+    #[test]
+    fn forward_and_dev_image_are_bitwise() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut network = net(21, &[7, 13, 9, 3]);
+        network.layers_mut()[0].activation = Activation::Relu;
+        network.layers_mut()[1].activation = Activation::Identity;
+        let prepared = PreparedMlp::new(&network);
+        let mut scratch = IbpBatchScratch::new();
+        // Five boxes whose deviations repeat with period 3.
+        let fixed: Vec<BoxState> = (0..3).map(|_| random_box(&mut rng, 7)).collect();
+        let parts: Vec<BoxState> = (0..5)
+            .map(|r| {
+                BoxState::new(
+                    random_box(&mut rng, 7).center,
+                    fixed[(r + 2) % 3].dev.clone(),
+                )
+            })
+            .collect();
+
+        let (in_c, _) = scratch.stage(parts.len(), 7);
+        for (r, part) in parts.iter().enumerate() {
+            in_c.set_row(r, &part.center);
+        }
+        let out = PreparedMlp::transposed(&network).forward_staged(&mut scratch);
+        for (r, part) in parts.iter().enumerate() {
+            let want: Vec<u64> = network
+                .forward(&part.center)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let got: Vec<u64> = out.row(r).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
+        }
+
+        let plain = prepared.propagate_boxes_dim(&parts, 1, &mut scratch);
+        let rows: Vec<&[f64]> = fixed.iter().map(|b| b.dev.as_slice()).collect();
+        let image = prepared.first_dev_image(&Matrix::from_rows(&rows));
+        let (in_c, in_d) = scratch.stage(parts.len(), 7);
+        for (r, part) in parts.iter().enumerate() {
+            in_c.set_row(r, &part.center);
+            in_d.set_row(r, &part.dev);
+        }
+        let (c, d) = prepared.propagate_staged(&mut scratch, Some((&image, 2)));
+        for (r, want) in plain.iter().enumerate() {
+            let got = Interval::centered(c.get(r, 1), d.get(r, 1));
+            assert_eq!(
+                (got.lo.to_bits(), got.hi.to_bits()),
+                (want.lo.to_bits(), want.hi.to_bits())
+            );
+        }
     }
 }

@@ -114,19 +114,8 @@ impl BoxState {
     ///
     /// Panics if `n == 0` or `axis` is out of range.
     pub fn split_dim(&self, axis: usize, n: usize) -> Vec<BoxState> {
-        assert!(n > 0, "cannot split into zero components");
-        let iv = self.dim_interval(axis);
-        let width = iv.width();
-        (0..n)
-            .map(|k| {
-                let lo = iv.lo + width * k as f64 / n as f64;
-                let hi = if k + 1 == n {
-                    iv.hi
-                } else {
-                    iv.lo + width * (k + 1) as f64 / n as f64
-                };
-                self.clone().with_dim_interval(axis, Interval::new(lo, hi))
-            })
+        axis_slices(self.dim_interval(axis), n)
+            .map(|slice| self.clone().with_dim_interval(axis, slice))
             .collect()
     }
 
@@ -140,6 +129,26 @@ impl BoxState {
             .map(|d| 2.0 * d)
             .product()
     }
+}
+
+/// The `n` equal slices of `iv` that [`BoxState::split_dim`] cuts an axis
+/// into, in ascending order; the last slice ends exactly on `iv.hi`.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn axis_slices(iv: Interval, n: usize) -> impl Iterator<Item = Interval> {
+    assert!(n > 0, "cannot split into zero components");
+    let width = iv.width();
+    (0..n).map(move |k| {
+        let lo = iv.lo + width * k as f64 / n as f64;
+        let hi = if k + 1 == n {
+            iv.hi
+        } else {
+            iv.lo + width * (k + 1) as f64 / n as f64
+        };
+        Interval::new(lo, hi)
+    })
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ pub mod interval;
 pub mod zonotope;
 
 pub use batch_ibp::{IbpBatchScratch, PreparedMlp};
-pub use boxdom::BoxState;
+pub use boxdom::{axis_slices, BoxState};
 pub use diff_ibp::{backward_bounds, forward_bounds, BoundsTrace};
 pub use ibp::{propagate_dense, propagate_mlp};
 pub use interval::Interval;

@@ -25,20 +25,25 @@
 //! primitives directly, as [`CcEnv`](crate::env::CcEnv) does.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use canopy_absint::{IbpBatchScratch, PreparedMlp};
 use canopy_netsim::{FlowId, LinkConfig, MonitorSample, Simulator, Time};
-use canopy_nn::{BatchScratch, Matrix, Mlp};
+use canopy_nn::Mlp;
 use canopy_telemetry::{BatchRecord, DecisionRecord, SharedRecorder, SpanRecord, SpanStage};
 
 use crate::env::NoiseConfig;
 use crate::models::TrainedModel;
 use crate::obs::{Normalizer, Observation, StateBuilder, StateLayout};
 use crate::orca::f_cwnd;
+use crate::plan::CertPlan;
 use crate::property::Property;
 use crate::runtime::FallbackController;
 use crate::verifier::{StepContext, Verifier};
@@ -109,18 +114,56 @@ impl DriverConfig {
 /// The decision policy of a self-driving driver: the actor network,
 /// optionally behind the QC-guided fallback monitor, optionally with
 /// per-step certificate evaluation.
+///
+/// The actor is shared (`Arc`): cloning a policy, or pooling drivers whose
+/// policies are equal, keeps one copy of the weights.
 #[derive(Clone, Debug)]
 pub struct DriverPolicy {
-    actor: Mlp,
+    actor: Arc<Mlp>,
     fallback: Option<FallbackController>,
     qc: Option<(Verifier, Vec<Property>)>,
+    /// [`fingerprint`] of `actor`, computed when the actor is set, so
+    /// cloned policies never re-hash.
+    actor_key: u64,
+}
+
+/// A hash of an actor's architecture and exact parameter bits. The pool
+/// looks compiled policies up by it and confirms a hit by exact
+/// comparison ([`CompiledPolicy::matches`]).
+fn fingerprint(actor: &Mlp) -> u64 {
+    let mut h = DefaultHasher::new();
+    for layer in actor.layers() {
+        layer.fan_in().hash(&mut h);
+        layer.fan_out().hash(&mut h);
+        std::mem::discriminant(&layer.activation).hash(&mut h);
+        for p in layer.weights.as_slice().iter().chain(&layer.bias) {
+            p.to_bits().hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+/// Exact equality of two actors: shapes, activations, and parameter bits.
+fn same_actor(a: &Arc<Mlp>, b: &Arc<Mlp>) -> bool {
+    let bits = |xs: &[f64], ys: &[f64]| {
+        xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    Arc::ptr_eq(a, b)
+        || (a.layers().len() == b.layers().len()
+            && a.layers().iter().zip(b.layers()).all(|(x, y)| {
+                x.activation == y.activation
+                    && x.fan_in() == y.fan_in()
+                    && bits(x.weights.as_slice(), y.weights.as_slice())
+                    && bits(&x.bias, &y.bias)
+            }))
 }
 
 impl DriverPolicy {
     /// A plain learned policy.
     pub fn new(actor: Mlp) -> DriverPolicy {
         DriverPolicy {
-            actor,
+            actor_key: fingerprint(&actor),
+            actor: Arc::new(actor),
             fallback: None,
             qc: None,
         }
@@ -152,41 +195,16 @@ impl DriverPolicy {
         &self.actor
     }
 
-    /// A fingerprint of everything decision-relevant about this policy:
-    /// the actor's architecture and exact parameter bits, the QC request,
-    /// and the fallback monitor's verifier/properties/threshold. Two
-    /// drivers with equal keys produce bitwise-identical compute for equal
-    /// inputs, so the pool may stack their decisions through one batched
-    /// actor pass.
-    fn key(&self, layout: StateLayout) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        layout.dim().hash(&mut h);
-        for layer in self.actor.layers() {
-            layer.fan_in().hash(&mut h);
-            layer.fan_out().hash(&mut h);
-            format!("{:?}", layer.activation).hash(&mut h);
+    /// The certification config of the QC request (`qc = true`) or of the
+    /// fallback monitor, when present.
+    fn cert_config(&self, qc: bool) -> Option<(&Verifier, &[Property])> {
+        if qc {
+            self.qc.as_ref().map(|(v, p)| (v, p.as_slice()))
+        } else {
+            self.fallback
+                .as_ref()
+                .map(|fb| (fb.verifier(), fb.properties()))
         }
-        for p in self.actor.params_flat() {
-            p.to_bits().hash(&mut h);
-        }
-        match &self.qc {
-            Some((verifier, properties)) => {
-                1u8.hash(&mut h);
-                format!("{verifier:?}").hash(&mut h);
-                format!("{properties:?}").hash(&mut h);
-            }
-            None => 0u8.hash(&mut h),
-        }
-        match &self.fallback {
-            Some(fb) => {
-                1u8.hash(&mut h);
-                fb.threshold().to_bits().hash(&mut h);
-                format!("{:?}", fb.verifier()).hash(&mut h);
-                format!("{:?}", fb.properties()).hash(&mut h);
-            }
-            None => 0u8.hash(&mut h),
-        }
-        h.finish()
     }
 }
 
@@ -222,7 +240,6 @@ pub struct OrcaDriver {
     prev_action: f64,
     prev_cwnd: f64,
     policy: Option<DriverPolicy>,
-    policy_key: u64,
     decisions: u64,
     qc_values: Vec<f64>,
     fallback_qc: Vec<f64>,
@@ -250,7 +267,6 @@ impl OrcaDriver {
             prev_action: 0.0,
             prev_cwnd: canopy_cc::cubic::INITIAL_CWND,
             policy: None,
-            policy_key: 0,
             decisions: 0,
             qc_values: Vec::new(),
             fallback_qc: Vec::new(),
@@ -260,7 +276,6 @@ impl OrcaDriver {
 
     /// Attaches a self-driving policy.
     pub fn with_policy(mut self, policy: DriverPolicy) -> OrcaDriver {
-        self.policy_key = policy.key(self.layout);
         self.policy = Some(policy);
         self
     }
@@ -271,19 +286,25 @@ impl OrcaDriver {
     }
 
     /// Replaces the policy's actor in place — the model hot-swap path.
-    /// Scheduling state is untouched; the batching fingerprint is
-    /// recomputed so the pool regroups the driver correctly.
+    /// Scheduling state is untouched. (A pooled driver is swapped through
+    /// [`DriverPool::swap_actor`], which also re-interns its compiled
+    /// policy.)
     ///
     /// # Panics
     ///
     /// Panics if no policy is attached.
     pub fn swap_actor(&mut self, actor: Mlp) {
+        self.adopt_actor(&DriverPolicy::new(actor));
+    }
+
+    /// Takes over `donor`'s (shared, already hashed) actor.
+    fn adopt_actor(&mut self, donor: &DriverPolicy) {
         let policy = self
             .policy
             .as_mut()
             .expect("swap_actor requires an attached policy");
-        policy.actor = actor;
-        self.policy_key = policy.key(self.layout);
+        policy.actor = donor.actor.clone();
+        policy.actor_key = donor.actor_key;
     }
 
     /// Attaches a telemetry recorder: every decision (self-driven or
@@ -622,26 +643,151 @@ pub struct BatchDispatch {
     pub groups: usize,
 }
 
+/// One interned policy: everything the pool derives from a policy that
+/// does not depend on the decision, shared by every driver whose policy is
+/// exactly equal — one copy of the actor, its transposed weights (which
+/// serve the forward pass and batched IBP alike), one [`CertPlan`] per
+/// distinct certification config, and the scratch all of them reuse.
+#[derive(Debug)]
+struct CompiledPolicy {
+    key: u64,
+    /// Drivers currently pointing at this entry.
+    users: usize,
+    actor: Arc<Mlp>,
+    net: PreparedMlp,
+    /// Certification passes, each with whether its aggregate feeds the QC
+    /// stream and/or the fallback monitor: a QC request and a fallback
+    /// monitor over equal configs share one pass.
+    plans: Vec<(CertPlan, bool, bool)>,
+    /// `[0]` stages the forward pass and sequential certification; the
+    /// certification fan-out grows one more per worker.
+    scratch: Vec<IbpBatchScratch>,
+}
+
+impl CompiledPolicy {
+    /// Compiles `policy`; the IBP half (`|W|`, plans) is built only when it
+    /// certifies.
+    fn compile(key: u64, policy: &DriverPolicy, layout: StateLayout) -> CompiledPolicy {
+        let (qc, fb) = (policy.cert_config(true), policy.cert_config(false));
+        let net = if qc.or(fb).is_some() {
+            PreparedMlp::new(&policy.actor)
+        } else {
+            PreparedMlp::transposed(&policy.actor)
+        };
+        let plan = |(verifier, properties): (&Verifier, &[Property])| {
+            CertPlan::compile(*verifier, &net, properties, layout)
+        };
+        let plans = match (qc, fb) {
+            (Some(qc), Some(fb)) if qc == fb => vec![(plan(qc), true, true)],
+            _ => qc
+                .map(|qc| (plan(qc), true, false))
+                .into_iter()
+                .chain(fb.map(|fb| (plan(fb), false, true)))
+                .collect(),
+        };
+        CompiledPolicy {
+            key,
+            users: 1,
+            actor: policy.actor.clone(),
+            net,
+            plans,
+            scratch: vec![IbpBatchScratch::new()],
+        }
+    }
+
+    /// The certification config compiled for the QC stream (`qc = true`) or
+    /// the fallback monitor.
+    fn cert_config(&self, qc: bool) -> Option<(&Verifier, &[Property])> {
+        self.plans
+            .iter()
+            .find(|(_, to_qc, to_fb)| if qc { *to_qc } else { *to_fb })
+            .map(|(plan, ..)| (plan.verifier(), plan.properties()))
+    }
+
+    /// Whether this entry was compiled from a policy exactly equal to
+    /// `policy` (never called on the dispatch path).
+    fn matches(&self, policy: &DriverPolicy) -> bool {
+        same_actor(&self.actor, &policy.actor)
+            && self.cert_config(true) == policy.cert_config(true)
+            && self.cert_config(false) == policy.cert_config(false)
+    }
+}
+
+/// The pool's intern table of compiled policies.
+#[derive(Debug, Default)]
+struct PolicyTable {
+    /// Slots are stable while an entry has users, and reused afterwards.
+    entries: Vec<Option<CompiledPolicy>>,
+}
+
+impl PolicyTable {
+    /// Finds or compiles the entry for `policy` and returns its slot,
+    /// pointing the policy at the entry's copy of the actor. `key` only
+    /// narrows the search: a hit is confirmed by exact comparison, so two
+    /// policies that collide on it still get separate entries.
+    fn intern(&mut self, key: u64, policy: &mut DriverPolicy, layout: StateLayout) -> usize {
+        let hit = self.entries.iter_mut().enumerate().find_map(|(slot, e)| {
+            let e = e.as_mut().filter(|e| e.key == key && e.matches(policy))?;
+            Some((slot, e))
+        });
+        if let Some((slot, entry)) = hit {
+            entry.users += 1;
+            policy.actor = entry.actor.clone();
+            return slot;
+        }
+        let compiled = Some(CompiledPolicy::compile(key, policy, layout));
+        match self.entries.iter().position(Option::is_none) {
+            Some(slot) => {
+                self.entries[slot] = compiled;
+                slot
+            }
+            None => {
+                self.entries.push(compiled);
+                self.entries.len() - 1
+            }
+        }
+    }
+
+    /// Drops one user of `slot`, and the entry with its last user.
+    fn release(&mut self, slot: usize) {
+        let entry = self.entries[slot].as_mut().expect("released a live slot");
+        entry.users -= 1;
+        if entry.users == 0 {
+            self.entries[slot] = None;
+        }
+    }
+}
+
 /// Multiplexes any number of self-driving drivers over one simulator by
 /// next-decision time: the pool repeatedly runs the simulator to the
 /// earliest pending decision (a min-heap, not an `O(N)` scan) and
 /// dispatches every driver due at that instant in insertion order (the
 /// deterministic tie-break).
 ///
+/// Policies are **interned**: [`push`](Self::push) and
+/// [`swap_actor`](Self::swap_actor) look the driver's policy up (by
+/// fingerprint, confirmed by exact comparison) in a table of compiled
+/// policies — shared actor, resident transposed weights, certification
+/// plans and scratch — compiling it on first sight and dropping it with
+/// its last driver. Nothing decision-independent is rebuilt per dispatch.
+///
 /// Same-instant decisions are **batched**: the pool prepares every due
-/// driver, groups the prepared states by policy fingerprint, runs one
-/// [`Mlp::forward_batch`] per group (and one
-/// [`Verifier::certify_all_many`] pass per group for QC/fallback
-/// policies), then applies the results in insertion order. The batched
-/// paths are bitwise identical to the per-sample paths and same-instant
-/// decisions are independent across flows, so a batched run is bitwise
-/// identical to the pre-batching serial dispatch — which remains
-/// available as [`run_until_serial`](Self::run_until_serial) (or fleet
-/// wide via `CANOPY_POOL_SERIAL=1`) and is proven equivalent in
+/// driver, groups the prepared states by compiled policy, runs one batched
+/// actor pass per group (and one [`CertPlan`] pass per distinct
+/// certification config for QC/fallback policies), then applies the
+/// results in insertion order. The batched paths are bitwise identical to
+/// the per-sample paths and same-instant decisions are independent across
+/// flows, so a batched run is bitwise identical to the pre-batching serial
+/// dispatch — which remains available as
+/// [`run_until_serial`](Self::run_until_serial) (or fleet wide via
+/// `CANOPY_POOL_SERIAL=1`) and is proven equivalent in
 /// `tests/batched_pool.rs`.
 #[derive(Debug)]
 pub struct DriverPool {
     drivers: Vec<OrcaDriver>,
+    /// `slots[i]` is driver `i`'s entry in `table`.
+    slots: Vec<usize>,
+    table: PolicyTable,
     /// Min-heap of `(next_decision, index)` with exactly one live entry
     /// per active driver — the pool is the only mutator of pooled
     /// drivers' schedules, so entries never go stale. `Reverse` pops
@@ -652,11 +798,24 @@ pub struct DriverPool {
     /// `CANOPY_POOL_SERIAL=1` (read at construction) forces the
     /// pre-batching per-driver dispatch everywhere.
     serial: bool,
-    states: Matrix,
-    scratch: BatchScratch,
+    /// Per-dispatch working set, reused across dispatches.
+    batch: BatchBuffers,
     /// Batched dispatches executed so far — the span profiler's batch
     /// sequence number (deterministic: one per non-empty dispatch).
     dispatches: u64,
+}
+
+/// What one batched dispatch fills in: the prepared decisions, the
+/// distinct table slots among them (first-seen order), the current
+/// group's positions in `items`, and the per-item results.
+#[derive(Debug, Default)]
+struct BatchBuffers {
+    items: Vec<(usize, PreparedDecision)>,
+    groups: Vec<usize>,
+    members: Vec<usize>,
+    actions: Vec<f64>,
+    qc_aggs: Vec<Option<f64>>,
+    fb_aggs: Vec<Option<f64>>,
 }
 
 impl Default for DriverPool {
@@ -670,21 +829,27 @@ impl DriverPool {
     pub fn new() -> DriverPool {
         DriverPool {
             drivers: Vec::new(),
+            slots: Vec::new(),
+            table: PolicyTable::default(),
             queue: BinaryHeap::new(),
             recorder: None,
             serial: std::env::var("CANOPY_POOL_SERIAL").is_ok_and(|v| v == "1"),
-            states: Matrix::zeros(0, 0),
-            scratch: BatchScratch::default(),
+            batch: BatchBuffers::default(),
             dispatches: 0,
         }
     }
 
-    /// Adds a driver (it must carry a policy) and returns its index.
-    pub fn push(&mut self, driver: OrcaDriver) -> usize {
-        assert!(
-            driver.policy.is_some(),
-            "pooled drivers must be self-driving (attach a DriverPolicy)"
-        );
+    /// Adds a driver (it must carry a policy) and returns its index. The
+    /// policy is interned: if an exactly equal one is already pooled, the
+    /// driver shares its compiled form and its copy of the actor.
+    pub fn push(&mut self, mut driver: OrcaDriver) -> usize {
+        let layout = driver.layout;
+        let policy = driver
+            .policy
+            .as_mut()
+            .expect("pooled drivers must be self-driving (attach a DriverPolicy)");
+        self.slots
+            .push(self.table.intern(policy.actor_key, policy, layout));
         let index = self.drivers.len();
         if driver.next_decision < Time::MAX {
             self.queue.push(Reverse((driver.next_decision, index)));
@@ -708,11 +873,37 @@ impl DriverPool {
         &self.drivers
     }
 
+    /// How many distinct compiled policies the pool currently holds.
+    pub fn compiled_policies(&self) -> usize {
+        self.table.entries.iter().flatten().count()
+    }
+
     /// Replaces the actor of driver `index`'s policy in place — the
     /// certificate-checked hot-swap path. Scheduling state is untouched,
-    /// so the heap invariant holds across swaps.
+    /// so the heap invariant holds across swaps; the driver moves to the
+    /// new policy's compiled entry, and the old entry is dropped with its
+    /// last driver.
     pub fn swap_actor(&mut self, index: usize, actor: Mlp) {
-        self.drivers[index].swap_actor(actor);
+        self.adopt_actor(index..index + 1, actor);
+    }
+
+    /// [`swap_actor`](Self::swap_actor) for every pooled driver at once —
+    /// the fleet-wide rollout: one shared copy of `actor`, hashed once,
+    /// compiled once per distinct certification config.
+    pub fn swap_actor_all(&mut self, actor: Mlp) {
+        self.adopt_actor(0..self.drivers.len(), actor);
+    }
+
+    fn adopt_actor(&mut self, indices: Range<usize>, actor: Mlp) {
+        let donor = DriverPolicy::new(actor);
+        for i in indices {
+            let driver = &mut self.drivers[i];
+            driver.adopt_actor(&donor);
+            let policy = driver.policy.as_mut().expect("checked by adopt_actor");
+            let slot = self.table.intern(policy.actor_key, policy, driver.layout);
+            self.table
+                .release(std::mem::replace(&mut self.slots[i], slot));
+        }
     }
 
     /// Attaches (or detaches) one shared recorder on every pooled driver
@@ -809,8 +1000,8 @@ impl DriverPool {
     }
 
     /// One batched dispatch: prepare all due drivers in insertion order,
-    /// group by policy fingerprint, one batched actor/certification pass
-    /// per group, apply in insertion order.
+    /// group by compiled policy, one batched actor/certification pass per
+    /// group, apply in insertion order.
     ///
     /// When a recorder is attached, the span profiler emits one
     /// [`SpanRecord`] per hot-path stage (a `dispatch` parent plus
@@ -822,12 +1013,21 @@ impl DriverPool {
     fn dispatch_batched(&mut self, sim: &mut Simulator, due: &[usize]) -> BatchDispatch {
         let DriverPool {
             drivers,
-            states,
-            scratch,
+            slots,
+            table,
+            batch,
             recorder,
             dispatches,
             ..
         } = self;
+        let BatchBuffers {
+            items,
+            groups,
+            members,
+            actions,
+            qc_aggs,
+            fb_aggs,
+        } = batch;
         let timing = recorder
             .as_ref()
             .is_some_and(|r| r.borrow().wants_span_timing());
@@ -838,7 +1038,7 @@ impl DriverPool {
             }
         };
         let t_start = timing.then(std::time::Instant::now);
-        let mut items: Vec<(usize, PreparedDecision)> = Vec::with_capacity(due.len());
+        items.clear();
         for &i in due {
             if let Some(prepared) = drivers[i].prepare_decision(sim) {
                 items.push((i, prepared));
@@ -852,67 +1052,60 @@ impl DriverPool {
                 groups: 0,
             };
         }
-        // Group positions by policy fingerprint, preserving first-seen
+        // The distinct compiled policies among the items, in first-seen
         // order. A linear scan beats a hash map at realistic group counts
         // (fleets share a handful of policies).
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (pos, (i, _)) in items.iter().enumerate() {
-            let key = drivers[*i].policy_key;
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(pos),
-                None => groups.push((key, vec![pos])),
+        groups.clear();
+        for (i, _) in items.iter() {
+            if !groups.contains(&slots[*i]) {
+                groups.push(slots[*i]);
             }
         }
         let t_grouped = timing.then(std::time::Instant::now);
-        let mut actions = vec![0.0f64; items.len()];
-        let mut qc_aggs: Vec<Option<f64>> = vec![None; items.len()];
-        let mut fb_aggs: Vec<Option<f64>> = vec![None; items.len()];
+        actions.clear();
+        actions.resize(items.len(), 0.0);
+        qc_aggs.clear();
+        qc_aggs.resize(items.len(), None);
+        fb_aggs.clear();
+        fb_aggs.resize(items.len(), None);
         let mut forward_ns = 0u64;
         let mut certify_ns = 0u64;
         let mut certify_items = 0u64;
-        for (_, members) in &groups {
+        for &slot in groups.iter() {
             let g_start = timing.then(std::time::Instant::now);
-            let lead = &drivers[items[members[0]].0];
-            let layout = lead.layout;
-            let policy = lead.policy.as_ref().expect("pooled drivers carry a policy");
-            if let [pos] = members[..] {
-                // A group of one: the per-sample path, no stacking cost.
-                actions[pos] = policy.actor.forward(&items[pos].1.ctx.state)[0];
-            } else {
-                states.reshape(members.len(), policy.actor.input_dim());
-                for (r, &pos) in members.iter().enumerate() {
-                    states.set_row(r, &items[pos].1.ctx.state);
-                }
-                let out = policy.actor.forward_batch(states, scratch);
-                for (r, &pos) in members.iter().enumerate() {
-                    actions[pos] = out.get(r, 0);
-                }
+            members.clear();
+            members.extend((0..items.len()).filter(|&pos| slots[items[pos].0] == slot));
+            let ctx_of = |j: usize| &items[members[j]].1.ctx;
+            let compiled = table.entries[slot]
+                .as_mut()
+                .expect("pooled drivers point at live entries");
+            let CompiledPolicy {
+                actor,
+                net,
+                plans,
+                scratch,
+                ..
+            } = compiled;
+            let (states, _) = scratch[0].stage(members.len(), net.input_dim());
+            for j in 0..members.len() {
+                states.set_row(j, &ctx_of(j).state);
+            }
+            let out = net.forward_staged(&mut scratch[0]);
+            for (j, &pos) in members.iter().enumerate() {
+                actions[pos] = out.get(j, 0);
             }
             let g_forwarded = timing.then(std::time::Instant::now);
             forward_ns += span_ns(g_start, g_forwarded);
-            let ctxs_of = |members: &[usize]| -> Vec<StepContext> {
-                members
-                    .iter()
-                    .map(|&pos| items[pos].1.ctx.clone())
-                    .collect()
-            };
-            if let Some((verifier, properties)) = &policy.qc {
-                let results =
-                    verifier.certify_all_many(&policy.actor, properties, layout, &ctxs_of(members));
-                for (&pos, (_, agg)) in members.iter().zip(results) {
-                    qc_aggs[pos] = Some(agg);
-                }
-                certify_items += members.len() as u64;
-            }
-            if let Some(fb) = &policy.fallback {
-                let results = fb.verifier().certify_all_many(
-                    &policy.actor,
-                    fb.properties(),
-                    layout,
-                    &ctxs_of(members),
-                );
-                for (&pos, (_, agg)) in members.iter().zip(results) {
-                    fb_aggs[pos] = Some(agg);
+            for (plan, to_qc, to_fb) in plans.iter_mut() {
+                plan.run(net, actor, members.len(), |j| &ctx_of(j).state, scratch);
+                for (j, &pos) in members.iter().enumerate() {
+                    let agg = Some(plan.aggregate(j, ctx_of(j), actions[pos]));
+                    if *to_qc {
+                        qc_aggs[pos] = agg;
+                    }
+                    if *to_fb {
+                        fb_aggs[pos] = agg;
+                    }
                 }
                 certify_items += members.len() as u64;
             }
@@ -1079,5 +1272,49 @@ mod tests {
         let rate = d.fallback_rate().expect("fallback attached");
         assert!((0.0..=1.0).contains(&rate));
         assert!(d.qc_values().is_empty(), "no explicit QC eval requested");
+    }
+
+    #[test]
+    fn interning_shares_equal_policies_and_never_aliases() {
+        let layout = StateLayout::new(3);
+        let props = || Property::shallow_set(&crate::property::PropertyParams::default());
+        let monitored = |net: Mlp| {
+            DriverPolicy::new(net).with_fallback(FallbackController::new(props(), 0.5, 4))
+        };
+        let mut table = PolicyTable::default();
+
+        // Equal actors built separately share one entry, and from then on
+        // one copy of the weights.
+        let (mut a, mut b) = (monitored(actor(3, 5)), monitored(actor(3, 5)));
+        assert!(!Arc::ptr_eq(&a.actor, &b.actor));
+        assert_eq!(a.actor_key, b.actor_key);
+        let slot = table.intern(a.actor_key, &mut a, layout);
+        assert_eq!(table.intern(b.actor_key, &mut b, layout), slot);
+        assert!(Arc::ptr_eq(&a.actor, &b.actor));
+
+        // The key only narrows the search. Forced onto `a`'s key, an actor
+        // one weight bit away, and an equal actor under another monitor
+        // config, still get their own entries.
+        let mut flipped = actor(3, 5);
+        let w = flipped.layers_mut()[0].weights.get_mut(0, 0);
+        *w = f64::from_bits(w.to_bits() ^ 1);
+        let mut c = monitored(flipped);
+        let mut d = monitored(actor(3, 5)).with_qc(4, props());
+        let slot_c = table.intern(a.actor_key, &mut c, layout);
+        let slot_d = table.intern(a.actor_key, &mut d, layout);
+        assert!(slot_c != slot && slot_d != slot && slot_c != slot_d);
+        assert!(!Arc::ptr_eq(&a.actor, &c.actor));
+        assert!(!Arc::ptr_eq(&a.actor, &d.actor));
+        // `d`'s QC request equals its monitor's config: one shared plan.
+        assert_eq!(table.entries[slot_d].as_ref().unwrap().plans.len(), 1);
+
+        // An entry goes with its last user, and its slot is reused.
+        table.release(slot);
+        assert!(table.entries[slot].is_some());
+        table.release(slot);
+        assert!(table.entries[slot].is_none());
+        let mut plain = DriverPolicy::new(actor(3, 6));
+        assert_eq!(table.intern(plain.actor_key, &mut plain, layout), slot);
+        assert!(table.entries[slot].as_ref().unwrap().plans.is_empty());
     }
 }

@@ -25,6 +25,8 @@
 //!   fallback (Section 4.4).
 //! * [`eval`] — experiment drivers computing the utilization/delay/QC_sat
 //!   metrics reported in the paper's figures.
+//! * [`plan`] — compiled certification plans: the decision-independent
+//!   part of a runtime certificate, built once per policy.
 //! * [`pool`] — the std-only scoped worker pool behind parallel
 //!   certification and evaluation sweeps (`CANOPY_THREADS`).
 //! * [`models`] — deterministic scaled-down training recipes for the
@@ -37,6 +39,7 @@ pub mod eval;
 pub mod models;
 pub mod obs;
 pub mod orca;
+pub mod plan;
 pub mod pool;
 pub mod property;
 pub mod qc;

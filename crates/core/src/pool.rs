@@ -47,23 +47,44 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = threads.min(items.len()).max(1);
+    parallel_map_with(&mut vec![(); threads.max(1)], items, |(), item| f(item))
+}
+
+/// [`parallel_map`] with one caller-owned state per worker — scratch
+/// buffers that outlive the call. At most `states.len()` workers run;
+/// a sequential map uses `states[0]`. `f`'s result must not depend on
+/// which state it was handed.
+///
+/// # Panics
+///
+/// Panics if `states` is empty.
+pub fn parallel_map_with<S, T, U, F>(states: &mut [S], items: &[T], f: F) -> Vec<U>
+where
+    S: Send,
+    T: Sync,
+    U: Send,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
+    let threads = states.len().min(items.len()).max(1);
     if threads <= 1 {
-        return items.iter().map(f).collect();
+        let state = &mut states[0];
+        return items.iter().map(|item| f(state, item)).collect();
     }
     let next = AtomicUsize::new(0);
     let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
+        let (next, f) = (&next, &f);
+        let handles: Vec<_> = states[..threads]
+            .iter_mut()
+            .map(|state| {
+                scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        local.push((i, f(&items[i])));
+                        local.push((i, f(state, &items[i])));
                     }
                     local
                 })

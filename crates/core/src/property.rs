@@ -86,7 +86,7 @@ impl ActionSign {
 }
 
 /// The precondition `X`: which features are abstracted, and to what ranges.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Precondition {
     /// Normalized queuing-delay range applied to all `k` delay dimensions.
     pub delay: Option<Interval>,
@@ -115,7 +115,7 @@ pub enum Postcondition {
 }
 
 /// A complete property `φ(π, X, Y)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Property {
     /// Short identifier used in experiment output ("P1" … "P5" or custom).
     pub name: String,
@@ -282,6 +282,29 @@ impl Property {
         BoxState::from_intervals(&intervals)
     }
 
+    /// The dimensions [`input_region`](Self::input_region) pins to ranges
+    /// that do not depend on the live state — every other dimension keeps
+    /// its observed value. `None` when some range is itself built from the
+    /// state (the multiplicative noise box), so no part of the region can
+    /// be computed ahead of the decision.
+    pub fn abstracted_dims(&self, layout: StateLayout) -> Option<Vec<usize>> {
+        if self.pre.noise_mu.is_some() {
+            return None;
+        }
+        let abstracted = [
+            (self.pre.delay.is_some(), DELAY_IDX),
+            (self.pre.loss.is_some(), LOSS_IDX),
+            (self.pre.past_action.is_some(), ACTION_IDX),
+        ];
+        Some(
+            abstracted
+                .into_iter()
+                .filter(|(on, _)| *on)
+                .flat_map(|(_, feature)| layout.feature_indices(feature))
+                .collect(),
+        )
+    }
+
     /// The allowed output interval (the complement of `Y`) in the property's
     /// output space: `Δcwnd` for window-direction properties, the relative
     /// change fraction for robustness.
@@ -366,6 +389,25 @@ mod tests {
         // Loss dimensions are untouched for P5.
         let l = region.dim_interval(layout().idx(0, LOSS_IDX));
         assert_eq!(l.width(), 0.0);
+    }
+
+    #[test]
+    fn abstracted_dims_are_exactly_the_state_independent_ones() {
+        let p = PropertyParams::default();
+        let a = concrete_state();
+        let b: Vec<f64> = a.iter().map(|x| x + 0.5).collect();
+        for prop in [Property::p1(&p), Property::p4i(&p)] {
+            let dims = prop.abstracted_dims(layout()).expect("static precondition");
+            let (ra, rb) = (
+                prop.input_region(&a, layout()),
+                prop.input_region(&b, layout()),
+            );
+            for i in 0..layout().dim() {
+                let same = ra.dim_interval(i) == rb.dim_interval(i);
+                assert_eq!(same, dims.contains(&i), "{} dim {i}", prop.name);
+            }
+        }
+        assert!(Property::p5(&p).abstracted_dims(layout()).is_none());
     }
 
     #[test]

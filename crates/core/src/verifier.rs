@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::obs::StateLayout;
 use crate::orca::{f_cwnd, f_cwnd_abstract};
+use crate::plan::CertPlan;
 use crate::pool::{self, WorkQueue};
 use crate::property::{Postcondition, Property};
 use crate::qc::{Certificate, ComponentResult};
@@ -23,16 +24,12 @@ const ADAPTIVE_WARMUP_EXPANSIONS: usize = 64;
 /// Boxes propagated per batched-IBP call (and per work-queue item): large
 /// enough to amortize the GEMM setup and any queue locking, small enough
 /// to keep the refinement frontier responsive and stealable.
-const CERT_CHUNK: usize = 32;
-
-/// Minimum component count before a fixed-partition certification fans
-/// out; below this, thread spawn overhead dominates.
-const PARALLEL_MIN_JOBS: usize = 8;
+pub(crate) const CERT_CHUNK: usize = 32;
 
 /// Minimum total work — components × network parameters — before fanning
 /// out. Keeps the tiny per-step certificates of the training loop on the
 /// fast sequential path.
-const PARALLEL_MIN_WORK: usize = 64_000;
+pub(crate) const PARALLEL_MIN_WORK: usize = 64_000;
 
 /// One chunk's processing outcome: finished leaves (verdict + feedback
 /// weight) and the child boxes needing further refinement.
@@ -70,7 +67,7 @@ pub enum AbstractDomain {
 }
 
 /// Configuration of the certification procedure.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Verifier {
     /// Number of input components `N` (the paper trains with 5 and
     /// evaluates certificates with 50).
@@ -122,12 +119,6 @@ impl Verifier {
         self
     }
 
-    /// Whether a fixed-partition workload of `jobs` components over
-    /// `actor` is big enough to amortize spawning `threads` workers.
-    fn worth_parallel(&self, threads: usize, jobs: usize, actor: &Mlp) -> bool {
-        threads > 1 && jobs >= PARALLEL_MIN_JOBS && jobs * actor.param_count() >= PARALLEL_MIN_WORK
-    }
-
     /// Propagates one input component to a sound action interval (the
     /// scalar path, used by the zonotope domain).
     fn propagate_action(&self, actor: &Mlp, part: &BoxState) -> Interval {
@@ -168,26 +159,6 @@ impl Verifier {
         }
     }
 
-    /// Action intervals for a full fixed partition: batched through the
-    /// prepared propagator, fanned out over the pool in
-    /// [`CERT_CHUNK`]-sized chunks when the workload is large enough.
-    fn action_intervals(&self, actor: &Mlp, parts: &[BoxState], threads: usize) -> Vec<Interval> {
-        let prepared = self.prepare(actor);
-        if self.worth_parallel(threads, parts.len(), actor) {
-            let chunks: Vec<&[BoxState]> = parts.chunks(CERT_CHUNK).collect();
-            pool::parallel_map(&chunks, threads, |chunk| {
-                let mut scratch = IbpBatchScratch::new();
-                self.chunk_actions(actor, prepared.as_ref(), chunk.iter(), &mut scratch)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            let mut scratch = IbpBatchScratch::new();
-            self.chunk_actions(actor, prepared.as_ref(), parts.iter(), &mut scratch)
-        }
-    }
-
     /// Computes the quantitative certificate for `property` under the
     /// current step context.
     ///
@@ -203,73 +174,10 @@ impl Verifier {
         layout: StateLayout,
         ctx: &StepContext,
     ) -> Certificate {
-        let region = property.input_region(&ctx.state, layout);
-        let axis = property.split_axis(layout);
-        let parts = region.split_dim(axis, self.n_components);
-        let allowed = property.allowed_output();
-
-        // Robustness compares against the *unperturbed* concrete output.
-        let concrete_cwnd = match property.post {
-            Postcondition::BoundedChange { .. } => {
-                let a = actor.forward(&ctx.state)[0];
-                f_cwnd(a, ctx.cwnd_tcp)
-            }
-            _ => 0.0,
-        };
-
-        let threads = pool::resolve_threads(self.threads);
-        let actions = self.action_intervals(actor, &parts, threads);
-        let components = parts
-            .iter()
-            .zip(actions)
-            .map(|(part, action)| {
-                self.component_from_action(
-                    property,
-                    part,
-                    axis,
-                    ctx,
-                    allowed,
-                    concrete_cwnd,
-                    action,
-                )
-            })
-            .collect();
-
-        Certificate::from_components(&property.name, components)
-    }
-
-    /// Builds one component verdict from its already-propagated action
-    /// interval.
-    #[allow(clippy::too_many_arguments)]
-    fn component_from_action(
-        &self,
-        property: &Property,
-        part: &BoxState,
-        axis: usize,
-        ctx: &StepContext,
-        allowed: Interval,
-        concrete_cwnd: f64,
-        action: Interval,
-    ) -> ComponentResult {
-        let input_slice = part.dim_interval(axis);
-        let cwnd = f_cwnd_abstract(action, ctx.cwnd_tcp);
-        let output = match property.post {
-            Postcondition::NoDecrease | Postcondition::NoIncrease => {
-                // Δcwnd# = cwnd# − cwnd_{i−1}.
-                cwnd.sub(Interval::point(ctx.cwnd_prev))
-            }
-            Postcondition::BoundedChange { .. } => {
-                // (cwnd# − cwnd_i) / cwnd_i.
-                cwnd.sub(Interval::point(concrete_cwnd))
-                    .scale(1.0 / concrete_cwnd.max(f64::MIN_POSITIVE))
-            }
-        };
-        ComponentResult {
-            input_slice,
-            output,
-            satisfied: output.is_subset_of(allowed),
-            feedback: output.fraction_within(allowed),
-        }
+        self.certify_all(actor, std::slice::from_ref(property), layout, ctx)
+            .0
+            .pop()
+            .expect("one property in, one certificate out")
     }
 
     /// Branch-and-bound certification: starts from one component and
@@ -333,16 +241,10 @@ impl Verifier {
             // pending the concrete centre probe.
             let mut candidates: Vec<(usize, ComponentResult, f64)> = Vec::new();
             for (i, ((part, depth), action)) in chunk.iter().zip(actions).enumerate() {
-                let result = self.component_from_action(
-                    property,
-                    part,
-                    axis,
-                    ctx,
-                    allowed,
-                    concrete_cwnd,
-                    action,
-                );
-                let width = part.dim_interval(axis).width();
+                let slice = part.dim_interval(axis);
+                let result =
+                    component_result(property.post, slice, ctx, allowed, concrete_cwnd, action);
+                let width = slice.width();
                 let weight = if total_width > 0.0 {
                     width / total_width
                 } else {
@@ -488,81 +390,54 @@ impl Verifier {
         layout: StateLayout,
         ctxs: &[StepContext],
     ) -> Vec<(Vec<Certificate>, f64)> {
-        struct Prep {
-            parts: Vec<BoxState>,
-            axis: usize,
-            allowed: Interval,
-            concrete_cwnd: f64,
-        }
-        // One prep per (context, property); robustness postconditions
-        // compare against the context's own unperturbed concrete output,
-        // exactly as the per-context path does.
-        let preps: Vec<Vec<Prep>> = ctxs
-            .iter()
-            .map(|ctx| {
-                properties
-                    .iter()
-                    .map(|property| {
-                        let region = property.input_region(&ctx.state, layout);
-                        let axis = property.split_axis(layout);
-                        let concrete_cwnd = match property.post {
-                            Postcondition::BoundedChange { .. } => {
-                                f_cwnd(actor.forward(&ctx.state)[0], ctx.cwnd_tcp)
-                            }
-                            _ => 0.0,
-                        };
-                        Prep {
-                            parts: region.split_dim(axis, self.n_components),
-                            axis,
-                            allowed: property.allowed_output(),
-                            concrete_cwnd,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // The action interval depends only on the input box, not the
-        // property or the context, so every context's components batch
-        // through the propagator (and the pool) together.
-        let flat_parts: Vec<BoxState> = preps
-            .iter()
-            .flatten()
-            .flat_map(|p| p.parts.iter().cloned())
-            .collect();
-        let threads = pool::resolve_threads(self.threads);
-        let actions = self.action_intervals(actor, &flat_parts, threads);
-
-        let mut remaining = flat_parts.iter().zip(actions);
+        let net = PreparedMlp::new(actor);
+        let mut plan = CertPlan::compile(*self, &net, properties, layout);
+        let mut scratch = vec![IbpBatchScratch::new()];
+        plan.run(&net, actor, ctxs.len(), |j| &ctxs[j].state, &mut scratch);
+        let needs_action = plan.needs_action();
         ctxs.iter()
-            .zip(&preps)
-            .map(|(ctx, ctx_preps)| {
-                let certs: Vec<Certificate> = properties
-                    .iter()
-                    .zip(ctx_preps)
-                    .map(|(property, p)| {
-                        let comps: Vec<ComponentResult> = remaining
-                            .by_ref()
-                            .take(p.parts.len())
-                            .map(|(part, action)| {
-                                self.component_from_action(
-                                    property,
-                                    part,
-                                    p.axis,
-                                    ctx,
-                                    p.allowed,
-                                    p.concrete_cwnd,
-                                    action,
-                                )
-                            })
-                            .collect();
-                        Certificate::from_components(&property.name, comps)
-                    })
-                    .collect();
+            .enumerate()
+            .map(|(j, ctx)| {
+                let action = if needs_action {
+                    actor.forward(&ctx.state)[0]
+                } else {
+                    0.0
+                };
+                let certs = plan.certificates(j, ctx, action);
                 let agg = crate::qc::aggregate_feedback(&certs);
                 (certs, agg)
             })
             .collect()
+    }
+}
+
+/// One component verdict (Eq. 5–6) from its partition slice and its
+/// already-propagated action interval.
+pub(crate) fn component_result(
+    post: Postcondition,
+    input_slice: Interval,
+    ctx: &StepContext,
+    allowed: Interval,
+    concrete_cwnd: f64,
+    action: Interval,
+) -> ComponentResult {
+    let cwnd = f_cwnd_abstract(action, ctx.cwnd_tcp);
+    let output = match post {
+        Postcondition::NoDecrease | Postcondition::NoIncrease => {
+            // Δcwnd# = cwnd# − cwnd_{i−1}.
+            cwnd.sub(Interval::point(ctx.cwnd_prev))
+        }
+        Postcondition::BoundedChange { .. } => {
+            // (cwnd# − cwnd_i) / cwnd_i.
+            cwnd.sub(Interval::point(concrete_cwnd))
+                .scale(1.0 / concrete_cwnd.max(f64::MIN_POSITIVE))
+        }
+    };
+    ComponentResult {
+        input_slice,
+        output,
+        satisfied: output.is_subset_of(allowed),
+        feedback: output.fraction_within(allowed),
     }
 }
 

@@ -5,8 +5,8 @@
 //! group, apply in insertion order) must be **bitwise** identical to the
 //! pre-batching engine (each due driver runs its own full `on_decision`),
 //! which survives as `DriverPool::run_until_serial`. The suite races the
-//! two engines over noise × QC × fallback × topology × arrival-pattern
-//! combinations and compares every observable bit: decision counts,
+//! two engines over noise × QC × fallback × topology × arrival-pattern ×
+//! mid-run hot-swap combinations and compares every observable bit: decision counts,
 //! bookkeeping windows, per-decision certificate streams, fallback
 //! monitor statistics, state vectors, and simulator flow stats.
 //!
@@ -41,6 +41,11 @@ enum PolicyKind {
     Plain,
     Qc,
     Fallback,
+    /// QC request and fallback monitor over equal configs: one shared
+    /// certification pass feeds both streams.
+    Both,
+    /// The same with differing component counts: two passes.
+    BothDiffer,
 }
 
 #[derive(Clone, Debug)]
@@ -55,8 +60,12 @@ struct Scenario {
     /// Two distinct actors instead of one shared policy — exercises the
     /// per-batch grouping.
     mixed_actors: bool,
-    /// One flow departs mid-run — exercises heap entry retirement.
+    /// One flow departs mid-run — exercises heap entry retirement, inside
+    /// a batch when arrivals are aligned.
     departing: bool,
+    /// The last flow's actor is hot-swapped at 300 ms — exercises
+    /// re-interning (no stale compiled policy).
+    swap: bool,
     duration: Time,
 }
 
@@ -135,6 +144,16 @@ fn build(s: &Scenario) -> (Simulator, DriverPool) {
             PolicyKind::Fallback => {
                 policy = policy.with_fallback(FallbackController::new(props(), 0.6, 3));
             }
+            PolicyKind::Both | PolicyKind::BothDiffer => {
+                let n = if matches!(s.policy, PolicyKind::Both) {
+                    3
+                } else {
+                    4
+                };
+                policy = policy
+                    .with_qc(3, props())
+                    .with_fallback(FallbackController::new(props(), 0.6, n));
+            }
         }
         pool.push(OrcaDriver::new(&cfg, &bottleneck, flow).with_policy(policy));
     }
@@ -176,41 +195,61 @@ fn fingerprint(sim: &Simulator, pool: &DriverPool) -> Fingerprint {
         .collect()
 }
 
-fn run_batched(s: &Scenario) -> Fingerprint {
+fn run(s: &Scenario, serial: bool) -> Fingerprint {
     let (mut sim, mut pool) = build(s);
-    pool.run_until(&mut sim, s.duration);
+    let advance = |pool: &mut DriverPool, sim: &mut Simulator, horizon: Time| {
+        if serial {
+            pool.run_until_serial(sim, horizon);
+        } else {
+            pool.run_until(sim, horizon);
+        }
+    };
+    if s.swap {
+        advance(&mut pool, &mut sim, Time::from_millis(300));
+        pool.swap_actor(s.flows - 1, actor(300));
+    }
+    advance(&mut pool, &mut sim, s.duration);
     assert_eq!(sim.now(), s.duration);
     fingerprint(&sim, &pool)
+}
+
+fn run_batched(s: &Scenario) -> Fingerprint {
+    run(s, false)
 }
 
 fn run_serial(s: &Scenario) -> Fingerprint {
-    let (mut sim, mut pool) = build(s);
-    pool.run_until_serial(&mut sim, s.duration);
-    assert_eq!(sim.now(), s.duration);
-    fingerprint(&sim, &pool)
+    run(s, true)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn batched_dispatch_is_bitwise_identical_to_serial(
         flows in 2usize..5,
         topo_pick in 0usize..3,
-        policy_pick in 0usize..3,
+        policy_pick in 0usize..5,
         noisy in [false, true],
         aligned in [false, true],
         mixed_actors in [false, true],
         departing in [false, true],
+        swap in [false, true],
     ) {
         let s = Scenario {
             flows,
             topo: [Topo::Single, Topo::ParkingLot, Topo::Incast][topo_pick],
-            policy: [PolicyKind::Plain, PolicyKind::Qc, PolicyKind::Fallback][policy_pick],
+            policy: [
+                PolicyKind::Plain,
+                PolicyKind::Qc,
+                PolicyKind::Fallback,
+                PolicyKind::Both,
+                PolicyKind::BothDiffer,
+            ][policy_pick],
             noisy,
             aligned,
             mixed_actors,
             departing,
+            swap,
             duration: Time::from_millis(600),
         };
         prop_assert_eq!(run_batched(&s), run_serial(&s), "engines diverged on {:?}", s);
@@ -229,6 +268,7 @@ fn synchronized_qc_fleet_matches_serial_bitwise() {
         aligned: true,
         mixed_actors: false,
         departing: false,
+        swap: false,
         duration: Time::from_secs(1),
     };
     let batched = run_batched(&s);
@@ -248,9 +288,54 @@ fn fallback_arbitration_matches_serial_bitwise() {
         aligned: true,
         mixed_actors: true,
         departing: true,
+        swap: true,
         duration: Time::from_millis(800),
     };
     assert_eq!(run_batched(&s), run_serial(&s));
+}
+
+/// A QC request and a fallback monitor over equal `(Verifier, properties)`
+/// certify once and feed both streams; differing configs keep two passes.
+/// The certify span's item count is the number of (decision, pass) pairs.
+#[test]
+fn equal_qc_and_fallback_configs_share_one_certification_pass() {
+    use canopy_telemetry::{FlightRecorder, SpanStage};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    for (policy, passes) in [(PolicyKind::Both, 1), (PolicyKind::BothDiffer, 2)] {
+        let s = Scenario {
+            flows: 4,
+            topo: Topo::Single,
+            policy,
+            noisy: true,
+            aligned: true,
+            mixed_actors: true,
+            departing: true,
+            swap: true,
+            duration: Time::from_millis(500),
+        };
+        let batched = run_batched(&s);
+        assert_eq!(batched, run_serial(&s), "{policy:?}");
+        if passes == 1 {
+            // One pass, two consumers: the streams are the same bits.
+            assert!(batched.iter().all(|d| !d.3.is_empty() && d.3 == d.4));
+        }
+        if std::env::var("CANOPY_POOL_SERIAL").is_ok_and(|v| v == "1") {
+            continue; // the serial engine emits no spans
+        }
+        let (mut sim, mut pool) = build(&s);
+        let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
+        pool.set_recorder(Some(recorder.clone()));
+        pool.run_until(&mut sim, s.duration);
+        let decisions: u64 = pool.drivers().iter().map(|d| d.decisions()).sum();
+        let totals = recorder.borrow().span_stage_totals();
+        let certified = totals
+            .iter()
+            .find(|t| t.0 == SpanStage::Certify)
+            .expect("stage");
+        assert_eq!(certified.2, passes * decisions, "{policy:?}");
+    }
 }
 
 /// Batched runs narrate their dispatches: sizes recorded per batch sum to
@@ -275,6 +360,7 @@ fn batched_runs_emit_consistent_batch_telemetry() {
         aligned: true,
         mixed_actors: true,
         departing: false,
+        swap: false,
         duration: Time::from_millis(400),
     };
     let (mut sim, mut pool) = build(&s);
@@ -318,6 +404,7 @@ fn serial_runs_emit_no_batch_records() {
         aligned: true,
         mixed_actors: false,
         departing: false,
+        swap: false,
         duration: Time::from_millis(200),
     };
     let (mut sim, mut pool) = build(&s);

@@ -233,7 +233,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// Builds the fleet: the topology, one Cubic-kerneled flow per slot,
-    /// and one pooled driver per flow, all cloning `actor`.
+    /// and one pooled driver per flow, all sharing `actor`.
     ///
     /// # Panics
     ///
@@ -272,6 +272,16 @@ impl Fleet {
         };
         let mut sim = Simulator::with_topology(topology);
         let mut pool = DriverPool::new();
+        // One policy for the whole fleet: clones share the actor and its
+        // fingerprint, and the pool compiles it once.
+        let mut policy = DriverPolicy::new(actor.clone());
+        if let Some(monitor) = &config.qc_monitor {
+            policy = policy.with_fallback(FallbackController::new(
+                monitor.properties.clone(),
+                monitor.threshold,
+                monitor.n_components,
+            ));
+        }
         for i in 0..config.flows {
             let start = Time::from_nanos(config.stagger.as_nanos() * i as u64);
             let mut flow_cfg = FlowConfig::new(config.min_rtt)
@@ -282,15 +292,8 @@ impl Fleet {
             }
             let flow = sim.add_flow(flow_cfg, Box::new(Cubic::new()));
             let driver_cfg = DriverConfig::new(config.min_rtt, config.k).starting_at(start);
-            let mut policy = DriverPolicy::new(actor.clone());
-            if let Some(monitor) = &config.qc_monitor {
-                policy = policy.with_fallback(FallbackController::new(
-                    monitor.properties.clone(),
-                    monitor.threshold,
-                    monitor.n_components,
-                ));
-            }
-            pool.push(OrcaDriver::new(&driver_cfg, &bottleneck, flow).with_policy(policy));
+            let driver = OrcaDriver::new(&driver_cfg, &bottleneck, flow);
+            pool.push(driver.with_policy(policy.clone()));
         }
         Fleet {
             sim,
@@ -474,9 +477,7 @@ impl Fleet {
             .fold(f64::INFINITY, f64::min);
         let promoted = min_qc >= gate.threshold;
         if promoted {
-            for i in 0..self.pool.len() {
-                self.pool.swap_actor(i, candidate.clone());
-            }
+            self.pool.swap_actor_all(candidate.clone());
             self.actor = candidate;
         }
         PromoteOutcome {
@@ -604,6 +605,79 @@ mod tests {
         // The swapped fleet keeps running.
         let report = fleet.run(Time::from_millis(60));
         assert!(report.decisions > 0);
+    }
+
+    /// The pool's compiled policy follows the deployed actor: an accepted
+    /// promote compiles the candidate (so the very next decision is
+    /// certified against the *new* weights) and frees the old plan; a
+    /// rejected or vetoed one touches nothing.
+    #[test]
+    fn promote_swaps_the_one_compiled_policy() {
+        let p = PropertyParams::default();
+        let monitor = QcMonitorConfig {
+            properties: vec![Property::p1(&p)],
+            threshold: 0.9,
+            n_components: 4,
+        };
+        let gate = |threshold| PromotionGate {
+            properties: monitor.properties.clone(),
+            threshold,
+            n_components: 4,
+        };
+        let shared_actor = |fleet: &Fleet| {
+            let drivers = fleet.pool().drivers();
+            let first = drivers[0].policy().expect("pooled").actor();
+            assert!(drivers
+                .iter()
+                .all(|d| std::ptr::eq(d.policy().expect("pooled").actor(), first)));
+            first as *const Mlp
+        };
+        // Stagger by a quarter MI so the 8 flows decide at 4 instants.
+        let config = FleetConfig::dumbbell(8, 96e6, 3)
+            .with_qc_monitor(monitor.clone())
+            .with_stagger(Time::from_millis(5));
+        // Deployed: decrease everywhere — P1 fails, every decision falls back.
+        let mut fleet = Fleet::new(&config, constant_actor(3, -0.9));
+        assert_eq!(fleet.pool().compiled_policies(), 1);
+        fleet.run(Time::from_millis(60));
+        let qc_len = |fleet: &Fleet, i: usize| fleet.pool().drivers()[i].fallback_qc_values().len();
+        for d in fleet.pool().drivers() {
+            let qc = d.fallback_qc_values();
+            assert!(!qc.is_empty() && qc.iter().all(|&qc| qc == 0.0));
+        }
+        let before = shared_actor(&fleet);
+
+        // Rejected (the candidate also violates P1): table untouched.
+        assert!(!fleet.promote(constant_actor(3, -0.8), &gate(0.9)).promoted);
+        assert_eq!(fleet.pool().compiled_policies(), 1);
+        assert_eq!(shared_actor(&fleet), before);
+
+        // Accepted: one new compiled policy, the old one freed, and every
+        // flow's first decision after the swap sees the new weights.
+        let seen: Vec<usize> = (0..8).map(|i| qc_len(&fleet, i)).collect();
+        assert!(fleet.promote(constant_actor(3, 0.5), &gate(0.9)).promoted);
+        assert_eq!(fleet.pool().compiled_policies(), 1);
+        assert_ne!(shared_actor(&fleet), before);
+        fleet.run(Time::from_millis(40));
+        for (i, d) in fleet.pool().drivers().iter().enumerate() {
+            assert!(qc_len(&fleet, i) > seen[i]);
+            assert!(d.fallback_qc_values()[seen[i]..]
+                .iter()
+                .all(|&qc| qc == 1.0));
+        }
+
+        // Vetoed: an unmeetable SLO breaches on the first snapshot.
+        fleet.attach_live(live_recorder(vec![SloSpec::new(
+            "qc-floor",
+            SloKind::MinWindowQcSat,
+            2.0,
+        )]));
+        fleet.run(Time::from_millis(100));
+        assert!(fleet.breach_active());
+        let deployed = shared_actor(&fleet);
+        assert!(fleet.promote(constant_actor(3, 0.25), &gate(0.0)).vetoed);
+        assert_eq!(fleet.pool().compiled_policies(), 1);
+        assert_eq!(shared_actor(&fleet), deployed);
     }
 
     /// A fleet whose QC monitor can never be satisfied (threshold 2.0):

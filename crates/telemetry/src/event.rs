@@ -73,11 +73,12 @@ pub enum SpanStage {
     Dispatch,
     /// `prepare_decision` over every due driver.
     Prepare,
-    /// Policy-fingerprint grouping of the prepared batch.
+    /// Compiled-policy grouping of the prepared batch.
     Group,
-    /// `forward`/`forward_batch` over each policy group.
+    /// The batched actor pass over each policy group.
     Forward,
-    /// `certify_all_many` over QC and fallback contexts.
+    /// The certification passes over each group's contexts (one item per
+    /// decision per pass; equal QC and fallback configs share a pass).
     Certify,
     /// `apply_decision` over every prepared driver.
     Apply,

@@ -28,7 +28,7 @@ fn events(seed: u64, n: usize, t_max: u64, bucket_ns: u64) -> Vec<(u64, u64)> {
     (0..n)
         .map(|_| {
             let mut t = splitmix(&mut s) % (t_max + 1);
-            if splitmix(&mut s) % 3 == 0 {
+            if splitmix(&mut s).is_multiple_of(3) {
                 t -= t % bucket_ns; // exact boundary instant
             }
             (t, splitmix(&mut s) % 1_000)
