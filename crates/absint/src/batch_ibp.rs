@@ -31,18 +31,16 @@
 use canopy_nn::{Activation, Matrix, Mlp};
 
 use crate::boxdom::BoxState;
-use crate::ibp::gamma;
+use crate::ibp::{gamma, WIDEN_FLOOR};
 use crate::interval::Interval;
 
 /// Branchless outward widening of a non-negative deviation: at least one
 /// ULP up (like `next_up`) but vectorizable — a relative bump of 4ε plus
-/// the smallest *normal* positive float (so a zero deviation floors at a
-/// normal number, never a denormal). Strictly ≥ `x.next_up()` for every
-/// finite non-negative `x`, hence sound wherever the scalar path rounds
-/// up by one ULP.
+/// [`WIDEN_FLOOR`], which carries the soundness argument and the reason the
+/// floor sits far above the subnormal range.
 #[inline(always)]
 fn widen(x: f64) -> f64 {
-    x * (1.0 + 4.0 * f64::EPSILON) + f64::MIN_POSITIVE
+    x * (1.0 + 4.0 * f64::EPSILON) + WIDEN_FLOOR
 }
 
 /// One dense layer pre-arranged for batched propagation.
@@ -99,6 +97,22 @@ impl IbpBatchScratch {
         self.in_c.reshape(n, dim);
         self.in_d.reshape(n, dim);
         (&mut self.in_c, &mut self.in_d)
+    }
+
+    /// Every resident buffer, for tests that audit what a propagation
+    /// leaves behind (`tests/no_subnormals.rs`).
+    #[doc(hidden)]
+    pub fn buffers(&self) -> [&Matrix; 8] {
+        [
+            &self.c,
+            &self.d,
+            &self.c_next,
+            &self.d_next,
+            &self.abs_in,
+            &self.abs_acc,
+            &self.in_c,
+            &self.in_d,
+        ]
     }
 }
 

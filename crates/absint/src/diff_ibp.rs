@@ -13,46 +13,309 @@
 //! training; the *sound* outward-rounded propagation for proofs lives in
 //! [`crate::ibp`]. The two agree to floating-point slack.
 
-use canopy_nn::{Activation, Mlp};
+use canopy_nn::{Activation, Matrix, Mlp};
 
-/// Cached per-layer bounds from [`forward_bounds`], consumed by
-/// [`backward_bounds`].
+/// Output units whose two accumulators the forward kernel holds in
+/// registers across the fan-in reduction.
+const LANES: usize = 8;
+
+/// One dense layer as the engine reads it, with the bounds it produced.
 #[derive(Clone, Debug)]
-pub struct BoundsTrace {
-    input_lo: Vec<f64>,
-    input_hi: Vec<f64>,
-    /// Pre-activation bounds per layer.
-    pre_lo: Vec<Vec<f64>>,
-    pre_hi: Vec<Vec<f64>>,
-    /// Post-activation bounds per layer.
-    post_lo: Vec<Vec<f64>>,
-    post_hi: Vec<Vec<f64>>,
+struct BoundLayer {
+    /// Transposed weights, `in × out`: unit stride across output units.
+    wt: Matrix,
+    bias: Vec<f64>,
+    activation: Activation,
+    /// Pre- and post-activation `[lower, upper]` bounds, one row per box.
+    pre: [Matrix; 2],
+    post: [Matrix; 2],
 }
 
-impl BoundsTrace {
-    /// The output lower bounds.
-    pub fn out_lo(&self) -> &[f64] {
-        self.post_lo.last().expect("at least one layer")
+/// The batched differentiable-IBP engine — the one implementation of the
+/// bound computation and its gradient.
+///
+/// [`bind`](Self::bind) it to a network, [`stage`](Self::stage) one input
+/// box per row, run [`forward`](Self::forward), read the bounds, then call
+/// [`backward_row`](Self::backward_row) for every row whose loss is active.
+/// All buffers are resident, so steady-state use allocates nothing.
+///
+/// **Bitwise contract.** Every row carries exactly the bounds the one-row
+/// [`forward_bounds`] computes for the same box: each bound is the bias
+/// plus the ascending-`j` sum of unfused `w·x` products, the `w ≥ 0` choice
+/// between the two input bounds made by a select instead of a branch.
+/// `backward_row` adds one term per weight, so calling it for rows in
+/// ascending order accumulates into `grad_weights` exactly as a per-sample
+/// loop over those rows would.
+#[derive(Clone, Debug, Default)]
+pub struct DiffIbp {
+    layers: Vec<BoundLayer>,
+    /// The staged `[lower, upper]` input bounds.
+    input: [Matrix; 2],
+}
+
+/// Gradient ping-pong buffers of [`DiffIbp::backward_row`]; after a call
+/// `lo`/`hi` hold the gradients with respect to the row's input bounds.
+#[derive(Clone, Debug, Default)]
+pub struct BoundGrads {
+    /// Gradient with respect to the input lower bounds.
+    pub lo: Vec<f64>,
+    /// Gradient with respect to the input upper bounds.
+    pub hi: Vec<f64>,
+    next_lo: Vec<f64>,
+    next_hi: Vec<f64>,
+}
+
+impl DiffIbp {
+    /// Binds the engine to `net`'s current weights (transposing them into
+    /// resident buffers). Call again whenever the weights change.
+    pub fn bind(&mut self, net: &Mlp) {
+        self.layers.resize_with(net.layers().len(), || BoundLayer {
+            wt: Matrix::default(),
+            bias: Vec::new(),
+            activation: Activation::Identity,
+            pre: Default::default(),
+            post: Default::default(),
+        });
+        for (bound, layer) in self.layers.iter_mut().zip(net.layers()) {
+            layer.weights.transpose_into(&mut bound.wt);
+            bound.bias.clone_from(&layer.bias);
+            bound.activation = layer.activation;
+        }
     }
 
-    /// The output upper bounds.
-    pub fn out_hi(&self) -> &[f64] {
-        self.post_hi.last().expect("at least one layer")
+    /// Sizes the input staging matrices to `n` boxes of the bound network's
+    /// input width and hands them out (lower bounds, upper bounds) for the
+    /// caller to fill row by row; contents are unspecified until written.
+    pub fn stage(&mut self, n: usize) -> (&mut Matrix, &mut Matrix) {
+        let dim = self.layers.first().map_or(0, |l| l.wt.rows());
+        let [lo, hi] = &mut self.input;
+        lo.reshape(n, dim);
+        hi.reshape(n, dim);
+        (lo, hi)
     }
 
-    /// The final layer's **pre-activation** lower bounds.
+    /// The number of staged boxes.
+    pub fn rows(&self) -> usize {
+        self.input[0].rows()
+    }
+
+    /// Propagates every staged box through the bound network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any staged `lo[i] > hi[i]` (or either is NaN).
+    pub fn forward(&mut self) {
+        let [lo, hi] = &self.input;
+        assert!(
+            lo.as_slice().iter().zip(hi.as_slice()).all(|(l, h)| l <= h),
+            "inverted input bounds"
+        );
+        let n = self.rows();
+        for i in 0..self.layers.len() {
+            let (done, rest) = self.layers.split_at_mut(i);
+            let [in_lo, in_hi] = done.last().map_or(&self.input, |prev| &prev.post);
+            let layer = &mut rest[0];
+            for m in layer.pre.iter_mut().chain(&mut layer.post) {
+                m.reshape(n, layer.bias.len());
+            }
+            let ([zl, zh], [al, ah]) = (&mut layer.pre, &mut layer.post);
+            for r in 0..n {
+                let (lo, hi) = (in_lo.row(r), in_hi.row(r));
+                affine_bounds(&layer.wt, &layer.bias, lo, hi, zl.row_mut(r), zh.row_mut(r));
+                for (post, pre) in [(&mut *al, &*zl), (&mut *ah, &*zh)] {
+                    for (a, &z) in post.row_mut(r).iter_mut().zip(pre.row(r)) {
+                        *a = layer.activation.apply(z);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(lower, upper)` output bounds of staged box `row`, after the output
+    /// activation.
+    pub fn out_bounds(&self, row: usize) -> (&[f64], &[f64]) {
+        let [lo, hi] = &self.layers.last().expect("at least one layer").post;
+        (lo.row(row), hi.row(row))
+    }
+
+    /// The final layer's **pre-activation** bounds of staged box `row`.
     ///
     /// Hinge losses for certified training are best expressed here: a
     /// saturated output tanh has a vanishing derivative, so a loss on the
     /// post-activation bound cannot pull a saturated policy back, while
     /// the pre-activation bound always carries gradient.
+    pub fn pre_out_bounds(&self, row: usize) -> (&[f64], &[f64]) {
+        let [lo, hi] = &self.layers.last().expect("at least one layer").pre;
+        (lo.row(row), hi.row(row))
+    }
+
+    /// Backpropagates a loss gradient on staged box `row`'s output bounds
+    /// into `net`'s gradient accumulators (adding on top of whatever is
+    /// there, so the certified loss composes with a policy-gradient
+    /// update), leaving the input-bound gradients in `grads`. `net` must be
+    /// the network the engine is bound to. With `from_pre_activation` the
+    /// gradients are with respect to the final layer's pre-activation
+    /// bounds, skipping the output activation's derivative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if gradient shapes mismatch the network output.
+    pub fn backward_row(
+        &self,
+        net: &mut Mlp,
+        row: usize,
+        grad_out_lo: &[f64],
+        grad_out_hi: &[f64],
+        from_pre_activation: bool,
+        grads: &mut BoundGrads,
+    ) {
+        assert_eq!(grad_out_lo.len(), net.output_dim(), "grad shape mismatch");
+        assert_eq!(grad_out_hi.len(), net.output_dim(), "grad shape mismatch");
+        let BoundGrads {
+            lo: g_lo,
+            hi: g_hi,
+            next_lo,
+            next_hi,
+        } = grads;
+        g_lo.clear();
+        g_lo.extend_from_slice(grad_out_lo);
+        g_hi.clear();
+        g_hi.extend_from_slice(grad_out_hi);
+        let n_layers = self.layers.len();
+        for i in (0..n_layers).rev() {
+            let layer = &mut net.layers_mut()[i];
+            layer.ensure_grads();
+            // Through the activation (skipped at the top when the caller's
+            // gradient is already with respect to the pre-activation).
+            if !(from_pre_activation && i == n_layers - 1) {
+                let bound = &self.layers[i];
+                for (g, side) in [(&mut *g_lo, 0), (&mut *g_hi, 1)] {
+                    let (pre, post) = (bound.pre[side].row(row), bound.post[side].row(row));
+                    for ((g, &z), &a) in g.iter_mut().zip(pre).zip(post) {
+                        *g *= layer.activation.derivative(z, a);
+                    }
+                }
+            }
+            let [in_lo, in_hi] = match i {
+                0 => &self.input,
+                _ => &self.layers[i - 1].post,
+            };
+            let fan_in = layer.fan_in();
+            let (in_lo, in_hi) = (in_lo.row(row), in_hi.row(row));
+            for next in [&mut *next_lo, &mut *next_hi] {
+                next.clear();
+                next.resize(fan_in, 0.0);
+            }
+            for (r, (&gl, &gh)) in g_lo.iter().zip(&*g_hi).enumerate() {
+                layer.grad_bias[r] += gl + gh;
+                let (w, gw) = (layer.weights.row(r), layer.grad_weights.row_mut(r));
+                backward_unit(w, gl, gh, in_lo, in_hi, gw, next_lo, next_hi);
+            }
+            std::mem::swap(g_lo, next_lo);
+            std::mem::swap(g_hi, next_hi);
+        }
+    }
+}
+
+/// One output unit's share of the backward pass: its weight row `w` and
+/// bound gradients `[g_lo, g_hi]` against the layer's input bounds `x`,
+/// added into the unit's weight-gradient row `gw` and the input-bound
+/// gradients `next`. A function of its own so the slices are provably
+/// disjoint and the loop vectorizes.
+#[allow(clippy::too_many_arguments)]
+fn backward_unit(
+    w: &[f64],
+    gl: f64,
+    gh: f64,
+    x_lo: &[f64],
+    x_hi: &[f64],
+    gw: &mut [f64],
+    next_lo: &mut [f64],
+    next_hi: &mut [f64],
+) {
+    let n = w.len();
+    let (x_lo, x_hi, gw) = (&x_lo[..n], &x_hi[..n], &mut gw[..n]);
+    let (next_lo, next_hi) = (&mut next_lo[..n], &mut next_hi[..n]);
+    for j in 0..n {
+        // lo' uses (w⁺·lo + w⁻·hi); hi' uses (w⁺·hi + w⁻·lo): a negative
+        // weight swaps which bound each gradient reaches. Selecting the
+        // gradients, not the inputs, keeps every load unconditional.
+        let (to_lo, to_hi) = if w[j] >= 0.0 { (gl, gh) } else { (gh, gl) };
+        gw[j] += to_lo * x_lo[j] + to_hi * x_hi[j];
+        next_lo[j] += to_lo * w[j];
+        next_hi[j] += to_hi * w[j];
+    }
+}
+
+/// `zl = W⁺·lo + W⁻·hi + b`, `zh = W⁺·hi + W⁻·lo + b` for one box, `wt`
+/// being `Wᵀ`. Vectorized across output units; each unit's reduction runs
+/// over the inputs in ascending order with an unfused multiply then add.
+fn affine_bounds(
+    wt: &Matrix,
+    bias: &[f64],
+    lo: &[f64],
+    hi: &[f64],
+    zl: &mut [f64],
+    zh: &mut [f64],
+) {
+    /// `L` adjacent output units, their accumulators held in registers.
+    #[inline(always)]
+    fn reduce<const L: usize>(
+        wt: &Matrix,
+        at: usize,
+        lo: &[f64],
+        hi: &[f64],
+        bias: &[f64],
+    ) -> [[f64; L]; 2] {
+        let bias: [f64; L] = bias[at..at + L].try_into().expect("L biases");
+        let (mut zl, mut zh) = (bias, bias);
+        for (j, (&l, &h)) in lo.iter().zip(hi).enumerate() {
+            let w: &[f64; L] = wt.row(j)[at..at + L].try_into().expect("L weights");
+            for k in 0..L {
+                let (for_lo, for_hi) = if w[k] >= 0.0 { (l, h) } else { (h, l) };
+                zl[k] += w[k] * for_lo;
+                zh[k] += w[k] * for_hi;
+            }
+        }
+        [zl, zh]
+    }
+    let mut at = 0;
+    while at + LANES <= bias.len() {
+        let [l, h] = reduce::<LANES>(wt, at, lo, hi, bias);
+        zl[at..at + LANES].copy_from_slice(&l);
+        zh[at..at + LANES].copy_from_slice(&h);
+        at += LANES;
+    }
+    for at in at..bias.len() {
+        [[zl[at]], [zh[at]]] = reduce::<1>(wt, at, lo, hi, bias);
+    }
+}
+
+/// The bounds of one box, from [`forward_bounds`], consumed by
+/// [`backward_bounds`]: a one-row [`DiffIbp`].
+#[derive(Clone, Debug)]
+pub struct BoundsTrace(DiffIbp);
+
+impl BoundsTrace {
+    /// The output lower bounds.
+    pub fn out_lo(&self) -> &[f64] {
+        self.0.out_bounds(0).0
+    }
+
+    /// The output upper bounds.
+    pub fn out_hi(&self) -> &[f64] {
+        self.0.out_bounds(0).1
+    }
+
+    /// The final layer's **pre-activation** lower bounds (see
+    /// [`DiffIbp::pre_out_bounds`]).
     pub fn pre_out_lo(&self) -> &[f64] {
-        self.pre_lo.last().expect("at least one layer")
+        self.0.pre_out_bounds(0).0
     }
 
     /// The final layer's pre-activation upper bounds.
     pub fn pre_out_hi(&self) -> &[f64] {
-        self.pre_hi.last().expect("at least one layer")
+        self.0.pre_out_bounds(0).1
     }
 }
 
@@ -70,67 +333,13 @@ impl BoundsTrace {
 pub fn forward_bounds(net: &Mlp, lo: &[f64], hi: &[f64]) -> BoundsTrace {
     assert_eq!(lo.len(), net.input_dim(), "lower-bound shape mismatch");
     assert_eq!(hi.len(), net.input_dim(), "upper-bound shape mismatch");
-    assert!(
-        lo.iter().zip(hi).all(|(l, h)| l <= h),
-        "inverted input bounds"
-    );
-    let mut cur_lo = lo.to_vec();
-    let mut cur_hi = hi.to_vec();
-    let mut pre_lo = Vec::with_capacity(net.layers().len());
-    let mut pre_hi = Vec::with_capacity(net.layers().len());
-    let mut post_lo = Vec::with_capacity(net.layers().len());
-    let mut post_hi = Vec::with_capacity(net.layers().len());
-    for layer in net.layers() {
-        let out = layer.fan_out();
-        let mut zl = vec![0.0; out];
-        let mut zh = vec![0.0; out];
-        for r in 0..out {
-            let row = layer.weights.row(r);
-            let mut l = layer.bias[r];
-            let mut h = layer.bias[r];
-            for (j, &w) in row.iter().enumerate() {
-                if w >= 0.0 {
-                    l += w * cur_lo[j];
-                    h += w * cur_hi[j];
-                } else {
-                    l += w * cur_hi[j];
-                    h += w * cur_lo[j];
-                }
-            }
-            zl[r] = l;
-            zh[r] = h;
-        }
-        let al: Vec<f64> = zl.iter().map(|&z| layer.activation.apply(z)).collect();
-        let ah: Vec<f64> = zh.iter().map(|&z| layer.activation.apply(z)).collect();
-        pre_lo.push(zl);
-        pre_hi.push(zh);
-        post_lo.push(al.clone());
-        post_hi.push(ah.clone());
-        cur_lo = al;
-        cur_hi = ah;
-    }
-    BoundsTrace {
-        input_lo: lo.to_vec(),
-        input_hi: hi.to_vec(),
-        pre_lo,
-        pre_hi,
-        post_lo,
-        post_hi,
-    }
-}
-
-fn act_derivative(act: Activation, pre: f64, post: f64) -> f64 {
-    match act {
-        Activation::Relu => {
-            if pre > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        Activation::Tanh => 1.0 - post * post,
-        Activation::Identity => 1.0,
-    }
+    let mut engine = DiffIbp::default();
+    engine.bind(net);
+    let (in_lo, in_hi) = engine.stage(1);
+    in_lo.set_row(0, lo);
+    in_hi.set_row(0, hi);
+    engine.forward();
+    BoundsTrace(engine)
 }
 
 /// Backpropagates a loss gradient on the output bounds into the network's
@@ -147,7 +356,10 @@ pub fn backward_bounds(
     grad_out_lo: &[f64],
     grad_out_hi: &[f64],
 ) -> (Vec<f64>, Vec<f64>) {
-    backward_impl(net, trace, grad_out_lo, grad_out_hi, false)
+    let mut grads = BoundGrads::default();
+    let engine = &trace.0;
+    engine.backward_row(net, 0, grad_out_lo, grad_out_hi, false, &mut grads);
+    (grads.lo, grads.hi)
 }
 
 /// Like [`backward_bounds`], but the gradients are with respect to the
@@ -161,64 +373,10 @@ pub fn backward_bounds_pre(
     grad_pre_lo: &[f64],
     grad_pre_hi: &[f64],
 ) -> (Vec<f64>, Vec<f64>) {
-    backward_impl(net, trace, grad_pre_lo, grad_pre_hi, true)
-}
-
-fn backward_impl(
-    net: &mut Mlp,
-    trace: &BoundsTrace,
-    grad_out_lo: &[f64],
-    grad_out_hi: &[f64],
-    from_pre_activation: bool,
-) -> (Vec<f64>, Vec<f64>) {
-    assert_eq!(grad_out_lo.len(), net.output_dim(), "grad shape mismatch");
-    assert_eq!(grad_out_hi.len(), net.output_dim(), "grad shape mismatch");
-    let mut g_lo = grad_out_lo.to_vec();
-    let mut g_hi = grad_out_hi.to_vec();
-    let n_layers = net.layers().len();
-    for i in (0..n_layers).rev() {
-        let layer = &mut net.layers_mut()[i];
-        layer.ensure_grads();
-        // Through the activation (skipped at the top when the caller's
-        // gradient is already with respect to the pre-activation).
-        if !(from_pre_activation && i == n_layers - 1) {
-            for r in 0..g_lo.len() {
-                g_lo[r] *=
-                    act_derivative(layer.activation, trace.pre_lo[i][r], trace.post_lo[i][r]);
-                g_hi[r] *=
-                    act_derivative(layer.activation, trace.pre_hi[i][r], trace.post_hi[i][r]);
-            }
-        }
-        let (in_lo, in_hi): (&[f64], &[f64]) = if i == 0 {
-            (&trace.input_lo, &trace.input_hi)
-        } else {
-            (&trace.post_lo[i - 1], &trace.post_hi[i - 1])
-        };
-        let fan_in = layer.fan_in();
-        let mut next_g_lo = vec![0.0; fan_in];
-        let mut next_g_hi = vec![0.0; fan_in];
-        for r in 0..layer.fan_out() {
-            let gl = g_lo[r];
-            let gh = g_hi[r];
-            layer.grad_bias[r] += gl + gh;
-            for j in 0..fan_in {
-                let w = layer.weights.get(r, j);
-                // lo' uses (w⁺·lo + w⁻·hi); hi' uses (w⁺·hi + w⁻·lo).
-                if w >= 0.0 {
-                    *layer.grad_weights.get_mut(r, j) += gl * in_lo[j] + gh * in_hi[j];
-                    next_g_lo[j] += gl * w;
-                    next_g_hi[j] += gh * w;
-                } else {
-                    *layer.grad_weights.get_mut(r, j) += gl * in_hi[j] + gh * in_lo[j];
-                    next_g_hi[j] += gl * w;
-                    next_g_lo[j] += gh * w;
-                }
-            }
-        }
-        g_lo = next_g_lo;
-        g_hi = next_g_hi;
-    }
-    (g_lo, g_hi)
+    let mut grads = BoundGrads::default();
+    let engine = &trace.0;
+    engine.backward_row(net, 0, grad_pre_lo, grad_pre_hi, true, &mut grads);
+    (grads.lo, grads.hi)
 }
 
 #[cfg(test)]

@@ -21,6 +21,25 @@ pub(crate) fn gamma(n: usize) -> f64 {
     2.0 * (n as f64 + 2.0) * f64::EPSILON
 }
 
+/// The additive floor of every *branchless* outward widening
+/// `x·(1 + kε) + WIDEN_FLOOR` of a non-negative `x` (the batched IBP
+/// deviations, fresh zonotope generators): `2⁻⁴⁹⁸ ≈ 1.2e-150`.
+///
+/// Soundness, written once: for every finite `x ≥ 0` the result is at
+/// least `x.next_up()` — the relative bump alone covers one ULP of a
+/// normal `x`, the floor covers zero and the subnormals — and anything
+/// wider than a sound enclosure is sound, as is overflow to `+inf`.
+///
+/// Why not `f64::MIN_POSITIVE`: a dead ReLU unit's deviation floors at this
+/// constant and then meets the next layer's `|w|`, `γ` and `4ε` factors. A
+/// floor at the bottom of the normal range makes every such product
+/// *subnormal*, and each subnormal operand costs a ~100-cycle microcode
+/// assist inside the GEMM inner loops. From `2⁻⁴⁹⁸` the products stay
+/// normal for any `|w| ≳ 1e-150`, while the floor is still 130 orders of
+/// magnitude below any bound a certificate compares. (Flushing subnormals
+/// through MXCSR instead would round *inward* and break the enclosure.)
+pub(crate) const WIDEN_FLOOR: f64 = f64::from_bits((1023_u64 - 498) << 52);
+
 /// Applies one dense layer's abstract transformer to a box.
 ///
 /// # Panics

@@ -23,7 +23,7 @@ pub mod zonotope;
 
 pub use batch_ibp::{IbpBatchScratch, PreparedMlp};
 pub use boxdom::{axis_slices, BoxState};
-pub use diff_ibp::{backward_bounds, forward_bounds, BoundsTrace};
+pub use diff_ibp::{backward_bounds, forward_bounds, BoundGrads, BoundsTrace, DiffIbp};
 pub use ibp::{propagate_dense, propagate_mlp};
 pub use interval::Interval;
 pub use zonotope::{propagate_mlp_zonotope, Zonotope};

@@ -17,6 +17,7 @@ use canopy_nn::{Activation, Dense, Mlp};
 use serde::{Deserialize, Serialize};
 
 use crate::boxdom::BoxState;
+use crate::ibp::WIDEN_FLOOR;
 use crate::interval::Interval;
 
 /// Relative slack added to every fresh error generator to absorb
@@ -166,7 +167,7 @@ impl Zonotope {
                 g[i] *= lambda;
             }
             if delta > 0.0 {
-                fresh.push((i, delta * (1.0 + ROUND_SLACK) + f64::MIN_POSITIVE));
+                fresh.push((i, delta * (1.0 + ROUND_SLACK) + WIDEN_FLOOR));
             }
         }
         for (i, d) in fresh {

@@ -3,7 +3,7 @@
 //! output always lies inside the propagated abstract output.
 
 use canopy_absint::diff_ibp::forward_bounds;
-use canopy_absint::{propagate_mlp, BoxState, Interval};
+use canopy_absint::{propagate_mlp, BoxState, IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::{Activation, Mlp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -70,6 +70,75 @@ proptest! {
             let y = net.forward(&x);
             for (yi, iv) in y.iter().zip(&out_ivs) {
                 prop_assert!(iv.contains(*yi));
+            }
+        }
+    }
+
+    /// Batched-IBP soundness with the widening floor at `WIDEN_FLOOR`:
+    /// every sampled concrete output lies in `[c − d, c + d]`, on plain
+    /// networks and on the shapes where the floor is all that separates the
+    /// bound from the value — a layer scaled to `1e-150` or `1e+150`,
+    /// rows whose terms cancel exactly, and a fully dead ReLU layer.
+    #[test]
+    fn batched_ibp_sound_at_every_scale(
+        net_seed in 0u64..1000,
+        point_seed in 0u64..1000,
+        shape in 0usize..5,
+        out_act in 0usize..2,
+    ) {
+        let out_act = [Activation::Tanh, Activation::Identity][out_act];
+        let mut net = random_net(net_seed, out_act);
+        match shape {
+            1 | 2 => {
+                let scale = if shape == 1 { 1e-150 } else { 1e150 };
+                let layer = &mut net.layers_mut()[net_seed as usize % 3];
+                layer.weights.as_mut_slice().iter_mut().for_each(|w| *w *= scale);
+            }
+            // Inputs 2 and 3 get opposite weights and (below) equal values.
+            3 => {
+                let layer = &mut net.layers_mut()[0];
+                for r in 0..layer.fan_out() {
+                    *layer.weights.get_mut(r, 3) = -layer.weights.get(r, 2);
+                }
+            }
+            4 => net.layers_mut()[net_seed as usize % 2].bias.fill(-1e3),
+            _ => {}
+        }
+        let mut rng = StdRng::seed_from_u64(point_seed);
+        let boxes: Vec<BoxState> = (0..4)
+            .map(|_| {
+                let mut center: Vec<f64> = (0..4).map(|_| rng.random_range(-1.0..1.0)).collect();
+                let mut dev: Vec<f64> = (0..4)
+                    .map(|_| if rng.random_range(0..3) == 0 { 0.0 } else { rng.random_range(0.0..0.5) })
+                    .collect();
+                if shape == 3 {
+                    (center[3], dev[2], dev[3]) = (center[2], 0.0, 0.0);
+                }
+                BoxState::new(center, dev)
+            })
+            .collect();
+        let prepared = PreparedMlp::new(&net);
+        let mut scratch = IbpBatchScratch::new();
+        let (in_c, in_d) = scratch.stage(boxes.len(), 4);
+        for (r, b) in boxes.iter().enumerate() {
+            in_c.set_row(r, &b.center);
+            in_d.set_row(r, &b.dev);
+        }
+        let (c, d) = prepared.propagate_staged(&mut scratch, None);
+        for (r, b) in boxes.iter().enumerate() {
+            for _ in 0..16 {
+                let x: Vec<f64> = b
+                    .to_intervals()
+                    .iter()
+                    .map(|iv| if iv.width() > 0.0 { rng.random_range(iv.lo..=iv.hi) } else { iv.lo })
+                    .collect();
+                for (k, y) in net.forward(&x).into_iter().enumerate() {
+                    let (ck, dk) = (c.get(r, k), d.get(r, k));
+                    prop_assert!(
+                        ck - dk <= y && y <= ck + dk,
+                        "shape {shape}: {y:e} outside {ck:e} ± {dk:e}"
+                    );
+                }
             }
         }
     }

@@ -580,9 +580,11 @@ fn certify_fixture(seed: u64) -> (Mlp, Property, StateLayout, StepContext) {
     // full depth everywhere. This is the worst-case (tight-margin)
     // certification workload, with the same per-box propagation cost as
     // a trained network of this shape. The nonzero hidden biases keep
-    // the γ rounding terms in normal-float range; an all-zero network
-    // floors the deviations at denormals, whose ~100-cycle microcode
-    // penalty would swamp the measurement in both implementations.
+    // the seed replica out of the subnormal range: its scalar path rounds
+    // a zero deviation up with `next_up`, to the smallest subnormal, and
+    // an all-zero network would then measure ~100-cycle microcode assists
+    // instead of the algorithm. The batched path floors at `WIDEN_FLOOR`
+    // (2⁻⁴⁹⁸, see `canopy_absint::ibp`) and has no such penalty.
     let n_layers = actor.layers().len();
     for (i, layer) in actor.layers_mut().iter_mut().enumerate() {
         layer.weights.fill_zero();

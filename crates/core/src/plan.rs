@@ -111,6 +111,15 @@ impl CertPlan {
         }
     }
 
+    /// Re-targets the plan at `net` — the same architecture with new
+    /// weights — by recomputing the one weight-dependent part, the
+    /// first-layer deviation image.
+    pub fn rebind(&mut self, net: &PreparedMlp) {
+        if self.dev_image.is_some() {
+            self.dev_image = Some(net.first_dev_image(&self.template_d));
+        }
+    }
+
     /// The verifier configuration this plan was compiled for.
     pub fn verifier(&self) -> &Verifier {
         &self.verifier

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use canopy_absint::diff_ibp::{backward_bounds_pre, forward_bounds};
+use canopy_absint::{BoundGrads, DiffIbp, IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::Mlp;
 use canopy_rl::{ReplayBuffer, Td3, Td3Config, Transition};
 use canopy_telemetry::{SharedRecorder, TrainerEvent};
@@ -24,6 +24,7 @@ use canopy_telemetry::{SharedRecorder, TrainerEvent};
 use crate::env::{CcEnv, EnvConfig, EpisodeSpec};
 use crate::models::TrainedModel;
 use crate::obs::StateLayout;
+use crate::plan::CertPlan;
 use crate::property::{Postcondition, Property};
 use crate::verifier::Verifier;
 
@@ -44,10 +45,160 @@ use crate::verifier::Verifier;
 /// average-case utilization through bang-bang oscillation.
 const QC_HINGE_MARGIN: f64 = 0.05;
 
+/// The certified-bound loss (IBP training, Gowal et al. 2018) of a property
+/// set over a mini-batch of states: a hinge on each violating output bound,
+/// back-propagated through the bound computation itself.
+///
+/// One resident [`DiffIbp`] engine computes the bounds of every
+/// (state × property) box in one batched forward pass; only the rows whose
+/// hinge is active run the backward pass, in (state-major, property-minor)
+/// order, so the gradients accumulate bit for bit as a per-sample
+/// [`accumulate_qc_gradient`] loop would — which is the one-row call of
+/// this same type.
+struct QcLoss<'p> {
+    properties: &'p [Property],
+    layout: StateLayout,
+    /// Parallel to `properties`: how its rows are staged.
+    staging: Vec<Staging>,
+    engine: DiffIbp,
+    grads: BoundGrads,
+}
+
+/// How one property's input box is written into the engine.
+enum Staging {
+    /// The precondition's ranges do not depend on the state (P1–P4): the
+    /// bound rows of the box around an all-zero state, and the dimensions
+    /// that take the live state's value instead.
+    Template {
+        lo: Vec<f64>,
+        hi: Vec<f64>,
+        concrete: Vec<usize>,
+    },
+    /// The region is rebuilt from the live state (P5's noise box).
+    FromState,
+}
+
+impl<'p> QcLoss<'p> {
+    fn new(properties: &'p [Property], layout: StateLayout) -> QcLoss<'p> {
+        let zeros = vec![0.0; layout.dim()];
+        let staging = properties
+            .iter()
+            .map(|property| match property.abstracted_dims(layout) {
+                Some(fixed) => {
+                    let region = property.input_region(&zeros, layout).to_intervals();
+                    Staging::Template {
+                        lo: region.iter().map(|i| i.lo).collect(),
+                        hi: region.iter().map(|i| i.hi).collect(),
+                        concrete: (0..layout.dim()).filter(|i| !fixed.contains(i)).collect(),
+                    }
+                }
+                None => Staging::FromState,
+            })
+            .collect();
+        QcLoss {
+            properties,
+            layout,
+            staging,
+            engine: DiffIbp::default(),
+            grads: BoundGrads::default(),
+        }
+    }
+
+    /// Adds the loss gradients of every (state × property) pair into
+    /// `actor`, each weighted by `weight · property.weight`; returns the
+    /// summed hinge loss.
+    fn accumulate<'s>(
+        &mut self,
+        actor: &mut Mlp,
+        states: impl ExactSizeIterator<Item = &'s [f64]>,
+        weight: f64,
+    ) -> f64 {
+        let per_state = self.properties.len();
+        self.engine.bind(actor);
+        let (in_lo, in_hi) = self.engine.stage(states.len() * per_state);
+        for (t, state) in states.enumerate() {
+            assert_eq!(
+                state.len(),
+                self.layout.dim(),
+                "state does not match layout"
+            );
+            for (p, staging) in self.staging.iter().enumerate() {
+                let (row_lo, row_hi) = (
+                    in_lo.row_mut(t * per_state + p),
+                    in_hi.row_mut(t * per_state + p),
+                );
+                match staging {
+                    Staging::Template { lo, hi, concrete } => {
+                        row_lo.copy_from_slice(lo);
+                        row_hi.copy_from_slice(hi);
+                        for &i in concrete {
+                            // The same point → box → interval round trip
+                            // `input_region(..).to_intervals()` makes.
+                            let point = Interval::point(state[i]);
+                            let iv = Interval::centered(point.center(), point.deviation());
+                            (row_lo[i], row_hi[i]) = (iv.lo, iv.hi);
+                        }
+                    }
+                    Staging::FromState => {
+                        let region = self.properties[p].input_region(state, self.layout);
+                        for (i, iv) in region.to_intervals().iter().enumerate() {
+                            (row_lo[i], row_hi[i]) = (iv.lo, iv.hi);
+                        }
+                    }
+                }
+            }
+        }
+        self.engine.forward();
+        let mut total = 0.0;
+        for row in 0..self.engine.rows() {
+            let property = &self.properties[row % per_state];
+            let weight = weight * property.weight;
+            let (z_lo, z_hi) = self.engine.pre_out_bounds(row);
+            let (z_lo, z_hi) = (z_lo[0], z_hi[0]);
+            let (loss, g_lo, g_hi) = match property.post {
+                // Want z_lo ≥ margin (⟺ a_lo ≥ tanh(margin) > 0):
+                // loss = relu(margin − z_lo).
+                Postcondition::NoDecrease => {
+                    if z_lo < QC_HINGE_MARGIN {
+                        (QC_HINGE_MARGIN - z_lo, -weight, 0.0)
+                    } else {
+                        (0.0, 0.0, 0.0)
+                    }
+                }
+                // Want z_hi ≤ −margin: loss = relu(z_hi + margin).
+                Postcondition::NoIncrease => {
+                    if z_hi > -QC_HINGE_MARGIN {
+                        (z_hi + QC_HINGE_MARGIN, 0.0, weight)
+                    } else {
+                        (0.0, 0.0, 0.0)
+                    }
+                }
+                // Want 2^(2(a−a₀)) ∈ [1−ε, 1+ε] for all a in the bound. tanh is
+                // 1-Lipschitz, so bounding the pre-activation width by the allowed
+                // action width (log2(1+ε) − log2(1−ε)) / 2 suffices.
+                Postcondition::BoundedChange { eps } => {
+                    let allowed = ((1.0 + eps).log2() - (1.0 - eps).log2()) / 2.0;
+                    let width = z_hi - z_lo;
+                    if width > allowed {
+                        (width - allowed, -weight, weight)
+                    } else {
+                        (0.0, 0.0, 0.0)
+                    }
+                }
+            };
+            if g_lo != 0.0 || g_hi != 0.0 {
+                self.engine
+                    .backward_row(actor, row, &[g_lo], &[g_hi], true, &mut self.grads);
+            }
+            total += loss;
+        }
+        total
+    }
+}
+
 /// Accumulates the certified-bound loss gradients for one state and one
-/// property into the actor (IBP training, Gowal et al. 2018): a hinge on
-/// the violating output bound, backpropagated through the bound
-/// computation itself. Returns the hinge loss value.
+/// property into the actor — the one-row call of the batched loss the
+/// trainer runs over each mini-batch. Returns the hinge loss value.
 pub fn accumulate_qc_gradient(
     actor: &mut Mlp,
     property: &Property,
@@ -55,49 +206,11 @@ pub fn accumulate_qc_gradient(
     state: &[f64],
     weight: f64,
 ) -> f64 {
-    let weight = weight * property.weight;
-    let region = property.input_region(state, layout);
-    let intervals = region.to_intervals();
-    let lo: Vec<f64> = intervals.iter().map(|i| i.lo).collect();
-    let hi: Vec<f64> = intervals.iter().map(|i| i.hi).collect();
-    let trace = forward_bounds(actor, &lo, &hi);
-    let z_lo = trace.pre_out_lo()[0];
-    let z_hi = trace.pre_out_hi()[0];
-    let (loss, g_lo, g_hi) = match property.post {
-        // Want z_lo ≥ margin (⟺ a_lo ≥ tanh(margin) > 0):
-        // loss = relu(margin − z_lo).
-        Postcondition::NoDecrease => {
-            if z_lo < QC_HINGE_MARGIN {
-                (QC_HINGE_MARGIN - z_lo, -weight, 0.0)
-            } else {
-                (0.0, 0.0, 0.0)
-            }
-        }
-        // Want z_hi ≤ −margin: loss = relu(z_hi + margin).
-        Postcondition::NoIncrease => {
-            if z_hi > -QC_HINGE_MARGIN {
-                (z_hi + QC_HINGE_MARGIN, 0.0, weight)
-            } else {
-                (0.0, 0.0, 0.0)
-            }
-        }
-        // Want 2^(2(a−a₀)) ∈ [1−ε, 1+ε] for all a in the bound. tanh is
-        // 1-Lipschitz, so bounding the pre-activation width by the allowed
-        // action width (log2(1+ε) − log2(1−ε)) / 2 suffices.
-        Postcondition::BoundedChange { eps } => {
-            let allowed = ((1.0 + eps).log2() - (1.0 - eps).log2()) / 2.0;
-            let width = z_hi - z_lo;
-            if width > allowed {
-                (width - allowed, -weight, weight)
-            } else {
-                (0.0, 0.0, 0.0)
-            }
-        }
-    };
-    if g_lo != 0.0 || g_hi != 0.0 {
-        backward_bounds_pre(actor, &trace, &[g_lo], &[g_hi]);
-    }
-    loss
+    QcLoss::new(std::slice::from_ref(property), layout).accumulate(
+        actor,
+        std::iter::once(state),
+        weight,
+    )
 }
 
 /// A pool of scenario-backed episodes mixed into the training curriculum
@@ -257,7 +370,15 @@ impl Trainer {
             None => Verifier::new(cfg.n_components),
         };
         let mut envs: Vec<CcEnv> = cfg.envs.iter().cloned().map(CcEnv::new).collect();
-        let needs_qc = cfg.lambda > 0.0 || cfg.monitor_qc;
+        // The in-loop certificate is compiled against the actor once and
+        // re-bound only after an actor step; built here rather than in
+        // `new` so constructing a trainer stays free.
+        let mut cert = (cfg.lambda > 0.0 || cfg.monitor_qc).then(|| {
+            let net = PreparedMlp::new(agent.actor());
+            let plan = CertPlan::compile(verifier, &net, &cfg.properties, layout);
+            (net, plan, vec![IbpBatchScratch::new()])
+        });
+        let mut qc_loss = QcLoss::new(&cfg.properties, layout);
 
         // The adversarial episode sampler draws from its own RNG stream so
         // the master stream (exploration, batch sampling) is untouched: a
@@ -281,11 +402,16 @@ impl Trainer {
 
                 let state = env.state();
                 let action = agent.act_explore(&state, cfg.explore_noise, &mut rng);
-                let r_verifier = if needs_qc {
+                let r_verifier = if let Some((net, plan, scratch)) = &mut cert {
                     let ctx = env.step_context();
-                    let agg = verifier
-                        .certify_all(agent.actor(), &cfg.properties, layout, &ctx)
-                        .1;
+                    let actor = agent.actor();
+                    plan.run(net, actor, 1, |_| &ctx.state, scratch);
+                    let concrete = if plan.needs_action() {
+                        actor.forward(&ctx.state)[0]
+                    } else {
+                        0.0
+                    };
+                    let agg = plan.aggregate(0, &ctx, concrete);
                     record(TrainerEvent::CertProbe {
                         step,
                         r_verifier: agg,
@@ -342,19 +468,18 @@ impl Trainer {
                     }
                 }
                 let update = if cfg.qc_grad_weight > 0.0 && !cfg.properties.is_empty() {
-                    let properties = &cfg.properties;
-                    let weight = cfg.qc_grad_weight;
                     agent.update_with_actor_reg(&replay, &mut rng, |actor, batch| {
-                        for t in batch {
-                            for property in properties {
-                                accumulate_qc_gradient(actor, property, layout, &t.state, weight);
-                            }
-                        }
+                        let states = batch.iter().map(|t| t.state.as_slice());
+                        qc_loss.accumulate(actor, states, cfg.qc_grad_weight);
                     })
                 } else {
                     agent.update(&replay, &mut rng)
                 };
                 if let Some(stats) = update {
+                    if let (Some((net, plan, _)), Some(_)) = (&mut cert, stats.actor_loss) {
+                        *net = PreparedMlp::new(agent.actor());
+                        plan.rebind(net);
+                    }
                     critic_sum += stats.critic_loss;
                     critic_count += 1;
                     record(TrainerEvent::TdLoss {
