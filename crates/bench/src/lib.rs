@@ -26,28 +26,39 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--seed N` and `--smoke` from `std::env::args`.
-    pub fn from_args() -> HarnessOpts {
+    /// Parses `--seed N` and `--smoke` out of `args` (the command line
+    /// without the program name). Every other argument belongs to the
+    /// individual binary and is passed over; a `--seed` without a value, or
+    /// with one that is not a `u64`, is an error — never the default seed.
+    pub fn parse(args: &[String]) -> Result<HarnessOpts, String> {
         let mut opts = HarnessOpts {
             seed: DEFAULT_SEED,
             smoke: false,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--seed" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.seed = v.parse().unwrap_or(DEFAULT_SEED);
-                        i += 1;
-                    }
+                    let v = args.next().ok_or("--seed needs a value")?;
+                    opts.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed: `{v}` is not an unsigned integer"))?;
                 }
                 _ => {}
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
+    }
+
+    /// [`parse`](Self::parse) over `std::env::args`; a bad command line
+    /// prints the error and exits with status 2.
+    pub fn from_args() -> HarnessOpts {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        HarnessOpts::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// The training budget for learned models under these options.
@@ -249,6 +260,45 @@ mod tests {
         assert!((m - 2.0).abs() < 1e-12);
         assert!((s - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessOpts, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        HarnessOpts::parse(&args)
+    }
+
+    #[test]
+    fn parse_reads_seed_and_smoke_and_passes_over_bin_flags() {
+        let o = parse(&[]).expect("empty command line");
+        assert_eq!((o.seed, o.smoke), (DEFAULT_SEED, false));
+        let o = parse(&["--seed", "7"]).expect("valid seed");
+        assert_eq!((o.seed, o.smoke), (7, false));
+        let o = parse(&["--smoke"]).expect("smoke");
+        assert_eq!((o.seed, o.smoke), (DEFAULT_SEED, true));
+        // Flags owned by individual bins, with and without values.
+        let o = parse(&[
+            "--write-fixtures",
+            "--trace-out",
+            "t.json",
+            "--seed",
+            "9",
+            "--smoke",
+        ])
+        .expect("bin flags pass through");
+        assert_eq!((o.seed, o.smoke), (9, true));
+    }
+
+    #[test]
+    fn parse_rejects_a_bad_seed_instead_of_defaulting() {
+        for bad in [
+            &["--seed", "7x"][..],
+            &["--seed", "-1"],
+            &["--seed", ""],
+            &["--smoke", "--seed"],
+        ] {
+            let err = parse(bad).expect_err("bad seed");
+            assert!(err.contains("--seed"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

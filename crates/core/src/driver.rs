@@ -5,17 +5,20 @@
 //! perturbs the observed queuing delay with the configured noise stream,
 //! pushes the observation into the rolling `k`-step state, evaluates the
 //! actor (optionally behind the QC fallback monitor), and applies the
-//! resulting window through `f_cwnd` (Eq. 1). [`OrcaDriver`] owns that
-//! loop — sampling, noise, state, policy, window application, and the
-//! `prev_action`/`prev_cwnd` bookkeeping — over a **caller-owned**
-//! [`Simulator`] and [`FlowId`], so the training environment
-//! ([`CcEnv`](crate::env::CcEnv)), the multi-flow experiment driver
-//! ([`eval::run_multiflow`](crate::eval::run_multiflow)), and the
+//! resulting window through `f_cwnd` (Eq. 1). [`OrcaDriver`] owns one
+//! flow's share of that loop — sampling, noise, state, policy, window
+//! application, and the `prev_action`/`prev_cwnd` bookkeeping — over a
+//! **caller-owned** [`Simulator`] and [`FlowId`], so the training
+//! environment ([`CcEnv`](crate::env::CcEnv)), the multi-flow experiment
+//! driver ([`eval::run_multiflow`](crate::eval::run_multiflow)), and the
 //! scenario-matrix runner are bitwise consistent by construction.
+//!
+//! There is one engine that schedules and computes self-driven decisions:
+//! [`DriverPool`]. A solo learned flow is a pool of one.
 //!
 //! # Decision timing
 //!
-//! A self-driving driver decides at `start + i·MI` for `i = 1, 2, …`,
+//! A pooled driver decides at `start + i·MI` for `i = 1, 2, …`,
 //! **strictly before** the run horizon: a decision scheduled exactly at
 //! the horizon does not fire. (The first interval `[start, start + MI)`
 //! runs on the unmodified kernel; the first observation the agent sees is
@@ -429,7 +432,7 @@ impl OrcaDriver {
         self.flow = flow;
     }
 
-    // --- The self-driving loop -------------------------------------------
+    // --- The two halves of a pooled decision ------------------------------
 
     /// The next decision instant ([`Time::MAX`] once the flow departed).
     pub fn next_decision(&self) -> Time {
@@ -442,9 +445,9 @@ impl OrcaDriver {
     /// `None` (and deactivates the driver) when the flow has departed.
     ///
     /// Preparing touches only this flow's accumulators and advances no
-    /// simulation time, so a pool may prepare every same-instant decision
-    /// before computing or applying any of them — bitwise identical to the
-    /// serial interleaving.
+    /// simulation time, so the pool prepares every same-instant decision
+    /// before computing or applying any of them — bitwise identical to
+    /// preparing and applying flow by flow.
     pub fn prepare_decision(&mut self, sim: &mut Simulator) -> Option<PreparedDecision> {
         if self.stop.is_some_and(|s| sim.now() >= s) {
             // The flow departed; stop waking up for it.
@@ -518,47 +521,6 @@ impl OrcaDriver {
                 !use_agent,
             );
         }
-    }
-
-    /// Executes the decision scheduled at the current simulation time:
-    /// observe → (certify) → actor → (fallback) → apply. Composition of
-    /// [`prepare_decision`](Self::prepare_decision) and
-    /// [`apply_decision`](Self::apply_decision) around the per-sample
-    /// compute path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no policy is attached.
-    pub fn on_decision(&mut self, sim: &mut Simulator) {
-        let Some(prepared) = self.prepare_decision(sim) else {
-            return;
-        };
-        let policy = self
-            .policy
-            .take()
-            .expect("self-driving decisions require a policy");
-        let qc_agg = policy.qc.as_ref().map(|(verifier, properties)| {
-            verifier
-                .certify_all(&policy.actor, properties, self.layout, &prepared.ctx)
-                .1
-        });
-        let action = policy.actor.forward(&prepared.ctx.state)[0];
-        let fallback_qc = policy
-            .fallback
-            .as_ref()
-            .map(|fb| fb.certify(&policy.actor, self.layout, &prepared.ctx));
-        self.policy = Some(policy);
-        self.apply_decision(sim, &prepared, action, qc_agg, fallback_qc);
-    }
-
-    /// Runs the simulator to `horizon`, executing every decision scheduled
-    /// strictly before it, and lands the clock exactly on `horizon`.
-    pub fn run_until(&mut self, sim: &mut Simulator, horizon: Time) {
-        while self.next_decision < horizon {
-            sim.run_until(self.next_decision);
-            self.on_decision(sim);
-        }
-        sim.run_until(horizon);
     }
 
     // --- Accessors --------------------------------------------------------
@@ -777,11 +739,9 @@ impl PolicyTable {
 /// certification config for QC/fallback policies), then applies the
 /// results in insertion order. The batched paths are bitwise identical to
 /// the per-sample paths and same-instant decisions are independent across
-/// flows, so a batched run is bitwise identical to the pre-batching serial
-/// dispatch — which remains available as
-/// [`run_until_serial`](Self::run_until_serial) (or fleet wide via
-/// `CANOPY_POOL_SERIAL=1`) and is proven equivalent in
-/// `tests/batched_pool.rs`.
+/// flows, so a dispatch is bitwise identical to deciding flow by flow with
+/// per-call `Verifier::certify_all` and `Mlp::forward` — the oracle
+/// `tests/batched_pool.rs` rebuilds from the driver's public primitives.
 #[derive(Debug)]
 pub struct DriverPool {
     drivers: Vec<OrcaDriver>,
@@ -795,9 +755,6 @@ pub struct DriverPool {
     /// tie-break for equal times.
     queue: BinaryHeap<Reverse<(Time, usize)>>,
     recorder: Option<SharedRecorder>,
-    /// `CANOPY_POOL_SERIAL=1` (read at construction) forces the
-    /// pre-batching per-driver dispatch everywhere.
-    serial: bool,
     /// Per-dispatch working set, reused across dispatches.
     batch: BatchBuffers,
     /// Batched dispatches executed so far — the span profiler's batch
@@ -833,7 +790,6 @@ impl DriverPool {
             table: PolicyTable::default(),
             queue: BinaryHeap::new(),
             recorder: None,
-            serial: std::env::var("CANOPY_POOL_SERIAL").is_ok_and(|v| v == "1"),
             batch: BatchBuffers::default(),
             dispatches: 0,
         }
@@ -929,28 +885,6 @@ impl DriverPool {
     /// no decision is due — the single-step API `canopy_serve` paces its
     /// wall-clock loop around.
     pub fn dispatch_next(&mut self, sim: &mut Simulator, horizon: Time) -> Option<BatchDispatch> {
-        self.step(sim, horizon, self.serial)
-    }
-
-    /// Runs the simulator to `horizon`, dispatching every pooled decision
-    /// scheduled strictly before it (ties in insertion order, same-instant
-    /// decisions batched per policy group), and lands the clock exactly on
-    /// `horizon`.
-    pub fn run_until(&mut self, sim: &mut Simulator, horizon: Time) {
-        while self.dispatch_next(sim, horizon).is_some() {}
-        sim.run_until(horizon);
-    }
-
-    /// [`run_until`](Self::run_until) on the pre-batching engine: every
-    /// due driver runs its own full [`OrcaDriver::on_decision`]. The
-    /// batched path is bitwise identical to this one; equivalence tests
-    /// and pre-batching baselines call it directly.
-    pub fn run_until_serial(&mut self, sim: &mut Simulator, horizon: Time) {
-        while self.step(sim, horizon, true).is_some() {}
-        sim.run_until(horizon);
-    }
-
-    fn step(&mut self, sim: &mut Simulator, horizon: Time, serial: bool) -> Option<BatchDispatch> {
         let next = self.next_decision();
         if next >= horizon {
             return None;
@@ -966,28 +900,14 @@ impl DriverPool {
             self.queue.pop();
             due.push(i);
         }
-        let dispatch = if serial {
-            let mut fired = 0;
-            for &i in &due {
-                let before = self.drivers[i].decisions;
-                self.drivers[i].on_decision(sim);
-                fired += (self.drivers[i].decisions > before) as usize;
-            }
-            BatchDispatch {
-                at: next,
-                decisions: fired,
-                groups: fired,
-            }
-        } else {
-            self.dispatch_batched(sim, &due)
-        };
+        let dispatch = self.dispatch_batched(sim, &due);
         for &i in &due {
             let nd = self.drivers[i].next_decision;
             if nd < Time::MAX {
                 self.queue.push(Reverse((nd, i)));
             }
         }
-        if !serial && dispatch.decisions > 0 {
+        if dispatch.decisions > 0 {
             if let Some(recorder) = &self.recorder {
                 recorder.borrow_mut().record_batch(&BatchRecord {
                     t_ns: dispatch.at.as_nanos(),
@@ -997,6 +917,15 @@ impl DriverPool {
             }
         }
         Some(dispatch)
+    }
+
+    /// Runs the simulator to `horizon`, dispatching every pooled decision
+    /// scheduled strictly before it (ties in insertion order, same-instant
+    /// decisions batched per policy group), and lands the clock exactly on
+    /// `horizon`.
+    pub fn run_until(&mut self, sim: &mut Simulator, horizon: Time) {
+        while self.dispatch_next(sim, horizon).is_some() {}
+        sim.run_until(horizon);
     }
 
     /// One batched dispatch: prepare all due drivers in insertion order,
@@ -1198,6 +1127,18 @@ mod tests {
         OrcaDriver::new(cfg, link, flow)
     }
 
+    /// A solo learned flow: a pool of one.
+    fn pool_of_one(
+        link: &LinkConfig,
+        sim: &mut Simulator,
+        cfg: &DriverConfig,
+        policy: DriverPolicy,
+    ) -> DriverPool {
+        let mut pool = DriverPool::new();
+        pool.push(driver_on(link, sim, cfg).with_policy(policy));
+        pool
+    }
+
     #[test]
     fn decisions_fire_strictly_before_the_horizon() {
         // MI = 40 ms; a 2 s horizon is an exact multiple, so the decision
@@ -1205,16 +1146,16 @@ mod tests {
         let link = link(24e6);
         let cfg = DriverConfig::new(Time::from_millis(40), 3);
         let mut sim = Simulator::new(link.clone());
-        let mut d = driver_on(&link, &mut sim, &cfg).with_policy(DriverPolicy::new(actor(3, 1)));
-        d.run_until(&mut sim, Time::from_secs(2));
-        assert_eq!(d.decisions(), 49);
+        let mut pool = pool_of_one(&link, &mut sim, &cfg, DriverPolicy::new(actor(3, 1)));
+        pool.run_until(&mut sim, Time::from_secs(2));
+        assert_eq!(pool.drivers()[0].decisions(), 49);
         assert_eq!(sim.now(), Time::from_secs(2));
 
         // One nanosecond past the multiple, the boundary decision fires.
         let mut sim2 = Simulator::new(link.clone());
-        let mut d2 = driver_on(&link, &mut sim2, &cfg).with_policy(DriverPolicy::new(actor(3, 1)));
-        d2.run_until(&mut sim2, Time::from_secs(2) + Time::from_nanos(1));
-        assert_eq!(d2.decisions(), 50);
+        let mut pool2 = pool_of_one(&link, &mut sim2, &cfg, DriverPolicy::new(actor(3, 1)));
+        pool2.run_until(&mut sim2, Time::from_secs(2) + Time::from_nanos(1));
+        assert_eq!(pool2.drivers()[0].decisions(), 50);
     }
 
     #[test]
@@ -1223,12 +1164,14 @@ mod tests {
         let cfg =
             DriverConfig::new(Time::from_millis(40), 3).stopping_at(Some(Time::from_millis(200)));
         let mut sim = Simulator::new(link.clone());
-        let mut d = driver_on(&link, &mut sim, &cfg).with_policy(DriverPolicy::new(actor(3, 2)));
-        d.run_until(&mut sim, Time::from_secs(1));
+        let mut pool = pool_of_one(&link, &mut sim, &cfg, DriverPolicy::new(actor(3, 2)));
+        pool.run_until(&mut sim, Time::from_secs(1));
         // Decisions at 40/80/120/160 ms fire; the one at 200 ms hits the
         // departure and deactivates the driver.
+        let d = &pool.drivers()[0];
         assert_eq!(d.decisions(), 4);
         assert_eq!(d.next_decision(), Time::MAX);
+        assert_eq!(pool.next_decision(), Time::MAX);
         assert_eq!(sim.now(), Time::from_secs(1));
     }
 
@@ -1265,9 +1208,11 @@ mod tests {
         let mut sim = Simulator::new(link.clone());
         let properties = Property::shallow_set(&crate::property::PropertyParams::default());
         let fb = FallbackController::new(properties, 0.5, 4);
-        let mut d = driver_on(&link, &mut sim, &cfg)
-            .with_policy(DriverPolicy::new(actor(3, 3)).with_fallback(fb));
-        d.run_until(&mut sim, Time::from_secs(1));
+        let policy = DriverPolicy::new(actor(3, 3)).with_fallback(fb);
+        let mut pool = pool_of_one(&link, &mut sim, &cfg, policy);
+        pool.run_until(&mut sim, Time::from_secs(1));
+        let d = &pool.drivers()[0];
+        assert!(d.decisions() > 0);
         assert_eq!(d.fallback_qc_values().len() as u64, d.decisions());
         let rate = d.fallback_rate().expect("fallback attached");
         assert!((0.0..=1.0).contains(&rate));

@@ -93,14 +93,11 @@ pub struct RunMetrics {
     /// Fraction of decisions that fell back to Cubic (fallback runs only).
     pub fallback_rate: Option<f64>,
     /// Peak queue occupancy at the flow's bottleneck link over the whole
-    /// run, bytes. Defaults to 0 when parsing pre-v4 reports.
-    #[serde(default)]
+    /// run, bytes.
     pub peak_queue_bytes: u64,
     /// How many times the fallback monitor *engaged* — transitions from
     /// agent control into Cubic fallback, not fallback decisions (a single
-    /// sustained excursion counts once). Fallback runs only; absent when
-    /// parsing pre-v4 reports.
-    #[serde(default)]
+    /// sustained excursion counts once). Fallback runs only.
     pub fallback_engagements: Option<u64>,
 }
 

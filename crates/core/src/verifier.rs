@@ -1,9 +1,7 @@
 //! The verifier: abstract interpretation of actor + `f_cwnd` over
 //! partitioned input regions (Section 4.3.1 of the paper).
 
-use canopy_absint::{
-    propagate_mlp, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
-};
+use canopy_absint::{propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::Mlp;
 use serde::{Deserialize, Serialize};
 
@@ -119,46 +117,6 @@ impl Verifier {
         self
     }
 
-    /// Propagates one input component to a sound action interval (the
-    /// scalar path, used by the zonotope domain).
-    fn propagate_action(&self, actor: &Mlp, part: &BoxState) -> Interval {
-        match self.domain {
-            AbstractDomain::Box => propagate_mlp(actor, part).dim_interval(0),
-            AbstractDomain::Zonotope => propagate_mlp_zonotope(actor, part)[0],
-        }
-    }
-
-    /// Prepares the fast batched-IBP propagator when the domain supports
-    /// it (the box domain; zonotopes stay on the scalar path).
-    fn prepare(&self, actor: &Mlp) -> Option<PreparedMlp> {
-        match self.domain {
-            AbstractDomain::Box => Some(PreparedMlp::new(actor)),
-            AbstractDomain::Zonotope => None,
-        }
-    }
-
-    /// Action intervals for one chunk of components, through whichever
-    /// propagator applies.
-    fn chunk_actions<'a, I>(
-        &self,
-        actor: &Mlp,
-        prepared: Option<&PreparedMlp>,
-        parts: I,
-        scratch: &mut IbpBatchScratch,
-    ) -> Vec<Interval>
-    where
-        I: IntoIterator<Item = &'a BoxState>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        match prepared {
-            Some(p) => p.propagate_boxes_dim(parts, 0, scratch),
-            None => parts
-                .into_iter()
-                .map(|part| self.propagate_action(actor, part))
-                .collect(),
-        }
-    }
-
     /// Computes the quantitative certificate for `property` under the
     /// current step context.
     ///
@@ -218,7 +176,7 @@ impl Verifier {
         };
         let total_width = region.dim_interval(axis).width();
         let threads = pool::resolve_threads(self.threads);
-        let prepared = self.prepare(actor);
+        let net = PreparedMlp::new(actor);
 
         // Processes one chunk of open boxes: one batched IBP pass for the
         // whole chunk, then per-box leaf/split classification, then one
@@ -230,12 +188,13 @@ impl Verifier {
         let process = |chunk: &[(BoxState, usize)],
                        scratch: &mut AdaptiveScratch|
          -> ChunkOutcome {
-            let actions = self.chunk_actions(
-                actor,
-                prepared.as_ref(),
-                chunk.iter().map(|(part, _)| part),
-                &mut scratch.ibp,
-            );
+            let parts = chunk.iter().map(|(part, _)| part);
+            let actions = match self.domain {
+                AbstractDomain::Box => net.propagate_boxes_dim(parts, 0, &mut scratch.ibp),
+                AbstractDomain::Zonotope => parts
+                    .map(|part| propagate_mlp_zonotope(actor, part)[0])
+                    .collect(),
+            };
             let mut leaves = Vec::with_capacity(chunk.len());
             // Boxes whose bound is undecided: candidates for splitting,
             // pending the concrete centre probe.

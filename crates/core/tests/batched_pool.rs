@@ -1,12 +1,15 @@
-//! Equivalence suite for the batched `DriverPool` dispatch engine.
+//! Equivalence suite for the `DriverPool` dispatch engine.
 //!
-//! The pool's batched path (prepare every same-instant decision, group by
-//! policy fingerprint, one `forward_batch`/`certify_all_many` pass per
-//! group, apply in insertion order) must be **bitwise** identical to the
-//! pre-batching engine (each due driver runs its own full `on_decision`),
-//! which survives as `DriverPool::run_until_serial`. The suite races the
-//! two engines over noise × QC × fallback × topology × arrival-pattern ×
-//! mid-run hot-swap combinations and compares every observable bit: decision counts,
+//! The pool (prepare every same-instant decision, group by compiled
+//! policy, one batched forward and one `CertPlan` pass per group, apply in
+//! insertion order) must be **bitwise** identical to deciding flow by flow
+//! with per-call certification. The pool is the only engine in the crate,
+//! so the oracle is rebuilt here from public primitives only: the earliest
+//! `next_decision`, then for each due driver in insertion order
+//! `prepare_decision` → `Verifier::certify_all` → `Mlp::forward` →
+//! `FallbackController::certify` → `apply_decision`. The suite races the
+//! two over noise × QC × fallback × topology × arrival-pattern × mid-run
+//! hot-swap combinations and compares every observable bit: decision counts,
 //! bookkeeping windows, per-decision certificate streams, fallback
 //! monitor statistics, state vectors, and simulator flow stats.
 //!
@@ -24,10 +27,13 @@ use canopy_core::env::NoiseConfig;
 use canopy_core::obs::StateLayout;
 use canopy_core::property::{Property, PropertyParams};
 use canopy_core::runtime::FallbackController;
+use canopy_core::Verifier;
 use canopy_netsim::{BandwidthTrace, FlowConfig, LinkConfig, Simulator, Time, Topology};
 use canopy_nn::{Activation, Mlp};
 
 const K: usize = 3;
+/// Components of every explicit QC request.
+const QC_COMPONENTS: usize = 3;
 
 #[derive(Clone, Copy, Debug)]
 enum Topo {
@@ -86,7 +92,9 @@ fn link(name: &str, rate_bps: f64) -> LinkConfig {
     )
 }
 
-fn build(s: &Scenario) -> (Simulator, DriverPool) {
+/// The scenario's simulator and its self-driving drivers, in insertion
+/// order, not yet owned by any engine.
+fn build(s: &Scenario) -> (Simulator, Vec<OrcaDriver>) {
     let bottleneck = link("bp", 96e6);
     let mut sim = match s.topo {
         Topo::Single => Simulator::new(bottleneck.clone()),
@@ -95,7 +103,7 @@ fn build(s: &Scenario) -> (Simulator, DriverPool) {
             Simulator::with_topology(Topology::incast(bottleneck.clone(), link("leaf", 48e6), 3))
         }
     };
-    let mut pool = DriverPool::new();
+    let mut drivers = Vec::new();
     for i in 0..s.flows {
         let (start, min_rtt) = if s.aligned {
             (Time::ZERO, Time::from_millis(20))
@@ -140,7 +148,7 @@ fn build(s: &Scenario) -> (Simulator, DriverPool) {
         let props = || Property::shallow_set(&PropertyParams::default());
         match s.policy {
             PolicyKind::Plain => {}
-            PolicyKind::Qc => policy = policy.with_qc(3, props()),
+            PolicyKind::Qc => policy = policy.with_qc(QC_COMPONENTS, props()),
             PolicyKind::Fallback => {
                 policy = policy.with_fallback(FallbackController::new(props(), 0.6, 3));
             }
@@ -151,11 +159,20 @@ fn build(s: &Scenario) -> (Simulator, DriverPool) {
                     4
                 };
                 policy = policy
-                    .with_qc(3, props())
+                    .with_qc(QC_COMPONENTS, props())
                     .with_fallback(FallbackController::new(props(), 0.6, n));
             }
         }
-        pool.push(OrcaDriver::new(&cfg, &bottleneck, flow).with_policy(policy));
+        drivers.push(OrcaDriver::new(&cfg, &bottleneck, flow).with_policy(policy));
+    }
+    (sim, drivers)
+}
+
+fn build_pool(s: &Scenario) -> (Simulator, DriverPool) {
+    let (sim, drivers) = build(s);
+    let mut pool = DriverPool::new();
+    for driver in drivers {
+        pool.push(driver);
     }
     (sim, pool)
 }
@@ -174,8 +191,8 @@ type Fingerprint = Vec<(
     u64,         // acked bytes
 )>;
 
-fn fingerprint(sim: &Simulator, pool: &DriverPool) -> Fingerprint {
-    pool.drivers()
+fn fingerprint(sim: &Simulator, drivers: &[OrcaDriver]) -> Fingerprint {
+    drivers
         .iter()
         .map(|d| {
             let stats = sim.flow_stats(d.flow());
@@ -195,37 +212,69 @@ fn fingerprint(sim: &Simulator, pool: &DriverPool) -> Fingerprint {
         .collect()
 }
 
-fn run(s: &Scenario, serial: bool) -> Fingerprint {
-    let (mut sim, mut pool) = build(s);
-    let advance = |pool: &mut DriverPool, sim: &mut Simulator, horizon: Time| {
-        if serial {
-            pool.run_until_serial(sim, horizon);
-        } else {
-            pool.run_until(sim, horizon);
-        }
-    };
+/// When the scenario swaps the last flow's actor, and to what.
+const SWAP_AT: Time = Time::from_millis(300);
+const SWAP_SEED: u64 = 300;
+
+fn run_pool(s: &Scenario) -> Fingerprint {
+    let (mut sim, mut pool) = build_pool(s);
     if s.swap {
-        advance(&mut pool, &mut sim, Time::from_millis(300));
-        pool.swap_actor(s.flows - 1, actor(300));
+        pool.run_until(&mut sim, SWAP_AT);
+        pool.swap_actor(s.flows - 1, actor(SWAP_SEED));
     }
-    advance(&mut pool, &mut sim, s.duration);
+    pool.run_until(&mut sim, s.duration);
     assert_eq!(sim.now(), s.duration);
-    fingerprint(&sim, &pool)
+    fingerprint(&sim, pool.drivers())
 }
 
-fn run_batched(s: &Scenario) -> Fingerprint {
-    run(s, false)
+/// The oracle's `run_until`: every decision scheduled strictly before
+/// `horizon`, earliest first, same-instant ties in insertion order, each
+/// one computed on its own through the per-call entry points.
+fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], s: &Scenario, horizon: Time) {
+    let props = Property::shallow_set(&PropertyParams::default());
+    let qc = matches!(
+        s.policy,
+        PolicyKind::Qc | PolicyKind::Both | PolicyKind::BothDiffer
+    )
+    .then(|| Verifier::new(QC_COMPONENTS));
+    let due = |drivers: &[OrcaDriver]| {
+        let next = drivers.iter().map(OrcaDriver::next_decision).min();
+        next.filter(|&t| t < horizon)
+    };
+    while let Some(next) = due(drivers) {
+        sim.run_until(next);
+        for d in drivers.iter_mut().filter(|d| d.next_decision() == next) {
+            let Some(prepared) = d.prepare_decision(sim) else {
+                continue;
+            };
+            let actor = d.policy().expect("self-driving").actor().clone();
+            let qc_agg = qc.map(|v| v.certify_all(&actor, &props, d.layout(), &prepared.ctx).1);
+            let action = actor.forward(&prepared.ctx.state)[0];
+            let fb_agg = d
+                .fallback()
+                .map(|fb| fb.certify(&actor, d.layout(), &prepared.ctx));
+            d.apply_decision(sim, &prepared, action, qc_agg, fb_agg);
+        }
+    }
+    sim.run_until(horizon);
 }
 
-fn run_serial(s: &Scenario) -> Fingerprint {
-    run(s, true)
+fn run_oracle(s: &Scenario) -> Fingerprint {
+    let (mut sim, mut drivers) = build(s);
+    if s.swap {
+        oracle_run_until(&mut sim, &mut drivers, s, SWAP_AT);
+        drivers[s.flows - 1].swap_actor(actor(SWAP_SEED));
+    }
+    oracle_run_until(&mut sim, &mut drivers, s, s.duration);
+    assert_eq!(sim.now(), s.duration);
+    fingerprint(&sim, &drivers)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn batched_dispatch_is_bitwise_identical_to_serial(
+    fn pool_dispatch_is_bitwise_identical_to_the_per_call_oracle(
         flows in 2usize..5,
         topo_pick in 0usize..3,
         policy_pick in 0usize..5,
@@ -252,14 +301,14 @@ proptest! {
             swap,
             duration: Time::from_millis(600),
         };
-        prop_assert_eq!(run_batched(&s), run_serial(&s), "engines diverged on {:?}", s);
+        prop_assert_eq!(run_pool(&s), run_oracle(&s), "engines diverged on {:?}", s);
     }
 }
 
 /// The densest regime — one shared policy, synchronized arrivals, QC on
 /// every decision — pinned as a plain test so it always runs.
 #[test]
-fn synchronized_qc_fleet_matches_serial_bitwise() {
+fn synchronized_qc_fleet_matches_the_oracle_bitwise() {
     let s = Scenario {
         flows: 6,
         topo: Topo::Single,
@@ -271,15 +320,15 @@ fn synchronized_qc_fleet_matches_serial_bitwise() {
         swap: false,
         duration: Time::from_secs(1),
     };
-    let batched = run_batched(&s);
-    assert_eq!(batched, run_serial(&s));
+    let batched = run_pool(&s);
+    assert_eq!(batched, run_oracle(&s));
     // Sanity: decisions actually fired (49 per flow at a 20 ms MI less
     // the strict-horizon boundary).
     assert!(batched.iter().all(|d| d.0 == 49));
 }
 
 #[test]
-fn fallback_arbitration_matches_serial_bitwise() {
+fn fallback_arbitration_matches_the_oracle_bitwise() {
     let s = Scenario {
         flows: 4,
         topo: Topo::ParkingLot,
@@ -291,7 +340,7 @@ fn fallback_arbitration_matches_serial_bitwise() {
         swap: true,
         duration: Time::from_millis(800),
     };
-    assert_eq!(run_batched(&s), run_serial(&s));
+    assert_eq!(run_pool(&s), run_oracle(&s));
 }
 
 /// A QC request and a fallback monitor over equal `(Verifier, properties)`
@@ -315,16 +364,13 @@ fn equal_qc_and_fallback_configs_share_one_certification_pass() {
             swap: true,
             duration: Time::from_millis(500),
         };
-        let batched = run_batched(&s);
-        assert_eq!(batched, run_serial(&s), "{policy:?}");
+        let batched = run_pool(&s);
+        assert_eq!(batched, run_oracle(&s), "{policy:?}");
         if passes == 1 {
             // One pass, two consumers: the streams are the same bits.
             assert!(batched.iter().all(|d| !d.3.is_empty() && d.3 == d.4));
         }
-        if std::env::var("CANOPY_POOL_SERIAL").is_ok_and(|v| v == "1") {
-            continue; // the serial engine emits no spans
-        }
-        let (mut sim, mut pool) = build(&s);
+        let (mut sim, mut pool) = build_pool(&s);
         let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
         pool.set_recorder(Some(recorder.clone()));
         pool.run_until(&mut sim, s.duration);
@@ -347,11 +393,6 @@ fn batched_runs_emit_consistent_batch_telemetry() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    if std::env::var("CANOPY_POOL_SERIAL").is_ok_and(|v| v == "1") {
-        // The kill switch forces the serial engine, which (by design)
-        // emits no batch records; nothing to assert here.
-        return;
-    }
     let s = Scenario {
         flows: 5,
         topo: Topo::Single,
@@ -363,7 +404,7 @@ fn batched_runs_emit_consistent_batch_telemetry() {
         swap: false,
         duration: Time::from_millis(400),
     };
-    let (mut sim, mut pool) = build(&s);
+    let (mut sim, mut pool) = build_pool(&s);
     let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
     pool.set_recorder(Some(recorder.clone()));
     pool.run_until(&mut sim, s.duration);
@@ -386,33 +427,4 @@ fn batched_runs_emit_consistent_batch_telemetry() {
         rec.registry().counter("batches_total"),
         batches.len() as u64
     );
-}
-
-/// The serial engine keeps the pre-batching telemetry shape: per-decision
-/// records, no batch records.
-#[test]
-fn serial_runs_emit_no_batch_records() {
-    use canopy_telemetry::FlightRecorder;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let s = Scenario {
-        flows: 3,
-        topo: Topo::Single,
-        policy: PolicyKind::Plain,
-        noisy: false,
-        aligned: true,
-        mixed_actors: false,
-        departing: false,
-        swap: false,
-        duration: Time::from_millis(200),
-    };
-    let (mut sim, mut pool) = build(&s);
-    let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
-    pool.set_recorder(Some(recorder.clone()));
-    pool.run_until_serial(&mut sim, s.duration);
-
-    let rec = recorder.borrow();
-    assert_eq!(rec.batches_seen(), 0);
-    assert!(rec.decisions_seen() > 0, "decision records still flow");
 }

@@ -45,6 +45,6 @@ pub use gen::{fuzz_suite, fuzz_suite_seeds, generate, Family};
 pub use params::{decode, param_defs, sample_point, ParamDef, ParamKind};
 pub use runner::{
     run_matrix, run_matrix_with_threads, run_scenario, run_scenario_recorded, ScenarioMetrics,
-    ScenarioReport, LEGACY_REPORT_SCHEMAS, REPORT_SCHEMA,
+    ScenarioReport, REPORT_SCHEMA,
 };
 pub use spec::{CompiledTopology, CrossFlow, ScenarioSpec, SpecError, TopologySpec, TraceProgram};

@@ -306,14 +306,9 @@ pub fn run_matrix_with_threads(
 /// Dumbbell cells keep their v2 metric values unchanged.
 /// v4: primary metrics gained `peak_queue_bytes` (peak bottleneck-queue
 /// occupancy over the run) and nullable `fallback_engagements` (agent →
-/// Cubic transitions, present exactly for fallback schemes). Both default
-/// when parsing older reports, so v3 files still load and validate.
+/// Cubic transitions, present exactly for fallback schemes).
+/// Only the current tag validates: reports are regenerated, not migrated.
 pub const REPORT_SCHEMA: &str = "canopy-scenarios-report/v4";
-
-/// Older schema tags [`ScenarioReport::validate`] still accepts: every
-/// field added since defaults on parse, so a stored v3 report loads
-/// losslessly into the current structs.
-pub const LEGACY_REPORT_SCHEMAS: &[&str] = &["canopy-scenarios-report/v3"];
 
 /// The aggregate output of a matrix run (`SCENARIOS_report.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -362,9 +357,9 @@ impl ScenarioReport {
     /// Validates the schema tag and basic metric invariants — the gate the
     /// CI smoke job runs against freshly generated reports.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != REPORT_SCHEMA && !LEGACY_REPORT_SCHEMAS.contains(&self.schema.as_str()) {
+        if self.schema != REPORT_SCHEMA {
             return Err(format!(
-                "schema mismatch: `{}` (expected `{REPORT_SCHEMA}` or a legacy tag)",
+                "schema mismatch: `{}` (expected `{REPORT_SCHEMA}`)",
                 self.schema
             ));
         }
@@ -629,36 +624,8 @@ mod tests {
         back.validate().expect("parsed report is valid");
 
         let mut broken = back;
-        broken.schema = "other/v9".into();
-        assert!(broken.validate().is_err());
-    }
-
-    #[test]
-    fn v3_reports_parse_with_defaulted_v4_columns() {
-        // A stored v3 report has neither `peak_queue_bytes` nor
-        // `fallback_engagements`; both must default rather than fail.
-        let spec = short(generate(Family::BufferSweep, 2));
-        let results = run_matrix(&[Scheme::Baseline("cubic".into())], &[spec], None).expect("runs");
-        let report = ScenarioReport::new(results);
-        let peak = report.results[0].primary.peak_queue_bytes;
-        assert!(peak > 0, "a droptail run queues something");
-        // Rewind the JSON to what a v3 writer emitted: the old tag and
-        // neither of the new keys. `peak_queue_bytes` also lives in the
-        // per-link columns (since v3), so anchor on the neighbouring key
-        // that only `RunMetrics` has.
-        let v3 = report
-            .to_json()
-            .replace(REPORT_SCHEMA, LEGACY_REPORT_SCHEMAS[0])
-            .replace("\"fallback_engagements\":null,", "")
-            .replace(
-                &format!("\"peak_queue_bytes\":{peak},\"qc_sat\""),
-                "\"qc_sat\"",
-            );
-        assert!(!v3.contains("fallback_engagements"), "key really stripped");
-        let back = ScenarioReport::from_json(&v3).expect("v3 reports parse");
-        assert_eq!(back.schema, LEGACY_REPORT_SCHEMAS[0]);
-        assert_eq!(back.results[0].primary.peak_queue_bytes, 0);
-        assert_eq!(back.results[0].primary.fallback_engagements, None);
-        back.validate().expect("parsed legacy report validates");
+        broken.schema = "canopy-scenarios-report/v3".into();
+        let err = broken.validate().expect_err("the previous tag is refused");
+        assert!(err.contains("schema mismatch"), "{err}");
     }
 }

@@ -63,6 +63,4 @@ pub use metrics::{
 pub use recorder::{
     shared, FlightRecorder, NoopRecorder, Recorder, RecorderConfig, SharedRecorder,
 };
-pub use report::{
-    CounterEntry, SpanStageSummary, TelemetryReport, TELEMETRY_SCHEMA, TELEMETRY_SCHEMA_V1,
-};
+pub use report::{CounterEntry, SpanStageSummary, TelemetryReport, TELEMETRY_SCHEMA};

@@ -11,10 +11,6 @@ use crate::recorder::FlightRecorder;
 /// Schema tag of [`TelemetryReport`].
 pub const TELEMETRY_SCHEMA: &str = "canopy-telemetry/v2";
 
-/// The previous schema tag. v1 reports predate the span profiler; they
-/// parse (the span fields default to empty) and still validate.
-pub const TELEMETRY_SCHEMA_V1: &str = "canopy-telemetry/v1";
-
 /// One named counter (the registry serialized in name order).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CounterEntry {
@@ -66,29 +62,20 @@ pub struct TelemetryReport {
     pub links_seen: u64,
     /// Link samples lost to sampling or ring capacity.
     pub links_dropped: u64,
-    /// Kept batch-dispatch records, oldest first. Absent from reports
-    /// recorded before cross-flow batching landed, hence defaulted.
-    #[serde(default)]
+    /// Kept batch-dispatch records, oldest first.
     pub batches: Vec<BatchRecord>,
     /// Total batch dispatches offered.
-    #[serde(default)]
     pub batches_seen: u64,
     /// Batch records lost to sampling or ring capacity.
-    #[serde(default)]
     pub batches_dropped: u64,
-    /// Kept hot-path span records, oldest first. Absent from v1
-    /// reports, hence defaulted.
-    #[serde(default)]
+    /// Kept hot-path span records, oldest first.
     pub spans: Vec<SpanRecord>,
     /// Total spans offered.
-    #[serde(default)]
     pub spans_seen: u64,
     /// Span records lost to sampling or ring capacity.
-    #[serde(default)]
     pub spans_dropped: u64,
     /// Per-stage time-attribution totals over every offered span, in
     /// hot-path order (parent `dispatch` first).
-    #[serde(default)]
     pub span_stages: Vec<SpanStageSummary>,
     /// Kept trainer events, oldest first.
     pub trainer: Vec<TrainerEvent>,
@@ -172,16 +159,11 @@ impl TelemetryReport {
     /// category, nondecreasing sim-time within the decision and link
     /// streams, and finite floats everywhere.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != TELEMETRY_SCHEMA && self.schema != TELEMETRY_SCHEMA_V1 {
+        if self.schema != TELEMETRY_SCHEMA {
             return Err(format!(
-                "schema `{}` is neither `{TELEMETRY_SCHEMA}` nor `{TELEMETRY_SCHEMA_V1}`",
+                "schema mismatch: `{}` (expected `{TELEMETRY_SCHEMA}`)",
                 self.schema
             ));
-        }
-        if self.schema == TELEMETRY_SCHEMA_V1
-            && (!self.spans.is_empty() || self.spans_seen != 0 || !self.span_stages.is_empty())
-        {
-            return Err("v1 report carries span data".to_string());
         }
         let streams: [(&str, usize, u64, u64); 6] = [
             (
@@ -401,23 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_reports_without_span_data_still_validate() {
-        let mut report = TelemetryReport::from_recorder(&recorded(), "unit", "cubic");
-        report.schema = TELEMETRY_SCHEMA_V1.to_string();
-        assert!(report.validate().is_err(), "v1 must not carry spans");
-        report.spans.clear();
-        report.spans_seen = 0;
-        report.spans_dropped = 0;
-        report.span_stages.clear();
-        report.validate().expect("span-free v1 report validates");
-    }
-
-    #[test]
     fn validation_rejects_broken_reports() {
         let good = TelemetryReport::from_recorder(&recorded(), "unit", "cubic");
         let mut bad = good.clone();
-        bad.schema = "canopy-telemetry/v0".into();
-        assert!(bad.validate().is_err());
+        bad.schema = "canopy-telemetry/v1".into();
+        let err = bad.validate().expect_err("the previous tag is refused");
+        assert!(err.contains("schema mismatch"), "{err}");
         let mut bad = good.clone();
         bad.decisions_seen = 99;
         assert!(bad.validate().is_err());
