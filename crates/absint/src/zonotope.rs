@@ -11,7 +11,7 @@
 //! this domain exists for the precision ablation — how much of the
 //! certificate's looseness is the domain's fault rather than the model's —
 //! exposed through [`crate::zonotope::propagate_mlp_zonotope`] and the
-//! `ablation_domains` harness binary.
+//! `figures ablation_domains` harness.
 
 use canopy_nn::{Activation, Dense, Mlp};
 use serde::{Deserialize, Serialize};

@@ -46,7 +46,10 @@ use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use canopy_bench::{f3, header, model, model_dir, row, write_trace, HarnessOpts, DEFAULT_SEED};
+use canopy_bench::{
+    f3, flag_value, flag_value_where, header, model, model_dir, row, write_trace, HarnessOpts,
+    DEFAULT_SEED,
+};
 use canopy_core::eval::Scheme;
 use canopy_core::models::{self, trainer_config, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::trainer::{EpisodeMix, Trainer};
@@ -92,90 +95,43 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
         trace_out: None,
         retrace: false,
     };
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let at_least_1 = |n: &usize| *n >= 1;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--scheme" => {
-                let v = value(args, i, "--scheme")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.scheme = ModelKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown scheme `{v}` (expected a model name)"))?;
-                i += 1;
             }
             "--objective" => {
-                let v = value(args, i, "--objective")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.objective = ObjectiveKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown objective `{v}`"))?;
-                i += 1;
             }
-            "--seed" => {
-                let v = value(args, i, "--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-                i += 1;
-            }
-            "--model-seed" => {
-                let v = value(args, i, "--model-seed")?;
-                opts.model_seed = Some(v.parse().map_err(|_| format!("bad model seed `{v}`"))?);
-                i += 1;
-            }
+            "--seed" => opts.seed = flag_value(flag, args.next())?,
+            "--model-seed" => opts.model_seed = Some(flag_value(flag, args.next())?),
             "--rounds" => {
-                let v = value(args, i, "--rounds")?;
-                let n: usize = v.parse().map_err(|_| format!("bad rounds `{v}`"))?;
-                if n == 0 {
-                    return Err("--rounds must be at least 1".into());
-                }
-                opts.rounds = n;
-                i += 1;
+                opts.rounds = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--budget" => {
-                let v = value(args, i, "--budget")?;
-                let n: usize = v.parse().map_err(|_| format!("bad budget `{v}`"))?;
-                if n == 0 {
-                    return Err("--budget must be at least 1".into());
-                }
-                opts.budget = n;
-                i += 1;
+                opts.budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--population" => {
-                let v = value(args, i, "--population")?;
-                let n: usize = v.parse().map_err(|_| format!("bad population `{v}`"))?;
-                if n == 0 {
-                    return Err("--population must be at least 1".into());
-                }
-                opts.population = n;
-                i += 1;
+                opts.population = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--fraction" => {
-                let v = value(args, i, "--fraction")?;
-                let f: f64 = v.parse().map_err(|_| format!("bad fraction `{v}`"))?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err("--fraction must be in [0, 1]".into());
-                }
-                opts.fraction = f;
-                i += 1;
+                let unit = |f: &f64| (0.0..=1.0).contains(f);
+                opts.fraction = flag_value_where(flag, args.next(), unit, "in [0, 1]")?;
             }
-            "--ledger" => {
-                opts.ledger = value(args, i, "--ledger")?;
-                i += 1;
-            }
-            "--fixture-out" => {
-                opts.fixture_out = value(args, i, "--fixture-out")?;
-                i += 1;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(value(args, i, "--trace-out")?);
-                i += 1;
-            }
+            "--ledger" => opts.ledger = flag_value(flag, args.next())?,
+            "--fixture-out" => opts.fixture_out = flag_value(flag, args.next())?,
+            "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
             "--smoke" => opts.smoke = true,
             "--check" => opts.check = true,
             "--retrace" => opts.retrace = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 1;
     }
     Ok(opts)
 }

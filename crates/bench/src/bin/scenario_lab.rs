@@ -10,7 +10,7 @@
 //!     [--family all|<name>[,<name>...]] [--seeds N | --seeds a,b,c] \
 //!     [--schemes cubic,bbr,canopy-shallow,...] \
 //!     [--topology dumbbell|parking-lot:H|incast:K] \
-//!     [--check] [--smoke] [--out PATH] [--trace-out PATH]
+//!     [--check] [--smoke] [--seed N] [--out PATH] [--trace-out PATH] [--live-out DIR]
 //! ```
 //!
 //! `--family` accepts `all` (default) or a comma list of
@@ -43,12 +43,15 @@ use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use canopy_bench::{f1, f3, header, model, row, write_live_out, write_trace, HarnessOpts};
+use canopy_bench::{
+    f1, f3, flag_value, header, resolve_scheme, row, write_live_out, write_trace, HarnessOpts,
+    DEFAULT_SEED,
+};
 use canopy_core::eval::Scheme;
-use canopy_core::models::ModelKind;
 use canopy_netsim::Time;
 use canopy_scenarios::{
-    fuzz_suite_seeds, run_scenario_recorded, Family, ScenarioReport, ScenarioSpec, TopologySpec,
+    fuzz_suite_seeds, run_matrix, run_scenario_recorded, Family, ScenarioMetrics, ScenarioReport,
+    ScenarioSpec, TopologySpec,
 };
 use canopy_telemetry::{
     FlightRecorder, LiveConfig, RecorderConfig, SharedRecorder, TelemetryReport,
@@ -59,6 +62,8 @@ struct LabOpts {
     seeds: Vec<u64>,
     schemes: Vec<String>,
     topology: Option<TopologySpec>,
+    /// Model-cache seed and budget for the learned `--schemes`.
+    harness: HarnessOpts,
     check: bool,
     out: String,
     trace_out: Option<String>,
@@ -147,70 +152,52 @@ fn parse_seeds(v: &str) -> Result<Vec<u64>, String> {
     Ok(seeds)
 }
 
-fn parse_lab_opts() -> Result<LabOpts, String> {
-    parse_lab_args(&std::env::args().skip(1).collect::<Vec<_>>())
-}
-
 fn parse_lab_args(args: &[String]) -> Result<LabOpts, String> {
     let mut opts = LabOpts {
         families: Family::ALL.to_vec(),
         seeds: (0..8).collect(),
         schemes: vec!["cubic".to_string()],
         topology: None,
+        harness: HarnessOpts {
+            seed: DEFAULT_SEED,
+            smoke: false,
+        },
         check: false,
         out: "SCENARIOS_report.json".to_string(),
         trace_out: None,
         live_out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--family" | "--families" => {
-                let v = args.get(i + 1).ok_or("--family needs a value")?;
+                let v: String = flag_value(flag, args.next())?;
                 if v != "all" {
+                    let family =
+                        |n| Family::parse(n).ok_or_else(|| format!("unknown family `{n}`"));
                     opts.families = v
                         .split(',')
-                        .map(|n| {
-                            Family::parse(n.trim()).ok_or_else(|| format!("unknown family `{n}`"))
-                        })
+                        .map(str::trim)
+                        .map(family)
                         .collect::<Result<_, _>>()?;
                 }
-                i += 1;
             }
-            "--seeds" => {
-                let v = args.get(i + 1).ok_or("--seeds needs a value")?;
-                opts.seeds = parse_seeds(v)?;
-                i += 1;
-            }
+            "--seeds" => opts.seeds = parse_seeds(&flag_value::<String>(flag, args.next())?)?,
             "--schemes" => {
-                let v = args.get(i + 1).ok_or("--schemes needs a value")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.schemes = v.split(',').map(|s| s.trim().to_string()).collect();
-                i += 1;
             }
             "--topology" => {
-                let v = args.get(i + 1).ok_or("--topology needs a value")?;
-                opts.topology = Some(parse_topology(v)?);
-                i += 1;
+                opts.topology = Some(parse_topology(&flag_value::<String>(flag, args.next())?)?)
             }
             "--check" => opts.check = true,
-            "--out" => {
-                opts.out = args.get(i + 1).ok_or("--out needs a value")?.clone();
-                i += 1;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(args.get(i + 1).ok_or("--trace-out needs a value")?.clone());
-                i += 1;
-            }
-            "--live-out" => {
-                opts.live_out = Some(args.get(i + 1).ok_or("--live-out needs a value")?.clone());
-                i += 1;
-            }
-            // Consumed by HarnessOpts, skipped here.
-            "--smoke" => {}
-            "--seed" => i += 1,
+            "--out" => opts.out = flag_value(flag, args.next())?,
+            "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
+            "--live-out" => opts.live_out = Some(flag_value(flag, args.next())?),
+            "--smoke" => opts.harness.smoke = true,
+            "--seed" => opts.harness.seed = flag_value(flag, args.next())?,
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 1;
     }
     Ok(opts)
 }
@@ -261,43 +248,10 @@ fn record_traces(
     Ok((report, recorder))
 }
 
-/// Resolves a scheme name: a classic kernel, or a trained model by name.
-fn resolve_scheme(name: &str, harness: &HarnessOpts) -> Result<Scheme, String> {
-    if canopy_cc::by_name(name).is_some() {
-        return Ok(Scheme::Baseline(name.to_string()));
-    }
-    let kind = match name {
-        "canopy-shallow" => ModelKind::Shallow,
-        "canopy-deep" => ModelKind::Deep,
-        "canopy-robust" => ModelKind::Robust,
-        "orca" => ModelKind::Orca,
-        _ => return Err(format!("unknown scheme `{name}`")),
-    };
-    let (trained, _) = model(kind, harness);
-    Ok(Scheme::Learned(trained))
-}
-
-fn main() -> ExitCode {
-    let harness = HarnessOpts::from_args();
-    let lab = match parse_lab_opts() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("scenario_lab: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let schemes: Vec<Scheme> = match lab
-        .schemes
-        .iter()
-        .map(|n| resolve_scheme(n, &harness))
-        .collect()
-    {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scenario_lab: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run() -> Result<(), String> {
+    let lab = parse_lab_args(&std::env::args().skip(1).collect::<Vec<_>>())?;
+    let resolve = |name: &String| resolve_scheme(name, &lab.harness);
+    let schemes: Vec<Scheme> = lab.schemes.iter().map(resolve).collect::<Result<_, _>>()?;
 
     let mut specs = fuzz_suite_seeds(&lab.families, &lab.seeds);
     if let Some(topology) = lab.topology {
@@ -317,13 +271,7 @@ fn main() -> ExitCode {
         schemes.len()
     );
 
-    let results = match canopy_scenarios::run_matrix(&schemes, &specs, None) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("scenario_lab: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let results = run_matrix(&schemes, &specs, None).map_err(|e| e.to_string())?;
     let report = ScenarioReport::new(results);
 
     // Per-(scheme, family) summary: means over the family's seeds.
@@ -338,18 +286,14 @@ fn main() -> ExitCode {
     ]);
     for scheme in &report.schemes {
         for family in &report.families {
-            let cells: Vec<&canopy_scenarios::ScenarioMetrics> = report
-                .results
-                .iter()
-                .filter(|r| &r.scheme == scheme && &r.family == family)
-                .collect();
+            let in_cell = |r: &&ScenarioMetrics| &r.scheme == scheme && &r.family == family;
+            let cells: Vec<&ScenarioMetrics> = report.results.iter().filter(in_cell).collect();
             if cells.is_empty() {
                 continue;
             }
             let n = cells.len() as f64;
-            let mean = |f: &dyn Fn(&canopy_scenarios::ScenarioMetrics) -> f64| {
-                cells.iter().map(|c| f(c)).sum::<f64>() / n
-            };
+            let mean =
+                |f: &dyn Fn(&ScenarioMetrics) -> f64| cells.iter().map(|c| f(c)).sum::<f64>() / n;
             // Jain is only defined for the family's multi-flow scenarios.
             let jains: Vec<f64> = cells.iter().filter_map(|c| c.jain_fairness).collect();
             let jain_cell = if jains.is_empty() {
@@ -369,15 +313,11 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Err(e) = report.validate() {
-        eprintln!("scenario_lab: generated report is invalid: {e}");
-        return ExitCode::FAILURE;
-    }
+    report
+        .validate()
+        .map_err(|e| format!("generated report is invalid: {e}"))?;
     let text = report.to_json();
-    if let Err(e) = std::fs::write(&lab.out, &text) {
-        eprintln!("scenario_lab: cannot write {}: {e}", lab.out);
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&lab.out, &text).map_err(|e| format!("cannot write {}: {e}", lab.out))?;
     println!(
         "\nwrote {} ({} results, schema {})",
         lab.out,
@@ -385,30 +325,18 @@ fn main() -> ExitCode {
         report.schema
     );
 
+    let live = lab.live_out.is_some();
+    let record = || record_traces(&schemes[0], &lab.schemes[0], &lab.families, &specs, live);
     let mut trace_report = None;
     let mut live_artifacts = None;
-    if lab.trace_out.is_some() || lab.live_out.is_some() {
-        let live = lab.live_out.is_some();
-        let (report, recorder) =
-            match record_traces(&schemes[0], &lab.schemes[0], &lab.families, &specs, live) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("scenario_lab: trace recording failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+    if lab.trace_out.is_some() || live {
+        let (report, recorder) = record().map_err(|e| format!("trace recording failed: {e}"))?;
         if let Some(path) = &lab.trace_out {
-            if let Err(e) = write_trace(path, &report) {
-                eprintln!("scenario_lab: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_trace(path, &report)?;
         }
         if let Some(dir) = &lab.live_out {
             let rec = recorder.borrow();
-            if let Err(e) = write_live_out(dir, &rec) {
-                eprintln!("scenario_lab: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_live_out(dir, &rec)?;
             live_artifacts = Some((rec.live_metrics_jsonl(), rec.live_exposition()));
         }
         trace_report = Some(report);
@@ -418,51 +346,45 @@ fn main() -> ExitCode {
         // Reproducibility gate: rebuild every spec from its (family, seed)
         // identity, round-trip it through JSON, re-run the whole matrix,
         // and require a bitwise-identical report.
-        let reparsed: Vec<ScenarioSpec> = specs
-            .iter()
-            .map(|s| ScenarioSpec::from_json(&s.to_json()).expect("specs round-trip"))
-            .collect();
-        let again = match canopy_scenarios::run_matrix(&schemes, &reparsed, None) {
-            Ok(r) => ScenarioReport::new(r),
-            Err(e) => {
-                eprintln!("scenario_lab: --check re-run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if again.to_json() != text {
-            eprintln!("scenario_lab: --check FAILED: re-run diverged from the report");
-            return ExitCode::FAILURE;
+        let reparse =
+            |s: &ScenarioSpec| ScenarioSpec::from_json(&s.to_json()).expect("specs round-trip");
+        let reparsed: Vec<ScenarioSpec> = specs.iter().map(reparse).collect();
+        let again = run_matrix(&schemes, &reparsed, None)
+            .map_err(|e| format!("--check re-run failed: {e}"))?;
+        if ScenarioReport::new(again).to_json() != text {
+            return Err("--check FAILED: re-run diverged from the report".into());
         }
         println!("--check OK: re-run from re-parsed specs is bitwise identical");
 
         if let Some(report) = &trace_report {
             // The recording is part of the contract: re-record the same
             // replays and require the identical telemetry bytes.
-            let live = lab.live_out.is_some();
             let (again, rec_again) =
-                match record_traces(&schemes[0], &lab.schemes[0], &lab.families, &specs, live) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("scenario_lab: --check trace re-record failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                record().map_err(|e| format!("--check trace re-record failed: {e}"))?;
             if again.to_json() != report.to_json() {
-                eprintln!("scenario_lab: --check FAILED: trace re-record diverged");
-                return ExitCode::FAILURE;
+                return Err("--check FAILED: trace re-record diverged".into());
             }
             println!("--check OK: trace re-record is bitwise identical");
             if let Some((metrics, exposition)) = &live_artifacts {
                 let rec = rec_again.borrow();
                 if rec.live_metrics_jsonl() != *metrics || rec.live_exposition() != *exposition {
-                    eprintln!("scenario_lab: --check FAILED: live metrics re-record diverged");
-                    return ExitCode::FAILURE;
+                    return Err("--check FAILED: live metrics re-record diverged".into());
                 }
                 println!("--check OK: live metrics re-record is bitwise identical");
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("scenario_lab: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]
@@ -544,6 +466,25 @@ mod tests {
         assert_eq!(default.topology, None);
         assert!(parse_lab_args(&argv(&["--topology", "incast:99"])).is_err());
         assert!(parse_lab_args(&argv(&["--topology"])).is_err());
+    }
+
+    #[test]
+    fn lab_args_carry_the_harness_seed_and_smoke() {
+        let opts = parse_lab_args(&argv(&["--smoke", "--seed", "7"])).unwrap();
+        assert_eq!(
+            opts.harness,
+            HarnessOpts {
+                seed: 7,
+                smoke: true
+            }
+        );
+        assert_eq!(
+            parse_lab_args(&argv(&[])).unwrap().harness.seed,
+            DEFAULT_SEED
+        );
+        assert!(parse_lab_args(&argv(&["--seed", "7x"])).is_err());
+        assert!(parse_lab_args(&argv(&["--seed"])).is_err());
+        assert!(parse_lab_args(&argv(&["--smok"])).is_err());
     }
 
     #[test]

@@ -40,7 +40,9 @@ use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use canopy_bench::{f3, header, model, row, write_trace, HarnessOpts, DEFAULT_SEED};
+use canopy_bench::{
+    f3, flag_value, flag_value_where, header, model, row, write_trace, HarnessOpts, DEFAULT_SEED,
+};
 use canopy_core::eval::Scheme;
 use canopy_core::models::ModelKind;
 use canopy_netsim::Time;
@@ -90,110 +92,57 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
         fixture_out: None,
         trace_out: None,
     };
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    let at_least_1 = |n: &usize| *n >= 1;
+    let positive = |x: &f64| x.is_finite() && *x > 0.0;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--family" => {
-                let v = value(args, i, "--family")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.family =
                     Family::parse(v.trim()).ok_or_else(|| format!("unknown family `{v}`"))?;
-                i += 1;
             }
             "--objective" => {
-                let v = value(args, i, "--objective")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.objective = ObjectiveKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown objective `{v}`"))?;
-                i += 1;
             }
             "--optimizer" => {
-                let v = value(args, i, "--optimizer")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.optimizer = OptimizerKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown optimizer `{v}` (cem|hill)"))?;
-                i += 1;
             }
             "--scheme" => {
-                let v = value(args, i, "--scheme")?;
+                let v: String = flag_value(flag, args.next())?;
                 opts.scheme = ModelKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown scheme `{v}` (expected a model name)"))?;
-                i += 1;
             }
-            "--seed" => {
-                let v = value(args, i, "--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-                i += 1;
-            }
-            "--model-seed" => {
-                let v = value(args, i, "--model-seed")?;
-                opts.model_seed = Some(v.parse().map_err(|_| format!("bad model seed `{v}`"))?);
-                i += 1;
-            }
+            "--seed" => opts.seed = flag_value(flag, args.next())?,
+            "--model-seed" => opts.model_seed = Some(flag_value(flag, args.next())?),
             "--budget" => {
-                let v = value(args, i, "--budget")?;
-                let n: usize = v.parse().map_err(|_| format!("bad budget `{v}`"))?;
-                if n == 0 {
-                    return Err("--budget must be at least 1".into());
-                }
-                opts.budget = n;
-                i += 1;
+                opts.budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--population" => {
-                let v = value(args, i, "--population")?;
-                let n: usize = v.parse().map_err(|_| format!("bad population `{v}`"))?;
-                if n == 0 {
-                    return Err("--population must be at least 1".into());
-                }
-                opts.population = n;
-                i += 1;
+                opts.population = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--shrink-budget" => {
-                let v = value(args, i, "--shrink-budget")?;
-                let n: usize = v.parse().map_err(|_| format!("bad shrink budget `{v}`"))?;
-                if n == 0 {
-                    return Err("--shrink-budget must be at least 1".into());
-                }
-                opts.shrink_budget = n;
-                i += 1;
+                opts.shrink_budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--max-duration" => {
-                let v = value(args, i, "--max-duration")?;
-                let s: f64 = v.parse().map_err(|_| format!("bad duration `{v}`"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err("--max-duration must be positive seconds".into());
-                }
+                let s = flag_value_where(flag, args.next(), positive, "positive seconds")?;
                 opts.max_duration = Some(Time::from_secs_f64(s));
-                i += 1;
             }
             "--min-gap" => {
-                let v = value(args, i, "--min-gap")?;
-                let g: f64 = v.parse().map_err(|_| format!("bad min gap `{v}`"))?;
-                if !g.is_finite() || g <= 0.0 {
-                    return Err("--min-gap must be positive badness".into());
-                }
-                opts.min_gap = Some(g);
-                i += 1;
+                let gap = flag_value_where(flag, args.next(), positive, "positive badness")?;
+                opts.min_gap = Some(gap);
             }
-            "--out" => {
-                opts.out = value(args, i, "--out")?;
-                i += 1;
-            }
-            "--fixture-out" => {
-                opts.fixture_out = Some(value(args, i, "--fixture-out")?);
-                i += 1;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(value(args, i, "--trace-out")?);
-                i += 1;
-            }
+            "--out" => opts.out = flag_value(flag, args.next())?,
+            "--fixture-out" => opts.fixture_out = Some(flag_value(flag, args.next())?),
+            "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
             "--smoke" => opts.smoke = true,
             "--check" => opts.check = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 1;
     }
     if opts.smoke && opts.max_duration.is_none() {
         opts.max_duration = Some(Time::from_secs(4));

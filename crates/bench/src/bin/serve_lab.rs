@@ -32,7 +32,7 @@ use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use canopy_bench::{write_live_out, DEFAULT_SEED};
+use canopy_bench::{flag_value, write_live_out, DEFAULT_SEED};
 use canopy_core::obs::StateLayout;
 use canopy_core::property::{Property, PropertyParams};
 use canopy_netsim::Time;
@@ -62,34 +62,18 @@ fn parse_args(args: &[String]) -> Result<ServeLabOpts, String> {
         live_out: None,
         check: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--flows" => {
-                let v = args.get(i + 1).ok_or("--flows needs a value")?;
-                opts.flows = v.parse().map_err(|_| format!("bad flow count `{v}`"))?;
-                i += 1;
-            }
-            "--duration-ms" => {
-                let v = args.get(i + 1).ok_or("--duration-ms needs a value")?;
-                opts.duration_ms = v.parse().map_err(|_| format!("bad duration `{v}`"))?;
-                i += 1;
-            }
-            "--seed" => {
-                let v = args.get(i + 1).ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-                i += 1;
-            }
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--flows" => opts.flows = flag_value(flag, args.next())?,
+            "--duration-ms" => opts.duration_ms = flag_value(flag, args.next())?,
+            "--seed" => opts.seed = flag_value(flag, args.next())?,
             "--smoke" => opts.smoke = true,
             "--breach" => opts.breach = true,
-            "--live-out" => {
-                opts.live_out = Some(args.get(i + 1).ok_or("--live-out needs a value")?.clone());
-                i += 1;
-            }
+            "--live-out" => opts.live_out = Some(flag_value(flag, args.next())?),
             "--check" => opts.check = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 1;
     }
     if opts.flows == 0 {
         return Err("--flows must be at least 1".into());

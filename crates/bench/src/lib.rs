@@ -1,23 +1,54 @@
-//! Shared plumbing for the benchmark harness.
+//! Shared plumbing for the evaluation harness.
 //!
-//! Every `fig*`/`table*` binary regenerates one table or figure from the
-//! paper's evaluation. They share: a fixed default seed, the cached model
-//! store (so all figures see identical trained controllers), simple table
+//! The [`figures`] registry regenerates every table and figure of the
+//! paper's evaluation through one `figures` binary; `scenario_lab`,
+//! `scenario_search`, `harden` and `serve_lab` drive the scenario matrix,
+//! adversarial search, the hardening loop and the serving fleet. They
+//! share: a fixed default seed, the cached model store (so every run sees
+//! identical trained controllers), scheme-name resolution, simple table
 //! printers, and a `--smoke` mode that shrinks runs enough for CI.
 
+pub mod figures;
+
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use canopy_core::env::NoiseConfig;
+use canopy_core::eval::Scheme;
 use canopy_core::models::{self, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::trainer::TrainingHistory;
 use canopy_netsim::Time;
-use canopy_scenarios::{ScenarioSpec, TraceProgram};
+use canopy_scenarios::ScenarioSpec;
 
 /// The seed every figure uses unless overridden with `--seed N`.
 pub const DEFAULT_SEED: u64 = 20260427;
 
+/// The value following `flag` on a strict command line: a missing or
+/// malformed value is an error naming the flag — never a silent default.
+pub fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    let bad = |_| format!("{flag}: bad value `{value}`");
+    value.parse().map_err(bad)
+}
+
+/// A [`flag_value`] that must also satisfy `ok` (else "`flag` must be
+/// `what`").
+pub fn flag_value_where<T: FromStr>(
+    flag: &str,
+    value: Option<&String>,
+    ok: impl Fn(&T) -> bool,
+    what: &str,
+) -> Result<T, String> {
+    let value = flag_value(flag, value)?;
+    if ok(&value) {
+        Ok(value)
+    } else {
+        Err(format!("{flag} must be {what}"))
+    }
+}
+
 /// Command-line options shared by all harness binaries.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HarnessOpts {
     /// Master seed.
     pub seed: u64,
@@ -27,9 +58,9 @@ pub struct HarnessOpts {
 
 impl HarnessOpts {
     /// Parses `--seed N` and `--smoke` out of `args` (the command line
-    /// without the program name). Every other argument belongs to the
-    /// individual binary and is passed over; a `--seed` without a value, or
-    /// with one that is not a `u64`, is an error — never the default seed.
+    /// without the program name and without whatever the binary consumed
+    /// itself). Anything else is an error, as is a `--seed` without a
+    /// value or with one that is not a `u64` — never the default seed.
     pub fn parse(args: &[String]) -> Result<HarnessOpts, String> {
         let mut opts = HarnessOpts {
             seed: DEFAULT_SEED,
@@ -39,26 +70,11 @@ impl HarnessOpts {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--smoke" => opts.smoke = true,
-                "--seed" => {
-                    let v = args.next().ok_or("--seed needs a value")?;
-                    opts.seed = v
-                        .parse()
-                        .map_err(|_| format!("--seed: `{v}` is not an unsigned integer"))?;
-                }
-                _ => {}
+                "--seed" => opts.seed = flag_value(arg, args.next())?,
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
         Ok(opts)
-    }
-
-    /// [`parse`](Self::parse) over `std::env::args`; a bad command line
-    /// prints the error and exits with status 2.
-    pub fn from_args() -> HarnessOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        HarnessOpts::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
     }
 
     /// The training budget for learned models under these options.
@@ -78,15 +94,6 @@ impl HarnessOpts {
             Time::from_secs(20)
         }
     }
-
-    /// Repetitions per (scheme, trace) pair (the paper uses 5).
-    pub fn repeats(&self) -> usize {
-        if self.smoke {
-            1
-        } else {
-            3
-        }
-    }
 }
 
 /// The shared on-disk model cache used by all figures.
@@ -101,13 +108,23 @@ pub fn model(kind: ModelKind, opts: &HarnessOpts) -> (TrainedModel, TrainingHist
     models::load_or_train(&model_dir(), kind, opts.seed, opts.budget())
 }
 
+/// Resolves a scheme name: a classic kernel (`canopy_cc::by_name`) or one
+/// of the paper's trained models ([`ModelKind::parse`]), loaded from the
+/// model cache.
+pub fn resolve_scheme(name: &str, opts: &HarnessOpts) -> Result<Scheme, String> {
+    if canopy_cc::by_name(name).is_some() {
+        return Ok(Scheme::Baseline(name.to_string()));
+    }
+    let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown scheme `{name}`"))?;
+    Ok(Scheme::Learned(model(kind, opts).0))
+}
+
 /// The Figure 11 evaluation conditions as declarative scenario specs: for
 /// each evaluation trace, a clean run and a ±5 % delay-noise run over a
 /// 2 BDP buffer and 40 ms propagation RTT — committed under
 /// `fixtures/fig11/specs.json` (full mode, default seed) so the figure's
 /// conditions are data, and replayed through the scenario-matrix runner
-/// by both the `fig11_robust_perf` harness and the regression suite.
-/// Specs come in (clean, noisy) pairs, trace-major.
+/// by `figures fig11`. Specs come in (clean, noisy) pairs, trace-major.
 pub fn fig11_specs(seed: u64, smoke: bool) -> Vec<ScenarioSpec> {
     let mut traces = if smoke {
         canopy_traces::synthetic::all(seed)[..3].to_vec()
@@ -120,23 +137,12 @@ pub fn fig11_specs(seed: u64, smoke: bool) -> Vec<ScenarioSpec> {
     let mut specs = Vec::with_capacity(traces.len() * 2);
     for trace in &traces {
         for noisy in [false, true] {
-            let mut spec = ScenarioSpec::simple(
-                &format!(
-                    "fig11-{}-{}",
-                    trace.name(),
-                    if noisy { "noisy" } else { "clean" }
-                ),
-                0.0,
-                Time::from_millis(40),
-                duration,
-            );
+            let mut spec = ScenarioSpec::from_eval_trace(trace.name(), seed);
+            let condition = if noisy { "noisy" } else { "clean" };
+            spec.name = format!("fig11-{}-{condition}", trace.name());
             spec.family = "fig11".to_string();
-            spec.seed = seed;
-            spec.trace = TraceProgram::Named {
-                name: trace.name().to_string(),
-                seed,
-            };
             spec.buffer_bdp = 2.0;
+            spec.duration = duration;
             spec.noise = noisy.then_some(NoiseConfig {
                 mu: 0.05,
                 seed: seed ^ 0x11,
@@ -268,24 +274,20 @@ mod tests {
     }
 
     #[test]
-    fn parse_reads_seed_and_smoke_and_passes_over_bin_flags() {
+    fn parse_reads_seed_and_smoke_and_rejects_everything_else() {
         let o = parse(&[]).expect("empty command line");
         assert_eq!((o.seed, o.smoke), (DEFAULT_SEED, false));
         let o = parse(&["--seed", "7"]).expect("valid seed");
         assert_eq!((o.seed, o.smoke), (7, false));
-        let o = parse(&["--smoke"]).expect("smoke");
-        assert_eq!((o.seed, o.smoke), (DEFAULT_SEED, true));
-        // Flags owned by individual bins, with and without values.
-        let o = parse(&[
-            "--write-fixtures",
-            "--trace-out",
-            "t.json",
-            "--seed",
-            "9",
-            "--smoke",
-        ])
-        .expect("bin flags pass through");
+        let o = parse(&["--smoke", "--seed", "9"]).expect("both");
         assert_eq!((o.seed, o.smoke), (9, true));
+        // A typo, a stray positional, or a flag missing its value must
+        // never silently run the full-size default.
+        for bad in [&["--smok"][..], &["fig99"], &["--smoke", "7"], &["--seed"]] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        let err = parse(&["--smok"]).expect_err("typo");
+        assert!(err.contains("unknown argument `--smok`"), "{err}");
     }
 
     #[test]
@@ -308,6 +310,5 @@ mod tests {
             smoke: true,
         };
         assert_eq!(o.budget(), TrainBudget::smoke());
-        assert_eq!(o.repeats(), 1);
     }
 }

@@ -1,45 +1,32 @@
 //! Figure 11's evaluation conditions as committed data.
 //!
-//! Two gates:
-//!
-//! 1. **Staleness** — `fixtures/fig11/specs.json` must be byte-identical
-//!    to what [`canopy_bench::fig11_specs`] generates in full mode at the
-//!    default seed, so the committed figure conditions can never drift
-//!    silently from the harness.
-//! 2. **Legacy equivalence** — running a fig11 spec through the
-//!    scenario-matrix runner must reproduce the legacy
-//!    `eval::run_scheme` harness: identical decision protocol (both sit
-//!    on the shared `OrcaDriver` timing for the scenario path; the legacy
-//!    path is emulated step-for-step through `CcEnv`) and tightly
-//!    matching aggregate metrics for the whole-loop comparison.
+//! **Staleness gate** — `fixtures/fig11/specs.json` must be byte-identical
+//! to what [`canopy_bench::fig11_specs`] generates in full mode at the
+//! default seed, so the committed figure conditions can never drift
+//! silently from what `figures fig11` runs. (That the scenario runner these
+//! specs replay through matches `CcEnv` step for step is pinned by
+//! `crates/scenarios/tests/driver_consistency.rs`.)
 
 use std::fs;
 use std::path::PathBuf;
 
 use canopy_bench::{fig11_specs, DEFAULT_SEED};
-use canopy_core::env::{CcEnv, EnvConfig};
-use canopy_core::eval::{flow_metrics, run_scheme, RunMetrics, Scheme};
-use canopy_core::models::{train_model, ModelKind, TrainBudget, TrainedModel};
-use canopy_scenarios::{run_scenario, ScenarioSpec};
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/fig11/specs.json")
-}
-
-fn quick_model() -> TrainedModel {
-    train_model(ModelKind::Shallow, 3, TrainBudget::smoke()).model
-}
+use canopy_scenarios::ScenarioSpec;
 
 #[test]
 fn committed_fig11_specs_match_the_harness() {
-    let text = fs::read_to_string(fixture_path()).expect("committed fig11 fixture");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/fig11/specs.json");
+    let text = fs::read_to_string(path).expect("committed fig11 fixture");
     let generated = fig11_specs(DEFAULT_SEED, false);
     let canonical = serde_json::to_string(&generated).expect("specs serialize");
-    assert_eq!(
-        text, canonical,
-        "fixtures/fig11/specs.json is stale; regenerate with \
-         `cargo run -p canopy_bench --release --bin fig11_robust_perf -- --write-fixtures`"
-    );
+    if text != canonical {
+        let fresh = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fig11_specs.json");
+        fs::write(&fresh, &canonical).expect("scratch copy of the regenerated fixture");
+        panic!(
+            "fixtures/fig11/specs.json is stale; the regenerated fixture is at {}",
+            fresh.display()
+        );
+    }
     // And every committed spec is independently valid and replayable.
     let parsed: Vec<ScenarioSpec> = serde_json::from_str(&text).expect("fixture parses");
     assert_eq!(parsed.len(), 21 * 2, "21 eval traces × (clean, noisy)");
@@ -52,89 +39,5 @@ fn committed_fig11_specs_match_the_harness() {
     for pair in parsed.chunks(2) {
         assert!(pair[0].noise.is_none(), "{}", pair[0].name);
         assert!(pair[1].noise.is_some(), "{}", pair[1].name);
-    }
-}
-
-#[test]
-fn matrix_runner_reproduces_the_legacy_fig11_harness() {
-    let model = quick_model();
-    let scheme = Scheme::Learned(model.clone());
-    // Smoke-sized fig11 specs (first synthetic trace, clean + noisy).
-    let specs: Vec<ScenarioSpec> = fig11_specs(DEFAULT_SEED, true)
-        .into_iter()
-        .take(2)
-        .collect();
-
-    for spec in &specs {
-        let through_runner = run_scenario(&scheme, spec, None).expect("runs");
-
-        // The legacy engine (CcEnv — the exact machinery behind
-        // eval::run_scheme) driven on the shared driver's decision
-        // timing must agree bitwise with the scenario runner.
-        let trace = spec.trace.compile().expect("compiles");
-        let mut cfg = EnvConfig::new(trace.clone(), spec.primary_min_rtt, spec.buffer_bdp)
-            .with_episode(spec.duration)
-            .with_samples();
-        cfg.k = model.k;
-        cfg.noise = spec.noise;
-        let mut env = CcEnv::new(cfg);
-        let mut done = env.step_without_agent().done;
-        while !done {
-            let action = model.actor.forward(&env.state())[0];
-            done = env.step(action).done;
-        }
-        let emulated = flow_metrics(env.sim(), env.flow(), &scheme.name());
-        assert_eq!(
-            serde_json::to_string(&through_runner.primary).unwrap(),
-            serde_json::to_string(&emulated).unwrap(),
-            "{}: scenario runner diverged from the legacy engine",
-            spec.name
-        );
-
-        // The whole legacy loop (run_scheme, which additionally acts on
-        // the initial all-zero state at t = 0) measures the same
-        // conditions: its aggregates must land close on every metric the
-        // figure reports.
-        let legacy: RunMetrics = run_scheme(
-            &scheme,
-            &trace,
-            spec.primary_min_rtt,
-            spec.buffer_bdp,
-            spec.duration,
-            spec.noise,
-            None,
-        );
-        // Empirically the two protocols agree to ~2.5e-4 relative; a 1 %
-        // gate is loose enough for the protocol difference and tight
-        // enough to catch any mis-wired condition (wrong noise stream,
-        // buffer depth, trace, or duration).
-        let close = |a: f64, b: f64, label: &str| {
-            let d = (a - b).abs() / a.abs().max(b.abs()).max(1e-9);
-            assert!(
-                d < 0.01,
-                "{}: {label} diverged — runner {a}, legacy {b} (rel {d})",
-                spec.name
-            );
-        };
-        close(
-            through_runner.primary.utilization,
-            legacy.utilization,
-            "utilization",
-        );
-        close(
-            through_runner.primary.throughput_mbps,
-            legacy.throughput_mbps,
-            "throughput",
-        );
-        close(
-            through_runner.primary.avg_qdelay_ms,
-            legacy.avg_qdelay_ms,
-            "avg_qdelay",
-        );
-        close(
-            through_runner.primary.p95_qdelay_ms,
-            legacy.p95_qdelay_ms,
-            "p95_qdelay",
-        );
     }
 }

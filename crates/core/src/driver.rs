@@ -22,10 +22,12 @@
 //! **strictly before** the run horizon: a decision scheduled exactly at
 //! the horizon does not fire. (The first interval `[start, start + MI)`
 //! runs on the unmodified kernel; the first observation the agent sees is
-//! that interval's sample.) Callers that need a decision *at* time zero —
-//! the RL training loop acts on the initial all-zero state — use the
+//! that interval's sample.) Every evaluation harness follows this
+//! protocol. Only the RL training loop decides *at* time zero — it acts on
+//! the initial all-zero state — and [`CcEnv`](crate::env::CcEnv) does so
+//! through the
 //! [`apply_agent`](OrcaDriver::apply_agent)/[`observe`](OrcaDriver::observe)
-//! primitives directly, as [`CcEnv`](crate::env::CcEnv) does.
+//! primitives directly.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;

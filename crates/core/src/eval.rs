@@ -1,17 +1,20 @@
-//! Experiment drivers: single-flow metric runs, decision time series, and
-//! multi-flow competition/fairness runs — the measurement layer behind
-//! every evaluation figure.
+//! The measurement vocabulary behind every evaluation figure: the scheme
+//! under test ([`Scheme`]), per-flow and per-link metrics read off a
+//! finished simulation ([`flow_metrics`], [`link_metrics`]), and the
+//! shared-bottleneck competition/fairness runs ([`run_multiflow`]).
+//! Single-flow conditions are `canopy_scenarios::ScenarioSpec`s run through
+//! `canopy_scenarios::run_scenario`/`run_matrix` — on the same
+//! [`DriverPool`] as the multi-flow runs here.
 
 use serde::{Deserialize, Serialize};
 
 use canopy_netsim::{BandwidthTrace, FlowConfig, FlowId, LinkConfig, LinkId, Simulator, Time};
 
 use crate::driver::{DriverConfig, DriverPolicy, DriverPool, OrcaDriver};
-use crate::env::{CcEnv, EnvConfig, NoiseConfig};
+use crate::env::NoiseConfig;
 use crate::models::TrainedModel;
 use crate::property::Property;
 use crate::runtime::FallbackController;
-use crate::verifier::Verifier;
 
 /// A congestion-control scheme under evaluation.
 #[derive(Clone, Debug)]
@@ -101,187 +104,13 @@ pub struct RunMetrics {
     pub fallback_engagements: Option<u64>,
 }
 
-/// One decision-step record for time-series figures (Figs. 1, 2).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct TimePoint {
-    /// Simulated time, seconds.
-    pub t_s: f64,
-    /// Interval throughput (sending rate proxy), Mbps.
-    pub throughput_mbps: f64,
-    /// Window enforced by the scheme, packets.
-    pub cwnd: f64,
-    /// Window the TCP kernel proposed, packets.
-    pub cwnd_tcp: f64,
-    /// Inverse normalized RTT (`minRTT / RTT`), as plotted in Fig. 1b/2b;
-    /// computed from the (possibly noisy) observation the agent saw.
-    pub inv_rtt: f64,
-    /// Agent action (0 for baselines).
-    pub action: f64,
-    /// Per-step certificate feedback, when requested.
-    pub qc_sat: Option<f64>,
-}
-
-/// One (scheme, trace) cell of an evaluation sweep, for
-/// [`run_sweep`].
-#[derive(Clone, Debug)]
-pub struct SweepJob {
-    /// The congestion-control scheme under test.
-    pub scheme: Scheme,
-    /// The bandwidth trace to run it over.
-    pub trace: BandwidthTrace,
-    /// Propagation RTT.
-    pub min_rtt: Time,
-    /// Bottleneck buffer, in BDP multiples.
-    pub buffer_bdp: f64,
-    /// Run duration.
-    pub duration: Time,
-    /// Optional observation noise.
-    pub noise: Option<NoiseConfig>,
-    /// Optional per-step certificate evaluation.
-    pub qc: Option<QcEval>,
-}
-
-/// Runs a full evaluation sweep — every (scheme, trace) job — fanned out
-/// over the `CANOPY_THREADS` worker pool, returning metrics in job order.
-///
-/// Each job is an independent deterministic simulation, so the results
-/// are identical to calling [`run_scheme`] in a loop; only the wall-clock
-/// time changes. This is the batched entry point the figure harnesses use
-/// to keep every core busy during scenario sweeps.
-pub fn run_sweep(jobs: &[SweepJob]) -> Vec<RunMetrics> {
-    crate::pool::parallel_map(
-        jobs,
-        crate::pool::thread_count().min(jobs.len().max(1)),
-        |j| {
-            run_scheme(
-                &j.scheme,
-                &j.trace,
-                j.min_rtt,
-                j.buffer_bdp,
-                j.duration,
-                j.noise,
-                j.qc.as_ref(),
-            )
-        },
-    )
-}
-
-/// Runs one scheme over one trace and collects [`RunMetrics`].
-pub fn run_scheme(
-    scheme: &Scheme,
-    trace: &BandwidthTrace,
-    min_rtt: Time,
-    buffer_bdp: f64,
-    duration: Time,
-    noise: Option<NoiseConfig>,
-    qc_eval: Option<&QcEval>,
-) -> RunMetrics {
-    match scheme {
-        Scheme::Baseline(name) => run_baseline(name, trace, min_rtt, buffer_bdp, duration),
-        Scheme::Learned(model) => run_learned(
-            scheme, model, None, trace, min_rtt, buffer_bdp, duration, noise, qc_eval,
-        ),
-        Scheme::LearnedFallback {
-            model,
-            properties,
-            threshold,
-            n_components,
-        } => {
-            let fallback = FallbackController::new(properties.clone(), *threshold, *n_components);
-            run_learned(
-                scheme,
-                model,
-                Some(fallback),
-                trace,
-                min_rtt,
-                buffer_bdp,
-                duration,
-                noise,
-                qc_eval,
-            )
-        }
-    }
-}
-
-fn run_baseline(
-    name: &str,
-    trace: &BandwidthTrace,
-    min_rtt: Time,
-    buffer_bdp: f64,
-    duration: Time,
-) -> RunMetrics {
-    let cc = canopy_cc::by_name(name).unwrap_or_else(|| panic!("unknown baseline scheme `{name}`"));
-    let link = LinkConfig::with_bdp_buffer(trace.clone(), min_rtt, buffer_bdp);
-    let mut sim = Simulator::new(link);
-    let flow = sim.add_flow(FlowConfig::new(min_rtt), cc);
-    sim.run_until(duration);
-    metrics_from_sim(&sim, flow, name, None, None, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_learned(
-    scheme: &Scheme,
-    model: &TrainedModel,
-    mut fallback: Option<FallbackController>,
-    trace: &BandwidthTrace,
-    min_rtt: Time,
-    buffer_bdp: f64,
-    duration: Time,
-    noise: Option<NoiseConfig>,
-    qc_eval: Option<&QcEval>,
-) -> RunMetrics {
-    let mut cfg = EnvConfig::new(trace.clone(), min_rtt, buffer_bdp)
-        .with_episode(duration)
-        .with_samples();
-    cfg.k = model.k;
-    cfg.noise = noise;
-    let mut env = CcEnv::new(cfg);
-    let layout = env.layout();
-    let qc_verifier = qc_eval.map(|q| (Verifier::new(q.n_components), &q.properties));
-    let mut qc_values = Vec::new();
-
-    loop {
-        let ctx = env.step_context();
-        if let Some((verifier, properties)) = &qc_verifier {
-            let (_, agg) = verifier.certify_all(&model.actor, properties, layout, &ctx);
-            qc_values.push(agg);
-        }
-        let action = model.actor.forward(&ctx.state)[0];
-        let result = match fallback.as_mut() {
-            Some(fb) => {
-                if fb.decide(&model.actor, layout, &ctx).use_agent {
-                    env.step(action)
-                } else {
-                    env.step_without_agent()
-                }
-            }
-            None => env.step(action),
-        };
-        if result.done {
-            break;
-        }
-    }
-
-    let (qc_sat, qc_sat_std) = mean_std(&qc_values);
-    let mut metrics = metrics_from_sim(
-        env.sim(),
-        env.flow(),
-        &scheme.name(),
-        qc_sat,
-        qc_sat_std,
-        fallback.as_ref().map(FallbackController::fallback_rate),
-    );
-    metrics.fallback_engagements = fallback.as_ref().map(FallbackController::engagements);
-    metrics
-}
-
 /// Per-flow metrics from any simulator the caller drove itself, normalized
 /// to the flow's **active interval** (start event to departure), not the
 /// run length — a flow that joined late or left early is judged over the
 /// time it was actually sending. Utilization integrates the capacity of
 /// the flow's **bottleneck** link (the slowest hop of its path; the only
 /// hop, on a dumbbell) over the same interval. This is the metric kernel
-/// behind [`run_scheme`] and the scenario-matrix runner.
+/// behind the scenario-matrix runner.
 pub fn flow_metrics(sim: &Simulator, flow: FlowId, scheme: &str) -> RunMetrics {
     let stats = sim.flow_stats(flow);
     let trace = &sim.link_at(sim.bottleneck_of(flow)).trace;
@@ -305,22 +134,6 @@ pub fn flow_metrics(sim: &Simulator, flow: FlowId, scheme: &str) -> RunMetrics {
         fallback_rate: None,
         peak_queue_bytes: sim.link_at(sim.bottleneck_of(flow)).queue.peak_bytes(),
         fallback_engagements: None,
-    }
-}
-
-fn metrics_from_sim(
-    sim: &Simulator,
-    flow: FlowId,
-    scheme: &str,
-    qc_sat: Option<f64>,
-    qc_sat_std: Option<f64>,
-    fallback_rate: Option<f64>,
-) -> RunMetrics {
-    RunMetrics {
-        qc_sat,
-        qc_sat_std,
-        fallback_rate,
-        ..flow_metrics(sim, flow, scheme)
     }
 }
 
@@ -361,88 +174,6 @@ pub fn link_metrics(sim: &Simulator) -> Vec<LinkMetrics> {
             }
         })
         .collect()
-}
-
-fn mean_std(values: &[f64]) -> (Option<f64>, Option<f64>) {
-    if values.is_empty() {
-        return (None, None);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    (Some(mean), Some(var.sqrt()))
-}
-
-/// Runs a learned controller and records one [`TimePoint`] per decision.
-pub fn learned_timeseries(
-    model: &TrainedModel,
-    trace: &BandwidthTrace,
-    min_rtt: Time,
-    buffer_bdp: f64,
-    duration: Time,
-    noise: Option<NoiseConfig>,
-    qc_eval: Option<&QcEval>,
-) -> Vec<TimePoint> {
-    let mut cfg = EnvConfig::new(trace.clone(), min_rtt, buffer_bdp).with_episode(duration);
-    cfg.k = model.k;
-    cfg.noise = noise;
-    let mut env = CcEnv::new(cfg);
-    let layout = env.layout();
-    let qc_verifier = qc_eval.map(|q| (Verifier::new(q.n_components), &q.properties));
-    let mut points = Vec::new();
-    loop {
-        let ctx = env.step_context();
-        let qc = qc_verifier
-            .as_ref()
-            .map(|(v, props)| v.certify_all(&model.actor, props, layout, &ctx).1);
-        let action = model.actor.forward(&ctx.state)[0];
-        let result = env.step(action);
-        points.push(TimePoint {
-            t_s: env.now().as_secs_f64(),
-            throughput_mbps: result.sample.throughput_bps / 1e6,
-            cwnd: result.cwnd_applied,
-            cwnd_tcp: result.cwnd_tcp,
-            inv_rtt: result.sample.inv_rtt(),
-            action,
-            qc_sat: qc,
-        });
-        if result.done {
-            break;
-        }
-    }
-    points
-}
-
-/// Runs a classic kernel and records one [`TimePoint`] per monitor
-/// interval (for side-by-side plots with learned controllers).
-pub fn baseline_timeseries(
-    name: &str,
-    trace: &BandwidthTrace,
-    min_rtt: Time,
-    buffer_bdp: f64,
-    duration: Time,
-) -> Vec<TimePoint> {
-    let cc = canopy_cc::by_name(name).unwrap_or_else(|| panic!("unknown baseline scheme `{name}`"));
-    let link = LinkConfig::with_bdp_buffer(trace.clone(), min_rtt, buffer_bdp);
-    let mut sim = Simulator::new(link);
-    let flow = sim.add_flow(FlowConfig::new(min_rtt).without_samples(), cc);
-    let mi = min_rtt.max(Time::from_millis(20));
-    let mut points = Vec::new();
-    while sim.now() < duration {
-        let target = (sim.now() + mi).min(duration);
-        sim.run_until(target);
-        let sample = sim.monitor_sample(flow);
-        points.push(TimePoint {
-            t_s: sim.now().as_secs_f64(),
-            throughput_mbps: sample.throughput_bps / 1e6,
-            cwnd: sample.cwnd,
-            cwnd_tcp: sample.cwnd,
-            inv_rtt: sample.inv_rtt(),
-            action: 0.0,
-            qc_sat: None,
-        });
-    }
-    points
 }
 
 /// One flow of a multi-flow experiment.
@@ -686,114 +417,6 @@ pub fn jain_index(throughputs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{train_model, ModelKind, TrainBudget};
-
-    fn quick_model() -> TrainedModel {
-        train_model(ModelKind::Shallow, 3, TrainBudget::smoke()).model
-    }
-
-    #[test]
-    fn baseline_metrics_are_sane() {
-        let trace = BandwidthTrace::constant("eval", 24e6);
-        let m = run_scheme(
-            &Scheme::Baseline("cubic".into()),
-            &trace,
-            Time::from_millis(40),
-            1.0,
-            Time::from_secs(8),
-            None,
-            None,
-        );
-        assert!(m.utilization > 0.5 && m.utilization <= 1.05, "{m:?}");
-        assert!(m.p95_rtt_ms >= m.avg_rtt_ms * 0.5);
-        assert!(m.throughput_mbps > 10.0);
-        assert!(m.qc_sat.is_none());
-    }
-
-    #[test]
-    fn cubic_bufferbloats_deep_buffers_more_than_vegas() {
-        let trace = BandwidthTrace::constant("eval", 24e6);
-        let run = |name: &str| {
-            run_scheme(
-                &Scheme::Baseline(name.into()),
-                &trace,
-                Time::from_millis(40),
-                5.0,
-                Time::from_secs(10),
-                None,
-                None,
-            )
-        };
-        let cubic = run("cubic");
-        let vegas = run("vegas");
-        assert!(
-            cubic.p95_qdelay_ms > vegas.p95_qdelay_ms,
-            "cubic {} vs vegas {}",
-            cubic.p95_qdelay_ms,
-            vegas.p95_qdelay_ms
-        );
-    }
-
-    #[test]
-    fn learned_scheme_runs_and_reports_qc() {
-        let model = quick_model();
-        let trace = BandwidthTrace::constant("eval", 12e6);
-        let qc = QcEval {
-            properties: Property::shallow_set(&crate::property::PropertyParams::default()),
-            n_components: 10,
-        };
-        let m = run_scheme(
-            &Scheme::Learned(model),
-            &trace,
-            Time::from_millis(40),
-            0.5,
-            Time::from_secs(5),
-            None,
-            Some(&qc),
-        );
-        let qc_sat = m.qc_sat.expect("qc requested");
-        assert!((0.0..=1.0).contains(&qc_sat), "{qc_sat}");
-        assert!(m.throughput_mbps > 0.0);
-    }
-
-    #[test]
-    fn fallback_scheme_reports_rate() {
-        let model = quick_model();
-        let trace = BandwidthTrace::constant("eval", 12e6);
-        let m = run_scheme(
-            &Scheme::LearnedFallback {
-                model,
-                properties: Property::shallow_set(&crate::property::PropertyParams::default()),
-                threshold: 0.5,
-                n_components: 5,
-            },
-            &trace,
-            Time::from_millis(40),
-            0.5,
-            Time::from_secs(5),
-            None,
-            None,
-        );
-        let rate = m.fallback_rate.expect("fallback run");
-        assert!((0.0..=1.0).contains(&rate));
-    }
-
-    #[test]
-    fn timeseries_cover_duration() {
-        let trace = BandwidthTrace::constant("eval", 12e6);
-        let pts = baseline_timeseries(
-            "cubic",
-            &trace,
-            Time::from_millis(40),
-            1.0,
-            Time::from_secs(4),
-        );
-        assert!(!pts.is_empty());
-        assert!((pts.last().unwrap().t_s - 4.0).abs() < 0.2);
-        for w in pts.windows(2) {
-            assert!(w[1].t_s > w[0].t_s);
-        }
-    }
 
     #[test]
     fn multiflow_cubic_flows_converge_to_fair_share() {
@@ -814,50 +437,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_sequential_runs() {
-        let trace = BandwidthTrace::constant("eval", 24e6);
-        let jobs: Vec<SweepJob> = ["cubic", "vegas", "newreno"]
-            .iter()
-            .map(|name| SweepJob {
-                scheme: Scheme::Baseline((*name).into()),
-                trace: trace.clone(),
-                min_rtt: Time::from_millis(40),
-                buffer_bdp: 1.0,
-                duration: Time::from_secs(4),
-                noise: None,
-                qc: None,
-            })
-            .collect();
-        let swept = run_sweep(&jobs);
-        assert_eq!(swept.len(), 3);
-        for (job, m) in jobs.iter().zip(&swept) {
-            let solo = run_scheme(
-                &job.scheme,
-                &job.trace,
-                job.min_rtt,
-                job.buffer_bdp,
-                job.duration,
-                None,
-                None,
-            );
-            assert_eq!(m.scheme, solo.scheme);
-            assert_eq!(m.utilization, solo.utilization, "{}", m.scheme);
-            assert_eq!(m.losses, solo.losses, "{}", m.scheme);
-        }
-    }
-
-    #[test]
     fn run_reward_orders_good_runs_above_bad_ones() {
+        let rtt = Time::from_millis(40);
         let trace = BandwidthTrace::constant("eval", 24e6);
-        let good = run_scheme(
-            &Scheme::Baseline("cubic".into()),
-            &trace,
-            Time::from_millis(40),
-            1.0,
-            Time::from_secs(8),
-            None,
-            None,
-        );
+        let mut sim = Simulator::new(LinkConfig::with_bdp_buffer(trace, rtt, 1.0));
+        let flow = sim.add_flow(FlowConfig::new(rtt), Box::new(canopy_cc::Cubic::new()));
+        sim.run_until(Time::from_secs(8));
+        let good = flow_metrics(&sim, flow, "cubic");
         let r = run_reward(&good, 40.0);
         assert!((-5.0..=1.0).contains(&r), "{r}");
         // Starving the same run's throughput must lower the proxy.

@@ -6,7 +6,7 @@
 //! baseline (λ = 0, trained on 2 BDP buffers, which the paper credits for
 //! Orca's weak shallow-buffer behaviour in Takeaway #3). The recipes here
 //! reproduce those setups at laptop scale with fixed seeds; the benchmark
-//! harness shares one cached copy of each model so that every figure binary
+//! harness shares one cached copy of each model so that every figure
 //! sees identical controllers.
 
 use std::fs;

@@ -460,6 +460,41 @@ mod tests {
         assert!(sm.jain_fairness.is_none());
     }
 
+    fn constant(buffer_bdp: f64, secs: u64) -> ScenarioSpec {
+        let mut spec =
+            ScenarioSpec::simple("eval", 24e6, Time::from_millis(40), Time::from_secs(secs));
+        spec.buffer_bdp = buffer_bdp;
+        spec
+    }
+
+    #[test]
+    fn baseline_metrics_are_sane() {
+        let m = run_scenario(&Scheme::Baseline("cubic".into()), &constant(1.0, 8), None)
+            .expect("runs")
+            .primary;
+        assert!(m.utilization > 0.5 && m.utilization <= 1.05, "{m:?}");
+        assert!(m.p95_rtt_ms >= m.avg_rtt_ms * 0.5);
+        assert!(m.throughput_mbps > 10.0);
+        assert!(m.qc_sat.is_none());
+
+        // An unknown kernel is an error value, not a panic.
+        let err = run_scenario(&Scheme::Baseline("reno2".into()), &constant(1.0, 8), None)
+            .expect_err("unknown scheme");
+        assert!(err.0.contains("unknown baseline scheme `reno2`"), "{err}");
+    }
+
+    #[test]
+    fn cubic_bufferbloats_deep_buffers_more_than_vegas() {
+        let p95 = |name: &str| {
+            run_scenario(&Scheme::Baseline(name.into()), &constant(5.0, 10), None)
+                .expect("runs")
+                .primary
+                .p95_qdelay_ms
+        };
+        let (cubic, vegas) = (p95("cubic"), p95("vegas"));
+        assert!(cubic > vegas, "cubic {cubic} vs vegas {vegas}");
+    }
+
     #[test]
     fn cross_traffic_depresses_primary_share() {
         // A scenario with four competitors sharing the whole run must leave
@@ -606,10 +641,21 @@ mod tests {
         assert!((0.0..=1.0).contains(&rate), "{rate}");
         assert!(m.primary.throughput_mbps > 0.0);
 
-        let plain = run_scenario(&Scheme::Learned(model), &spec, None).expect("plain runs");
-        assert!(plain.primary.qc_sat.is_none());
-        assert!(plain.primary.fallback_rate.is_none());
-        assert!(plain.primary.throughput_mbps > 0.0);
+        let plain = Scheme::Learned(model);
+        let m = run_scenario(&plain, &spec, None).expect("plain runs");
+        assert!(m.primary.qc_sat.is_none());
+        assert!(m.primary.fallback_rate.is_none());
+        assert!(m.primary.throughput_mbps > 0.0);
+
+        // A plain learned scheme certifies per decision only on request.
+        let qc = QcEval {
+            properties: Property::shallow_set(&PropertyParams::default()),
+            n_components: 10,
+        };
+        let m = run_scenario(&plain, &spec, Some(&qc)).expect("certified run");
+        let qc_sat = m.primary.qc_sat.expect("qc requested");
+        assert!((0.0..=1.0).contains(&qc_sat), "{qc_sat}");
+        assert!(m.primary.fallback_rate.is_none());
     }
 
     #[test]

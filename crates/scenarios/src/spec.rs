@@ -37,7 +37,7 @@ fn err(msg: impl Into<String>) -> SpecError {
 /// [`BandwidthTrace`]. Compiling a program is pure and deterministic.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum TraceProgram {
-    /// A base evaluation trace by canonical name (`syn-*`, `cell-*`).
+    /// A base trace by canonical name (`syn-*`, `cell-*`, `rw-<region>`).
     Named {
         /// The canonical trace name.
         name: String,

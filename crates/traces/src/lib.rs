@@ -31,12 +31,19 @@ pub fn all_eval_traces(seed: u64) -> Vec<BandwidthTrace> {
     v
 }
 
-/// Looks up any evaluation trace by its canonical name (`syn-*` or
-/// `cell-*`), so scenario specs can reference the paper's base traces
-/// declaratively and recreate them from `(name, seed)` alone.
+/// Looks up any trace by its canonical name — an evaluation trace
+/// (`syn-*`, `cell-*`) or a global-testbed path (`rw-<region>`) — so
+/// scenario specs can reference the paper's base traces declaratively and
+/// recreate them from `(name, seed)` alone.
 pub fn by_name(name: &str, seed: u64) -> Option<BandwidthTrace> {
     if let Some(t) = synthetic::by_name(name, seed) {
         return Some(t);
+    }
+    if let Some(region) = name.strip_prefix("rw-") {
+        return realworld::paths()
+            .iter()
+            .find(|p| p.region == region)
+            .map(|p| p.trace(seed));
     }
     [cellular::ATT, cellular::VERIZON, cellular::TMOBILE]
         .iter()
@@ -60,12 +67,17 @@ mod tests {
     }
 
     #[test]
-    fn by_name_covers_every_eval_trace() {
-        for t in all_eval_traces(7) {
+    fn by_name_covers_every_eval_trace_and_testbed_path() {
+        let paths = realworld::paths();
+        let traces = all_eval_traces(7)
+            .into_iter()
+            .chain(paths.iter().map(|p| p.trace(7)));
+        for t in traces {
             let again =
                 by_name(t.name(), 7).unwrap_or_else(|| panic!("missing trace {}", t.name()));
             assert_eq!(again.segments(), t.segments(), "{}", t.name());
         }
         assert!(by_name("no-such-trace", 0).is_none());
+        assert!(by_name("rw-Atlantis", 0).is_none());
     }
 }

@@ -5,11 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use canopy_repro::core::eval::{run_scheme, QcEval, Scheme};
+use canopy_repro::core::eval::{QcEval, Scheme};
 use canopy_repro::core::models::{train_model, ModelKind, TrainBudget};
 use canopy_repro::core::property::{Property, PropertyParams};
 use canopy_repro::netsim::Time;
-use canopy_repro::traces::synthetic;
+use canopy_repro::scenarios::{run_scenario, ScenarioSpec};
 
 fn main() {
     // 1. Train a scaled-down Canopy model with the shallow-buffer
@@ -25,36 +25,24 @@ fn main() {
 
     // 2. Evaluate it against Cubic on an unseen square-wave trace with a
     //    0.5 BDP bottleneck buffer, certifying P1/P2 at every decision.
-    let trace = synthetic::square_fast();
-    let min_rtt = Time::from_millis(40);
-    let duration = Time::from_secs(10);
+    let mut spec = ScenarioSpec::from_eval_trace("syn-square-fast", 0);
+    spec.buffer_bdp = 0.5;
+    spec.duration = Time::from_secs(10);
     let qc = QcEval {
         properties: Property::shallow_set(&PropertyParams::default()),
         n_components: 25,
     };
-
-    let canopy = run_scheme(
-        &Scheme::Learned(result.model),
-        &trace,
-        min_rtt,
-        0.5,
-        duration,
-        None,
-        Some(&qc),
-    );
-    let cubic = run_scheme(
-        &Scheme::Baseline("cubic".into()),
-        &trace,
-        min_rtt,
-        0.5,
-        duration,
-        None,
-        None,
-    );
+    let run = |scheme, qc| {
+        run_scenario(&scheme, &spec, qc)
+            .expect("a valid scenario")
+            .primary
+    };
+    let canopy = run(Scheme::Learned(result.model), Some(&qc));
+    let cubic = run(Scheme::Baseline("cubic".into()), None);
 
     println!(
-        "\nresults on `{}` (0.5 BDP buffer, {min_rtt} RTT):",
-        trace.name()
+        "\nresults on `{}` (0.5 BDP buffer, {} RTT):",
+        canopy.trace, spec.primary_min_rtt
     );
     for m in [&canopy, &cubic] {
         println!(

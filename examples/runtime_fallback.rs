@@ -10,20 +10,20 @@
 //! cargo run --release --example runtime_fallback
 //! ```
 
-use canopy_repro::core::eval::{run_scheme, Scheme};
+use canopy_repro::core::eval::Scheme;
 use canopy_repro::core::models::{train_model, ModelKind, TrainBudget};
 use canopy_repro::core::property::{Property, PropertyParams};
 use canopy_repro::netsim::Time;
-use canopy_repro::traces::synthetic;
+use canopy_repro::scenarios::{run_scenario, ScenarioSpec};
 
 fn main() {
     println!("training models (smoke budget)...");
     let canopy = train_model(ModelKind::Shallow, 11, TrainBudget::smoke()).model;
     let orca = train_model(ModelKind::Orca, 11, TrainBudget::smoke()).model;
     let properties = Property::shallow_set(&PropertyParams::default());
-    let trace = synthetic::plateau_dip();
-    let min_rtt = Time::from_millis(40);
-    let duration = Time::from_secs(10);
+    let mut spec = ScenarioSpec::from_eval_trace("syn-plateau-dip", 0);
+    spec.buffer_bdp = 0.5;
+    spec.duration = Time::from_secs(10);
 
     println!(
         "\n{:<10} {:>10} {:>12} {:>14} {:>15}",
@@ -41,7 +41,9 @@ fn main() {
                     n_components: 10,
                 }
             };
-            let m = run_scheme(&scheme, &trace, min_rtt, 0.5, duration, None, None);
+            let m = run_scenario(&scheme, &spec, None)
+                .expect("a valid scenario")
+                .primary;
             println!(
                 "{:<10} {:>10.2} {:>12.3} {:>11.1} ms {:>15}",
                 name,

@@ -2,12 +2,22 @@
 //! configurations must yield bit-identical experiments — the foundation
 //! for every figure in the harness.
 
-use canopy_repro::core::eval::{
-    learned_timeseries, run_multiflow, run_scheme, FlowScheme, FlowSpec, Scheme,
-};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use canopy_repro::core::eval::{run_multiflow, FlowScheme, FlowSpec, Scheme};
 use canopy_repro::core::models::{train_model, ModelKind, TrainBudget};
 use canopy_repro::netsim::{BandwidthTrace, LinkConfig, Time};
-use canopy_repro::traces::synthetic;
+use canopy_repro::scenarios::{run_scenario, run_scenario_recorded, ScenarioSpec};
+use canopy_repro::telemetry::{FlightRecorder, SharedRecorder};
+
+/// One evaluation trace as a 40 ms single-flow scenario.
+fn scenario(trace: &str, buffer_bdp: f64, secs: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::from_eval_trace(trace, 0);
+    spec.buffer_bdp = buffer_bdp;
+    spec.duration = Time::from_secs(secs);
+    spec
+}
 
 #[test]
 fn training_is_bit_deterministic() {
@@ -25,19 +35,9 @@ fn training_is_bit_deterministic() {
 
 #[test]
 fn evaluation_is_bit_deterministic() {
-    let model = train_model(ModelKind::Shallow, 5, TrainBudget::smoke()).model;
-    let trace = synthetic::square_fast();
-    let run = || {
-        run_scheme(
-            &Scheme::Learned(model.clone()),
-            &trace,
-            Time::from_millis(40),
-            1.0,
-            Time::from_secs(5),
-            None,
-            None,
-        )
-    };
+    let scheme = Scheme::Learned(train_model(ModelKind::Shallow, 5, TrainBudget::smoke()).model);
+    let spec = scenario("syn-square-fast", 1.0, 5);
+    let run = || run_scenario(&scheme, &spec, None).expect("runs").primary;
     let a = run();
     let b = run();
     assert_eq!(a.utilization, b.utilization);
@@ -47,25 +47,24 @@ fn evaluation_is_bit_deterministic() {
 
 #[test]
 fn timeseries_are_bit_deterministic() {
-    let model = train_model(ModelKind::Robust, 5, TrainBudget::smoke()).model;
-    let trace = synthetic::spikes();
+    let scheme = Scheme::Learned(train_model(ModelKind::Robust, 5, TrainBudget::smoke()).model);
+    let spec = scenario("syn-spikes", 2.0, 4);
+    // The per-decision and per-interval link streams of a recorded run.
     let run = || {
-        learned_timeseries(
-            &model,
-            &trace,
-            Time::from_millis(40),
-            2.0,
-            Time::from_secs(4),
-            None,
-            None,
-        )
+        let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
+        let handle: SharedRecorder = recorder.clone();
+        run_scenario_recorded(&scheme, &spec, None, &handle, Time::from_millis(40)).expect("runs");
+        let rec = recorder.borrow();
+        (rec.decisions(), rec.links())
     };
-    let a = run();
-    let b = run();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
+    let (a, b) = (run(), run());
+    assert!(!a.0.is_empty() && !a.1.is_empty());
+    assert_eq!(a.0.len(), b.0.len());
+    for (x, y) in a.0.iter().zip(&b.0) {
         assert_eq!(x.cwnd, y.cwnd);
-        assert_eq!(x.throughput_mbps, y.throughput_mbps);
+    }
+    for (x, y) in a.1.iter().zip(&b.1) {
+        assert_eq!(x.utilization, y.utilization);
     }
 }
 

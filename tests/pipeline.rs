@@ -1,16 +1,24 @@
 //! End-to-end pipeline tests: training → certification → evaluation.
 
-use canopy_repro::core::eval::{run_scheme, QcEval, Scheme};
+use canopy_repro::core::eval::{QcEval, RunMetrics, Scheme};
 use canopy_repro::core::models::{
     load_or_train, train_model, trainer_config, ModelKind, TrainBudget,
 };
 use canopy_repro::core::property::{Property, PropertyParams};
 use canopy_repro::core::trainer::Trainer;
 use canopy_repro::netsim::Time;
-use canopy_repro::traces::synthetic;
+use canopy_repro::scenarios::{run_scenario, ScenarioSpec};
 
 fn smoke() -> TrainBudget {
     TrainBudget::smoke()
+}
+
+/// Runs `scheme` alone for 5 s over one evaluation trace (40 ms RTT).
+fn evaluate(scheme: Scheme, trace: &str, buffer_bdp: f64, qc: Option<&QcEval>) -> RunMetrics {
+    let mut spec = ScenarioSpec::from_eval_trace(trace, 0);
+    spec.buffer_bdp = buffer_bdp;
+    spec.duration = Time::from_secs(5);
+    run_scenario(&scheme, &spec, qc).expect("runs").primary
 }
 
 /// The budget for the `#[ignore]`d statistical tests: enough actor updates
@@ -31,7 +39,7 @@ fn beyond_smoke() -> TrainBudget {
 /// within noise (margin ≈ 0.04), so this trains at 8 × 80 where the margin
 /// is decisive (≈ 0.35) — beyond the smoke budget, hence ignored in tier-1.
 #[test]
-#[ignore = "trains beyond smoke budget; claim covered by the fig05_qcsat_buffers bench binary"]
+#[ignore = "trains beyond smoke budget; claim covered by `figures fig05`"]
 fn canopy_beats_orca_on_qc_sat() {
     let canopy = train_model(ModelKind::Shallow, 5, beyond_smoke()).model;
     let orca = train_model(ModelKind::Orca, 5, beyond_smoke()).model;
@@ -39,19 +47,10 @@ fn canopy_beats_orca_on_qc_sat() {
         properties: Property::shallow_set(&PropertyParams::default()),
         n_components: 10,
     };
-    let trace = synthetic::square_fast();
     let eval = |m| {
-        run_scheme(
-            &Scheme::Learned(m),
-            &trace,
-            Time::from_millis(40),
-            0.5,
-            Time::from_secs(5),
-            None,
-            Some(&qc),
-        )
-        .qc_sat
-        .expect("qc requested")
+        evaluate(Scheme::Learned(m), "syn-square-fast", 0.5, Some(&qc))
+            .qc_sat
+            .expect("qc requested")
     };
     let canopy_sat = eval(canopy);
     let orca_sat = eval(orca);
@@ -65,7 +64,7 @@ fn canopy_beats_orca_on_qc_sat() {
 /// of training (first epoch vs last). Uses a budget just above smoke so
 /// the certified loss has enough actor updates to act.
 #[test]
-#[ignore = "trains beyond smoke budget; covered by the fig17_training_curves bench binary"]
+#[ignore = "trains beyond smoke budget; covered by `figures fig17`"]
 fn verifier_reward_improves_during_training() {
     let budget = TrainBudget {
         epochs: 10,
@@ -90,19 +89,10 @@ fn robust_model_certifies_p5_better() {
         properties: Property::robust_set(&PropertyParams::default()),
         n_components: 10,
     };
-    let trace = synthetic::spikes();
     let eval = |m| {
-        run_scheme(
-            &Scheme::Learned(m),
-            &trace,
-            Time::from_millis(40),
-            2.0,
-            Time::from_secs(5),
-            None,
-            Some(&qc),
-        )
-        .qc_sat
-        .unwrap()
+        evaluate(Scheme::Learned(m), "syn-spikes", 2.0, Some(&qc))
+            .qc_sat
+            .unwrap()
     };
     let r = eval(robust);
     let o = eval(orca);
@@ -115,24 +105,16 @@ fn fallback_engages_more_for_orca() {
     let canopy = train_model(ModelKind::Shallow, 5, smoke()).model;
     let orca = train_model(ModelKind::Orca, 5, smoke()).model;
     let properties = Property::shallow_set(&PropertyParams::default());
-    let trace = synthetic::step_up();
     let run = |m| {
-        run_scheme(
-            &Scheme::LearnedFallback {
-                model: m,
-                properties: properties.clone(),
-                threshold: 0.6,
-                n_components: 5,
-            },
-            &trace,
-            Time::from_millis(40),
-            0.5,
-            Time::from_secs(5),
-            None,
-            None,
-        )
-        .fallback_rate
-        .unwrap()
+        let scheme = Scheme::LearnedFallback {
+            model: m,
+            properties: properties.clone(),
+            threshold: 0.6,
+            n_components: 5,
+        };
+        evaluate(scheme, "syn-step-up", 0.5, None)
+            .fallback_rate
+            .unwrap()
     };
     let canopy_rate = run(canopy);
     let orca_rate = run(orca);
@@ -161,7 +143,7 @@ fn model_cache_round_trip() {
 /// trains at 8 × 80 where pure-verifier training clearly wins (≈ +0.35) —
 /// beyond the smoke budget, hence ignored in tier-1.
 #[test]
-#[ignore = "trains beyond smoke budget; covered by the ablation_mechanism bench binary"]
+#[ignore = "trains beyond smoke budget; covered by `figures ablation_mechanism`"]
 fn lambda_extremes() {
     let mut pure = trainer_config(ModelKind::Shallow, 13, beyond_smoke());
     pure.lambda = 1.0;

@@ -2,21 +2,21 @@
 //! packet simulator must reproduce the qualitative behaviours the paper's
 //! evaluation leans on.
 
-use canopy_repro::core::eval::{run_scheme, Scheme};
+use canopy_repro::core::eval::{RunMetrics, Scheme};
 use canopy_repro::netsim::Time;
-use canopy_repro::traces::synthetic;
+use canopy_repro::scenarios::{run_scenario, ScenarioSpec};
 
-fn baseline(name: &str, buffer_bdp: f64, rate_mbps: f64) -> canopy_repro::core::eval::RunMetrics {
-    let trace = canopy_repro::netsim::BandwidthTrace::constant("itest", rate_mbps * 1e6);
-    run_scheme(
-        &Scheme::Baseline(name.into()),
-        &trace,
-        Time::from_millis(40),
-        buffer_bdp,
-        Time::from_secs(12),
-        None,
-        None,
-    )
+fn run(name: &str, spec: &ScenarioSpec) -> RunMetrics {
+    run_scenario(&Scheme::Baseline(name.into()), spec, None)
+        .expect("runs")
+        .primary
+}
+
+fn baseline(name: &str, buffer_bdp: f64, rate_mbps: f64) -> RunMetrics {
+    let rtt = Time::from_millis(40);
+    let mut spec = ScenarioSpec::simple("itest", rate_mbps * 1e6, rtt, Time::from_secs(12));
+    spec.buffer_bdp = buffer_bdp;
+    run(name, &spec)
 }
 
 /// Cubic fills a constant link.
@@ -70,16 +70,9 @@ fn bbr_bounds_queue_on_deep_buffers() {
 /// NewReno survives a variable trace and keeps positive goodput.
 #[test]
 fn newreno_survives_variable_bandwidth() {
-    let trace = synthetic::square_fast();
-    let m = run_scheme(
-        &Scheme::Baseline("newreno".into()),
-        &trace,
-        Time::from_millis(40),
-        1.0,
-        Time::from_secs(12),
-        None,
-        None,
-    );
+    let mut spec = ScenarioSpec::from_eval_trace("syn-square-fast", 0);
+    spec.duration = Time::from_secs(12);
+    let m = run("newreno", &spec);
     assert!(m.utilization > 0.4, "{m:?}");
     assert!(m.losses > 0, "droptail must bite on the square wave");
 }
@@ -88,15 +81,9 @@ fn newreno_survives_variable_bandwidth() {
 #[test]
 fn all_eval_traces_run() {
     for trace in canopy_repro::traces::all_eval_traces(1) {
-        let m = run_scheme(
-            &Scheme::Baseline("cubic".into()),
-            &trace,
-            Time::from_millis(40),
-            1.0,
-            Time::from_secs(3),
-            None,
-            None,
-        );
+        let mut spec = ScenarioSpec::from_eval_trace(trace.name(), 1);
+        spec.duration = Time::from_secs(3);
+        let m = run("cubic", &spec);
         assert!(
             m.throughput_mbps > 0.5,
             "trace {} starved: {m:?}",
