@@ -19,6 +19,7 @@ use canopy_bench::figures::{self, Figure, REGISTRY};
 use canopy_bench::HarnessOpts;
 
 fn run(args: &[String]) -> Result<(), String> {
+    canopy_core::pool::env_threads()?;
     if args.first().is_some_and(|a| a == "explore") {
         return figures::explore(&args[1..]);
     }

@@ -498,6 +498,7 @@ fn rounds_digest(r: &RoundsResult) -> String {
 }
 
 fn run() -> Result<(), String> {
+    canopy_core::pool::env_threads()?;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_opts(&args)?;
     if opts.retrace {

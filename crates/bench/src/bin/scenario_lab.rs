@@ -249,6 +249,7 @@ fn record_traces(
 }
 
 fn run() -> Result<(), String> {
+    canopy_core::pool::env_threads()?;
     let lab = parse_lab_args(&std::env::args().skip(1).collect::<Vec<_>>())?;
     let resolve = |name: &String| resolve_scheme(name, &lab.harness);
     let schemes: Vec<Scheme> = lab.schemes.iter().map(resolve).collect::<Result<_, _>>()?;

@@ -160,6 +160,7 @@ fn model_seed(opts: &SearchOpts) -> u64 {
 
 /// `Ok(true)` means the `--min-gap` hardening gate tripped (exit 3).
 fn run() -> Result<bool, String> {
+    canopy_core::pool::env_threads()?;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_opts(&args)?;
     let harness = HarnessOpts {

@@ -147,7 +147,8 @@ fn artifacts(rec: &FlightRecorder) -> (String, String, Option<String>) {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args(&std::env::args().skip(1).collect::<Vec<_>>()) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match canopy_core::pool::env_threads().and_then(|_| parse_args(&args)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("serve_lab: {e}");

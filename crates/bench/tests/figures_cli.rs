@@ -99,26 +99,37 @@ fn grid_figures_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn bad_command_lines_exit_2_with_a_one_line_error() {
-    for (args, needle) in [
+    for (threads, args, needle) in [
         (
+            "1",
             &["explore", "--scheme", "reno2"][..],
             "unknown scheme `reno2`",
         ),
         (
+            "1",
             &["explore", "--buffer-bdp", "abc"],
             "--buffer-bdp: bad value `abc`",
         ),
-        (&["explore", "--loss", "0.01"], "unknown argument `--loss`"),
         (
+            "1",
+            &["explore", "--loss", "0.01"],
+            "unknown argument `--loss`",
+        ),
+        (
+            "1",
             &["explore", "--trace", "syn-nope"],
             "unknown base trace `syn-nope`",
         ),
-        (&["fig05", "--smok"], "unknown argument `--smok`"),
-        (&["fig99"], "unknown argument `fig99`"),
-        (&["fig05", "--seed"], "--seed needs a value"),
-        (&[], "nothing to run"),
+        ("1", &["fig05", "--smok"], "unknown argument `--smok`"),
+        ("1", &["fig99"], "unknown argument `fig99`"),
+        ("1", &["fig05", "--seed"], "--seed needs a value"),
+        ("1", &[], "nothing to run"),
+        // A malformed worker count is an error too, not "all cores".
+        ("abc", &["--list"], "CANOPY_THREADS: bad value `abc`"),
+        ("0", &["--list"], "CANOPY_THREADS: bad value `0`"),
+        ("", &["--list"], "CANOPY_THREADS: bad value ``"),
     ] {
-        let out = figures(args, "1", "models-errors");
+        let out = figures(args, threads, "models-errors");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a table");

@@ -1,11 +1,14 @@
 //! A std-only scoped worker pool for certification and evaluation sweeps.
 //!
 //! No crates.io threading runtime is available in this build environment,
-//! so parallelism is built from `std::thread::scope` directly: an
-//! index-claiming [`parallel_map`] for embarrassingly parallel job lists,
-//! and a shared-stack [`WorkQueue`] for branch-and-bound style workloads
-//! where workers both produce and consume items (every worker can pop —
-//! i.e. steal — any pending box, whoever pushed it).
+//! so parallelism is built from `std::thread::scope` directly: one
+//! index-claiming fork–join, [`parallel_map_with`] (and its stateless
+//! wrapper [`parallel_map`]), in which the calling thread is itself worker
+//! zero and only `threads − 1` helpers are spawned. Workers share nothing
+//! but the claim counter: each owns its state and its results, so there is
+//! no queue, no lock and no cross-thread free. Workloads that grow as they
+//! run (branch-and-bound refinement) fork once over coarse items and let
+//! each worker run its item to exhaustion.
 //!
 //! The worker count comes from the `CANOPY_THREADS` environment variable
 //! when set (a positive integer; `1` forces sequential execution), and
@@ -14,16 +17,26 @@
 //! one process) pass `Some(n)` instead of consulting the environment.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+/// `CANOPY_THREADS` as the environment states it: `Ok(None)` when unset,
+/// the worker count when it is a positive integer, and an error naming the
+/// value otherwise. Binaries report the error; [`thread_count`] falls back
+/// to the machine's parallelism.
+pub fn env_threads() -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os("CANOPY_THREADS") else {
+        return Ok(None);
+    };
+    let value = raw.to_string_lossy();
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("CANOPY_THREADS: bad value `{value}`")),
+    }
+}
 
 /// The pool-wide worker count: `CANOPY_THREADS` if set and valid,
 /// otherwise the machine's available parallelism (at least 1).
 pub fn thread_count() -> usize {
-    match std::env::var("CANOPY_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().ok().filter(|&n| n >= 1),
-        Err(_) => None,
-    }
-    .unwrap_or_else(|| {
+    env_threads().ok().flatten().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -51,9 +64,11 @@ where
 }
 
 /// [`parallel_map`] with one caller-owned state per worker — scratch
-/// buffers that outlive the call. At most `states.len()` workers run;
-/// a sequential map uses `states[0]`. `f`'s result must not depend on
-/// which state it was handed.
+/// buffers that outlive the call. At most `states.len()` workers run:
+/// the calling thread works on `states[0]` and one scoped helper is
+/// spawned per further state, so a fan-out costs `threads − 1` spawns and
+/// a sequential map none. `f`'s result must not depend on which state it
+/// was handed.
 ///
 /// # Panics
 ///
@@ -66,135 +81,39 @@ where
     F: Fn(&mut S, &T) -> U + Sync,
 {
     let threads = states.len().min(items.len()).max(1);
-    if threads <= 1 {
-        let state = &mut states[0];
-        return items.iter().map(|item| f(state, item)).collect();
+    let (caller, helpers) = states[..threads]
+        .split_first_mut()
+        .expect("at least one worker state");
+    if helpers.is_empty() {
+        return items.iter().map(|item| f(caller, item)).collect();
     }
+    // Relaxed: the counter only hands out indices; results are published
+    // by the joins.
     let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let (next, f) = (&next, &f);
-        let handles: Vec<_> = states[..threads]
+    let work = |state: &mut S| {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break local;
+            }
+            local.push((i, f(state, &items[i])));
+        }
+    };
+    let mut indexed: Vec<(usize, U)> = std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = helpers
             .iter_mut()
-            .map(|state| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(state, &items[i])));
-                    }
-                    local
-                })
-            })
+            .map(|state| scope.spawn(move || work(state)))
             .collect();
+        let mut indexed = work(caller);
         for h in handles {
             indexed.extend(h.join().expect("pool worker panicked"));
         }
+        indexed
     });
     indexed.sort_by_key(|(i, _)| *i);
     indexed.into_iter().map(|(_, u)| u).collect()
-}
-
-/// A shared LIFO work queue with a pending-work counter for termination
-/// detection: `pending` counts scheduled-but-unfinished items, so workers
-/// exit exactly when the queue is empty *and* nothing is in flight.
-pub struct WorkQueue<T> {
-    items: Mutex<Vec<T>>,
-    pending: AtomicUsize,
-}
-
-impl<T: Send> WorkQueue<T> {
-    /// A queue seeded with initial work.
-    pub fn new(initial: Vec<T>) -> WorkQueue<T> {
-        let pending = AtomicUsize::new(initial.len());
-        WorkQueue {
-            items: Mutex::new(initial),
-            pending,
-        }
-    }
-
-    /// Pops one item, or `None` if the queue is momentarily empty (which
-    /// does **not** mean the workload is done — see [`is_done`](Self::is_done)).
-    pub fn pop(&self) -> Option<T> {
-        self.items.lock().expect("work queue poisoned").pop()
-    }
-
-    /// Schedules follow-up items produced while processing a popped item.
-    /// Must be called *before* [`complete_one`](Self::complete_one) so the
-    /// pending count never understates remaining work.
-    pub fn push_children(&self, children: impl IntoIterator<Item = T>) {
-        let mut q = self.items.lock().expect("work queue poisoned");
-        let mut added = 0;
-        for c in children {
-            q.push(c);
-            added += 1;
-        }
-        self.pending.fetch_add(added, Ordering::Release);
-    }
-
-    /// Marks one popped item as fully processed.
-    pub fn complete_one(&self) {
-        self.pending.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Whether every scheduled item has been fully processed.
-    pub fn is_done(&self) -> bool {
-        self.pending.load(Ordering::Acquire) == 0
-    }
-
-    /// Runs `process` over the queue on `threads` scoped workers until the
-    /// workload drains. `process` handles one item, pushing any follow-up
-    /// work through the queue handle it receives, and returns the item's
-    /// finished outputs, which are collected (in no particular order).
-    pub fn drain<U, F>(self, threads: usize, process: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(&WorkQueue<T>, T) -> Vec<U> + Sync,
-    {
-        let threads = threads.max(1);
-        if threads == 1 {
-            let mut out = Vec::new();
-            while let Some(item) = self.pop() {
-                out.extend(process(&self, item));
-                self.complete_one();
-            }
-            return out;
-        }
-        let mut results: Vec<U> = Vec::new();
-        std::thread::scope(|scope| {
-            let queue = &self;
-            let process = &process;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            match queue.pop() {
-                                Some(item) => {
-                                    local.extend(process(queue, item));
-                                    queue.complete_one();
-                                }
-                                None => {
-                                    if queue.is_done() {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.extend(h.join().expect("pool worker panicked"));
-            }
-        });
-        results
-    }
 }
 
 #[cfg(test)]
@@ -211,24 +130,29 @@ mod tests {
         assert!(parallel_map::<usize, usize, _>(&[], 4, |&x| x).is_empty());
     }
 
+    /// Two items meet on a barrier, so each must run on its own thread:
+    /// one of them is the caller's, and no more threads than states run.
     #[test]
-    fn work_queue_drains_recursive_workloads() {
-        // Count the leaves of a binary recursion of depth 6 (2^6 = 64),
-        // at several thread counts.
-        for threads in [1, 2, 4] {
-            let queue = WorkQueue::new(vec![0usize]);
-            let mut leaves = queue.drain(threads, |q, depth| {
-                if depth >= 6 {
-                    vec![depth]
-                } else {
-                    q.push_children([depth + 1, depth + 1]);
-                    Vec::new()
-                }
-            });
-            leaves.sort_unstable();
-            assert_eq!(leaves.len(), 64, "threads {threads}");
-            assert!(leaves.iter().all(|&d| d == 6));
-        }
+    fn the_calling_thread_is_a_worker() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+
+        let barrier = Barrier::new(2);
+        let mut states = [0usize; 2];
+        let ran_on = parallel_map_with(&mut states, &[(), ()], |runs, ()| {
+            *runs += 1;
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(states, [1, 1], "one item per state");
+        assert!(ran_on.contains(&std::thread::current().id()));
+        assert_ne!(ran_on[0], ran_on[1]);
+
+        // More items than states: still only `states.len()` threads.
+        let items: Vec<usize> = (0..64).collect();
+        let ids = parallel_map_with(&mut states, &items, |_, _| std::thread::current().id());
+        let distinct: HashSet<_> = ids.into_iter().collect();
+        assert!(distinct.len() <= states.len(), "{distinct:?}");
     }
 
     #[test]

@@ -1,45 +1,83 @@
 //! The verifier: abstract interpretation of actor + `f_cwnd` over
 //! partitioned input regions (Section 4.3.1 of the paper).
 
-use canopy_absint::{propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp};
+use canopy_absint::{
+    axis_slices, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
+};
 use canopy_nn::Mlp;
 use serde::{Deserialize, Serialize};
 
 use crate::obs::StateLayout;
 use crate::orca::{f_cwnd, f_cwnd_abstract};
 use crate::plan::CertPlan;
-use crate::pool::{self, WorkQueue};
+use crate::pool;
 use crate::property::{Postcondition, Property};
 use crate::qc::{Certificate, ComponentResult};
 
-/// Sequential branch-and-bound expansions performed before handing the
-/// remaining boxes to the worker pool: most certificates decide within a
-/// few expansions, and spawning threads for those would cost more than the
-/// certification itself. Hard certificates blow past the budget with a
-/// queue already deep enough to feed every worker.
+/// Boxes an adaptive call refines on the calling thread before it may
+/// fork. On `certify_sweep` (PR 18, 2 cores) 500 of the 750 calls are one
+/// leaf and ≈ 5 µs, far below the ≈ 0.1 ms a helper takes to start, while
+/// the 250 that pass 64 go on to 2 047 boxes and ≈ 1.5 ms. At 32 / 64 /
+/// 128 a fully refined call at two workers read 0.98 / 1.05 / 1.11 ms
+/// (fastest of 1 308): inside that shared box's noise, so 64 stays.
 const ADAPTIVE_WARMUP_EXPANSIONS: usize = 64;
 
-/// Boxes propagated per batched-IBP call (and per work-queue item): large
-/// enough to amortize the GEMM setup and any queue locking, small enough
-/// to keep the refinement frontier responsive and stealable.
+/// Boxes propagated per batched-IBP call, and rows per [`CertPlan`]
+/// fan-out item. The same fully refined call at 16 / 32 / 64 rows read
+/// 1.40 / 1.47 / 1.45 ms at one worker and 0.87 / 1.05 / 0.92 ms at two
+/// (PR 18, fastest of 1 308) — not separable there, so 32 stays.
 pub(crate) const CERT_CHUNK: usize = 32;
+
+/// Open boxes per work item of an adaptive call's one fork: small, so the
+/// few boxes of a lopsided frontier that carry the refinement land in
+/// different items. The fork–join of a fully refined `certify_sweep` call
+/// (PR 18, 2 workers, median of 500) took 1.10 ms in groups of 8 — twelve
+/// items, the helper claiming six — and 1.36 ms in groups of 32, three
+/// items split two to one; 4 and 16 read within noise of 8.
+const ADAPTIVE_GROUP: usize = 8;
 
 /// Minimum total work — components × network parameters — before fanning
 /// out. Keeps the tiny per-step certificates of the training loop on the
 /// fast sequential path.
 pub(crate) const PARALLEL_MIN_WORK: usize = 64_000;
 
-/// One chunk's processing outcome: finished leaves (verdict + feedback
-/// weight) and the child boxes needing further refinement.
-type ChunkOutcome = (Vec<(ComponentResult, f64)>, Vec<(BoxState, usize)>);
+/// One open box of an adaptive call: the property's input region with the
+/// partition axis narrowed to `center ± dev`, `depth` bisections down.
+#[derive(Clone, Copy)]
+struct OpenBox {
+    center: f64,
+    dev: f64,
+    depth: usize,
+}
 
-/// Per-worker scratch for adaptive certification: the batched-IBP
-/// buffers plus the batched centre-probe buffers.
+/// Per-worker state of an adaptive call: its LIFO frontier, the leaves it
+/// has finished (verdict + feedback weight), and the buffers one chunk
+/// reuses — batched-IBP staging (which the centre probes share), action
+/// intervals and the boxes awaiting their probe.
 #[derive(Default)]
 struct AdaptiveScratch {
+    open: Vec<OpenBox>,
+    leaves: Vec<(ComponentResult, f64)>,
     ibp: IbpBatchScratch,
-    centers: canopy_nn::Matrix,
-    fwd: canopy_nn::BatchScratch,
+    actions: Vec<Interval>,
+    candidates: Vec<(OpenBox, ComponentResult, f64)>,
+}
+
+/// Stages `boxes` — `region` with the `axis` column overwritten — as the
+/// rows of `scratch`'s input matrices.
+fn stage_boxes(
+    scratch: &mut IbpBatchScratch,
+    region: &BoxState,
+    axis: usize,
+    boxes: impl ExactSizeIterator<Item = OpenBox>,
+) {
+    let (in_c, in_d) = scratch.stage(boxes.len(), region.dim());
+    for (r, open) in boxes.enumerate() {
+        in_c.set_row(r, &region.center);
+        in_d.set_row(r, &region.dev);
+        in_c.row_mut(r)[axis] = open.center;
+        in_d.row_mut(r)[axis] = open.dev;
+    }
 }
 
 /// Everything the verifier needs about the current decision step.
@@ -150,13 +188,17 @@ impl Verifier {
     /// splits only where the bound is still undecided (the trade the paper
     /// discusses around its N sensitivity in §6.8).
     ///
-    /// Refinement runs on the worker pool: a short sequential warmup
-    /// decides easy certificates without spawning anything, and hard ones
-    /// hand their open boxes to a work-stealing queue shared by
-    /// `CANOPY_THREADS` scoped workers (see [`Verifier::threads`]). The
-    /// leaf set is canonically ordered by input slice before assembling
-    /// the certificate, so verdicts, bound widths, *and* the f64 feedback
-    /// sum are identical at every thread count.
+    /// Every open box is the input region with only the partition axis
+    /// narrowed, so the frontier holds `(centre, deviation, depth)` triples
+    /// and each chunk is staged straight into the batched-IBP matrices. One
+    /// loop refines a frontier to exhaustion, chunk by chunk; the calling
+    /// thread runs it first, and a call still open after a short warm-up
+    /// forks once: the frontier is cut into small groups, largest first,
+    /// and `CANOPY_THREADS` workers (see [`Verifier::threads`]) — the caller
+    /// among them — each refine the groups they claim on a scratch of their
+    /// own. The leaf set is canonically ordered by input slice before
+    /// assembling the certificate, so verdicts, bound widths, *and* the f64
+    /// feedback sum are identical at every thread count.
     pub fn certify_adaptive(
         &self,
         actor: &Mlp,
@@ -176,122 +218,134 @@ impl Verifier {
         };
         let total_width = region.dim_interval(axis).width();
         let threads = pool::resolve_threads(self.threads);
-        let net = PreparedMlp::new(actor);
-
-        // Processes one chunk of open boxes: one batched IBP pass for the
-        // whole chunk, then per-box leaf/split classification, then one
-        // batched forward pass for the centre probes of every candidate
-        // split (`forward_batch` is bitwise identical to `forward`, so
-        // batching the probes cannot change a decision). Each box's fate
-        // is independent of processing order, so chunking (and any worker
-        // interleaving) cannot change the leaf set.
-        let process = |chunk: &[(BoxState, usize)],
-                       scratch: &mut AdaptiveScratch|
-         -> ChunkOutcome {
-            let parts = chunk.iter().map(|(part, _)| part);
-            let actions = match self.domain {
-                AbstractDomain::Box => net.propagate_boxes_dim(parts, 0, &mut scratch.ibp),
-                AbstractDomain::Zonotope => parts
-                    .map(|part| propagate_mlp_zonotope(actor, part)[0])
-                    .collect(),
-            };
-            let mut leaves = Vec::with_capacity(chunk.len());
-            // Boxes whose bound is undecided: candidates for splitting,
-            // pending the concrete centre probe.
-            let mut candidates: Vec<(usize, ComponentResult, f64)> = Vec::new();
-            for (i, ((part, depth), action)) in chunk.iter().zip(actions).enumerate() {
-                let slice = part.dim_interval(axis);
-                let result =
-                    component_result(property.post, slice, ctx, allowed, concrete_cwnd, action);
-                let width = slice.width();
-                let weight = if total_width > 0.0 {
-                    width / total_width
-                } else {
-                    1.0
-                };
-                if result.satisfied || *depth >= max_depth || width <= 0.0 {
-                    leaves.push((result, weight));
-                } else {
-                    candidates.push((i, result, weight));
-                }
-            }
-            let mut children = Vec::new();
-            if !candidates.is_empty() {
-                // A concrete counterexample at the centre kills refinement:
-                // probe each candidate's centre as a representative
-                // concrete input, all in one batched forward pass.
-                scratch.centers.reshape(candidates.len(), actor.input_dim());
-                for (r, (i, _, _)) in candidates.iter().enumerate() {
-                    scratch.centers.set_row(r, &chunk[*i].0.center);
-                }
-                let probes = actor.forward_batch(&scratch.centers, &mut scratch.fwd);
-                for (r, (i, result, weight)) in candidates.into_iter().enumerate() {
-                    let action = probes.get(r, 0);
-                    let violated = match property.post {
-                        Postcondition::NoDecrease => {
-                            f_cwnd(action, ctx.cwnd_tcp) - ctx.cwnd_prev < 0.0
-                        }
-                        Postcondition::NoIncrease => {
-                            f_cwnd(action, ctx.cwnd_tcp) - ctx.cwnd_prev > 0.0
-                        }
-                        Postcondition::BoundedChange { eps } => {
-                            let c = f_cwnd(action, ctx.cwnd_tcp);
-                            (c - concrete_cwnd).abs() / concrete_cwnd.max(f64::MIN_POSITIVE) > eps
-                        }
-                    };
-                    let (part, depth) = &chunk[i];
-                    if violated {
-                        leaves.push((result, weight));
-                        continue;
-                    }
-                    for half in part.split_dim(axis, 2) {
-                        children.push((half, *depth + 1));
-                    }
-                }
-            }
-            (leaves, children)
+        // Zonotopes bound the actor themselves; only the centre probes go
+        // through the prepared network, and they never read |W|.
+        let net = match self.domain {
+            AbstractDomain::Box => PreparedMlp::new(actor),
+            AbstractDomain::Zonotope => PreparedMlp::transposed(actor),
         };
 
-        // Sequential warmup: decides easy certificates without touching
-        // the pool, and seeds hard ones with a frontier deep enough to
-        // feed every worker.
-        let mut leaves: Vec<(ComponentResult, f64)> = Vec::new();
-        let mut open = vec![(region, 0usize)];
-        let mut scratch = AdaptiveScratch::default();
-        let mut processed = 0usize;
-        while !open.is_empty() {
-            let take = open.len().min(CERT_CHUNK);
-            let chunk: Vec<(BoxState, usize)> = open.split_off(open.len() - take);
-            let (l, children) = process(&chunk, &mut scratch);
-            leaves.extend(l);
-            open.extend(children);
-            processed += take;
-            if threads > 1
-                && processed >= ADAPTIVE_WARMUP_EXPANSIONS
-                && open.len() >= 2 * CERT_CHUNK
-            {
-                break;
-            }
-        }
-        // Parallel drain of whatever frontier remains: a work-stealing
-        // queue of box chunks shared by the scoped workers.
-        if !open.is_empty() {
-            let mut seed_chunks: Vec<Vec<(BoxState, usize)>> = Vec::new();
+        // Refines `scratch.open` into `scratch.leaves`, a chunk at a time
+        // off the top of the stack: one batched IBP pass for the chunk,
+        // per-box leaf/split classification, then one batched forward pass
+        // for the centre probes of every candidate split (row-wise bitwise
+        // `Mlp::forward`, so batching the probes cannot change a decision).
+        // Each box's fate is independent of processing order, so chunking
+        // (and which worker refines what) cannot change the leaf set. With
+        // `may_fork` it returns early once the frontier is worth sharing.
+        let refine = |scratch: &mut AdaptiveScratch, may_fork: bool| {
+            let AdaptiveScratch {
+                open,
+                leaves,
+                ibp,
+                actions,
+                candidates,
+            } = scratch;
+            let mut processed = 0usize;
             while !open.is_empty() {
-                let take = open.len().min(CERT_CHUNK);
-                seed_chunks.push(open.split_off(open.len() - take));
-            }
-            let queue = WorkQueue::new(seed_chunks);
-            leaves.extend(queue.drain(threads, |q, chunk| {
-                let mut scratch = AdaptiveScratch::default();
-                let (l, mut children) = process(&chunk, &mut scratch);
-                while !children.is_empty() {
-                    let take = children.len().min(CERT_CHUNK);
-                    q.push_children([children.split_off(children.len() - take)]);
+                let start = open.len() - open.len().min(CERT_CHUNK);
+                let chunk = &open[start..];
+                actions.clear();
+                match self.domain {
+                    AbstractDomain::Box => {
+                        stage_boxes(ibp, &region, axis, chunk.iter().copied());
+                        let (c, d) = net.propagate_staged(ibp, None);
+                        actions.extend(
+                            (0..chunk.len()).map(|r| Interval::centered(c.get(r, 0), d.get(r, 0))),
+                        );
+                    }
+                    AbstractDomain::Zonotope => {
+                        let mut part = region.clone();
+                        actions.extend(chunk.iter().map(|open| {
+                            part.center[axis] = open.center;
+                            part.dev[axis] = open.dev;
+                            propagate_mlp_zonotope(actor, &part)[0]
+                        }));
+                    }
                 }
-                l
-            }));
+                // Boxes whose bound is undecided: candidates for splitting,
+                // pending the concrete centre probe.
+                candidates.clear();
+                for (&open, &action) in chunk.iter().zip(actions.iter()) {
+                    let slice = Interval::centered(open.center, open.dev);
+                    let result =
+                        component_result(property.post, slice, ctx, allowed, concrete_cwnd, action);
+                    let width = slice.width();
+                    let weight = if total_width > 0.0 {
+                        width / total_width
+                    } else {
+                        1.0
+                    };
+                    if result.satisfied || open.depth >= max_depth || width <= 0.0 {
+                        leaves.push((result, weight));
+                    } else {
+                        candidates.push((open, result, weight));
+                    }
+                }
+                processed += open.len() - start;
+                open.truncate(start);
+                if !candidates.is_empty() {
+                    // A concrete counterexample at the centre kills
+                    // refinement: probe each candidate's centre as a
+                    // representative concrete input.
+                    let centers = candidates.iter().map(|(open, _, _)| *open);
+                    stage_boxes(ibp, &region, axis, centers);
+                    let probes = net.forward_staged(ibp);
+                    for (r, (parent, result, weight)) in candidates.drain(..).enumerate() {
+                        let cwnd = f_cwnd(probes.get(r, 0), ctx.cwnd_tcp);
+                        let violated = match property.post {
+                            Postcondition::NoDecrease => cwnd - ctx.cwnd_prev < 0.0,
+                            Postcondition::NoIncrease => cwnd - ctx.cwnd_prev > 0.0,
+                            Postcondition::BoundedChange { eps } => {
+                                (cwnd - concrete_cwnd).abs() / concrete_cwnd.max(f64::MIN_POSITIVE)
+                                    > eps
+                            }
+                        };
+                        if violated {
+                            leaves.push((result, weight));
+                            continue;
+                        }
+                        // The arithmetic of `BoxState::split_dim`.
+                        open.extend(axis_slices(result.input_slice, 2).map(|half| OpenBox {
+                            center: half.center(),
+                            dev: half.deviation(),
+                            depth: parent.depth + 1,
+                        }));
+                    }
+                }
+                if may_fork
+                    && processed >= ADAPTIVE_WARMUP_EXPANSIONS
+                    && open.len() >= 2 * CERT_CHUNK
+                {
+                    break;
+                }
+            }
+        };
+
+        // Warm-up on the calling thread: decides easy certificates without
+        // touching the pool, and leaves hard ones a frontier wide enough
+        // to share.
+        let mut workers = vec![AdaptiveScratch::default()];
+        workers[0].open.push(OpenBox {
+            center: region.center[axis],
+            dev: region.dev[axis],
+            depth: 0,
+        });
+        refine(&mut workers[0], threads > 1);
+        let mut frontier = std::mem::take(&mut workers[0].open);
+        if !frontier.is_empty() {
+            // The one fork: shallow boxes have the most refinement left
+            // under them, so they go first and the tail balances the load.
+            frontier.sort_by_key(|open| open.depth);
+            let groups: Vec<&[OpenBox]> = frontier.chunks(ADAPTIVE_GROUP).collect();
+            workers.resize_with(threads, AdaptiveScratch::default);
+            pool::parallel_map_with(&mut workers, &groups, |scratch, group| {
+                scratch.open.extend_from_slice(group);
+                refine(scratch, false);
+            });
         }
+        let mut leaves: Vec<(ComponentResult, f64)> =
+            workers.into_iter().flat_map(|w| w.leaves).collect();
 
         // Canonical leaf order: ascending slice along the partition axis.
         // The leaves partition the axis, so this is a total order; it makes

@@ -1,7 +1,7 @@
 //! The scenario matrix executor.
 //!
 //! Runs every `Scheme × Scenario` cell as an independent deterministic
-//! simulation, fanned over the `canopy_core::pool` work-stealing pool, and
+//! simulation, fanned over the `canopy_core::pool` worker pool, and
 //! aggregates per-scenario metrics into a stable-schema report. Results
 //! are bitwise identical at any `CANOPY_THREADS` because each cell owns
 //! all of its state (simulator, RNG streams, verifier) and the pool
