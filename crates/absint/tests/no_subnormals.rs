@@ -1,5 +1,5 @@
 //! Regression guard for the subnormal stall: batched IBP must never feed a
-//! subnormal operand to its GEMMs.
+//! subnormal operand to its fused layer pass.
 //!
 //! A dead ReLU unit leaves a zero centre and a deviation equal to the
 //! widening floor, which the next layer multiplies by `|w|`. With the floor
@@ -68,8 +68,8 @@ fn stage(scratch: &mut IbpBatchScratch, abstracted: bool) -> Matrix {
     devs
 }
 
-/// Every operand and partial sum of the two stalled GEMMs (`D·|W|ᵀ` and
-/// `(|C|+D)·|W|ᵀ`) and of the centre GEMM, for layer inputs `(c, d)`.
+/// Every operand and partial sum of the two stalled streams (`D·|W|ᵀ` and
+/// `(|C|+D)·|W|ᵀ`) and of the centre stream, for layer inputs `(c, d)`.
 fn audit_next_layer(label: &str, c: &Matrix, d: &Matrix, layer: &canopy_nn::Dense) {
     for row in 0..c.rows() {
         for unit in 0..layer.fan_out() {
@@ -123,7 +123,8 @@ fn audit(label: &str, net: &Mlp, dead_units: &[usize]) {
                         }
                     }
                 }
-                for (b, buffer) in scratch.buffers().iter().enumerate() {
+                let resident: [&Matrix; 7] = scratch.buffers();
+                for (b, buffer) in resident.iter().enumerate() {
                     for &x in buffer.as_slice() {
                         assert_clean(&format!("{label} buffer {b}"), x);
                     }

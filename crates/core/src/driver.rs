@@ -629,15 +629,10 @@ struct CompiledPolicy {
 }
 
 impl CompiledPolicy {
-    /// Compiles `policy`; the IBP half (`|W|`, plans) is built only when it
-    /// certifies.
+    /// Compiles `policy`; plans are built only when it certifies.
     fn compile(key: u64, policy: &DriverPolicy, layout: StateLayout) -> CompiledPolicy {
         let (qc, fb) = (policy.cert_config(true), policy.cert_config(false));
-        let net = if qc.or(fb).is_some() {
-            PreparedMlp::new(&policy.actor)
-        } else {
-            PreparedMlp::transposed(&policy.actor)
-        };
+        let net = PreparedMlp::new(&policy.actor);
         let plan = |(verifier, properties): (&Verifier, &[Property])| {
             CertPlan::compile(*verifier, &net, properties, layout)
         };

@@ -218,12 +218,7 @@ impl Verifier {
         };
         let total_width = region.dim_interval(axis).width();
         let threads = pool::resolve_threads(self.threads);
-        // Zonotopes bound the actor themselves; only the centre probes go
-        // through the prepared network, and they never read |W|.
-        let net = match self.domain {
-            AbstractDomain::Box => PreparedMlp::new(actor),
-            AbstractDomain::Zonotope => PreparedMlp::transposed(actor),
-        };
+        let net = PreparedMlp::new(actor);
 
         // Refines `scratch.open` into `scratch.leaves`, a chunk at a time
         // off the top of the stack: one batched IBP pass for the chunk,

@@ -440,7 +440,9 @@ impl Fleet {
     /// Certificate-gated model hot-swap: certifies `candidate` against
     /// every flow's current decision context in one batched pass and
     /// deploys it only if the weakest aggregate clears the gate. On
-    /// rejection the running fleet is untouched.
+    /// rejection the running fleet is untouched. A candidate that is not a
+    /// single-output actor with finite parameters is rejected before the
+    /// verifier sees it (`min_qc` 0, `flows` 0).
     ///
     /// # Panics
     ///
@@ -452,16 +454,23 @@ impl Fleet {
             self.layout.dim(),
             "candidate input width must match the fleet's state layout"
         );
+        let refused = |vetoed| PromoteOutcome {
+            promoted: false,
+            min_qc: 0.0,
+            flows: 0,
+            vetoed,
+        };
+        // The abstract interpreter assumes finite weights (a `+∞` bias
+        // makes `Interval::centered(∞, ∞)` a NaN bound, which panics) and
+        // the certificate reads output 0 as *the* action.
+        if candidate.output_dim() != 1 || candidate.params_flat().iter().any(|p| !p.is_finite()) {
+            return refused(false);
+        }
         // Degradation hook: while an SLO breach is active, the fleet's
         // live state is exactly the state we do *not* want to certify a
         // rollout against — refuse before touching the verifier.
         if self.breach_active() {
-            return PromoteOutcome {
-                promoted: false,
-                min_qc: 0.0,
-                flows: 0,
-                vetoed: true,
-            };
+            return refused(true);
         }
         let verifier = Verifier::new(gate.n_components);
         let ctxs: Vec<StepContext> = self
@@ -605,6 +614,52 @@ mod tests {
         // The swapped fleet keeps running.
         let report = fleet.run(Time::from_millis(60));
         assert!(report.decisions > 0);
+    }
+
+    /// A candidate the verifier cannot soundly read — a NaN weight, a `±∞`
+    /// bias (which used to abort inside `Interval::new`), two outputs — is
+    /// rejected where it enters, and the fleet keeps its actor and its one
+    /// compiled policy.
+    #[test]
+    fn promote_rejects_malformed_candidates_without_certifying() {
+        let gate = PromotionGate {
+            properties: vec![Property::p1(&PropertyParams::default())],
+            threshold: 0.0,
+            n_components: 4,
+        };
+        let mut fleet = Fleet::new(&FleetConfig::dumbbell(4, 96e6, 3), constant_actor(3, 0.5));
+        let before = fleet.actor().params_flat();
+        let deployed = |fleet: &Fleet| {
+            fleet.pool().drivers()[0].policy().expect("pooled").actor() as *const Mlp
+        };
+        let compiled = deployed(&fleet);
+
+        let mut nan_weight = constant_actor(3, 0.25);
+        *nan_weight.layers_mut()[1].weights.get_mut(0, 2) = f64::NAN;
+        let mut inf_bias = constant_actor(3, 0.25);
+        inf_bias.layers_mut()[0].bias[0] = f64::INFINITY;
+        let mut neg_inf_bias = constant_actor(3, 0.25);
+        neg_inf_bias.layers_mut()[0].bias[5] = f64::NEG_INFINITY;
+        let two_outputs = Mlp::new(
+            &mut StdRng::seed_from_u64(1),
+            &[StateLayout::new(3).dim(), 16, 2],
+            Activation::Tanh,
+        );
+        for candidate in [nan_weight, inf_bias, neg_inf_bias, two_outputs] {
+            let outcome = fleet.promote(candidate, &gate);
+            let rejected = PromoteOutcome {
+                promoted: false,
+                min_qc: 0.0,
+                flows: 0,
+                vetoed: false,
+            };
+            assert_eq!(outcome, rejected);
+            assert_eq!(fleet.actor().params_flat(), before);
+            assert_eq!(deployed(&fleet), compiled);
+            assert_eq!(fleet.pool().compiled_policies(), 1);
+        }
+        // The same gate deploys a well-formed candidate.
+        assert!(fleet.promote(constant_actor(3, 0.25), &gate).promoted);
     }
 
     /// The pool's compiled policy follows the deployed actor: an accepted
