@@ -2,12 +2,12 @@
 //! one fused pass over the weights per layer.
 //!
 //! The scalar [`propagate_mlp`](crate::ibp::propagate_mlp) walks one box
-//! at a time with per-layer allocations and latency-bound dot products,
-//! but certification pushes *thousands* of boxes through the *same fixed
-//! network* (the partition components of a quantitative certificate, the
-//! open boxes of branch-and-bound refinement). [`PreparedMlp`] transposes
-//! the weights once, and [`propagate_staged`](PreparedMlp::propagate_staged)
-//! then propagates `N` boxes per layer as three products —
+//! at a time with per-layer allocations and latency-bound dot products, but
+//! certification pushes *thousands* of boxes through the *same fixed network*
+//! (the partition components of a quantitative certificate, the open boxes of
+//! branch-and-bound refinement). [`PreparedMlp`] transposes the weights once,
+//! and [`propagate_staged`](PreparedMlp::propagate_staged) then propagates
+//! `N` boxes per layer as three products —
 //!
 //! * `C' = C · Wᵀ + b` (centres),
 //! * `D' = D · |W|ᵀ` (deviations),
@@ -16,15 +16,14 @@
 //!   `|w·c| = |w|·|c|` in IEEE arithmetic) —
 //!
 //! computed in one pass over `Wᵀ`: per row and 32-column block the three
-//! accumulator blocks stay in registers and each ascending `k` loads
-//! `w[k][j..]` once, takes `|w|` in register and issues the three fused
-//! multiply-adds. The block is sized to the register file — 3 × 32 `f64`
-//! are 24 of the 32 vector registers AVX-512VL gives 256-bit code, leaving
-//! room for the weights, `|w|` and the three broadcast inputs — so nothing
-//! spills (a 70→64→64→1 actor is 25 920 FMAs per box, 21 440 when a plan
-//! supplies the first layer's deviations, against a peak of 8 per cycle).
-//! The same outward-rounded activation transformers as the scalar path
-//! follow; all intermediates live in a caller-owned scratch.
+//! accumulator blocks stay in registers, and each ascending `k` loads
+//! `w[k][j..]` once, takes `|w|` in register and issues three fused
+//! multiply-adds. 3 × 32 `f64` are 24 of the 32 vector registers AVX-512VL
+//! gives 256-bit code, leaving room for `w`, `|w|` and the three broadcast
+//! inputs, so nothing spills (a 70→64→64→1 actor is 25 920 FMAs per box,
+//! 21 440 when a plan supplies the first layer's deviations, against a peak
+//! of 8 per cycle). The scalar path's outward-rounded activation
+//! transformers follow; all intermediates live in a caller-owned scratch.
 //!
 //! Soundness is inherited: the `γ_n` error bound holds for any summation
 //! order. Every element is still its own ascending-`k` chain of fused
@@ -124,13 +123,14 @@ const FUSED_TAIL_ROWS: usize = 4;
 /// One layer as one pass over the transposed weights: for `ins = [c, d, wt]`
 /// (`rows × k`, `rows × k`, `k × n`) sizes `out` to `rows × n` and writes
 /// `[c·wt, d·|wt|, (|c| + d)·|wt|]`. `CM` selects the centre and magnitude
-/// streams, `DEV` the deviation stream; without `CM` `c` is ignored, and the
-/// output of a stream that does not run is unspecified. Every element is the
-/// ascending-`k` fused chain [`Matrix::matmul_into`] runs on those operands.
+/// streams (without it `c` is ignored and only `out[1]` is touched), `DEV`
+/// the deviation stream (without it `out[1]` is sized, not written). Every
+/// element is the ascending-`k` fused chain [`Matrix::matmul_into`] runs.
 fn fused_layer<const CM: bool, const DEV: bool>(ins: [&Matrix; 3], mut out: [&mut Matrix; 3]) {
     let (rows, n) = (ins[1].rows(), ins[2].cols());
     assert_eq!(ins[1].cols(), ins[2].rows(), "layer shape mismatch");
-    out.iter_mut().for_each(|stream| stream.reshape(rows, n));
+    let sized = if CM { &mut out[..] } else { &mut out[1..2] };
+    sized.iter_mut().for_each(|stream| stream.reshape(rows, n));
     let mut j = 0;
     while j < n {
         j += match n - j {

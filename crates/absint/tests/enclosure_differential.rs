@@ -23,51 +23,16 @@
 use canopy_absint::{
     propagate_mlp, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
 };
-use canopy_nn::{Activation, Matrix, Mlp};
+use canopy_nn::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const SHAPES: [&[usize]; 3] = [&[7, 13, 9, 3], &[70, 64, 64, 1], &[33, 32, 1]];
-const ACTIVATIONS: [Activation; 3] = [Activation::Relu, Activation::Tanh, Activation::Identity];
-/// The values a weight or bias is occasionally replaced by.
-const EDGE_POOL: [f64; 8] = [
-    -0.0, 0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
-];
-const POINTS_PER_BOX: usize = 64;
+mod common;
+use common::{edge_net, ACTIVATIONS};
 
-/// A network over `widths` with a random activation per layer, small
-/// random biases, roughly one parameter in six swapped for an
-/// [`EDGE_POOL`] value, and — for `scale` 1 or 2 — one whole layer's
-/// weights multiplied by `1e-150` or `1e+150`.
-fn edge_net(rng: &mut StdRng, widths: &[usize], scale: usize) -> Mlp {
-    let mut net = Mlp::new(rng, widths, Activation::Identity);
-    let scaled = rng.random_range(0..net.layers().len());
-    for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-        layer.activation = ACTIVATIONS[rng.random_range(0..ACTIVATIONS.len())];
-        for b in layer.bias.iter_mut() {
-            *b = rng.random_range(-0.2..0.2);
-        }
-        let factor = match scale {
-            1 if l == scaled => 1e-150,
-            2 if l == scaled => 1e150,
-            _ => 1.0,
-        };
-        for v in layer
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .chain(layer.bias.iter_mut())
-        {
-            *v = if rng.random_range(0..6) == 0 {
-                EDGE_POOL[rng.random_range(0..EDGE_POOL.len())]
-            } else {
-                *v * factor
-            };
-        }
-    }
-    net
-}
+const SHAPES: [&[usize]; 3] = [&[7, 13, 9, 3], &[70, 64, 64, 1], &[33, 32, 1]];
+const POINTS_PER_BOX: usize = 64;
 
 /// One coordinate of a point inside `[c − d, c + d]`: an endpoint of the
 /// exactly-contained float range half the time, uniform otherwise.
@@ -102,7 +67,11 @@ proptest! {
         let widths = SHAPES[shape];
         let dim = widths[0];
         let mut rng = StdRng::seed_from_u64(seed);
-        let net = edge_net(&mut rng, widths, scale);
+        // One whole layer at `1e-150` or `1e+150` for `scale` 1 and 2.
+        let scaled = [None, Some(1e-150), Some(1e150)][scale]
+            .map(|factor| (rng.random_range(0..widths.len() - 1), factor));
+        let random_activation = |rng: &mut StdRng, _| ACTIVATIONS[rng.random_range(0..ACTIVATIONS.len())];
+        let net = edge_net(&mut rng, widths, random_activation, scaled);
         let prepared = PreparedMlp::new(&net);
         let mut scratch = IbpBatchScratch::new();
 

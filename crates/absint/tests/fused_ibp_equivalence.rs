@@ -20,14 +20,15 @@ use canopy_nn::{Activation, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+use common::{edge_net, edgy, ACTIVATIONS};
+
 const SHAPES: [&[usize]; 3] = [&[7, 13, 9, 3], &[70, 64, 64, 1], &[33, 41, 40, 2]];
-const ACTIVATIONS: [Activation; 3] = [Activation::Relu, Activation::Tanh, Activation::Identity];
 const ROW_COUNTS: [usize; 5] = [1, 5, 10, 32, 33];
 /// Largest input deviation: ordinary boxes, and boxes a few ULPs wide — there
 /// `D·|W|ᵀ` is below the `γ`-scaled magnitude accumulator, so the output
 /// deviation shows the accumulator's own last bits.
 const DEV_SCALES: [f64; 2] = [0.4, 1e-15];
-const EDGE_POOL: [f64; 6] = [-0.0, 0.0, 5e-324, -1e-310, 2.2e-308, -2.2e-308];
 
 /// `canopy_absint::ibp::WIDEN_FLOOR` and the two formulas built on it,
 /// restated: they are the contract under test.
@@ -93,15 +94,6 @@ fn three_gemm_oracle(net: &Mlp, in_c: &Matrix, in_d: &Matrix) -> (Matrix, Matrix
     (c, d)
 }
 
-/// Either an [`EDGE_POOL`] value (one draw in eight) or `v`.
-fn edgy(rng: &mut StdRng, v: f64) -> f64 {
-    if rng.random_range(0..8) == 0 {
-        EDGE_POOL[rng.random_range(0..EDGE_POOL.len())]
-    } else {
-        v
-    }
-}
-
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -113,21 +105,7 @@ fn fused_layer_matches_the_three_gemm_layer_bit_for_bit() {
     for (s, widths) in SHAPES.iter().enumerate() {
         // Every activation sits on every layer position once.
         for shift in 0..ACTIVATIONS.len() {
-            let mut net = Mlp::new(&mut rng, widths, Activation::Identity);
-            for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-                layer.activation = ACTIVATIONS[(l + shift) % ACTIVATIONS.len()];
-                for b in layer.bias.iter_mut() {
-                    *b = rng.random_range(-0.3..0.3);
-                }
-                for v in layer
-                    .weights
-                    .as_mut_slice()
-                    .iter_mut()
-                    .chain(layer.bias.iter_mut())
-                {
-                    *v = edgy(&mut rng, *v);
-                }
-            }
+            let net = edge_net(&mut rng, widths, |_, l| ACTIVATIONS[(l + shift) % 3], None);
             let prepared = PreparedMlp::new(&net);
             let dim = widths[0];
             for (rows, dev_scale) in ROW_COUNTS

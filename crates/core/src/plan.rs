@@ -9,8 +9,9 @@
 //! out — per (property, component) **box templates** (centre/deviation of
 //! the abstracted dimensions, the dimensions that stay concrete, the
 //! partition slices) and, when every precondition is state-independent,
-//! the first layer's deviation image `D·|W₁|ᵀ` — so that running it writes
-//! each (context × property × component) row straight into the batched-IBP
+//! the first layer's deviation image `D·|W₁|ᵀ` (the fused layer kernel then
+//! skips its deviation stream there) — so that running it writes each
+//! (context × property × component) row straight into the batched-IBP
 //! staging matrices, propagates, and folds Eq. 5–7.
 //!
 //! This is the **only** fixed-partition certification path:

@@ -516,6 +516,16 @@ mod tests {
         )
     }
 
+    /// The one `Mlp` every pooled driver's policy points at.
+    fn shared_actor(fleet: &Fleet) -> *const Mlp {
+        let drivers = fleet.pool().drivers();
+        let first = drivers[0].policy().expect("pooled").actor();
+        assert!(drivers
+            .iter()
+            .all(|d| std::ptr::eq(d.policy().expect("pooled").actor(), first)));
+        first as *const Mlp
+    }
+
     /// An actor that always outputs `value` (zero weights, biased output).
     fn constant_actor(k: usize, value: f64) -> Mlp {
         let mut net = actor(k, 0);
@@ -629,10 +639,7 @@ mod tests {
         };
         let mut fleet = Fleet::new(&FleetConfig::dumbbell(4, 96e6, 3), constant_actor(3, 0.5));
         let before = fleet.actor().params_flat();
-        let deployed = |fleet: &Fleet| {
-            fleet.pool().drivers()[0].policy().expect("pooled").actor() as *const Mlp
-        };
-        let compiled = deployed(&fleet);
+        let compiled = shared_actor(&fleet);
 
         let mut nan_weight = constant_actor(3, 0.25);
         *nan_weight.layers_mut()[1].weights.get_mut(0, 2) = f64::NAN;
@@ -655,7 +662,7 @@ mod tests {
             };
             assert_eq!(outcome, rejected);
             assert_eq!(fleet.actor().params_flat(), before);
-            assert_eq!(deployed(&fleet), compiled);
+            assert_eq!(shared_actor(&fleet), compiled);
             assert_eq!(fleet.pool().compiled_policies(), 1);
         }
         // The same gate deploys a well-formed candidate.
@@ -678,14 +685,6 @@ mod tests {
             properties: monitor.properties.clone(),
             threshold,
             n_components: 4,
-        };
-        let shared_actor = |fleet: &Fleet| {
-            let drivers = fleet.pool().drivers();
-            let first = drivers[0].policy().expect("pooled").actor();
-            assert!(drivers
-                .iter()
-                .all(|d| std::ptr::eq(d.policy().expect("pooled").actor(), first)));
-            first as *const Mlp
         };
         // Stagger by a quarter MI so the 8 flows decide at 4 instants.
         let config = FleetConfig::dumbbell(8, 96e6, 3)
