@@ -13,7 +13,8 @@
 //! Mutation-checked by hand: accumulating the magnitude stream in two
 //! steps per `k` — `fma(|c|, |w|, ·)` then `fma(d, |w|, ·)` — instead of
 //! one `fma(|c| + d, |w|, ·)` fails this suite (it rounds twice where the
-//! oracle rounds once), and so does taking `|w|` out of either stream.
+//! oracle rounds once; only the ULP-wide [`DEV_SCALES`] entry can see it),
+//! and so does taking `|w|` out of either stream.
 
 use canopy_absint::{IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::{Activation, Matrix, Mlp};
