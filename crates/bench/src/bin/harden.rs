@@ -59,7 +59,7 @@ use canopy_search::{
     search_with_recorder, AdversarialFixture, Objective, ObjectiveKind, OptimizerKind,
     RobustnessLedger, SearchConfig, SearchSpace, ShrinkConfig, FIXTURE_SCHEMA, LEDGER_SCHEMA,
 };
-use canopy_telemetry::{FlightRecorder, RecorderConfig, SharedRecorder, TelemetryReport};
+use canopy_telemetry::{FlightRecorder, SharedRecorder, TelemetryReport};
 
 struct HardenOpts {
     scheme: ModelKind,
@@ -650,9 +650,7 @@ fn write_fixture_trace(fixture_out: &str, fixture: &AdversarialFixture) -> Resul
     };
     let rec = Rc::new(RefCell::new(FlightRecorder::default()));
     let handle: SharedRecorder = rec.clone();
-    let cadence = Time::from_nanos(RecorderConfig::default().link_cadence_ns);
-    run_scenario_recorded(&scheme, &fixture.spec, None, &handle, cadence)
-        .map_err(|e| e.to_string())?;
+    run_scenario_recorded(&scheme, &fixture.spec, None, &handle).map_err(|e| e.to_string())?;
     let name = fixture.file_name();
     let stem = name.strip_suffix(".json").unwrap_or(&name);
     let label = format!("harden fixture {name}");

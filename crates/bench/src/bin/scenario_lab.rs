@@ -225,7 +225,6 @@ fn record_traces(
     };
     let recorder = Rc::new(RefCell::new(recorder));
     let handle: SharedRecorder = recorder.clone();
-    let cadence = Time::from_nanos(RecorderConfig::default().link_cadence_ns);
     let mut origin = 0u64;
     for family in families {
         let spec = specs
@@ -235,7 +234,7 @@ fn record_traces(
         // Each replay's sim clock restarts at zero; shifting the origin
         // lays the scenarios end to end on one monotone timeline.
         recorder.borrow_mut().set_origin(origin);
-        run_scenario_recorded(scheme, spec, None, &handle, cadence).map_err(|e| e.to_string())?;
+        run_scenario_recorded(scheme, spec, None, &handle).map_err(|e| e.to_string())?;
         origin += spec.duration.as_nanos();
     }
     if live {

@@ -52,7 +52,7 @@ use canopy_search::{
     OptimizerKind, SearchConfig, SearchReport, SearchSpace, ShrinkConfig, FIXTURE_SCHEMA,
     SEARCH_SCHEMA,
 };
-use canopy_telemetry::{FlightRecorder, RecorderConfig, SharedRecorder, TelemetryReport};
+use canopy_telemetry::{FlightRecorder, SharedRecorder, TelemetryReport};
 
 struct SearchOpts {
     family: Family,
@@ -309,8 +309,7 @@ fn run() -> Result<bool, String> {
             threshold: objective.fallback_threshold,
             n_components: objective.n_components,
         };
-        let cadence = Time::from_nanos(RecorderConfig::default().link_cadence_ns);
-        run_scenario_recorded(&scheme, &outcome.best_spec, None, handle, cadence)
+        run_scenario_recorded(&scheme, &outcome.best_spec, None, handle)
             .map_err(|e| e.to_string())?;
         let label = format!(
             "scenario_search {} × {}",

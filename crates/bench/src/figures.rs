@@ -6,9 +6,9 @@
 //! is a [`ScenarioSpec`] and every cell runs through
 //! [`canopy_scenarios::run_matrix`] on the `DriverPool`; the "grid →
 //! aggregate table" figures declare labelled schemes × conditions × metric
-//! columns and share [`grid_rows`]. The per-decision series of Figs. 1–2
-//! step a pool of one ([`decision_series`]); the multi-flow Figs. 14–15 use
-//! `eval::run_multiflow` (the same pool); only [`harvest_contexts`] touches
+//! columns and share `grid_rows`. The per-decision series of Figs. 1–2
+//! step a pool of one (`decision_series`); the multi-flow Figs. 14–15 use
+//! `eval::run_multiflow` (the same pool); only `harvest_contexts` touches
 //! the training environment, to collect decision contexts for the
 //! certificate-distribution figures.
 

@@ -61,8 +61,6 @@ pub struct DriverConfig {
     pub min_rtt: Time,
     /// History depth `k`.
     pub k: usize,
-    /// Monitor interval; [`Time::ZERO`] selects `max(min_rtt, 20 ms)`.
-    pub monitor_interval: Time,
     /// Optional observation noise (queuing delay × `1 + η`,
     /// `η ~ U(−μ, μ)`).
     pub noise: Option<NoiseConfig>,
@@ -81,20 +79,15 @@ impl DriverConfig {
         DriverConfig {
             min_rtt,
             k,
-            monitor_interval: Time::ZERO,
             noise: None,
             start: Time::ZERO,
             stop: None,
         }
     }
 
-    /// The effective monitor interval.
+    /// The monitor interval, by Orca's rule: `max(min_rtt, 20 ms)`.
     pub fn effective_mi(&self) -> Time {
-        if self.monitor_interval > Time::ZERO {
-            self.monitor_interval
-        } else {
-            self.min_rtt.max(Time::from_millis(20))
-        }
+        self.min_rtt.max(Time::from_millis(20))
     }
 
     /// Enables observation noise.
@@ -887,6 +880,9 @@ impl DriverPool {
             return None;
         }
         sim.run_until(next);
+        // Before the decisions at `next`, so the recorder sees link
+        // samples and decisions in sim-time order.
+        self.drain_link_samples(sim);
         // Pop everything due at this instant; the heap yields equal-time
         // entries in ascending index order, i.e. insertion order.
         let mut due = Vec::new();
@@ -923,6 +919,18 @@ impl DriverPool {
     pub fn run_until(&mut self, sim: &mut Simulator, horizon: Time) {
         while self.dispatch_next(sim, horizon).is_some() {}
         sim.run_until(horizon);
+        self.drain_link_samples(sim);
+    }
+
+    /// Hands the simulator's pending link samples (none unless the host
+    /// enabled link sampling) to the attached recorder.
+    fn drain_link_samples(&self, sim: &mut Simulator) {
+        if let Some(recorder) = &self.recorder {
+            let mut rec = recorder.borrow_mut();
+            for sample in sim.take_link_samples() {
+                rec.record_link(&sample);
+            }
+        }
     }
 
     /// One batched dispatch: prepare all due drivers in insertion order,

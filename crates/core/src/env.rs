@@ -42,8 +42,6 @@ pub struct EnvConfig {
     pub min_rtt: Time,
     /// Droptail buffer in BDP multiples (0.5 shallow, 5 deep, 2 robust).
     pub buffer_bdp: f64,
-    /// Monitor interval; [`Time::ZERO`] selects `max(min_rtt, 20 ms)`.
-    pub monitor_interval: Time,
     /// Episode length in simulated time.
     pub episode: Time,
     /// History depth `k`.
@@ -67,7 +65,6 @@ impl EnvConfig {
             trace,
             min_rtt,
             buffer_bdp,
-            monitor_interval: Time::ZERO,
             episode: Time::from_secs(10),
             k: 3,
             reward: RewardConfig::default(),
@@ -77,13 +74,9 @@ impl EnvConfig {
         }
     }
 
-    /// The effective monitor interval.
+    /// The monitor interval ([`DriverConfig::effective_mi`]).
     pub fn effective_mi(&self) -> Time {
-        if self.monitor_interval > Time::ZERO {
-            self.monitor_interval
-        } else {
-            self.min_rtt.max(Time::from_millis(20))
-        }
+        DriverConfig::new(self.min_rtt, self.k).effective_mi()
     }
 
     /// The link configuration implied by this environment.
@@ -146,8 +139,6 @@ pub struct EpisodeSpec {
     pub primary_path: Vec<LinkId>,
     /// Propagation RTT of the controlled flow.
     pub primary_min_rtt: Time,
-    /// Monitor interval; [`Time::ZERO`] selects `max(min_rtt, 20 ms)`.
-    pub monitor_interval: Time,
     /// Episode length in simulated time.
     pub episode: Time,
     /// History depth `k`.
@@ -270,7 +261,6 @@ impl CcEnv {
         let driver_config = DriverConfig {
             min_rtt: config.min_rtt,
             k: config.k,
-            monitor_interval: config.monitor_interval,
             noise: config.noise,
             start: Time::ZERO,
             stop: None,
@@ -307,7 +297,6 @@ impl CcEnv {
         let driver_config = DriverConfig {
             min_rtt: spec.primary_min_rtt,
             k: spec.k,
-            monitor_interval: spec.monitor_interval,
             noise: spec.noise,
             start: Time::ZERO,
             stop: None,
@@ -578,7 +567,6 @@ mod tests {
             topology: Topology::dumbbell(config.link()),
             primary_path: vec![LinkId(0)],
             primary_min_rtt: config.min_rtt,
-            monitor_interval: config.monitor_interval,
             episode: config.episode,
             k: config.k,
             reward: config.reward,
@@ -624,7 +612,6 @@ mod tests {
             topology: Topology::new(vec![link.clone(), link]),
             primary_path: vec![LinkId(0), LinkId(1)],
             primary_min_rtt: Time::from_millis(30),
-            monitor_interval: Time::ZERO,
             episode: Time::from_secs(1),
             k: 3,
             reward: RewardConfig::default(),

@@ -269,19 +269,20 @@ pub fn run_multiflow(
 }
 
 /// [`run_multiflow`] with an optional flight recorder: every pooled agent
-/// driver records its decisions and the simulator emits link samples on
-/// the recorder's cadence. A no-op recorder leaves the series bitwise
-/// identical to [`run_multiflow`].
+/// driver records its decisions and the simulator emits link samples
+/// every [`LINK_CADENCE_NS`](canopy_telemetry::LINK_CADENCE_NS), which
+/// the pool hands to the recorder in sim-time order. A no-op recorder
+/// leaves the series bitwise identical to [`run_multiflow`].
 pub fn run_multiflow_recorded(
     link: LinkConfig,
     flows: &[FlowSpec],
     duration: Time,
     bin: Time,
-    recording: Option<(canopy_telemetry::SharedRecorder, Time)>,
+    recorder: Option<canopy_telemetry::SharedRecorder>,
 ) -> Vec<Vec<f64>> {
     let mut sim = Simulator::new(link.clone());
-    if let Some((_, cadence)) = &recording {
-        sim.enable_link_sampling(*cadence);
+    if recorder.is_some() {
+        sim.enable_link_sampling(Time::from_nanos(canopy_telemetry::LINK_CADENCE_NS));
     }
     let mut pool = DriverPool::new();
     let mut ids = Vec::new();
@@ -303,7 +304,6 @@ pub fn run_multiflow_recorded(
             let config = DriverConfig {
                 min_rtt: spec.min_rtt,
                 k: model.k,
-                monitor_interval: Time::ZERO,
                 noise: spec.noise,
                 start: spec.start,
                 stop: spec.stop,
@@ -320,9 +320,7 @@ pub fn run_multiflow_recorded(
         }
     }
 
-    if let Some((recorder, _)) = &recording {
-        pool.set_recorder(Some(recorder.clone()));
-    }
+    pool.set_recorder(recorder);
 
     let bins = (duration.as_nanos() / bin.as_nanos().max(1)) as usize;
     let mut series = vec![Vec::with_capacity(bins); flows.len()];
@@ -342,12 +340,6 @@ pub fn run_multiflow_recorded(
         }
         if sim.now() >= duration {
             break;
-        }
-    }
-    if let Some((recorder, _)) = &recording {
-        let mut rec = recorder.borrow_mut();
-        for sample in sim.take_link_samples() {
-            rec.record_link(&sample);
         }
     }
     series

@@ -16,7 +16,7 @@
 //! * [`driver`] — the one Orca decision loop: sampling, noise, state,
 //!   policy, and `f_cwnd` application over a caller-owned simulator, plus
 //!   the pool that multiplexes many drivers by next-decision time.
-//! * [`env`] — the congestion-control RL environment: a simulated link
+//! * [`mod@env`] — the congestion-control RL environment: a simulated link
 //!   stepped one monitor interval at a time (a thin episode wrapper
 //!   around one driver).
 //! * [`trainer`] — certification-in-the-loop training: TD3 on the λ-mixed

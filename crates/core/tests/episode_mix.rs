@@ -50,7 +50,6 @@ fn pool() -> Vec<EpisodeSpec> {
         )),
         primary_path: vec![LinkId(0)],
         primary_min_rtt: Time::from_millis(30),
-        monitor_interval: Time::ZERO,
         episode: Time::from_millis(400),
         k: 3,
         reward: RewardConfig::default(),
@@ -65,7 +64,6 @@ fn pool() -> Vec<EpisodeSpec> {
         ]),
         primary_path: vec![LinkId(0), LinkId(1)],
         primary_min_rtt: Time::from_millis(40),
-        monitor_interval: Time::ZERO,
         episode: Time::from_millis(400),
         k: 3,
         reward: RewardConfig::default(),

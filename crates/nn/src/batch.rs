@@ -10,7 +10,7 @@
 //! outputs, parameter gradients, and input gradients — is **bitwise
 //! identical** to running the per-sample `forward_trace`/`backward` loop
 //! over the batch rows in order. The GEMM kernels in
-//! [`Matrix`](crate::Matrix) visit the reduction index in ascending order
+//! [`Matrix`] visit the reduction index in ascending order
 //! per output element to preserve this; the equivalence proptests in
 //! `tests/batch_equivalence.rs` pin it down.
 

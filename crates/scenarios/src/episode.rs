@@ -52,9 +52,6 @@ pub fn episode_spec(
         topology: compiled.topology,
         primary_path: compiled.primary_path,
         primary_min_rtt: spec.primary_min_rtt,
-        // The default monitor-interval rule (`max(min_rtt, 20 ms)`), the
-        // same one the matrix runner's driver uses.
-        monitor_interval: Time::ZERO,
         episode,
         k,
         reward: RewardConfig::default(),

@@ -19,7 +19,7 @@ use canopy_core::eval::{
 use canopy_core::pool;
 use canopy_core::runtime::FallbackController;
 use canopy_netsim::{FlowConfig, FlowId, Simulator, Time};
-use canopy_telemetry::SharedRecorder;
+use canopy_telemetry::{SharedRecorder, LINK_CADENCE_NS};
 
 use crate::spec::{ScenarioSpec, SpecError};
 
@@ -74,8 +74,10 @@ pub fn run_scenario(
 }
 
 /// [`run_scenario`] with a flight recorder attached: the simulator emits
-/// per-link samples on `cadence` and the learned driver (when the scheme
-/// has one) records every decision. With a no-op recorder the metrics are
+/// per-link samples every [`LINK_CADENCE_NS`] and the learned driver (when
+/// the scheme has one) records every decision, the link samples reaching
+/// the recorder in sim-time order between decisions (the pool drains them
+/// before each dispatch). With a no-op recorder the metrics are
 /// bitwise identical to [`run_scenario`] — sampling only reads link state
 /// and recording happens after each decision is applied.
 pub fn run_scenario_recorded(
@@ -83,22 +85,21 @@ pub fn run_scenario_recorded(
     spec: &ScenarioSpec,
     qc: Option<&QcEval>,
     recorder: &SharedRecorder,
-    cadence: Time,
 ) -> Result<ScenarioMetrics, SpecError> {
-    run_scenario_inner(scheme, spec, qc, Some((recorder, cadence)))
+    run_scenario_inner(scheme, spec, qc, Some(recorder))
 }
 
 fn run_scenario_inner(
     scheme: &Scheme,
     spec: &ScenarioSpec,
     qc: Option<&QcEval>,
-    recording: Option<(&SharedRecorder, Time)>,
+    recorder: Option<&SharedRecorder>,
 ) -> Result<ScenarioMetrics, SpecError> {
     spec.validate()?;
     let compiled = spec.compile_topology()?;
     let mut sim = Simulator::with_topology(compiled.topology.clone());
-    if let Some((_, cadence)) = recording {
-        sim.enable_link_sampling(cadence);
+    if recorder.is_some() {
+        sim.enable_link_sampling(Time::from_nanos(LINK_CADENCE_NS));
     }
 
     let primary_cc: Box<dyn canopy_netsim::CongestionControl> = match scheme {
@@ -153,7 +154,7 @@ fn run_scenario_inner(
             // harness shares the batched engine (and its telemetry).
             let mut pool = DriverPool::new();
             let slot = pool.push(OrcaDriver::new(&config, &link, primary).with_policy(policy));
-            pool.set_recorder(recording.map(|(r, _)| r.clone()));
+            pool.set_recorder(recorder.cloned());
             pool.run_until(&mut sim, spec.duration);
             qc_values.extend_from_slice(pool.drivers()[slot].qc_values());
         }
@@ -173,7 +174,7 @@ fn run_scenario_inner(
                 OrcaDriver::new(&config, &link, primary)
                     .with_policy(DriverPolicy::for_model(model).with_fallback(fb)),
             );
-            pool.set_recorder(recording.map(|(r, _)| r.clone()));
+            pool.set_recorder(recorder.cloned());
             pool.run_until(&mut sim, spec.duration);
             let driver = &pool.drivers()[slot];
             qc_values.extend_from_slice(driver.fallback_qc_values());
@@ -182,7 +183,8 @@ fn run_scenario_inner(
         }
     }
 
-    if let Some((recorder, _)) = recording {
+    // A baseline's samples: it runs without a pool to drain them.
+    if let Some(recorder) = recorder {
         let mut rec = recorder.borrow_mut();
         for sample in sim.take_link_samples() {
             rec.record_link(&sample);

@@ -649,6 +649,15 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bombs_are_spec_errors() {
+        // 20 KB that used to abort the process with a stack overflow in
+        // the JSON reader, before it bounded its nesting depth.
+        for bomb in ["[".repeat(20_000), "{\"trace\":".repeat(20_000)] {
+            assert!(ScenarioSpec::from_json(&bomb).is_err());
+        }
+    }
+
+    #[test]
     fn topologies_round_trip_and_compile() {
         let base = ScenarioSpec::simple("topo", 24e6, Time::from_millis(30), Time::from_secs(6));
         let lot = TopologySpec::ParkingLot {

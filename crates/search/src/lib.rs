@@ -10,7 +10,7 @@
 //! batched hill climbing) whose population evaluations fan out over
 //! `canopy_core::pool` — bitwise reproducible at any `CANOPY_THREADS`.
 //! A found violation is then minimized by a delta-debugging shrinker
-//! ([`shrink`]) and committed as a self-contained serde fixture
+//! ([`shrink()`]) and committed as a self-contained serde fixture
 //! ([`AdversarialFixture`]) that a regression test replays forever after.
 //!
 //! ```no_run

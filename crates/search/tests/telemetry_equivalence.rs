@@ -4,7 +4,9 @@
 //! the scenario runner, and a hardening-style adversarial search round —
 //! bitwise identical to running with no recorder at all; and the flight
 //! recorder's own output must be invariant to how the evaluation pool is
-//! partitioned across threads.
+//! partitioned across threads. And what it observes arrives in sim-time
+//! order: a learned scheme's link samples land in the same live windows
+//! as a baseline's.
 
 use std::path::PathBuf;
 
@@ -17,17 +19,16 @@ use canopy_search::{
     search, search_with_recorder, Objective, ObjectiveKind, OptimizerKind, SearchConfig,
     SearchSpace,
 };
-use canopy_telemetry::{shared, FlightRecorder, NoopRecorder, RecorderConfig, TelemetryReport};
+use canopy_telemetry::{
+    shared, FlightRecorder, LiveConfig, NoopRecorder, RecorderConfig, SharedRecorder,
+    TelemetryReport,
+};
 
 /// The shared smoke model every fixture-replay test rebuilds (cached
 /// under `target/canopy-models`, seconds to train cold).
 fn smoke_model() -> TrainedModel {
     let cache = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/canopy-models");
     models::load_or_train(&cache, ModelKind::Shallow, 3, TrainBudget::smoke()).0
-}
-
-fn cadence() -> Time {
-    Time::from_nanos(RecorderConfig::default().link_cadence_ns)
 }
 
 /// Exact textual image of an f64 sequence: `{:?}` prints the shortest
@@ -91,7 +92,7 @@ fn run_multiflow_noop_recorder_is_bitwise_inert() {
         &flows,
         Time::from_secs(2),
         Time::from_millis(250),
-        Some((shared(NoopRecorder), cadence())),
+        Some(shared(NoopRecorder)),
     );
     assert_eq!(digest(&plain), digest(&recorded));
 }
@@ -110,7 +111,7 @@ fn run_scenario_noop_recorder_is_bitwise_inert() {
     spec.duration = Time::from_secs(3);
     let plain = run_scenario(&scheme, &spec, None).expect("plain run");
     let noop = shared(NoopRecorder);
-    let recorded = run_scenario_recorded(&scheme, &spec, None, &noop, cadence()).expect("recorded");
+    let recorded = run_scenario_recorded(&scheme, &spec, None, &noop).expect("recorded");
     assert_eq!(
         serde_json::to_string(&plain.primary).expect("serialize"),
         serde_json::to_string(&recorded.primary).expect("serialize"),
@@ -153,7 +154,7 @@ fn flight_recorder_output_is_invariant_to_thread_count() {
     let mut reports = Vec::new();
     for threads in [1usize, 4] {
         let recorder = std::rc::Rc::new(std::cell::RefCell::new(FlightRecorder::default()));
-        let handle: canopy_telemetry::SharedRecorder = recorder.clone();
+        let handle: SharedRecorder = recorder.clone();
         let config = SearchConfig {
             optimizer: OptimizerKind::Cem,
             budget: 6,
@@ -174,8 +175,7 @@ fn flight_recorder_output_is_invariant_to_thread_count() {
             threshold: objective.fallback_threshold,
             n_components: objective.n_components,
         };
-        run_scenario_recorded(&scheme, &outcome.best_spec, None, &handle, cadence())
-            .expect("replay");
+        run_scenario_recorded(&scheme, &outcome.best_spec, None, &handle).expect("replay");
         let report = TelemetryReport::from_recorder(&recorder.borrow(), "equiv", "canopy-shallow");
         report.validate().expect("valid report");
         reports.push(report.to_json());
@@ -184,4 +184,42 @@ fn flight_recorder_output_is_invariant_to_thread_count() {
         reports[0], reports[1],
         "flight-recorder output changed with the thread count"
     );
+}
+
+#[test]
+fn link_samples_reach_a_live_recorder_in_sim_time_order() {
+    // Link samples sit on a fixed 10 ms grid whatever the scheme does,
+    // so every 100 ms snapshot of a learned run must carry the same
+    // `link_samples_total` window as the baseline's. Drained only after
+    // the run, they arrived behind every decision: the live layer had
+    // already rolled past them and all but the last snapshot had none.
+    let mut spec = generate(Family::LossyWireless, 4);
+    spec.duration = Time::from_secs(2);
+    let windows = |scheme: &Scheme| -> Vec<Option<u64>> {
+        let recorder = std::rc::Rc::new(std::cell::RefCell::new(FlightRecorder::with_live(
+            RecorderConfig::default(),
+            LiveConfig::default(),
+        )));
+        let handle: SharedRecorder = recorder.clone();
+        run_scenario_recorded(scheme, &spec, None, &handle).expect("recorded");
+        recorder.borrow_mut().finish(spec.duration.as_nanos());
+        let snapshots = recorder.borrow().live_snapshots();
+        let sums = snapshots.iter().map(|snap| {
+            let window = snap
+                .window_counters
+                .iter()
+                .find(|w| w.name == "link_samples_total");
+            window.map(|w| w.window_sum)
+        });
+        sums.collect()
+    };
+    let learned = windows(&Scheme::Learned(smoke_model()));
+    let baseline = windows(&Scheme::Baseline("cubic".into()));
+    assert_eq!(baseline.len(), 20, "2 s at the 100 ms cadence");
+    assert!(baseline.iter().all(|w| w.is_some_and(|sum| sum > 0)));
+    assert!(
+        learned[learned.len() / 2].is_some_and(|sum| sum > 0),
+        "a mid-run snapshot of the learned run has no link window: {learned:?}"
+    );
+    assert_eq!(learned, baseline);
 }

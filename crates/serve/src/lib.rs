@@ -4,11 +4,11 @@
 //! The training and evaluation harnesses ask "what does this policy do to
 //! the network?"; this crate asks the deployment question instead: **can
 //! one process sustain an entire fleet's decision loops in real time?** A
-//! [`Fleet`] owns a simulator (dumbbell or incast), one
-//! [`OrcaDriver`](canopy_core::driver::OrcaDriver) per flow, and drives
-//! them through the [`DriverPool`]'s batched dispatch — flows sharing one
-//! policy that decide at the same instant cost one batched actor pass, not
-//! N scalar ones. [`Fleet::run`] measures sustained decisions/sec and
+//! [`Fleet`] owns a simulator (dumbbell or incast), one [`OrcaDriver`] per
+//! flow, and drives them through the [`DriverPool`]'s batched dispatch —
+//! flows sharing one policy that decide at the same instant cost one
+//! batched actor pass, not N scalar ones. [`Fleet::run`] measures
+//! sustained decisions/sec and
 //! per-decision latency quantiles; [`Fleet::run_realtime`] additionally
 //! paces dispatch so simulation time never runs ahead of the wall clock,
 //! which is how a live serving process would tick.
@@ -336,6 +336,11 @@ impl Fleet {
     /// ([`FlightRecorder::finish`]) and feed the wall-latency SLO, the
     /// returned [`FleetReport`] carries its breach state, and
     /// [`promote`](Self::promote) is vetoed while a breach is active.
+    ///
+    /// A fleet enables no link sampling on its simulator, so the
+    /// recorder sees no link samples and a
+    /// [`MaxLinkDropRate`](canopy_telemetry::SloKind::MaxLinkDropRate)
+    /// objective has no data here: it neither breaches nor clears.
     pub fn attach_live(&mut self, recorder: Rc<RefCell<FlightRecorder>>) {
         self.pool
             .set_recorder(Some(recorder.clone() as SharedRecorder));
@@ -826,7 +831,6 @@ mod tests {
         let mut fleet = Fleet::new(&config, actor(3, 7));
         let rec = Rc::new(RefCell::new(FlightRecorder::new(RecorderConfig {
             span_timing: true,
-            ..RecorderConfig::default()
         })));
         fleet.attach_live(rec.clone());
         let report = fleet.run(Time::from_millis(200));

@@ -10,19 +10,20 @@
 //! Design rules, in order:
 //!
 //! 1. **Determinism.** Events are timestamped in *simulation* time
-//!    (nanoseconds), recorded on coordinator threads only, and sampled by
-//!    deterministic counters — never wall clocks or RNGs — so a recording
-//!    is bitwise identical across runs and at any `CANOPY_THREADS`.
+//!    (nanoseconds) and recorded on coordinator threads only — nothing
+//!    reads a wall clock or an RNG — so a recording is bitwise identical
+//!    across runs and at any `CANOPY_THREADS`.
 //!    Wall-clock measurements exist only in the perf harness's own
 //!    histograms.
 //! 2. **Zero cost when disabled.** Instrumented hot paths hold an
 //!    `Option<SharedRecorder>`; disabled means one `None` branch per
 //!    decision. The [`NoopRecorder`] exists for equivalence tests proving
 //!    that an attached-but-inert recorder changes nothing bitwise.
-//! 3. **Bounded.** The [`FlightRecorder`] keeps each event category in a
-//!    ring of fixed capacity with a per-category 1-in-N sampling rate, so
-//!    long runs cannot grow memory without bound; totals are still counted
-//!    exactly.
+//! 3. **Bounded.** The [`FlightRecorder`] keeps each event stream in a
+//!    [`Ring`] of fixed capacity that evicts its oldest event when full,
+//!    so long runs cannot grow memory without bound; every event is kept
+//!    until then, and totals are still counted exactly (`seen`, and
+//!    `dropped` = evicted).
 //!
 //! Two exporters turn a recording into artifacts: the canonical-JSON
 //! [`TelemetryReport`] (`TELEMETRY_report.json`, schema
@@ -58,9 +59,10 @@ pub use live::{
     SloWatchdog, WindowCounterEntry, WindowHistogramEntry, ALERTS_SCHEMA, LIVE_METRICS_SCHEMA,
 };
 pub use metrics::{
-    HistogramSummary, LogHistogram, Registry, WindowSpec, WindowedCounter, WindowedHistogram,
+    HistogramSummary, LogHistogram, Registry, RollingWindow, WindowAggregate, WindowSpec,
 };
 pub use recorder::{
-    shared, FlightRecorder, NoopRecorder, Recorder, RecorderConfig, SharedRecorder,
+    shared, FlightRecorder, NoopRecorder, Recorder, RecorderConfig, Ring, SharedRecorder,
+    LINK_CADENCE_NS,
 };
 pub use report::{CounterEntry, SpanStageSummary, TelemetryReport, TELEMETRY_SCHEMA};

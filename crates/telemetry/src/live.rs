@@ -2,17 +2,17 @@
 //! exposition, and the SLO watchdog with its alert ledger.
 //!
 //! Everything here obeys the crate's determinism doctrine: snapshots are
-//! taken at sim-time cadence boundaries (or explicitly, for wall-clock
-//! serving), aggregate only order-invariant state (registry counters,
-//! log-histograms, rolling windows), and serialize to canonical JSON —
-//! so the JSONL stream, the exposition text, and the alert ledger are
-//! bitwise-identical across runs and thread counts.
+//! taken at sim-time cadence boundaries, aggregate only order-invariant
+//! state (registry counters, log-histograms, rolling windows), and
+//! serialize to canonical JSON — so the JSONL stream, the exposition
+//! text, and the alert ledger are bitwise-identical across runs and
+//! thread counts.
 
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{HistogramSummary, Registry, WindowSpec, WindowedHistogram};
+use crate::metrics::{HistogramSummary, LogHistogram, Registry, RollingWindow, WindowSpec};
 use crate::report::CounterEntry;
 
 /// Schema tag of the JSONL metrics stream (one snapshot per line).
@@ -96,8 +96,8 @@ impl MetricsSnapshot {
                     name: name.to_string(),
                     window_ns: c.spec().window_ns(),
                     window_start_ns: c.window_start_ns(),
-                    window_sum: c.window_sum(),
-                    total: c.total(),
+                    window_sum: c.window(),
+                    total: *c.all(),
                 })
                 .collect(),
             window_histograms: registry
@@ -131,18 +131,10 @@ impl MetricsSnapshot {
                 self.schema
             ));
         }
-        for h in self
-            .histograms
+        self.histograms
             .iter()
             .chain(self.window_histograms.iter().map(|w| &w.summary))
-        {
-            if !h.mean.is_finite() {
-                return Err(format!("histogram `{}`: non-finite mean", h.name));
-            }
-            if !(h.min <= h.p50 && h.p50 <= h.p95 && h.p95 <= h.p99 && h.p99 <= h.max) {
-                return Err(format!("histogram `{}`: quantiles out of order", h.name));
-            }
-        }
+            .try_for_each(HistogramSummary::validate)?;
         for w in &self.window_counters {
             if w.window_ns == 0 {
                 return Err(format!("window counter `{}`: zero-width window", w.name));
@@ -247,7 +239,9 @@ pub enum SloKind {
     MaxP99DecisionLatencyNs,
     /// Window packet drops per link sample must stay **at or below**
     /// the threshold (reads the `link_drops` and `link_samples_total`
-    /// windowed counters).
+    /// windowed counters). Only hosts that feed link samples give it
+    /// data: the scenario and multi-flow runners do, a `canopy_serve`
+    /// `Fleet` does not, so there this objective never evaluates.
     MaxLinkDropRate,
 }
 
@@ -386,11 +380,6 @@ impl SloWatchdog {
         }
     }
 
-    /// The objectives being watched.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
     /// Evaluates every objective against the registry's rolling windows
     /// (and the serving-only wall-latency window) at boundary `t_ns`.
     /// An objective with no window data keeps its current state.
@@ -398,8 +387,14 @@ impl SloWatchdog {
         &mut self,
         t_ns: u64,
         registry: &Registry,
-        wall_latency: Option<&WindowedHistogram>,
+        wall_latency: Option<&RollingWindow<LogHistogram>>,
     ) {
+        // Window sum of `num` per unit of `den`; no data while `den` is 0.
+        let rate = |num: &str, den: &str| {
+            let den = registry.windowed_counter(den)?.window();
+            let num = registry.windowed_counter(num).map_or(0, |c| c.window());
+            (den > 0).then(|| num as f64 / den as f64)
+        };
         for spec in &self.specs {
             let observed = match spec.kind {
                 SloKind::MinWindowQcSat => {
@@ -408,28 +403,12 @@ impl SloWatchdog {
                         (h.count() > 0).then(|| h.mean() / 1e6)
                     })
                 }
-                SloKind::MaxFallbackRate => {
-                    registry.windowed_counter("decisions_total").and_then(|d| {
-                        let decisions = d.window_sum();
-                        let fallback = registry
-                            .windowed_counter("decisions_fallback_total")
-                            .map_or(0, |f| f.window_sum());
-                        (decisions > 0).then(|| fallback as f64 / decisions as f64)
-                    })
-                }
+                SloKind::MaxFallbackRate => rate("decisions_fallback_total", "decisions_total"),
                 SloKind::MaxP99DecisionLatencyNs => wall_latency.and_then(|w| {
                     let h = w.window();
                     (h.count() > 0).then(|| h.p99() as f64)
                 }),
-                SloKind::MaxLinkDropRate => registry
-                    .windowed_counter("link_samples_total")
-                    .and_then(|s| {
-                        let samples = s.window_sum();
-                        let drops = registry
-                            .windowed_counter("link_drops")
-                            .map_or(0, |d| d.window_sum());
-                        (samples > 0).then(|| drops as f64 / samples as f64)
-                    }),
+                SloKind::MaxLinkDropRate => rate("link_drops", "link_samples_total"),
             };
             let Some(observed) = observed else { continue };
             let breached = match spec.kind {
@@ -462,11 +441,6 @@ impl SloWatchdog {
         !self.active.is_empty()
     }
 
-    /// Names of objectives currently in breach, in name order.
-    pub fn active_breaches(&self) -> Vec<String> {
-        self.active.iter().cloned().collect()
-    }
-
     /// The ledger accumulated so far.
     pub fn ledger(&self) -> &AlertLedger {
         &self.ledger
@@ -476,8 +450,7 @@ impl SloWatchdog {
 /// Configuration of the live layer a [`crate::FlightRecorder`] can carry.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
-    /// Snapshot cadence in nanoseconds of sim time (ignored when
-    /// `wall_cadence` is set; the host then calls `force_snapshot`).
+    /// Snapshot cadence in nanoseconds of sim time.
     pub cadence_ns: u64,
     /// Rolling-window geometry for the windowed registry feeds.
     pub window: WindowSpec,
@@ -485,12 +458,6 @@ pub struct LiveConfig {
     pub label: String,
     /// Objectives the watchdog evaluates at each snapshot.
     pub slos: Vec<SloSpec>,
-    /// Maximum retained snapshots (oldest dropped beyond this, with an
-    /// exact dropped count — same contract as the event rings).
-    pub snapshot_capacity: usize,
-    /// Host-driven (wall-clock) snapshot cadence for serving: disables
-    /// the deterministic sim-time auto-roll.
-    pub wall_cadence: bool,
 }
 
 impl Default for LiveConfig {
@@ -501,8 +468,6 @@ impl Default for LiveConfig {
             window: WindowSpec::new(cadence_ns, 8),
             label: "live".to_string(),
             slos: Vec::new(),
-            snapshot_capacity: 4096,
-            wall_cadence: false,
         }
     }
 }
@@ -525,12 +490,6 @@ impl LiveConfig {
     /// Adds an objective.
     pub fn with_slo(mut self, spec: SloSpec) -> LiveConfig {
         self.slos.push(spec);
-        self
-    }
-
-    /// Switches to host-driven (wall-clock) snapshots.
-    pub fn with_wall_cadence(mut self) -> LiveConfig {
-        self.wall_cadence = true;
         self
     }
 }
@@ -615,8 +574,8 @@ mod tests {
         r.observe_windowed("qc_sat_ppm", spec, 5, 100_000);
         dog.evaluate(10, &r, None);
         assert!(dog.breach_active());
-        assert_eq!(dog.active_breaches(), vec!["fallback", "qc"]);
-        assert_eq!(dog.ledger().alerts.len(), 2);
+        let breached: Vec<&str> = dog.ledger().alerts.iter().map(|a| a.slo.as_str()).collect();
+        assert_eq!(breached, vec!["fallback", "qc"]);
         // Re-evaluating an ongoing breach appends nothing.
         dog.evaluate(20, &r, None);
         assert_eq!(dog.ledger().alerts.len(), 2);
@@ -643,11 +602,11 @@ mod tests {
             )],
         );
         let r = Registry::new();
-        let mut wall = WindowedHistogram::new(WindowSpec::new(10, 4));
+        let mut wall = RollingWindow::<LogHistogram>::new(WindowSpec::new(10, 4));
         // No data: no transition.
         dog.evaluate(10, &r, Some(&wall));
         assert!(!dog.breach_active());
-        wall.observe(5, 50_000);
+        wall.add(5, 50_000);
         dog.evaluate(20, &r, Some(&wall));
         assert!(dog.breach_active());
         assert_eq!(

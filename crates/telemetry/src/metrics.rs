@@ -209,33 +209,66 @@ impl WindowSpec {
     }
 }
 
-/// A rolling-window counter: a ring of per-bucket sums keyed by absolute
-/// bucket index. The high-water bucket only ever advances, so any event
-/// inside the final window is storable whenever it arrives, and any
-/// event below it would be below the final window too — which makes
-/// `window_sum` order-invariant.
+/// What a [`RollingWindow`] keeps per bucket: a `u64` sum (a windowed
+/// counter) or a [`LogHistogram`] (a windowed distribution).
+pub trait WindowAggregate: Clone + Default {
+    /// Folds one value in.
+    fn add(&mut self, v: u64);
+
+    /// Folds another aggregate in. Must be order-independent.
+    fn absorb(&mut self, other: &Self);
+}
+
+impl WindowAggregate for u64 {
+    fn add(&mut self, v: u64) {
+        *self += v;
+    }
+
+    fn absorb(&mut self, other: &u64) {
+        *self += *other;
+    }
+}
+
+impl WindowAggregate for LogHistogram {
+    fn add(&mut self, v: u64) {
+        self.record(v);
+    }
+
+    fn absorb(&mut self, other: &LogHistogram) {
+        self.merge(other);
+    }
+}
+
+/// A rolling-window aggregate: a ring of per-bucket aggregates keyed by
+/// absolute bucket index, plus the all-time aggregate. The high-water
+/// bucket only ever advances, so any event inside the final window is
+/// storable whenever it arrives, and any event below it would be below
+/// the final window too — which makes [`window`](Self::window)
+/// order-invariant.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WindowedCounter {
+pub struct RollingWindow<A> {
     spec: WindowSpec,
     /// Highest absolute bucket index materialized so far.
     max_bucket: u64,
-    slots: Vec<u64>,
-    total: u64,
+    slots: Vec<A>,
+    all: A,
 }
 
-impl WindowedCounter {
-    /// An empty counter whose window initially covers buckets
-    /// `0..spec.buckets`.
-    pub fn new(spec: WindowSpec) -> WindowedCounter {
-        WindowedCounter {
+impl<A: WindowAggregate> RollingWindow<A> {
+    /// An empty window initially covering buckets `0..spec.buckets`.
+    /// `spec` is re-clamped here: its fields are public and it
+    /// deserializes, so a zero width or count can reach this point.
+    pub fn new(spec: WindowSpec) -> RollingWindow<A> {
+        let spec = WindowSpec::new(spec.bucket_ns, spec.buckets);
+        RollingWindow {
             spec,
             max_bucket: spec.buckets as u64 - 1,
-            slots: vec![0; spec.buckets],
-            total: 0,
+            slots: vec![A::default(); spec.buckets],
+            all: A::default(),
         }
     }
 
-    /// The window geometry.
+    /// The (clamped) window geometry.
     pub fn spec(&self) -> WindowSpec {
         self.spec
     }
@@ -250,22 +283,22 @@ impl WindowedCounter {
             return;
         }
         if b - self.max_bucket >= n {
-            self.slots.fill(0);
+            self.slots.fill(A::default());
             self.max_bucket = b;
             return;
         }
         while self.max_bucket < b {
             self.max_bucket += 1;
             let idx = (self.max_bucket % n) as usize;
-            self.slots[idx] = 0;
+            self.slots[idx] = A::default();
         }
     }
 
-    /// Adds `by` at time `t_ns`. The all-time total always counts it;
-    /// the window counts it iff its bucket is inside (or ahead of) the
-    /// current window.
-    pub fn inc(&mut self, t_ns: u64, by: u64) {
-        self.total += by;
+    /// Folds `v` in at time `t_ns`. The all-time aggregate always takes
+    /// it; the window takes it iff its bucket is inside (or ahead of)
+    /// the current window.
+    pub fn add(&mut self, t_ns: u64, v: u64) {
+        self.all.add(v);
         let b = t_ns / self.spec.bucket_ns;
         let n = self.slots.len() as u64;
         if b > self.max_bucket {
@@ -273,107 +306,21 @@ impl WindowedCounter {
         }
         if b + n > self.max_bucket {
             let idx = (b % n) as usize;
-            self.slots[idx] += by;
+            self.slots[idx].add(v);
         }
     }
 
-    /// Sum over the current window.
-    pub fn window_sum(&self) -> u64 {
-        self.slots.iter().sum()
-    }
-
-    /// All-time total (window-independent).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Inclusive start of the current window, in nanoseconds.
-    pub fn window_start_ns(&self) -> u64 {
-        let first = (self.max_bucket + 1).saturating_sub(self.slots.len() as u64);
-        first.saturating_mul(self.spec.bucket_ns)
-    }
-
-    /// Exclusive end of the current window, in nanoseconds.
-    pub fn window_end_ns(&self) -> u64 {
-        (self.max_bucket + 1).saturating_mul(self.spec.bucket_ns)
-    }
-}
-
-/// A rolling-window histogram: the same ring as [`WindowedCounter`] with
-/// a [`LogHistogram`] per bucket (merged on demand) plus an all-time
-/// histogram. Order-invariant for the same reason.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WindowedHistogram {
-    spec: WindowSpec,
-    max_bucket: u64,
-    slots: Vec<LogHistogram>,
-    all: LogHistogram,
-}
-
-impl WindowedHistogram {
-    /// An empty histogram whose window initially covers buckets
-    /// `0..spec.buckets`.
-    pub fn new(spec: WindowSpec) -> WindowedHistogram {
-        WindowedHistogram {
-            spec,
-            max_bucket: spec.buckets as u64 - 1,
-            slots: vec![LogHistogram::new(); spec.buckets],
-            all: LogHistogram::new(),
-        }
-    }
-
-    /// The window geometry.
-    pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
-    /// Slides the window forward to cover the bucket containing `t_ns`.
-    pub fn advance_to(&mut self, t_ns: u64) {
-        let b = t_ns / self.spec.bucket_ns;
-        let n = self.slots.len() as u64;
-        if b <= self.max_bucket {
-            return;
-        }
-        if b - self.max_bucket >= n {
-            for s in &mut self.slots {
-                *s = LogHistogram::new();
-            }
-            self.max_bucket = b;
-            return;
-        }
-        while self.max_bucket < b {
-            self.max_bucket += 1;
-            let idx = (self.max_bucket % n) as usize;
-            self.slots[idx] = LogHistogram::new();
-        }
-    }
-
-    /// Records `v` at time `t_ns` into the all-time histogram, and into
-    /// the window iff its bucket has not been evicted.
-    pub fn observe(&mut self, t_ns: u64, v: u64) {
-        self.all.record(v);
-        let b = t_ns / self.spec.bucket_ns;
-        let n = self.slots.len() as u64;
-        if b > self.max_bucket {
-            self.advance_to(t_ns);
-        }
-        if b + n > self.max_bucket {
-            let idx = (b % n) as usize;
-            self.slots[idx].record(v);
-        }
-    }
-
-    /// The merged histogram over the current window.
-    pub fn window(&self) -> LogHistogram {
-        let mut h = LogHistogram::new();
+    /// The aggregate over the current window.
+    pub fn window(&self) -> A {
+        let mut merged = A::default();
         for s in &self.slots {
-            h.merge(s);
+            merged.absorb(s);
         }
-        h
+        merged
     }
 
-    /// The all-time histogram (window-independent).
-    pub fn all(&self) -> &LogHistogram {
+    /// The all-time aggregate (window-independent).
+    pub fn all(&self) -> &A {
         &self.all
     }
 
@@ -390,13 +337,14 @@ impl WindowedHistogram {
 }
 
 /// A named registry of counters and histograms, fed by the same hooks
-/// that fill the flight recorder's event rings.
+/// that fill the flight recorder's event rings. Names are `'static`
+/// (every metric name is a literal), so a bump never allocates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, LogHistogram>,
-    windowed_counters: BTreeMap<String, WindowedCounter>,
-    windowed_histograms: BTreeMap<String, WindowedHistogram>,
+    counters: BTreeMap<&'static str, u64>,
+    histograms: BTreeMap<&'static str, LogHistogram>,
+    windowed_counters: BTreeMap<&'static str, RollingWindow<u64>>,
+    windowed_histograms: BTreeMap<&'static str, RollingWindow<LogHistogram>>,
 }
 
 impl Registry {
@@ -406,16 +354,13 @@ impl Registry {
     }
 
     /// Adds `by` to the named counter, creating it at zero.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+    pub fn inc(&mut self, name: &'static str, by: u64) {
+        *self.counters.entry(name).or_insert(0) += by;
     }
 
     /// Records `v` into the named histogram, creating it empty.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+    pub fn observe(&mut self, name: &'static str, v: u64) {
+        self.histograms.entry(name).or_default().record(v);
     }
 
     /// The named counter's value (0 if never incremented).
@@ -429,32 +374,32 @@ impl Registry {
     }
 
     /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> {
+        self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// Adds `by` at time `t_ns` to the named rolling-window counter,
     /// creating it with geometry `spec` on first use (later calls keep
     /// the original geometry).
-    pub fn inc_windowed(&mut self, name: &str, spec: WindowSpec, t_ns: u64, by: u64) {
+    pub fn inc_windowed(&mut self, name: &'static str, spec: WindowSpec, t_ns: u64, by: u64) {
         self.windowed_counters
-            .entry(name.to_string())
-            .or_insert_with(|| WindowedCounter::new(spec))
-            .inc(t_ns, by);
+            .entry(name)
+            .or_insert_with(|| RollingWindow::new(spec))
+            .add(t_ns, by);
     }
 
     /// Records `v` at time `t_ns` into the named rolling-window
     /// histogram, creating it with geometry `spec` on first use.
-    pub fn observe_windowed(&mut self, name: &str, spec: WindowSpec, t_ns: u64, v: u64) {
+    pub fn observe_windowed(&mut self, name: &'static str, spec: WindowSpec, t_ns: u64, v: u64) {
         self.windowed_histograms
-            .entry(name.to_string())
-            .or_insert_with(|| WindowedHistogram::new(spec))
-            .observe(t_ns, v);
+            .entry(name)
+            .or_insert_with(|| RollingWindow::new(spec))
+            .add(t_ns, v);
     }
 
     /// Slides every rolling window forward to cover the bucket
@@ -470,25 +415,25 @@ impl Registry {
     }
 
     /// The named rolling-window counter, if it exists.
-    pub fn windowed_counter(&self, name: &str) -> Option<&WindowedCounter> {
+    pub fn windowed_counter(&self, name: &str) -> Option<&RollingWindow<u64>> {
         self.windowed_counters.get(name)
     }
 
     /// The named rolling-window histogram, if it exists.
-    pub fn windowed_histogram(&self, name: &str) -> Option<&WindowedHistogram> {
+    pub fn windowed_histogram(&self, name: &str) -> Option<&RollingWindow<LogHistogram>> {
         self.windowed_histograms.get(name)
     }
 
     /// All rolling-window counters in name order.
-    pub fn windowed_counters(&self) -> impl Iterator<Item = (&str, &WindowedCounter)> {
-        self.windowed_counters.iter().map(|(k, v)| (k.as_str(), v))
+    pub fn windowed_counters(&self) -> impl Iterator<Item = (&'static str, &RollingWindow<u64>)> {
+        self.windowed_counters.iter().map(|(k, v)| (*k, v))
     }
 
     /// All rolling-window histograms in name order.
-    pub fn windowed_histograms(&self) -> impl Iterator<Item = (&str, &WindowedHistogram)> {
-        self.windowed_histograms
-            .iter()
-            .map(|(k, v)| (k.as_str(), v))
+    pub fn windowed_histograms(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &RollingWindow<LogHistogram>)> {
+        self.windowed_histograms.iter().map(|(k, v)| (*k, v))
     }
 }
 
@@ -527,6 +472,21 @@ impl HistogramSummary {
             p99: h.p99(),
             max: h.max(),
         }
+    }
+
+    /// Structural validation: a finite mean and ordered quantiles.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !self.mean.is_finite() {
+            return Err(format!("histogram `{}`: non-finite mean", self.name));
+        }
+        let ordered = self.min <= self.p50
+            && self.p50 <= self.p95
+            && self.p95 <= self.p99
+            && self.p99 <= self.max;
+        if !ordered {
+            return Err(format!("histogram `{}`: quantiles out of order", self.name));
+        }
+        Ok(())
     }
 }
 
@@ -634,55 +594,55 @@ mod tests {
     }
 
     #[test]
-    fn windowed_counter_slides_and_evicts() {
+    fn rolling_sum_slides_and_evicts() {
         let spec = WindowSpec::new(10, 4); // buckets [0,10), [10,20), ...
-        let mut c = WindowedCounter::new(spec);
-        c.inc(5, 1); // bucket 0
-        c.inc(15, 2); // bucket 1
-        c.inc(35, 4); // bucket 3 (window now 0..=3)
-        assert_eq!(c.window_sum(), 7);
-        assert_eq!(c.total(), 7);
+        let mut c = RollingWindow::<u64>::new(spec);
+        c.add(5, 1); // bucket 0
+        c.add(15, 2); // bucket 1
+        c.add(35, 4); // bucket 3 (window now 0..=3)
+        assert_eq!(c.window(), 7);
+        assert_eq!(*c.all(), 7);
         assert_eq!(c.window_start_ns(), 0);
         assert_eq!(c.window_end_ns(), 40);
         // Exact boundary: t=40 opens bucket 4, evicting bucket 0.
-        c.inc(40, 8);
-        assert_eq!(c.window_sum(), 2 + 4 + 8);
+        c.add(40, 8);
+        assert_eq!(c.window(), 2 + 4 + 8);
         assert_eq!(c.window_start_ns(), 10);
         // A straggler below the window counts toward the total only.
-        c.inc(5, 100);
-        assert_eq!(c.window_sum(), 14);
-        assert_eq!(c.total(), 115);
+        c.add(5, 100);
+        assert_eq!(c.window(), 14);
+        assert_eq!(*c.all(), 115);
         // A jump farther than the whole window clears everything.
-        c.inc(1_000, 3);
-        assert_eq!(c.window_sum(), 3);
-        assert_eq!(c.total(), 118);
+        c.add(1_000, 3);
+        assert_eq!(c.window(), 3);
+        assert_eq!(*c.all(), 118);
     }
 
     #[test]
-    fn windowed_counter_is_order_invariant() {
+    fn rolling_sum_is_order_invariant() {
         let spec = WindowSpec::new(7, 3);
         let events = [(3u64, 1u64), (50, 2), (10, 4), (49, 8), (21, 16), (0, 32)];
-        let mut a = WindowedCounter::new(spec);
-        let mut b = WindowedCounter::new(spec);
+        let mut a = RollingWindow::<u64>::new(spec);
+        let mut b = RollingWindow::<u64>::new(spec);
         for &(t, v) in &events {
-            a.inc(t, v);
+            a.add(t, v);
         }
         for &(t, v) in events.iter().rev() {
-            b.inc(t, v);
+            b.add(t, v);
         }
-        assert_eq!(a.window_sum(), b.window_sum());
-        assert_eq!(a.total(), b.total());
+        assert_eq!(a.window(), b.window());
+        assert_eq!(a.all(), b.all());
         assert_eq!(a, b);
     }
 
     #[test]
-    fn windowed_histogram_window_matches_manual_merge() {
+    fn rolling_histogram_window_matches_manual_merge() {
         let spec = WindowSpec::new(100, 2);
-        let mut w = WindowedHistogram::new(spec);
-        w.observe(10, 1_000); // bucket 0
-        w.observe(150, 2_000); // bucket 1
+        let mut w = RollingWindow::<LogHistogram>::new(spec);
+        w.add(10, 1_000); // bucket 0
+        w.add(150, 2_000); // bucket 1
         assert_eq!(w.window().count(), 2);
-        w.observe(250, 4_000); // bucket 2: evicts bucket 0
+        w.add(250, 4_000); // bucket 2: evicts bucket 0
         let win = w.window();
         assert_eq!(win.count(), 2);
         assert_eq!(win.min(), 2_000);
@@ -699,18 +659,18 @@ mod tests {
         let mut r = Registry::new();
         r.inc_windowed("w_decisions", spec, 5, 3);
         r.observe_windowed("w_qdelay", spec, 5, 500);
-        assert_eq!(r.windowed_counter("w_decisions").unwrap().window_sum(), 3);
+        assert_eq!(r.windowed_counter("w_decisions").unwrap().window(), 3);
         assert_eq!(
             r.windowed_histogram("w_qdelay").unwrap().window().count(),
             1
         );
         r.advance_windows(35);
-        assert_eq!(r.windowed_counter("w_decisions").unwrap().window_sum(), 0);
+        assert_eq!(r.windowed_counter("w_decisions").unwrap().window(), 0);
         assert_eq!(
             r.windowed_histogram("w_qdelay").unwrap().window().count(),
             0
         );
-        assert_eq!(r.windowed_counter("w_decisions").unwrap().total(), 3);
+        assert_eq!(*r.windowed_counter("w_decisions").unwrap().all(), 3);
         assert_eq!(r.windowed_histogram("w_qdelay").unwrap().all().count(), 1);
         assert_eq!(r.windowed_counters().count(), 1);
         assert_eq!(r.windowed_histograms().count(), 1);

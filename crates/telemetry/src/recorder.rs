@@ -8,7 +8,7 @@ use crate::event::{
     BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, SpanStage, TrainerEvent,
 };
 use crate::live::{metrics_jsonl, AlertLedger, LiveConfig, MetricsSnapshot, SloWatchdog};
-use crate::metrics::{Registry, WindowedHistogram};
+use crate::metrics::{LogHistogram, Registry, RollingWindow};
 
 /// The instrumentation sink the hot paths call into.
 ///
@@ -61,103 +61,79 @@ pub fn shared<R: Recorder + 'static>(recorder: R) -> SharedRecorder {
     Rc::new(RefCell::new(recorder))
 }
 
-/// Capacities and deterministic 1-in-N sampling rates, per category.
-///
-/// Sampling is counter-based — event `i` (0-indexed, per category) is
-/// kept iff `i % every == 0` — so what a recording contains is a pure
-/// function of the event sequence, never of timing or thread count.
-#[derive(Clone, Copy, Debug)]
+/// Ring capacity of the decision, link, batch and span streams.
+const EVENT_CAPACITY: usize = 4096;
+/// Ring capacity of the trainer stream.
+const TRAINER_CAPACITY: usize = 2048;
+/// Ring capacity of the search stream.
+const SEARCH_CAPACITY: usize = 1024;
+/// Retained live snapshots (older ones are evicted, and counted).
+const SNAPSHOT_CAPACITY: usize = 4096;
+
+/// Simulator link-sampling cadence of every recorded run: 10 ms of sim
+/// time, in nanoseconds.
+pub const LINK_CADENCE_NS: u64 = 10_000_000;
+
+/// The one thing a flight recorder lets its host choose.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RecorderConfig {
-    /// Ring capacity for decision records.
-    pub decision_capacity: usize,
-    /// Keep every Nth decision (1 = all).
-    pub decision_every: u64,
-    /// Ring capacity for link samples.
-    pub link_capacity: usize,
-    /// Keep every Nth link sample (1 = all).
-    pub link_every: u64,
-    /// Simulator link-sampling cadence in nanoseconds.
-    pub link_cadence_ns: u64,
-    /// Ring capacity for batch-dispatch records.
-    pub batch_capacity: usize,
-    /// Keep every Nth batch record (1 = all).
-    pub batch_every: u64,
-    /// Ring capacity for hot-path span records.
-    pub span_capacity: usize,
-    /// Keep every Nth span record (1 = all).
-    pub span_every: u64,
     /// Measure wall-clock span durations. Off by default: durations are
     /// nondeterministic, so every bitwise-checked artifact keeps this
     /// off and records `dur_ns = 0`.
     pub span_timing: bool,
-    /// Ring capacity for trainer events.
-    pub trainer_capacity: usize,
-    /// Keep every Nth trainer event (1 = all).
-    pub trainer_every: u64,
-    /// Ring capacity for search events.
-    pub search_capacity: usize,
-    /// Keep every Nth search event (1 = all).
-    pub search_every: u64,
 }
 
-impl Default for RecorderConfig {
-    fn default() -> RecorderConfig {
-        RecorderConfig {
-            decision_capacity: 4096,
-            decision_every: 1,
-            link_capacity: 4096,
-            link_every: 1,
-            link_cadence_ns: 10_000_000, // 10 ms
-            batch_capacity: 4096,
-            batch_every: 1,
-            span_capacity: 4096,
-            span_every: 1,
-            span_timing: false,
-            trainer_capacity: 2048,
-            trainer_every: 1,
-            search_capacity: 1024,
-            search_every: 1,
-        }
-    }
-}
-
-/// A bounded ring with exact totals: `seen` counts every offered event,
-/// sampling keeps 1-in-`every`, capacity evicts the oldest kept event.
+/// A bounded ring with exact totals: `seen` counts every pushed item,
+/// and once `capacity` items are held each push evicts the oldest one.
 #[derive(Clone, Debug)]
-struct Ring<T> {
+pub struct Ring<T> {
     buf: VecDeque<T>,
     capacity: usize,
-    every: u64,
     seen: u64,
-    evicted: u64,
 }
 
 impl<T> Ring<T> {
-    fn new(capacity: usize, every: u64) -> Ring<T> {
+    /// An empty ring holding at most `capacity` items (at least one).
+    pub fn new(capacity: usize) -> Ring<T> {
         Ring {
             buf: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
-            every: every.max(1),
             seen: 0,
-            evicted: 0,
         }
     }
 
-    fn push(&mut self, item: T) {
-        let keep = self.seen.is_multiple_of(self.every);
+    /// Appends `item`, evicting the oldest kept item when full.
+    pub fn push(&mut self, item: T) {
         self.seen += 1;
-        if !keep {
-            return;
-        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.evicted += 1;
         }
         self.buf.push_back(item);
     }
 
-    fn items(&self) -> impl Iterator<Item = &T> {
+    /// The kept items, oldest first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &T> + DoubleEndedIterator {
         self.buf.iter()
+    }
+
+    /// Number of kept items.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing is kept.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Total items ever pushed.
+    pub fn seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// Items evicted to stay within capacity: `seen == len + dropped`.
+    pub fn dropped(&self) -> u64 {
+        self.seen - self.buf.len() as u64
     }
 }
 
@@ -169,25 +145,49 @@ struct LiveLayer {
     config: LiveConfig,
     /// Next sim-time snapshot boundary (multiple of the cadence).
     next_ns: u64,
-    /// Sim-time of the most recent snapshot (guards forced snapshots).
-    last_ns: u64,
-    seq: u64,
-    snapshots: VecDeque<MetricsSnapshot>,
-    snapshots_dropped: u64,
+    /// Retained snapshots; `seen()` is the next sequence number.
+    snapshots: Ring<MetricsSnapshot>,
     watchdog: SloWatchdog,
     /// Wall-clock decision latency window, fed by the serving host.
     /// Deliberately outside the registry: snapshots never see it, so
     /// the JSONL stream and exposition stay bitwise-deterministic.
-    wall_latency: WindowedHistogram,
+    wall_latency: RollingWindow<LogHistogram>,
     /// Last cumulative drop count per link, for window drop deltas.
     last_link_drops: BTreeMap<u64, u64>,
+}
+
+impl LiveLayer {
+    /// Takes one snapshot at boundary `t_ns` (origin already applied):
+    /// slides every rolling window up to the boundary, exports the
+    /// registry, and lets the watchdog evaluate.
+    fn snapshot_at(&mut self, registry: &mut Registry, t_ns: u64) {
+        // Windows cover completed buckets only: an event at exactly the
+        // boundary belongs to the next bucket, hence `t_ns - 1`.
+        registry.advance_windows(t_ns.saturating_sub(1));
+        self.wall_latency.advance_to(t_ns.saturating_sub(1));
+        let seq = self.snapshots.seen();
+        let snap = MetricsSnapshot::from_registry(registry, &self.config.label, seq, t_ns);
+        self.watchdog
+            .evaluate(t_ns, registry, Some(&self.wall_latency));
+        self.snapshots.push(snap);
+    }
+
+    /// Emits every sim-time cadence boundary at or before `t_ns`
+    /// (origin already applied).
+    fn roll(&mut self, registry: &mut Registry, t_ns: u64) {
+        while self.next_ns <= t_ns {
+            let boundary = self.next_ns;
+            self.snapshot_at(registry, boundary);
+            self.next_ns = boundary.saturating_add(self.config.cadence_ns.max(1));
+        }
+    }
 }
 
 /// The bounded, deterministic event recorder behind `TELEMETRY_report.json`
 /// and the Perfetto traces.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    config: RecorderConfig,
+    span_timing: bool,
     origin_ns: u64,
     decisions: Ring<DecisionRecord>,
     links: Ring<LinkSample>,
@@ -209,98 +209,46 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An empty recorder with the given bounds.
+    /// An empty recorder.
     pub fn new(config: RecorderConfig) -> FlightRecorder {
         FlightRecorder {
-            config,
+            span_timing: config.span_timing,
             origin_ns: 0,
-            decisions: Ring::new(config.decision_capacity, config.decision_every),
-            links: Ring::new(config.link_capacity, config.link_every),
-            batches: Ring::new(config.batch_capacity, config.batch_every),
-            spans: Ring::new(config.span_capacity, config.span_every),
+            decisions: Ring::new(EVENT_CAPACITY),
+            links: Ring::new(EVENT_CAPACITY),
+            batches: Ring::new(EVENT_CAPACITY),
+            spans: Ring::new(EVENT_CAPACITY),
             span_stats: [(0, 0, 0); SpanStage::ALL.len()],
-            trainer: Ring::new(config.trainer_capacity, config.trainer_every),
-            search: Ring::new(config.search_capacity, config.search_every),
+            trainer: Ring::new(TRAINER_CAPACITY),
+            search: Ring::new(SEARCH_CAPACITY),
             registry: Registry::new(),
             live: None,
         }
     }
 
-    /// A recorder with the live observability layer enabled.
+    /// A recorder with the live observability layer enabled: windowed
+    /// registry feeds, cadence snapshots, and the SLO watchdog.
     pub fn with_live(config: RecorderConfig, live: LiveConfig) -> FlightRecorder {
         let mut rec = FlightRecorder::new(config);
-        rec.enable_live(live);
-        rec
-    }
-
-    /// Enables (or reconfigures) the live layer: windowed registry
-    /// feeds, cadence snapshots, and the SLO watchdog.
-    pub fn enable_live(&mut self, live: LiveConfig) {
-        let watchdog = SloWatchdog::new(&live.label, live.slos.clone());
-        let wall_latency = WindowedHistogram::new(live.window);
-        self.live = Some(LiveLayer {
+        rec.live = Some(LiveLayer {
             next_ns: live.cadence_ns.max(1),
-            last_ns: 0,
-            seq: 0,
-            snapshots: VecDeque::new(),
-            snapshots_dropped: 0,
-            watchdog,
-            wall_latency,
+            snapshots: Ring::new(SNAPSHOT_CAPACITY),
+            watchdog: SloWatchdog::new(&live.label, live.slos.clone()),
+            wall_latency: RollingWindow::new(live.window),
             last_link_drops: BTreeMap::new(),
             config: live,
         });
+        rec
     }
 
-    /// Whether the live layer is enabled.
-    pub fn live_enabled(&self) -> bool {
-        self.live.is_some()
-    }
-
-    /// The live configuration, when enabled.
-    pub fn live_config(&self) -> Option<&LiveConfig> {
-        self.live.as_ref().map(|l| &l.config)
-    }
-
-    /// Takes one snapshot at boundary `t_ns` (after shifting by the
-    /// origin): slides every rolling window up to the boundary, exports
-    /// the registry, and lets the watchdog evaluate.
-    fn snapshot_at(live: &mut LiveLayer, registry: &mut Registry, t_ns: u64) {
-        // Windows cover completed buckets only: an event at exactly the
-        // boundary belongs to the next bucket, hence `t_ns - 1`.
-        registry.advance_windows(t_ns.saturating_sub(1));
-        let LiveLayer {
-            config,
-            watchdog,
-            wall_latency,
-            snapshots,
-            snapshots_dropped,
-            seq,
-            last_ns,
-            ..
-        } = live;
-        wall_latency.advance_to(t_ns.saturating_sub(1));
-        let snap = MetricsSnapshot::from_registry(registry, &config.label, *seq, t_ns);
-        *seq += 1;
-        *last_ns = t_ns;
-        watchdog.evaluate(t_ns, registry, Some(wall_latency));
-        if snapshots.len() == config.snapshot_capacity.max(1) {
-            snapshots.pop_front();
-            *snapshots_dropped += 1;
+    /// Shifts `t_ns` by the origin and, with the live layer on, emits
+    /// every snapshot boundary the shifted time has reached.
+    fn arrive(&mut self, t_ns: u64) -> u64 {
+        let t = t_ns + self.origin_ns;
+        if let Some(live) = self.live.as_mut() {
+            live.roll(&mut self.registry, t);
         }
-        snapshots.push_back(snap);
-    }
-
-    /// Emits every sim-time cadence boundary at or before `t_ns`
-    /// (already origin-shifted). No-op under wall cadence.
-    fn roll_live(live: &mut LiveLayer, registry: &mut Registry, t_ns: u64) {
-        if live.config.wall_cadence {
-            return;
-        }
-        while live.next_ns <= t_ns {
-            let boundary = live.next_ns;
-            Self::snapshot_at(live, registry, boundary);
-            live.next_ns = boundary.saturating_add(live.config.cadence_ns.max(1));
-        }
+        t
     }
 
     /// Flushes the live layer at end of run: emits every remaining
@@ -308,27 +256,11 @@ impl FlightRecorder {
     /// snapshot by taking one at `t_ns` if the run was shorter than the
     /// cadence. `t_ns` is sim time (origin applied like any event).
     pub fn finish(&mut self, t_ns: u64) {
-        let t = t_ns + self.origin_ns;
+        let t = self.arrive(t_ns);
         if let Some(live) = self.live.as_mut() {
-            if !live.config.wall_cadence {
-                Self::roll_live(live, &mut self.registry, t);
+            if live.snapshots.seen() == 0 && t > 0 {
+                live.snapshot_at(&mut self.registry, t);
             }
-            if live.seq == 0 && t > 0 {
-                Self::snapshot_at(live, &mut self.registry, t);
-            }
-        }
-    }
-
-    /// Takes one host-driven snapshot at `t_ns` (serving wall cadence;
-    /// also usable mid-run under sim cadence for an off-boundary look).
-    /// Skipped if `t_ns` does not advance past the previous snapshot.
-    pub fn force_snapshot(&mut self, t_ns: u64) {
-        let t = t_ns + self.origin_ns;
-        if let Some(live) = self.live.as_mut() {
-            if live.seq > 0 && t <= live.last_ns {
-                return;
-            }
-            Self::snapshot_at(live, &mut self.registry, t);
         }
     }
 
@@ -338,11 +270,12 @@ impl FlightRecorder {
     pub fn record_wall_latency_ns(&mut self, t_ns: u64, latency_ns: u64) {
         let t = t_ns + self.origin_ns;
         if let Some(live) = self.live.as_mut() {
-            live.wall_latency.observe(t, latency_ns);
+            live.wall_latency.add(t, latency_ns);
         }
     }
 
-    /// Snapshots taken so far, oldest first.
+    /// Retained snapshots, oldest first (empty when the live layer is
+    /// off).
     pub fn live_snapshots(&self) -> Vec<MetricsSnapshot> {
         self.live
             .as_ref()
@@ -350,20 +283,9 @@ impl FlightRecorder {
             .unwrap_or_default()
     }
 
-    /// Snapshots lost to the retention cap.
-    pub fn live_snapshots_dropped(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.snapshots_dropped)
-    }
-
     /// The retained snapshot stream as append-only JSONL.
     pub fn live_metrics_jsonl(&self) -> String {
-        self.live
-            .as_ref()
-            .map(|l| {
-                let snaps: Vec<MetricsSnapshot> = l.snapshots.iter().cloned().collect();
-                metrics_jsonl(&snaps)
-            })
-            .unwrap_or_default()
+        metrics_jsonl(&self.live_snapshots())
     }
 
     /// Prometheus-style exposition of the most recent snapshot (empty
@@ -371,7 +293,7 @@ impl FlightRecorder {
     pub fn live_exposition(&self) -> String {
         self.live
             .as_ref()
-            .and_then(|l| l.snapshots.back())
+            .and_then(|l| l.snapshots.iter().next_back())
             .map(|s| s.to_prometheus())
             .unwrap_or_default()
     }
@@ -388,19 +310,6 @@ impl FlightRecorder {
             .is_some_and(|l| l.watchdog.breach_active())
     }
 
-    /// Names of SLOs currently in breach, in name order.
-    pub fn active_breaches(&self) -> Vec<String> {
-        self.live
-            .as_ref()
-            .map(|l| l.watchdog.active_breaches())
-            .unwrap_or_default()
-    }
-
-    /// The recorder's configuration (harnesses read the link cadence).
-    pub fn config(&self) -> &RecorderConfig {
-        &self.config
-    }
-
     /// Shifts the sim-time origin: every timestamped event recorded after
     /// the call gets `origin_ns` added to its `t_ns`. Harnesses that
     /// replay several runs into one recorder advance the origin between
@@ -411,74 +320,29 @@ impl FlightRecorder {
         self.origin_ns = origin_ns;
     }
 
-    /// The current sim-time origin.
-    pub fn origin_ns(&self) -> u64 {
-        self.origin_ns
-    }
-
     /// The metrics registry fed by the event hooks.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
-    /// Kept decision records, oldest first.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
-        self.decisions.items().cloned().collect()
+    /// The decision stream.
+    pub fn decisions(&self) -> &Ring<DecisionRecord> {
+        &self.decisions
     }
 
-    /// Total decisions offered (kept or not).
-    pub fn decisions_seen(&self) -> u64 {
-        self.decisions.seen
+    /// The link-sample stream.
+    pub fn links(&self) -> &Ring<LinkSample> {
+        &self.links
     }
 
-    /// Decisions lost to sampling or capacity.
-    pub fn decisions_dropped(&self) -> u64 {
-        self.decisions.seen - self.decisions.buf.len() as u64
+    /// The batch-dispatch stream.
+    pub fn batches(&self) -> &Ring<BatchRecord> {
+        &self.batches
     }
 
-    /// Kept link samples, oldest first.
-    pub fn links(&self) -> Vec<LinkSample> {
-        self.links.items().copied().collect()
-    }
-
-    /// Total link samples offered.
-    pub fn links_seen(&self) -> u64 {
-        self.links.seen
-    }
-
-    /// Link samples lost to sampling or capacity.
-    pub fn links_dropped(&self) -> u64 {
-        self.links.seen - self.links.buf.len() as u64
-    }
-
-    /// Kept batch-dispatch records, oldest first.
-    pub fn batches(&self) -> Vec<BatchRecord> {
-        self.batches.items().copied().collect()
-    }
-
-    /// Total batch dispatches offered.
-    pub fn batches_seen(&self) -> u64 {
-        self.batches.seen
-    }
-
-    /// Batch records lost to sampling or capacity.
-    pub fn batches_dropped(&self) -> u64 {
-        self.batches.seen - self.batches.buf.len() as u64
-    }
-
-    /// Kept span records, oldest first.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.items().copied().collect()
-    }
-
-    /// Total spans offered.
-    pub fn spans_seen(&self) -> u64 {
-        self.spans.seen
-    }
-
-    /// Span records lost to sampling or capacity.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans.seen - self.spans.buf.len() as u64
+    /// The hot-path span stream.
+    pub fn spans(&self) -> &Ring<SpanRecord> {
+        &self.spans
     }
 
     /// Exact per-stage `(stage, count, items, dur_ns)` totals over every
@@ -493,34 +357,14 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Kept trainer events, oldest first.
-    pub fn trainer_events(&self) -> Vec<TrainerEvent> {
-        self.trainer.items().cloned().collect()
+    /// The trainer-event stream.
+    pub fn trainer_events(&self) -> &Ring<TrainerEvent> {
+        &self.trainer
     }
 
-    /// Total trainer events offered.
-    pub fn trainer_seen(&self) -> u64 {
-        self.trainer.seen
-    }
-
-    /// Trainer events lost to sampling or capacity.
-    pub fn trainer_dropped(&self) -> u64 {
-        self.trainer.seen - self.trainer.buf.len() as u64
-    }
-
-    /// Kept search events, oldest first.
-    pub fn search_events(&self) -> Vec<SearchEvent> {
-        self.search.items().copied().collect()
-    }
-
-    /// Total search events offered.
-    pub fn search_seen(&self) -> u64 {
-        self.search.seen
-    }
-
-    /// Search events lost to sampling or capacity.
-    pub fn search_dropped(&self) -> u64 {
-        self.search.seen - self.search.buf.len() as u64
+    /// The search-event stream.
+    pub fn search_events(&self) -> &Ring<SearchEvent> {
+        &self.search
     }
 }
 
@@ -535,9 +379,8 @@ impl Recorder for FlightRecorder {
         }
         self.registry.observe("decision_qdelay_ns", r.qdelay_ns);
         let mut r = r.clone();
-        r.t_ns += self.origin_ns;
-        if let Some(live) = self.live.as_mut() {
-            Self::roll_live(live, &mut self.registry, r.t_ns);
+        r.t_ns = self.arrive(r.t_ns);
+        if let Some(live) = &self.live {
             let w = live.config.window;
             self.registry.inc_windowed("decisions_total", w, r.t_ns, 1);
             if r.fallback {
@@ -556,9 +399,8 @@ impl Recorder for FlightRecorder {
         self.registry.inc("link_samples_total", 1);
         self.registry.observe("link_queue_bytes", s.queue_bytes);
         let mut s = *s;
-        s.t_ns += self.origin_ns;
+        s.t_ns = self.arrive(s.t_ns);
         if let Some(live) = self.live.as_mut() {
-            Self::roll_live(live, &mut self.registry, s.t_ns);
             let w = live.config.window;
             // Drops arrive as per-run cumulative counts; the window
             // wants deltas. Origin shifts splice replays, where the
@@ -576,20 +418,14 @@ impl Recorder for FlightRecorder {
         self.registry.inc("batches_total", 1);
         self.registry.observe("decisions_per_batch", b.size);
         let mut b = *b;
-        b.t_ns += self.origin_ns;
-        if let Some(live) = self.live.as_mut() {
-            Self::roll_live(live, &mut self.registry, b.t_ns);
-        }
+        b.t_ns = self.arrive(b.t_ns);
         self.batches.push(b);
     }
 
     fn record_span(&mut self, s: &SpanRecord) {
         self.registry.inc("spans_total", 1);
         let mut s = *s;
-        s.t_ns += self.origin_ns;
-        if let Some(live) = self.live.as_mut() {
-            Self::roll_live(live, &mut self.registry, s.t_ns);
-        }
+        s.t_ns = self.arrive(s.t_ns);
         let stats = &mut self.span_stats[s.stage.index()];
         stats.0 += 1;
         stats.1 += s.items;
@@ -598,7 +434,7 @@ impl Recorder for FlightRecorder {
     }
 
     fn wants_span_timing(&self) -> bool {
-        self.config.span_timing
+        self.span_timing
     }
 
     fn record_trainer(&mut self, e: &TrainerEvent) {
@@ -634,40 +470,22 @@ mod tests {
 
     #[test]
     fn rings_bound_capacity_and_count_exactly() {
-        let mut rec = FlightRecorder::new(RecorderConfig {
-            decision_capacity: 4,
-            ..RecorderConfig::default()
-        });
-        for i in 0..10 {
+        let mut rec = FlightRecorder::default();
+        let offered = EVENT_CAPACITY as u64 + 6;
+        for i in 0..offered {
             rec.record_decision(&decision(i));
         }
-        assert_eq!(rec.decisions_seen(), 10);
-        assert_eq!(rec.decisions_dropped(), 6);
         let kept = rec.decisions();
-        assert_eq!(kept.len(), 4);
+        assert_eq!(kept.seen(), offered);
+        assert_eq!(kept.dropped(), 6);
+        assert_eq!(kept.len(), EVENT_CAPACITY);
         // Oldest evicted first: the ring holds the most recent events.
-        assert_eq!(kept[0].t_ns, 6);
-        assert_eq!(kept[3].t_ns, 9);
-        assert_eq!(rec.registry().counter("decisions_total"), 10);
-        assert_eq!(rec.registry().counter("decisions_certified_total"), 10);
-        assert_eq!(rec.registry().counter("decisions_fallback_total"), 0);
-    }
-
-    #[test]
-    fn sampling_is_deterministic_one_in_n() {
-        let mut rec = FlightRecorder::new(RecorderConfig {
-            decision_every: 3,
-            ..RecorderConfig::default()
-        });
-        for i in 0..9 {
-            rec.record_decision(&decision(i));
-        }
-        let kept: Vec<u64> = rec.decisions().iter().map(|d| d.t_ns).collect();
-        assert_eq!(kept, vec![0, 3, 6]);
-        assert_eq!(rec.decisions_seen(), 9);
-        assert_eq!(rec.decisions_dropped(), 6);
+        assert_eq!(kept.iter().next().unwrap().t_ns, 6);
+        assert_eq!(kept.iter().next_back().unwrap().t_ns, offered - 1);
         // Counters still count every event.
-        assert_eq!(rec.registry().counter("decisions_total"), 9);
+        assert_eq!(rec.registry().counter("decisions_total"), offered);
+        assert_eq!(rec.registry().counter("decisions_certified_total"), offered);
+        assert_eq!(rec.registry().counter("decisions_fallback_total"), 0);
     }
 
     #[test]
@@ -685,7 +503,7 @@ mod tests {
         });
         let kept: Vec<u64> = rec.decisions().iter().map(|d| d.t_ns).collect();
         assert_eq!(kept, vec![5, 1_005]);
-        assert_eq!(rec.links()[0].t_ns, 1_007);
+        assert_eq!(rec.links().iter().next().unwrap().t_ns, 1_007);
         // Counters and histograms are origin-independent.
         assert_eq!(rec.registry().counter("decisions_total"), 2);
     }
@@ -700,8 +518,8 @@ mod tests {
                 groups: 1,
             });
         }
-        assert_eq!(rec.batches_seen(), 3);
-        assert_eq!(rec.batches_dropped(), 0);
+        assert_eq!(rec.batches().seen(), 3);
+        assert_eq!(rec.batches().dropped(), 0);
         assert_eq!(rec.registry().counter("batches_total"), 3);
         let hist = rec
             .registry()
@@ -727,8 +545,8 @@ mod tests {
                 });
             }
         }
-        assert_eq!(rec.spans_seen(), 18);
-        assert_eq!(rec.spans_dropped(), 0);
+        assert_eq!(rec.spans().seen(), 18);
+        assert_eq!(rec.spans().dropped(), 0);
         assert_eq!(rec.registry().counter("spans_total"), 18);
         let totals = rec.span_stage_totals();
         assert_eq!(totals.len(), 6);
@@ -741,10 +559,7 @@ mod tests {
 
     #[test]
     fn timing_flag_comes_from_config() {
-        let rec = FlightRecorder::new(RecorderConfig {
-            span_timing: true,
-            ..RecorderConfig::default()
-        });
+        let rec = FlightRecorder::new(RecorderConfig { span_timing: true });
         assert!(rec.wants_span_timing());
         let handle: SharedRecorder = shared(rec);
         assert!(handle.borrow().wants_span_timing());
@@ -758,7 +573,6 @@ mod tests {
             .with_cadence(10_000_000, 4)
             .with_label("unit");
         let mut rec = FlightRecorder::with_live(RecorderConfig::default(), live);
-        assert!(rec.live_enabled());
         // Decisions at 2ms, 12ms, 25ms: boundaries 10ms and 20ms fire
         // as later events arrive.
         for t in [2_000_000u64, 12_000_000, 25_000_000] {
@@ -801,10 +615,10 @@ mod tests {
         assert!(!rec.breach_active(), "no boundary crossed yet");
         rec.finish(10_000_000);
         assert!(rec.breach_active());
-        assert_eq!(rec.active_breaches(), vec!["fallback"]);
         let ledger = rec.alert_ledger().unwrap();
         ledger.validate().expect("ledger valid");
         assert_eq!(ledger.alerts.len(), 1);
+        assert_eq!(ledger.alerts[0].slo, "fallback");
         assert!(ledger.alerts[0].active);
         assert_eq!(ledger.alerts[0].t_ns, 10_000_000);
     }
@@ -865,28 +679,6 @@ mod tests {
             .iter()
             .all(|w| w.name != "wall_latency"));
         assert!(!snap.to_json().contains("50000"));
-    }
-
-    #[test]
-    fn forced_snapshots_serve_wall_cadence_hosts() {
-        use crate::live::LiveConfig;
-        let live = LiveConfig::default()
-            .with_cadence(10_000_000, 4)
-            .with_wall_cadence();
-        let mut rec = FlightRecorder::with_live(RecorderConfig::default(), live);
-        rec.record_decision(&decision(2_000_000));
-        rec.record_decision(&decision(35_000_000));
-        assert!(
-            rec.live_snapshots().is_empty(),
-            "no auto-roll under wall cadence"
-        );
-        rec.force_snapshot(36_000_000);
-        rec.force_snapshot(36_000_000); // non-advancing: skipped
-        rec.force_snapshot(40_000_000);
-        let snaps = rec.live_snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].t_ns, 36_000_000);
-        assert_eq!(snaps[1].seq, 1);
     }
 
     #[test]

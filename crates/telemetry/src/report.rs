@@ -6,7 +6,7 @@ use crate::event::{
     BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, TrainerEvent,
 };
 use crate::metrics::HistogramSummary;
-use crate::recorder::FlightRecorder;
+use crate::recorder::{FlightRecorder, Ring};
 
 /// Schema tag of [`TelemetryReport`].
 pub const TELEMETRY_SCHEMA: &str = "canopy-telemetry/v2";
@@ -54,25 +54,25 @@ pub struct TelemetryReport {
     pub decisions: Vec<DecisionRecord>,
     /// Total decisions offered to the recorder.
     pub decisions_seen: u64,
-    /// Decisions lost to sampling or ring capacity.
+    /// Decisions evicted from the full ring.
     pub decisions_dropped: u64,
     /// Kept link samples, oldest first.
     pub links: Vec<LinkSample>,
     /// Total link samples offered.
     pub links_seen: u64,
-    /// Link samples lost to sampling or ring capacity.
+    /// Link samples evicted from the full ring.
     pub links_dropped: u64,
     /// Kept batch-dispatch records, oldest first.
     pub batches: Vec<BatchRecord>,
     /// Total batch dispatches offered.
     pub batches_seen: u64,
-    /// Batch records lost to sampling or ring capacity.
+    /// Batch records evicted from the full ring.
     pub batches_dropped: u64,
     /// Kept hot-path span records, oldest first.
     pub spans: Vec<SpanRecord>,
     /// Total spans offered.
     pub spans_seen: u64,
-    /// Span records lost to sampling or ring capacity.
+    /// Span records evicted from the full ring.
     pub spans_dropped: u64,
     /// Per-stage time-attribution totals over every offered span, in
     /// hot-path order (parent `dispatch` first).
@@ -81,14 +81,19 @@ pub struct TelemetryReport {
     pub trainer: Vec<TrainerEvent>,
     /// Total trainer events offered.
     pub trainer_seen: u64,
-    /// Trainer events lost to sampling or ring capacity.
+    /// Trainer events evicted from the full ring.
     pub trainer_dropped: u64,
     /// Kept search events, oldest first.
     pub search: Vec<SearchEvent>,
     /// Total search events offered.
     pub search_seen: u64,
-    /// Search events lost to sampling or ring capacity.
+    /// Search events evicted from the full ring.
     pub search_dropped: u64,
+}
+
+/// A stream's kept events, oldest first.
+fn kept<T: Clone>(ring: &Ring<T>) -> Vec<T> {
+    ring.iter().cloned().collect()
 }
 
 impl TelemetryReport {
@@ -110,19 +115,19 @@ impl TelemetryReport {
                 .histograms()
                 .map(|(name, h)| HistogramSummary::of(name, h))
                 .collect(),
-            decisions: recorder.decisions(),
-            decisions_seen: recorder.decisions_seen(),
-            decisions_dropped: recorder.decisions_dropped(),
-            links: recorder.links(),
-            links_seen: recorder.links_seen(),
-            links_dropped: recorder.links_dropped(),
-            batches: recorder.batches(),
-            batches_seen: recorder.batches_seen(),
-            batches_dropped: recorder.batches_dropped(),
-            spans: recorder.spans(),
-            spans_seen: recorder.spans_seen(),
-            spans_dropped: recorder.spans_dropped(),
-            span_stages: if recorder.spans_seen() == 0 {
+            decisions: kept(recorder.decisions()),
+            decisions_seen: recorder.decisions().seen(),
+            decisions_dropped: recorder.decisions().dropped(),
+            links: kept(recorder.links()),
+            links_seen: recorder.links().seen(),
+            links_dropped: recorder.links().dropped(),
+            batches: kept(recorder.batches()),
+            batches_seen: recorder.batches().seen(),
+            batches_dropped: recorder.batches().dropped(),
+            spans: kept(recorder.spans()),
+            spans_seen: recorder.spans().seen(),
+            spans_dropped: recorder.spans().dropped(),
+            span_stages: if recorder.spans().seen() == 0 {
                 Vec::new()
             } else {
                 recorder
@@ -136,12 +141,12 @@ impl TelemetryReport {
                     })
                     .collect()
             },
-            trainer: recorder.trainer_events(),
-            trainer_seen: recorder.trainer_seen(),
-            trainer_dropped: recorder.trainer_dropped(),
-            search: recorder.search_events(),
-            search_seen: recorder.search_seen(),
-            search_dropped: recorder.search_dropped(),
+            trainer: kept(recorder.trainer_events()),
+            trainer_seen: recorder.trainer_events().seen(),
+            trainer_dropped: recorder.trainer_events().dropped(),
+            search: kept(recorder.search_events()),
+            search_seen: recorder.search_events().seen(),
+            search_dropped: recorder.search_events().dropped(),
         }
     }
 
@@ -296,15 +301,9 @@ impl TelemetryReport {
                 return Err(format!("search event {i} carries a non-finite value"));
             }
         }
-        for h in &self.histograms {
-            if !h.mean.is_finite() {
-                return Err(format!("histogram `{}`: non-finite mean", h.name));
-            }
-            if !(h.min <= h.p50 && h.p50 <= h.p95 && h.p95 <= h.p99 && h.p99 <= h.max) {
-                return Err(format!("histogram `{}`: quantiles out of order", h.name));
-            }
-        }
-        Ok(())
+        self.histograms
+            .iter()
+            .try_for_each(HistogramSummary::validate)
     }
 }
 

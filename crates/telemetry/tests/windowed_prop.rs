@@ -1,14 +1,15 @@
 //! Property tests for the rolling-window metrics behind the live
-//! observability layer: windowed counters and histograms must be pure
-//! functions of the event multiset (order-invariant — which is exactly
-//! what makes them deterministic under any `CANOPY_THREADS`, since
+//! observability layer: the one `RollingWindow` ring, under both of its
+//! aggregates (a `u64` sum and a `LogHistogram`), must be a pure
+//! function of the event multiset (order-invariant — which is exactly
+//! what makes it deterministic under any `CANOPY_THREADS`, since
 //! thread count can only reorder same-instant arrivals), and window
 //! eviction at exact bucket-boundary instants must match a reference
 //! model computed directly from the definition.
 
 use proptest::prelude::*;
 
-use canopy_telemetry::{LogHistogram, WindowSpec, WindowedCounter, WindowedHistogram};
+use canopy_telemetry::{LogHistogram, RollingWindow, WindowSpec};
 
 /// SplitMix64: a tiny deterministic generator for event streams, seeded
 /// per proptest case.
@@ -89,22 +90,22 @@ proptest! {
         let expect = reference_window_sum(spec, &evs, None);
         let total: u64 = evs.iter().map(|(_, v)| v).sum();
 
-        let mut forward = WindowedCounter::new(spec);
-        let mut reverse = WindowedCounter::new(spec);
-        let mut sorted = WindowedCounter::new(spec);
+        let mut forward = RollingWindow::<u64>::new(spec);
+        let mut reverse = RollingWindow::<u64>::new(spec);
+        let mut sorted = RollingWindow::<u64>::new(spec);
         for &(t, v) in &evs {
-            forward.inc(t, v);
+            forward.add(t, v);
         }
         for &(t, v) in evs.iter().rev() {
-            reverse.inc(t, v);
+            reverse.add(t, v);
         }
         let mut by_time = evs.clone();
         by_time.sort();
         for &(t, v) in &by_time {
-            sorted.inc(t, v);
+            sorted.add(t, v);
         }
-        prop_assert_eq!(forward.window_sum(), expect);
-        prop_assert_eq!(forward.total(), total);
+        prop_assert_eq!(forward.window(), expect);
+        prop_assert_eq!(*forward.all(), total);
         prop_assert_eq!(&forward, &reverse);
         prop_assert_eq!(&forward, &sorted);
     }
@@ -122,14 +123,14 @@ proptest! {
         // round-robin shards back-to-back must equal the sequential feed.
         let spec = WindowSpec::new(bucket_ns, buckets);
         let evs = events(seed, n, bucket_ns * 12, bucket_ns);
-        let mut sequential = WindowedCounter::new(spec);
+        let mut sequential = RollingWindow::<u64>::new(spec);
         for &(t, v) in &evs {
-            sequential.inc(t, v);
+            sequential.add(t, v);
         }
-        let mut sharded = WindowedCounter::new(spec);
+        let mut sharded = RollingWindow::<u64>::new(spec);
         for shard in 0..shards {
             for &(t, v) in evs.iter().skip(shard).step_by(shards) {
-                sharded.inc(t, v);
+                sharded.add(t, v);
             }
         }
         prop_assert_eq!(&sequential, &sharded);
@@ -144,13 +145,13 @@ proptest! {
     ) {
         let spec = WindowSpec::new(bucket_ns, buckets);
         let evs = events(seed, n, bucket_ns * 12, bucket_ns);
-        let mut forward = WindowedHistogram::new(spec);
-        let mut reverse = WindowedHistogram::new(spec);
+        let mut forward = RollingWindow::<LogHistogram>::new(spec);
+        let mut reverse = RollingWindow::<LogHistogram>::new(spec);
         for &(t, v) in &evs {
-            forward.observe(t, v);
+            forward.add(t, v);
         }
         for &(t, v) in evs.iter().rev() {
-            reverse.observe(t, v);
+            reverse.add(t, v);
         }
         let expect = reference_window_hist(spec, &evs);
         prop_assert_eq!(forward.window(), expect);
@@ -174,14 +175,14 @@ proptest! {
         // in bucket k (the window is half-open [start, end)), so the
         // arrival at the instant a bucket closes evicts the oldest one.
         let spec = WindowSpec::new(bucket_ns, buckets);
-        let mut c = WindowedCounter::new(spec);
+        let mut c = RollingWindow::<u64>::new(spec);
         let mut s = seed;
         let mut evs = Vec::new();
         for k in 0..steps {
             let v = splitmix(&mut s) % 1_000;
             evs.push((k * bucket_ns, v));
-            c.inc(k * bucket_ns, v);
-            prop_assert_eq!(c.window_sum(), reference_window_sum(spec, &evs, None));
+            c.add(k * bucket_ns, v);
+            prop_assert_eq!(c.window(), reference_window_sum(spec, &evs, None));
             prop_assert_eq!(
                 c.window_end_ns(),
                 (k.max(spec.buckets as u64 - 1) + 1) * bucket_ns
@@ -202,17 +203,43 @@ proptest! {
         let spec = WindowSpec::new(bucket_ns, buckets);
         let evs = events(seed, n, bucket_ns * 12, bucket_ns);
         let horizon = horizon_mult * bucket_ns;
-        let mut c = WindowedCounter::new(spec);
+        let mut c = RollingWindow::<u64>::new(spec);
         for &(t, v) in &evs {
-            c.inc(t, v);
+            c.add(t, v);
         }
         c.advance_to(horizon);
         c.advance_to(horizon); // idempotent
         prop_assert_eq!(
-            c.window_sum(),
+            c.window(),
             reference_window_sum(spec, &evs, Some(horizon))
         );
         let total: u64 = evs.iter().map(|(_, v)| v).sum();
-        prop_assert_eq!(c.total(), total);
+        prop_assert_eq!(*c.all(), total);
     }
+}
+
+/// `WindowSpec`'s fields are public and it deserializes, so a zero
+/// width or count can bypass `WindowSpec::new`: the ring's constructor
+/// clamps it (to one bucket of 1 ns) instead of dividing by zero.
+#[test]
+fn zero_geometry_is_clamped_by_the_ring() {
+    let literal = WindowSpec {
+        bucket_ns: 0,
+        buckets: 0,
+    };
+    let parsed: WindowSpec =
+        serde_json::from_str("{\"bucket_ns\":0,\"buckets\":0}").expect("both fields are plain");
+    assert_eq!(literal, parsed);
+    let mut sum = RollingWindow::<u64>::new(literal);
+    let mut hist = RollingWindow::<LogHistogram>::new(parsed);
+    assert_eq!(sum.spec(), WindowSpec::new(1, 1));
+    assert_eq!(hist.spec().window_ns(), 1);
+    sum.add(0, 3);
+    sum.add(5, 4);
+    sum.advance_to(5);
+    hist.add(5, 9);
+    hist.advance_to(7);
+    assert_eq!((sum.window(), *sum.all()), (4, 7));
+    assert_eq!((sum.window_start_ns(), sum.window_end_ns()), (5, 6));
+    assert_eq!((hist.window().count(), hist.all().count()), (0, 1));
 }
