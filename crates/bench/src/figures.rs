@@ -7,29 +7,30 @@
 //! [`canopy_scenarios::run_matrix`] on the `DriverPool`; the "grid →
 //! aggregate table" figures declare labelled schemes × conditions × metric
 //! columns and share `grid_rows`. The per-decision series of Figs. 1–2
-//! step a pool of one (`decision_series`); the multi-flow Figs. 14–15 use
-//! `eval::run_multiflow` (the same pool); only `harvest_contexts` touches
+//! step the pool of a spec's episode (`decision_series`); the multi-flow
+//! Figs. 14–15 use `eval::run_multiflow` (the same pool, the same
+//! `canopy_core::world` builder); only `harvest_contexts` touches
 //! the training environment, to collect decision contexts for the
 //! certificate-distribution figures.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use canopy_cc::Cubic;
-use canopy_core::driver::{DriverConfig, DriverPolicy, DriverPool, OrcaDriver};
+use canopy_core::driver::DriverPool;
 use canopy_core::env::{CcEnv, EnvConfig, NoiseConfig};
 use canopy_core::eval::{
-    friendliness_ratio, jain_index, run_multiflow, FlowScheme, FlowSpec, QcEval, RunMetrics, Scheme,
+    friendliness_ratio, jain_index, run_multiflow, QcEval, RunMetrics, Scheme,
 };
 use canopy_core::models::{trainer_config, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::obs::{StateLayout, DELAY_IDX, THR_IDX};
 use canopy_core::property::{Property, PropertyParams};
 use canopy_core::trainer::{EpochStats, Trainer};
 use canopy_core::verifier::{AbstractDomain, StepContext, Verifier};
-use canopy_netsim::{
-    BandwidthTrace, FlowConfig, ImpairmentSchedule, Impairments, LinkConfig, Simulator, Time,
+use canopy_core::world::{self, Controller, FlowSpec};
+use canopy_netsim::{BandwidthTrace, ImpairmentSchedule, Impairments, LinkConfig, Time};
+use canopy_scenarios::{
+    episode_spec, run_matrix, run_scenario, ScenarioSpec, SpecError, TraceProgram,
 };
-use canopy_scenarios::{run_matrix, run_scenario, ScenarioSpec, SpecError, TraceProgram};
 use canopy_traces::realworld::{paths, PathClass, PathConfig};
 use canopy_traces::{cellular, synthetic};
 
@@ -657,22 +658,18 @@ struct DecisionPoint {
     cwnd: f64,
 }
 
-/// Runs `model` alone over a single-flow `spec` on a [`DriverPool`] of one
-/// — the engine and decision protocol of [`run_scenario`] — stepping it
-/// dispatch by dispatch to read each decision off the driver.
+/// Runs `model` over `spec` on a [`DriverPool`] — the world, engine and
+/// decision protocol of [`run_scenario`] under `Scheme::Learned` —
+/// stepping it dispatch by dispatch to read each decision off the driver.
 fn decision_series(
     model: &TrainedModel,
     spec: &ScenarioSpec,
 ) -> Result<Vec<DecisionPoint>, SpecError> {
-    spec.validate()?;
-    let compiled = spec.compile_topology()?;
-    let mut sim = Simulator::with_topology(compiled.topology.clone());
-    let flow_config = FlowConfig::new(spec.primary_min_rtt).on_path(compiled.primary_path);
-    let flow = sim.add_flow(flow_config.without_samples(), Box::new(Cubic::new()));
-    let link = compiled.topology.link(sim.bottleneck_of(flow));
-    let config = DriverConfig::new(spec.primary_min_rtt, model.k).with_noise(spec.noise);
-    let mut pool = DriverPool::new();
-    pool.push(OrcaDriver::new(&config, link, flow).with_policy(DriverPolicy::for_model(model)));
+    let episode = episode_spec(spec, model.k, None)?;
+    let agent = Scheme::Learned(model.clone()).controller(None);
+    let world = world::spawn_all(&episode.topology, &episode.flows(agent, false))?;
+    let (mut sim, flow) = (world.sim, world.flows[0]);
+    let mut pool: DriverPool = world.drivers.into_iter().collect();
 
     let mut points = Vec::new();
     while pool.next_decision() < spec.duration {
@@ -956,15 +953,16 @@ fn ablation_domains(opts: &HarnessOpts) {
 /// competing Cubic flows, for an increasing number of competitors, plus an
 /// RTT sweep with one competitor. A ratio near 1.0 is a fair share.
 fn fig14(opts: &HarnessOpts) {
-    let agent = |kind| FlowScheme::Agent(model(kind, opts).0);
-    let cubic = FlowScheme::Classic("cubic".into());
+    let agent = |kind| Scheme::Learned(model(kind, opts).0).controller(None);
+    let cubic = Controller::Kernel("cubic".into());
     let duration = Time::from_secs(if opts.smoke { 10 } else { 30 });
     let trace = BandwidthTrace::constant("friendly", 48e6);
     // One row of ratios over (competitors, RTT ms, buffer BDP) settings.
-    let ratio_row = |name: &str, scheme: &FlowScheme, sweep: &[(usize, u64, f64)]| {
+    let ratio_row = |name: &str, scheme: &Controller, sweep: &[(usize, u64, f64)]| {
         let ratio = |&(n, rtt_ms, bdp): &(usize, u64, f64)| {
             let rtt = Time::from_millis(rtt_ms);
-            f3(friendliness_ratio(scheme, n, &trace, rtt, bdp, duration))
+            let ratio = friendliness_ratio(scheme, n, &trace, rtt, bdp, duration);
+            f3(ratio.expect("cubic competitors on a dumbbell"))
         };
         row!("{name} | {}", joined(sweep.iter().map(ratio)));
     };
@@ -1008,9 +1006,9 @@ fn fig15(opts: &HarnessOpts) {
         true => (3, Time::from_secs(4), Time::from_secs(16)),
         false => (5, Time::from_secs(12), Time::from_secs(60)),
     };
-    let agent = |kind| FlowScheme::Agent(model(kind, opts).0);
+    let agent = |kind| Scheme::Learned(model(kind, opts).0).controller(None);
     for (name, scheme) in [
-        ("cubic", FlowScheme::Classic("cubic".into())),
+        ("cubic", Controller::Kernel("cubic".into())),
         ("orca", agent(ModelKind::Orca)),
         ("canopy-shallow", agent(ModelKind::Shallow)),
         ("canopy-deep", agent(ModelKind::Deep)),
@@ -1019,7 +1017,8 @@ fn fig15(opts: &HarnessOpts) {
         let link = LinkConfig::with_bdp_buffer(BandwidthTrace::constant("fair", 48e6), rtt, 1.0);
         let flow = |i| FlowSpec::new(scheme.clone(), rtt).starting_at(stagger * i);
         let flows: Vec<FlowSpec> = (0..n_flows).map(flow).collect();
-        let series = run_multiflow(link, &flows, duration, Time::from_secs(1));
+        let series = run_multiflow(link, &flows, duration, Time::from_secs(1))
+            .expect("known schemes on a dumbbell, one-second bins");
 
         title!("Figure 15 — {name}: per-flow throughput (Mbps) each second");
         header!(

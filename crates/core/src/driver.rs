@@ -8,10 +8,13 @@
 //! resulting window through `f_cwnd` (Eq. 1). [`OrcaDriver`] owns one
 //! flow's share of that loop — sampling, noise, state, policy, window
 //! application, and the `prev_action`/`prev_cwnd` bookkeeping — over a
-//! **caller-owned** [`Simulator`] and [`FlowId`], so the training
-//! environment ([`CcEnv`](crate::env::CcEnv)), the multi-flow experiment
-//! driver ([`eval::run_multiflow`](crate::eval::run_multiflow)), and the
-//! scenario-matrix runner are bitwise consistent by construction.
+//! [`Simulator`] and [`FlowId`] it does not own. Both come from
+//! [`world::spawn`](crate::world::spawn), the one place a flow is added
+//! and a driver bound to its bottleneck link, so the training environment
+//! ([`CcEnv`](crate::env::CcEnv)), the multi-flow experiment driver
+//! ([`eval::run_multiflow`](crate::eval::run_multiflow)), the
+//! scenario-matrix runner and the serving fleet are bitwise consistent by
+//! construction.
 //!
 //! There is one engine that schedules and computes self-driven decisions:
 //! [`DriverPool`]. A solo learned flow is a pool of one.
@@ -45,7 +48,6 @@ use canopy_nn::Mlp;
 use canopy_telemetry::{BatchRecord, DecisionRecord, SharedRecorder, SpanRecord, SpanStage};
 
 use crate::env::NoiseConfig;
-use crate::models::TrainedModel;
 use crate::obs::{Normalizer, Observation, StateBuilder, StateLayout};
 use crate::orca::f_cwnd;
 use crate::plan::CertPlan;
@@ -90,21 +92,9 @@ impl DriverConfig {
         self.min_rtt.max(Time::from_millis(20))
     }
 
-    /// Enables observation noise.
-    pub fn with_noise(mut self, noise: Option<NoiseConfig>) -> DriverConfig {
-        self.noise = noise;
-        self
-    }
-
     /// Sets the flow start time.
     pub fn starting_at(mut self, t: Time) -> DriverConfig {
         self.start = t;
-        self
-    }
-
-    /// Sets the flow departure time.
-    pub fn stopping_at(mut self, t: Option<Time>) -> DriverConfig {
-        self.stop = t;
         self
     }
 }
@@ -165,11 +155,6 @@ impl DriverPolicy {
             fallback: None,
             qc: None,
         }
-    }
-
-    /// A plain learned policy from a trained model.
-    pub fn for_model(model: &TrainedModel) -> DriverPolicy {
-        DriverPolicy::new(model.actor.clone())
     }
 
     /// Puts the policy behind a QC fallback monitor: the actor's window is
@@ -247,7 +232,8 @@ pub struct OrcaDriver {
 impl OrcaDriver {
     /// Builds a driver for `flow` on the given link. The normalizer is
     /// derived from the link exactly as in training, so states transfer
-    /// between harnesses.
+    /// between harnesses. Harnesses get their drivers from
+    /// [`world::spawn`](crate::world::spawn), which picks the link.
     pub fn new(config: &DriverConfig, link: &LinkConfig, flow: FlowId) -> OrcaDriver {
         let mi = config.effective_mi();
         let layout = StateLayout::new(config.k);
@@ -419,12 +405,6 @@ impl OrcaDriver {
         self.decisions = 0;
         self.qc_values.clear();
         self.fallback_qc.clear();
-    }
-
-    /// Re-targets the driver at a freshly built flow (episode restarts
-    /// rebuild the simulator; the flow id may change).
-    pub fn rebind(&mut self, flow: FlowId) {
-        self.flow = flow;
     }
 
     // --- The two halves of a pooled decision ------------------------------
@@ -768,6 +748,18 @@ struct BatchBuffers {
 impl Default for DriverPool {
     fn default() -> DriverPool {
         DriverPool::new()
+    }
+}
+
+/// Pools drivers in iteration order — how a harness takes over
+/// [`World::drivers`](crate::world::World::drivers).
+impl FromIterator<OrcaDriver> for DriverPool {
+    fn from_iter<I: IntoIterator<Item = OrcaDriver>>(drivers: I) -> DriverPool {
+        let mut pool = DriverPool::new();
+        for driver in drivers {
+            pool.push(driver);
+        }
+        pool
     }
 }
 
@@ -1166,8 +1158,10 @@ mod tests {
     #[test]
     fn departed_driver_goes_idle() {
         let link = link(24e6);
-        let cfg =
-            DriverConfig::new(Time::from_millis(40), 3).stopping_at(Some(Time::from_millis(200)));
+        let cfg = DriverConfig {
+            stop: Some(Time::from_millis(200)),
+            ..DriverConfig::new(Time::from_millis(40), 3)
+        };
         let mut sim = Simulator::new(link.clone());
         let mut pool = pool_of_one(&link, &mut sim, &cfg, DriverPolicy::new(actor(3, 2)));
         pool.run_until(&mut sim, Time::from_secs(1));

@@ -1,7 +1,9 @@
 //! The congestion-control RL environment.
 //!
-//! One environment wraps one simulated bottleneck link with a single
-//! Cubic-backed flow. The agent interacts exactly as Orca does: every
+//! One environment steps the first flow of an [`EpisodeSpec`] — a
+//! Cubic-backed flow on an arbitrary topology, next to scheduled classic
+//! cross traffic — built by [`world::spawn_all`] like every other
+//! harness's flows. The agent interacts exactly as Orca does: every
 //! monitor interval it reads the `k`-step observation state, emits an
 //! action `a ∈ [−1, 1]`, and the environment enforces
 //! `cwnd = 2^(2a) · cwnd_TCP` (Eq. 1) before letting the simulation run to
@@ -10,17 +12,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use canopy_cc::Cubic;
 use canopy_netsim::link::Impairments;
 use canopy_netsim::{
-    BandwidthTrace, FlowConfig, FlowId, LinkConfig, LinkId, MonitorSample, Simulator, Time,
-    Topology,
+    BandwidthTrace, FlowId, LinkConfig, LinkId, MonitorSample, Simulator, Time, Topology,
 };
 
 use crate::driver::{DriverConfig, OrcaDriver};
 use crate::obs::{Normalizer, StateLayout};
 use crate::orca::RewardConfig;
 use crate::verifier::StepContext;
+use crate::world::{self, Controller, FlowSpec, WorldError};
 
 /// Observation-noise configuration: at each step the observed queuing
 /// delay is multiplied by `1 + η`, `η ~ U(−μ, μ)` (the perturbation used
@@ -102,32 +103,32 @@ impl EnvConfig {
         self.record_samples = true;
         self
     }
-}
 
-/// A baseline competitor inside a scenario-backed training episode,
-/// identified by kernel *name* so the episode can be rebuilt identically
-/// on every reset.
-#[derive(Clone, Debug)]
-pub struct EpisodeCrossFlow {
-    /// Classic kernel driving the competitor (`cubic`, `bbr`, ...).
-    pub cc: String,
-    /// Arrival time.
-    pub start: Time,
-    /// Departure time (`None` stays to the end).
-    pub stop: Option<Time>,
-    /// Propagation RTT of the competitor's path.
-    pub min_rtt: Time,
-    /// The links the competitor crosses.
-    pub path: Vec<LinkId>,
+    /// This configuration as an episode: one flow alone on the dumbbell
+    /// of [`link`](Self::link). (Sample recording is not part of an
+    /// episode; [`CcEnv::new`] carries it over.)
+    pub fn episode(&self) -> EpisodeSpec {
+        EpisodeSpec {
+            name: self.trace.name().to_string(),
+            topology: Topology::dumbbell(self.link()),
+            primary_path: vec![LinkId(0)],
+            primary_min_rtt: self.min_rtt,
+            episode: self.episode,
+            k: self.k,
+            reward: self.reward,
+            noise: self.noise,
+            cross: Vec::new(),
+        }
+    }
 }
 
 /// Everything needed to build — and rebuild, bit-for-bit, on every reset —
-/// one scenario-backed training episode: an arbitrary topology, the
-/// controlled flow's path, and scheduled baseline cross traffic.
+/// one training episode: an arbitrary topology, the controlled flow's
+/// path, and scheduled baseline cross traffic.
 ///
-/// This is the `ScenarioSpec → CcEnv` bridge's core half: the scenario
-/// layer compiles its declarative specs down to this shape (see
-/// `canopy_scenarios::episode`), and the trainer mixes such episodes into
+/// The scenario layer compiles its declarative specs down to this shape
+/// (see `canopy_scenarios::episode`) — for the matrix runner and for the
+/// trainer's episode mix alike — and the trainer mixes such episodes into
 /// its curriculum without knowing anything about scenario families.
 #[derive(Clone, Debug)]
 pub struct EpisodeSpec {
@@ -148,7 +149,42 @@ pub struct EpisodeSpec {
     /// Optional observation noise.
     pub noise: Option<NoiseConfig>,
     /// Baseline cross-traffic with staggered arrivals/departures.
-    pub cross: Vec<EpisodeCrossFlow>,
+    pub cross: Vec<FlowSpec>,
+}
+
+impl EpisodeSpec {
+    /// The episode's flow list in id order: the controlled flow under
+    /// `primary` first, then the cross traffic in spec order.
+    pub fn flows(&self, primary: Controller, record_samples: bool) -> Vec<FlowSpec> {
+        let primary = FlowSpec {
+            noise: self.noise,
+            record_samples,
+            ..FlowSpec::new(primary, self.primary_min_rtt).on_path(self.primary_path.clone())
+        };
+        std::iter::once(primary)
+            .chain(self.cross.iter().cloned())
+            .collect()
+    }
+
+    /// Everything [`CcEnv::from_episode`] would reject, without building
+    /// the environment.
+    pub fn check(&self) -> Result<(), WorldError> {
+        world::check(&self.topology, &self.env_flows(false)?)
+    }
+
+    /// The flow list a [`CcEnv`] runs: the first flow steered by the
+    /// environment itself, every other one on a classic kernel.
+    fn env_flows(&self, record_samples: bool) -> Result<Vec<FlowSpec>, WorldError> {
+        let steered = |f: &FlowSpec| matches!(f.controller, Controller::Orca { .. });
+        if let Some(i) = self.cross.iter().position(steered) {
+            return Err(WorldError::SteeredCross { flow: i + 1 });
+        }
+        let primary = Controller::Orca {
+            k: self.k,
+            policy: None,
+        };
+        Ok(self.flows(primary, record_samples))
+    }
 }
 
 /// The outcome of one environment step.
@@ -168,145 +204,50 @@ pub struct StepResult {
     pub done: bool,
 }
 
-/// What an environment rebuilds itself from: the historical single-link
-/// configuration, or a scenario-backed multi-hop episode.
-enum EnvSource {
-    Link(EnvConfig),
-    Episode(EpisodeSpec),
-}
-
-impl EnvSource {
-    fn episode(&self) -> Time {
-        match self {
-            EnvSource::Link(c) => c.episode,
-            EnvSource::Episode(s) => s.episode,
-        }
-    }
-
-    fn min_rtt(&self) -> Time {
-        match self {
-            EnvSource::Link(c) => c.min_rtt,
-            EnvSource::Episode(s) => s.primary_min_rtt,
-        }
-    }
-
-    fn reward(&self) -> &RewardConfig {
-        match self {
-            EnvSource::Link(c) => &c.reward,
-            EnvSource::Episode(s) => &s.reward,
-        }
-    }
-}
-
 /// A single-flow congestion-control environment: a thin episode wrapper
 /// around one [`OrcaDriver`] (which owns the decision mechanics — state,
 /// noise, window application) plus the Orca reward and the episode clock.
 pub struct CcEnv {
-    source: EnvSource,
+    topology: Topology,
+    /// The controlled flow first, then the cross traffic.
+    flows: Vec<FlowSpec>,
+    episode: Time,
+    reward: RewardConfig,
     sim: Simulator,
     flow: FlowId,
     driver: OrcaDriver,
     steps: u64,
 }
 
-/// Builds the simulator for a link-backed environment and adds the
-/// controlled flow. Shared by construction and reset so both are
-/// bit-for-bit identical.
-fn build_link_sim(config: &EnvConfig) -> (Simulator, FlowId) {
-    let mut sim = Simulator::new(config.link());
-    let flow_config = if config.record_samples {
-        FlowConfig::new(config.min_rtt)
-    } else {
-        FlowConfig::new(config.min_rtt).without_samples()
-    };
-    let flow = sim.add_flow(flow_config, Box::new(Cubic::new()));
-    (sim, flow)
-}
-
-/// Builds the simulator for a scenario-backed episode: the topology, the
-/// controlled (Cubic-steered) primary flow on its path, and every cross
-/// flow on the spec's schedule. Errors on an unknown cross kernel name.
-fn build_episode_sim(spec: &EpisodeSpec) -> Result<(Simulator, FlowId), String> {
-    let mut sim = Simulator::with_topology(spec.topology.clone());
-    let flow = sim.add_flow(
-        FlowConfig::new(spec.primary_min_rtt)
-            .without_samples()
-            .on_path(spec.primary_path.clone()),
-        Box::new(Cubic::new()),
-    );
-    for (i, cf) in spec.cross.iter().enumerate() {
-        let cc = canopy_cc::by_name(&cf.cc).ok_or_else(|| {
-            format!(
-                "episode `{}`: cross flow {i}: unknown kernel `{}`",
-                spec.name, cf.cc
-            )
-        })?;
-        let mut cfg = FlowConfig::new(cf.min_rtt)
-            .starting_at(cf.start)
-            .without_samples()
-            .on_path(cf.path.clone());
-        if let Some(stop) = cf.stop {
-            cfg = cfg.stopping_at(stop);
-        }
-        sim.add_flow(cfg, cc);
-    }
-    Ok((sim, flow))
-}
-
 impl CcEnv {
-    /// Builds the environment and its simulator.
+    /// The single-link environment: the dumbbell episode of `config`
+    /// ([`EnvConfig::episode`]).
     pub fn new(config: EnvConfig) -> CcEnv {
-        let link = config.link();
-        let (sim, flow) = build_link_sim(&config);
-        let driver_config = DriverConfig {
-            min_rtt: config.min_rtt,
-            k: config.k,
-            noise: config.noise,
-            start: Time::ZERO,
-            stop: None,
-        };
-        let driver = OrcaDriver::new(&driver_config, &link, flow);
-        CcEnv {
-            source: EnvSource::Link(config),
-            sim,
-            flow,
-            driver,
-            steps: 0,
-        }
+        CcEnv::build(config.episode(), config.record_samples)
+            .expect("a lone flow on its own dumbbell always builds")
     }
 
-    /// Builds a scenario-backed episode environment: an arbitrary topology
-    /// with scheduled cross traffic, stepped through exactly the same
-    /// state/action/reward interface as the single-link environment. The
-    /// learned driver is parameterized by the primary flow's bottleneck
-    /// hop, mirroring `canopy_scenarios`' matrix cell.
+    /// Builds an episode environment: an arbitrary topology with scheduled
+    /// cross traffic, stepped through exactly the same state/action/reward
+    /// interface as the single-link environment.
     ///
-    /// Errors when the spec references an unknown cross kernel or an
-    /// invalid path.
-    pub fn from_episode(spec: EpisodeSpec) -> Result<CcEnv, String> {
-        spec.topology
-            .validate_path(&spec.primary_path)
-            .map_err(|e| format!("episode `{}`: primary path: {e}", spec.name))?;
-        for (i, cf) in spec.cross.iter().enumerate() {
-            spec.topology
-                .validate_path(&cf.path)
-                .map_err(|e| format!("episode `{}`: cross flow {i}: {e}", spec.name))?;
-        }
-        let (sim, flow) = build_episode_sim(&spec)?;
-        let link = spec.topology.link(sim.bottleneck_of(flow)).clone();
-        let driver_config = DriverConfig {
-            min_rtt: spec.primary_min_rtt,
-            k: spec.k,
-            noise: spec.noise,
-            start: Time::ZERO,
-            stop: None,
-        };
-        let driver = OrcaDriver::new(&driver_config, &link, flow);
+    /// Errors when the spec names an unknown cross kernel, an invalid
+    /// path, or cross traffic with a driver of its own.
+    pub fn from_episode(spec: EpisodeSpec) -> Result<CcEnv, WorldError> {
+        CcEnv::build(spec, false)
+    }
+
+    fn build(spec: EpisodeSpec, record_samples: bool) -> Result<CcEnv, WorldError> {
+        let flows = spec.env_flows(record_samples)?;
+        let mut world = world::spawn_all(&spec.topology, &flows)?;
         Ok(CcEnv {
-            source: EnvSource::Episode(spec),
-            sim,
-            flow,
-            driver,
+            topology: spec.topology,
+            flows,
+            episode: spec.episode,
+            reward: spec.reward,
+            sim: world.sim,
+            flow: world.flows[0],
+            driver: world.drivers.remove(0),
             steps: 0,
         })
     }
@@ -319,15 +260,6 @@ impl CcEnv {
     /// The normalizer derived from the link.
     pub fn normalizer(&self) -> &Normalizer {
         self.driver.normalizer()
-    }
-
-    /// The single-link configuration, when this environment was built from
-    /// one (`None` for scenario-backed episodes).
-    pub fn config(&self) -> Option<&EnvConfig> {
-        match &self.source {
-            EnvSource::Link(c) => Some(c),
-            EnvSource::Episode(_) => None,
-        }
     }
 
     /// The current flat state vector.
@@ -353,18 +285,14 @@ impl CcEnv {
     /// Restarts the episode with a fresh simulator (deterministic: the
     /// noise stream continues, everything else rebuilds identically).
     pub fn reset(&mut self) {
-        let (sim, flow) = match &self.source {
-            EnvSource::Link(config) => build_link_sim(config),
-            // The spec was validated at construction, so the rebuild is
-            // infallible.
-            EnvSource::Episode(spec) => {
-                build_episode_sim(spec).expect("validated episode rebuilds")
-            }
-        };
-        self.sim = sim;
-        self.flow = flow;
+        // The flow list was validated at construction, so the rebuild is
+        // infallible. Only the simulator is replaced: flow ids follow the
+        // list, so the driver (and its noise stream) carries on bound to
+        // the same id.
+        let world =
+            world::spawn_all(&self.topology, &self.flows).expect("validated episode rebuilds");
+        self.sim = world.sim;
         self.driver.reset_episode();
-        self.driver.rebind(self.flow);
         self.steps = 0;
     }
 
@@ -429,18 +357,17 @@ impl CcEnv {
         let thr_norm =
             (sample.throughput_bps / self.normalizer().max_throughput_bps).clamp(0.0, 1.0);
         let min_rtt_ms = if sample.min_rtt == Time::MAX {
-            self.source.min_rtt().as_millis_f64()
+            self.flows[0].min_rtt.as_millis_f64()
         } else {
             sample.min_rtt.as_millis_f64()
         };
         let srtt_ms = sample.srtt.as_millis_f64();
         let reward = self
-            .source
-            .reward()
+            .reward
             .reward(thr_norm, sample.loss_rate, srtt_ms, min_rtt_ms);
 
         self.steps += 1;
-        let done = self.sim.now() >= self.source.episode();
+        let done = self.sim.now() >= self.episode;
         StepResult {
             state: self.driver.state(),
             reward,
@@ -561,8 +488,14 @@ mod tests {
         assert!(saw_state_difference, "noise must perturb the state");
     }
 
-    fn episode_of(config: &EnvConfig) -> EpisodeSpec {
-        EpisodeSpec {
+    #[test]
+    fn dumbbell_episode_matches_link_env_bitwise() {
+        // `CcEnv::new` is the dumbbell episode of its config, written out
+        // here by hand: stepping must agree bit-for-bit, across resets too.
+        let trace = BandwidthTrace::constant("c", 24e6);
+        let config =
+            EnvConfig::new(trace, Time::from_millis(40), 1.0).with_episode(Time::from_millis(600));
+        let by_hand = EpisodeSpec {
             name: "dumbbell-episode".into(),
             topology: Topology::dumbbell(config.link()),
             primary_path: vec![LinkId(0)],
@@ -572,19 +505,9 @@ mod tests {
             reward: config.reward,
             noise: config.noise,
             cross: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn dumbbell_episode_matches_link_env_bitwise() {
-        // A single-flow dumbbell episode is the legacy environment by
-        // another construction path — stepping must agree bit-for-bit,
-        // across resets too.
-        let trace = BandwidthTrace::constant("c", 24e6);
-        let config =
-            EnvConfig::new(trace, Time::from_millis(40), 1.0).with_episode(Time::from_millis(600));
-        let mut legacy = CcEnv::new(config.clone());
-        let mut episode = CcEnv::from_episode(episode_of(&config)).expect("builds");
+        };
+        let mut legacy = CcEnv::new(config);
+        let mut episode = CcEnv::from_episode(by_hand).expect("builds");
         assert_eq!(legacy.state(), episode.state());
         for i in 0..40 {
             let a = ((i % 5) as f64 - 2.0) / 2.0;
@@ -616,16 +539,14 @@ mod tests {
             k: 3,
             reward: RewardConfig::default(),
             noise: None,
-            cross: vec![EpisodeCrossFlow {
-                cc: "cubic".into(),
-                start: Time::from_millis(100),
-                stop: Some(Time::from_millis(700)),
-                min_rtt: Time::from_millis(30),
-                path: vec![LinkId(1)],
-            }],
+            cross: vec![
+                FlowSpec::new(Controller::Kernel("cubic".into()), Time::from_millis(30))
+                    .on_path(vec![LinkId(1)])
+                    .starting_at(Time::from_millis(100))
+                    .stopping_at(Time::from_millis(700)),
+            ],
         };
         let mut env = CcEnv::from_episode(spec).expect("builds");
-        assert!(env.config().is_none(), "episode envs have no link config");
         let run = |env: &mut CcEnv| {
             let mut acc = 0.0;
             let mut acked = 0;
@@ -648,21 +569,38 @@ mod tests {
     }
 
     #[test]
-    fn episode_rejects_unknown_kernels_and_bad_paths() {
+    fn episode_rejects_unknown_kernels_bad_paths_and_steered_cross_traffic() {
         let trace = BandwidthTrace::constant("c", 24e6);
         let config = EnvConfig::new(trace, Time::from_millis(40), 1.0);
-        let mut bad_cc = episode_of(&config);
-        bad_cc.cross.push(EpisodeCrossFlow {
-            cc: "quic-magic".into(),
-            start: Time::ZERO,
-            stop: None,
-            min_rtt: Time::from_millis(40),
-            path: vec![LinkId(0)],
-        });
-        assert!(CcEnv::from_episode(bad_cc).is_err());
-        let mut bad_path = episode_of(&config);
+        let cross = |controller| FlowSpec::new(controller, Time::from_millis(40));
+        let rejected = |spec: EpisodeSpec| {
+            let checked = spec.check().expect_err("check refuses it");
+            let built = CcEnv::from_episode(spec).err().expect("so does the build");
+            assert_eq!(checked, built);
+            built
+        };
+        let mut bad_cc = config.episode();
+        bad_cc
+            .cross
+            .push(cross(Controller::Kernel("quic-magic".into())));
+        assert_eq!(
+            rejected(bad_cc),
+            WorldError::UnknownKernel {
+                flow: 1,
+                name: "quic-magic".into()
+            }
+        );
+        let mut bad_path = config.episode();
         bad_path.primary_path = vec![LinkId(3)];
-        assert!(CcEnv::from_episode(bad_path).is_err());
+        assert!(matches!(
+            rejected(bad_path),
+            WorldError::BadPath { flow: 0, .. }
+        ));
+        let mut steered = config.episode();
+        steered
+            .cross
+            .push(cross(Controller::Orca { k: 3, policy: None }));
+        assert_eq!(rejected(steered), WorldError::SteeredCross { flow: 1 });
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! shared-bottleneck competition/fairness runs ([`run_multiflow`]).
 //! Single-flow conditions are `canopy_scenarios::ScenarioSpec`s run through
 //! `canopy_scenarios::run_scenario`/`run_matrix` — on the same
-//! [`DriverPool`] as the multi-flow runs here.
+//! [`DriverPool`] over a [`world`]-built simulator as the multi-flow runs
+//! here.
 
 use serde::{Deserialize, Serialize};
 
-use canopy_netsim::{BandwidthTrace, FlowConfig, FlowId, LinkConfig, LinkId, Simulator, Time};
+use canopy_netsim::{BandwidthTrace, FlowId, LinkConfig, LinkId, Simulator, Time, Topology};
 
-use crate::driver::{DriverConfig, DriverPolicy, DriverPool, OrcaDriver};
-use crate::env::NoiseConfig;
+use crate::driver::{DriverPolicy, DriverPool};
 use crate::models::TrainedModel;
 use crate::property::Property;
 use crate::runtime::FallbackController;
+use crate::world::{self, Controller, FlowSpec, WorldError};
 
 /// A congestion-control scheme under evaluation.
 #[derive(Clone, Debug)]
@@ -48,6 +49,36 @@ impl Scheme {
             } => {
                 format!("{}+fb{:.2}", model.name, threshold)
             }
+        }
+    }
+
+    /// The scheme as a flow's [`Controller`]: the kernel name, or the
+    /// model's policy behind whatever monitors it. `qc` adds per-decision
+    /// certificate evaluation to a plain learned scheme (a fallback
+    /// scheme's monitor already certifies every decision).
+    pub fn controller(&self, qc: Option<&QcEval>) -> Controller {
+        let (model, fallback) = match self {
+            Scheme::Baseline(name) => return Controller::Kernel(name.clone()),
+            Scheme::Learned(model) => (model, None),
+            Scheme::LearnedFallback {
+                model,
+                properties,
+                threshold,
+                n_components,
+            } => {
+                let fb = FallbackController::new(properties.clone(), *threshold, *n_components);
+                (model, Some(fb))
+            }
+        };
+        let policy = DriverPolicy::new(model.actor.clone());
+        let policy = match (fallback, qc) {
+            (Some(fb), _) => policy.with_fallback(fb),
+            (None, Some(q)) => policy.with_qc(q.n_components, q.properties.clone()),
+            (None, None) => policy,
+        };
+        Controller::Orca {
+            k: model.k,
+            policy: Some(policy),
         }
     }
 }
@@ -176,99 +207,26 @@ pub fn link_metrics(sim: &Simulator) -> Vec<LinkMetrics> {
         .collect()
 }
 
-/// One flow of a multi-flow experiment.
-#[derive(Clone, Debug)]
-pub enum FlowScheme {
-    /// A classic kernel by name.
-    Classic(String),
-    /// A learned controller (its own agent loop on its own monitor clock).
-    Agent(TrainedModel),
-}
-
-/// QC fallback monitoring attached to one agent flow of a multi-flow run.
-#[derive(Clone, Debug)]
-pub struct FallbackSpec {
-    /// Properties monitored at runtime.
-    pub properties: Vec<Property>,
-    /// `QC_sat` threshold below which the flow falls back to Cubic.
-    pub threshold: f64,
-    /// Verifier components for the runtime certificate.
-    pub n_components: usize,
-}
-
-/// Specification of one flow in a shared-bottleneck run.
-#[derive(Clone, Debug)]
-pub struct FlowSpec {
-    /// The controller.
-    pub scheme: FlowScheme,
-    /// When the flow starts.
-    pub start: Time,
-    /// When the flow departs (`None` runs to the end).
-    pub stop: Option<Time>,
-    /// Propagation RTT of this flow's path.
-    pub min_rtt: Time,
-    /// Observation noise for agent flows (classic kernels ignore it).
-    pub noise: Option<NoiseConfig>,
-    /// QC fallback monitoring for agent flows (classic kernels ignore it).
-    pub fallback: Option<FallbackSpec>,
-}
-
-impl FlowSpec {
-    /// A flow active for the whole run, noise-free and unmonitored.
-    pub fn new(scheme: FlowScheme, min_rtt: Time) -> FlowSpec {
-        FlowSpec {
-            scheme,
-            start: Time::ZERO,
-            stop: None,
-            min_rtt,
-            noise: None,
-            fallback: None,
-        }
-    }
-
-    /// Sets the arrival time.
-    pub fn starting_at(mut self, t: Time) -> FlowSpec {
-        self.start = t;
-        self
-    }
-
-    /// Sets the departure time.
-    pub fn stopping_at(mut self, t: Time) -> FlowSpec {
-        self.stop = Some(t);
-        self
-    }
-
-    /// Enables observation noise on an agent flow.
-    pub fn with_noise(mut self, noise: NoiseConfig) -> FlowSpec {
-        self.noise = Some(noise);
-        self
-    }
-
-    /// Puts an agent flow behind the QC fallback monitor.
-    pub fn with_fallback(mut self, fallback: FallbackSpec) -> FlowSpec {
-        self.fallback = Some(fallback);
-        self
-    }
-}
-
 /// Per-flow, per-bin throughput (Mbps) from a shared-bottleneck run — the
 /// raw material for the friendliness (Fig. 14) and fairness (Fig. 15)
-/// experiments. Agent flows are driven by [`OrcaDriver`]s multiplexed over
-/// the shared simulator by a [`DriverPool`], so they honour each spec's
-/// observation noise and fallback configuration exactly like every other
-/// harness — and flows sharing one policy that decide at the same instant
-/// ride the pool's batched actor path (bitwise identical to serial
-/// dispatch, substantially faster at fleet scale).
+/// experiments. Steered flows are multiplexed over the shared simulator by
+/// a [`DriverPool`], so they honour each spec's observation noise and
+/// policy exactly like every other harness — and flows sharing one policy
+/// that decide at the same instant ride the pool's batched actor path
+/// (bitwise identical to serial dispatch, substantially faster at fleet
+/// scale).
+///
+/// Errors on a flow [`world::spawn_all`] rejects, and on a zero `bin`.
 pub fn run_multiflow(
     link: LinkConfig,
     flows: &[FlowSpec],
     duration: Time,
     bin: Time,
-) -> Vec<Vec<f64>> {
+) -> Result<Vec<Vec<f64>>, WorldError> {
     run_multiflow_recorded(link, flows, duration, bin, None)
 }
 
-/// [`run_multiflow`] with an optional flight recorder: every pooled agent
+/// [`run_multiflow`] with an optional flight recorder: every pooled
 /// driver records its decisions and the simulator emits link samples
 /// every [`LINK_CADENCE_NS`](canopy_telemetry::LINK_CADENCE_NS), which
 /// the pool hands to the recorder in sim-time order. A no-op recorder
@@ -279,50 +237,19 @@ pub fn run_multiflow_recorded(
     duration: Time,
     bin: Time,
     recorder: Option<canopy_telemetry::SharedRecorder>,
-) -> Vec<Vec<f64>> {
-    let mut sim = Simulator::new(link.clone());
+) -> Result<Vec<Vec<f64>>, WorldError> {
+    if bin == Time::ZERO {
+        return Err(WorldError::ZeroBin);
+    }
+    let world = world::spawn_all(&Topology::dumbbell(link), flows)?;
+    let (mut sim, ids) = (world.sim, world.flows);
     if recorder.is_some() {
         sim.enable_link_sampling(Time::from_nanos(canopy_telemetry::LINK_CADENCE_NS));
     }
-    let mut pool = DriverPool::new();
-    let mut ids = Vec::new();
-    for spec in flows {
-        let cc: Box<dyn canopy_netsim::CongestionControl> = match &spec.scheme {
-            FlowScheme::Classic(name) => canopy_cc::by_name(name)
-                .unwrap_or_else(|| panic!("unknown baseline scheme `{name}`")),
-            FlowScheme::Agent(_) => Box::new(canopy_cc::Cubic::new()),
-        };
-        let mut flow_cfg = FlowConfig::new(spec.min_rtt)
-            .starting_at(spec.start)
-            .without_samples();
-        if let Some(stop) = spec.stop {
-            flow_cfg = flow_cfg.stopping_at(stop);
-        }
-        let id = sim.add_flow(flow_cfg, cc);
-        ids.push(id);
-        if let FlowScheme::Agent(model) = &spec.scheme {
-            let config = DriverConfig {
-                min_rtt: spec.min_rtt,
-                k: model.k,
-                noise: spec.noise,
-                start: spec.start,
-                stop: spec.stop,
-            };
-            let mut policy = DriverPolicy::for_model(model);
-            if let Some(fb) = &spec.fallback {
-                policy = policy.with_fallback(FallbackController::new(
-                    fb.properties.clone(),
-                    fb.threshold,
-                    fb.n_components,
-                ));
-            }
-            pool.push(OrcaDriver::new(&config, &link, id).with_policy(policy));
-        }
-    }
-
+    let mut pool: DriverPool = world.drivers.into_iter().collect();
     pool.set_recorder(recorder);
 
-    let bins = (duration.as_nanos() / bin.as_nanos().max(1)) as usize;
+    let bins = (duration.as_nanos() / bin.as_nanos()) as usize;
     let mut series = vec![Vec::with_capacity(bins); flows.len()];
     let mut last_bytes = vec![0u64; flows.len()];
     let mut next_bin = bin;
@@ -342,36 +269,36 @@ pub fn run_multiflow_recorded(
             break;
         }
     }
-    series
+    Ok(series)
 }
 
 /// Friendliness ratio (Fig. 14): the scheme-under-test's throughput over
 /// the mean throughput of `n_competitors` Cubic flows sharing the link.
 pub fn friendliness_ratio(
-    scheme: &FlowScheme,
+    scheme: &Controller,
     n_competitors: usize,
     trace: &BandwidthTrace,
     min_rtt: Time,
     buffer_bdp: f64,
     duration: Time,
-) -> f64 {
+) -> Result<f64, WorldError> {
     let link = LinkConfig::with_bdp_buffer(trace.clone(), min_rtt, buffer_bdp);
     let mut flows = vec![FlowSpec::new(scheme.clone(), min_rtt)];
     for _ in 0..n_competitors {
-        flows.push(FlowSpec::new(FlowScheme::Classic("cubic".into()), min_rtt));
+        flows.push(FlowSpec::new(Controller::Kernel("cubic".into()), min_rtt));
     }
-    let series = run_multiflow(link, &flows, duration, Time::from_secs(1));
+    let series = run_multiflow(link, &flows, duration, Time::from_secs(1))?;
     // Skip the first quarter as warm-up.
     let steady = series[0].len() / 4;
     let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len().max(1) as f64;
     let tested = mean(&series[0][steady..]);
     let competitors: f64 =
         series[1..].iter().map(|s| mean(&s[steady..])).sum::<f64>() / n_competitors.max(1) as f64;
-    if competitors <= 0.0 {
+    Ok(if competitors <= 0.0 {
         f64::INFINITY
     } else {
         tested / competitors
-    }
+    })
 }
 
 /// A whole-run Orca-style reward proxy over aggregate [`RunMetrics`]: the
@@ -409,15 +336,19 @@ pub fn jain_index(throughputs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canopy_netsim::FlowConfig;
+
+    fn cubic() -> Controller {
+        Controller::Kernel("cubic".into())
+    }
 
     #[test]
     fn multiflow_cubic_flows_converge_to_fair_share() {
         let trace = BandwidthTrace::constant("fair", 48e6);
         let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(20), 1.0);
-        let flows: Vec<FlowSpec> = (0..2)
-            .map(|_| FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)))
-            .collect();
-        let series = run_multiflow(link, &flows, Time::from_secs(20), Time::from_secs(1));
+        let flows = vec![FlowSpec::new(cubic(), Time::from_millis(20)); 2];
+        let series =
+            run_multiflow(link, &flows, Time::from_secs(20), Time::from_secs(1)).expect("runs");
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].len(), 20);
         // Steady-state: the two identical Cubic flows share fairly.
@@ -465,13 +396,39 @@ mod tests {
     fn friendliness_of_cubic_vs_cubic_is_near_one() {
         let trace = BandwidthTrace::constant("friendly", 48e6);
         let ratio = friendliness_ratio(
-            &FlowScheme::Classic("cubic".into()),
+            &cubic(),
             1,
             &trace,
             Time::from_millis(20),
             1.0,
             Time::from_secs(20),
-        );
+        )
+        .expect("runs");
         assert!(ratio > 0.5 && ratio < 2.0, "ratio {ratio}");
+    }
+
+    #[test]
+    fn multiflow_rejects_an_unknown_kernel_instead_of_panicking() {
+        let trace = BandwidthTrace::constant("bad", 48e6);
+        let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(20), 1.0);
+        let flows = [
+            FlowSpec::new(cubic(), Time::from_millis(20)),
+            FlowSpec::new(Controller::Kernel("reno2".into()), Time::from_millis(20)),
+        ];
+        let err = run_multiflow(link, &flows, Time::from_secs(1), Time::from_secs(1));
+        let unknown = WorldError::UnknownKernel {
+            flow: 1,
+            name: "reno2".into(),
+        };
+        assert_eq!(err, Err(unknown));
+    }
+
+    #[test]
+    fn multiflow_rejects_a_zero_bin_instead_of_spinning() {
+        let trace = BandwidthTrace::constant("bad", 48e6);
+        let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(20), 1.0);
+        let flows = [FlowSpec::new(cubic(), Time::from_millis(20))];
+        let err = run_multiflow(link, &flows, Time::from_micros(10), Time::ZERO);
+        assert_eq!(err, Err(WorldError::ZeroBin));
     }
 }

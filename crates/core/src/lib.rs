@@ -13,12 +13,15 @@
 //!   smoothed feedback of Eq. 6 and the multi-property aggregate of Eq. 7.
 //! * [`verifier`] — abstract interpretation of the actor network and the
 //!   `f_cwnd` computation (Eq. 5) over partitioned input regions.
+//! * [`world`] — the one flow description ([`FlowSpec`]) and the one
+//!   builder that turns a list of them into a simulator, its flows and
+//!   their bound drivers; every harness enters through it.
 //! * [`driver`] — the one Orca decision loop: sampling, noise, state,
-//!   policy, and `f_cwnd` application over a caller-owned simulator, plus
-//!   the pool that multiplexes many drivers by next-decision time.
-//! * [`mod@env`] — the congestion-control RL environment: a simulated link
-//!   stepped one monitor interval at a time (a thin episode wrapper
-//!   around one driver).
+//!   policy, and `f_cwnd` application over the simulator `world` built,
+//!   plus the pool that multiplexes many drivers by next-decision time.
+//! * [`mod@env`] — the congestion-control RL environment: an episode's
+//!   controlled flow stepped one monitor interval at a time (a thin
+//!   episode wrapper around one driver).
 //! * [`trainer`] — certification-in-the-loop training: TD3 on the λ-mixed
 //!   reward `(1−λ)·R + λ·R_verifier` (Eq. 10).
 //! * [`runtime`] — QC_sat-guided runtime monitoring with TCP-Cubic
@@ -46,15 +49,17 @@ pub mod qc;
 pub mod runtime;
 pub mod trainer;
 pub mod verifier;
+pub mod world;
 
 pub use canopy_telemetry as telemetry;
 pub use driver::{
     BatchDispatch, DriverConfig, DriverPolicy, DriverPool, OrcaDriver, PreparedDecision,
 };
-pub use env::{CcEnv, EnvConfig, EpisodeCrossFlow, EpisodeSpec, NoiseConfig, StepResult};
+pub use env::{CcEnv, EnvConfig, EpisodeSpec, NoiseConfig, StepResult};
 pub use models::{ModelKind, TrainedModel};
 pub use obs::{Normalizer, Observation, StateBuilder, StateLayout};
 pub use property::{Postcondition, Property, PropertyParams};
 pub use qc::{Certificate, ComponentResult};
 pub use trainer::{Trainer, TrainerConfig, TrainingHistory};
 pub use verifier::{StepContext, Verifier};
+pub use world::{Controller, FlowSpec, WorldError};

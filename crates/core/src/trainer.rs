@@ -335,8 +335,8 @@ impl Trainer {
                 );
                 // Fail at construction, not mid-training: every pool
                 // episode must actually build (known kernels, legal paths).
-                if let Err(err) = CcEnv::from_episode(e.clone()) {
-                    panic!("mix episode {i}: {err}");
+                if let Err(err) = e.check() {
+                    panic!("mix episode {i} (`{}`): {err}", e.name);
                 }
             }
         }

@@ -130,14 +130,13 @@ fn build(s: &Scenario) -> (Simulator, Vec<OrcaDriver>) {
             Topo::Incast => flow_cfg.on_path(Topology::incast_path(i, 3)),
         };
         let flow = sim.add_flow(flow_cfg, Box::new(canopy_cc::Cubic::new()));
-        let mut cfg = DriverConfig::new(min_rtt, K)
-            .starting_at(start)
-            .stopping_at(stop);
+        let mut cfg = DriverConfig::new(min_rtt, K).starting_at(start);
+        cfg.stop = stop;
         if s.noisy {
-            cfg = cfg.with_noise(Some(NoiseConfig {
+            cfg.noise = Some(NoiseConfig {
                 mu: 0.2,
                 seed: 40 + i as u64,
-            }));
+            });
         }
         let actor_seed = if s.mixed_actors {
             100 + (i % 2) as u64

@@ -14,17 +14,27 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use canopy_core::env::{CcEnv, EnvConfig, NoiseConfig};
-use canopy_core::eval::{run_multiflow, FallbackSpec, FlowScheme, FlowSpec};
+use canopy_core::eval::{run_multiflow, Scheme};
 use canopy_core::models::{train_model, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::obs::{Normalizer, Observation, StateBuilder, StateLayout};
 use canopy_core::orca::f_cwnd;
 use canopy_core::property::{Property, PropertyParams};
+use canopy_core::world::{Controller, FlowSpec};
 use canopy_netsim::{
     BandwidthTrace, FlowConfig, FlowId, LinkConfig, MonitorSample, Simulator, Time,
 };
 
 fn quick_model() -> TrainedModel {
     train_model(ModelKind::Shallow, 3, TrainBudget::smoke()).model
+}
+
+fn agent(model: &TrainedModel) -> FlowSpec {
+    let controller = Scheme::Learned(model.clone()).controller(None);
+    FlowSpec::new(controller, Time::from_millis(20))
+}
+
+fn cubic() -> FlowSpec {
+    FlowSpec::new(Controller::Kernel("cubic".into()), Time::from_millis(20))
 }
 
 // --- The pre-refactor CcEnv, replicated verbatim --------------------------
@@ -157,9 +167,9 @@ fn seed_run_multiflow(
     let mut drivers: Vec<Option<SeedAgentDriver>> = Vec::new();
     let mut ids = Vec::new();
     for spec in flows {
-        let cc: Box<dyn canopy_netsim::CongestionControl> = match &spec.scheme {
-            FlowScheme::Classic(name) => canopy_cc::by_name(name).expect("known kernel"),
-            FlowScheme::Agent(_) => Box::new(canopy_cc::Cubic::new()),
+        let cc: Box<dyn canopy_netsim::CongestionControl> = match &spec.controller {
+            Controller::Kernel(name) => canopy_cc::by_name(name).expect("known kernel"),
+            Controller::Orca { .. } => Box::new(canopy_cc::Cubic::new()),
         };
         let mut flow_cfg = FlowConfig::new(spec.min_rtt)
             .starting_at(spec.start)
@@ -169,14 +179,15 @@ fn seed_run_multiflow(
         }
         let id = sim.add_flow(flow_cfg, cc);
         ids.push(id);
-        drivers.push(match &spec.scheme {
-            FlowScheme::Agent(model) => {
+        drivers.push(match &spec.controller {
+            Controller::Orca { k, policy } => {
+                let actor = policy.as_ref().expect("agent flows carry a policy").actor();
                 let mi = spec.min_rtt.max(Time::from_millis(20));
-                let layout = StateLayout::new(model.k);
+                let layout = StateLayout::new(*k);
                 let normalizer = Normalizer::for_link(&link, spec.min_rtt, mi);
                 Some(SeedAgentDriver {
                     flow: id,
-                    actor: model.actor.clone(),
+                    actor: actor.clone(),
                     builder: StateBuilder::new(layout, normalizer),
                     mi,
                     next_decision: spec.start + mi,
@@ -184,7 +195,7 @@ fn seed_run_multiflow(
                     prev_action: 0.0,
                 })
             }
-            FlowScheme::Classic(_) => None,
+            Controller::Kernel(_) => None,
         });
     }
 
@@ -301,17 +312,12 @@ fn multiflow_series_match_the_seed_loop_bitwise() {
     };
 
     // Fig. 14 shape: the scheme under test vs two Cubic competitors.
-    let friendliness: Vec<FlowSpec> = vec![
-        FlowSpec::new(FlowScheme::Agent(model.clone()), Time::from_millis(20)),
-        FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)),
-        FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)),
-    ];
+    let friendliness: Vec<FlowSpec> = vec![agent(&model), cubic(), cubic()];
     // Fig. 15 shape: homogeneous agent flows joining staggered, one
     // departing early.
     let fairness: Vec<FlowSpec> = (0..3)
         .map(|i| {
-            let spec = FlowSpec::new(FlowScheme::Agent(model.clone()), Time::from_millis(20))
-                .starting_at(Time::from_secs(2 * i));
+            let spec = agent(&model).starting_at(Time::from_secs(2 * i));
             if i == 1 {
                 spec.stopping_at(Time::from_secs(5))
             } else {
@@ -326,7 +332,7 @@ fn multiflow_series_match_the_seed_loop_bitwise() {
     ] {
         let link = mk_link(48e6, 20);
         let old = seed_run_multiflow(link.clone(), &flows, duration, Time::from_secs(1));
-        let new = run_multiflow(link, &flows, duration, Time::from_secs(1));
+        let new = run_multiflow(link, &flows, duration, Time::from_secs(1)).expect("runs");
         assert_eq!(old, new, "driver-based run_multiflow diverged");
     }
 }
@@ -342,14 +348,11 @@ fn multiflow_noise_perturbs_agents_deterministically() {
         1.0,
     );
     let flows = |noise: Option<NoiseConfig>| {
-        let mut agent = FlowSpec::new(FlowScheme::Agent(model.clone()), Time::from_millis(20));
+        let mut agent = agent(&model);
         if let Some(n) = noise {
             agent = agent.with_noise(n);
         }
-        vec![
-            agent,
-            FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)),
-        ]
+        vec![agent, cubic()]
     };
     let run = |noise: Option<NoiseConfig>| {
         run_multiflow(
@@ -358,6 +361,7 @@ fn multiflow_noise_perturbs_agents_deterministically() {
             Time::from_secs(6),
             Time::from_secs(1),
         )
+        .expect("runs")
     };
     let clean = run(None);
     let noise = NoiseConfig { mu: 0.3, seed: 11 };
@@ -380,25 +384,18 @@ fn multiflow_fallback_overrides_reduce_to_the_kernel() {
         Time::from_millis(20),
         1.0,
     );
-    let fallback = FallbackSpec {
+    let monitored = Scheme::LearnedFallback {
+        model,
         properties: Property::shallow_set(&PropertyParams::default()),
         threshold: 2.0,
         n_components: 2,
     };
     let monitored = vec![
-        FlowSpec::new(FlowScheme::Agent(model), Time::from_millis(20)).with_fallback(fallback),
-        FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)),
+        FlowSpec::new(monitored.controller(None), Time::from_millis(20)),
+        cubic(),
     ];
-    let pure_cubic = vec![
-        FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)),
-        FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20)),
-    ];
-    let a = run_multiflow(
-        link.clone(),
-        &monitored,
-        Time::from_secs(5),
-        Time::from_secs(1),
-    );
-    let b = run_multiflow(link, &pure_cubic, Time::from_secs(5), Time::from_secs(1));
+    let (duration, bin) = (Time::from_secs(5), Time::from_secs(1));
+    let a = run_multiflow(link.clone(), &monitored, duration, bin).expect("runs");
+    let b = run_multiflow(link, &[cubic(), cubic()], duration, bin).expect("runs");
     assert_eq!(a, b, "a fully-overridden agent flow must equal Cubic");
 }

@@ -4,10 +4,11 @@
 //! the thread count, and bitwise *identical* to today's trainer when the
 //! mix draws nothing.
 
-use canopy_core::env::{EnvConfig, EpisodeCrossFlow, EpisodeSpec};
+use canopy_core::env::{EnvConfig, EpisodeSpec};
 use canopy_core::orca::RewardConfig;
 use canopy_core::property::{Property, PropertyParams};
 use canopy_core::trainer::{EpisodeMix, Trainer, TrainerConfig, TrainingResult};
+use canopy_core::world::{Controller, FlowSpec};
 use canopy_netsim::topology::{LinkId, Topology};
 use canopy_netsim::{BandwidthTrace, LinkConfig, Time};
 use canopy_rl::Td3Config;
@@ -68,13 +69,11 @@ fn pool() -> Vec<EpisodeSpec> {
         k: 3,
         reward: RewardConfig::default(),
         noise: None,
-        cross: vec![EpisodeCrossFlow {
-            cc: "cubic".into(),
-            start: Time::from_millis(500),
-            stop: None,
-            min_rtt: Time::from_millis(20),
-            path: vec![LinkId(1)],
-        }],
+        cross: vec![
+            FlowSpec::new(Controller::Kernel("cubic".into()), Time::from_millis(20))
+                .on_path(vec![LinkId(1)])
+                .starting_at(Time::from_millis(500)),
+        ],
     };
     vec![dumbbell, two_hop]
 }

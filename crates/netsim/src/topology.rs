@@ -122,12 +122,12 @@ impl Topology {
                 ));
             }
         }
-        let mut seen = vec![false; self.links.len()];
-        for &hop in path {
-            if seen[hop.0] {
+        // Paths are a handful of hops: a scan beats allocating a bitmap,
+        // and this runs once per flow of a 256-flow fleet.
+        for (i, hop) in path.iter().enumerate() {
+            if path[..i].contains(hop) {
                 return Err(format!("path visits link {} twice", hop.0));
             }
-            seen[hop.0] = true;
         }
         Ok(())
     }

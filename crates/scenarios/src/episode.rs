@@ -1,29 +1,34 @@
-//! Replaying declarative scenarios as training episodes.
+//! Scenarios as episodes.
 //!
-//! This is the scenario half of the `ScenarioSpec → CcEnv` bridge: a
-//! validated spec compiles — through the same [`compile_topology`]
-//! routing conventions the matrix runner uses — into a
-//! [`canopy_core::env::EpisodeSpec`], which the trainer's adversarial
-//! episode mix ([`canopy_core::trainer::EpisodeMix`]) can then sample
-//! from. Fuzz-family scenarios and committed adversarial fixtures thereby
-//! become training environments without the trainer knowing anything
-//! about scenario families.
+//! A validated spec compiles — through the [`compile_topology`] routing
+//! conventions — into a [`canopy_core::env::EpisodeSpec`]: the topology,
+//! the flow under test's path, and the cross traffic as
+//! [`FlowSpec`]s. This is the one place a [`CrossFlow`](crate::CrossFlow)
+//! (the serde shape of committed specs) becomes a flow description, and
+//! the one shape both consumers build their world from: the matrix runner
+//! puts the scheme under test in control of the episode's first flow, and
+//! the trainer's adversarial episode mix
+//! ([`canopy_core::trainer::EpisodeMix`]) steps it through a [`CcEnv`].
+//! A search cell and the training episode replaying it are therefore the
+//! same flows on the same links by construction.
 //!
 //! [`compile_topology`]: crate::spec::ScenarioSpec::compile_topology
 
-use canopy_core::env::{CcEnv, EpisodeCrossFlow, EpisodeSpec};
+use canopy_core::env::{CcEnv, EpisodeSpec};
 use canopy_core::orca::RewardConfig;
+use canopy_core::world::{Controller, FlowSpec};
 use canopy_netsim::Time;
 
 use crate::spec::{ScenarioSpec, SpecError};
 
-/// Compiles a scenario into a trainer-ready episode.
+/// Compiles a scenario into an episode.
 ///
-/// `k` is the history depth the trained actor expects; `cap` optionally
-/// truncates the episode horizon (smoke budgets) without touching the
-/// spec's arrival/impairment schedule — mirroring how the search space
-/// caps decoded horizons. Validates the spec first, so an episode built
-/// from a committed fixture fails loudly rather than training on garbage.
+/// `k` is the history depth of the environment's own driver (the matrix
+/// runner's schemes carry theirs); `cap` optionally truncates the episode
+/// horizon (smoke budgets) without touching the spec's arrival/impairment
+/// schedule — mirroring how the search space caps decoded horizons.
+/// Validates the spec first, so an episode built from a committed fixture
+/// fails loudly rather than training on garbage.
 pub fn episode_spec(
     spec: &ScenarioSpec,
     k: usize,
@@ -39,12 +44,10 @@ pub fn episode_spec(
         .cross_traffic
         .iter()
         .zip(compiled.cross_paths)
-        .map(|(cf, path)| EpisodeCrossFlow {
-            cc: cf.cc.clone(),
+        .map(|(cf, path)| FlowSpec {
             start: cf.start,
             stop: cf.stop,
-            min_rtt: cf.min_rtt,
-            path,
+            ..FlowSpec::new(Controller::Kernel(cf.cc.clone()), cf.min_rtt).on_path(path)
         })
         .collect();
     Ok(EpisodeSpec {
@@ -63,7 +66,7 @@ pub fn episode_spec(
 /// [`episode_spec`] plus environment construction: the scenario as a
 /// ready-to-step [`CcEnv`].
 pub fn episode_env(spec: &ScenarioSpec, k: usize, cap: Option<Time>) -> Result<CcEnv, SpecError> {
-    CcEnv::from_episode(episode_spec(spec, k, cap)?).map_err(SpecError)
+    Ok(CcEnv::from_episode(episode_spec(spec, k, cap)?)?)
 }
 
 #[cfg(test)]

@@ -11,16 +11,15 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use canopy_cc::Cubic;
-use canopy_core::driver::{DriverConfig, DriverPolicy, DriverPool, OrcaDriver};
+use canopy_core::driver::DriverPool;
 use canopy_core::eval::{
     flow_metrics, jain_index, link_metrics, LinkMetrics, QcEval, RunMetrics, Scheme,
 };
-use canopy_core::pool;
-use canopy_core::runtime::FallbackController;
-use canopy_netsim::{FlowConfig, FlowId, Simulator, Time};
+use canopy_core::{pool, world};
+use canopy_netsim::{FlowId, Time};
 use canopy_telemetry::{SharedRecorder, LINK_CADENCE_NS};
 
+use crate::episode::episode_spec;
 use crate::spec::{ScenarioSpec, SpecError};
 
 /// Per-scenario evaluation results for one scheme.
@@ -95,101 +94,33 @@ fn run_scenario_inner(
     qc: Option<&QcEval>,
     recorder: Option<&SharedRecorder>,
 ) -> Result<ScenarioMetrics, SpecError> {
-    spec.validate()?;
-    let compiled = spec.compile_topology()?;
-    let mut sim = Simulator::with_topology(compiled.topology.clone());
+    // The scenario as an episode (`k` rides on the scheme's controller)
+    // with the scheme under test in control of its first flow — the world
+    // `episode_env` steps for the trainer. Only the flow under test keeps
+    // per-ACK samples, for its delay percentiles.
+    let episode = episode_spec(spec, 0, None)?;
+    let flows = episode.flows(scheme.controller(qc), true);
+    let world = world::spawn_all(&episode.topology, &flows)?;
+    let (mut sim, ids) = (world.sim, world.flows);
+    let (primary, cross_ids) = (ids[0], &ids[1..]);
     if recorder.is_some() {
         sim.enable_link_sampling(Time::from_nanos(LINK_CADENCE_NS));
     }
 
-    let primary_cc: Box<dyn canopy_netsim::CongestionControl> = match scheme {
-        Scheme::Baseline(name) => canopy_cc::by_name(name)
-            .ok_or_else(|| SpecError(format!("unknown baseline scheme `{name}`")))?,
-        // Learned controllers steer a Cubic kernel, exactly as in training.
-        Scheme::Learned(_) | Scheme::LearnedFallback { .. } => Box::new(Cubic::new()),
-    };
-    let primary = sim.add_flow(
-        FlowConfig::new(spec.primary_min_rtt).on_path(compiled.primary_path.clone()),
-        primary_cc,
-    );
-
-    let mut cross_ids: Vec<FlowId> = Vec::with_capacity(spec.cross_traffic.len());
-    for (cf, path) in spec.cross_traffic.iter().zip(&compiled.cross_paths) {
-        let cc = canopy_cc::by_name(&cf.cc)
-            .ok_or_else(|| SpecError(format!("unknown cross kernel `{}`", cf.cc)))?;
-        let mut cfg = FlowConfig::new(cf.min_rtt)
-            .starting_at(cf.start)
-            .without_samples()
-            .on_path(path.clone());
-        if let Some(stop) = cf.stop {
-            cfg = cfg.stopping_at(stop);
-        }
-        cross_ids.push(sim.add_flow(cfg, cc));
-    }
-
-    // The learned driver is parameterized by the link it regulates: on a
-    // multi-hop path that is the primary flow's bottleneck hop.
-    let link = compiled.topology.link(sim.bottleneck_of(primary)).clone();
-
-    // The learned decision loop is the shared `OrcaDriver` — the same
-    // runtime every other harness uses, bitwise — configured from the
-    // spec's noise; the primary flow's own clock is the monitor interval.
-    let driver_config = DriverConfig::new(spec.primary_min_rtt, 0).with_noise(spec.noise);
-    let mut qc_values: Vec<f64> = Vec::new();
-    let mut fallback_rate = None;
-    let mut fallback_engagements = None;
-
-    match scheme {
-        Scheme::Baseline(_) => sim.run_until(spec.duration),
-        Scheme::Learned(model) => {
-            let mut policy = DriverPolicy::for_model(model);
-            if let Some(q) = qc {
-                policy = policy.with_qc(q.n_components, q.properties.clone());
-            }
-            let config = DriverConfig {
-                k: model.k,
-                ..driver_config
-            };
-            // Even one learned flow dispatches through the pool, so every
-            // harness shares the batched engine (and its telemetry).
-            let mut pool = DriverPool::new();
-            let slot = pool.push(OrcaDriver::new(&config, &link, primary).with_policy(policy));
-            pool.set_recorder(recorder.cloned());
-            pool.run_until(&mut sim, spec.duration);
-            qc_values.extend_from_slice(pool.drivers()[slot].qc_values());
-        }
-        Scheme::LearnedFallback {
-            model,
-            properties,
-            threshold,
-            n_components,
-        } => {
-            let fb = FallbackController::new(properties.clone(), *threshold, *n_components);
-            let config = DriverConfig {
-                k: model.k,
-                ..driver_config
-            };
-            let mut pool = DriverPool::new();
-            let slot = pool.push(
-                OrcaDriver::new(&config, &link, primary)
-                    .with_policy(DriverPolicy::for_model(model).with_fallback(fb)),
-            );
-            pool.set_recorder(recorder.cloned());
-            pool.run_until(&mut sim, spec.duration);
-            let driver = &pool.drivers()[slot];
-            qc_values.extend_from_slice(driver.fallback_qc_values());
-            fallback_rate = driver.fallback_rate();
-            fallback_engagements = driver.fallback_engagements();
-        }
-    }
-
-    // A baseline's samples: it runs without a pool to drain them.
-    if let Some(recorder) = recorder {
-        let mut rec = recorder.borrow_mut();
-        for sample in sim.take_link_samples() {
-            rec.record_link(&sample);
-        }
-    }
+    // Even one learned flow dispatches through the pool, so every harness
+    // shares the batched engine (and its telemetry); under a classic
+    // kernel the pool is empty and `run_until` just runs the simulator to
+    // the horizon, draining link samples on the way.
+    let mut pool: DriverPool = world.drivers.into_iter().collect();
+    pool.set_recorder(recorder.cloned());
+    pool.run_until(&mut sim, spec.duration);
+    // A fallback scheme reports its monitor's `QC_sat`; a plain learned
+    // one the per-decision certificates `qc` asked for, if any.
+    let driver = pool.drivers().first();
+    let qc_values = driver.map_or(&[][..], |d| match d.fallback() {
+        Some(_) => d.fallback_qc_values(),
+        None => d.qc_values(),
+    });
 
     let mut metrics = flow_metrics(&sim, primary, &scheme.name());
     if !qc_values.is_empty() {
@@ -203,45 +134,30 @@ fn run_scenario_inner(
         metrics.qc_sat = Some(mean);
         metrics.qc_sat_std = Some(var.sqrt());
     }
-    metrics.fallback_rate = fallback_rate;
-    metrics.fallback_engagements = fallback_engagements;
+    metrics.fallback_rate = driver.and_then(|d| d.fallback_rate());
+    metrics.fallback_engagements = driver.and_then(|d| d.fallback_engagements());
 
-    // Fairness over every flow that actually ran, each share normalized to
-    // its own active interval by the shared FlowStats rule. A scenario
+    // Fairness over every flow that actually ran — the flow under test
+    // always, a cross flow once it has been active — each share normalized
+    // to its own active interval by the shared FlowStats rule. A scenario
     // without cross traffic has no sharing to score, so the column is
     // absent rather than a trivial 1.0.
     let now = sim.now();
-    let cross_throughput_mbps: Vec<f64> = cross_ids
-        .iter()
-        .map(|&f| sim.flow_stats(f).throughput_mbps(now))
-        .collect();
-    let jain_fairness = (!cross_ids.is_empty()).then(|| {
-        let mut shares = vec![metrics.throughput_mbps];
-        shares.extend(
-            cross_ids
-                .iter()
-                .filter(|&&f| sim.flow_stats(f).active_duration(now) > Time::ZERO)
-                .map(|&f| sim.flow_stats(f).throughput_mbps(now)),
-        );
-        jain_index(&shares)
-    });
+    let mbps = |f: &FlowId| sim.flow_stats(*f).throughput_mbps(now);
+    let ran = |f: &&FlowId| **f == primary || sim.flow_stats(**f).active_duration(now) > Time::ZERO;
+    let cross_throughput_mbps: Vec<f64> = cross_ids.iter().map(mbps).collect();
+    let jain_fairness = (!cross_ids.is_empty())
+        .then(|| jain_index(&ids.iter().filter(ran).map(mbps).collect::<Vec<f64>>()));
 
     // Cross-hop fairness: group every flow that ran by its path length and
     // score Jain over the per-group mean throughputs. Only meaningful when
     // path lengths actually differ (a dumbbell has one group).
     let mut by_hops: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-    for &f in std::iter::once(&primary).chain(&cross_ids) {
-        if f == primary || sim.flow_stats(f).active_duration(now) > Time::ZERO {
-            let share = if f == primary {
-                metrics.throughput_mbps
-            } else {
-                sim.flow_stats(f).throughput_mbps(now)
-            };
-            by_hops
-                .entry(sim.flow_path(f).len())
-                .or_default()
-                .push(share);
-        }
+    for f in ids.iter().filter(ran) {
+        by_hops
+            .entry(sim.flow_path(*f).len())
+            .or_default()
+            .push(mbps(f));
     }
     let hop_fairness = (by_hops.len() >= 2).then(|| {
         let means: Vec<f64> = by_hops
@@ -482,7 +398,7 @@ mod tests {
         // An unknown kernel is an error value, not a panic.
         let err = run_scenario(&Scheme::Baseline("reno2".into()), &constant(1.0, 8), None)
             .expect_err("unknown scheme");
-        assert!(err.0.contains("unknown baseline scheme `reno2`"), "{err}");
+        assert!(err.0.contains("flow 0: unknown kernel `reno2`"), "{err}");
     }
 
     #[test]

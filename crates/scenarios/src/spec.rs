@@ -25,6 +25,12 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<canopy_core::world::WorldError> for SpecError {
+    fn from(e: canopy_core::world::WorldError) -> SpecError {
+        SpecError(e.to_string())
+    }
+}
+
 fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }

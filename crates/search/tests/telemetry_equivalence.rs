@@ -11,8 +11,9 @@
 use std::path::PathBuf;
 
 use canopy_core::env::{CcEnv, EnvConfig};
-use canopy_core::eval::{run_multiflow, run_multiflow_recorded, FlowScheme, FlowSpec, Scheme};
+use canopy_core::eval::{run_multiflow, run_multiflow_recorded, Scheme};
 use canopy_core::models::{self, ModelKind, TrainBudget, TrainedModel};
+use canopy_core::world::{Controller, FlowSpec};
 use canopy_netsim::{BandwidthTrace, LinkConfig, Time};
 use canopy_scenarios::{generate, run_scenario, run_scenario_recorded, Family};
 use canopy_search::{
@@ -72,11 +73,9 @@ fn run_multiflow_noop_recorder_is_bitwise_inert() {
     );
     let flows: Vec<FlowSpec> = (0..4)
         .map(|i| {
-            FlowSpec::new(
-                FlowScheme::Classic("cubic".into()),
-                Time::from_millis(10 + i * 5),
-            )
-            .starting_at(Time::from_millis(100 * i))
+            let cubic = Controller::Kernel("cubic".into());
+            FlowSpec::new(cubic, Time::from_millis(10 + i * 5))
+                .starting_at(Time::from_millis(100 * i))
         })
         .collect();
     let plain = run_multiflow(
@@ -84,7 +83,8 @@ fn run_multiflow_noop_recorder_is_bitwise_inert() {
         &flows,
         Time::from_secs(2),
         Time::from_millis(250),
-    );
+    )
+    .expect("runs");
     // The recorded variant also turns on link sampling, so this proves
     // the sampling grid itself never perturbs the event path.
     let recorded = run_multiflow_recorded(
@@ -93,7 +93,8 @@ fn run_multiflow_noop_recorder_is_bitwise_inert() {
         Time::from_secs(2),
         Time::from_millis(250),
         Some(shared(NoopRecorder)),
-    );
+    )
+    .expect("runs");
     assert_eq!(digest(&plain), digest(&recorded));
 }
 

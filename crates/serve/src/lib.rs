@@ -4,8 +4,10 @@
 //! The training and evaluation harnesses ask "what does this policy do to
 //! the network?"; this crate asks the deployment question instead: **can
 //! one process sustain an entire fleet's decision loops in real time?** A
-//! [`Fleet`] owns a simulator (dumbbell or incast), one [`OrcaDriver`] per
-//! flow, and drives them through the [`DriverPool`]'s batched dispatch —
+//! [`Fleet`] describes its flows (on a dumbbell or an incast tree) to
+//! [`canopy_core::world`] like every other harness, and drives the
+//! resulting simulator and per-flow drivers through the [`DriverPool`]'s
+//! batched dispatch —
 //! flows sharing one policy that decide at the same instant cost one
 //! batched actor pass, not N scalar ones. [`Fleet::run`] measures
 //! sustained decisions/sec and
@@ -38,13 +40,13 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use canopy_cc::Cubic;
-use canopy_core::driver::{DriverConfig, DriverPolicy, DriverPool, OrcaDriver};
+use canopy_core::driver::{DriverPolicy, DriverPool};
 use canopy_core::obs::StateLayout;
 use canopy_core::property::Property;
 use canopy_core::runtime::FallbackController;
 use canopy_core::verifier::{StepContext, Verifier};
-use canopy_netsim::{BandwidthTrace, FlowConfig, LinkConfig, Simulator, Time, Topology};
+use canopy_core::world::{self, Controller, FlowSpec};
+use canopy_netsim::{BandwidthTrace, LinkConfig, Simulator, Time, Topology};
 use canopy_nn::Mlp;
 use canopy_telemetry::{FlightRecorder, LogHistogram, SharedRecorder};
 
@@ -56,10 +58,12 @@ pub enum FleetTopology {
         /// Bottleneck rate, bits/second.
         rate_bps: f64,
     },
-    /// `fan_in` leaf links converging on one root bottleneck; flow `i`
-    /// enters through leaf `i % fan_in`.
+    /// `fan_in` leaf links converging on one root; flow `i` enters
+    /// through leaf `i % fan_in`. Each driver is normalised by its own
+    /// flow's bottleneck like everywhere else — the slower of its leaf
+    /// and the root — not by the root regardless.
     Incast {
-        /// Root (bottleneck) rate, bits/second.
+        /// Root rate, bits/second.
         root_bps: f64,
         /// Per-leaf rate, bits/second.
         leaf_bps: f64,
@@ -253,12 +257,9 @@ impl Fleet {
                 1.0,
             )
         };
-        // The bottleneck link parameterizes every driver's normalizer, so
-        // states stay on the same scale the policy was trained on.
-        let (topology, bottleneck, fan_in) = match config.topology {
+        let (topology, fan_in) = match config.topology {
             FleetTopology::Dumbbell { rate_bps } => {
-                let link = link_of("fleet", rate_bps);
-                (Topology::dumbbell(link.clone()), link, 0)
+                (Topology::dumbbell(link_of("fleet", rate_bps)), 0)
             }
             FleetTopology::Incast {
                 root_bps,
@@ -267,11 +268,9 @@ impl Fleet {
             } => {
                 let root = link_of("fleet-root", root_bps);
                 let leaf = link_of("fleet-leaf", leaf_bps);
-                (Topology::incast(root.clone(), leaf, fan_in), root, fan_in)
+                (Topology::incast(root, leaf, fan_in), fan_in)
             }
         };
-        let mut sim = Simulator::with_topology(topology);
-        let mut pool = DriverPool::new();
         // One policy for the whole fleet: clones share the actor and its
         // fingerprint, and the pool compiles it once.
         let mut policy = DriverPolicy::new(actor.clone());
@@ -282,18 +281,23 @@ impl Fleet {
                 monitor.n_components,
             ));
         }
+        // One flow description, re-aimed per slot and spawned at once, so
+        // a large fleet never materialises its flow list.
+        let controller = Controller::Orca {
+            k: config.k,
+            policy: Some(policy),
+        };
+        let mut spec = FlowSpec::new(controller, config.min_rtt);
+        let mut sim = Simulator::with_topology(topology.clone());
+        let mut pool = DriverPool::new();
         for i in 0..config.flows {
-            let start = Time::from_nanos(config.stagger.as_nanos() * i as u64);
-            let mut flow_cfg = FlowConfig::new(config.min_rtt)
-                .starting_at(start)
-                .without_samples();
+            spec.start = Time::from_nanos(config.stagger.as_nanos() * i as u64);
             if fan_in > 0 {
-                flow_cfg = flow_cfg.on_path(Topology::incast_path(i, fan_in));
+                spec.path = Topology::incast_path(i, fan_in);
             }
-            let flow = sim.add_flow(flow_cfg, Box::new(Cubic::new()));
-            let driver_cfg = DriverConfig::new(config.min_rtt, config.k).starting_at(start);
-            let driver = OrcaDriver::new(&driver_cfg, &bottleneck, flow);
-            pool.push(driver.with_policy(policy.clone()));
+            let (_, driver) = world::spawn(&mut sim, &topology, i, &spec)
+                .expect("fleet flows run Cubic on the topology's own paths");
+            pool.push(driver.expect("steered flows come with a driver"));
         }
         Fleet {
             sim,

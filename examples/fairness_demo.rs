@@ -6,7 +6,8 @@
 //! cargo run --release --example fairness_demo
 //! ```
 
-use canopy_repro::core::eval::{jain_index, run_multiflow, FlowScheme, FlowSpec};
+use canopy_repro::core::eval::{jain_index, run_multiflow};
+use canopy_repro::core::world::{Controller, FlowSpec};
 use canopy_repro::netsim::{BandwidthTrace, LinkConfig, Time};
 
 fn main() {
@@ -18,11 +19,12 @@ fn main() {
 
     let flows: Vec<FlowSpec> = (0..n_flows)
         .map(|i| {
-            FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20))
+            FlowSpec::new(Controller::Kernel("cubic".into()), Time::from_millis(20))
                 .starting_at(stagger * i as u64)
         })
         .collect();
-    let series = run_multiflow(link, &flows, duration, Time::from_secs(1));
+    let series = run_multiflow(link, &flows, duration, Time::from_secs(1))
+        .expect("known kernels on a dumbbell, one-second bins");
 
     println!("48 Mbps / 20 ms / 1 BDP; one Cubic flow joins every 6 s\n");
     print!("{:>4}", "t");
@@ -50,5 +52,7 @@ fn main() {
         "\nsteady-state Jain index over the last 10 s: {:.3} (1.0 = perfectly fair)",
         jain_index(&sums)
     );
-    println!("swap FlowScheme::Classic for FlowScheme::Agent(model) to race learned models.");
+    println!(
+        "swap the kernel for `Scheme::Learned(model).controller(None)` to race learned models."
+    );
 }

@@ -5,8 +5,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use canopy_repro::core::eval::{run_multiflow, FlowScheme, FlowSpec, Scheme};
+use canopy_repro::core::eval::{run_multiflow, Scheme};
 use canopy_repro::core::models::{train_model, ModelKind, TrainBudget};
+use canopy_repro::core::world::{Controller, FlowSpec};
 use canopy_repro::netsim::{BandwidthTrace, LinkConfig, Time};
 use canopy_repro::scenarios::{run_scenario, run_scenario_recorded, ScenarioSpec};
 use canopy_repro::telemetry::{FlightRecorder, SharedRecorder};
@@ -70,13 +71,12 @@ fn multiflow_is_bit_deterministic() {
     let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(20), 1.0);
     let flows: Vec<FlowSpec> = (0..3)
         .map(|i| {
-            FlowSpec::new(FlowScheme::Classic("cubic".into()), Time::from_millis(20))
+            FlowSpec::new(Controller::Kernel("cubic".into()), Time::from_millis(20))
                 .starting_at(Time::from_secs(i))
         })
         .collect();
-    let a = run_multiflow(link.clone(), &flows, Time::from_secs(8), Time::from_secs(1));
-    let b = run_multiflow(link, &flows, Time::from_secs(8), Time::from_secs(1));
-    assert_eq!(a, b);
+    let run = |link| run_multiflow(link, &flows, Time::from_secs(8), Time::from_secs(1));
+    assert_eq!(run(link.clone()).expect("runs"), run(link).expect("runs"));
 }
 
 #[test]
