@@ -98,6 +98,11 @@ impl IbpBatchScratch {
         (&mut self.in_c, &mut self.in_d)
     }
 
+    /// The staged input matrices (centres, deviations) as last written.
+    pub fn staged(&self) -> (&Matrix, &Matrix) {
+        (&self.in_c, &self.in_d)
+    }
+
     /// Every resident buffer, for tests that audit what a propagation
     /// leaves behind (`tests/no_subnormals.rs`).
     #[doc(hidden)]

@@ -107,6 +107,12 @@ fn transform_intervals(input: &BoxState, f: impl Fn(Interval) -> Interval) -> Bo
 
 /// Propagates a box through an entire MLP, returning the output box.
 ///
+/// This scalar pass is the **reference enclosure**: nothing on a
+/// certification path calls it (they run [`PreparedMlp`](crate::PreparedMlp)'s
+/// batched kernel), and `tests/soundness.rs` and
+/// `tests/enclosure_differential.rs` hold the batched and zonotope
+/// enclosures against it.
+///
 /// # Panics
 ///
 /// Panics if the box dimensionality does not match the network input.

@@ -164,15 +164,6 @@ impl Interval {
         }
     }
 
-    /// Sound addition of a scalar.
-    #[inline]
-    pub fn add_scalar(self, k: f64) -> Interval {
-        Interval {
-            lo: (self.lo + k).next_down(),
-            hi: (self.hi + k).next_up(),
-        }
-    }
-
     /// Sound multiplication by a scalar.
     #[inline]
     pub fn scale(self, k: f64) -> Interval {

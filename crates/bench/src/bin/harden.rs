@@ -353,7 +353,6 @@ fn run_rounds(
                 optimizer: OptimizerKind::Cem,
                 budget: opts.budget,
                 population: opts.population,
-                elite_frac: 0.25,
                 seed: search_seed,
                 threads: None,
             };

@@ -185,7 +185,6 @@ fn run() -> Result<bool, String> {
         optimizer: opts.optimizer,
         budget: opts.budget,
         population: opts.population,
-        elite_frac: 0.25,
         seed: opts.seed,
         threads: None,
     };

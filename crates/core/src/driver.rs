@@ -291,16 +291,10 @@ impl OrcaDriver {
         policy.actor_key = donor.actor_key;
     }
 
-    /// Attaches a telemetry recorder: every decision (self-driven or
-    /// training-loop) emits one [`DecisionRecord`] timestamped in
-    /// simulation time. Recording only reads decision state, so an inert
-    /// recorder leaves the run bitwise unchanged.
-    pub fn with_recorder(mut self, recorder: SharedRecorder) -> OrcaDriver {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attaches or detaches the telemetry recorder in place.
+    /// Attaches or detaches the telemetry recorder in place: every
+    /// decision (self-driven or training-loop) emits one [`DecisionRecord`]
+    /// timestamped in simulation time. Recording only reads decision state,
+    /// so an inert recorder leaves the run bitwise unchanged.
     pub fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
         self.recorder = recorder;
     }
@@ -440,7 +434,9 @@ impl OrcaDriver {
     /// per-step QC evaluation; `fallback_qc` carries the fallback
     /// monitor's aggregate when one is attached (the threshold comparison
     /// and bookkeeping happen here, via
-    /// [`FallbackController::decide_with_qc`]).
+    /// [`FallbackController::decide_with_qc`]). A non-finite `action` never
+    /// reaches the agent path: the interval runs on the kernel and is
+    /// recorded as a fallback.
     ///
     /// # Panics
     ///
@@ -475,6 +471,10 @@ impl OrcaDriver {
             }
             None => true,
         };
+        // A non-finite action has no window under Eq. (1), and stored as
+        // `prev_action` it would poison every later state: the kernel keeps
+        // the interval, as on a fallback.
+        let use_agent = use_agent && action.is_finite();
         let cwnd = if use_agent {
             self.apply_agent(sim, action)
         } else {
@@ -1025,7 +1025,7 @@ impl DriverPool {
             for (plan, to_qc, to_fb) in plans.iter_mut() {
                 plan.run(net, actor, members.len(), |j| &ctx_of(j).state, scratch);
                 for (j, &pos) in members.iter().enumerate() {
-                    let agg = Some(plan.aggregate(j, ctx_of(j), actions[pos]));
+                    let agg = Some(plan.aggregate(j, ctx_of(j), || actions[pos]));
                     if *to_qc {
                         qc_aggs[pos] = agg;
                     }

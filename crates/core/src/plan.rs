@@ -6,13 +6,14 @@
 //! almost none of it depends on the decision: the policy is fixed between
 //! promotions, and P1–P4 abstract their variables of interest to constant
 //! ranges. A [`CertPlan`] holds what is left over once that is factored
-//! out — per (property, component) **box templates** (centre/deviation of
-//! the abstracted dimensions, the dimensions that stay concrete, the
-//! partition slices) and, when every precondition is state-independent,
-//! the first layer's deviation image `D·|W₁|ᵀ` (the fused layer kernel then
-//! skips its deviation stream there) — so that running it writes each
+//! out — each property's [`Stage`] (box templates and the dimensions that
+//! stay concrete) and, when every precondition is state-independent, the
+//! first layer's deviation image `D·|W₁|ᵀ` (the fused layer kernel then
+//! skips its deviation stream there) — so that running it **stages** each
 //! (context × property × component) row straight into the batched-IBP
-//! staging matrices, propagates, and folds Eq. 5–7.
+//! matrices, **encloses** them ([`Verifier::enclose`]) and **judges** the
+//! action intervals into Eq. 5–7 (the `judge` of a
+//! [`Postcondition`](crate::property::Postcondition)).
 //!
 //! This is the **only** fixed-partition certification path:
 //! [`Verifier::certify_all_many`] compiles a plan, runs it and drops it;
@@ -22,45 +23,26 @@
 
 use std::ops::Range;
 
-use canopy_absint::{
-    axis_slices, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
-};
+use canopy_absint::{IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::{Matrix, Mlp};
 
 use crate::obs::StateLayout;
-use crate::orca::f_cwnd;
 use crate::pool;
-use crate::property::{Postcondition, Property};
+use crate::property::{Property, Stage};
 use crate::qc::{Certificate, ComponentResult};
-use crate::verifier::{
-    component_result, AbstractDomain, StepContext, Verifier, CERT_CHUNK, PARALLEL_MIN_WORK,
-};
-
-/// How one property's rows are staged.
-#[derive(Debug)]
-struct Staging {
-    /// The partition axis.
-    axis: usize,
-    /// The dimensions that take the live state's value; `None` when the
-    /// whole region is rebuilt from the live state (P5's noise box, or a
-    /// partition axis the precondition leaves concrete).
-    concrete: Option<Vec<usize>>,
-}
+use crate::verifier::{AbstractDomain, StepContext, Verifier, CERT_CHUNK, PARALLEL_MIN_WORK};
 
 /// See the module docs.
 #[derive(Debug)]
 pub struct CertPlan {
     verifier: Verifier,
-    layout: StateLayout,
     properties: Vec<Property>,
     /// Parallel to `properties`.
-    staging: Vec<Staging>,
-    /// One row per (property, component): the box around an all-zero
-    /// state, i.e. the abstracted dimensions' ranges with zeros elsewhere.
-    template_c: Matrix,
-    template_d: Matrix,
-    /// `template_d · |W₁|ᵀ`, when no property rewrites its deviations.
-    dev_image: Option<Matrix>,
+    stages: Vec<Stage>,
+    /// When no property rewrites its deviations: those of every
+    /// (property, component) template, row by row, and their first-layer
+    /// image `D · |W₁|ᵀ`.
+    dev_image: Option<(Matrix, Matrix)>,
     /// Per staged row of the last run: (input slice, action interval).
     rows: Vec<(Interval, Interval)>,
 }
@@ -75,38 +57,25 @@ impl CertPlan {
         layout: StateLayout,
     ) -> CertPlan {
         let n = verifier.n_components;
-        let dim = layout.dim();
-        let mut template_c = Matrix::zeros(properties.len() * n, dim);
-        let mut template_d = template_c.clone();
-        let zeros = vec![0.0; dim];
-        let staging: Vec<Staging> = properties
+        let stages: Vec<Stage> = properties
             .iter()
-            .enumerate()
-            .map(|(p, property)| {
-                let axis = property.split_axis(layout);
-                let parts = property.input_region(&zeros, layout).split_dim(axis, n);
-                for (k, part) in parts.iter().enumerate() {
-                    template_c.set_row(p * n + k, &part.center);
-                    template_d.set_row(p * n + k, &part.dev);
-                }
-                let concrete = property
-                    .abstracted_dims(layout)
-                    .filter(|fixed| fixed.contains(&axis))
-                    .map(|fixed| (0..dim).filter(|i| !fixed.contains(i)).collect());
-                Staging { axis, concrete }
-            })
+            .map(|property| property.stage(layout, n))
             .collect();
-        let dev_image = (verifier.domain == AbstractDomain::Box
-            && !staging.is_empty()
-            && staging.iter().all(|s| s.concrete.is_some()))
-        .then(|| net.first_dev_image(&template_d));
+        let templates: Option<Vec<_>> = stages.iter().map(Stage::templates).collect();
+        let dev_image = templates
+            .filter(|t| verifier.domain == AbstractDomain::Box && !t.is_empty())
+            .map(|templates| {
+                let mut devs = Matrix::zeros(properties.len() * n, layout.dim());
+                for (row, part) in templates.into_iter().flatten().enumerate() {
+                    devs.set_row(row, &part.dev);
+                }
+                let image = net.first_dev_image(&devs);
+                (devs, image)
+            });
         CertPlan {
             verifier,
-            layout,
             properties: properties.to_vec(),
-            staging,
-            template_c,
-            template_d,
+            stages,
             dev_image,
             rows: Vec::new(),
         }
@@ -116,8 +85,8 @@ impl CertPlan {
     /// weights — by recomputing the one weight-dependent part, the
     /// first-layer deviation image.
     pub fn rebind(&mut self, net: &PreparedMlp) {
-        if self.dev_image.is_some() {
-            self.dev_image = Some(net.first_dev_image(&self.template_d));
+        if let Some((devs, image)) = &mut self.dev_image {
+            *image = net.first_dev_image(devs);
         }
     }
 
@@ -129,14 +98,6 @@ impl CertPlan {
     /// The properties this plan certifies, in order.
     pub fn properties(&self) -> &[Property] {
         &self.properties
-    }
-
-    /// Whether folding needs the actor's concrete action (a robustness
-    /// postcondition compares against the unperturbed output).
-    pub fn needs_action(&self) -> bool {
-        self.properties
-            .iter()
-            .any(|p| matches!(p.post, Postcondition::BoundedChange { .. }))
     }
 
     fn rows_per_context(&self) -> usize {
@@ -201,59 +162,20 @@ impl CertPlan {
     ) {
         let n = self.verifier.n_components;
         let per_context = self.rows_per_context();
-        let dim = self.layout.dim();
         let base = out.len();
-        let (in_c, in_d) = scratch.stage(range.len(), dim);
+        let (in_c, in_d) = scratch.stage(range.len(), net.input_dim());
         for (r, row) in range.clone().enumerate() {
             let state = state_at(row / per_context);
-            assert_eq!(state.len(), dim, "state does not match layout");
-            let template = row % per_context;
-            let (c, d) = (in_c.row_mut(r), in_d.row_mut(r));
-            let (property, staging) = (&self.properties[template / n], &self.staging[template / n]);
-            let axis = staging.axis;
-            match &staging.concrete {
-                Some(concrete) => {
-                    c.copy_from_slice(self.template_c.row(template));
-                    d.copy_from_slice(self.template_d.row(template));
-                    for &i in concrete {
-                        c[i] = Interval::point(state[i]).center();
-                    }
-                }
-                None => {
-                    let region = property.input_region(state, self.layout);
-                    let slice = axis_slices(region.dim_interval(axis), n)
-                        .nth(row % n)
-                        .expect("component index below n");
-                    c.copy_from_slice(&region.center);
-                    d.copy_from_slice(&region.dev);
-                    c[axis] = slice.center();
-                    d[axis] = slice.deviation();
-                }
-            }
-            let slice = Interval::centered(c[axis], d[axis]);
+            let stage = &self.stages[row % per_context / n];
+            let slice = stage.write_center_dev(state, row % n, in_c.row_mut(r), in_d.row_mut(r));
             out.push((slice, slice));
         }
-        match self.verifier.domain {
-            AbstractDomain::Box => {
-                let image = self
-                    .dev_image
-                    .as_ref()
-                    .map(|image| (image, range.start % per_context));
-                let (c, d) = net.propagate_staged(scratch, image);
-                for (r, slot) in out[base..].iter_mut().enumerate() {
-                    slot.1 = Interval::centered(c.get(r, 0), d.get(r, 0));
-                }
-            }
-            AbstractDomain::Zonotope => {
-                for (r, slot) in out[base..].iter_mut().enumerate() {
-                    let part = BoxState {
-                        center: in_c.row(r).to_vec(),
-                        dev: in_d.row(r).to_vec(),
-                    };
-                    slot.1 = propagate_mlp_zonotope(actor, &part)[0];
-                }
-            }
-        }
+        let image = self.dev_image.as_ref();
+        let image = image.map(|(_, image)| (image, range.start % per_context));
+        self.verifier
+            .enclose(net, actor, scratch, image, |r, action| {
+                out[base + r].1 = action
+            });
     }
 
     /// Component verdicts of property `p` at context `j` of the last run.
@@ -262,34 +184,30 @@ impl CertPlan {
         j: usize,
         p: usize,
         ctx: &'p StepContext,
-        action: f64,
+        action: &impl Fn() -> f64,
     ) -> impl Iterator<Item = ComponentResult> + 'p {
         let n = self.verifier.n_components;
-        let property = &self.properties[p];
-        let (post, allowed) = (property.post, property.allowed_output());
-        // Robustness compares against the *unperturbed* concrete output.
-        let concrete_cwnd = match post {
-            Postcondition::BoundedChange { .. } => f_cwnd(action, ctx.cwnd_tcp),
-            _ => 0.0,
-        };
+        let post = self.properties[p].post;
+        let reference = post.reference_cwnd(ctx, action);
         let base = j * self.rows_per_context() + p * n;
-        self.rows[base..base + n].iter().map(move |&(slice, act)| {
-            component_result(post, slice, ctx, allowed, concrete_cwnd, act)
-        })
+        self.rows[base..base + n]
+            .iter()
+            .map(move |&(slice, act)| post.judge(slice, act, ctx, reference))
     }
 
     /// The Eq. (7) aggregate at context `j` of the last run — bitwise the
     /// aggregate of [`certificates`](Self::certificates), without building
-    /// them. `action` is the actor's concrete output at `ctx.state` (only
-    /// read when [`needs_action`](Self::needs_action)).
-    pub fn aggregate(&self, j: usize, ctx: &StepContext, action: f64) -> f64 {
+    /// them. `action` computes the actor's concrete output at `ctx.state`
+    /// (only a robustness postcondition, which compares against the
+    /// unperturbed output, calls it).
+    pub fn aggregate(&self, j: usize, ctx: &StepContext, action: impl Fn() -> f64) -> f64 {
         if self.properties.is_empty() {
             return 0.0;
         }
         let n = self.verifier.n_components as f64;
         (0..self.properties.len())
             .map(|p| {
-                self.components(j, p, ctx, action)
+                self.components(j, p, ctx, &action)
                     .map(|c| c.feedback)
                     .sum::<f64>()
                     / n
@@ -300,10 +218,15 @@ impl CertPlan {
 
     /// The full certificates at context `j` of the last run, one per
     /// property.
-    pub fn certificates(&self, j: usize, ctx: &StepContext, action: f64) -> Vec<Certificate> {
+    pub fn certificates(
+        &self,
+        j: usize,
+        ctx: &StepContext,
+        action: impl Fn() -> f64,
+    ) -> Vec<Certificate> {
         (0..self.properties.len())
             .map(|p| {
-                let components = self.components(j, p, ctx, action).collect();
+                let components = self.components(j, p, ctx, &action).collect();
                 Certificate::from_components(&self.properties[p].name, components)
             })
             .collect()

@@ -11,11 +11,20 @@
 //! interest are abstracted; all other state features keep their concretely
 //! observed values, so the certificate tracks the worst case over exactly
 //! the constrained region around the live state.
+//!
+//! This file is the whole of a property: the certification engines are
+//! schedules over **stage** ([`Stage`]), **enclose**
+//! ([`Verifier::enclose`](crate::verifier::Verifier::enclose)) and **judge**
+//! (the methods of [`Postcondition`]), so a new pre- or postcondition is an
+//! edit here alone.
 
-use canopy_absint::{BoxState, Interval};
+use canopy_absint::{axis_slices, BoxState, Interval};
 use serde::{Deserialize, Serialize};
 
 use crate::obs::{StateLayout, ACTION_IDX, DELAY_IDX, LOSS_IDX};
+use crate::orca::{f_cwnd, f_cwnd_abstract};
+use crate::qc::ComponentResult;
+use crate::verifier::StepContext;
 
 /// Parameters for instantiating P1–P5, with the defaults of Section 6.1.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -112,6 +121,112 @@ pub enum Postcondition {
         /// The relative band half-width ε.
         eps: f64,
     },
+}
+
+/// Hinge margin for the certified-bound loss, in units of the final
+/// layer's **pre-activation** (so an action margin of roughly
+/// `tanh(0.2) ≈ 0.2`): direction properties push the relevant bound this
+/// far past zero so the certificate holds with slack.
+///
+/// The hinge lives in pre-activation space deliberately: a policy whose
+/// output tanh has saturated (which reward-seeking RL produces quickly)
+/// has a vanishing output-side derivative, so a post-activation hinge can
+/// never pull it back. The pre-activation bound always carries gradient,
+/// and tanh's monotonicity makes the two constraints equivalent.
+///
+/// The margin is kept small: the certificate only needs the bound's sign,
+/// and a large margin trains needlessly aggressive window swings
+/// (`a = ±0.2` is already a ±32% change per interval) that cost
+/// average-case utilization through bang-bang oscillation.
+const QC_HINGE_MARGIN: f64 = 0.05;
+
+/// **Judge.** What a postcondition demands of an action: its reference
+/// window, its output quantity (abstract and concrete), verdict and loss.
+impl Postcondition {
+    /// The allowed output interval (the complement of `Y`) in the output
+    /// space of [`output`](Self::output): `Δcwnd` for window-direction
+    /// properties, the relative change fraction for robustness.
+    pub fn allowed_output(self) -> Interval {
+        match self {
+            Postcondition::NoDecrease => Interval::new(0.0, f64::INFINITY),
+            Postcondition::NoIncrease => Interval::new(f64::NEG_INFINITY, 0.0),
+            Postcondition::BoundedChange { eps } => Interval::new(-eps, eps),
+        }
+    }
+
+    /// The window the output quantity is measured against, once per
+    /// (decision, property): `cwnd_{i−1}` for the direction properties; for
+    /// robustness the *unperturbed* `cwnd_i`, Eq. (1) at `action()` — the
+    /// actor's concrete output at `ctx.state`.
+    pub fn reference_cwnd(self, ctx: &StepContext, action: impl FnOnce() -> f64) -> f64 {
+        match self {
+            Postcondition::NoDecrease | Postcondition::NoIncrease => ctx.cwnd_prev,
+            Postcondition::BoundedChange { .. } => f_cwnd(action(), ctx.cwnd_tcp),
+        }
+    }
+
+    /// The concrete output quantity of one action: `Δcwnd = cwnd −
+    /// cwnd_{i−1}`, or `(cwnd − cwnd_i) / cwnd_i`.
+    pub fn output(self, action: f64, ctx: &StepContext, reference: f64) -> f64 {
+        let delta = f_cwnd(action, ctx.cwnd_tcp) - reference;
+        match self {
+            Postcondition::NoDecrease | Postcondition::NoIncrease => delta,
+            Postcondition::BoundedChange { .. } => delta / reference.max(f64::MIN_POSITIVE),
+        }
+    }
+
+    /// Whether one concrete action lands in `Y` — a genuine counterexample.
+    pub fn violated_by(self, action: f64, ctx: &StepContext, reference: f64) -> bool {
+        !self
+            .allowed_output()
+            .contains(self.output(action, ctx, reference))
+    }
+
+    /// One component verdict (Eq. 5–6) from its partition slice and its
+    /// enclosed action interval: Eq. (5), then the arithmetic of
+    /// [`output`](Self::output) outward-rounded, against the allowed region.
+    pub fn judge(
+        self,
+        input_slice: Interval,
+        action: Interval,
+        ctx: &StepContext,
+        reference: f64,
+    ) -> ComponentResult {
+        let delta = f_cwnd_abstract(action, ctx.cwnd_tcp).sub(Interval::point(reference));
+        let output = match self {
+            Postcondition::NoDecrease | Postcondition::NoIncrease => delta,
+            Postcondition::BoundedChange { .. } => {
+                delta.scale(1.0 / reference.max(f64::MIN_POSITIVE))
+            }
+        };
+        ComponentResult::new(input_slice, output, self.allowed_output())
+    }
+
+    /// The certified-bound training loss on the final layer's
+    /// pre-activation bound `[z_lo, z_hi]` (see `QC_HINGE_MARGIN` for why
+    /// there): `(loss, ∂loss/∂z_lo, ∂loss/∂z_hi)`, the derivatives scaled
+    /// by `weight` and both zero when the hinge is inactive.
+    pub fn hinge(self, z_lo: f64, z_hi: f64, weight: f64) -> (f64, f64, f64) {
+        let (loss, g_lo, g_hi) = match self {
+            // Want z_lo ≥ margin (⟺ a_lo ≥ tanh(margin) > 0):
+            // loss = relu(margin − z_lo).
+            Postcondition::NoDecrease => (QC_HINGE_MARGIN - z_lo, -weight, 0.0),
+            // Want z_hi ≤ −margin: loss = relu(z_hi + margin).
+            Postcondition::NoIncrease => (z_hi + QC_HINGE_MARGIN, 0.0, weight),
+            // Want 2^(2(a−a₀)) ∈ [1−ε, 1+ε] for all a in the bound. tanh is
+            // 1-Lipschitz, so bounding the pre-activation width by the allowed
+            // action width (log2(1+ε) − log2(1−ε)) / 2 suffices.
+            Postcondition::BoundedChange { eps } => {
+                let allowed = ((1.0 + eps).log2() - (1.0 - eps).log2()) / 2.0;
+                ((z_hi - z_lo) - allowed, -weight, weight)
+            }
+        };
+        if loss > 0.0 {
+            (loss, g_lo, g_hi)
+        } else {
+            (0.0, 0.0, 0.0)
+        }
+    }
 }
 
 /// A complete property `φ(π, X, Y)`.
@@ -305,21 +420,133 @@ impl Property {
         )
     }
 
-    /// The allowed output interval (the complement of `Y`) in the property's
-    /// output space: `Δcwnd` for window-direction properties, the relative
-    /// change fraction for robustness.
+    /// [`Postcondition::allowed_output`] of this property.
     pub fn allowed_output(&self) -> Interval {
-        match self.post {
-            Postcondition::NoDecrease => Interval::new(0.0, f64::INFINITY),
-            Postcondition::NoIncrease => Interval::new(f64::NEG_INFINITY, 0.0),
-            Postcondition::BoundedChange { eps } => Interval::new(-eps, eps),
-        }
+        self.post.allowed_output()
     }
 
     /// The axis along which QC components are sliced: the most recent
     /// step's abstracted delay dimension (all P1–P5 abstract delay).
     pub fn split_axis(&self, layout: StateLayout) -> usize {
         layout.primary_delay_idx()
+    }
+
+    /// Compiles the precondition for boxes cut into `n_components` along
+    /// the partition axis (the lo/hi writer stages the whole region).
+    pub fn stage(&self, layout: StateLayout, n_components: usize) -> Stage {
+        let axis = self.split_axis(layout);
+        let zero = self.input_region(&vec![0.0; layout.dim()], layout);
+        // The template needs the partition axis pinned too: a concrete
+        // axis is sliced around the live value.
+        let live = self
+            .abstracted_dims(layout)
+            .filter(|pinned| pinned.contains(&axis))
+            .map(|pinned| (0..layout.dim()).filter(|i| !pinned.contains(i)).collect());
+        let (zero_lo, zero_hi) = zero.to_intervals().iter().map(|i| (i.lo, i.hi)).unzip();
+        Stage {
+            property: self.clone(),
+            layout,
+            axis,
+            live,
+            zero_lo,
+            zero_hi,
+            parts: zero.split_dim(axis, n_components),
+        }
+    }
+}
+
+/// **Stage.** A property's precondition compiled against a layout
+/// ([`Property::stage`]): the decision-independent part of writing its
+/// input boxes. P1–P4 pin their variables of interest to constant ranges,
+/// so a box is the region around an all-zero state with the remaining
+/// dimensions set to the live state; a region whose ranges are built from
+/// the state (P5's noise box), or whose partition axis stays concrete, is
+/// rebuilt per decision. Both routes write the bits of
+/// [`Property::input_region`], point → box → interval round trips included.
+#[derive(Clone, Debug)]
+pub struct Stage {
+    property: Property,
+    layout: StateLayout,
+    axis: usize,
+    /// The dimensions that take the live state's value; `None` when the
+    /// region is rebuilt from the live state.
+    live: Option<Vec<usize>>,
+    /// The region around an all-zero state: as bound rows, and cut into
+    /// the partition's components.
+    zero_lo: Vec<f64>,
+    zero_hi: Vec<f64>,
+    parts: Vec<BoxState>,
+}
+
+impl Stage {
+    /// The components of the region around an all-zero state, ascending
+    /// along the partition axis, whose deviations every box of this stage
+    /// shares; `None` when the region is rebuilt per decision.
+    pub fn templates(&self) -> Option<&[BoxState]> {
+        self.live.as_ref().map(|_| &self.parts[..])
+    }
+
+    /// Writes component `k` of the region around `state` in
+    /// centre/deviation form; returns its slice of the partition axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not match the layout.
+    pub fn write_center_dev(
+        &self,
+        state: &[f64],
+        k: usize,
+        c: &mut [f64],
+        d: &mut [f64],
+    ) -> Interval {
+        assert_eq!(state.len(), c.len(), "state does not match layout");
+        let axis = self.axis;
+        match &self.live {
+            Some(live) => {
+                c.copy_from_slice(&self.parts[k].center);
+                d.copy_from_slice(&self.parts[k].dev);
+                for &i in live {
+                    c[i] = Interval::point(state[i]).center();
+                }
+            }
+            None => {
+                let region = self.property.input_region(state, self.layout);
+                let slice = axis_slices(region.dim_interval(axis), self.parts.len())
+                    .nth(k)
+                    .expect("component index below n");
+                c.copy_from_slice(&region.center);
+                d.copy_from_slice(&region.dev);
+                c[axis] = slice.center();
+                d[axis] = slice.deviation();
+            }
+        }
+        Interval::centered(c[axis], d[axis])
+    }
+
+    /// Writes the whole region around `state` as lower/upper bound rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not match the layout.
+    pub fn write_lo_hi(&self, state: &[f64], lo: &mut [f64], hi: &mut [f64]) {
+        assert_eq!(state.len(), lo.len(), "state does not match layout");
+        match &self.live {
+            Some(live) => {
+                lo.copy_from_slice(&self.zero_lo);
+                hi.copy_from_slice(&self.zero_hi);
+                for &i in live {
+                    let point = Interval::point(state[i]);
+                    let iv = Interval::centered(point.center(), point.deviation());
+                    (lo[i], hi[i]) = (iv.lo, iv.hi);
+                }
+            }
+            None => {
+                let region = self.property.input_region(state, self.layout);
+                for (i, iv) in region.to_intervals().iter().enumerate() {
+                    (lo[i], hi[i]) = (iv.lo, iv.hi);
+                }
+            }
+        }
     }
 }
 
@@ -434,6 +661,109 @@ mod tests {
         }
         let region = prop.input_region(&state, layout());
         assert!(region.contains(&state));
+    }
+
+    /// Both writers of a compiled precondition reproduce `input_region`
+    /// bit for bit — pinned everywhere (P1, P4i), rebuilt from the state
+    /// (P5), and pinned except on the partition axis.
+    #[test]
+    fn stage_writes_the_bits_of_input_region() {
+        let p = PropertyParams::default();
+        let mut loss_only = Property::p2(&p);
+        loss_only.pre.delay = None;
+        let state: Vec<f64> = concrete_state().iter().map(|x| x * 3.0 - 0.2).collect();
+        let (n, dim) = (4, layout().dim());
+        for prop in [
+            Property::p1(&p),
+            Property::p4i(&p),
+            Property::p5(&p),
+            loss_only,
+        ] {
+            let stage = prop.stage(layout(), n);
+            let axis = prop.split_axis(layout());
+            let region = prop.input_region(&state, layout());
+            let pinned = prop.abstracted_dims(layout());
+            let axis_pinned = pinned.is_some_and(|dims| dims.contains(&axis));
+            assert_eq!(stage.templates().is_some(), axis_pinned, "{}", prop.name);
+
+            let parts = region.split_dim(axis, n);
+            for (k, part) in parts.iter().enumerate() {
+                let (mut c, mut d) = (vec![f64::NAN; dim], vec![f64::NAN; dim]);
+                let slice = stage.write_center_dev(&state, k, &mut c, &mut d);
+                assert_eq!(
+                    (&c, &d),
+                    (&part.center, &part.dev),
+                    "{} part {k}",
+                    prop.name
+                );
+                assert_eq!(slice, part.dim_interval(axis));
+            }
+            let (mut lo, mut hi) = (vec![f64::NAN; dim], vec![f64::NAN; dim]);
+            stage.write_lo_hi(&state, &mut lo, &mut hi);
+            let want = region.to_intervals();
+            assert!(want
+                .iter()
+                .zip(lo.iter().zip(&hi))
+                .all(|(iv, (&l, &h))| (iv.lo, iv.hi) == (l, h)));
+        }
+    }
+
+    /// The two sides of `judge` agree: the abstract output quantity of an
+    /// action interval contains the concrete quantity of every action in
+    /// it, a concrete action violates exactly when its quantity leaves
+    /// `allowed_output()`, and so a satisfied verdict admits no violation.
+    #[test]
+    fn abstract_and_concrete_judgements_agree() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(24);
+        let posts = [
+            Postcondition::NoDecrease,
+            Postcondition::NoIncrease,
+            Postcondition::BoundedChange { eps: 0.01 },
+            Postcondition::BoundedChange { eps: 0.4 },
+        ];
+        let (mut satisfied, mut violated) = (0, 0);
+        for case in 0..2_000 {
+            let post = posts[case % posts.len()];
+            let ctx = StepContext {
+                state: Vec::new(),
+                cwnd_tcp: rng.random_range(1.0..3_000.0),
+                cwnd_prev: rng.random_range(2.0..3_000.0),
+            };
+            let lo = rng.random_range(-1.2..1.2);
+            let hi: f64 = lo + rng.random_range(0.0..0.3) * rng.random_range(0.0..1.0);
+            let reference = post.reference_cwnd(&ctx, || rng.random_range(lo..=hi));
+            let slice = Interval::new(0.0, 1.0);
+            let verdict = post.judge(slice, Interval::new(lo, hi), &ctx, reference);
+            satisfied += verdict.satisfied as usize;
+            for i in 0..=8 {
+                let action = match i {
+                    0 => lo,
+                    1 => hi,
+                    _ => rng.random_range(lo..=hi),
+                };
+                let output = post.output(action, &ctx, reference);
+                assert!(
+                    verdict.output.contains(output),
+                    "{post:?}: {output} escapes {:?} at action {action} in [{lo}, {hi}]",
+                    verdict.output
+                );
+                let violates = post.violated_by(action, &ctx, reference);
+                assert_eq!(violates, !post.allowed_output().contains(output));
+                assert!(
+                    !(verdict.satisfied && violates),
+                    "{post:?}: proof with a violation"
+                );
+                violated += violates as usize;
+            }
+        }
+        // Both outcomes are exercised, not vacuously absent.
+        assert!(
+            satisfied > 100 && violated > 1_000,
+            "{satisfied} / {violated}"
+        );
     }
 
     #[test]

@@ -27,6 +27,19 @@ pub struct ComponentResult {
     pub feedback: f64,
 }
 
+impl ComponentResult {
+    /// The verdict on an `output` bound against the `allowed` region: the
+    /// boolean proof and the Eq. (6) score.
+    pub fn new(input_slice: Interval, output: Interval, allowed: Interval) -> ComponentResult {
+        ComponentResult {
+            input_slice,
+            output,
+            satisfied: output.is_subset_of(allowed),
+            feedback: output.fraction_within(allowed),
+        }
+    }
+}
+
 /// The quantitative certificate for one property at one step.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Certificate {

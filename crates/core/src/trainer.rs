@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use canopy_absint::{BoundGrads, DiffIbp, IbpBatchScratch, Interval, PreparedMlp};
+use canopy_absint::{BoundGrads, DiffIbp, IbpBatchScratch, PreparedMlp};
 use canopy_nn::Mlp;
 use canopy_rl::{ReplayBuffer, Td3, Td3Config, Transition};
 use canopy_telemetry::{SharedRecorder, TrainerEvent};
@@ -25,28 +25,12 @@ use crate::env::{CcEnv, EnvConfig, EpisodeSpec};
 use crate::models::TrainedModel;
 use crate::obs::StateLayout;
 use crate::plan::CertPlan;
-use crate::property::{Postcondition, Property};
+use crate::property::{Property, Stage};
 use crate::verifier::Verifier;
 
-/// Hinge margin for the certified-bound loss, in units of the final
-/// layer's **pre-activation** (so an action margin of roughly
-/// `tanh(0.2) ≈ 0.2`): direction properties push the relevant bound this
-/// far past zero so the certificate holds with slack.
-///
-/// The hinge lives in pre-activation space deliberately: a policy whose
-/// output tanh has saturated (which reward-seeking RL produces quickly)
-/// has a vanishing output-side derivative, so a post-activation hinge can
-/// never pull it back. The pre-activation bound always carries gradient,
-/// and tanh's monotonicity makes the two constraints equivalent.
-///
-/// The margin is kept small: the certificate only needs the bound's sign,
-/// and a large margin trains needlessly aggressive window swings
-/// (`a = ±0.2` is already a ±32% change per interval) that cost
-/// average-case utilization through bang-bang oscillation.
-const QC_HINGE_MARGIN: f64 = 0.05;
-
 /// The certified-bound loss (IBP training, Gowal et al. 2018) of a property
-/// set over a mini-batch of states: a hinge on each violating output bound,
+/// set over a mini-batch of states: a hinge on each violating output bound
+/// (the `hinge` of a [`Postcondition`](crate::property::Postcondition)),
 /// back-propagated through the bound computation itself.
 ///
 /// One resident [`DiffIbp`] engine computes the bounds of every
@@ -57,48 +41,17 @@ const QC_HINGE_MARGIN: f64 = 0.05;
 /// this same type.
 struct QcLoss<'p> {
     properties: &'p [Property],
-    layout: StateLayout,
     /// Parallel to `properties`: how its rows are staged.
-    staging: Vec<Staging>,
+    stages: Vec<Stage>,
     engine: DiffIbp,
     grads: BoundGrads,
 }
 
-/// How one property's input box is written into the engine.
-enum Staging {
-    /// The precondition's ranges do not depend on the state (P1–P4): the
-    /// bound rows of the box around an all-zero state, and the dimensions
-    /// that take the live state's value instead.
-    Template {
-        lo: Vec<f64>,
-        hi: Vec<f64>,
-        concrete: Vec<usize>,
-    },
-    /// The region is rebuilt from the live state (P5's noise box).
-    FromState,
-}
-
 impl<'p> QcLoss<'p> {
     fn new(properties: &'p [Property], layout: StateLayout) -> QcLoss<'p> {
-        let zeros = vec![0.0; layout.dim()];
-        let staging = properties
-            .iter()
-            .map(|property| match property.abstracted_dims(layout) {
-                Some(fixed) => {
-                    let region = property.input_region(&zeros, layout).to_intervals();
-                    Staging::Template {
-                        lo: region.iter().map(|i| i.lo).collect(),
-                        hi: region.iter().map(|i| i.hi).collect(),
-                        concrete: (0..layout.dim()).filter(|i| !fixed.contains(i)).collect(),
-                    }
-                }
-                None => Staging::FromState,
-            })
-            .collect();
         QcLoss {
             properties,
-            layout,
-            staging,
+            stages: properties.iter().map(|p| p.stage(layout, 1)).collect(),
             engine: DiffIbp::default(),
             grads: BoundGrads::default(),
         }
@@ -117,35 +70,9 @@ impl<'p> QcLoss<'p> {
         self.engine.bind(actor);
         let (in_lo, in_hi) = self.engine.stage(states.len() * per_state);
         for (t, state) in states.enumerate() {
-            assert_eq!(
-                state.len(),
-                self.layout.dim(),
-                "state does not match layout"
-            );
-            for (p, staging) in self.staging.iter().enumerate() {
-                let (row_lo, row_hi) = (
-                    in_lo.row_mut(t * per_state + p),
-                    in_hi.row_mut(t * per_state + p),
-                );
-                match staging {
-                    Staging::Template { lo, hi, concrete } => {
-                        row_lo.copy_from_slice(lo);
-                        row_hi.copy_from_slice(hi);
-                        for &i in concrete {
-                            // The same point → box → interval round trip
-                            // `input_region(..).to_intervals()` makes.
-                            let point = Interval::point(state[i]);
-                            let iv = Interval::centered(point.center(), point.deviation());
-                            (row_lo[i], row_hi[i]) = (iv.lo, iv.hi);
-                        }
-                    }
-                    Staging::FromState => {
-                        let region = self.properties[p].input_region(state, self.layout);
-                        for (i, iv) in region.to_intervals().iter().enumerate() {
-                            (row_lo[i], row_hi[i]) = (iv.lo, iv.hi);
-                        }
-                    }
-                }
+            for (p, stage) in self.stages.iter().enumerate() {
+                let row = t * per_state + p;
+                stage.write_lo_hi(state, in_lo.row_mut(row), in_hi.row_mut(row));
             }
         }
         self.engine.forward();
@@ -154,38 +81,7 @@ impl<'p> QcLoss<'p> {
             let property = &self.properties[row % per_state];
             let weight = weight * property.weight;
             let (z_lo, z_hi) = self.engine.pre_out_bounds(row);
-            let (z_lo, z_hi) = (z_lo[0], z_hi[0]);
-            let (loss, g_lo, g_hi) = match property.post {
-                // Want z_lo ≥ margin (⟺ a_lo ≥ tanh(margin) > 0):
-                // loss = relu(margin − z_lo).
-                Postcondition::NoDecrease => {
-                    if z_lo < QC_HINGE_MARGIN {
-                        (QC_HINGE_MARGIN - z_lo, -weight, 0.0)
-                    } else {
-                        (0.0, 0.0, 0.0)
-                    }
-                }
-                // Want z_hi ≤ −margin: loss = relu(z_hi + margin).
-                Postcondition::NoIncrease => {
-                    if z_hi > -QC_HINGE_MARGIN {
-                        (z_hi + QC_HINGE_MARGIN, 0.0, weight)
-                    } else {
-                        (0.0, 0.0, 0.0)
-                    }
-                }
-                // Want 2^(2(a−a₀)) ∈ [1−ε, 1+ε] for all a in the bound. tanh is
-                // 1-Lipschitz, so bounding the pre-activation width by the allowed
-                // action width (log2(1+ε) − log2(1−ε)) / 2 suffices.
-                Postcondition::BoundedChange { eps } => {
-                    let allowed = ((1.0 + eps).log2() - (1.0 - eps).log2()) / 2.0;
-                    let width = z_hi - z_lo;
-                    if width > allowed {
-                        (width - allowed, -weight, weight)
-                    } else {
-                        (0.0, 0.0, 0.0)
-                    }
-                }
-            };
+            let (loss, g_lo, g_hi) = property.post.hinge(z_lo[0], z_hi[0], weight);
             if g_lo != 0.0 || g_hi != 0.0 {
                 self.engine
                     .backward_row(actor, row, &[g_lo], &[g_hi], true, &mut self.grads);
@@ -406,12 +302,7 @@ impl Trainer {
                     let ctx = env.step_context();
                     let actor = agent.actor();
                     plan.run(net, actor, 1, |_| &ctx.state, scratch);
-                    let concrete = if plan.needs_action() {
-                        actor.forward(&ctx.state)[0]
-                    } else {
-                        0.0
-                    };
-                    let agg = plan.aggregate(0, &ctx, concrete);
+                    let agg = plan.aggregate(0, &ctx, || actor.forward(&ctx.state)[0]);
                     record(TrainerEvent::CertProbe {
                         step,
                         r_verifier: agg,

@@ -4,14 +4,13 @@
 use canopy_absint::{
     axis_slices, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
 };
-use canopy_nn::Mlp;
+use canopy_nn::{Matrix, Mlp};
 use serde::{Deserialize, Serialize};
 
 use crate::obs::StateLayout;
-use crate::orca::{f_cwnd, f_cwnd_abstract};
 use crate::plan::CertPlan;
 use crate::pool;
-use crate::property::{Postcondition, Property};
+use crate::property::Property;
 use crate::qc::{Certificate, ComponentResult};
 
 /// Boxes an adaptive call refines on the calling thread before it may
@@ -52,14 +51,13 @@ struct OpenBox {
 
 /// Per-worker state of an adaptive call: its LIFO frontier, the leaves it
 /// has finished (verdict + feedback weight), and the buffers one chunk
-/// reuses — batched-IBP staging (which the centre probes share), action
-/// intervals and the boxes awaiting their probe.
+/// reuses — batched-IBP staging (which the centre probes share) and the
+/// boxes awaiting their probe.
 #[derive(Default)]
 struct AdaptiveScratch {
     open: Vec<OpenBox>,
     leaves: Vec<(ComponentResult, f64)>,
     ibp: IbpBatchScratch,
-    actions: Vec<Interval>,
     candidates: Vec<(OpenBox, ComponentResult, f64)>,
 }
 
@@ -126,12 +124,7 @@ impl Verifier {
     ///
     /// Panics if `n_components` is zero.
     pub fn new(n_components: usize) -> Verifier {
-        assert!(n_components > 0, "need at least one component");
-        Verifier {
-            n_components,
-            domain: AbstractDomain::Box,
-            threads: None,
-        }
+        Verifier::with_domain(n_components, AbstractDomain::Box)
     }
 
     /// A verifier using an explicit abstract domain.
@@ -153,6 +146,40 @@ impl Verifier {
     pub fn with_threads(mut self, threads: usize) -> Verifier {
         self.threads = Some(threads.max(1));
         self
+    }
+
+    /// **Enclose**: the action interval of every box staged in `scratch`
+    /// (see [`IbpBatchScratch::stage`]), handed to `emit` by ascending row
+    /// — one batched IBP pass over `net` (with the first layer's deviation
+    /// image, when the caller holds one; see
+    /// [`PreparedMlp::propagate_staged`]), or a zonotope pass per row over
+    /// `actor`, the network `net` was prepared from.
+    pub fn enclose(
+        &self,
+        net: &PreparedMlp,
+        actor: &Mlp,
+        scratch: &mut IbpBatchScratch,
+        dev_image: Option<(&Matrix, usize)>,
+        mut emit: impl FnMut(usize, Interval),
+    ) {
+        match self.domain {
+            AbstractDomain::Box => {
+                let (c, d) = net.propagate_staged(scratch, dev_image);
+                for r in 0..c.rows() {
+                    emit(r, Interval::centered(c.get(r, 0), d.get(r, 0)));
+                }
+            }
+            AbstractDomain::Zonotope => {
+                let (in_c, in_d) = scratch.staged();
+                for r in 0..in_c.rows() {
+                    let part = BoxState {
+                        center: in_c.row(r).to_vec(),
+                        dev: in_d.row(r).to_vec(),
+                    };
+                    emit(r, propagate_mlp_zonotope(actor, &part)[0]);
+                }
+            }
+        }
     }
 
     /// Computes the quantitative certificate for `property` under the
@@ -209,21 +236,16 @@ impl Verifier {
     ) -> Certificate {
         let region = property.input_region(&ctx.state, layout);
         let axis = property.split_axis(layout);
-        let allowed = property.allowed_output();
-        let concrete_cwnd = match property.post {
-            Postcondition::BoundedChange { .. } => {
-                f_cwnd(actor.forward(&ctx.state)[0], ctx.cwnd_tcp)
-            }
-            _ => 0.0,
-        };
+        let post = property.post;
+        let reference = post.reference_cwnd(ctx, || actor.forward(&ctx.state)[0]);
         let total_width = region.dim_interval(axis).width();
         let threads = pool::resolve_threads(self.threads);
         let net = PreparedMlp::new(actor);
 
         // Refines `scratch.open` into `scratch.leaves`, a chunk at a time
-        // off the top of the stack: one batched IBP pass for the chunk,
-        // per-box leaf/split classification, then one batched forward pass
-        // for the centre probes of every candidate split (row-wise bitwise
+        // off the top of the stack: stage and enclose the chunk in one pass,
+        // judge each box into a leaf or a candidate split, then probe every
+        // candidate's centre in one batched forward pass (row-wise bitwise
         // `Mlp::forward`, so batching the probes cannot change a decision).
         // Each box's fate is independent of processing order, so chunking
         // (and which worker refines what) cannot change the leaf set. With
@@ -233,38 +255,20 @@ impl Verifier {
                 open,
                 leaves,
                 ibp,
-                actions,
                 candidates,
             } = scratch;
             let mut processed = 0usize;
             while !open.is_empty() {
                 let start = open.len() - open.len().min(CERT_CHUNK);
                 let chunk = &open[start..];
-                actions.clear();
-                match self.domain {
-                    AbstractDomain::Box => {
-                        stage_boxes(ibp, &region, axis, chunk.iter().copied());
-                        let (c, d) = net.propagate_staged(ibp, None);
-                        actions.extend(
-                            (0..chunk.len()).map(|r| Interval::centered(c.get(r, 0), d.get(r, 0))),
-                        );
-                    }
-                    AbstractDomain::Zonotope => {
-                        let mut part = region.clone();
-                        actions.extend(chunk.iter().map(|open| {
-                            part.center[axis] = open.center;
-                            part.dev[axis] = open.dev;
-                            propagate_mlp_zonotope(actor, &part)[0]
-                        }));
-                    }
-                }
+                stage_boxes(ibp, &region, axis, chunk.iter().copied());
                 // Boxes whose bound is undecided: candidates for splitting,
                 // pending the concrete centre probe.
                 candidates.clear();
-                for (&open, &action) in chunk.iter().zip(actions.iter()) {
+                self.enclose(&net, actor, ibp, None, |r, action| {
+                    let open = chunk[r];
                     let slice = Interval::centered(open.center, open.dev);
-                    let result =
-                        component_result(property.post, slice, ctx, allowed, concrete_cwnd, action);
+                    let result = post.judge(slice, action, ctx, reference);
                     let width = slice.width();
                     let weight = if total_width > 0.0 {
                         width / total_width
@@ -276,7 +280,7 @@ impl Verifier {
                     } else {
                         candidates.push((open, result, weight));
                     }
-                }
+                });
                 processed += open.len() - start;
                 open.truncate(start);
                 if !candidates.is_empty() {
@@ -287,16 +291,7 @@ impl Verifier {
                     stage_boxes(ibp, &region, axis, centers);
                     let probes = net.forward_staged(ibp);
                     for (r, (parent, result, weight)) in candidates.drain(..).enumerate() {
-                        let cwnd = f_cwnd(probes.get(r, 0), ctx.cwnd_tcp);
-                        let violated = match property.post {
-                            Postcondition::NoDecrease => cwnd - ctx.cwnd_prev < 0.0,
-                            Postcondition::NoIncrease => cwnd - ctx.cwnd_prev > 0.0,
-                            Postcondition::BoundedChange { eps } => {
-                                (cwnd - concrete_cwnd).abs() / concrete_cwnd.max(f64::MIN_POSITIVE)
-                                    > eps
-                            }
-                        };
-                        if violated {
+                        if post.violated_by(probes.get(r, 0), ctx, reference) {
                             leaves.push((result, weight));
                             continue;
                         }
@@ -402,50 +397,14 @@ impl Verifier {
         let mut plan = CertPlan::compile(*self, &net, properties, layout);
         let mut scratch = vec![IbpBatchScratch::new()];
         plan.run(&net, actor, ctxs.len(), |j| &ctxs[j].state, &mut scratch);
-        let needs_action = plan.needs_action();
         ctxs.iter()
             .enumerate()
             .map(|(j, ctx)| {
-                let action = if needs_action {
-                    actor.forward(&ctx.state)[0]
-                } else {
-                    0.0
-                };
-                let certs = plan.certificates(j, ctx, action);
+                let certs = plan.certificates(j, ctx, || actor.forward(&ctx.state)[0]);
                 let agg = crate::qc::aggregate_feedback(&certs);
                 (certs, agg)
             })
             .collect()
-    }
-}
-
-/// One component verdict (Eq. 5–6) from its partition slice and its
-/// already-propagated action interval.
-pub(crate) fn component_result(
-    post: Postcondition,
-    input_slice: Interval,
-    ctx: &StepContext,
-    allowed: Interval,
-    concrete_cwnd: f64,
-    action: Interval,
-) -> ComponentResult {
-    let cwnd = f_cwnd_abstract(action, ctx.cwnd_tcp);
-    let output = match post {
-        Postcondition::NoDecrease | Postcondition::NoIncrease => {
-            // Δcwnd# = cwnd# − cwnd_{i−1}.
-            cwnd.sub(Interval::point(ctx.cwnd_prev))
-        }
-        Postcondition::BoundedChange { .. } => {
-            // (cwnd# − cwnd_i) / cwnd_i.
-            cwnd.sub(Interval::point(concrete_cwnd))
-                .scale(1.0 / concrete_cwnd.max(f64::MIN_POSITIVE))
-        }
-    };
-    ComponentResult {
-        input_slice,
-        output,
-        satisfied: output.is_subset_of(allowed),
-        feedback: output.fraction_within(allowed),
     }
 }
 

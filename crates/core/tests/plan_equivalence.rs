@@ -173,7 +173,7 @@ proptest! {
             plan.run(&net, &actor, slice.len(), |j| &slice[j].state, &mut workers);
             for (j, ctx) in slice.iter().enumerate() {
                 let action = actor.forward(&ctx.state)[0];
-                let agg = plan.aggregate(j, ctx, action);
+                let agg = plan.aggregate(j, ctx, || action);
                 prop_assert_eq!(agg.to_bits(), want[range.start + j].1.to_bits());
             }
         }

@@ -400,13 +400,6 @@ impl FlowState {
         self.active() && self.inflight() < self.effective_cwnd()
     }
 
-    /// Whether there is anything to (re)transmit.
-    pub fn has_backlog(&self) -> bool {
-        // The application has unlimited data, so there is always new data;
-        // this exists for symmetry and future finite-flow support.
-        true
-    }
-
     /// Feeds an RTT sample through the RFC 6298 estimator and updates `rto`.
     pub fn record_rtt_sample(&mut self, rtt: Time) {
         if self.stats.min_rtt == Time::MAX || rtt < self.stats.min_rtt {

@@ -145,11 +145,6 @@ impl Simulator {
         self.now
     }
 
-    /// Number of flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Number of links in the topology.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -320,12 +315,6 @@ impl Simulator {
             s.last_at = at;
             s.next = at + s.cadence;
         }
-    }
-
-    /// Runs the event loop for a span of simulated time.
-    pub fn run_for(&mut self, dt: Time) {
-        let t = self.now + dt;
-        self.run_until(t);
     }
 
     fn dispatch(&mut self, event: Event) {

@@ -289,13 +289,6 @@ impl BandwidthTrace {
     // (cliffs, spliced outages, repeated bursts) from a small algebra.
     // -----------------------------------------------------------------
 
-    /// Returns the trace under a new name (combinators derive names
-    /// automatically; specs override them with this).
-    pub fn with_name(mut self, name: &str) -> BandwidthTrace {
-        self.name = name.to_string();
-        self
-    }
-
     /// Materializes the piecewise-constant rate over `[from, to)` as
     /// explicit segments (adjacent equal-rate spans merged), unrolling
     /// loops and the held final rate of non-looping traces.

@@ -34,16 +34,6 @@ impl Adam {
         }
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Sets the learning rate (e.g., for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
     /// Applies one descent step to `net` using its accumulated gradients
     /// scaled by `grad_scale` (e.g. `1.0 / batch_size`), then zeroes them.
     ///

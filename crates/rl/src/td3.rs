@@ -160,13 +160,6 @@ impl Td3 {
         &self.actor
     }
 
-    /// Replaces the actor (used to restore snapshots); targets are reset to
-    /// the restored network.
-    pub fn set_actor(&mut self, actor: Mlp) {
-        self.actor_target = actor.clone();
-        self.actor = actor;
-    }
-
     /// The greedy action `π(s)`.
     pub fn act(&self, state: &[f64]) -> Vec<f64> {
         self.actor.forward(state)

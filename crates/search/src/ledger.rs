@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::objective::{ObjectiveKind, ScenarioScores};
+use crate::objective::ObjectiveKind;
 
 /// The ledger schema tag; bump when [`RobustnessLedger`] changes.
 pub const LEDGER_SCHEMA: &str = "canopy-robustness-ledger/v1";
@@ -50,15 +50,6 @@ pub struct LedgerEntry {
     /// counterexample committed from this hunt, if the find replayed as a
     /// violation against the *base* model too.
     pub fixture: Option<String>,
-}
-
-impl LedgerEntry {
-    /// Copies the three metric columns out of a [`ScenarioScores`].
-    pub fn set_scores(&mut self, scores: &ScenarioScores) {
-        self.reward_gap = scores.reward_gap;
-        self.qc_sat = scores.qc_sat;
-        self.fallback_rate = scores.fallback_rate;
-    }
 }
 
 /// The complete committed ledger of one hardening lineage.

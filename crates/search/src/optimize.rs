@@ -51,6 +51,9 @@ impl OptimizerKind {
     }
 }
 
+/// Fraction of a CEM batch, best first, that refits the distribution.
+const ELITE_FRAC: f64 = 0.25;
+
 /// Search budget and strategy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchConfig {
@@ -60,8 +63,6 @@ pub struct SearchConfig {
     pub budget: usize,
     /// Candidates per batch (clamped to the remaining budget).
     pub population: usize,
-    /// Elite fraction refitting the CEM distribution.
-    pub elite_frac: f64,
     /// Seed of the coordinator RNG (and the decoded specs' provenance).
     pub seed: u64,
     /// Worker override (`None` consults `CANOPY_THREADS`).
@@ -75,7 +76,6 @@ impl SearchConfig {
             optimizer: OptimizerKind::Cem,
             budget: budget.max(1),
             population: 16,
-            elite_frac: 0.25,
             seed,
             threads: None,
         }
@@ -227,8 +227,7 @@ fn cem(
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let n_elite =
-            ((points.len() as f64 * config.elite_frac).ceil() as usize).clamp(1, points.len());
+        let n_elite = ((points.len() as f64 * ELITE_FRAC).ceil() as usize).clamp(1, points.len());
         let elites = &order[..n_elite];
         for j in 0..d {
             let m = elites.iter().map(|&i| points[i][j]).sum::<f64>() / n_elite as f64;
@@ -325,7 +324,6 @@ mod tests {
             optimizer,
             budget: 6,
             population: 3,
-            elite_frac: 0.34,
             seed: 9,
             threads: Some(threads),
         };
@@ -409,7 +407,6 @@ mod tests {
                 optimizer,
                 budget: 3,
                 population: 1,
-                elite_frac: 0.25,
                 seed: 4,
                 threads: Some(1),
             };

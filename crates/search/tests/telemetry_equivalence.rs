@@ -130,7 +130,6 @@ fn harden_smoke_search_round_with_noop_recorder_is_bitwise_identical() {
         optimizer: OptimizerKind::Cem,
         budget: 6,
         population: 3,
-        elite_frac: 0.25,
         seed: 7,
         threads: None,
     };
@@ -160,7 +159,6 @@ fn flight_recorder_output_is_invariant_to_thread_count() {
             optimizer: OptimizerKind::Cem,
             budget: 6,
             population: 3,
-            elite_frac: 0.25,
             seed: 9,
             threads: Some(threads),
         };

@@ -31,7 +31,8 @@ pub struct DecisionRecord {
     pub qdelay_ns: u64,
     /// The decision's certificate (`QC_sat`), when certification ran.
     pub qc_sat: Option<f64>,
-    /// Whether the QC monitor benched the agent this decision.
+    /// Whether the kernel kept this interval: the QC monitor benched the
+    /// agent, or the agent's output was not finite.
     pub fallback: bool,
 }
 

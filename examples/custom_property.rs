@@ -7,6 +7,13 @@
 //! (a) certifying an off-the-shelf model against it, and (b) training
 //! with it in the loop.
 //!
+//! This property composes the existing pre- and postcondition parts, so it
+//! needs no library change. A *new kind* of pre- or postcondition is an
+//! edit to one file, `crates/core/src/property.rs` (what a precondition
+//! pins: `Property::input_region`; what a postcondition demands: the
+//! methods of `Postcondition`) — the plan, the adaptive verifier and the
+//! trainer pick it up from there.
+//!
 //! ```text
 //! cargo run --release --example custom_property
 //! ```

@@ -159,3 +159,45 @@ fn lambda_extremes() {
         "pure verifier training {v_pure:.3} vs none {v_zero:.3}"
     );
 }
+
+/// A non-finite actor output must cost one interval, not the flow: the
+/// kernel keeps that interval (recorded as a fallback), so the NaN never
+/// enters `prev_action`, the state history or the window.
+#[test]
+fn non_finite_actor_output_runs_the_kernel() {
+    use canopy_repro::core::driver::{DriverPolicy, DriverPool};
+    use canopy_repro::core::obs::StateLayout;
+    use canopy_repro::core::world::{spawn_all, Controller, FlowSpec};
+    use canopy_repro::netsim::{BandwidthTrace, LinkConfig, Topology};
+    use canopy_repro::nn::{Activation, Mlp};
+    use canopy_repro::telemetry::FlightRecorder;
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::{cell::RefCell, rc::Rc};
+
+    let k = 3;
+    let widths = [StateLayout::new(k).dim(), 8, 1];
+    let mut actor = Mlp::new(&mut StdRng::seed_from_u64(5), &widths, Activation::Tanh);
+    actor.layers_mut()[1].bias[0] = f64::NAN;
+    let rtt = Time::from_millis(40);
+    let link = LinkConfig::with_bdp_buffer(BandwidthTrace::constant("nan", 24e6), rtt, 1.0);
+    let policy = Some(DriverPolicy::new(actor));
+    let flow = FlowSpec::new(Controller::Orca { k, policy }, rtt);
+    let mut world = spawn_all(&Topology::dumbbell(link), &[flow]).expect("spawns");
+    let mut pool = DriverPool::new();
+    pool.push(world.drivers.remove(0));
+    let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
+    pool.set_recorder(Some(recorder.clone()));
+    pool.run_until(&mut world.sim, Time::from_secs(2));
+
+    let recorder = recorder.borrow();
+    assert_eq!(recorder.decisions().len(), 49);
+    for d in recorder.decisions().iter() {
+        assert!(d.action.is_nan() && d.fallback, "{d:?}");
+        assert!(d.state_min.is_finite() && d.state_max.is_finite(), "{d:?}");
+        assert!(d.cwnd.is_finite() && d.action_clamped == 0.0, "{d:?}");
+    }
+    let driver = &pool.drivers()[0];
+    assert_eq!(driver.prev_action(), 0.0);
+    // Cubic kept the window: the flow moved real traffic.
+    assert!(world.sim.flow_stats(driver.flow()).acked_packets > 1_000);
+}

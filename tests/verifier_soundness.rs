@@ -22,6 +22,23 @@ fn random_net(seed: u64) -> Mlp {
     Mlp::new(&mut rng, &[layout().dim(), 16, 16, 1], Activation::Tanh)
 }
 
+/// A random network whose output mostly follows a random bias: the input
+/// swings it by a few tenths, so over a wide region IBP decides the sign
+/// of Δcwnd on some components and not on others. (On a plain
+/// [`random_net`] it decides none, and a soundness test has nothing to
+/// sample.)
+fn decided_net(seed: u64) -> Mlp {
+    let mut net = random_net(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xdec1ded);
+    let out = net.layers_mut().last_mut().expect("has an output layer");
+    out.weights
+        .as_mut_slice()
+        .iter_mut()
+        .for_each(|w| *w *= 0.1);
+    out.bias[0] = rng.random_range(-1.0..1.0);
+    net
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -51,50 +68,66 @@ proptest! {
         }
     }
 
-    /// Soundness: for every *certified* component of P1, every concrete
-    /// state sampled inside that component produces Δcwnd ≥ 0. A single
+    /// Soundness: for every *certified* component of every direction
+    /// property — the fixed partition's and the adaptive refinement's
+    /// satisfied leaves alike — every concrete state sampled inside that
+    /// component moves the window the way the property demands. A single
     /// counterexample would make the "proof" worthless.
     #[test]
     fn certified_components_never_lie(seed in 0u64..200, sample_seed in 0u64..1000) {
-        let net = random_net(seed);
+        let net = decided_net(seed);
         let params = PropertyParams {
-            // A wide precondition so certificates are non-trivial.
+            // Wide preconditions so certificates are non-trivial.
             q_min_delay: 0.5,
+            q_delay: 0.8,
+            p_delay: 0.5,
             ..PropertyParams::default()
         };
-        let property = Property::p1(&params);
-        let ctx = StepContext {
-            state: vec![0.3; layout().dim()],
-            cwnd_tcp: 100.0,
-            cwnd_prev: 100.0,
-        };
-        let cert = Verifier::new(5).certify(&net, &property, layout(), &ctx);
         let mut rng = StdRng::seed_from_u64(sample_seed);
-        let region = property.input_region(&ctx.state, layout());
-        for (k, comp) in cert.components.iter().enumerate() {
-            if !comp.satisfied {
-                continue;
-            }
-            // Sample concrete states within this component: the region with
-            // the split axis restricted to the component's slice.
+        // The oracle, by hand: each property with the sign its Δcwnd must have.
+        for (property, sign) in [
+            (Property::p1(&params), 1.0),
+            (Property::p2(&params), -1.0),
+            (Property::p3(&params), 1.0),
+            (Property::p4i(&params), -1.0),
+            (Property::p4ii(&params), 1.0),
+        ] {
+            let ctx = StepContext {
+                state: vec![0.3; layout().dim()],
+                cwnd_tcp: 100.0,
+                // Puts the Δcwnd = 0 threshold at a = −0.25·sign, so holding
+                // the window is on the allowed side.
+                cwnd_prev: 100.0 * (2.0f64).powf(-0.5 * sign),
+            };
+            let region = property.input_region(&ctx.state, layout()).to_intervals();
             let axis = property.split_axis(layout());
-            for _ in 0..20 {
-                let mut x = vec![0.0; layout().dim()];
-                for (i, iv) in region.to_intervals().iter().enumerate() {
-                    let (lo, hi) = if i == axis {
-                        (comp.input_slice.lo, comp.input_slice.hi)
-                    } else {
-                        (iv.lo, iv.hi)
-                    };
-                    x[i] = if hi > lo { rng.random_range(lo..=hi) } else { lo };
+            let fixed = Verifier::new(5).certify(&net, &property, layout(), &ctx);
+            let adaptive = Verifier::new(1).certify_adaptive(&net, &property, layout(), &ctx, 4);
+            for (engine, cert) in [("fixed", &fixed), ("adaptive", &adaptive)] {
+                for (k, comp) in cert.components.iter().enumerate() {
+                    if !comp.satisfied {
+                        continue;
+                    }
+                    // Sample concrete states within this component: the
+                    // region with the split axis restricted to its slice.
+                    for _ in 0..20 {
+                        let mut x = vec![0.0; layout().dim()];
+                        for (i, iv) in region.iter().enumerate() {
+                            let (lo, hi) = if i == axis {
+                                (comp.input_slice.lo, comp.input_slice.hi)
+                            } else {
+                                (iv.lo, iv.hi)
+                            };
+                            x[i] = if hi > lo { rng.random_range(lo..=hi) } else { lo };
+                        }
+                        let delta = f_cwnd(net.forward(&x)[0], ctx.cwnd_tcp) - ctx.cwnd_prev;
+                        prop_assert!(
+                            sign * delta >= -1e-9,
+                            "{} {engine} component {k} certified but concrete Δcwnd = {delta}",
+                            property.name
+                        );
+                    }
                 }
-                let action = net.forward(&x)[0];
-                let cwnd = f_cwnd(action, ctx.cwnd_tcp);
-                let delta = cwnd - ctx.cwnd_prev;
-                prop_assert!(
-                    delta >= -1e-9,
-                    "component {k} certified but concrete Δcwnd = {delta}"
-                );
             }
         }
     }
