@@ -149,39 +149,6 @@ impl Dense {
         z
     }
 
-    /// Whole-batch affine map: `out = x · Wᵀ`, then `+ b` per row. `x` is
-    /// `N × fan_in`; `out` becomes `N × fan_out`. Row `n` of `out` is
-    /// bitwise identical to `affine(x.row(n))`.
-    pub fn affine_batch_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_nt_into(&self.weights, out);
-        for r in 0..out.rows() {
-            for (z, b) in out.row_mut(r).iter_mut().zip(&self.bias) {
-                *z += b;
-            }
-        }
-    }
-
-    /// Applies the activation elementwise, `pre → post` (resizing `post`).
-    /// The dispatch is hoisted out of the loop; each arm computes exactly
-    /// what [`Activation::apply`] computes.
-    pub fn activate_batch_into(&self, pre: &Matrix, post: &mut Matrix) {
-        post.reshape(pre.rows(), pre.cols());
-        let (dst, src) = (post.as_mut_slice(), pre.as_slice());
-        match self.activation {
-            Activation::Identity => dst.copy_from_slice(src),
-            Activation::Relu => {
-                for (y, &z) in dst.iter_mut().zip(src) {
-                    *y = z.max(0.0);
-                }
-            }
-            Activation::Tanh => {
-                for (y, &z) in dst.iter_mut().zip(src) {
-                    *y = z.tanh();
-                }
-            }
-        }
-    }
-
     /// Ensures gradient buffers match the parameter shapes (needed after
     /// deserializing a snapshot, where gradients are skipped).
     pub fn ensure_grads(&mut self) {
@@ -265,22 +232,6 @@ mod tests {
         let b = [0.7, 0.1, -0.5];
         let cat: Vec<f64> = a.iter().chain(&b).copied().collect();
         assert_eq!(layer.affine2(&a, &b), layer.affine(&cat));
-    }
-
-    #[test]
-    fn batch_affine_matches_per_sample() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let layer = Dense::new(&mut rng, 3, 4, Activation::Relu);
-        let rows = [[0.1, -0.4, 0.9], [0.0, 0.5, -1.2]];
-        let x = Matrix::from_rows(&[&rows[0], &rows[1]]);
-        let mut pre = Matrix::zeros(0, 0);
-        let mut post = Matrix::zeros(0, 0);
-        layer.affine_batch_into(&x, &mut pre);
-        layer.activate_batch_into(&pre, &mut post);
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(pre.row(r), layer.affine(row).as_slice());
-            assert_eq!(post.row(r), layer.forward(row).as_slice());
-        }
     }
 
     #[test]

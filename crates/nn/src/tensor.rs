@@ -297,148 +297,44 @@ impl Matrix {
         self.matmul_impl(rhs, Some(bias), out);
     }
 
-    /// Matrix product with a transposed right-hand side, `self · rhsᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_nt_into(rhs, &mut out);
-        out
-    }
-
-    /// `self · rhsᵀ` written into `out` (resized as needed).
-    ///
-    /// Both operands are walked along contiguous rows, so this is the
-    /// cache-friendly kernel for the dense-layer forward pass
-    /// `Z = X · Wᵀ`: every output element is one dot product of two
-    /// contiguous rows, bitwise identical to [`matvec`](Self::matvec).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.cols, "matmul_nt shape mismatch");
-        out.reshape(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            for (j, slot) in out_row.iter_mut().enumerate() {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (a, b) in a_row.iter().zip(b_row) {
-                    acc = a.mul_add(*b, acc);
-                }
-                *slot = acc;
-            }
-        }
-    }
-
-    /// Accumulates the whole-batch weight gradient
-    /// `self[r][j] += Σ_n gt[r][n] · x[n][j]` — the batched form of
-    /// [`add_outer`](Self::add_outer) with the gradient supplied already
-    /// transposed (`gt` is `rows × N`) so the reduction reads both
-    /// operands along contiguous rows. Samples are visited in ascending
-    /// order per element, so the result is bitwise identical to `N`
-    /// sequential `add_outer` calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_tn_matmul_pret(&mut self, gt: &Matrix, x: &Matrix) {
-        assert_eq!(gt.rows, self.rows, "gradient width mismatch");
-        assert_eq!(gt.cols, x.rows, "batch size mismatch");
-        assert_eq!(x.cols, self.cols, "input width mismatch");
-        let cols = self.cols;
-        let batch = x.rows;
-        for r in 0..self.rows {
-            let g_row = &gt.data[r * batch..(r + 1) * batch];
-            let w_row = &mut self.data[r * cols..(r + 1) * cols];
-            let mut j = 0;
-            while j + GEMM_JB <= cols {
-                outer_block_pret::<GEMM_JB>(g_row, &x.data, x.cols, j, &mut w_row[j..j + GEMM_JB]);
-                j += GEMM_JB;
-            }
-            while j + 8 <= cols {
-                outer_block_pret::<8>(g_row, &x.data, x.cols, j, &mut w_row[j..j + 8]);
-                j += 8;
-            }
-            while j + 4 <= cols {
-                outer_block_pret::<4>(g_row, &x.data, x.cols, j, &mut w_row[j..j + 4]);
-                j += 4;
-            }
-        }
-        let tail_start = (cols / 4) * 4;
-        for jt in tail_start..cols {
-            let mut r = 0;
-            while r + 4 <= self.rows {
-                let mut acc = [0.0f64; 4];
-                for (slot, row) in acc.iter_mut().zip(0..4) {
-                    *slot = self.data[(r + row) * cols + jt];
-                }
-                for n in 0..batch {
-                    let xv = x.data[n * x.cols + jt];
-                    for (slot, row) in acc.iter_mut().zip(0..4) {
-                        *slot = gt.data[(r + row) * batch + n].mul_add(xv, *slot);
-                    }
-                }
-                for (row, &v) in acc.iter().enumerate() {
-                    self.data[(r + row) * cols + jt] = v;
-                }
-                r += 4;
-            }
-            while r < self.rows {
-                let mut acc = self.data[r * cols + jt];
-                for n in 0..batch {
-                    acc = gt.data[r * batch + n].mul_add(x.data[n * x.cols + jt], acc);
-                }
-                self.data[r * cols + jt] = acc;
-                r += 1;
-            }
-        }
-    }
-
     /// Writes the transpose of `self` into `out` (resized to
     /// `cols × rows`).
-    ///
-    /// Pre-transposing a weight matrix turns the batched forward pass
-    /// `X · Wᵀ` into [`matmul`](Self::matmul) with unit-stride inner
-    /// loops over independent accumulators — which the compiler can
-    /// vectorize, unlike the latency-bound dot products of
-    /// [`matmul_nt`](Self::matmul_nt) — while leaving the per-element
-    /// reduction order (and therefore the bits) unchanged.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reshape(self.cols, self.rows);
-        // 8×8 tiles keep the strided writes within a handful of resident
-        // cache lines per tile instead of sweeping the full column stride
-        // once per element.
-        const TB: usize = 8;
-        for rb in (0..self.rows).step_by(TB) {
-            let r_end = (rb + TB).min(self.rows);
-            for cb in (0..self.cols).step_by(TB) {
-                let c_end = (cb + TB).min(self.cols);
-                for r in rb..r_end {
-                    for c in cb..c_end {
-                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
-                    }
-                }
-            }
-        }
+        self.transpose_padded_into(self.rows, out);
     }
 
-    /// Copies columns `lo..hi` of `self` into `out` (resized to
-    /// `rows × (hi − lo)`).
+    /// Writes the transpose of `self` into `out`, resized to `cols × pad`,
+    /// with the `pad − rows` trailing columns of every output row zero.
     ///
     /// # Panics
     ///
-    /// Panics if the column range is out of bounds or inverted.
-    pub fn copy_cols_into(&self, lo: usize, hi: usize, out: &mut Matrix) {
-        assert!(lo <= hi && hi <= self.cols, "column range out of bounds");
-        out.reshape(self.rows, hi - lo);
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols + lo..r * self.cols + hi];
-            out.data[r * (hi - lo)..(r + 1) * (hi - lo)].copy_from_slice(src);
+    /// Panics if `pad < rows`.
+    pub(crate) fn transpose_padded_into(&self, pad: usize, out: &mut Matrix) {
+        assert!(pad >= self.rows, "padding narrower than the transpose");
+        out.reshape(self.cols, pad);
+        if pad == 0 {
+            return;
+        }
+        // Four source rows at a time, zipped under one loop bound: every
+        // output row receives four adjacent elements per step, read from
+        // four unit-stride streams.
+        let mut r = 0;
+        while r + 4 <= self.rows {
+            let [a, b, c, d]: [&[f64]; 4] = std::array::from_fn(|i| self.row(r + i));
+            let columns = a.iter().zip(b).zip(c).zip(d);
+            for (dst, (((&x0, &x1), &x2), &x3)) in out.data.chunks_exact_mut(pad).zip(columns) {
+                dst[r..r + 4].copy_from_slice(&[x0, x1, x2, x3]);
+            }
+            r += 4;
+        }
+        for (c, dst) in out.data.chunks_exact_mut(pad).enumerate() {
+            for (i, d) in dst[r..].iter_mut().enumerate() {
+                *d = if r + i < self.rows {
+                    self.data[(r + i) * self.cols + c]
+                } else {
+                    0.0
+                };
+            }
         }
     }
 }
@@ -480,27 +376,6 @@ fn gemm_block<const JB: usize>(
         }
         None => out_blk.copy_from_slice(&acc),
     }
-}
-
-/// Panel for [`Matrix::add_tn_matmul_pret`]: like [`outer_block`] but
-/// reading the gradient from a contiguous row.
-#[inline(always)]
-fn outer_block_pret<const JB: usize>(
-    g_row: &[f64],
-    x: &[f64],
-    x_cols: usize,
-    j: usize,
-    w_blk: &mut [f64],
-) {
-    let mut acc = [0.0f64; JB];
-    acc.copy_from_slice(w_blk);
-    for (n, &gr) in g_row.iter().enumerate() {
-        let x_blk = &x[n * x_cols + j..n * x_cols + j + JB];
-        for (slot, &xv) in acc.iter_mut().zip(x_blk) {
-            *slot = gr.mul_add(xv, *slot);
-        }
-    }
-    w_blk.copy_from_slice(&acc);
 }
 
 #[cfg(test)]
@@ -583,16 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_matches_matvec_bitwise() {
-        let x = pseudo_random_matrix(9, 33, 3);
-        let w = pseudo_random_matrix(17, 33, 4);
-        let z = x.matmul_nt(&w);
-        for r in 0..x.rows() {
-            assert_eq!(z.row(r), w.matvec(x.row(r)).as_slice(), "row {r}");
-        }
-    }
-
-    #[test]
     fn matmul_matches_t_matvec_bitwise() {
         // G(N×out) · W(out×in) row r equals Wᵀ · g_r.
         let g = pseudo_random_matrix(6, 11, 5);
@@ -604,22 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn add_tn_matmul_pret_matches_sequential_outer_products() {
-        let g = pseudo_random_matrix(8, 5, 9);
-        let x = pseudo_random_matrix(8, 7, 10);
-        let mut gt = Matrix::zeros(0, 0);
-        g.transpose_into(&mut gt);
-        let mut batched = Matrix::zeros(5, 7);
-        batched.add_tn_matmul_pret(&gt, &x);
-        let mut sequential = Matrix::zeros(5, 7);
-        for n in 0..g.rows() {
-            sequential.add_outer(g.row(n), x.row(n));
-        }
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    fn reshape_reuses_and_copy_cols_slices() {
+    fn reshape_reuses_and_copies() {
         let mut m = Matrix::zeros(4, 4);
         let cap = {
             m.reshape(2, 3);
@@ -628,13 +478,29 @@ mod tests {
         assert_eq!(cap, 6);
         assert_eq!((m.rows(), m.cols()), (2, 3));
         let src = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let mut cols = Matrix::zeros(0, 0);
-        src.copy_cols_into(1, 3, &mut cols);
-        assert_eq!(cols, Matrix::from_rows(&[&[2.0, 3.0], &[5.0, 6.0]]));
         let mut dst = Matrix::zeros(0, 0);
         dst.copy_from(&src);
         assert_eq!(dst, src);
         dst.set_row(0, &[9.0, 8.0, 7.0]);
         assert_eq!(dst.row(0), &[9.0, 8.0, 7.0]);
+    }
+
+    #[test]
+    fn transpose_matches_naive_and_pads_with_zeros() {
+        for &(rows, cols, pad) in &[(9, 5, 9), (9, 5, 16), (4, 3, 8), (3, 7, 3), (1, 1, 8)] {
+            let m = pseudo_random_matrix(rows, cols, 21);
+            let mut t = Matrix::from_vec(cols, pad, vec![f64::NAN; cols * pad]);
+            m.transpose_padded_into(pad, &mut t);
+            for c in 0..cols {
+                for r in 0..pad {
+                    let want = if r < rows { m.get(r, c) } else { 0.0 };
+                    assert_eq!(
+                        t.get(c, r).to_bits(),
+                        want.to_bits(),
+                        "{rows}x{cols} pad {pad}"
+                    );
+                }
+            }
+        }
     }
 }

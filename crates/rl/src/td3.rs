@@ -101,8 +101,6 @@ struct UpdateScratch {
     grad_q1: Matrix,
     /// Critic-2 TD error, `N × 1`.
     grad_q2: Matrix,
-    /// Policy gradient sliced to the action coordinates, `N × a`.
-    grad_action: Matrix,
     actor_fwd: BatchScratch,
     actor_tgt: BatchScratch,
     critic1_fwd: BatchScratch,
@@ -125,7 +123,13 @@ fn concat_rows_into(left: &Matrix, right: &Matrix, out: &mut Matrix) {
 impl Td3 {
     /// Creates an agent for `state_dim`-dimensional states and
     /// `action_dim`-dimensional actions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.batch_size` or `config.policy_delay` is zero.
     pub fn new<R: Rng>(rng: &mut R, state_dim: usize, action_dim: usize, config: Td3Config) -> Td3 {
+        assert!(config.batch_size > 0, "TD3 batch size must be positive");
+        assert!(config.policy_delay > 0, "TD3 policy delay must be positive");
         let mut actor_widths = vec![state_dim];
         actor_widths.extend_from_slice(&config.hidden);
         actor_widths.push(action_dim);
@@ -312,16 +316,18 @@ impl Td3 {
             for r in 0..n {
                 loss -= q.get(r, 0);
             }
-            // ∂(−Q)/∂input, sliced to the action coordinates, chained
-            // through the actor.
+            // ∂(−Q)/∂a — only the action coordinates of the critic's input
+            // gradient — chained through the actor.
             sc.grad_q1.reshape(n, 1);
             sc.grad_q1.as_mut_slice().fill(-1.0);
-            let grad_in = self
-                .critic1
-                .backward_batch(&sc.xa, &mut sc.critic1_fwd, &sc.grad_q1);
-            grad_in.copy_cols_into(s_dim, s_dim + a_dim, &mut sc.grad_action);
+            let grad_action = self.critic1.backward_batch_cols(
+                &sc.xa,
+                &mut sc.critic1_fwd,
+                &sc.grad_q1,
+                s_dim..s_dim + a_dim,
+            );
             self.actor
-                .backward_batch_params_only(&sc.states, &mut sc.actor_fwd, &sc.grad_action);
+                .backward_batch_params_only(&sc.states, &mut sc.actor_fwd, grad_action);
             // The critic gradients accumulated above belong to the actor's
             // objective, not the critic's; discard them.
             self.critic1.zero_grads();
@@ -374,6 +380,28 @@ mod tests {
             let a = agent.act_explore(&s, 0.5, &mut rng);
             assert!(a[0] >= -1.0 && a[0] <= 1.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn rejects_an_empty_batch() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let config = Td3Config {
+            batch_size: 0,
+            ..Td3Config::default()
+        };
+        Td3::new(&mut rng, 1, 1, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "policy delay must be positive")]
+    fn rejects_a_zero_policy_delay() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let config = Td3Config {
+            policy_delay: 0,
+            ..Td3Config::default()
+        };
+        Td3::new(&mut rng, 1, 1, config);
     }
 
     #[test]
@@ -656,14 +684,20 @@ mod reference {
         }
     }
 
-    fn fresh_agent(seed: u64, state_dim: usize, action_dim: usize, batch: usize) -> Td3 {
+    fn fresh_agent(
+        seed: u64,
+        state_dim: usize,
+        action_dim: usize,
+        batch: usize,
+        hidden: &[usize],
+    ) -> Td3 {
         let mut rng = StdRng::seed_from_u64(seed);
         Td3::new(
             &mut rng,
             state_dim,
             action_dim,
             Td3Config {
-                hidden: vec![16, 16],
+                hidden: hidden.to_vec(),
                 batch_size: batch,
                 ..Td3Config::default()
             },
@@ -698,6 +732,38 @@ mod reference {
         replay
     }
 
+    /// The trainer's shapes, which the proptests below never reach — hidden
+    /// `[32, 32]`, a 21-wide state, batch 64 — over critic-only and
+    /// delayed-actor steps.
+    #[test]
+    fn batched_update_is_bitwise_equal_to_reference_at_trainer_shapes() {
+        let (state_dim, action_dim, batch) = (21, 1, 64);
+        let mut fast = fresh_agent(5, state_dim, action_dim, batch, &[32, 32]);
+        let mut slow = fresh_agent(5, state_dim, action_dim, batch, &[32, 32]);
+        let replay = filled_replay(6, state_dim, action_dim, 160);
+        let mut rng_fast = StdRng::seed_from_u64(7);
+        let mut rng_slow = StdRng::seed_from_u64(7);
+        for step in 0..4 {
+            let a = fast.update(&replay, &mut rng_fast).expect("full batch");
+            let b = slow
+                .update_reference(&replay, &mut rng_slow)
+                .expect("full batch");
+            assert_eq!(a.critic_loss, b.critic_loss, "step {step}");
+            assert_eq!(a.actor_loss, b.actor_loss, "step {step}");
+            assert_eq!(a.actor_loss.is_some(), step % 2 == 1, "step {step}");
+        }
+        assert_eq!(fast.actor().params_flat(), slow.actor().params_flat());
+        for (f, s) in [
+            (&fast.critic1, &slow.critic1),
+            (&fast.critic2, &slow.critic2),
+            (&fast.actor_target, &slow.actor_target),
+            (&fast.critic1_target, &slow.critic1_target),
+            (&fast.critic2_target, &slow.critic2_target),
+        ] {
+            assert_eq!(f.params_flat(), s.params_flat());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -713,8 +779,8 @@ mod reference {
             action_dim in 1usize..3,
         ) {
             let batch = 24;
-            let mut fast = fresh_agent(agent_seed, state_dim, action_dim, batch);
-            let mut slow = fresh_agent(agent_seed, state_dim, action_dim, batch);
+            let mut fast = fresh_agent(agent_seed, state_dim, action_dim, batch, &[16, 16]);
+            let mut slow = fresh_agent(agent_seed, state_dim, action_dim, batch, &[16, 16]);
             let replay = filled_replay(replay_seed, state_dim, action_dim, 64);
 
             let mut rng_fast = StdRng::seed_from_u64(update_seed);
@@ -740,8 +806,8 @@ mod reference {
             agent_seed in 0u64..100,
             update_seed in 0u64..100,
         ) {
-            let mut fast = fresh_agent(agent_seed, 2, 1, 16);
-            let mut slow = fresh_agent(agent_seed, 2, 1, 16);
+            let mut fast = fresh_agent(agent_seed, 2, 1, 16, &[16, 16]);
+            let mut slow = fresh_agent(agent_seed, 2, 1, 16, &[16, 16]);
             let replay = filled_replay(3, 2, 1, 48);
             let mut rng_fast = StdRng::seed_from_u64(update_seed);
             let mut rng_slow = StdRng::seed_from_u64(update_seed);
