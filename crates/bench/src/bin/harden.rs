@@ -31,7 +31,7 @@
 //! fixtures byte for byte.
 //!
 //! `--trace-out PATH` attaches a flight recorder to the (non-check)
-//! hardening run: the optimizers record one search event per generation
+//! hardening run: every search records one event per generation
 //! and the report lands at PATH with a Chrome-trace twin. Independently
 //! of that flag, every *committed* fixture gets a decision-trace
 //! artifact at `{fixture-out}/traces/{fixture}.trace.json` — the
@@ -47,17 +47,16 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use canopy_bench::{
-    f3, flag_value, flag_value_where, header, model, model_dir, row, write_trace, HarnessOpts,
-    DEFAULT_SEED,
+    f3, flag_value, flag_value_where, header, model, model_dir, model_seed, row, write_trace,
+    HarnessOpts, DEFAULT_SEED,
 };
-use canopy_core::eval::Scheme;
-use canopy_core::models::{self, trainer_config, ModelKind, TrainBudget, TrainedModel};
+use canopy_core::models::{trainer_config, ModelKind, TrainedModel};
 use canopy_core::trainer::{EpisodeMix, Trainer};
 use canopy_netsim::Time;
 use canopy_scenarios::{episode_spec, generate, run_scenario_recorded, Family, ScenarioSpec};
 use canopy_search::{
-    search_with_recorder, AdversarialFixture, Objective, ObjectiveKind, OptimizerKind,
-    RobustnessLedger, SearchConfig, SearchSpace, ShrinkConfig, FIXTURE_SCHEMA, LEDGER_SCHEMA,
+    load_corpus, search_with_recorder, AdversarialFixture, Objective, ObjectiveKind,
+    RobustnessLedger, SearchConfig, SearchSpace, ShrinkConfig, LEDGER_SCHEMA,
 };
 use canopy_telemetry::{FlightRecorder, SharedRecorder, TelemetryReport};
 
@@ -65,7 +64,7 @@ struct HardenOpts {
     scheme: ModelKind,
     objective: ObjectiveKind,
     seed: u64,
-    model_seed: Option<u64>,
+    model_seed: u64,
     rounds: usize,
     budget: usize,
     population: usize,
@@ -83,7 +82,7 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
         scheme: ModelKind::Shallow,
         objective: ObjectiveKind::RewardGap,
         seed: DEFAULT_SEED,
-        model_seed: None,
+        model_seed: DEFAULT_SEED, // resolved after the flags
         rounds: 2,
         budget: 16,
         population: 8,
@@ -96,6 +95,7 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
         retrace: false,
     };
     let at_least_1 = |n: &usize| *n >= 1;
+    let mut explicit_model_seed = None;
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -110,7 +110,7 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
                     .ok_or_else(|| format!("unknown objective `{v}`"))?;
             }
             "--seed" => opts.seed = flag_value(flag, args.next())?,
-            "--model-seed" => opts.model_seed = Some(flag_value(flag, args.next())?),
+            "--model-seed" => explicit_model_seed = Some(flag_value(flag, args.next())?),
             "--rounds" => {
                 opts.rounds = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
@@ -133,15 +133,8 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    opts.model_seed = model_seed(explicit_model_seed, opts.smoke);
     Ok(opts)
-}
-
-/// Explicit override, else seed 3 in smoke mode (the test suite's shared
-/// smoke controller, so committed fixtures replay against a model the
-/// tests rebuild in seconds), else the harness default.
-fn model_seed(opts: &HardenOpts) -> u64 {
-    opts.model_seed
-        .unwrap_or(if opts.smoke { 3 } else { DEFAULT_SEED })
 }
 
 /// The horizon cap for decoded search scenarios (the scenario_search
@@ -173,38 +166,6 @@ fn mix_seed(model_seed: u64, round: usize) -> u64 {
     model_seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(round as u64)
-}
-
-/// Reads and validates every fixture in the corpus directory, sorted by
-/// file name so pool order (and therefore training) is independent of
-/// directory iteration order. A missing directory is an empty corpus.
-/// Subdirectories are skipped — decision-trace artifacts live under
-/// `traces/`, next to the fixtures but outside the corpus.
-fn load_corpus(dir: &str) -> Result<Vec<AdversarialFixture>, String> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(Vec::new()),
-    };
-    let mut names: Vec<String> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot list {dir}: {e}"))?;
-        if entry.path().is_dir() {
-            continue;
-        }
-        names.push(entry.file_name().to_string_lossy().into_owned());
-    }
-    names.sort();
-    let mut corpus = Vec::new();
-    for name in names {
-        let path = format!("{dir}/{name}");
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let fixture = AdversarialFixture::from_json(&text)
-            .map_err(|e| format!("{path}: not a fixture: {e}"))?;
-        fixture.validate().map_err(|e| format!("{path}: {e}"))?;
-        corpus.push(fixture);
-    }
-    Ok(corpus)
 }
 
 /// The adversarial episode pool for one round: two seeded scenarios per
@@ -246,7 +207,7 @@ fn train_hardened(
     pool: Vec<canopy_core::env::EpisodeSpec>,
     round: usize,
 ) -> TrainedModel {
-    let seed = model_seed(opts);
+    let seed = opts.model_seed;
     let mut cfg = trainer_config(
         opts.scheme,
         seed,
@@ -350,7 +311,6 @@ fn run_rounds(
         for family in Family::ALL {
             let space = SearchSpace::new(family, search_seed).with_duration_cap(Some(cap));
             let config = SearchConfig {
-                optimizer: OptimizerKind::Cem,
                 budget: opts.budget,
                 population: opts.population,
                 seed: search_seed,
@@ -422,21 +382,15 @@ fn run_rounds(
                         family.name(),
                         opts.objective.name().replace('_', "-")
                     );
-                    let fixture = AdversarialFixture {
-                        schema: FIXTURE_SCHEMA.to_string(),
-                        family: family.name().to_string(),
-                        objective: opts.objective.name().to_string(),
-                        scheme: base.name.clone(),
-                        model_seed: model_seed(opts),
-                        smoke_model: opts.smoke,
-                        n_components: base_objective.n_components,
-                        fallback_threshold: base_objective.fallback_threshold,
-                        optimizer: OptimizerKind::Cem.name().to_string(),
+                    let fixture = AdversarialFixture::new(
+                        family,
+                        &base_objective,
+                        opts.model_seed,
+                        opts.smoke,
                         search_seed,
-                        replay_threshold: threshold.max(0.9 * shrunk.badness),
-                        recorded_badness: shrunk.badness,
-                        spec: min_spec,
-                    };
+                        shrunk.badness,
+                        min_spec,
+                    );
                     fixture
                         .validate()
                         .map_err(|e| format!("round {round} fixture: {e}"))?;
@@ -516,7 +470,7 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
     let harness = HarnessOpts {
-        seed: model_seed(&opts),
+        seed: opts.model_seed,
         smoke: opts.smoke,
     };
     let (base, _) = model(opts.scheme, &harness);
@@ -539,7 +493,7 @@ fn run() -> Result<(), String> {
                 .map_err(|e| format!("{}: not a ledger: {e}", opts.ledger))?;
             l.validate().map_err(|e| format!("{}: {e}", opts.ledger))?;
             if l.scheme != opts.scheme.name()
-                || l.model_seed != model_seed(&opts)
+                || l.model_seed != opts.model_seed
                 || l.smoke != opts.smoke
             {
                 return Err(format!(
@@ -549,7 +503,7 @@ fn run() -> Result<(), String> {
             }
             l
         }
-        Err(_) => RobustnessLedger::new(opts.scheme.name(), model_seed(&opts), opts.smoke),
+        Err(_) => RobustnessLedger::new(opts.scheme.name(), opts.model_seed, opts.smoke),
     };
     let first_round = ledger.last_round().map_or(0, |r| r + 1);
 
@@ -620,40 +574,17 @@ fn run() -> Result<(), String> {
 /// `traces/`. Everything is rebuilt from the fixture's metadata, so the
 /// trace — like the fixture — reproduces from the repository alone.
 fn write_fixture_trace(fixture_out: &str, fixture: &AdversarialFixture) -> Result<(), String> {
-    let kind = ModelKind::parse(&fixture.scheme).ok_or_else(|| {
-        format!(
-            "{}: unknown scheme `{}`",
-            fixture.file_name(),
-            fixture.scheme
-        )
-    })?;
-    let budget = if fixture.smoke_model {
-        TrainBudget::smoke()
-    } else {
-        TrainBudget::standard()
-    };
-    let (base, _) = models::load_or_train(&model_dir(), kind, fixture.model_seed, budget);
-    let okind = ObjectiveKind::parse(&fixture.objective).ok_or_else(|| {
-        format!(
-            "{}: unknown objective `{}`",
-            fixture.file_name(),
-            fixture.objective
-        )
-    })?;
-    let objective = Objective::new(okind, base.clone());
-    let scheme = Scheme::LearnedFallback {
-        model: base.clone(),
-        properties: objective.properties.clone(),
-        threshold: fixture.fallback_threshold,
-        n_components: fixture.n_components,
-    };
+    let objective = fixture
+        .objective(&model_dir())
+        .map_err(|e| format!("{}: {e}", fixture.file_name()))?;
+    let scheme = objective.fallback_scheme();
     let rec = Rc::new(RefCell::new(FlightRecorder::default()));
     let handle: SharedRecorder = rec.clone();
     run_scenario_recorded(&scheme, &fixture.spec, None, &handle).map_err(|e| e.to_string())?;
     let name = fixture.file_name();
     let stem = name.strip_suffix(".json").unwrap_or(&name);
     let label = format!("harden fixture {name}");
-    let report = TelemetryReport::from_recorder(&rec.borrow(), &label, &base.name);
+    let report = TelemetryReport::from_recorder(&rec.borrow(), &label, &objective.model.name);
     report
         .validate()
         .map_err(|e| format!("refusing to write invalid trace for {name}: {e}"))?;
@@ -689,7 +620,7 @@ mod tests {
         assert_eq!(opts.rounds, 2);
         assert_eq!(opts.fraction, 0.5);
         assert_eq!(opts.ledger, "ROBUSTNESS_ledger.json");
-        assert_eq!(model_seed(&opts), DEFAULT_SEED);
+        assert_eq!(opts.model_seed, DEFAULT_SEED);
 
         let opts = parse_opts(&argv(&[
             "--scheme",
@@ -707,7 +638,7 @@ mod tests {
         assert_eq!(opts.objective, ObjectiveKind::QcSat);
         assert_eq!(opts.rounds, 3);
         assert_eq!(opts.fraction, 0.25);
-        assert_eq!(model_seed(&opts), 3);
+        assert_eq!(opts.model_seed, 3);
     }
 
     #[test]
@@ -725,6 +656,17 @@ mod tests {
         assert!(parse_opts(&argv(&["--scheme", "cubic"])).is_err());
         assert!(parse_opts(&argv(&["--objective", "latency"])).is_err());
         assert!(parse_opts(&argv(&["--mystery"])).is_err());
+    }
+
+    #[test]
+    fn a_file_is_not_a_corpus_directory() {
+        // `--fixture-out` naming a file must stop the run before any round
+        // trains without the corpus, not read as an empty corpus.
+        let file = std::env::temp_dir().join("canopy-harden-corpus-file.json");
+        std::fs::write(&file, "{}").expect("temp file");
+        let loaded = load_corpus(file.to_str().expect("utf-8 temp path"));
+        let _ = std::fs::remove_file(&file);
+        assert!(loaded.is_err(), "a file read as a corpus: {loaded:?}");
     }
 
     #[test]

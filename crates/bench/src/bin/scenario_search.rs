@@ -5,13 +5,13 @@
 //! ```text
 //! cargo run -p canopy_bench --release --bin scenario_search -- \
 //!     --family flash-crowd --seed 7 --objective qc_sat --budget 64 \
-//!     [--scheme canopy-shallow] [--optimizer cem|hill] [--population N] \
-//!     [--model-seed N] [--max-duration SECS] [--shrink-budget N] \
-//!     [--min-gap BADNESS] [--smoke] [--check] \
+//!     [--scheme canopy-shallow] [--population N] [--model-seed N] \
+//!     [--max-duration SECS] [--shrink-budget N] [--min-gap BADNESS] \
+//!     [--smoke] [--check] \
 //!     [--out SEARCH_report.json] [--fixture-out DIR] [--trace-out PATH]
 //! ```
 //!
-//! `--trace-out PATH` attaches a flight recorder: the optimizer records
+//! `--trace-out PATH` attaches a flight recorder: the search records
 //! one event per generation and the worst case found is replayed once
 //! more behind the QC fallback monitor to capture its decision timeline.
 //! The `canopy-telemetry/v1` report lands at PATH with a Chrome-trace
@@ -19,15 +19,15 @@
 //!
 //! Objectives: `qc_sat` (minimize the runtime certificate), `fallback_rate`
 //! (maximize QC-monitor overrides), `reward_gap` (maximize reward conceded
-//! to Cubic on the identical scenario). The search is deterministic in
-//! `(family, seed, objective, scheme, budget, optimizer, population)` and
-//! bitwise reproducible at any `CANOPY_THREADS`; `--check` proves it by
-//! re-running the optimizer and diffing the reports. `--smoke` switches to
-//! the smoke-budget model (seed 3, the test suite's shared controller) and
-//! caps decoded horizons at 4 s so a CI run stays inside a wall-clock
-//! budget. When the worst case found clears the objective's violation
-//! threshold, it is delta-debugged down to a minimal spec; `--fixture-out`
-//! additionally writes that spec as a self-contained
+//! to Cubic on the identical scenario). The search (the cross-entropy
+//! method) is deterministic in `(family, seed, objective, scheme, budget,
+//! population)` and bitwise reproducible at any `CANOPY_THREADS`;
+//! `--check` proves it by re-running the search and diffing the reports.
+//! `--smoke` switches to the smoke-budget model (seed 3, the test suite's
+//! shared controller) and caps decoded horizons at 4 s so a CI run stays
+//! inside a wall-clock budget. When the worst case found clears the
+//! objective's violation threshold, it is delta-debugged down to a minimal
+//! spec; `--fixture-out` additionally writes that spec as a self-contained
 //! `canopy-adversarial-fixture/v1` JSON replayed by the regression suite.
 //!
 //! `--min-gap BADNESS` turns the run into a hardening gate: if the search
@@ -41,26 +41,24 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use canopy_bench::{
-    f3, flag_value, flag_value_where, header, model, row, write_trace, HarnessOpts, DEFAULT_SEED,
+    f3, flag_value, flag_value_where, header, model, model_seed, row, write_trace, HarnessOpts,
+    DEFAULT_SEED,
 };
-use canopy_core::eval::Scheme;
 use canopy_core::models::ModelKind;
 use canopy_netsim::Time;
 use canopy_scenarios::{run_scenario_recorded, Family};
 use canopy_search::{
     search, search_with_recorder, AdversarialFixture, Minimized, Objective, ObjectiveKind,
-    OptimizerKind, SearchConfig, SearchReport, SearchSpace, ShrinkConfig, FIXTURE_SCHEMA,
-    SEARCH_SCHEMA,
+    SearchConfig, SearchReport, SearchSpace, ShrinkConfig, OPTIMIZER, SEARCH_SCHEMA,
 };
 use canopy_telemetry::{FlightRecorder, SharedRecorder, TelemetryReport};
 
 struct SearchOpts {
     family: Family,
     objective: ObjectiveKind,
-    optimizer: OptimizerKind,
     scheme: ModelKind,
     seed: u64,
-    model_seed: Option<u64>,
+    model_seed: u64,
     budget: usize,
     population: usize,
     shrink_budget: usize,
@@ -77,10 +75,9 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
     let mut opts = SearchOpts {
         family: Family::FlashCrowd,
         objective: ObjectiveKind::QcSat,
-        optimizer: OptimizerKind::Cem,
         scheme: ModelKind::Shallow,
         seed: DEFAULT_SEED,
-        model_seed: None,
+        model_seed: DEFAULT_SEED, // resolved after the flags
         budget: 64,
         population: 16,
         shrink_budget: 64,
@@ -94,6 +91,7 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
     };
     let at_least_1 = |n: &usize| *n >= 1;
     let positive = |x: &f64| x.is_finite() && *x > 0.0;
+    let mut explicit_model_seed = None;
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -107,18 +105,13 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
                 opts.objective = ObjectiveKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown objective `{v}`"))?;
             }
-            "--optimizer" => {
-                let v: String = flag_value(flag, args.next())?;
-                opts.optimizer = OptimizerKind::parse(v.trim())
-                    .ok_or_else(|| format!("unknown optimizer `{v}` (cem|hill)"))?;
-            }
             "--scheme" => {
                 let v: String = flag_value(flag, args.next())?;
                 opts.scheme = ModelKind::parse(v.trim())
                     .ok_or_else(|| format!("unknown scheme `{v}` (expected a model name)"))?;
             }
             "--seed" => opts.seed = flag_value(flag, args.next())?,
-            "--model-seed" => opts.model_seed = Some(flag_value(flag, args.next())?),
+            "--model-seed" => explicit_model_seed = Some(flag_value(flag, args.next())?),
             "--budget" => {
                 opts.budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
@@ -147,15 +140,8 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
     if opts.smoke && opts.max_duration.is_none() {
         opts.max_duration = Some(Time::from_secs(4));
     }
+    opts.model_seed = model_seed(explicit_model_seed, opts.smoke);
     Ok(opts)
-}
-
-/// The model-training seed: explicit override, else seed 3 in smoke mode
-/// (the test suite's shared smoke controller, so committed fixtures replay
-/// against a model the tests rebuild in seconds), else the harness default.
-fn model_seed(opts: &SearchOpts) -> u64 {
-    opts.model_seed
-        .unwrap_or(if opts.smoke { 3 } else { DEFAULT_SEED })
 }
 
 /// `Ok(true)` means the `--min-gap` hardening gate tripped (exit 3).
@@ -164,7 +150,7 @@ fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_opts(&args)?;
     let harness = HarnessOpts {
-        seed: model_seed(&opts),
+        seed: opts.model_seed,
         smoke: opts.smoke,
     };
     let (trained, _) = model(opts.scheme, &harness);
@@ -173,7 +159,7 @@ fn run() -> Result<bool, String> {
         opts.family.name(),
         opts.objective.name(),
         trained.name,
-        opts.optimizer.name(),
+        OPTIMIZER,
         opts.budget,
         opts.population,
         opts.seed
@@ -182,7 +168,6 @@ fn run() -> Result<bool, String> {
     let space = SearchSpace::new(opts.family, opts.seed).with_duration_cap(opts.max_duration);
     let objective = Objective::new(opts.objective, trained.clone());
     let config = SearchConfig {
-        optimizer: opts.optimizer,
         budget: opts.budget,
         population: opts.population,
         seed: opts.seed,
@@ -248,7 +233,7 @@ fn run() -> Result<bool, String> {
         family: opts.family.name().to_string(),
         scheme: trained.name.clone(),
         objective: opts.objective.name().to_string(),
-        optimizer: opts.optimizer.name().to_string(),
+        optimizer: OPTIMIZER.to_string(),
         search_seed: opts.seed,
         budget: opts.budget,
         population: opts.population,
@@ -270,25 +255,15 @@ fn run() -> Result<bool, String> {
     println!("wrote {} (schema {})", opts.out, report.schema);
 
     if let (Some(dir), Some(min)) = (&opts.fixture_out, &report.minimized) {
-        // The replay threshold backs off 10 % from the recorded badness
-        // (tolerating cross-CPU floating-point drift) but never below the
-        // objective's violation threshold: a replay that is no longer a
-        // violation must fail, whatever it scores.
-        let fixture = AdversarialFixture {
-            schema: FIXTURE_SCHEMA.to_string(),
-            family: opts.family.name().to_string(),
-            objective: opts.objective.name().to_string(),
-            scheme: trained.name.clone(),
-            model_seed: model_seed(&opts),
-            smoke_model: opts.smoke,
-            n_components: objective.n_components,
-            fallback_threshold: objective.fallback_threshold,
-            optimizer: opts.optimizer.name().to_string(),
-            search_seed: opts.seed,
-            replay_threshold: threshold.max(0.9 * min.badness),
-            recorded_badness: min.badness,
-            spec: min.spec.clone(),
-        };
+        let fixture = AdversarialFixture::new(
+            opts.family,
+            &objective,
+            opts.model_seed,
+            opts.smoke,
+            opts.seed,
+            min.badness,
+            min.spec.clone(),
+        );
         fixture
             .validate()
             .map_err(|e| format!("invalid fixture: {e}"))?;
@@ -302,12 +277,7 @@ fn run() -> Result<bool, String> {
     if let (Some(path), Some(recorder), Some(handle)) = (&opts.trace_out, &recorder, &handle) {
         // Replay the worst case behind the QC fallback monitor so the
         // decision timeline carries QC_sat and fallback engagement.
-        let scheme = Scheme::LearnedFallback {
-            model: trained.clone(),
-            properties: objective.properties.clone(),
-            threshold: objective.fallback_threshold,
-            n_components: objective.n_components,
-        };
+        let scheme = objective.fallback_scheme();
         run_scenario_recorded(&scheme, &outcome.best_spec, None, handle)
             .map_err(|e| e.to_string())?;
         let label = format!(
@@ -320,7 +290,7 @@ fn run() -> Result<bool, String> {
     }
 
     if opts.check {
-        // Reproducibility gate: re-run the optimizer from scratch and
+        // Reproducibility gate: re-run the search from scratch and
         // require a bitwise-identical trajectory and best spec.
         let again = search(&space, &objective, &config).map_err(|e| e.to_string())?;
         if again.trajectory != outcome.trajectory
@@ -384,7 +354,7 @@ mod tests {
         assert_eq!(opts.objective, ObjectiveKind::QcSat);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.budget, 64);
-        assert_eq!(model_seed(&opts), DEFAULT_SEED);
+        assert_eq!(opts.model_seed, DEFAULT_SEED);
         assert!(opts.max_duration.is_none());
     }
 
@@ -392,7 +362,12 @@ mod tests {
     fn smoke_mode_caps_horizons_and_uses_the_test_model_seed() {
         let opts = parse_opts(&argv(&["--smoke"])).unwrap();
         assert_eq!(opts.max_duration, Some(Time::from_secs(4)));
-        assert_eq!(model_seed(&opts), 3);
+        assert_eq!(opts.model_seed, 3);
+        let explicit = parse_opts(&argv(&["--model-seed", "5", "--smoke"])).unwrap();
+        assert_eq!(
+            explicit.model_seed, 5,
+            "an explicit seed wins in smoke mode"
+        );
         let explicit = parse_opts(&argv(&["--smoke", "--max-duration", "2.5"])).unwrap();
         assert_eq!(explicit.max_duration, Some(Time::from_secs_f64(2.5)));
     }
@@ -421,7 +396,6 @@ mod tests {
         assert!(parse_opts(&argv(&["--family", "tsunami"])).is_err());
         assert!(parse_opts(&argv(&["--objective", "latency"])).is_err());
         assert!(parse_opts(&argv(&["--budget", "0"])).is_err());
-        assert!(parse_opts(&argv(&["--optimizer", "anneal"])).is_err());
         assert!(parse_opts(&argv(&["--scheme", "cubic"])).is_err());
         assert!(parse_opts(&argv(&["--mystery"])).is_err());
     }

@@ -96,6 +96,14 @@ impl HarnessOpts {
     }
 }
 
+/// The model-training seed of the adversarial harnesses: an explicit
+/// `--model-seed`, else seed 3 in smoke mode (the test suite's shared smoke
+/// controller, so committed fixtures replay against a model the tests
+/// rebuild in seconds), else [`DEFAULT_SEED`].
+pub fn model_seed(explicit: Option<u64>, smoke: bool) -> u64 {
+    explicit.unwrap_or(if smoke { 3 } else { DEFAULT_SEED })
+}
+
 /// The shared on-disk model cache used by all figures.
 pub fn model_dir() -> PathBuf {
     std::env::var("CANOPY_MODEL_DIR")

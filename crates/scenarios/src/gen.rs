@@ -1,13 +1,13 @@
 //! Seeded scenario generation: named stress families and the fuzzer.
 //!
 //! Every scenario is a pure function of `(family, seed)`: the generator
-//! seeds one [`StdRng`] from that pair, samples the family's parameter
-//! vector uniformly within its bounds ([`params::sample_point`]), and
-//! decodes it through the same [`params::decode`] hook adversarial search
-//! uses — so any scenario the fuzzer ever produced can be recreated (and
-//! committed as a regression fixture) from two integers, and every
-//! search-found counterexample lives in the same parameter space as the
-//! fuzzed suite. The families are adversarial compositions the paper's
+//! seeds one [`StdRng`] from that pair and runs the family's decoder with
+//! every parameter drawn uniformly within its bounds ([`params::draw`]) —
+//! the same decoder adversarial search runs on unit-cube points
+//! ([`params::decode_unit`]) — so any scenario the fuzzer ever produced can
+//! be recreated (and committed as a regression fixture) from two integers,
+//! and every search-found counterexample lives in the same parameter space
+//! as the fuzzed suite. The families are adversarial compositions the paper's
 //! fixed 21-trace suite never exercises: flash crowds, bandwidth cliffs,
 //! jitter storms, lossy wireless links, buffer-depth sweeps, cross-traffic
 //! churn, incast fan-in bursts, and parking-lot RTT unfairness — the last
@@ -89,9 +89,7 @@ pub(crate) fn rng_for(family: Family, seed: u64) -> StdRng {
 /// Generates the `(family, seed)` scenario. Pure and deterministic: the
 /// same pair always yields a byte-identical spec.
 pub fn generate(family: Family, seed: u64) -> ScenarioSpec {
-    let mut rng = rng_for(family, seed);
-    let x = params::sample_point(family, &mut rng);
-    params::decode(family, seed, &x, None)
+    params::draw(family, seed, &mut rng_for(family, seed), None)
 }
 
 /// The fuzz suite: `seeds` scenarios from each listed family

@@ -18,7 +18,8 @@
 //!   buffer-sweep, cross-traffic-churn, incast-burst,
 //!   parking-lot-unfairness — the last two on multi-hop topologies); any
 //!   scenario reproduces from `(family, seed)` alone and round-trips
-//!   through JSON.
+//!   through JSON. Each family is one decoder in [`params`], run on seeded
+//!   draws by the fuzzer and on unit-cube points by adversarial search.
 //! * [`runner`] — a `Scheme × Scenario` matrix executor fanned over the
 //!   `canopy_core::pool` worker pool, emitting per-scenario metrics
 //!   (throughput, p95 queuing delay, loss, Jain fairness, `QC_sat`,
@@ -42,7 +43,7 @@ pub mod spec;
 
 pub use episode::{episode_env, episode_spec};
 pub use gen::{fuzz_suite, fuzz_suite_seeds, generate, Family};
-pub use params::{decode, param_defs, sample_point, ParamDef, ParamKind};
+pub use params::{decode_unit, dims, draw};
 pub use runner::{
     run_matrix, run_matrix_with_threads, run_scenario, run_scenario_recorded, ScenarioMetrics,
     ScenarioReport, REPORT_SCHEMA,

@@ -1,19 +1,30 @@
-//! Family parameter spaces: the encode/decode hooks behind both the
-//! seeded generator and adversarial search.
+//! Family parameter spaces: each family's decoder is the one statement of
+//! its layout, behind both the seeded generator and adversarial search.
 //!
-//! Every fuzz family is a *parametric* scenario template: a fixed-length
-//! vector of bounded reals (trace-combinator knobs, buffer depth,
-//! impairment-phase timing, flow-schedule offsets) plus a deterministic
-//! [`decode`] that turns any in-bounds vector into a [`ScenarioSpec`].
-//! The seeded generator samples that vector uniformly within its bounds
-//! ([`sample_point`]), so `generate(family, seed)` and a search loop
-//! exploring the same space by construction produce specs of identical
-//! shape — a counterexample found by search is just another point of the
-//! family, committable and reproducible like any fuzzed scenario.
+//! Every fuzz family is a *parametric* scenario template: a fixed sequence
+//! of bounded reads (trace-combinator knobs, buffer depth, impairment-phase
+//! timing, flow-schedule offsets) that a decoder turns into a
+//! [`ScenarioSpec`]. Each read states its own bounds as it is made —
+//! `cont(lo, hi)`, `int(lo, hi)`, `pick(&LIST)`, `coin()` — and clamps
+//! (integers also round), so the decoder is the only place a parameter's
+//! position, range and kind are written. Where the values come from is the
+//! cursor's source:
+//!
+//! * [`draw`] — a uniform draw within each read's bounds from a seeded
+//!   [`StdRng`]: the distribution behind
+//!   [`generate`](crate::gen::generate);
+//! * [`decode_unit`] — one unit-cube coordinate per read, mapped affinely
+//!   onto the read's bounds: the point adversarial search proposes;
+//! * [`dims`] — every read at its lower bound, counting the reads.
+//!
+//! So `generate(family, seed)` and a search loop exploring the same space
+//! produce specs of identical shape by construction — a counterexample
+//! found by search is just another point of the family, committable and
+//! reproducible like any fuzzed scenario.
 //!
 //! Variable-length structure (competitor flows, storm phases) is encoded
-//! with a fixed maximum: the vector always carries every slot, and an
-//! "active count" parameter decides how many decode into the spec.
+//! with a fixed maximum: a decoder reads every slot, and an "active count"
+//! read decides how many land in the spec.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -24,60 +35,6 @@ use canopy_netsim::Time;
 
 use crate::gen::Family;
 use crate::spec::{CrossFlow, ScenarioSpec, TopologySpec, TraceProgram};
-
-/// How a parameter's real-valued slot is interpreted on decode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParamKind {
-    /// Used as-is (after clamping into `[lo, hi]`).
-    Continuous,
-    /// Rounded to the nearest integer in `[lo, hi]` (both integral).
-    Int,
-}
-
-/// One bounded parameter of a family's scenario template.
-#[derive(Clone, Copy, Debug)]
-pub struct ParamDef {
-    /// Stable snake-case parameter name (for reports and debugging).
-    pub name: &'static str,
-    /// Inclusive lower bound.
-    pub lo: f64,
-    /// Upper bound (inclusive for [`ParamKind::Int`], the open end of the
-    /// sampling range for [`ParamKind::Continuous`]; decode clamps to it).
-    pub hi: f64,
-    /// Interpretation on decode.
-    pub kind: ParamKind,
-}
-
-impl ParamDef {
-    const fn cont(name: &'static str, lo: f64, hi: f64) -> ParamDef {
-        ParamDef {
-            name,
-            lo,
-            hi,
-            kind: ParamKind::Continuous,
-        }
-    }
-
-    const fn int(name: &'static str, lo: u64, hi: u64) -> ParamDef {
-        ParamDef {
-            name,
-            lo: lo as f64,
-            hi: hi as f64,
-            kind: ParamKind::Int,
-        }
-    }
-
-    /// Clamps a raw coordinate into this parameter's domain (rounding for
-    /// integer parameters). Non-finite input lands on the lower bound.
-    pub fn clamp(&self, x: f64) -> f64 {
-        let x = if x.is_finite() { x } else { self.lo };
-        let x = x.clamp(self.lo, self.hi);
-        match self.kind {
-            ParamKind::Continuous => x,
-            ParamKind::Int => x.round().clamp(self.lo, self.hi),
-        }
-    }
-}
 
 const MBPS: f64 = 1e6;
 
@@ -99,264 +56,132 @@ const INCAST_MAX_SENDERS: u64 = 6;
 /// the parking-lot vector.
 const LOT_MAX_HOPS: u64 = 5;
 
-/// The parameter template shared by every family: propagation RTT and
-/// experiment horizon.
-const COMMON: [ParamDef; 2] = [
-    ParamDef::int("min_rtt_ms", 20, 60),
-    ParamDef::cont("duration_s", 10.0, 16.0),
-];
-
-/// The full ordered parameter list of a family's scenario template.
-pub fn param_defs(family: Family) -> Vec<ParamDef> {
-    let mut defs = COMMON.to_vec();
-    match family {
-        Family::FlashCrowd => {
-            defs.extend([
-                ParamDef::int("base_trace", 0, WIDE_BASES.len() as u64 - 1),
-                ParamDef::cont("scale_factor", 1.0, 2.5),
-                ParamDef::cont("buffer_bdp", 1.0, 2.5),
-                ParamDef::cont("arrive_frac", 0.25, 0.45),
-                ParamDef::cont("dwell_frac", 0.2, 0.35),
-                ParamDef::int("n_flows", 3, FLASH_CROWD_MAX_FLOWS),
-            ]);
-            for i in 0..FLASH_CROWD_MAX_FLOWS {
-                defs.push(ParamDef {
-                    name: flow_param_name("jitter_s", i),
-                    lo: 0.0,
-                    hi: 0.3,
-                    kind: ParamKind::Continuous,
-                });
-                defs.push(ParamDef {
-                    name: flow_param_name("rtt_ms", i),
-                    lo: 10.0,
-                    hi: 80.0,
-                    kind: ParamKind::Int,
-                });
-            }
-        }
-        Family::BandwidthCliff => defs.extend([
-            ParamDef::cont("high_mbps", 48.0, 144.0),
-            ParamDef::cont("cliff_at_frac", 0.3, 0.55),
-            ParamDef::cont("cliff_len_frac", 0.15, 0.35),
-            ParamDef::cont("floor_frac", 0.05, 0.15),
-            ParamDef::cont("buffer_bdp", 0.5, 2.0),
-            ParamDef::cont("competitor_coin", 0.0, 1.0),
-        ]),
-        Family::JitterStorm => {
-            defs.extend([
-                ParamDef::cont("low_mbps", 12.0, 24.0),
-                ParamDef::cont("high_mbps", 36.0, 96.0),
-                ParamDef::cont("half_period_s", 0.5, 2.0),
-                ParamDef::cont("buffer_bdp", 1.0, 4.0),
-                ParamDef::int("n_storms", 1, STORM_MAX),
-                ParamDef::cont("onset_frac", 0.15, 0.3),
-            ]);
-            for i in 0..STORM_MAX {
-                defs.push(ParamDef {
-                    name: flow_param_name("storm_len_frac", i),
-                    lo: 0.15,
-                    hi: 0.3,
-                    kind: ParamKind::Continuous,
-                });
-                defs.push(ParamDef {
-                    name: flow_param_name("storm_jitter_ms", i),
-                    lo: 5.0,
-                    hi: 25.0,
-                    kind: ParamKind::Int,
-                });
-                defs.push(ParamDef {
-                    name: flow_param_name("calm_frac", i),
-                    lo: 0.1,
-                    hi: 0.2,
-                    kind: ParamKind::Continuous,
-                });
-            }
-            defs.push(ParamDef::cont("noise_mu", 0.0, 0.2));
-        }
-        Family::LossyWireless => defs.extend([
-            ParamDef::int("cell_trace", 0, CELL_BASES.len() as u64 - 1),
-            ParamDef::cont("window_s", 8.0, 20.0),
-            ParamDef::cont("buffer_bdp", 1.0, 3.0),
-            ParamDef::cont("onset_frac", 0.1, 0.4),
-            ParamDef::cont("random_loss", 0.005, 0.03),
-            ParamDef::int("loss_jitter_ms", 0, 5),
-            ParamDef::cont("clear_coin", 0.0, 1.0),
-            ParamDef::cont("clear_frac", 0.6, 0.9),
-        ]),
-        Family::BufferSweep => defs.extend([
-            ParamDef::int("base_trace", 0, WIDE_BASES.len() as u64 - 1),
-            ParamDef::cont("shift_mbps", -4.0, 12.0),
-            ParamDef::cont("log_buffer_bdp", (0.25f64).ln(), (8.0f64).ln()),
-            ParamDef::cont("noise_mu", 0.0, 0.1),
-        ]),
-        Family::CrossTrafficChurn => {
-            defs.extend([
-                ParamDef::cont("low_mbps", 24.0, 48.0),
-                ParamDef::cont("high_factor", 1.5, 3.0),
-                ParamDef::cont("half_period_s", 1.0, 3.0),
-                ParamDef::cont("buffer_bdp", 0.5, 3.0),
-                ParamDef::int("n_flows", 3, CHURN_MAX_FLOWS),
-            ]);
-            for i in 0..CHURN_MAX_FLOWS {
-                defs.push(ParamDef {
-                    name: flow_param_name("start_frac", i),
-                    lo: 0.0,
-                    hi: 0.7,
-                    kind: ParamKind::Continuous,
-                });
-                defs.push(ParamDef {
-                    name: flow_param_name("dwell_frac", i),
-                    lo: 0.15,
-                    hi: 0.5,
-                    kind: ParamKind::Continuous,
-                });
-                defs.push(ParamDef {
-                    name: flow_param_name("rtt_ms", i),
-                    lo: 10.0,
-                    hi: 100.0,
-                    kind: ParamKind::Int,
-                });
-            }
-        }
-        Family::IncastBurst => {
-            defs.extend([
-                ParamDef::int("fan_in", 2, 8),
-                ParamDef::cont("root_mbps", 12.0, 48.0),
-                ParamDef::cont("buffer_bdp", 0.5, 2.0),
-                ParamDef::cont("arrive_frac", 0.1, 0.4),
-                ParamDef::cont("dwell_frac", 0.3, 0.6),
-                ParamDef::int("n_senders", 2, INCAST_MAX_SENDERS),
-            ]);
-            for i in 0..INCAST_MAX_SENDERS {
-                defs.push(ParamDef {
-                    name: flow_param_name("stagger_ms", i),
-                    lo: 0.0,
-                    hi: 50.0,
-                    kind: ParamKind::Int,
-                });
-                defs.push(ParamDef {
-                    name: flow_param_name("rtt_ms", i),
-                    lo: 10.0,
-                    hi: 80.0,
-                    kind: ParamKind::Int,
-                });
-            }
-        }
-        Family::ParkingLotUnfairness => {
-            defs.extend([
-                ParamDef::int("hops", 2, LOT_MAX_HOPS),
-                ParamDef::int("hop_delay_ms", 2, 15),
-                ParamDef::cont("rate_mbps", 16.0, 64.0),
-                ParamDef::cont("buffer_bdp", 0.5, 2.0),
-            ]);
-            for i in 0..LOT_MAX_HOPS {
-                defs.push(ParamDef {
-                    name: flow_param_name("start_frac", i),
-                    lo: 0.0,
-                    hi: 0.1,
-                    kind: ParamKind::Continuous,
-                });
-            }
-        }
-    }
-    defs
+/// Where a decoder's reads take their values.
+enum Source<'a> {
+    /// Uniform within each read's bounds (integers over the inclusive
+    /// range).
+    Draw(&'a mut StdRng),
+    /// One unit-cube coordinate per read; out-of-cube coordinates clamp
+    /// into `[0, 1]` and non-finite ones land on 0.
+    Unit(&'a [f64]),
+    /// Every read at its lower bound.
+    Lower,
 }
 
-/// Per-slot parameter names need `'static` lifetimes for [`ParamDef`];
-/// the handful of (prefix, index) combinations is enumerated statically.
-fn flow_param_name(prefix: &'static str, i: u64) -> &'static str {
-    macro_rules! slots {
-        ($($p:literal => [$($n:literal),*]),* $(,)?) => {
-            match (prefix, i) {
-                $($(($p, $n) => concat!($p, "_", stringify!($n)),)*)*
-                _ => unreachable!("unregistered param slot {prefix}_{i}"),
-            }
-        };
-    }
-    slots!(
-        "jitter_s" => [0, 1, 2, 3, 4, 5],
-        "rtt_ms" => [0, 1, 2, 3, 4, 5],
-        "storm_len_frac" => [0, 1],
-        "storm_jitter_ms" => [0, 1],
-        "calm_frac" => [0, 1],
-        "start_frac" => [0, 1, 2, 3, 4],
-        "dwell_frac" => [0, 1, 2, 3, 4],
-        "stagger_ms" => [0, 1, 2, 3, 4, 5],
-    )
-}
-
-/// Samples one parameter vector uniformly within the family's bounds
-/// (integer parameters uniformly over their inclusive range). This is the
-/// distribution behind [`generate`](crate::gen::generate).
-pub fn sample_point(family: Family, rng: &mut StdRng) -> Vec<f64> {
-    param_defs(family)
-        .iter()
-        .map(|d| match d.kind {
-            ParamKind::Continuous => rng.random_range(d.lo..d.hi),
-            ParamKind::Int => rng.random_range(d.lo as u64..=d.hi as u64) as f64,
-        })
-        .collect()
-}
-
-/// A cursor over one parameter vector, clamping each coordinate into its
-/// definition's domain as it is consumed.
+/// The cursor a family decoder reads its parameters through.
 struct Params<'a> {
-    defs: &'a [ParamDef],
-    x: &'a [f64],
-    i: usize,
+    source: Source<'a>,
+    reads: usize,
 }
 
 impl Params<'_> {
-    fn next(&mut self) -> f64 {
-        let v = self.defs[self.i].clamp(self.x[self.i]);
-        self.i += 1;
-        v
+    /// The next value in `[lo, hi]`: clamped (a non-finite value lands on
+    /// `lo`) and, for an integer read, rounded.
+    fn read(&mut self, lo: f64, hi: f64, int: bool) -> f64 {
+        let x = match &mut self.source {
+            Source::Draw(rng) if int => rng.random_range(lo as u64..=hi as u64) as f64,
+            Source::Draw(rng) => rng.random_range(lo..hi),
+            Source::Unit(unit) => {
+                let u = unit.get(self.reads).copied().unwrap_or(f64::NAN);
+                let u = if u.is_finite() {
+                    u.clamp(0.0, 1.0)
+                } else {
+                    0.0
+                };
+                lo + u * (hi - lo)
+            }
+            Source::Lower => lo,
+        };
+        self.reads += 1;
+        let x = if x.is_finite() { x.clamp(lo, hi) } else { lo };
+        if int {
+            x.round().clamp(lo, hi)
+        } else {
+            x
+        }
     }
 
-    fn next_usize(&mut self) -> usize {
-        self.next() as usize
+    /// A real in `[lo, hi]` (a draw covers `[lo, hi)`).
+    fn cont(&mut self, lo: f64, hi: f64) -> f64 {
+        self.read(lo, hi, false)
     }
 
-    fn next_u64(&mut self) -> u64 {
-        self.next() as u64
+    /// An integer in `[lo, hi]`.
+    fn int(&mut self, lo: u64, hi: u64) -> u64 {
+        self.read(lo as f64, hi as f64, true) as u64
     }
 
-    fn next_coin(&mut self) -> bool {
-        self.next() < 0.5
+    /// One entry of `list`.
+    fn pick<T: Copy>(&mut self, list: &[T]) -> T {
+        list[self.int(0, list.len() as u64 - 1) as usize]
+    }
+
+    /// A fair coin: a real in `[0, 1]` below one half.
+    fn coin(&mut self) -> bool {
+        self.cont(0.0, 1.0) < 0.5
     }
 }
 
-/// Decodes a parameter vector into the family's [`ScenarioSpec`] — the
-/// inverse direction of [`sample_point`], and the sole constructor both
-/// the seeded generator and adversarial search go through.
+/// Draws the family's scenario from `rng`, each parameter uniform within
+/// its bounds. [`generate`](crate::gen::generate) is this with the
+/// `(family, seed)` stream and no cap.
 ///
-/// Out-of-bounds coordinates are clamped per parameter, so any real vector
-/// of the right length decodes to a valid spec. `seed` is recorded as the
-/// spec's provenance and drives the derived impairment/noise RNG streams.
-/// `max_duration` caps the experiment horizon *before* fractional times
-/// (arrivals, phase starts) are resolved, so a capped scenario keeps the
-/// family's shape at a shorter time scale.
+/// `seed` is recorded as the spec's provenance and drives the derived
+/// impairment/noise RNG streams. `max_duration` caps the experiment horizon
+/// *before* fractional times (arrivals, phase starts) are resolved, so a
+/// capped scenario keeps the family's shape at a shorter time scale.
+pub fn draw(
+    family: Family,
+    seed: u64,
+    rng: &mut StdRng,
+    max_duration: Option<Time>,
+) -> ScenarioSpec {
+    decode(family, seed, Source::Draw(rng), max_duration).0
+}
+
+/// Decodes a point of the family's unit cube `[0, 1]^dims(family)`: each
+/// coordinate maps affinely onto its parameter's bounds. Out-of-cube
+/// coordinates clamp and non-finite ones land on the lower bound, so any
+/// vector of the right length decodes to a valid spec. `seed` and
+/// `max_duration` are as in [`draw`].
 ///
 /// # Panics
 ///
-/// Panics if `x.len()` differs from the family's [`param_defs`] length.
-pub fn decode(family: Family, seed: u64, x: &[f64], max_duration: Option<Time>) -> ScenarioSpec {
-    let defs = param_defs(family);
+/// Panics if `unit.len()` differs from [`dims`]`(family)`.
+pub fn decode_unit(
+    family: Family,
+    seed: u64,
+    unit: &[f64],
+    max_duration: Option<Time>,
+) -> ScenarioSpec {
+    let (spec, reads) = decode(family, seed, Source::Unit(unit), max_duration);
     assert_eq!(
-        x.len(),
-        defs.len(),
-        "{} expects {} parameters, got {}",
+        unit.len(),
+        reads,
+        "{} expects {reads} parameters, got {}",
         family.name(),
-        defs.len(),
-        x.len()
+        unit.len()
     );
-    let mut p = Params {
-        defs: &defs,
-        x,
-        i: 0,
-    };
-    let min_rtt = Time::from_millis(p.next_u64());
-    let mut duration = Time::from_secs_f64(p.next());
+    spec
+}
+
+/// The number of parameters the family's decoder reads: the dimension of
+/// its unit cube.
+pub fn dims(family: Family) -> usize {
+    decode(family, 0, Source::Lower, None).1
+}
+
+/// Runs the family's decoder over `source`; returns the spec and the number
+/// of reads it made.
+fn decode(
+    family: Family,
+    seed: u64,
+    source: Source<'_>,
+    max_duration: Option<Time>,
+) -> (ScenarioSpec, usize) {
+    let mut p = Params { source, reads: 0 };
+    let min_rtt = Time::from_millis(p.int(20, 60));
+    let mut duration = Time::from_secs_f64(p.cont(10.0, 16.0));
     if let Some(cap) = max_duration {
         duration = duration.min(cap);
     }
@@ -378,9 +203,8 @@ pub fn decode(family: Family, seed: u64, x: &[f64], max_duration: Option<Time>) 
         Family::IncastBurst => incast_burst(&mut p, &mut spec),
         Family::ParkingLotUnfairness => parking_lot_unfairness(&mut p, &mut spec),
     }
-    debug_assert_eq!(p.i, defs.len(), "{}: unconsumed parameters", family.name());
     debug_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
-    spec
+    (spec, p.reads)
 }
 
 fn named(name: &str, seed: u64) -> Box<TraceProgram> {
@@ -393,21 +217,21 @@ fn named(name: &str, seed: u64) -> Box<TraceProgram> {
 /// A stampede: the primary flow has the link to itself, then `n`
 /// competitors arrive nearly at once mid-run and depart together.
 fn flash_crowd(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let base = WIDE_BASES[p.next_usize()];
+    let base = p.pick(WIDE_BASES);
     spec.trace = TraceProgram::Scale {
         inner: named(base, spec.seed),
-        factor: p.next(),
+        factor: p.cont(1.0, 2.5),
     };
-    spec.buffer_bdp = p.next();
+    spec.buffer_bdp = p.cont(1.0, 2.5);
     let d = spec.duration.as_secs_f64();
-    let arrive = p.next() * d;
-    let dwell = p.next() * d;
-    let n = p.next_usize();
+    let arrive = p.cont(0.25, 0.45) * d;
+    let dwell = p.cont(0.2, 0.35) * d;
+    let n = p.int(3, FLASH_CROWD_MAX_FLOWS) as usize;
     for i in 0..FLASH_CROWD_MAX_FLOWS as usize {
         // The crowd arrives within a few hundred milliseconds; inactive
-        // slots still consume their parameters so vector layout is fixed.
-        let jitter = p.next();
-        let rtt_ms = p.next_u64();
+        // slots still read their parameters so the layout is fixed.
+        let jitter = p.cont(0.0, 0.3);
+        let rtt_ms = p.int(10, 80);
         if i >= n {
             continue;
         }
@@ -423,19 +247,19 @@ fn flash_crowd(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 /// The link rate falls off a cliff (to 5–15 % of nominal) partway through
 /// and recovers after a spell — a spliced outage-like collapse.
 fn bandwidth_cliff(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let high = p.next() * MBPS;
+    let high = p.cont(48.0, 144.0) * MBPS;
     let d = spec.duration.as_secs_f64();
-    let at = p.next() * d;
-    let len = p.next() * d;
-    let floor = high * p.next();
+    let at = p.cont(0.3, 0.55) * d;
+    let len = p.cont(0.15, 0.35) * d;
+    let floor = high * p.cont(0.05, 0.15);
     spec.trace = TraceProgram::Splice {
         base: Box::new(TraceProgram::Constant { rate_bps: high }),
         patch: Box::new(TraceProgram::Constant { rate_bps: floor }),
         at: Time::from_secs_f64(at),
         len: Time::from_secs_f64(len),
     };
-    spec.buffer_bdp = p.next();
-    if p.next_coin() {
+    spec.buffer_bdp = p.cont(0.5, 2.0);
+    if p.coin() {
         // Half the scenarios face the cliff while sharing with one
         // long-lived competitor.
         spec.cross_traffic.push(CrossFlow {
@@ -451,22 +275,22 @@ fn bandwidth_cliff(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 fn jitter_storm(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
     spec.trace = TraceProgram::Clamp {
         inner: Box::new(TraceProgram::SquareWave {
-            low_bps: p.next() * MBPS,
-            high_bps: p.next() * MBPS,
-            half_period: Time::from_secs_f64(p.next()),
+            low_bps: p.cont(12.0, 24.0) * MBPS,
+            high_bps: p.cont(36.0, 96.0) * MBPS,
+            half_period: Time::from_secs_f64(p.cont(0.5, 2.0)),
         }),
         min_bps: 6.0 * MBPS,
         max_bps: 120.0 * MBPS,
     };
-    spec.buffer_bdp = p.next();
+    spec.buffer_bdp = p.cont(1.0, 4.0);
     let d = spec.duration.as_secs_f64();
-    let storms = p.next_usize();
-    let mut t = p.next() * d;
+    let storms = p.int(1, STORM_MAX) as usize;
+    let mut t = p.cont(0.15, 0.3) * d;
     let mut phases = Vec::new();
     for i in 0..STORM_MAX as usize {
-        let storm_len = p.next() * d;
-        let jitter_ms = p.next_u64();
-        let calm = p.next() * d;
+        let storm_len = p.cont(0.15, 0.3) * d;
+        let jitter_ms = p.int(5, 25);
+        let calm = p.cont(0.1, 0.2) * d;
         if i >= storms {
             continue;
         }
@@ -485,7 +309,7 @@ fn jitter_storm(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
     }
     spec.impairments = Some(ImpairmentSchedule::new(phases, spec.seed.wrapping_add(1)));
     spec.noise = Some(NoiseConfig {
-        mu: p.next(),
+        mu: p.cont(0.0, 0.2),
         seed: spec.seed.wrapping_add(2),
     });
 }
@@ -493,21 +317,21 @@ fn jitter_storm(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 /// A cellular-class bandwidth process with scheduled random-loss phases,
 /// the wireless regime learned controllers notoriously misread.
 fn lossy_wireless(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let cell = CELL_BASES[p.next_usize()];
+    let cell = p.pick(CELL_BASES);
     spec.trace = TraceProgram::Periodic {
         inner: named(cell, spec.seed),
-        window: Time::from_secs_f64(p.next()),
+        window: Time::from_secs_f64(p.cont(8.0, 20.0)),
     };
-    spec.buffer_bdp = p.next();
+    spec.buffer_bdp = p.cont(1.0, 3.0);
     let d = spec.duration.as_secs_f64();
-    let onset = p.next() * d;
+    let onset = p.cont(0.1, 0.4) * d;
     let mut phases = vec![ImpairmentPhase {
         start: Time::from_secs_f64(onset),
-        random_loss: p.next(),
-        max_jitter: Time::from_millis(p.next_u64()),
+        random_loss: p.cont(0.005, 0.03),
+        max_jitter: Time::from_millis(p.int(0, 5)),
     }];
-    let clears = p.next_coin();
-    let clear_at = p.next() * d;
+    let clears = p.coin();
+    let clear_at = p.cont(0.6, 0.9) * d;
     if clears {
         // Sometimes the loss clears before the end.
         phases.push(ImpairmentPhase {
@@ -522,14 +346,14 @@ fn lossy_wireless(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 /// The same workload across a wide, log-uniform sweep of buffer depths
 /// (0.25–8 BDP), isolating buffer sensitivity.
 fn buffer_sweep(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let base = WIDE_BASES[p.next_usize()];
+    let base = p.pick(WIDE_BASES);
     spec.trace = TraceProgram::Shift {
         inner: named(base, spec.seed),
-        delta_bps: p.next() * MBPS,
+        delta_bps: p.cont(-4.0, 12.0) * MBPS,
     };
-    spec.buffer_bdp = p.next().exp();
+    spec.buffer_bdp = p.cont(0.25f64.ln(), 8.0f64.ln()).exp();
     spec.noise = Some(NoiseConfig {
-        mu: p.next(),
+        mu: p.cont(0.0, 0.1),
         seed: spec.seed.wrapping_add(4),
     });
 }
@@ -537,25 +361,25 @@ fn buffer_sweep(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 /// Competitors of mixed kernels continually arriving and departing on a
 /// concatenated two-regime link.
 fn cross_traffic_churn(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let lo = p.next() * MBPS;
-    let hi = lo * p.next();
+    let lo = p.cont(24.0, 48.0) * MBPS;
+    let hi = lo * p.cont(1.5, 3.0);
     spec.trace = TraceProgram::Concat {
         first: Box::new(TraceProgram::Constant { rate_bps: hi }),
         second: Box::new(TraceProgram::SquareWave {
             low_bps: lo,
             high_bps: hi,
-            half_period: Time::from_secs_f64(p.next()),
+            half_period: Time::from_secs_f64(p.cont(1.0, 3.0)),
         }),
         loops: true,
     };
-    spec.buffer_bdp = p.next();
+    spec.buffer_bdp = p.cont(0.5, 3.0);
     let d = spec.duration.as_secs_f64();
-    let n = p.next_usize();
+    let n = p.int(3, CHURN_MAX_FLOWS) as usize;
     let kernels = ["cubic", "bbr"];
     for i in 0..CHURN_MAX_FLOWS as usize {
-        let start = p.next() * d;
-        let dwell = p.next() * d;
-        let rtt_ms = p.next_u64();
+        let start = p.cont(0.0, 0.7) * d;
+        let dwell = p.cont(0.15, 0.5) * d;
+        let rtt_ms = p.int(10, 100);
         if i >= n {
             continue;
         }
@@ -573,22 +397,22 @@ fn cross_traffic_churn(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 /// crowd of senders on the other leaves arrives almost at once and hammers
 /// the shared root — the fan-in collapse regime.
 fn incast_burst(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let fan_in = p.next_usize();
+    let fan_in = p.int(2, 8) as usize;
     spec.topology = TopologySpec::Incast { fan_in };
     spec.trace = TraceProgram::Constant {
-        rate_bps: p.next() * MBPS,
+        rate_bps: p.cont(12.0, 48.0) * MBPS,
     };
-    spec.buffer_bdp = p.next();
+    spec.buffer_bdp = p.cont(0.5, 2.0);
     let d = spec.duration.as_secs_f64();
-    let arrive = p.next() * d;
-    let dwell = p.next() * d;
-    let n = p.next_usize();
+    let arrive = p.cont(0.1, 0.4) * d;
+    let dwell = p.cont(0.3, 0.6) * d;
+    let n = p.int(2, INCAST_MAX_SENDERS) as usize;
     for i in 0..INCAST_MAX_SENDERS as usize {
         // Senders arrive within tens of milliseconds of each other;
-        // inactive slots still consume their parameters so the vector
-        // layout is fixed.
-        let stagger_ms = p.next_u64();
-        let rtt_ms = p.next_u64();
+        // inactive slots still read their parameters so the layout is
+        // fixed.
+        let stagger_ms = p.int(0, 50);
+        let rtt_ms = p.int(10, 80);
         if i >= n {
             continue;
         }
@@ -608,18 +432,18 @@ fn incast_burst(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
 /// the canonical shape — and competitors arrive early and stay to the end,
 /// so any throughput gap is the path length's doing alone.
 fn parking_lot_unfairness(p: &mut Params<'_>, spec: &mut ScenarioSpec) {
-    let hops = p.next_usize();
-    let hop_delay = Time::from_millis(p.next_u64());
+    let hops = p.int(2, LOT_MAX_HOPS) as usize;
+    let hop_delay = Time::from_millis(p.int(2, 15));
     spec.topology = TopologySpec::ParkingLot { hops, hop_delay };
     spec.trace = TraceProgram::Constant {
-        rate_bps: p.next() * MBPS,
+        rate_bps: p.cont(16.0, 64.0) * MBPS,
     };
-    spec.buffer_bdp = p.next();
+    spec.buffer_bdp = p.cont(0.5, 2.0);
     let d = spec.duration.as_secs_f64();
     for i in 0..LOT_MAX_HOPS as usize {
-        // Inactive hop slots still consume their parameter so the vector
-        // layout is fixed.
-        let start_frac = p.next();
+        // Inactive hop slots still read their parameter so the layout is
+        // fixed.
+        let start_frac = p.cont(0.0, 0.1);
         if i >= hops {
             continue;
         }
@@ -637,98 +461,95 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    fn unit(dims: usize, u: f64) -> Vec<f64> {
+        vec![u; dims]
+    }
+
     #[test]
-    fn every_family_has_a_consistent_template() {
+    fn every_source_reads_the_same_layout() {
         for f in Family::ALL {
-            let defs = param_defs(f);
-            assert!(defs.len() >= 6, "{}: too few parameters", f.name());
-            let mut names: Vec<&str> = defs.iter().map(|d| d.name).collect();
-            names.sort_unstable();
-            names.dedup();
-            assert_eq!(names.len(), defs.len(), "{}: duplicate names", f.name());
-            for d in &defs {
-                assert!(d.lo < d.hi, "{}: empty range for {}", f.name(), d.name);
-                if d.kind == ParamKind::Int {
-                    assert_eq!(d.lo, d.lo.trunc(), "{}: non-integral lo", d.name);
-                    assert_eq!(d.hi, d.hi.trunc(), "{}: non-integral hi", d.name);
-                }
+            let n = dims(f);
+            assert!(n >= 6, "{}: too few parameters", f.name());
+            let mut rng = StdRng::seed_from_u64(3);
+            for _ in 0..8 {
+                let (_, reads) = decode(f, 1, Source::Draw(&mut rng), None);
+                assert_eq!(reads, n, "{}: a draw read a different layout", f.name());
+            }
+            for u in [0.0, 0.5, 1.0] {
+                let (_, reads) = decode(f, 1, Source::Unit(&unit(n, u)), None);
+                assert_eq!(reads, n, "{}: unit {u} read a different layout", f.name());
             }
         }
     }
 
     #[test]
-    fn any_in_bounds_vector_decodes_to_a_valid_spec() {
-        for f in Family::ALL {
-            let defs = param_defs(f);
-            for pick_hi in [false, true] {
-                let x: Vec<f64> = defs
-                    .iter()
-                    .map(|d| if pick_hi { d.hi } else { d.lo })
-                    .collect();
-                let spec = decode(f, 9, &x, None);
-                assert!(
-                    spec.validate().is_ok(),
-                    "{} at bounds: {:?}",
-                    f.name(),
-                    spec
-                );
-            }
+    fn reads_clamp_round_and_map_the_cube() {
+        let cube = [0.0, 1.0, -0.5, 1.5, f64::NAN, 0.3, 0.3];
+        let mut p = Params {
+            source: Source::Unit(&cube),
+            reads: 0,
+        };
+        assert_eq!(p.cont(2.0, 4.0), 2.0);
+        assert_eq!(p.cont(2.0, 4.0), 4.0);
+        assert_eq!(p.cont(2.0, 4.0), 2.0, "below the cube clamps to lo");
+        assert_eq!(p.int(2, 4), 4, "above the cube clamps to hi");
+        assert_eq!(p.int(2, 4), 2, "NaN lands on lo");
+        assert_eq!(p.int(0, 10), 3, "integers round");
+        assert_eq!(p.pick(&["a", "b", "c", "d"]), "b");
+        assert_eq!(p.reads, cube.len());
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut p = Params {
+            source: Source::Draw(&mut rng),
+            reads: 0,
+        };
+        for _ in 0..256 {
+            assert!((2.0..4.0).contains(&p.cont(2.0, 4.0)));
+            assert!((3..=5).contains(&p.int(3, 5)));
         }
     }
 
     #[test]
-    fn out_of_bounds_vectors_clamp_instead_of_failing() {
+    fn cube_corners_and_wild_points_decode_to_valid_specs() {
         for f in Family::ALL {
-            let dims = param_defs(f).len();
-            let wild: Vec<f64> = (0..dims)
+            let n = dims(f);
+            for u in [0.0, 1.0] {
+                let spec = decode_unit(f, 9, &unit(n, u), None);
+                assert!(spec.validate().is_ok(), "{} at {u}: {spec:?}", f.name());
+            }
+            let wild: Vec<f64> = (0..n)
                 .map(|i| if i % 2 == 0 { 1e9 } else { -1e9 })
                 .collect();
-            let spec = decode(f, 1, &wild, None);
-            assert!(spec.validate().is_ok(), "{}: {:?}", f.name(), spec);
-            let nans = vec![f64::NAN; dims];
-            assert!(decode(f, 1, &nans, None).validate().is_ok(), "{}", f.name());
+            let spec = decode_unit(f, 1, &wild, None);
+            assert!(spec.validate().is_ok(), "{}: {spec:?}", f.name());
+            let nans = decode_unit(f, 1, &unit(n, f64::NAN), None);
+            assert_eq!(
+                nans.to_json(),
+                decode_unit(f, 1, &unit(n, 0.0), None).to_json(),
+                "{}: NaN coordinates land on the lower bounds",
+                f.name()
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "expects")]
+    fn a_short_point_is_refused() {
+        let f = Family::BufferSweep;
+        decode_unit(f, 1, &unit(dims(f) - 1, 0.5), None);
     }
 
     #[test]
     fn duration_cap_rescales_fractional_times() {
         let f = Family::FlashCrowd;
-        let mut rng = StdRng::seed_from_u64(5);
-        let x = sample_point(f, &mut rng);
-        let capped = decode(f, 5, &x, Some(Time::from_secs(4)));
+        let cap = Some(Time::from_secs(4));
+        let capped = draw(f, 5, &mut StdRng::seed_from_u64(5), cap);
         assert_eq!(capped.duration, Time::from_secs(4));
         // The crowd still arrives inside the capped horizon.
         for cf in &capped.cross_traffic {
             assert!(cf.start < capped.duration, "{:?}", cf.start);
         }
-        let uncapped = decode(f, 5, &x, None);
+        let uncapped = draw(f, 5, &mut StdRng::seed_from_u64(5), None);
         assert!(uncapped.duration >= Time::from_secs(10));
-    }
-
-    #[test]
-    fn sample_decode_matches_generate() {
-        for f in Family::ALL {
-            let spec = crate::gen::generate(f, 11);
-            let mut rng = crate::gen::rng_for(f, 11);
-            let x = sample_point(f, &mut rng);
-            let decoded = decode(f, 11, &x, None);
-            assert_eq!(spec.to_json(), decoded.to_json(), "{}", f.name());
-        }
-    }
-
-    #[test]
-    fn sampled_points_are_in_bounds() {
-        for f in Family::ALL {
-            let defs = param_defs(f);
-            let mut rng = StdRng::seed_from_u64(3);
-            for _ in 0..8 {
-                let x = sample_point(f, &mut rng);
-                assert_eq!(x.len(), defs.len());
-                for (v, d) in x.iter().zip(&defs) {
-                    assert!(*v >= d.lo && *v <= d.hi, "{}: {} = {v}", f.name(), d.name);
-                    assert_eq!(d.clamp(*v), *v, "{}: clamp must be identity", d.name);
-                }
-            }
-        }
     }
 }

@@ -469,8 +469,7 @@ mod tests {
     /// unlike [`short`], which truncates after the schedule is resolved.
     fn capped(family: Family, seed: u64, secs: u64) -> ScenarioSpec {
         let mut rng = crate::gen::rng_for(family, seed);
-        let x = crate::params::sample_point(family, &mut rng);
-        crate::params::decode(family, seed, &x, Some(Time::from_secs(secs)))
+        crate::params::draw(family, seed, &mut rng, Some(Time::from_secs(secs)))
     }
 
     #[test]

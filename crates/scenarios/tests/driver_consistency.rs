@@ -24,7 +24,7 @@ use canopy_core::runtime::FallbackController;
 use canopy_core::world::{self, Controller, FlowSpec, WorldError};
 use canopy_netsim::{BandwidthTrace, FlowId, LinkConfig, LinkId, Time, Topology};
 use canopy_scenarios::{
-    decode, episode_env, episode_spec, run_scenario, sample_point, CrossFlow, Family, ScenarioSpec,
+    draw, episode_env, episode_spec, run_scenario, CrossFlow, Family, ScenarioSpec,
 };
 
 fn quick_model() -> TrainedModel {
@@ -150,8 +150,8 @@ fn multi_flow_scenarios_match_their_training_episode_step_for_step() {
         for seed in [3, 11] {
             // Capped at decode time so arrivals stay inside the run, then
             // trimmed to an exact monitor-interval multiple.
-            let x = sample_point(family, &mut StdRng::seed_from_u64(seed));
-            let mut spec = decode(family, seed, &x, Some(Time::from_secs(3)));
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut spec = draw(family, seed, rng, Some(Time::from_secs(3)));
             let mi = spec.primary_min_rtt.max(Time::from_millis(20));
             let intervals = spec.duration.as_nanos() / mi.as_nanos();
             spec.duration = mi * intervals;

@@ -2,16 +2,18 @@
 //!
 //! The scenario subsystem (`canopy_scenarios`) *samples* stress
 //! conditions; this crate *hunts* for them. It treats each fuzz family's
-//! parameter template as a bounded real vector ([`SearchSpace`]), scores
+//! decoder as a map from the unit cube ([`SearchSpace`]), scores
 //! candidate scenarios with pluggable failure objectives ([`Objective`]:
 //! certificate collapse, fallback engagement, reward conceded to Cubic)
 //! computed through the existing shared-`OrcaDriver` matrix cell, and
-//! drives two seeded black-box optimizers ([`search`]: cross-entropy and
-//! batched hill climbing) whose population evaluations fan out over
-//! `canopy_core::pool` — bitwise reproducible at any `CANOPY_THREADS`.
-//! A found violation is then minimized by a delta-debugging shrinker
-//! ([`shrink()`]) and committed as a self-contained serde fixture
-//! ([`AdversarialFixture`]) that a regression test replays forever after.
+//! drives one seeded black-box optimizer ([`search`]: the cross-entropy
+//! method) whose population evaluations fan out over `canopy_core::pool`
+//! — bitwise reproducible at any `CANOPY_THREADS`. A found violation is
+//! then minimized by a delta-debugging shrinker ([`shrink()`]) and
+//! committed as a self-contained serde fixture ([`AdversarialFixture`])
+//! that a regression test replays forever after; [`load_corpus`] reads
+//! the committed corpus back for the hardening loop and the replay suite
+//! alike.
 //!
 //! ```no_run
 //! use canopy_core::models::{train_model, ModelKind, TrainBudget};
@@ -36,7 +38,9 @@ pub mod space;
 pub use compare::{compare_models, ModelComparison};
 pub use ledger::{LedgerEntry, RobustnessLedger, LEDGER_SCHEMA};
 pub use objective::{Objective, ObjectiveKind, ScenarioScores};
-pub use optimize::{search, search_with_recorder, OptimizerKind, SearchConfig, SearchOutcome};
-pub use report::{AdversarialFixture, Minimized, SearchReport, FIXTURE_SCHEMA, SEARCH_SCHEMA};
+pub use optimize::{search, search_with_recorder, SearchConfig, SearchOutcome, OPTIMIZER};
+pub use report::{
+    load_corpus, AdversarialFixture, Minimized, SearchReport, FIXTURE_SCHEMA, SEARCH_SCHEMA,
+};
 pub use shrink::{shrink, ShrinkConfig, ShrinkOutcome};
 pub use space::SearchSpace;

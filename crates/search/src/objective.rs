@@ -3,7 +3,7 @@
 //! Every objective runs the candidate spec through the existing
 //! `canopy_scenarios` matrix cell (the shared `OrcaDriver` runtime) and
 //! condenses the result into one number where **larger means worse** for
-//! the scheme under test — the optimizers maximize badness, the shrinker
+//! the scheme under test — the optimizer maximizes badness, the shrinker
 //! preserves it.
 
 use serde::{Deserialize, Serialize};
@@ -105,6 +105,17 @@ impl Objective {
         }
     }
 
+    /// The model under test behind the QC fallback monitor, certifying this
+    /// objective's properties with its component count and threshold.
+    pub fn fallback_scheme(&self) -> Scheme {
+        Scheme::LearnedFallback {
+            model: self.model.clone(),
+            properties: self.properties.clone(),
+            threshold: self.fallback_threshold,
+            n_components: self.n_components,
+        }
+    }
+
     /// Scores one scenario; larger is worse for the scheme under test.
     ///
     /// A scenario too short to produce any decision scores 0 (nothing
@@ -121,13 +132,7 @@ impl Objective {
                 Ok(m.primary.qc_sat.map_or(0.0, |q| 1.0 - q))
             }
             ObjectiveKind::FallbackRate => {
-                let scheme = Scheme::LearnedFallback {
-                    model: self.model.clone(),
-                    properties: self.properties.clone(),
-                    threshold: self.fallback_threshold,
-                    n_components: self.n_components,
-                };
-                let m = run_scenario(&scheme, spec, None)?;
+                let m = run_scenario(&self.fallback_scheme(), spec, None)?;
                 Ok(m.primary.fallback_rate.unwrap_or(0.0))
             }
             ObjectiveKind::RewardGap => {

@@ -1,19 +1,13 @@
-//! Seeded black-box optimizers over the unit cube.
+//! The seeded black-box optimizer over the unit cube: the cross-entropy
+//! method.
 //!
-//! Two complementary strategies, both population-based so every iteration
-//! evaluates its candidates in one `canopy_core::pool` batch:
-//!
-//! * **Cross-entropy method** — keeps a per-dimension Gaussian, samples a
-//!   population, refits mean/std to the elite fraction. Good at pulling a
-//!   whole family toward its bad region.
-//! * **Batched hill climbing** — perturbs the incumbent with a shrinking
-//!   Gaussian step, moving to the best candidate when it improves. Good
-//!   at polishing a known-bad neighbourhood.
-//!
-//! All randomness lives on the coordinator thread (one seeded [`StdRng`]),
-//! and batch evaluation goes through the order-preserving
-//! [`parallel_map`](canopy_core::pool::parallel_map), so a search is
-//! bitwise reproducible at any `CANOPY_THREADS`.
+//! CEM keeps a per-dimension Gaussian, samples a population, and refits
+//! mean/std to the elite fraction — pulling the whole search toward a
+//! family's bad region. Every generation's population is evaluated in one
+//! `canopy_core::pool` batch. All randomness lives on the coordinator
+//! thread (one seeded [`StdRng`]), and batch evaluation goes through the
+//! order-preserving [`parallel_map`](canopy_core::pool::parallel_map), so
+//! a search is bitwise reproducible at any `CANOPY_THREADS`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,40 +19,15 @@ use canopy_telemetry::{SearchEvent, SharedRecorder};
 use crate::objective::Objective;
 use crate::space::SearchSpace;
 
-/// Which optimizer drives the search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// Cross-entropy method.
-    Cem,
-    /// Batched hill climbing.
-    HillClimb,
-}
-
-impl OptimizerKind {
-    /// The canonical CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OptimizerKind::Cem => "cem",
-            OptimizerKind::HillClimb => "hill",
-        }
-    }
-
-    /// Parses a canonical optimizer name.
-    pub fn parse(name: &str) -> Option<OptimizerKind> {
-        [OptimizerKind::Cem, OptimizerKind::HillClimb]
-            .into_iter()
-            .find(|k| k.name() == name)
-    }
-}
+/// The optimizer's name in search reports and fixture file names.
+pub const OPTIMIZER: &str = "cem";
 
 /// Fraction of a CEM batch, best first, that refits the distribution.
 const ELITE_FRAC: f64 = 0.25;
 
-/// Search budget and strategy knobs.
+/// Search budget and batch shape.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchConfig {
-    /// The optimizer.
-    pub optimizer: OptimizerKind,
     /// Total scenario evaluations the search may spend.
     pub budget: usize,
     /// Candidates per batch (clamped to the remaining budget).
@@ -70,10 +39,9 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// A CEM search with the default population shape.
+    /// A search with the default population shape.
     pub fn new(seed: u64, budget: usize) -> SearchConfig {
         SearchConfig {
-            optimizer: OptimizerKind::Cem,
             budget: budget.max(1),
             population: 16,
             seed,
@@ -152,38 +120,6 @@ pub fn search_with_recorder(
     recorder: Option<SharedRecorder>,
 ) -> Result<SearchOutcome, SpecError> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let recorder = recorder.as_ref();
-    match config.optimizer {
-        OptimizerKind::Cem => cem(space, objective, config, &mut rng, recorder),
-        OptimizerKind::HillClimb => hill_climb(space, objective, config, &mut rng, recorder),
-    }
-}
-
-/// Emits one generation event when a recorder is attached.
-fn record_generation(
-    recorder: Option<&SharedRecorder>,
-    generation: u64,
-    evaluations: usize,
-    batch_best: f64,
-    best_badness: f64,
-) {
-    if let Some(r) = recorder {
-        r.borrow_mut().record_search(&SearchEvent {
-            generation,
-            evaluations: evaluations as u64,
-            batch_best,
-            best_badness,
-        });
-    }
-}
-
-fn cem(
-    space: &SearchSpace,
-    objective: &Objective,
-    config: &SearchConfig,
-    rng: &mut StdRng,
-    recorder: Option<&SharedRecorder>,
-) -> Result<SearchOutcome, SpecError> {
     let d = space.dims();
     let mut mean = vec![0.5; d];
     let mut std = vec![0.3; d];
@@ -197,7 +133,7 @@ fn cem(
         let points: Vec<Vec<f64>> = (0..batch)
             .map(|_| {
                 (0..d)
-                    .map(|j| (mean[j] + std[j] * gauss(rng)).clamp(0.0, 1.0))
+                    .map(|j| (mean[j] + std[j] * gauss(&mut rng)).clamp(0.0, 1.0))
                     .collect()
             })
             .collect();
@@ -210,7 +146,7 @@ fn cem(
             best_unit = points[top].clone();
         }
         record_generation(
-            recorder,
+            recorder.as_ref(),
             trajectory.len() as u64,
             evaluations,
             values[top],
@@ -251,59 +187,22 @@ fn cem(
     })
 }
 
-fn hill_climb(
-    space: &SearchSpace,
-    objective: &Objective,
-    config: &SearchConfig,
-    rng: &mut StdRng,
+/// Emits one generation event when a recorder is attached.
+fn record_generation(
     recorder: Option<&SharedRecorder>,
-) -> Result<SearchOutcome, SpecError> {
-    let d = space.dims();
-    let mut current = vec![0.5; d];
-    let mut current_badness = objective.badness(&space.decode_unit(&current))?;
-    let mut evaluations = 1usize;
-    record_generation(recorder, 0, evaluations, current_badness, current_badness);
-    let mut trajectory = vec![current_badness];
-    let mut step = 0.35;
-
-    while evaluations < config.budget {
-        let batch = config.population.max(1).min(config.budget - evaluations);
-        let points: Vec<Vec<f64>> = (0..batch)
-            .map(|_| {
-                current
-                    .iter()
-                    .map(|&c| (c + step * gauss(rng)).clamp(0.0, 1.0))
-                    .collect()
-            })
-            .collect();
-        let values = eval_batch(space, objective, config.threads, &points)?;
-        evaluations += points.len();
-
-        let top = argmax(&values);
-        if values[top] > current_badness {
-            current_badness = values[top];
-            current = points[top].clone();
-        } else {
-            // The whole batch failed to improve: contract the step.
-            step = (step * 0.5).max(0.02);
-        }
-        record_generation(
-            recorder,
-            trajectory.len() as u64,
-            evaluations,
-            values[top],
-            current_badness,
-        );
-        trajectory.push(current_badness);
+    generation: u64,
+    evaluations: usize,
+    batch_best: f64,
+    best_badness: f64,
+) {
+    if let Some(r) = recorder {
+        r.borrow_mut().record_search(&SearchEvent {
+            generation,
+            evaluations: evaluations as u64,
+            batch_best,
+            best_badness,
+        });
     }
-
-    Ok(SearchOutcome {
-        best_spec: space.decode_unit(&current),
-        best_unit: current,
-        best_badness: current_badness,
-        evaluations,
-        trajectory,
-    })
 }
 
 #[cfg(test)]
@@ -315,13 +214,12 @@ mod tests {
 
     use crate::objective::ObjectiveKind;
 
-    fn tiny_search(optimizer: OptimizerKind, threads: usize) -> SearchOutcome {
+    fn tiny_search(threads: usize) -> SearchOutcome {
         let model = train_model(ModelKind::Shallow, 3, TrainBudget::smoke()).model;
         let objective = Objective::new(ObjectiveKind::QcSat, model);
         let space =
             SearchSpace::new(Family::BufferSweep, 5).with_duration_cap(Some(Time::from_secs(2)));
         let config = SearchConfig {
-            optimizer,
             budget: 6,
             population: 3,
             seed: 9,
@@ -332,31 +230,23 @@ mod tests {
 
     #[test]
     fn searches_are_thread_invariant_and_spend_their_budget() {
-        for optimizer in [OptimizerKind::Cem, OptimizerKind::HillClimb] {
-            let seq = tiny_search(optimizer, 1);
-            let par = tiny_search(optimizer, 4);
-            assert_eq!(seq.evaluations, 6, "{}", optimizer.name());
-            assert_eq!(
-                seq.best_badness.to_bits(),
-                par.best_badness.to_bits(),
-                "{}: thread-count variance",
-                optimizer.name()
-            );
-            assert_eq!(seq.best_unit, par.best_unit, "{}", optimizer.name());
-            assert_eq!(
-                seq.best_spec.to_json(),
-                par.best_spec.to_json(),
-                "{}",
-                optimizer.name()
-            );
-            assert_eq!(seq.trajectory, par.trajectory, "{}", optimizer.name());
-            // Trajectories are best-so-far: monotone non-decreasing.
-            assert!(seq
-                .trajectory
-                .windows(2)
-                .all(|w| w[1] >= w[0] || (w[1].is_nan() && w[0].is_nan())));
-            assert!(seq.best_spec.validate().is_ok());
-        }
+        let seq = tiny_search(1);
+        let par = tiny_search(4);
+        assert_eq!(seq.evaluations, 6);
+        assert_eq!(
+            seq.best_badness.to_bits(),
+            par.best_badness.to_bits(),
+            "thread-count variance"
+        );
+        assert_eq!(seq.best_unit, par.best_unit);
+        assert_eq!(seq.best_spec.to_json(), par.best_spec.to_json());
+        assert_eq!(seq.trajectory, par.trajectory);
+        // Trajectories are best-so-far: monotone non-decreasing.
+        assert!(seq
+            .trajectory
+            .windows(2)
+            .all(|w| w[1] >= w[0] || (w[1].is_nan() && w[0].is_nan())));
+        assert!(seq.best_spec.validate().is_ok());
     }
 
     #[test]
@@ -402,32 +292,15 @@ mod tests {
         let objective = Objective::new(ObjectiveKind::RewardGap, model);
         let space =
             SearchSpace::new(Family::BufferSweep, 2).with_duration_cap(Some(Time::from_secs(1)));
-        for optimizer in [OptimizerKind::Cem, OptimizerKind::HillClimb] {
-            let config = SearchConfig {
-                optimizer,
-                budget: 3,
-                population: 1,
-                seed: 4,
-                threads: Some(1),
-            };
-            let out = search(&space, &objective, &config).expect("searches");
-            assert_eq!(out.evaluations, 3, "{}", optimizer.name());
-            // One trajectory entry per batch: CEM runs 3 one-point
-            // batches; hill climbing spends one evaluation on the
-            // incumbent, then 2 one-point batches.
-            let batches = match optimizer {
-                OptimizerKind::Cem => 3,
-                OptimizerKind::HillClimb => 3, // initial point + 2 batches
-            };
-            assert_eq!(out.trajectory.len(), batches, "{}", optimizer.name());
-        }
-    }
-
-    #[test]
-    fn optimizer_names_round_trip() {
-        for k in [OptimizerKind::Cem, OptimizerKind::HillClimb] {
-            assert_eq!(OptimizerKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(OptimizerKind::parse("anneal"), None);
+        let config = SearchConfig {
+            budget: 3,
+            population: 1,
+            seed: 4,
+            threads: Some(1),
+        };
+        let out = search(&space, &objective, &config).expect("searches");
+        assert_eq!(out.evaluations, 3);
+        // One trajectory entry per batch: three one-point batches.
+        assert_eq!(out.trajectory.len(), 3);
     }
 }

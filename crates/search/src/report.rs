@@ -4,11 +4,19 @@
 //! minimized violation additionally serializes as an
 //! [`AdversarialFixture`] under `fixtures/adversarial/`, carrying enough
 //! provenance (model kind/seed/budget class, objective setup, replay
-//! threshold) for a regression test to re-run it from the file alone.
+//! threshold) for a regression test to re-run it from the file alone
+//! ([`AdversarialFixture::objective`]); [`load_corpus`] reads a fixture
+//! directory back.
+
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use canopy_scenarios::ScenarioSpec;
+use canopy_core::models::{self, ModelKind, TrainBudget};
+use canopy_scenarios::{Family, ScenarioSpec};
+
+use crate::objective::{Objective, ObjectiveKind};
+use crate::optimize::OPTIMIZER;
 
 /// The search-report schema tag; bump when [`SearchReport`] changes.
 ///
@@ -185,6 +193,61 @@ pub struct AdversarialFixture {
 }
 
 impl AdversarialFixture {
+    /// The fixture of a minimized find: `spec` scored `badness` against
+    /// `objective`, whose model was trained with `model_seed` at the smoke
+    /// (`smoke_model`) or standard budget, in the search seeded with
+    /// `search_seed`. The replay threshold backs off 10 % from the recorded
+    /// badness (tolerating cross-CPU floating-point drift) but never below
+    /// the objective's violation threshold: a replay that is no longer a
+    /// violation must fail, whatever it scores.
+    pub fn new(
+        family: Family,
+        objective: &Objective,
+        model_seed: u64,
+        smoke_model: bool,
+        search_seed: u64,
+        badness: f64,
+        spec: ScenarioSpec,
+    ) -> AdversarialFixture {
+        AdversarialFixture {
+            schema: FIXTURE_SCHEMA.to_string(),
+            family: family.name().to_string(),
+            objective: objective.kind.name().to_string(),
+            scheme: objective.model.name.clone(),
+            model_seed,
+            smoke_model,
+            n_components: objective.n_components,
+            fallback_threshold: objective.fallback_threshold,
+            optimizer: OPTIMIZER.to_string(),
+            search_seed,
+            replay_threshold: objective.kind.violation_threshold().max(0.9 * badness),
+            recorded_badness: badness,
+            spec,
+        }
+    }
+
+    /// Rebuilds the objective the fixture was recorded against: the model
+    /// from its kind, seed and budget class (loaded from, or trained into,
+    /// the cache at `model_dir`), with the recorded component count and
+    /// fallback threshold.
+    pub fn objective(&self, model_dir: &Path) -> Result<Objective, String> {
+        let kind = ModelKind::parse(&self.scheme)
+            .ok_or_else(|| format!("unknown scheme `{}`", self.scheme))?;
+        let objective = ObjectiveKind::parse(&self.objective)
+            .ok_or_else(|| format!("unknown objective `{}`", self.objective))?;
+        let budget = if self.smoke_model {
+            TrainBudget::smoke()
+        } else {
+            TrainBudget::standard()
+        };
+        let (model, _) = models::load_or_train(model_dir, kind, self.model_seed, budget);
+        Ok(Objective {
+            n_components: self.n_components,
+            fallback_threshold: self.fallback_threshold,
+            ..Objective::new(objective, model)
+        })
+    }
+
     /// Serializes to deterministic JSON (sorted keys).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("fixtures always serialize")
@@ -220,14 +283,23 @@ impl AdversarialFixture {
                 self.schema
             ));
         }
-        if crate::ObjectiveKind::parse(&self.objective).is_none() {
-            return Err(format!("unknown objective `{}`", self.objective));
+        let objective = ObjectiveKind::parse(&self.objective)
+            .ok_or_else(|| format!("unknown objective `{}`", self.objective))?;
+        if self.optimizer != OPTIMIZER {
+            return Err(format!(
+                "unknown optimizer `{}` (expected `{OPTIMIZER}`)",
+                self.optimizer
+            ));
         }
-        if crate::OptimizerKind::parse(&self.optimizer).is_none() {
-            return Err(format!("unknown optimizer `{}`", self.optimizer));
-        }
-        if canopy_core::models::ModelKind::parse(&self.scheme).is_none() {
+        if ModelKind::parse(&self.scheme).is_none() {
             return Err(format!("unknown scheme `{}`", self.scheme));
+        }
+        let floor = objective.violation_threshold();
+        if !self.replay_threshold.is_finite() || self.replay_threshold < floor {
+            return Err(format!(
+                "replay threshold {} below the {} violation threshold {floor}",
+                self.replay_threshold, self.objective
+            ));
         }
         if !self.recorded_badness.is_finite() || self.recorded_badness < self.replay_threshold {
             return Err(format!(
@@ -240,6 +312,51 @@ impl AdversarialFixture {
         }
         self.spec.validate().map_err(|e| e.to_string())
     }
+}
+
+/// Reads and validates every fixture in a corpus directory, sorted by file
+/// name so the corpus order — and so training on it — is independent of
+/// directory iteration order. A missing directory is an empty corpus.
+/// Discovery is strict: every entry must be a `.json` fixture except the
+/// `traces/` directory, where `harden` parks each fixture's decision trace.
+/// Any other entry, any unreadable or invalid fixture and any other I/O
+/// error is an `Err`, so a stray or corrupted file is never skipped and the
+/// corpus the hardening loop trains on is the one the replay suite checks.
+pub fn load_corpus(dir: impl AsRef<Path>) -> Result<Vec<AdversarialFixture>, String> {
+    let dir = dir.as_ref();
+    let listed = |e: std::io::Error| format!("cannot list {}: {e}", dir.display());
+    let entries = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        entries => entries.map_err(listed)?,
+    };
+    let mut paths = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(listed)?.path();
+        if path.is_dir() && path.file_name().is_some_and(|n| n == "traces") {
+            continue;
+        }
+        if !(path.is_file() && path.extension().is_some_and(|x| x == "json")) {
+            return Err(format!(
+                "{}: not a .json fixture (the corpus directory holds fixtures and traces/ only)",
+                path.display()
+            ));
+        }
+        paths.push(path);
+    }
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let fixture = AdversarialFixture::from_json(&text)
+                .map_err(|e| format!("{}: not a fixture: {e}", path.display()))?;
+            fixture
+                .validate()
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            Ok(fixture)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -315,9 +432,9 @@ mod tests {
         assert!(!back.below_min_gap);
     }
 
-    #[test]
-    fn fixture_round_trips_and_validates() {
-        let f = AdversarialFixture {
+    /// A qc_sat fixture (violation threshold 0.5) recorded at badness 0.6.
+    fn sample_fixture() -> AdversarialFixture {
+        AdversarialFixture {
             schema: FIXTURE_SCHEMA.to_string(),
             family: "flash-crowd".into(),
             objective: "qc_sat".into(),
@@ -328,10 +445,15 @@ mod tests {
             fallback_threshold: 0.5,
             optimizer: "cem".into(),
             search_seed: 7,
-            replay_threshold: 0.45,
+            replay_threshold: 0.54,
             recorded_badness: 0.6,
             spec: ScenarioSpec::simple("cx", 24e6, Time::from_millis(40), Time::from_secs(4)),
-        };
+        }
+    }
+
+    #[test]
+    fn fixture_round_trips_and_validates() {
+        let f = sample_fixture();
         f.validate().expect("valid");
         assert_eq!(
             f.file_name(),
@@ -347,7 +469,24 @@ mod tests {
         unknown.scheme = "canopy-quantum".into();
         assert!(unknown.validate().is_err());
         let mut bad_opt = f;
-        bad_opt.optimizer = "anneal".into();
-        assert!(bad_opt.validate().is_err());
+        bad_opt.optimizer = "hill".into();
+        assert!(bad_opt.validate().is_err(), "cem is the only optimizer");
+    }
+
+    #[test]
+    fn a_replay_threshold_below_the_violation_threshold_is_refused() {
+        // A fixture that would "replay" a scenario which is no longer a
+        // violation (qc_sat badness below 0.5) must not validate, and
+        // neither must one with no finite threshold at all.
+        for lax in [0.45, f64::NAN, f64::NEG_INFINITY] {
+            let mut f = sample_fixture();
+            f.replay_threshold = lax;
+            assert!(f.validate().is_err(), "replay threshold {lax}");
+        }
+        let mut floor = sample_fixture();
+        floor.replay_threshold = 0.5;
+        floor
+            .validate()
+            .expect("the violation threshold itself is a floor");
     }
 }

@@ -1,21 +1,21 @@
 //! The bounded search space over one scenario family.
 //!
-//! Optimizers work on the unit cube `[0, 1]^d`; the space maps each
-//! coordinate affinely onto its family parameter's `[lo, hi]` range and
-//! decodes through the same [`canopy_scenarios::params`] hook the seeded
-//! fuzzer uses, so every point an optimizer visits is a legal member of
-//! the family — and any counterexample it finds serializes like any other
-//! fuzzed scenario.
+//! Optimizers work on the unit cube `[0, 1]^d`; the space hands each point
+//! to the family's decoder ([`canopy_scenarios::decode_unit`]), which maps
+//! every coordinate onto its parameter's bounds as it reads it — the same
+//! decoder the seeded fuzzer draws through — so every point an optimizer
+//! visits is a legal member of the family, and any counterexample it finds
+//! serializes like any other fuzzed scenario.
 
 use canopy_netsim::Time;
-use canopy_scenarios::{param_defs, Family, ParamDef, ScenarioSpec};
+use canopy_scenarios::{Family, ScenarioSpec};
 
 /// The flattened, bounded parameter space of one fuzz family.
 #[derive(Clone, Debug)]
 pub struct SearchSpace {
     family: Family,
     seed: u64,
-    defs: Vec<ParamDef>,
+    dims: usize,
     duration_cap: Option<Time>,
 }
 
@@ -27,7 +27,7 @@ impl SearchSpace {
         SearchSpace {
             family,
             seed,
-            defs: param_defs(family),
+            dims: canopy_scenarios::dims(family),
             duration_cap: None,
         }
     }
@@ -57,35 +57,18 @@ impl SearchSpace {
 
     /// Dimensionality of the unit cube.
     pub fn dims(&self) -> usize {
-        self.defs.len()
+        self.dims
     }
 
-    /// The ordered parameter definitions behind each coordinate.
-    pub fn defs(&self) -> &[ParamDef] {
-        &self.defs
-    }
-
-    /// Maps a unit-cube point onto raw parameter values (clamping each
-    /// coordinate into `[0, 1]` first, so optimizers may propose freely).
-    pub fn to_raw(&self, unit: &[f64]) -> Vec<f64> {
-        assert_eq!(unit.len(), self.defs.len(), "dimension mismatch");
-        unit.iter()
-            .zip(&self.defs)
-            .map(|(&u, d)| {
-                let u = if u.is_finite() {
-                    u.clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                d.lo + u * (d.hi - d.lo)
-            })
-            .collect()
-    }
-
-    /// Decodes a unit-cube point into the family's [`ScenarioSpec`].
+    /// Decodes a unit-cube point into the family's [`ScenarioSpec`]
+    /// (clamping each coordinate into `[0, 1]` first, so the optimizer may
+    /// propose freely).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit.len()` differs from [`dims`](Self::dims).
     pub fn decode_unit(&self, unit: &[f64]) -> ScenarioSpec {
-        let raw = self.to_raw(unit);
-        canopy_scenarios::decode(self.family, self.seed, &raw, self.duration_cap)
+        canopy_scenarios::decode_unit(self.family, self.seed, unit, self.duration_cap)
     }
 }
 

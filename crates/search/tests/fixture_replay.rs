@@ -8,102 +8,75 @@
 use std::fs;
 use std::path::PathBuf;
 
-use canopy_core::models::{self, ModelKind, TrainBudget};
-use canopy_search::{AdversarialFixture, Objective, ObjectiveKind};
+use canopy_scenarios::Family;
+use canopy_search::{load_corpus, AdversarialFixture};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Discovers the committed corpus. Discovery is strict: anything in the
-/// directory that is not a readable `.json` fixture fails the suite, so a
-/// stray or corrupted file can never be silently skipped — the corpus the
-/// tests replay is exactly the corpus the hardening loop trains on. The
-/// one sanctioned neighbor is the `traces/` directory, where `harden`
-/// parks each committed fixture's decision-trace artifact.
-fn fixture_paths_in(dir: &std::path::Path) -> Vec<PathBuf> {
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| !(p.is_dir() && p.file_name().is_some_and(|n| n == "traces")))
-        .inspect(|p| {
-            assert!(
-                p.is_file() && p.extension().is_some_and(|x| x == "json"),
-                "{}: non-fixture entry in the corpus directory",
-                p.display()
-            );
-        })
-        .collect();
-    paths.sort();
-    paths
+fn corpus_dir() -> PathBuf {
+    workspace_root().join("fixtures/adversarial")
 }
 
-fn fixture_paths() -> Vec<PathBuf> {
-    fixture_paths_in(&workspace_root().join("fixtures/adversarial"))
+/// The committed corpus, through the loader the hardening loop trains on,
+/// so the corpus the tests replay is exactly the corpus `harden` reads.
+fn corpus() -> Vec<AdversarialFixture> {
+    load_corpus(corpus_dir()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
 fn discovery_rejects_stray_corpus_entries() {
     let dir = std::env::temp_dir().join("canopy-corpus-stray-test");
     let _ = fs::remove_dir_all(&dir);
+    let empty = load_corpus(&dir).expect("a missing directory is an empty corpus");
+    assert!(empty.is_empty());
     fs::create_dir_all(&dir).expect("temp corpus dir");
     fs::write(dir.join("notes.txt"), "scratch").expect("stray file");
-    let strayed = std::panic::catch_unwind(|| fixture_paths_in(&dir));
-    assert!(strayed.is_err(), "a non-.json entry must fail discovery");
+    assert!(load_corpus(&dir).is_err(), "a non-.json entry must fail");
 
     fs::remove_file(dir.join("notes.txt")).expect("cleanup stray");
     fs::create_dir_all(dir.join("nested.json")).expect("dir with json name");
-    let nested = std::panic::catch_unwind(|| fixture_paths_in(&dir));
-    assert!(nested.is_err(), "a directory must fail discovery");
+    assert!(load_corpus(&dir).is_err(), "a directory must fail");
+
+    // A file that parses as JSON but not as a fixture is an error, not a
+    // skip.
+    fs::remove_dir_all(dir.join("nested.json")).expect("cleanup nested");
+    fs::write(dir.join("other.json"), "{\"schema\":\"other/v1\"}").expect("foreign json");
+    assert!(load_corpus(&dir).is_err(), "a schema mismatch must fail");
 
     // The sanctioned traces/ subdirectory is invisible to discovery.
-    fs::remove_dir_all(dir.join("nested.json")).expect("cleanup nested");
+    fs::remove_file(dir.join("other.json")).expect("cleanup foreign json");
     fs::create_dir_all(dir.join("traces")).expect("traces dir");
     fs::write(dir.join("traces/x.trace.json"), "{}").expect("trace file");
-    assert!(fixture_paths_in(&dir).is_empty(), "traces/ must be skipped");
+    let traced = load_corpus(&dir).expect("traces/ must be skipped");
+    assert!(traced.is_empty());
+
+    // A file named as the corpus directory is an error, not an empty
+    // corpus.
+    assert!(load_corpus(dir.join("traces/x.trace.json")).is_err());
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn schema_mismatches_fail_loudly() {
-    // A file that parses as JSON but not as a fixture must be an error,
-    // not a skip: the canonicality test runs `from_json` + `validate` on
-    // every discovered path, so this asserts the failure mode directly.
-    assert!(AdversarialFixture::from_json("{\"schema\":\"other/v1\"}").is_err());
-    let paths = fixture_paths();
-    for path in &paths {
-        let text = fs::read_to_string(path).expect("readable fixture");
-        let fixture = AdversarialFixture::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        fixture
-            .validate()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    }
-}
-
-#[test]
 fn committed_fixtures_are_canonical_and_valid() {
-    let paths = fixture_paths();
-    assert!(!paths.is_empty(), "no committed adversarial fixtures");
-    for path in paths {
-        let text = fs::read_to_string(&path).expect("readable fixture");
-        let fixture = AdversarialFixture::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        fixture
-            .validate()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        // Committed files are canonical serde output, so a fixture
-        // round-trips bitwise from the repository alone.
+    let corpus = corpus();
+    assert!(!corpus.is_empty(), "no committed adversarial fixtures");
+    let mut names: Vec<String> = corpus.iter().map(AdversarialFixture::file_name).collect();
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), corpus.len(), "two files hold one fixture");
+    for fixture in &corpus {
+        // Committed files are canonical serde output under their canonical
+        // name, so a fixture round-trips bitwise from the repository alone
+        // (and, with the names unique, no file is misnamed).
+        let path = corpus_dir().join(fixture.file_name());
+        let text = fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} is misnamed: {e}", path.display()));
         assert_eq!(
             fixture.to_json(),
             text,
             "{} is not canonical",
-            path.display()
-        );
-        assert_eq!(
-            path.file_name().and_then(|n| n.to_str()),
-            Some(fixture.file_name().as_str()),
-            "{} is misnamed",
             path.display()
         );
         assert!(
@@ -117,33 +90,39 @@ fn committed_fixtures_are_canonical_and_valid() {
 #[test]
 fn committed_fixtures_replay_their_violations() {
     let cache = workspace_root().join("target/canopy-models");
-    for path in fixture_paths() {
-        let text = fs::read_to_string(&path).expect("readable fixture");
-        let fixture = AdversarialFixture::from_json(&text).expect("parses");
-        let kind = ModelKind::parse(&fixture.scheme).expect("known scheme");
-        // Honor the fixture's recorded budget class: the violation is only
-        // meaningful against the model it was found on. (Committed
-        // fixtures are required to be smoke-budget by the canonicality
-        // test above, so this stays seconds-fast in practice.)
-        let budget = if fixture.smoke_model {
-            TrainBudget::smoke()
-        } else {
-            TrainBudget::standard()
-        };
-        let (model, _) = models::load_or_train(&cache, kind, fixture.model_seed, budget);
-        let objective_kind = ObjectiveKind::parse(&fixture.objective).expect("known objective");
-        let mut objective = Objective::new(objective_kind, model);
-        objective.n_components = fixture.n_components;
-        objective.fallback_threshold = fixture.fallback_threshold;
+    for fixture in corpus() {
+        let name = fixture.file_name();
+        // The recorded model (kind, seed and budget class) with the
+        // recorded certification setup: the violation is only meaningful
+        // against the model it was found on. (Committed fixtures are
+        // smoke-budget by the canonicality test above, so this stays
+        // seconds-fast.)
+        let objective = fixture
+            .objective(&cache)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let family = Family::parse(&fixture.family).expect("known family");
+        let rebuilt = AdversarialFixture::new(
+            family,
+            &objective,
+            fixture.model_seed,
+            fixture.smoke_model,
+            fixture.search_seed,
+            fixture.recorded_badness,
+            fixture.spec.clone(),
+        );
+        assert_eq!(
+            rebuilt.to_json(),
+            fixture.to_json(),
+            "{name}: not what AdversarialFixture::new writes for this find"
+        );
 
         let badness = objective
             .badness(&fixture.spec)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             badness >= fixture.replay_threshold,
-            "{}: replayed badness {badness} fell below the committed threshold {} \
+            "{name}: replayed badness {badness} fell below the committed threshold {} \
              (recorded {}) — the regression no longer reproduces",
-            path.display(),
             fixture.replay_threshold,
             fixture.recorded_badness
         );

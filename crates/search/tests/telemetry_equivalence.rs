@@ -17,8 +17,7 @@ use canopy_core::world::{Controller, FlowSpec};
 use canopy_netsim::{BandwidthTrace, LinkConfig, Time};
 use canopy_scenarios::{generate, run_scenario, run_scenario_recorded, Family};
 use canopy_search::{
-    search, search_with_recorder, Objective, ObjectiveKind, OptimizerKind, SearchConfig,
-    SearchSpace,
+    search, search_with_recorder, Objective, ObjectiveKind, SearchConfig, SearchSpace,
 };
 use canopy_telemetry::{
     shared, FlightRecorder, LiveConfig, NoopRecorder, RecorderConfig, SharedRecorder,
@@ -121,13 +120,12 @@ fn run_scenario_noop_recorder_is_bitwise_inert() {
 
 #[test]
 fn harden_smoke_search_round_with_noop_recorder_is_bitwise_identical() {
-    // One hardening-round search cell: the CEM optimizer over a fuzz
+    // One hardening-round search cell: the CEM search over a fuzz
     // family at harden's smoke shape, with and without a recorder.
     let model = smoke_model();
     let objective = Objective::new(ObjectiveKind::RewardGap, model);
     let space = SearchSpace::new(Family::FlashCrowd, 7).with_duration_cap(Some(Time::from_secs(3)));
     let config = SearchConfig {
-        optimizer: OptimizerKind::Cem,
         budget: 6,
         population: 3,
         seed: 7,
@@ -156,7 +154,6 @@ fn flight_recorder_output_is_invariant_to_thread_count() {
         let recorder = std::rc::Rc::new(std::cell::RefCell::new(FlightRecorder::default()));
         let handle: SharedRecorder = recorder.clone();
         let config = SearchConfig {
-            optimizer: OptimizerKind::Cem,
             budget: 6,
             population: 3,
             seed: 9,

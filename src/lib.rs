@@ -14,7 +14,7 @@
 //! * [`scenarios`] — declarative scenario specs, the seeded stress-family
 //!   fuzzer, and the `Scheme × Scenario` matrix runner
 //! * [`search`] — adversarial scenario search: bounded family spaces,
-//!   failure objectives, seeded optimizers, counterexample shrinking
+//!   failure objectives, a seeded CEM optimizer, counterexample shrinking
 //! * [`serve`] — fleet-scale serving: batched decision dispatch for
 //!   hundreds of flows, real-time pacing, certificate-gated model hot-swap
 //! * [`telemetry`] — the deterministic flight recorder and metrics layer
