@@ -73,11 +73,22 @@ impl Interval {
         Interval::new(x, x)
     }
 
-    /// An interval from a centre and a non-negative deviation.
+    /// An interval from a centre and a non-negative deviation. A bound
+    /// that comes out NaN — a NaN input, or `∞ − ∞` after an overflow — is
+    /// the matching infinity: sound, since it says nothing about the
+    /// value. Finite inputs are unaffected.
     #[inline]
     pub fn centered(center: f64, dev: f64) -> Interval {
         let dev = dev.abs();
-        Interval::new(center - dev, center + dev)
+        let (lo, hi) = (center - dev, center + dev);
+        if lo <= hi {
+            return Interval { lo, hi };
+        }
+        // Only a NaN bound gets here: `dev ≥ 0` keeps the others ordered.
+        Interval::new(
+            if lo.is_nan() { f64::NEG_INFINITY } else { lo },
+            if hi.is_nan() { f64::INFINITY } else { hi },
+        )
     }
 
     /// The centre `(lo + hi) / 2`.
@@ -285,6 +296,19 @@ mod tests {
         assert_eq!(p.width(), 0.0);
         let c = Interval::centered(1.0, -2.0); // negative dev is folded
         assert_eq!(c, Interval::new(-1.0, 3.0));
+    }
+
+    #[test]
+    fn centered_encloses_a_nan_bound_by_the_matching_infinity() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let everything = Interval::new(-inf, inf);
+        assert_eq!(Interval::centered(nan, 1.0), everything);
+        assert_eq!(Interval::centered(0.0, nan), everything);
+        assert_eq!(Interval::centered(inf, inf), everything);
+        assert_eq!(Interval::centered(-inf, inf), everything);
+        assert_eq!(Interval::centered(inf, 1.0), Interval::new(inf, inf));
+        assert_eq!(Interval::centered(2.0, inf), everything);
+        assert_eq!(everything.tanh(), Interval::new(-1.0, 1.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! way: once per monitor interval it drains the flow's monitor sample,
 //! perturbs the observed queuing delay with the configured noise stream,
 //! pushes the observation into the rolling `k`-step state, evaluates the
-//! actor (optionally behind the QC fallback monitor), and applies the
+//! actor (optionally behind its certificate monitor), and applies the
 //! resulting window through `f_cwnd` (Eq. 1). [`OrcaDriver`] owns one
 //! flow's share of that loop — sampling, noise, state, policy, window
 //! application, and the `prev_action`/`prev_cwnd` bookkeeping — over a
@@ -18,6 +18,13 @@
 //!
 //! There is one engine that schedules and computes self-driven decisions:
 //! [`DriverPool`]. A solo learned flow is a pool of one.
+//!
+//! A policy has at most one certificate monitor
+//! ([`FallbackController`]), and so one per-decision `QC_sat` stream
+//! ([`OrcaDriver::fallback_qc_values`]). QC evaluation is an observing
+//! monitor, which certifies every decision and never falls back; the
+//! runtime fallback of §4.4 is an arbitrating one, which benches the agent
+//! below its threshold.
 //!
 //! # Decision timing
 //!
@@ -51,9 +58,8 @@ use crate::env::NoiseConfig;
 use crate::obs::{Normalizer, Observation, StateBuilder, StateLayout};
 use crate::orca::f_cwnd;
 use crate::plan::CertPlan;
-use crate::property::Property;
 use crate::runtime::FallbackController;
-use crate::verifier::{StepContext, Verifier};
+use crate::verifier::StepContext;
 
 /// Static configuration of one driver: everything about the decision loop
 /// that is not the policy itself.
@@ -100,16 +106,14 @@ impl DriverConfig {
 }
 
 /// The decision policy of a self-driving driver: the actor network,
-/// optionally behind the QC-guided fallback monitor, optionally with
-/// per-step certificate evaluation.
+/// optionally behind one certificate monitor.
 ///
 /// The actor is shared (`Arc`): cloning a policy, or pooling drivers whose
 /// policies are equal, keeps one copy of the weights.
 #[derive(Clone, Debug)]
 pub struct DriverPolicy {
     actor: Arc<Mlp>,
-    fallback: Option<FallbackController>,
-    qc: Option<(Verifier, Vec<Property>)>,
+    monitor: Option<FallbackController>,
     /// [`fingerprint`] of `actor`, computed when the actor is set, so
     /// cloned policies never re-hash.
     actor_key: u64,
@@ -152,24 +156,17 @@ impl DriverPolicy {
         DriverPolicy {
             actor_key: fingerprint(&actor),
             actor: Arc::new(actor),
-            fallback: None,
-            qc: None,
+            monitor: None,
         }
     }
 
-    /// Puts the policy behind a QC fallback monitor: the actor's window is
-    /// applied only when the runtime certificate clears the threshold,
-    /// otherwise the interval runs on the unmodified kernel.
-    pub fn with_fallback(mut self, fallback: FallbackController) -> DriverPolicy {
-        self.fallback = Some(fallback);
-        self
-    }
-
-    /// Requests per-decision certificate evaluation (independent of any
-    /// fallback monitor); results are collected in
-    /// [`OrcaDriver::qc_values`].
-    pub fn with_qc(mut self, n_components: usize, properties: Vec<Property>) -> DriverPolicy {
-        self.qc = Some((Verifier::new(n_components), properties));
+    /// Puts the policy behind a certificate monitor, replacing any other.
+    /// Every decision is certified; an arbitrating monitor applies the
+    /// actor's window only when the certificate clears its threshold
+    /// (otherwise the interval runs on the unmodified kernel), an observing
+    /// one always applies it.
+    pub fn with_fallback(mut self, monitor: FallbackController) -> DriverPolicy {
+        self.monitor = Some(monitor);
         self
     }
 
@@ -178,16 +175,9 @@ impl DriverPolicy {
         &self.actor
     }
 
-    /// The certification config of the QC request (`qc = true`) or of the
-    /// fallback monitor, when present.
-    fn cert_config(&self, qc: bool) -> Option<(&Verifier, &[Property])> {
-        if qc {
-            self.qc.as_ref().map(|(v, p)| (v, p.as_slice()))
-        } else {
-            self.fallback
-                .as_ref()
-                .map(|fb| (fb.verifier(), fb.properties()))
-        }
+    /// The certificate monitor, when the policy has one.
+    pub fn monitor(&self) -> Option<&FallbackController> {
+        self.monitor.as_ref()
     }
 }
 
@@ -224,7 +214,6 @@ pub struct OrcaDriver {
     prev_cwnd: f64,
     policy: Option<DriverPolicy>,
     decisions: u64,
-    qc_values: Vec<f64>,
     fallback_qc: Vec<f64>,
     recorder: Option<SharedRecorder>,
 }
@@ -252,7 +241,6 @@ impl OrcaDriver {
             prev_cwnd: canopy_cc::cubic::INITIAL_CWND,
             policy: None,
             decisions: 0,
-            qc_values: Vec::new(),
             fallback_qc: Vec::new(),
             recorder: None,
         }
@@ -397,7 +385,6 @@ impl OrcaDriver {
         self.prev_cwnd = canopy_cc::cubic::INITIAL_CWND;
         self.next_decision = self.start + self.mi;
         self.decisions = 0;
-        self.qc_values.clear();
         self.fallback_qc.clear();
     }
 
@@ -430,46 +417,34 @@ impl OrcaDriver {
 
     /// The application half: arbitrates an already-computed decision and
     /// enforces it. `action` is the actor output for `prepared.ctx.state`;
-    /// `qc_agg` carries the certificate aggregate when the policy requests
-    /// per-step QC evaluation; `fallback_qc` carries the fallback
-    /// monitor's aggregate when one is attached (the threshold comparison
-    /// and bookkeeping happen here, via
-    /// [`FallbackController::decide_with_qc`]). A non-finite `action` never
+    /// `qc_sat` carries the certificate aggregate when the policy has a
+    /// monitor (the stream and the monitor's bookkeeping are updated here,
+    /// via [`FallbackController::arbitrate`]). A non-finite `action` never
     /// reaches the agent path: the interval runs on the kernel and is
     /// recorded as a fallback.
     ///
     /// # Panics
     ///
-    /// Panics if no policy is attached, or if a required aggregate is
-    /// missing.
+    /// Panics if no policy is attached, or if a monitored policy's
+    /// aggregate is missing.
     pub fn apply_decision(
         &mut self,
         sim: &mut Simulator,
         prepared: &PreparedDecision,
         action: f64,
-        qc_agg: Option<f64>,
-        fallback_qc: Option<f64>,
+        qc_sat: Option<f64>,
     ) {
-        let mut policy = self
+        let policy = self
             .policy
-            .take()
+            .as_mut()
             .expect("self-driving decisions require a policy");
-        let mut qc_sat = None;
-        if policy.qc.is_some() {
-            let agg = qc_agg.expect("policy requests QC evaluation but no aggregate was supplied");
-            self.qc_values.push(agg);
-            qc_sat = Some(agg);
-        }
-        let use_agent = match policy.fallback.as_mut() {
-            Some(fb) => {
-                let agg =
-                    fallback_qc.expect("fallback monitor attached but no aggregate was supplied");
-                let decision = fb.decide_with_qc(agg);
-                self.fallback_qc.push(decision.qc_sat);
-                qc_sat = Some(decision.qc_sat);
-                decision.use_agent
+        let (qc_sat, use_agent) = match policy.monitor.as_mut() {
+            Some(monitor) => {
+                let agg = qc_sat.expect("monitor attached but no aggregate was supplied");
+                self.fallback_qc.push(agg);
+                (Some(agg), monitor.arbitrate(agg).use_agent)
             }
-            None => true,
+            None => (None, true),
         };
         // A non-finite action has no window under Eq. (1), and stored as
         // `prev_action` it would poison every later state: the kernel keeps
@@ -480,7 +455,6 @@ impl OrcaDriver {
         } else {
             self.apply_kernel(sim)
         };
-        self.policy = Some(policy);
         self.decisions += 1;
         self.next_decision += self.mi;
         if self.recorder.is_some() {
@@ -540,29 +514,27 @@ impl OrcaDriver {
         self.decisions
     }
 
-    /// Per-decision `QC_sat` from explicit certificate evaluation
-    /// ([`DriverPolicy::with_qc`]).
-    pub fn qc_values(&self) -> &[f64] {
-        &self.qc_values
-    }
-
-    /// Per-decision `QC_sat` reported by the fallback monitor.
+    /// Per-decision `QC_sat` from the policy's monitor, observing or
+    /// arbitrating — the one stream of certified decisions.
     pub fn fallback_qc_values(&self) -> &[f64] {
         &self.fallback_qc
     }
 
-    /// The fallback monitor, when the policy has one.
-    pub fn fallback(&self) -> Option<&FallbackController> {
-        self.policy.as_ref().and_then(|p| p.fallback.as_ref())
+    /// The policy's monitor when it arbitrates (an observing monitor never
+    /// falls back, so it has no fallback statistics).
+    fn fallback(&self) -> Option<&FallbackController> {
+        let monitor = self.policy.as_ref().and_then(DriverPolicy::monitor);
+        monitor.filter(|m| m.threshold().is_some())
     }
 
-    /// Fraction of decisions the fallback monitor overrode, when present.
+    /// Fraction of decisions the fallback monitor overrode, when the
+    /// policy's monitor arbitrates.
     pub fn fallback_rate(&self) -> Option<f64> {
         self.fallback().map(FallbackController::fallback_rate)
     }
 
     /// How many times the fallback monitor engaged (agent → Cubic
-    /// transitions), when present.
+    /// transitions), when the policy's monitor arbitrates.
     pub fn fallback_engagements(&self) -> Option<u64> {
         self.fallback().map(FallbackController::engagements)
     }
@@ -583,8 +555,10 @@ pub struct BatchDispatch {
 /// One interned policy: everything the pool derives from a policy that
 /// does not depend on the decision, shared by every driver whose policy is
 /// exactly equal — one copy of the actor, its transposed weights (which
-/// serve the forward pass and batched IBP alike), one [`CertPlan`] per
-/// distinct certification config, and the scratch all of them reuse.
+/// serve the forward pass and batched IBP alike), the monitor's
+/// [`CertPlan`], and the scratch all of them reuse. A monitor's threshold
+/// and counters are per driver, so observing and arbitrating monitors over
+/// one `(Verifier, properties)` share an entry.
 #[derive(Debug)]
 struct CompiledPolicy {
     key: u64,
@@ -592,56 +566,41 @@ struct CompiledPolicy {
     users: usize,
     actor: Arc<Mlp>,
     net: PreparedMlp,
-    /// Certification passes, each with whether its aggregate feeds the QC
-    /// stream and/or the fallback monitor: a QC request and a fallback
-    /// monitor over equal configs share one pass.
-    plans: Vec<(CertPlan, bool, bool)>,
+    /// The monitor's certification pass, when the policy has a monitor.
+    plan: Option<CertPlan>,
     /// `[0]` stages the forward pass and sequential certification; the
     /// certification fan-out grows one more per worker.
     scratch: Vec<IbpBatchScratch>,
 }
 
 impl CompiledPolicy {
-    /// Compiles `policy`; plans are built only when it certifies.
+    /// Compiles `policy`; the plan is built only when it has a monitor.
     fn compile(key: u64, policy: &DriverPolicy, layout: StateLayout) -> CompiledPolicy {
-        let (qc, fb) = (policy.cert_config(true), policy.cert_config(false));
         let net = PreparedMlp::new(&policy.actor);
-        let plan = |(verifier, properties): (&Verifier, &[Property])| {
-            CertPlan::compile(*verifier, &net, properties, layout)
-        };
-        let plans = match (qc, fb) {
-            (Some(qc), Some(fb)) if qc == fb => vec![(plan(qc), true, true)],
-            _ => qc
-                .map(|qc| (plan(qc), true, false))
-                .into_iter()
-                .chain(fb.map(|fb| (plan(fb), false, true)))
-                .collect(),
-        };
+        let plan = policy
+            .monitor
+            .as_ref()
+            .map(|m| CertPlan::compile(*m.verifier(), &net, m.properties(), layout));
         CompiledPolicy {
             key,
             users: 1,
             actor: policy.actor.clone(),
             net,
-            plans,
+            plan,
             scratch: vec![IbpBatchScratch::new()],
         }
     }
 
-    /// The certification config compiled for the QC stream (`qc = true`) or
-    /// the fallback monitor.
-    fn cert_config(&self, qc: bool) -> Option<(&Verifier, &[Property])> {
-        self.plans
-            .iter()
-            .find(|(_, to_qc, to_fb)| if qc { *to_qc } else { *to_fb })
-            .map(|(plan, ..)| (plan.verifier(), plan.properties()))
-    }
-
     /// Whether this entry was compiled from a policy exactly equal to
-    /// `policy` (never called on the dispatch path).
+    /// `policy` up to its monitor's threshold (never called on the
+    /// dispatch path).
     fn matches(&self, policy: &DriverPolicy) -> bool {
-        same_actor(&self.actor, &policy.actor)
-            && self.cert_config(true) == policy.cert_config(true)
-            && self.cert_config(false) == policy.cert_config(false)
+        let compiled = self.plan.as_ref().map(|p| (p.verifier(), p.properties()));
+        let wanted = policy
+            .monitor
+            .as_ref()
+            .map(|m| (m.verifier(), m.properties()));
+        same_actor(&self.actor, &policy.actor) && compiled == wanted
     }
 }
 
@@ -705,12 +664,12 @@ impl PolicyTable {
 ///
 /// Same-instant decisions are **batched**: the pool prepares every due
 /// driver, groups the prepared states by compiled policy, runs one batched
-/// actor pass per group (and one [`CertPlan`] pass per distinct
-/// certification config for QC/fallback policies), then applies the
-/// results in insertion order. The batched paths are bitwise identical to
-/// the per-sample paths and same-instant decisions are independent across
-/// flows, so a dispatch is bitwise identical to deciding flow by flow with
-/// per-call `Verifier::certify_all` and `Mlp::forward` — the oracle
+/// actor pass per group (and one [`CertPlan`] pass per group whose policy
+/// has a monitor), then applies the results in insertion order. The
+/// batched paths are bitwise identical to the per-sample paths and
+/// same-instant decisions are independent across flows, so a dispatch is
+/// bitwise identical to deciding flow by flow with per-call
+/// `Verifier::certify_all` and `Mlp::forward` — the oracle
 /// `tests/batched_pool.rs` rebuilds from the driver's public primitives.
 #[derive(Debug)]
 pub struct DriverPool {
@@ -741,8 +700,7 @@ struct BatchBuffers {
     groups: Vec<usize>,
     members: Vec<usize>,
     actions: Vec<f64>,
-    qc_aggs: Vec<Option<f64>>,
-    fb_aggs: Vec<Option<f64>>,
+    aggs: Vec<Option<f64>>,
 }
 
 impl Default for DriverPool {
@@ -827,7 +785,7 @@ impl DriverPool {
 
     /// [`swap_actor`](Self::swap_actor) for every pooled driver at once —
     /// the fleet-wide rollout: one shared copy of `actor`, hashed once,
-    /// compiled once per distinct certification config.
+    /// compiled once per distinct monitor config.
     pub fn swap_actor_all(&mut self, actor: Mlp) {
         self.adopt_actor(0..self.drivers.len(), actor);
     }
@@ -951,8 +909,7 @@ impl DriverPool {
             groups,
             members,
             actions,
-            qc_aggs,
-            fb_aggs,
+            aggs,
         } = batch;
         let timing = recorder
             .as_ref()
@@ -990,10 +947,8 @@ impl DriverPool {
         let t_grouped = timing.then(std::time::Instant::now);
         actions.clear();
         actions.resize(items.len(), 0.0);
-        qc_aggs.clear();
-        qc_aggs.resize(items.len(), None);
-        fb_aggs.clear();
-        fb_aggs.resize(items.len(), None);
+        aggs.clear();
+        aggs.resize(items.len(), None);
         let mut forward_ns = 0u64;
         let mut certify_ns = 0u64;
         let mut certify_items = 0u64;
@@ -1008,7 +963,7 @@ impl DriverPool {
             let CompiledPolicy {
                 actor,
                 net,
-                plans,
+                plan,
                 scratch,
                 ..
             } = compiled;
@@ -1022,16 +977,10 @@ impl DriverPool {
             }
             let g_forwarded = timing.then(std::time::Instant::now);
             forward_ns += span_ns(g_start, g_forwarded);
-            for (plan, to_qc, to_fb) in plans.iter_mut() {
+            if let Some(plan) = plan {
                 plan.run(net, actor, members.len(), |j| &ctx_of(j).state, scratch);
                 for (j, &pos) in members.iter().enumerate() {
-                    let agg = Some(plan.aggregate(j, ctx_of(j), || actions[pos]));
-                    if *to_qc {
-                        qc_aggs[pos] = agg;
-                    }
-                    if *to_fb {
-                        fb_aggs[pos] = agg;
-                    }
+                    aggs[pos] = Some(plan.aggregate(j, ctx_of(j), || actions[pos]));
                 }
                 certify_items += members.len() as u64;
             }
@@ -1039,7 +988,7 @@ impl DriverPool {
         }
         let t_certified = timing.then(std::time::Instant::now);
         for (pos, (i, prepared)) in items.iter().enumerate() {
-            drivers[*i].apply_decision(sim, prepared, actions[pos], qc_aggs[pos], fb_aggs[pos]);
+            drivers[*i].apply_decision(sim, prepared, actions[pos], aggs[pos]);
         }
         let dispatch = BatchDispatch {
             at: sim.now(),
@@ -1093,6 +1042,7 @@ impl DriverPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::property::{Property, PropertyParams};
     use canopy_cc::Cubic;
     use canopy_netsim::{BandwidthTrace, FlowConfig};
 
@@ -1201,27 +1151,41 @@ mod tests {
     }
 
     #[test]
-    fn fallback_policy_records_qc_and_rate() {
+    fn monitored_policies_record_one_qc_stream() {
         let link = link(12e6);
         let cfg = DriverConfig::new(Time::from_millis(40), 3);
-        let mut sim = Simulator::new(link.clone());
-        let properties = Property::shallow_set(&crate::property::PropertyParams::default());
-        let fb = FallbackController::new(properties, 0.5, 4);
-        let policy = DriverPolicy::new(actor(3, 3)).with_fallback(fb);
-        let mut pool = pool_of_one(&link, &mut sim, &cfg, policy);
-        pool.run_until(&mut sim, Time::from_secs(1));
-        let d = &pool.drivers()[0];
-        assert!(d.decisions() > 0);
-        assert_eq!(d.fallback_qc_values().len() as u64, d.decisions());
-        let rate = d.fallback_rate().expect("fallback attached");
-        assert!((0.0..=1.0).contains(&rate));
-        assert!(d.qc_values().is_empty(), "no explicit QC eval requested");
+        let properties = Property::shallow_set(&PropertyParams::default());
+        let run = |monitor: FallbackController| {
+            let mut sim = Simulator::new(link.clone());
+            let policy = DriverPolicy::new(actor(3, 3)).with_fallback(monitor);
+            let mut pool = pool_of_one(&link, &mut sim, &cfg, policy);
+            pool.run_until(&mut sim, Time::from_secs(1));
+            pool.drivers.remove(0)
+        };
+        // An arbitrating monitor reports its rate; the unreachable
+        // threshold benches every decision.
+        let fb = run(FallbackController::new(properties.clone(), 2.0, 4));
+        assert!(fb.decisions() > 0);
+        assert_eq!(fb.fallback_qc_values().len() as u64, fb.decisions());
+        assert_eq!(fb.fallback_rate(), Some(1.0));
+        assert_eq!(fb.fallback_engagements(), Some(1));
+        // An observing monitor certifies the same decisions the same way
+        // and reports no fallback at all.
+        let observed = run(FallbackController::observing(properties, 4));
+        assert_eq!(
+            observed.fallback_qc_values().len() as u64,
+            observed.decisions()
+        );
+        assert_eq!(observed.fallback_rate(), None);
+        assert_eq!(observed.fallback_engagements(), None);
+        let first = |d: &OrcaDriver| d.fallback_qc_values()[0].to_bits();
+        assert_eq!(first(&fb), first(&observed));
     }
 
     #[test]
     fn interning_shares_equal_policies_and_never_aliases() {
         let layout = StateLayout::new(3);
-        let props = || Property::shallow_set(&crate::property::PropertyParams::default());
+        let props = || Property::shallow_set(&PropertyParams::default());
         let monitored = |net: Mlp| {
             DriverPolicy::new(net).with_fallback(FallbackController::new(props(), 0.5, 4))
         };
@@ -1236,6 +1200,13 @@ mod tests {
         assert_eq!(table.intern(b.actor_key, &mut b, layout), slot);
         assert!(Arc::ptr_eq(&a.actor, &b.actor));
 
+        // The threshold is the driver's, not the entry's: an observing
+        // monitor over the same config shares it.
+        let observing = FallbackController::observing(props(), 4);
+        let mut e = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
+        assert_eq!(table.intern(e.actor_key, &mut e, layout), slot);
+        table.release(slot);
+
         // The key only narrows the search. Forced onto `a`'s key, an actor
         // one weight bit away, and an equal actor under another monitor
         // config, still get their own entries.
@@ -1243,14 +1214,13 @@ mod tests {
         let w = flipped.layers_mut()[0].weights.get_mut(0, 0);
         *w = f64::from_bits(w.to_bits() ^ 1);
         let mut c = monitored(flipped);
-        let mut d = monitored(actor(3, 5)).with_qc(4, props());
+        let observing = FallbackController::observing(props(), 3);
+        let mut d = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
         let slot_c = table.intern(a.actor_key, &mut c, layout);
         let slot_d = table.intern(a.actor_key, &mut d, layout);
         assert!(slot_c != slot && slot_d != slot && slot_c != slot_d);
         assert!(!Arc::ptr_eq(&a.actor, &c.actor));
         assert!(!Arc::ptr_eq(&a.actor, &d.actor));
-        // `d`'s QC request equals its monitor's config: one shared plan.
-        assert_eq!(table.entries[slot_d].as_ref().unwrap().plans.len(), 1);
 
         // An entry goes with its last user, and its slot is reused.
         table.release(slot);
@@ -1259,6 +1229,6 @@ mod tests {
         assert!(table.entries[slot].is_none());
         let mut plain = DriverPolicy::new(actor(3, 6));
         assert_eq!(table.intern(plain.actor_key, &mut plain, layout), slot);
-        assert!(table.entries[slot].as_ref().unwrap().plans.is_empty());
+        assert!(table.entries[slot].as_ref().unwrap().plan.is_none());
     }
 }

@@ -53,13 +53,17 @@ impl Scheme {
     }
 
     /// The scheme as a flow's [`Controller`]: the kernel name, or the
-    /// model's policy behind whatever monitors it. `qc` adds per-decision
-    /// certificate evaluation to a plain learned scheme (a fallback
-    /// scheme's monitor already certifies every decision).
+    /// model's policy behind its one monitor — the fallback scheme's
+    /// arbitrating monitor, or for a plain learned scheme an observing one
+    /// when `qc` asks for per-decision certificates (a fallback scheme's
+    /// monitor already certifies every decision).
     pub fn controller(&self, qc: Option<&QcEval>) -> Controller {
-        let (model, fallback) = match self {
+        let (model, monitor) = match self {
             Scheme::Baseline(name) => return Controller::Kernel(name.clone()),
-            Scheme::Learned(model) => (model, None),
+            Scheme::Learned(model) => (
+                model,
+                qc.map(|q| FallbackController::observing(q.properties.clone(), q.n_components)),
+            ),
             Scheme::LearnedFallback {
                 model,
                 properties,
@@ -70,12 +74,10 @@ impl Scheme {
                 (model, Some(fb))
             }
         };
-        let policy = DriverPolicy::new(model.actor.clone());
-        let policy = match (fallback, qc) {
-            (Some(fb), _) => policy.with_fallback(fb),
-            (None, Some(q)) => policy.with_qc(q.n_components, q.properties.clone()),
-            (None, None) => policy,
-        };
+        let mut policy = DriverPolicy::new(model.actor.clone());
+        if let Some(monitor) = monitor {
+            policy = policy.with_fallback(monitor);
+        }
         Controller::Orca {
             k: model.k,
             policy: Some(policy),
@@ -216,7 +218,8 @@ pub fn link_metrics(sim: &Simulator) -> Vec<LinkMetrics> {
 /// (bitwise identical to serial dispatch, substantially faster at fleet
 /// scale).
 ///
-/// Errors on a flow [`world::spawn_all`] rejects, and on a zero `bin`.
+/// Errors on a flow [`world::spawn_all`] rejects, on a steered flow
+/// without a policy, and on a zero `bin`.
 pub fn run_multiflow(
     link: LinkConfig,
     flows: &[FlowSpec],
@@ -240,6 +243,10 @@ pub fn run_multiflow_recorded(
 ) -> Result<Vec<Vec<f64>>, WorldError> {
     if bin == Time::ZERO {
         return Err(WorldError::ZeroBin);
+    }
+    let unsteered = |f: &FlowSpec| matches!(f.controller, Controller::Orca { policy: None, .. });
+    if let Some(flow) = flows.iter().position(unsteered) {
+        return Err(WorldError::NoPolicy { flow });
     }
     let world = world::spawn_all(&Topology::dumbbell(link), flows)?;
     let (mut sim, ids) = (world.sim, world.flows);
@@ -421,6 +428,26 @@ mod tests {
             name: "reno2".into(),
         };
         assert_eq!(err, Err(unknown));
+    }
+
+    #[test]
+    fn multiflow_rejects_a_steered_flow_without_a_policy_instead_of_panicking() {
+        let trace = BandwidthTrace::constant("bad", 48e6);
+        let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(20), 1.0);
+        let flows = [
+            FlowSpec::new(cubic(), Time::from_millis(20)),
+            FlowSpec::new(
+                Controller::Orca { k: 3, policy: None },
+                Time::from_millis(20),
+            ),
+        ];
+        let err = run_multiflow(link, &flows, Time::from_secs(1), Time::from_secs(1));
+        assert_eq!(err, Err(WorldError::NoPolicy { flow: 1 }));
+        let message = err.unwrap_err().to_string();
+        assert_eq!(
+            message,
+            "flow 1: a self-driving run needs a policy on every steered flow"
+        );
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! QC-guided runtime monitoring and fallback (Section 4.4).
 //!
-//! Before each decision is applied, the extracted `QC_sat` for the deployed
-//! properties is compared against a threshold; the learned controller's
-//! window is enforced only when the certificate is strong enough, otherwise
-//! the flow falls back to unmodified TCP Cubic for that interval.
+//! A [`FallbackController`] is a policy's one certificate monitor: the
+//! pool certifies the deployed properties at every decision and hands the
+//! `QC_sat` aggregate to [`arbitrate`](FallbackController::arbitrate). An
+//! *arbitrating* monitor ([`new`](FallbackController::new)) enforces the
+//! learned controller's window only when the aggregate clears its
+//! threshold, otherwise the flow falls back to unmodified TCP Cubic for
+//! that interval. An *observing* monitor
+//! ([`observing`](FallbackController::observing)) is QC evaluation: it
+//! certifies every decision the same way and never benches the agent.
 
-use canopy_nn::Mlp;
 use serde::{Deserialize, Serialize};
 
-use crate::obs::StateLayout;
 use crate::property::Property;
-use crate::verifier::{StepContext, Verifier};
+use crate::verifier::Verifier;
 
 /// One fallback decision.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -21,12 +24,14 @@ pub struct FallbackDecision {
     pub use_agent: bool,
 }
 
-/// The runtime monitor: certificate extraction plus thresholded fallback.
+/// The runtime monitor: certificate extraction plus, when it has a
+/// threshold, fallback arbitration.
 #[derive(Clone, Debug)]
 pub struct FallbackController {
     verifier: Verifier,
     properties: Vec<Property>,
-    threshold: f64,
+    /// `None` observes: every decision keeps the agent.
+    threshold: Option<f64>,
     decisions: u64,
     fallbacks: u64,
     engagements: u64,
@@ -34,12 +39,23 @@ pub struct FallbackController {
 }
 
 impl FallbackController {
-    /// Creates a monitor for the given properties and `QC_sat` threshold.
+    /// An arbitrating monitor for the given properties and `QC_sat`
+    /// threshold.
     pub fn new(properties: Vec<Property>, threshold: f64, n_components: usize) -> Self {
+        FallbackController {
+            threshold: Some(threshold),
+            ..FallbackController::observing(properties, n_components)
+        }
+    }
+
+    /// An observing monitor: it certifies the given properties at every
+    /// decision and never benches the agent, whatever the aggregate (NaN
+    /// included).
+    pub fn observing(properties: Vec<Property>, n_components: usize) -> Self {
         FallbackController {
             verifier: Verifier::new(n_components),
             properties,
-            threshold,
+            threshold: None,
             decisions: 0,
             fallbacks: 0,
             engagements: 0,
@@ -47,8 +63,8 @@ impl FallbackController {
         }
     }
 
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
+    /// The configured threshold; `None` for an observing monitor.
+    pub fn threshold(&self) -> Option<f64> {
         self.threshold
     }
 
@@ -62,20 +78,10 @@ impl FallbackController {
         &self.properties
     }
 
-    /// The certificate-extraction half of [`decide`](Self::decide): pure
-    /// (no counters touched), so a batched dispatcher can evaluate many
-    /// decision points together and feed each aggregate through
-    /// [`decide_with_qc`](Self::decide_with_qc) afterwards.
-    pub fn certify(&self, actor: &Mlp, layout: StateLayout, ctx: &StepContext) -> f64 {
-        self.verifier
-            .certify_all(actor, &self.properties, layout, ctx)
-            .1
-    }
-
-    /// The arbitration half of [`decide`](Self::decide): thresholds an
-    /// already-extracted `QC_sat` and updates the monitor's bookkeeping.
-    pub fn decide_with_qc(&mut self, qc_sat: f64) -> FallbackDecision {
-        let use_agent = qc_sat >= self.threshold;
+    /// Thresholds an already-extracted `QC_sat` and updates the monitor's
+    /// bookkeeping. An observing monitor always keeps the agent.
+    pub fn arbitrate(&mut self, qc_sat: f64) -> FallbackDecision {
+        let use_agent = self.threshold.is_none_or(|t| qc_sat >= t);
         self.decisions += 1;
         if !use_agent {
             self.fallbacks += 1;
@@ -85,20 +91,6 @@ impl FallbackController {
         }
         self.engaged = !use_agent;
         FallbackDecision { qc_sat, use_agent }
-    }
-
-    /// Evaluates the certificate at the current decision point and decides
-    /// whether the agent's action may be applied. Equivalent to
-    /// [`certify`](Self::certify) followed by
-    /// [`decide_with_qc`](Self::decide_with_qc).
-    pub fn decide(
-        &mut self,
-        actor: &Mlp,
-        layout: StateLayout,
-        ctx: &StepContext,
-    ) -> FallbackDecision {
-        let qc_sat = self.certify(actor, layout, ctx);
-        self.decide_with_qc(qc_sat)
     }
 
     /// Fraction of decisions that fell back to Cubic.
@@ -127,7 +119,8 @@ mod tests {
     use super::*;
     use crate::obs::StateLayout;
     use crate::property::PropertyParams;
-    use canopy_nn::Activation;
+    use crate::verifier::StepContext;
+    use canopy_nn::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -154,12 +147,26 @@ mod tests {
         }
     }
 
+    /// Certifies a constant actor at [`ctx`] with the monitor's own
+    /// verifier and properties, then arbitrates.
+    fn judge(fb: &mut FallbackController, value: f64) -> FallbackDecision {
+        let actor = constant_actor(value);
+        let qc_sat = fb
+            .verifier()
+            .certify_all(&actor, fb.properties(), layout(), &ctx())
+            .1;
+        fb.arbitrate(qc_sat)
+    }
+
+    fn p1_monitor(threshold: f64) -> FallbackController {
+        FallbackController::new(vec![Property::p1(&PropertyParams::default())], threshold, 5)
+    }
+
     #[test]
     fn satisfied_controller_keeps_agent() {
-        let p = PropertyParams::default();
-        let mut fb = FallbackController::new(vec![Property::p1(&p)], 0.9, 5);
+        let mut fb = p1_monitor(0.9);
         // A controller that always increases satisfies P1 with QC_sat = 1.
-        let d = fb.decide(&constant_actor(0.5), layout(), &ctx());
+        let d = judge(&mut fb, 0.5);
         assert!(d.use_agent);
         assert_eq!(d.qc_sat, 1.0);
         assert_eq!(fb.fallback_rate(), 0.0);
@@ -167,10 +174,9 @@ mod tests {
 
     #[test]
     fn violating_controller_falls_back() {
-        let p = PropertyParams::default();
-        let mut fb = FallbackController::new(vec![Property::p1(&p)], 0.9, 5);
+        let mut fb = p1_monitor(0.9);
         // A controller that always decreases violates P1 everywhere.
-        let d = fb.decide(&constant_actor(-0.5), layout(), &ctx());
+        let d = judge(&mut fb, -0.5);
         assert!(!d.use_agent);
         assert_eq!(d.qc_sat, 0.0);
         assert_eq!(fb.fallback_rate(), 1.0);
@@ -180,11 +186,10 @@ mod tests {
 
     #[test]
     fn engagements_count_transitions_not_decisions() {
-        let p = PropertyParams::default();
-        let mut fb = FallbackController::new(vec![Property::p1(&p)], 0.9, 5);
+        let mut fb = p1_monitor(0.9);
         // agent, fallback, fallback, agent, fallback: two excursions.
         for v in [0.5, -0.5, -0.5, 0.5, -0.5] {
-            fb.decide(&constant_actor(v), layout(), &ctx());
+            judge(&mut fb, v);
         }
         assert_eq!(fb.decisions(), 5);
         assert_eq!(fb.engagements(), 2);
@@ -193,18 +198,31 @@ mod tests {
 
     #[test]
     fn threshold_zero_never_falls_back() {
-        let p = PropertyParams::default();
-        let mut fb = FallbackController::new(vec![Property::p1(&p)], 0.0, 5);
-        let d = fb.decide(&constant_actor(-0.5), layout(), &ctx());
-        assert!(d.use_agent);
+        assert!(judge(&mut p1_monitor(0.0), -0.5).use_agent);
     }
 
     #[test]
     fn rate_averages_over_decisions() {
-        let p = PropertyParams::default();
-        let mut fb = FallbackController::new(vec![Property::p1(&p)], 0.9, 5);
-        fb.decide(&constant_actor(0.5), layout(), &ctx());
-        fb.decide(&constant_actor(-0.5), layout(), &ctx());
+        let mut fb = p1_monitor(0.9);
+        judge(&mut fb, 0.5);
+        judge(&mut fb, -0.5);
         assert!((fb.fallback_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_observing_monitor_never_benches_the_agent() {
+        let p = PropertyParams::default();
+        let mut fb = FallbackController::observing(vec![Property::p1(&p)], 5);
+        assert_eq!(fb.threshold(), None);
+        let d = judge(&mut fb, -0.5);
+        assert!(d.use_agent);
+        assert_eq!(d.qc_sat, 0.0);
+        for qc_sat in [f64::NAN, f64::NEG_INFINITY, -1.0, 0.0] {
+            assert!(fb.arbitrate(qc_sat).use_agent, "{qc_sat}");
+        }
+        assert_eq!(fb.decisions(), 5);
+        assert_eq!((fb.fallback_rate(), fb.engagements()), (0.0, 0));
+        // An arbitrating monitor benches a NaN aggregate.
+        assert!(!p1_monitor(0.0).arbitrate(f64::NAN).use_agent);
     }
 }

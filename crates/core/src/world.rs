@@ -128,6 +128,12 @@ pub enum WorldError {
         /// Index of the flow in its list.
         flow: usize,
     },
+    /// A self-driving run was handed a steered flow without a policy:
+    /// nothing would decide for it.
+    NoPolicy {
+        /// Index of the flow in its list.
+        flow: usize,
+    },
     /// A binned run was asked for zero-width bins.
     ZeroBin,
 }
@@ -143,6 +149,9 @@ impl std::fmt::Display for WorldError {
                 f,
                 "flow {flow}: an episode steps only its first flow, cross traffic must run classic kernels"
             ),
+            WorldError::NoPolicy { flow } => {
+                write!(f, "flow {flow}: a self-driving run needs a policy on every steered flow")
+            }
             WorldError::ZeroBin => f.write_str("bin width must be positive"),
         }
     }

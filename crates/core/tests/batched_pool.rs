@@ -1,17 +1,18 @@
 //! Equivalence suite for the `DriverPool` dispatch engine.
 //!
 //! The pool (prepare every same-instant decision, group by compiled
-//! policy, one batched forward and one `CertPlan` pass per group, apply in
-//! insertion order) must be **bitwise** identical to deciding flow by flow
-//! with per-call certification. The pool is the only engine in the crate,
-//! so the oracle is rebuilt here from public primitives only: the earliest
-//! `next_decision`, then for each due driver in insertion order
-//! `prepare_decision` → `Verifier::certify_all` → `Mlp::forward` →
-//! `FallbackController::certify` → `apply_decision`. The suite races the
-//! two over noise × QC × fallback × topology × arrival-pattern × mid-run
-//! hot-swap combinations and compares every observable bit: decision counts,
-//! bookkeeping windows, per-decision certificate streams, fallback
-//! monitor statistics, state vectors, and simulator flow stats.
+//! policy, one batched forward and at most one `CertPlan` pass per group,
+//! apply in insertion order) must be **bitwise** identical to deciding
+//! flow by flow with per-call certification. The pool is the only engine
+//! in the crate, so the oracle is rebuilt here from public primitives
+//! only: the earliest `next_decision`, then for each due driver in
+//! insertion order `prepare_decision` → `Mlp::forward` → the monitor's
+//! `Verifier::certify_all` → `apply_decision`. The suite races the two
+//! over plain × observed × arbitrated policies × noise × topology ×
+//! arrival-pattern × mid-run hot-swap combinations and compares every
+//! observable bit: decision counts, bookkeeping windows, the per-decision
+//! certificate stream, fallback monitor statistics, state vectors, and
+//! simulator flow stats.
 //!
 //! Thread invariance: this binary runs in CI under a `CANOPY_THREADS`
 //! matrix (1 and 4), so the equivalences here are also pinned at both
@@ -27,13 +28,12 @@ use canopy_core::env::NoiseConfig;
 use canopy_core::obs::StateLayout;
 use canopy_core::property::{Property, PropertyParams};
 use canopy_core::runtime::FallbackController;
-use canopy_core::Verifier;
 use canopy_netsim::{BandwidthTrace, FlowConfig, LinkConfig, Simulator, Time, Topology};
 use canopy_nn::{Activation, Mlp};
 
 const K: usize = 3;
-/// Components of every explicit QC request.
-const QC_COMPONENTS: usize = 3;
+/// Components of every monitor's certificate.
+const COMPONENTS: usize = 3;
 
 #[derive(Clone, Copy, Debug)]
 enum Topo {
@@ -45,13 +45,10 @@ enum Topo {
 #[derive(Clone, Copy, Debug)]
 enum PolicyKind {
     Plain,
-    Qc,
-    Fallback,
-    /// QC request and fallback monitor over equal configs: one shared
-    /// certification pass feeds both streams.
-    Both,
-    /// The same with differing component counts: two passes.
-    BothDiffer,
+    /// QC evaluation: an observing monitor, which never falls back.
+    Observed,
+    /// The runtime fallback: an arbitrating monitor.
+    Arbitrated,
 }
 
 #[derive(Clone, Debug)]
@@ -144,23 +141,14 @@ fn build(s: &Scenario) -> (Simulator, Vec<OrcaDriver>) {
             100
         };
         let mut policy = DriverPolicy::new(actor(actor_seed));
-        let props = || Property::shallow_set(&PropertyParams::default());
-        match s.policy {
-            PolicyKind::Plain => {}
-            PolicyKind::Qc => policy = policy.with_qc(QC_COMPONENTS, props()),
-            PolicyKind::Fallback => {
-                policy = policy.with_fallback(FallbackController::new(props(), 0.6, 3));
-            }
-            PolicyKind::Both | PolicyKind::BothDiffer => {
-                let n = if matches!(s.policy, PolicyKind::Both) {
-                    3
-                } else {
-                    4
-                };
-                policy = policy
-                    .with_qc(QC_COMPONENTS, props())
-                    .with_fallback(FallbackController::new(props(), 0.6, n));
-            }
+        let props = Property::shallow_set(&PropertyParams::default());
+        let monitor = match s.policy {
+            PolicyKind::Plain => None,
+            PolicyKind::Observed => Some(FallbackController::observing(props, COMPONENTS)),
+            PolicyKind::Arbitrated => Some(FallbackController::new(props, 0.6, COMPONENTS)),
+        };
+        if let Some(monitor) = monitor {
+            policy = policy.with_fallback(monitor);
         }
         drivers.push(OrcaDriver::new(&cfg, &bottleneck, flow).with_policy(policy));
     }
@@ -181,8 +169,7 @@ type Fingerprint = Vec<(
     u64,         // decisions
     u64,         // prev_cwnd bits
     u64,         // prev_action bits
-    Vec<u64>,    // explicit QC_sat stream, bitwise
-    Vec<u64>,    // fallback QC_sat stream, bitwise
+    Vec<u64>,    // QC_sat stream, bitwise
     Option<u64>, // fallback rate bits
     Option<u64>, // fallback engagements
     Vec<u64>,    // final state vector, bitwise
@@ -199,7 +186,6 @@ fn fingerprint(sim: &Simulator, drivers: &[OrcaDriver]) -> Fingerprint {
                 d.decisions(),
                 d.prev_cwnd().to_bits(),
                 d.prev_action().to_bits(),
-                d.qc_values().iter().map(|v| v.to_bits()).collect(),
                 d.fallback_qc_values().iter().map(|v| v.to_bits()).collect(),
                 d.fallback_rate().map(f64::to_bits),
                 d.fallback_engagements(),
@@ -229,13 +215,7 @@ fn run_pool(s: &Scenario) -> Fingerprint {
 /// The oracle's `run_until`: every decision scheduled strictly before
 /// `horizon`, earliest first, same-instant ties in insertion order, each
 /// one computed on its own through the per-call entry points.
-fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], s: &Scenario, horizon: Time) {
-    let props = Property::shallow_set(&PropertyParams::default());
-    let qc = matches!(
-        s.policy,
-        PolicyKind::Qc | PolicyKind::Both | PolicyKind::BothDiffer
-    )
-    .then(|| Verifier::new(QC_COMPONENTS));
+fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Time) {
     let due = |drivers: &[OrcaDriver]| {
         let next = drivers.iter().map(OrcaDriver::next_decision).min();
         next.filter(|&t| t < horizon)
@@ -246,13 +226,15 @@ fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], s: &Scenari
             let Some(prepared) = d.prepare_decision(sim) else {
                 continue;
             };
-            let actor = d.policy().expect("self-driving").actor().clone();
-            let qc_agg = qc.map(|v| v.certify_all(&actor, &props, d.layout(), &prepared.ctx).1);
-            let action = actor.forward(&prepared.ctx.state)[0];
-            let fb_agg = d
-                .fallback()
-                .map(|fb| fb.certify(&actor, d.layout(), &prepared.ctx));
-            d.apply_decision(sim, &prepared, action, qc_agg, fb_agg);
+            let policy = d.policy().expect("self-driving");
+            let action = policy.actor().forward(&prepared.ctx.state)[0];
+            let qc_sat = policy.monitor().map(|m| {
+                let ctx = &prepared.ctx;
+                m.verifier()
+                    .certify_all(policy.actor(), m.properties(), d.layout(), ctx)
+                    .1
+            });
+            d.apply_decision(sim, &prepared, action, qc_sat);
         }
     }
     sim.run_until(horizon);
@@ -261,10 +243,10 @@ fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], s: &Scenari
 fn run_oracle(s: &Scenario) -> Fingerprint {
     let (mut sim, mut drivers) = build(s);
     if s.swap {
-        oracle_run_until(&mut sim, &mut drivers, s, SWAP_AT);
+        oracle_run_until(&mut sim, &mut drivers, SWAP_AT);
         drivers[s.flows - 1].swap_actor(actor(SWAP_SEED));
     }
-    oracle_run_until(&mut sim, &mut drivers, s, s.duration);
+    oracle_run_until(&mut sim, &mut drivers, s.duration);
     assert_eq!(sim.now(), s.duration);
     fingerprint(&sim, &drivers)
 }
@@ -276,7 +258,7 @@ proptest! {
     fn pool_dispatch_is_bitwise_identical_to_the_per_call_oracle(
         flows in 2usize..5,
         topo_pick in 0usize..3,
-        policy_pick in 0usize..5,
+        policy_pick in 0usize..3,
         noisy in [false, true],
         aligned in [false, true],
         mixed_actors in [false, true],
@@ -288,10 +270,8 @@ proptest! {
             topo: [Topo::Single, Topo::ParkingLot, Topo::Incast][topo_pick],
             policy: [
                 PolicyKind::Plain,
-                PolicyKind::Qc,
-                PolicyKind::Fallback,
-                PolicyKind::Both,
-                PolicyKind::BothDiffer,
+                PolicyKind::Observed,
+                PolicyKind::Arbitrated,
             ][policy_pick],
             noisy,
             aligned,
@@ -311,7 +291,7 @@ fn synchronized_qc_fleet_matches_the_oracle_bitwise() {
     let s = Scenario {
         flows: 6,
         topo: Topo::Single,
-        policy: PolicyKind::Qc,
+        policy: PolicyKind::Observed,
         noisy: false,
         aligned: true,
         mixed_actors: false,
@@ -331,7 +311,7 @@ fn fallback_arbitration_matches_the_oracle_bitwise() {
     let s = Scenario {
         flows: 4,
         topo: Topo::ParkingLot,
-        policy: PolicyKind::Fallback,
+        policy: PolicyKind::Arbitrated,
         noisy: true,
         aligned: true,
         mixed_actors: true,
@@ -342,16 +322,20 @@ fn fallback_arbitration_matches_the_oracle_bitwise() {
     assert_eq!(run_pool(&s), run_oracle(&s));
 }
 
-/// A QC request and a fallback monitor over equal `(Verifier, properties)`
-/// certify once and feed both streams; differing configs keep two passes.
-/// The certify span's item count is the number of (decision, pass) pairs.
+/// A monitored policy pays exactly one certification pass per decision,
+/// observing or arbitrating, and a plain one none: the certify span's item
+/// count is the number of (decision, pass) pairs.
 #[test]
-fn equal_qc_and_fallback_configs_share_one_certification_pass() {
+fn a_monitored_decision_is_certified_once() {
     use canopy_telemetry::{FlightRecorder, SpanStage};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    for (policy, passes) in [(PolicyKind::Both, 1), (PolicyKind::BothDiffer, 2)] {
+    for (policy, passes) in [
+        (PolicyKind::Plain, 0),
+        (PolicyKind::Observed, 1),
+        (PolicyKind::Arbitrated, 1),
+    ] {
         let s = Scenario {
             flows: 4,
             topo: Topo::Single,
@@ -363,12 +347,6 @@ fn equal_qc_and_fallback_configs_share_one_certification_pass() {
             swap: true,
             duration: Time::from_millis(500),
         };
-        let batched = run_pool(&s);
-        assert_eq!(batched, run_oracle(&s), "{policy:?}");
-        if passes == 1 {
-            // One pass, two consumers: the streams are the same bits.
-            assert!(batched.iter().all(|d| !d.3.is_empty() && d.3 == d.4));
-        }
         let (mut sim, mut pool) = build_pool(&s);
         let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
         pool.set_recorder(Some(recorder.clone()));
@@ -380,6 +358,12 @@ fn equal_qc_and_fallback_configs_share_one_certification_pass() {
             .find(|t| t.0 == SpanStage::Certify)
             .expect("stage");
         assert_eq!(certified.2, passes * decisions, "{policy:?}");
+        let streamed: u64 = pool
+            .drivers()
+            .iter()
+            .map(|d| d.fallback_qc_values().len() as u64)
+            .sum();
+        assert_eq!(streamed, passes * decisions, "{policy:?}");
     }
 }
 

@@ -62,8 +62,9 @@ pub struct ScenarioMetrics {
 /// learned controller driven Orca-style on its monitor clock, optionally
 /// behind the QC fallback monitor and under the spec's observation noise);
 /// cross-traffic flows arrive and depart on the spec's schedule. `qc`
-/// requests per-step certificate evaluation for plain learned schemes
-/// (fallback schemes always report their monitor's `QC_sat`).
+/// puts a plain learned scheme behind an observing monitor, which
+/// certifies every decision and never falls back (fallback schemes always
+/// report their own monitor's `QC_sat`).
 pub fn run_scenario(
     scheme: &Scheme,
     spec: &ScenarioSpec,
@@ -114,13 +115,10 @@ fn run_scenario_inner(
     let mut pool: DriverPool = world.drivers.into_iter().collect();
     pool.set_recorder(recorder.cloned());
     pool.run_until(&mut sim, spec.duration);
-    // A fallback scheme reports its monitor's `QC_sat`; a plain learned
-    // one the per-decision certificates `qc` asked for, if any.
+    // The scheme's monitor — a fallback scheme's, or the observing one
+    // `qc` gave a plain learned scheme — certified every decision.
     let driver = pool.drivers().first();
-    let qc_values = driver.map_or(&[][..], |d| match d.fallback() {
-        Some(_) => d.fallback_qc_values(),
-        None => d.qc_values(),
-    });
+    let qc_values = driver.map_or(&[][..], |d| d.fallback_qc_values());
 
     let mut metrics = flow_metrics(&sim, primary, &scheme.name());
     if !qc_values.is_empty() {

@@ -106,7 +106,11 @@ fn fallback_scenario_matches_ccenv_step_for_step() {
     while !done {
         let ctx = env.step_context();
         let action = model.actor.forward(&ctx.state)[0];
-        let decision = fb.decide(&model.actor, layout, &ctx);
+        let qc_sat = fb
+            .verifier()
+            .certify_all(&model.actor, fb.properties(), layout, &ctx)
+            .1;
+        let decision = fb.arbitrate(qc_sat);
         qc_values.push(decision.qc_sat);
         done = if decision.use_agent {
             env.step(action).done

@@ -27,7 +27,6 @@
 //! println!("worst QC_sat badness: {}", outcome.best_badness);
 //! ```
 
-pub mod compare;
 pub mod ledger;
 pub mod objective;
 pub mod optimize;
@@ -35,7 +34,6 @@ pub mod report;
 pub mod shrink;
 pub mod space;
 
-pub use compare::{compare_models, ModelComparison};
 pub use ledger::{LedgerEntry, RobustnessLedger, LEDGER_SCHEMA};
 pub use objective::{Objective, ObjectiveKind, ScenarioScores};
 pub use optimize::{search, search_with_recorder, SearchConfig, SearchOutcome, OPTIMIZER};

@@ -450,8 +450,9 @@ impl Fleet {
     /// every flow's current decision context in one batched pass and
     /// deploys it only if the weakest aggregate clears the gate. On
     /// rejection the running fleet is untouched. A candidate that is not a
-    /// single-output actor with finite parameters is rejected before the
-    /// verifier sees it (`min_qc` 0, `flows` 0).
+    /// single-output actor with finite parameters, and any candidate for a
+    /// fleet with no flows (no live context to certify it on), is rejected
+    /// before the verifier sees it (`min_qc` 0, `flows` 0).
     ///
     /// # Panics
     ///
@@ -469,10 +470,12 @@ impl Fleet {
             flows: 0,
             vetoed,
         };
-        // The abstract interpreter assumes finite weights (a `+∞` bias
-        // makes `Interval::centered(∞, ∞)` a NaN bound, which panics) and
-        // the certificate reads output 0 as *the* action.
-        if candidate.output_dim() != 1 || candidate.params_flat().iter().any(|p| !p.is_finite()) {
+        // A non-finite parameter is no model to certify, the certificate
+        // reads output 0 as *the* action, and an empty fleet would promote
+        // on no evidence at all.
+        let malformed =
+            candidate.output_dim() != 1 || candidate.params_flat().iter().any(|p| !p.is_finite());
+        if malformed || self.pool.is_empty() {
             return refused(false);
         }
         // Degradation hook: while an SLO breach is active, the fleet's
@@ -676,6 +679,52 @@ mod tests {
         }
         // The same gate deploys a well-formed candidate.
         assert!(fleet.promote(constant_actor(3, 0.25), &gate).promoted);
+    }
+
+    /// A candidate whose enclosure overflows (finite weights scaled by
+    /// 1e300) certifies nothing and is refused, without a panic.
+    #[test]
+    fn promote_refuses_an_overflowing_candidate() {
+        let gate = PromotionGate {
+            properties: vec![Property::p1(&PropertyParams::default())],
+            threshold: 0.9,
+            n_components: 4,
+        };
+        let mut fleet = Fleet::new(&FleetConfig::dumbbell(4, 96e6, 3), constant_actor(3, 0.5));
+        let before = fleet.actor().params_flat();
+        let mut huge = actor(3, 9);
+        for layer in huge.layers_mut() {
+            layer
+                .weights
+                .as_mut_slice()
+                .iter_mut()
+                .for_each(|w| *w *= 1e300);
+            layer.bias.iter_mut().for_each(|b| *b *= 1e300);
+        }
+        let outcome = fleet.promote(huge, &gate);
+        assert!(!outcome.promoted && !outcome.vetoed, "{outcome:?}");
+        assert_eq!(outcome.flows, 4);
+        assert!((0.0..=1.0).contains(&outcome.min_qc), "{outcome:?}");
+        assert_eq!(fleet.actor().params_flat(), before);
+    }
+
+    /// A fleet with no flows has no live context to certify a candidate
+    /// on, so it refuses instead of promoting vacuously.
+    #[test]
+    fn an_empty_fleet_refuses_every_promotion() {
+        let gate = PromotionGate {
+            properties: vec![Property::p1(&PropertyParams::default())],
+            threshold: 0.0,
+            n_components: 4,
+        };
+        let mut fleet = Fleet::new(&FleetConfig::dumbbell(0, 96e6, 3), constant_actor(3, 0.5));
+        let refused = PromoteOutcome {
+            promoted: false,
+            min_qc: 0.0,
+            flows: 0,
+            vetoed: false,
+        };
+        assert_eq!(fleet.promote(constant_actor(3, 0.25), &gate), refused);
     }
 
     /// The pool's compiled policy follows the deployed actor: an accepted

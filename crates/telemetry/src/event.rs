@@ -78,8 +78,8 @@ pub enum SpanStage {
     Group,
     /// The batched actor pass over each policy group.
     Forward,
-    /// The certification passes over each group's contexts (one item per
-    /// decision per pass; equal QC and fallback configs share a pass).
+    /// The certification pass over each monitored group's contexts (one
+    /// item per certified decision: a policy has at most one monitor).
     Certify,
     /// `apply_decision` over every prepared driver.
     Apply,

@@ -162,11 +162,15 @@ fn lambda_extremes() {
 
 /// A non-finite actor output must cost one interval, not the flow: the
 /// kernel keeps that interval (recorded as a fallback), so the NaN never
-/// enters `prev_action`, the state history or the window.
+/// enters `prev_action`, the state history or the window. Behind either
+/// kind of monitor, an actor whose enclosure overflows — a NaN bias, or
+/// finite weights scaled by 1e300 — certifies nothing instead of
+/// panicking, and the run goes on the same way.
 #[test]
 fn non_finite_actor_output_runs_the_kernel() {
     use canopy_repro::core::driver::{DriverPolicy, DriverPool};
     use canopy_repro::core::obs::StateLayout;
+    use canopy_repro::core::runtime::FallbackController;
     use canopy_repro::core::world::{spawn_all, Controller, FlowSpec};
     use canopy_repro::netsim::{BandwidthTrace, LinkConfig, Topology};
     use canopy_repro::nn::{Activation, Mlp};
@@ -176,28 +180,76 @@ fn non_finite_actor_output_runs_the_kernel() {
 
     let k = 3;
     let widths = [StateLayout::new(k).dim(), 8, 1];
-    let mut actor = Mlp::new(&mut StdRng::seed_from_u64(5), &widths, Activation::Tanh);
-    actor.layers_mut()[1].bias[0] = f64::NAN;
+    let fresh = || Mlp::new(&mut StdRng::seed_from_u64(5), &widths, Activation::Tanh);
+    let mut nan_bias = fresh();
+    nan_bias.layers_mut()[1].bias[0] = f64::NAN;
+    let mut huge = fresh();
+    for layer in huge.layers_mut() {
+        layer
+            .weights
+            .as_mut_slice()
+            .iter_mut()
+            .for_each(|w| *w *= 1e300);
+        layer.bias.iter_mut().for_each(|b| *b *= 1e300);
+    }
+    let props = Property::shallow_set(&PropertyParams::default());
+    let arbitrating = FallbackController::new(props.clone(), 0.5, 4);
+    let observing = FallbackController::observing(props, 4);
+    let runs = [
+        (&nan_bias, None),
+        (&nan_bias, Some(arbitrating.clone())),
+        (&nan_bias, Some(observing.clone())),
+        (&huge, Some(arbitrating)),
+        (&huge, Some(observing)),
+    ];
+
     let rtt = Time::from_millis(40);
     let link = LinkConfig::with_bdp_buffer(BandwidthTrace::constant("nan", 24e6), rtt, 1.0);
-    let policy = Some(DriverPolicy::new(actor));
-    let flow = FlowSpec::new(Controller::Orca { k, policy }, rtt);
-    let mut world = spawn_all(&Topology::dumbbell(link), &[flow]).expect("spawns");
-    let mut pool = DriverPool::new();
-    pool.push(world.drivers.remove(0));
-    let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
-    pool.set_recorder(Some(recorder.clone()));
-    pool.run_until(&mut world.sim, Time::from_secs(2));
+    for (actor, monitor) in runs {
+        let tag = format!(
+            "nan bias {}, monitor {monitor:?}",
+            actor.layers()[1].bias[0].is_nan()
+        );
+        let mut policy = DriverPolicy::new(actor.clone());
+        if let Some(monitor) = monitor.clone() {
+            policy = policy.with_fallback(monitor);
+        }
+        let policy = Some(policy);
+        let flow = FlowSpec::new(Controller::Orca { k, policy }, rtt);
+        let mut world = spawn_all(&Topology::dumbbell(link.clone()), &[flow]).expect("spawns");
+        let mut pool = DriverPool::new();
+        pool.push(world.drivers.remove(0));
+        let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
+        pool.set_recorder(Some(recorder.clone()));
+        pool.run_until(&mut world.sim, Time::from_secs(2));
 
-    let recorder = recorder.borrow();
-    assert_eq!(recorder.decisions().len(), 49);
-    for d in recorder.decisions().iter() {
-        assert!(d.action.is_nan() && d.fallback, "{d:?}");
-        assert!(d.state_min.is_finite() && d.state_max.is_finite(), "{d:?}");
-        assert!(d.cwnd.is_finite() && d.action_clamped == 0.0, "{d:?}");
+        let recorder = recorder.borrow();
+        assert_eq!(recorder.decisions().len(), 49, "{tag}");
+        for d in recorder.decisions().iter() {
+            if d.action.is_nan() {
+                assert!(d.fallback && d.action_clamped == 0.0, "{tag}: {d:?}");
+            }
+            assert!(
+                d.state_min.is_finite() && d.state_max.is_finite(),
+                "{tag}: {d:?}"
+            );
+            assert!(d.cwnd.is_finite(), "{tag}: {d:?}");
+        }
+        let driver = &pool.drivers()[0];
+        assert!(driver.prev_action().is_finite(), "{tag}");
+        if actor.layers()[1].bias[0].is_nan() {
+            assert!(recorder.decisions().iter().all(|d| d.action.is_nan()));
+            assert_eq!(driver.prev_action(), 0.0);
+        }
+        // A monitored decision carries a finite certificate that proves
+        // nothing for sure.
+        let qc = driver.fallback_qc_values();
+        assert_eq!(qc.len(), if monitor.is_some() { 49 } else { 0 }, "{tag}");
+        assert!(qc.iter().all(|q| (0.0..=1.0).contains(q)), "{tag}: {qc:?}");
+        // Cubic kept the window: the flow moved real traffic.
+        assert!(
+            world.sim.flow_stats(driver.flow()).acked_packets > 1_000,
+            "{tag}"
+        );
     }
-    let driver = &pool.drivers()[0];
-    assert_eq!(driver.prev_action(), 0.0);
-    // Cubic kept the window: the flow moved real traffic.
-    assert!(world.sim.flow_stats(driver.flow()).acked_packets > 1_000);
 }
