@@ -65,24 +65,16 @@ impl Zonotope {
     /// The tightest per-dimension interval cover:
     /// `[c_i − Σ|g_ki|, c_i + Σ|g_ki|]`.
     pub fn to_intervals(&self) -> Vec<Interval> {
-        (0..self.dim())
-            .map(|i| {
-                let radius: f64 = self.generators.iter().map(|g| g[i].abs()).sum();
-                Interval::new(
-                    (self.center[i] - radius).next_down(),
-                    (self.center[i] + radius).next_up(),
-                )
-            })
-            .collect()
+        (0..self.dim()).map(|i| self.dim_interval(i)).collect()
     }
 
-    /// The interval cover of a single dimension.
+    /// The outward-rounded interval cover of a single dimension. An
+    /// overflowed centre or generator (a NaN bound) covers everything on
+    /// its side, as in [`Interval::centered`].
     pub fn dim_interval(&self, i: usize) -> Interval {
         let radius: f64 = self.generators.iter().map(|g| g[i].abs()).sum();
-        Interval::new(
-            (self.center[i] - radius).next_down(),
-            (self.center[i] + radius).next_up(),
-        )
+        let cover = Interval::centered(self.center[i], radius);
+        Interval::new(cover.lo.next_down(), cover.hi.next_up())
     }
 
     /// The exact affine image `W·Z + b` (no precision loss — the key
@@ -190,7 +182,7 @@ impl Zonotope {
         idx.sort_by(|&a, &b| {
             let na: f64 = self.generators[a].iter().map(|x| x.abs()).sum();
             let nb: f64 = self.generators[b].iter().map(|x| x.abs()).sum();
-            nb.partial_cmp(&na).expect("finite generator norms")
+            nb.total_cmp(&na)
         });
         let keep_count = max_generators.saturating_sub(self.dim()).max(1);
         let (keep, fold) = idx.split_at(keep_count.min(idx.len()));
@@ -203,7 +195,9 @@ impl Zonotope {
         let mut new_gens: Vec<Vec<f64>> =
             keep.iter().map(|&k| self.generators[k].clone()).collect();
         for (i, &r) in box_radius.iter().enumerate() {
-            if r > 0.0 {
+            // A NaN radius (an overflowed generator) is kept, so the cover
+            // stays unbounded instead of losing the generator.
+            if r != 0.0 {
                 let mut g = vec![0.0; self.dim()];
                 // Inflate against floating-point reassociation so the
                 // reduced zonotope strictly contains the original.

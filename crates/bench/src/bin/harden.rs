@@ -43,6 +43,7 @@
 //! its own metadata.
 
 use std::cell::RefCell;
+use std::io::ErrorKind;
 use std::process::ExitCode;
 use std::rc::Rc;
 
@@ -56,9 +57,10 @@ use canopy_netsim::Time;
 use canopy_scenarios::{episode_spec, generate, run_scenario_recorded, Family, ScenarioSpec};
 use canopy_search::{
     load_corpus, search_with_recorder, AdversarialFixture, Objective, ObjectiveKind,
-    RobustnessLedger, SearchConfig, SearchSpace, ShrinkConfig, LEDGER_SCHEMA,
+    RobustnessLedger, SearchConfig, SearchSpace, ShrinkConfig,
 };
-use canopy_telemetry::{FlightRecorder, SharedRecorder, TelemetryReport};
+use canopy_telemetry::artifact::Cause;
+use canopy_telemetry::{Artifact, FlightRecorder, SharedRecorder, TelemetryReport};
 
 struct HardenOpts {
     scheme: ModelKind,
@@ -444,6 +446,31 @@ fn run_rounds(
     Ok(result)
 }
 
+/// The ledger this run appends to: the one at `--ledger` when it belongs
+/// to this run's lineage (new rounds continue past its last round), a
+/// fresh round-0 lineage when no file is there. Any other failure to read
+/// it — unreadable, not UTF-8, not a valid ledger, another lineage — is
+/// an error, so a file the run cannot resume is never overwritten.
+fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
+    let fresh = RobustnessLedger::new(opts.scheme.name(), opts.model_seed, opts.smoke);
+    let ledger = match RobustnessLedger::read(&opts.ledger) {
+        Err(e) if matches!(&e.cause, Cause::Io(e) if e.kind() == ErrorKind::NotFound) => {
+            return Ok(fresh)
+        }
+        read => read.map_err(|e| e.to_string())?,
+    };
+    if ledger.scheme != opts.scheme.name()
+        || ledger.model_seed != opts.model_seed
+        || ledger.smoke != opts.smoke
+    {
+        return Err(format!(
+            "{}: existing ledger is for {}/seed {}/smoke {}, not this run's lineage",
+            opts.ledger, ledger.scheme, ledger.model_seed, ledger.smoke
+        ));
+    }
+    Ok(ledger)
+}
+
 fn rounds_digest(r: &RoundsResult) -> String {
     let entries = serde_json::to_string(&r.entries).expect("entries serialize");
     let fixtures: Vec<String> = r.fixtures.iter().map(AdversarialFixture::to_json).collect();
@@ -455,7 +482,7 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_opts(&args)?;
     if opts.retrace {
-        let corpus = load_corpus(&opts.fixture_out)?;
+        let corpus = load_corpus(&opts.fixture_out).map_err(|e| e.to_string())?;
         if corpus.is_empty() {
             return Err(format!("--retrace: no fixtures in {}", opts.fixture_out));
         }
@@ -469,6 +496,8 @@ fn run() -> Result<(), String> {
         }
         return Ok(());
     }
+    let mut ledger = resume_ledger(&opts)?;
+    let first_round = ledger.last_round().map_or(0, |r| r + 1);
     let harness = HarnessOpts {
         seed: opts.model_seed,
         smoke: opts.smoke,
@@ -485,29 +514,7 @@ fn run() -> Result<(), String> {
         opts.seed
     );
 
-    // Resume an existing ledger (append-only: new rounds continue past
-    // its last round) or start a fresh lineage at round 0.
-    let mut ledger = match std::fs::read_to_string(&opts.ledger) {
-        Ok(text) => {
-            let l = RobustnessLedger::from_json(&text)
-                .map_err(|e| format!("{}: not a ledger: {e}", opts.ledger))?;
-            l.validate().map_err(|e| format!("{}: {e}", opts.ledger))?;
-            if l.scheme != opts.scheme.name()
-                || l.model_seed != opts.model_seed
-                || l.smoke != opts.smoke
-            {
-                return Err(format!(
-                    "{}: existing ledger is for {}/seed {}/smoke {}, not this run's lineage",
-                    opts.ledger, l.scheme, l.model_seed, l.smoke
-                ));
-            }
-            l
-        }
-        Err(_) => RobustnessLedger::new(opts.scheme.name(), opts.model_seed, opts.smoke),
-    };
-    let first_round = ledger.last_round().map_or(0, |r| r + 1);
-
-    let corpus = load_corpus(&opts.fixture_out)?;
+    let corpus = load_corpus(&opts.fixture_out).map_err(|e| e.to_string())?;
     println!(
         "corpus: {} fixtures in {}; ledger {} starts at round {first_round}",
         corpus.len(),
@@ -536,22 +543,18 @@ fn run() -> Result<(), String> {
     }
 
     ledger.entries.extend(result.entries);
-    ledger
-        .validate()
-        .map_err(|e| format!("refusing to write invalid ledger: {e}"))?;
-    std::fs::write(&opts.ledger, ledger.to_json())
-        .map_err(|e| format!("cannot write {}: {e}", opts.ledger))?;
+    ledger.write(&opts.ledger).map_err(|e| e.to_string())?;
     println!(
-        "wrote {} (schema {LEDGER_SCHEMA}, {} entries)",
+        "wrote {} (schema {}, {} entries)",
         opts.ledger,
+        RobustnessLedger::SCHEMA,
         ledger.entries.len()
     );
     std::fs::create_dir_all(&opts.fixture_out)
         .map_err(|e| format!("cannot create {}: {e}", opts.fixture_out))?;
     for fixture in &result.fixtures {
         let path = format!("{}/{}", opts.fixture_out, fixture.file_name());
-        std::fs::write(&path, fixture.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        fixture.write(&path).map_err(|e| e.to_string())?;
         println!("wrote fixture {path}");
         write_fixture_trace(&opts.fixture_out, fixture)?;
     }
@@ -585,13 +588,10 @@ fn write_fixture_trace(fixture_out: &str, fixture: &AdversarialFixture) -> Resul
     let stem = name.strip_suffix(".json").unwrap_or(&name);
     let label = format!("harden fixture {name}");
     let report = TelemetryReport::from_recorder(&rec.borrow(), &label, &objective.model.name);
-    report
-        .validate()
-        .map_err(|e| format!("refusing to write invalid trace for {name}: {e}"))?;
     let dir = format!("{fixture_out}/traces");
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
     let path = format!("{dir}/{stem}.trace.json");
-    std::fs::write(&path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    report.write(&path).map_err(|e| e.to_string())?;
     println!("wrote decision trace {path}");
     Ok(())
 }
@@ -667,6 +667,32 @@ mod tests {
         let loaded = load_corpus(file.to_str().expect("utf-8 temp path"));
         let _ = std::fs::remove_file(&file);
         assert!(loaded.is_err(), "a file read as a corpus: {loaded:?}");
+    }
+
+    #[test]
+    fn a_ledger_that_cannot_be_read_stops_the_run() {
+        // Only a missing file starts a fresh lineage; a file that is there
+        // but unreadable as a ledger must stop the run before it
+        // overwrites what is there.
+        let path =
+            std::env::temp_dir().join(format!("canopy-harden-ledger-{}", std::process::id()));
+        let path_str = path.to_str().expect("utf-8 temp path");
+        let opts = parse_opts(&argv(&["--smoke", "--ledger", path_str])).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let fresh = resume_ledger(&opts).expect("a missing ledger is a fresh lineage");
+        assert!(fresh.entries.is_empty() && fresh.last_round().is_none());
+
+        std::fs::write(&path, [0xff]).expect("temp ledger");
+        let not_utf8 = resume_ledger(&opts);
+        let _ = std::fs::remove_file(&path);
+        let err = not_utf8.expect_err("a non-UTF-8 ledger is an error");
+        assert!(err.contains(path_str), "{err}");
+
+        std::fs::create_dir_all(&path).expect("temp dir");
+        let dir = resume_ledger(&opts);
+        let _ = std::fs::remove_dir(&path);
+        let err = dir.expect_err("a directory is not a ledger");
+        assert!(err.contains(path_str), "{err}");
     }
 
     #[test]

@@ -54,7 +54,7 @@ use canopy_scenarios::{
     ScenarioSpec, TopologySpec,
 };
 use canopy_telemetry::{
-    FlightRecorder, LiveConfig, RecorderConfig, SharedRecorder, TelemetryReport,
+    Artifact, FlightRecorder, LiveConfig, RecorderConfig, SharedRecorder, TelemetryReport,
 };
 
 struct LabOpts {
@@ -313,11 +313,7 @@ fn run() -> Result<(), String> {
         }
     }
 
-    report
-        .validate()
-        .map_err(|e| format!("generated report is invalid: {e}"))?;
-    let text = report.to_json();
-    std::fs::write(&lab.out, &text).map_err(|e| format!("cannot write {}: {e}", lab.out))?;
+    report.write(&lab.out).map_err(|e| e.to_string())?;
     println!(
         "\nwrote {} ({} results, schema {})",
         lab.out,
@@ -351,7 +347,7 @@ fn run() -> Result<(), String> {
         let reparsed: Vec<ScenarioSpec> = specs.iter().map(reparse).collect();
         let again = run_matrix(&schemes, &reparsed, None)
             .map_err(|e| format!("--check re-run failed: {e}"))?;
-        if ScenarioReport::new(again).to_json() != text {
+        if ScenarioReport::new(again).to_json() != report.to_json() {
             return Err("--check FAILED: re-run diverged from the report".into());
         }
         println!("--check OK: re-run from re-parsed specs is bitwise identical");

@@ -49,9 +49,9 @@ use canopy_netsim::Time;
 use canopy_scenarios::{run_scenario_recorded, Family};
 use canopy_search::{
     search, search_with_recorder, AdversarialFixture, Minimized, Objective, ObjectiveKind,
-    SearchConfig, SearchReport, SearchSpace, ShrinkConfig, OPTIMIZER, SEARCH_SCHEMA,
+    SearchConfig, SearchReport, SearchSpace, ShrinkConfig, OPTIMIZER,
 };
-use canopy_telemetry::{FlightRecorder, SharedRecorder, TelemetryReport};
+use canopy_telemetry::{Artifact, FlightRecorder, SharedRecorder, TelemetryReport};
 
 struct SearchOpts {
     family: Family,
@@ -229,7 +229,7 @@ fn run() -> Result<bool, String> {
     }
 
     let report = SearchReport {
-        schema: SEARCH_SCHEMA.to_string(),
+        schema: SearchReport::SCHEMA.to_string(),
         family: opts.family.name().to_string(),
         scheme: trained.name.clone(),
         objective: opts.objective.name().to_string(),
@@ -247,11 +247,7 @@ fn run() -> Result<bool, String> {
         best_spec: outcome.best_spec.clone(),
         minimized,
     };
-    report
-        .validate()
-        .map_err(|e| format!("invalid report: {e}"))?;
-    let text = report.to_json();
-    std::fs::write(&opts.out, &text).map_err(|e| format!("cannot write {}: {e}", opts.out))?;
+    report.write(&opts.out).map_err(|e| e.to_string())?;
     println!("wrote {} (schema {})", opts.out, report.schema);
 
     if let (Some(dir), Some(min)) = (&opts.fixture_out, &report.minimized) {
@@ -264,13 +260,9 @@ fn run() -> Result<bool, String> {
             min.badness,
             min.spec.clone(),
         );
-        fixture
-            .validate()
-            .map_err(|e| format!("invalid fixture: {e}"))?;
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
         let path = format!("{dir}/{}", fixture.file_name());
-        std::fs::write(&path, fixture.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        fixture.write(&path).map_err(|e| e.to_string())?;
         println!("wrote fixture {path}");
     }
 
@@ -301,17 +293,16 @@ fn run() -> Result<bool, String> {
         println!("--check OK: re-run is bitwise identical");
     }
 
-    if report.below_min_gap {
-        let gap = opts.min_gap.expect("flag implies a gap");
-        println!(
+    match opts.min_gap {
+        Some(gap) if report.below_min_gap => println!(
             "hardened: search failed to reach --min-gap {gap} (best badness {:.3})",
             report.best_badness
-        );
-    } else if let Some(gap) = opts.min_gap {
-        println!(
+        ),
+        Some(gap) => println!(
             "search succeeded: best badness {:.3} ≥ --min-gap {gap}",
             report.best_badness
-        );
+        ),
+        None => {}
     }
     Ok(report.below_min_gap)
 }

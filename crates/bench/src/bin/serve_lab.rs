@@ -38,7 +38,7 @@ use canopy_core::property::{Property, PropertyParams};
 use canopy_netsim::Time;
 use canopy_nn::{Activation, Mlp};
 use canopy_serve::{Fleet, FleetConfig, PromoteOutcome, PromotionGate, QcMonitorConfig};
-use canopy_telemetry::{FlightRecorder, LiveConfig, RecorderConfig, SloKind, SloSpec};
+use canopy_telemetry::{Artifact, FlightRecorder, LiveConfig, RecorderConfig, SloKind, SloSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -19,6 +19,7 @@ use canopy_core::models::{self, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::trainer::TrainingHistory;
 use canopy_netsim::Time;
 use canopy_scenarios::ScenarioSpec;
+use canopy_telemetry::{Artifact, FlightRecorder, TelemetryReport};
 
 /// The seed every figure uses unless overridden with `--seed N`.
 pub const DEFAULT_SEED: u64 = 20260427;
@@ -176,18 +177,13 @@ pub fn chrome_trace_path(path: &str) -> String {
 /// Validates and writes one telemetry report to `path`, plus its
 /// Chrome-trace export next to it. Every `--trace-out` flag funnels here
 /// so the two artifacts never drift apart.
-pub fn write_trace(path: &str, report: &canopy_telemetry::TelemetryReport) -> Result<(), String> {
-    report
-        .validate()
-        .map_err(|e| format!("refusing to write invalid telemetry: {e}"))?;
-    std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+pub fn write_trace(path: &str, report: &TelemetryReport) -> Result<(), String> {
+    report.write(path).map_err(|e| e.to_string())?;
     let chrome = chrome_trace_path(path);
     std::fs::write(&chrome, canopy_telemetry::chrome_trace(report))
         .map_err(|e| format!("cannot write {chrome}: {e}"))?;
-    println!(
-        "wrote {path} (schema {}) and {chrome}",
-        canopy_telemetry::TELEMETRY_SCHEMA
-    );
+    let schema = TelemetryReport::SCHEMA;
+    println!("wrote {path} (schema {schema}) and {chrome}");
     Ok(())
 }
 
@@ -196,20 +192,19 @@ pub fn write_trace(path: &str, report: &canopy_telemetry::TelemetryReport) -> Re
 /// `canopy-live-metrics/v1` snapshot per line), the latest
 /// Prometheus-style exposition (`exposition.prom`), and — when an SLO
 /// watchdog ran — the canonical alert ledger (`alerts.json`,
-/// `canopy-alerts/v1`). Every `--live-out` flag funnels here. Snapshots
-/// are validated before anything is written.
-pub fn write_live_out(dir: &str, rec: &canopy_telemetry::FlightRecorder) -> Result<(), String> {
+/// `canopy-alerts/v1`). Every `--live-out` flag funnels here. The
+/// snapshots and then the ledger are validated before anything else is
+/// written.
+pub fn write_live_out(dir: &str, rec: &FlightRecorder) -> Result<(), String> {
+    let metrics = format!("{dir}/metrics.jsonl");
+    let alerts = format!("{dir}/alerts.json");
     for snap in rec.live_snapshots() {
-        snap.validate()
-            .map_err(|e| format!("refusing to write invalid live metrics: {e}"))?;
+        snap.validate().map_err(|e| format!("{metrics}: {e}"))?;
     }
     if let Some(ledger) = rec.alert_ledger() {
-        ledger
-            .validate()
-            .map_err(|e| format!("refusing to write invalid alert ledger: {e}"))?;
+        ledger.validate().map_err(|e| format!("{alerts}: {e}"))?;
     }
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    let metrics = format!("{dir}/metrics.jsonl");
     std::fs::write(&metrics, rec.live_metrics_jsonl())
         .map_err(|e| format!("cannot write {metrics}: {e}"))?;
     let prom = format!("{dir}/exposition.prom");
@@ -220,9 +215,7 @@ pub fn write_live_out(dir: &str, rec: &canopy_telemetry::FlightRecorder) -> Resu
         rec.live_snapshots().len()
     );
     if let Some(ledger) = rec.alert_ledger() {
-        let alerts = format!("{dir}/alerts.json");
-        std::fs::write(&alerts, ledger.to_json())
-            .map_err(|e| format!("cannot write {alerts}: {e}"))?;
+        ledger.write(&alerts).map_err(|e| e.to_string())?;
         wrote.push_str(&format!(" and {alerts} ({} alerts)", ledger.alerts.len()));
     }
     println!("{wrote}");

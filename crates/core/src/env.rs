@@ -71,7 +71,7 @@ impl EnvConfig {
             reward: RewardConfig::default(),
             noise: None,
             record_samples: false,
-            impairments: Impairments::none(),
+            impairments: Impairments::default(),
         }
     }
 

@@ -22,18 +22,6 @@ pub struct Impairments {
     pub seed: u64,
 }
 
-impl Impairments {
-    /// No impairments (the default).
-    pub fn none() -> Impairments {
-        Impairments::default()
-    }
-
-    /// Whether any impairment is active.
-    pub fn is_active(&self) -> bool {
-        self.random_loss > 0.0 || self.max_jitter > Time::ZERO
-    }
-}
-
 /// One phase of a time-scheduled impairment program: from `start` until the
 /// next phase begins (or forever), packets see the given loss probability
 /// and jitter bound.
@@ -101,6 +89,12 @@ impl ImpairmentSchedule {
     }
 }
 
+impl From<Impairments> for ImpairmentSchedule {
+    fn from(imp: Impairments) -> ImpairmentSchedule {
+        ImpairmentSchedule::constant(imp)
+    }
+}
+
 /// Static configuration of one link.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LinkConfig {
@@ -108,11 +102,9 @@ pub struct LinkConfig {
     pub trace: BandwidthTrace,
     /// Droptail buffer size in bytes.
     pub buffer_bytes: u64,
-    /// Stochastic impairments (off by default).
-    pub impairments: Impairments,
-    /// Optional time-scheduled impairment program; when set it supersedes
-    /// the static `impairments`.
-    pub schedule: Option<ImpairmentSchedule>,
+    /// The impairment program (off by default); static [`Impairments`]
+    /// are its one-phase case, [`ImpairmentSchedule::constant`].
+    pub impairments: Option<ImpairmentSchedule>,
     /// One-way propagation delay added when forwarding a packet from this
     /// link to the *next* hop of its path. Irrelevant on a flow's final
     /// hop, where delivery uses the flow's `min_rtt` instead — so a
@@ -128,8 +120,7 @@ impl LinkConfig {
         LinkConfig {
             trace,
             buffer_bytes,
-            impairments: Impairments::none(),
-            schedule: None,
+            impairments: None,
             delay: Time::ZERO,
         }
     }
@@ -140,30 +131,11 @@ impl LinkConfig {
         self
     }
 
-    /// Attaches stochastic impairments to the link.
-    pub fn with_impairments(mut self, impairments: Impairments) -> LinkConfig {
-        self.impairments = impairments;
+    /// Attaches an impairment program to the link; static [`Impairments`]
+    /// attach as their one-phase [`ImpairmentSchedule::constant`].
+    pub fn with_impairments(mut self, impairments: impl Into<ImpairmentSchedule>) -> LinkConfig {
+        self.impairments = Some(impairments.into());
         self
-    }
-
-    /// Attaches a time-scheduled impairment program (supersedes any static
-    /// impairments).
-    pub fn with_impairment_schedule(mut self, schedule: ImpairmentSchedule) -> LinkConfig {
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// The effective impairment program: the explicit schedule when set,
-    /// otherwise the static impairments lifted to a one-phase schedule,
-    /// otherwise `None`.
-    pub fn effective_schedule(&self) -> Option<ImpairmentSchedule> {
-        match &self.schedule {
-            Some(s) => s.is_active().then(|| s.clone()),
-            None => self
-                .impairments
-                .is_active()
-                .then(|| ImpairmentSchedule::constant(self.impairments)),
-        }
     }
 
     /// Creates a link whose buffer is `bdp_multiple` bandwidth-delay
@@ -178,13 +150,7 @@ impl LinkConfig {
         let avg_rate_bps = trace.avg_rate(Time::ZERO, cycle);
         let bdp_bytes = avg_rate_bps * min_rtt.as_secs_f64() / 8.0;
         let buffer = (bdp_bytes * bdp_multiple).max(2.0 * MSS_BYTES as f64) as u64;
-        LinkConfig {
-            trace,
-            buffer_bytes: buffer,
-            impairments: Impairments::none(),
-            schedule: None,
-            delay: Time::ZERO,
-        }
+        LinkConfig::new(trace, buffer)
     }
 
     /// The bandwidth-delay product in packets for a given RTT, based on the

@@ -29,8 +29,9 @@ struct LinkRuntime {
 }
 
 impl LinkRuntime {
-    fn new(config: LinkConfig) -> LinkRuntime {
-        let impair = config.effective_schedule().map(|s| {
+    fn new(mut config: LinkConfig) -> LinkRuntime {
+        let active = config.impairments.take().filter(|s| s.is_active());
+        let impair = active.map(|s| {
             let rng = StdRng::seed_from_u64(s.seed);
             (s, rng)
         });
@@ -1103,7 +1104,7 @@ mod tests {
             11,
         );
         let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(40), 4.0)
-            .with_impairment_schedule(schedule);
+            .with_impairments(schedule);
         let mut sim = Simulator::new(link);
         let f = sim.add_flow(
             FlowConfig::new(Time::from_millis(40)),
@@ -1151,7 +1152,7 @@ mod tests {
 
     #[test]
     fn static_impairments_equal_one_phase_schedule() {
-        use crate::link::{ImpairmentSchedule, Impairments};
+        use crate::link::{ImpairmentPhase, ImpairmentSchedule, Impairments};
         let run = |link: LinkConfig| {
             let mut sim = Simulator::new(link);
             let f = sim.add_flow(
@@ -1175,8 +1176,16 @@ mod tests {
             )
         };
         let static_run = run(mk().with_impairments(imp));
-        let sched_run = run(mk().with_impairment_schedule(ImpairmentSchedule::constant(imp)));
+        let phase = ImpairmentPhase {
+            start: Time::ZERO,
+            random_loss: 0.01,
+            max_jitter: Time::from_millis(5),
+        };
+        let sched_run = run(mk().with_impairments(ImpairmentSchedule::new(vec![phase], 3)));
         assert_eq!(static_run, sched_run);
+        // Pinned: lifting static impairments into a schedule must not move
+        // a single packet of this run.
+        assert_eq!(static_run, (1478, 21, 6));
     }
 
     #[test]
@@ -1187,7 +1196,7 @@ mod tests {
             Time::from_millis(30),
             1.5,
         )
-        .with_impairment_schedule(ImpairmentSchedule::new(
+        .with_impairments(ImpairmentSchedule::new(
             vec![ImpairmentPhase {
                 start: Time::from_secs(1),
                 random_loss: 0.02,

@@ -46,6 +46,6 @@ pub use gen::{fuzz_suite, fuzz_suite_seeds, generate, Family};
 pub use params::{decode_unit, dims, draw};
 pub use runner::{
     run_matrix, run_matrix_with_threads, run_scenario, run_scenario_recorded, ScenarioMetrics,
-    ScenarioReport, REPORT_SCHEMA,
+    ScenarioReport,
 };
 pub use spec::{CompiledTopology, CrossFlow, ScenarioSpec, SpecError, TopologySpec, TraceProgram};

@@ -17,7 +17,7 @@ use canopy_core::eval::{
 };
 use canopy_core::{pool, world};
 use canopy_netsim::{FlowId, Time};
-use canopy_telemetry::{SharedRecorder, LINK_CADENCE_NS};
+use canopy_telemetry::{Artifact, SharedRecorder, LINK_CADENCE_NS};
 
 use crate::episode::episode_spec;
 use crate::spec::{ScenarioSpec, SpecError};
@@ -212,24 +212,10 @@ pub fn run_matrix_with_threads(
     results.into_iter().collect()
 }
 
-/// The report schema tag; bump when [`ScenarioMetrics`] fields change.
-/// v2: `jain_fairness` became nullable (present exactly for multi-flow
-/// scenarios) and the primary metrics gained `acked_packets`.
-/// v3: cells gained a `topology` label, per-link `links` columns
-/// (utilization, mean/peak queue bytes, drops — one row per link in
-/// topology order), and nullable `hop_fairness` (Jain over per-hop-count
-/// mean throughputs, present exactly when ≥ 2 distinct path lengths ran).
-/// Dumbbell cells keep their v2 metric values unchanged.
-/// v4: primary metrics gained `peak_queue_bytes` (peak bottleneck-queue
-/// occupancy over the run) and nullable `fallback_engagements` (agent →
-/// Cubic transitions, present exactly for fallback schemes).
-/// Only the current tag validates: reports are regenerated, not migrated.
-pub const REPORT_SCHEMA: &str = "canopy-scenarios-report/v4";
-
 /// The aggregate output of a matrix run (`SCENARIOS_report.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScenarioReport {
-    /// Schema tag ([`REPORT_SCHEMA`]).
+    /// Schema tag, `canopy-scenarios-report/v4`.
     pub schema: String,
     /// Families covered, in run order.
     pub families: Vec<String>,
@@ -253,32 +239,35 @@ impl ScenarioReport {
             }
         }
         ScenarioReport {
-            schema: REPORT_SCHEMA.to_string(),
+            schema: Self::SCHEMA.to_string(),
             families,
             schemes,
             results,
         }
     }
+}
 
-    /// Serializes to deterministic JSON (sorted keys).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("reports always serialize")
+impl Artifact for ScenarioReport {
+    /// Bumped when [`ScenarioMetrics`] fields change.
+    /// v2: `jain_fairness` became nullable (present exactly for multi-flow
+    /// scenarios) and the primary metrics gained `acked_packets`.
+    /// v3: cells gained a `topology` label, per-link `links` columns
+    /// (utilization, mean/peak queue bytes, drops — one row per link in
+    /// topology order), and nullable `hop_fairness` (Jain over
+    /// per-hop-count mean throughputs, present exactly when ≥ 2 distinct
+    /// path lengths ran). Dumbbell cells keep their v2 metric values.
+    /// v4: primary metrics gained `peak_queue_bytes` (peak bottleneck-queue
+    /// occupancy over the run) and nullable `fallback_engagements` (agent →
+    /// Cubic transitions, present exactly for fallback schemes).
+    const SCHEMA: &'static str = "canopy-scenarios-report/v4";
+
+    fn schema(&self) -> &str {
+        &self.schema
     }
 
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<ScenarioReport, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Validates the schema tag and basic metric invariants — the gate the
-    /// CI smoke job runs against freshly generated reports.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != REPORT_SCHEMA {
-            return Err(format!(
-                "schema mismatch: `{}` (expected `{REPORT_SCHEMA}`)",
-                self.schema
-            ));
-        }
+    /// Basic metric invariants — the gate the CI smoke job runs against
+    /// freshly generated reports.
+    fn check(&self) -> Result<(), String> {
         if self.results.is_empty() {
             return Err("report contains no results".into());
         }
@@ -587,6 +576,6 @@ mod tests {
         let mut broken = back;
         broken.schema = "canopy-scenarios-report/v3".into();
         let err = broken.validate().expect_err("the previous tag is refused");
-        assert!(err.contains("schema mismatch"), "{err}");
+        assert!(err.to_string().contains("schema mismatch"), "{err}");
     }
 }

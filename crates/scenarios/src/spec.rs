@@ -466,9 +466,9 @@ impl ScenarioSpec {
     pub fn compile_topology(&self) -> Result<CompiledTopology, SpecError> {
         let trace = self.trace.compile()?;
         let plain = LinkConfig::with_bdp_buffer(trace, self.primary_min_rtt, self.buffer_bdp);
-        let impaired = match &self.impairments {
-            Some(sched) => plain.clone().with_impairment_schedule(sched.clone()),
-            None => plain.clone(),
+        let impaired = LinkConfig {
+            impairments: self.impairments.clone(),
+            ..plain.clone()
         };
         let n_cross = self.cross_traffic.len();
         Ok(match self.topology {
@@ -704,7 +704,7 @@ mod tests {
                         assert_eq!(topo.link(LinkId(l)).delay, hop_delay);
                     }
                     // Impairments (none here) would attach to hop 0 only.
-                    assert!(topo.link(LinkId(1)).schedule.is_none());
+                    assert!(topo.link(LinkId(1)).impairments.is_none());
                 }
                 TopologySpec::Incast { fan_in } => {
                     assert_eq!(topo.len(), 1 + fan_in);

@@ -11,10 +11,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::objective::ObjectiveKind;
+use canopy_telemetry::Artifact;
 
-/// The ledger schema tag; bump when [`RobustnessLedger`] changes.
-pub const LEDGER_SCHEMA: &str = "canopy-robustness-ledger/v1";
+use crate::objective::ObjectiveKind;
 
 /// One (model, family, round) measurement of the hardening loop.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -55,7 +54,7 @@ pub struct LedgerEntry {
 /// The complete committed ledger of one hardening lineage.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RobustnessLedger {
-    /// Schema tag ([`LEDGER_SCHEMA`]).
+    /// Schema tag, `canopy-robustness-ledger/v1`.
     pub schema: String,
     /// Base scheme being hardened (a `ModelKind` canonical name).
     pub scheme: String,
@@ -72,22 +71,12 @@ impl RobustnessLedger {
     /// An empty ledger for a fresh lineage.
     pub fn new(scheme: &str, model_seed: u64, smoke: bool) -> RobustnessLedger {
         RobustnessLedger {
-            schema: LEDGER_SCHEMA.to_string(),
+            schema: Self::SCHEMA.to_string(),
             scheme: scheme.to_string(),
             model_seed,
             smoke,
             entries: Vec::new(),
         }
-    }
-
-    /// Serializes to deterministic JSON (sorted keys).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("ledgers always serialize")
-    }
-
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<RobustnessLedger, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
     }
 
     /// The highest round recorded, if any entry exists.
@@ -110,16 +99,18 @@ impl RobustnessLedger {
             })
             .sum()
     }
+}
 
-    /// Validates the schema tag, identity vocabulary, metric ranges, the
-    /// monotone round sequence, and (model, family, round) uniqueness.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != LEDGER_SCHEMA {
-            return Err(format!(
-                "schema mismatch: `{}` (expected `{LEDGER_SCHEMA}`)",
-                self.schema
-            ));
-        }
+impl Artifact for RobustnessLedger {
+    const SCHEMA: &'static str = "canopy-robustness-ledger/v1";
+
+    fn schema(&self) -> &str {
+        &self.schema
+    }
+
+    /// Identity vocabulary, metric ranges, the monotone round sequence,
+    /// and (model, family, round) uniqueness.
+    fn check(&self) -> Result<(), String> {
         if canopy_core::models::ModelKind::parse(&self.scheme).is_none() {
             return Err(format!("unknown scheme `{}`", self.scheme));
         }
@@ -207,6 +198,11 @@ mod tests {
         }
     }
 
+    /// Why `l` fails validation.
+    fn refusal(l: &RobustnessLedger) -> String {
+        l.validate().expect_err("an invalid ledger").to_string()
+    }
+
     fn sample() -> RobustnessLedger {
         let mut l = RobustnessLedger::new("canopy-shallow", 3, true);
         l.entries
@@ -242,7 +238,7 @@ mod tests {
         let mut l = sample();
         l.entries
             .push(entry(0, "canopy-shallow", "buffer-sweep", 0.0));
-        let err = l.validate().unwrap_err();
+        let err = refusal(&l);
         assert!(err.contains("non-decreasing"), "{err}");
     }
 
@@ -251,7 +247,7 @@ mod tests {
         let mut l = sample();
         l.entries
             .push(entry(1, "canopy-shallow+hard-r1", "flash-crowd", 0.3));
-        let err = l.validate().unwrap_err();
+        let err = refusal(&l);
         assert!(err.contains("duplicate"), "{err}");
     }
 
@@ -259,26 +255,26 @@ mod tests {
     fn rejects_vocabulary_and_range_violations() {
         let mut bad_family = sample();
         bad_family.entries[0].family = "solar-flare".into();
-        assert!(bad_family.validate().unwrap_err().contains("family"));
+        assert!(refusal(&bad_family).contains("family"));
 
         let mut bad_obj = sample();
         bad_obj.entries[0].objective = "latency".into();
-        assert!(bad_obj.validate().unwrap_err().contains("objective"));
+        assert!(refusal(&bad_obj).contains("objective"));
 
         let mut bad_qc = sample();
         bad_qc.entries[0].qc_sat = 1.5;
-        assert!(bad_qc.validate().unwrap_err().contains("qc_sat"));
+        assert!(refusal(&bad_qc).contains("qc_sat"));
 
         let mut bad_flag = sample();
         bad_flag.entries[0].violation = false;
-        assert!(bad_flag.validate().unwrap_err().contains("violation"));
+        assert!(refusal(&bad_flag).contains("violation"));
 
         let mut bad_fixture = sample();
         bad_fixture.entries[0].fixture = Some("dir/evil.json".into());
-        assert!(bad_fixture.validate().unwrap_err().contains("fixture"));
+        assert!(refusal(&bad_fixture).contains("fixture"));
 
         let mut bad_scheme = sample();
         bad_scheme.scheme = "canopy-quantum".into();
-        assert!(bad_scheme.validate().unwrap_err().contains("scheme"));
+        assert!(refusal(&bad_scheme).contains("scheme"));
     }
 }

@@ -34,11 +34,9 @@ pub mod report;
 pub mod shrink;
 pub mod space;
 
-pub use ledger::{LedgerEntry, RobustnessLedger, LEDGER_SCHEMA};
+pub use ledger::{LedgerEntry, RobustnessLedger};
 pub use objective::{Objective, ObjectiveKind, ScenarioScores};
 pub use optimize::{search, search_with_recorder, SearchConfig, SearchOutcome, OPTIMIZER};
-pub use report::{
-    load_corpus, AdversarialFixture, Minimized, SearchReport, FIXTURE_SCHEMA, SEARCH_SCHEMA,
-};
+pub use report::{load_corpus, AdversarialFixture, Minimized, SearchReport};
 pub use shrink::{shrink, ShrinkConfig, ShrinkOutcome};
 pub use space::SearchSpace;

@@ -6,7 +6,8 @@
 //! provenance (model kind/seed/budget class, objective setup, replay
 //! threshold) for a regression test to re-run it from the file alone
 //! ([`AdversarialFixture::objective`]); [`load_corpus`] reads a fixture
-//! directory back.
+//! directory back. Both are [`Artifact`]s: tagged, checked, read and
+//! written through `canopy_telemetry::artifact`.
 
 use std::path::Path;
 
@@ -14,17 +15,11 @@ use serde::{Deserialize, Serialize};
 
 use canopy_core::models::{self, ModelKind, TrainBudget};
 use canopy_scenarios::{Family, ScenarioSpec};
+use canopy_telemetry::artifact::Cause;
+use canopy_telemetry::{Artifact, ArtifactError};
 
 use crate::objective::{Objective, ObjectiveKind};
 use crate::optimize::OPTIMIZER;
-
-/// The search-report schema tag; bump when [`SearchReport`] changes.
-///
-/// v2 added the hardening-gate fields `min_gap` / `below_min_gap`.
-pub const SEARCH_SCHEMA: &str = "canopy-search-report/v2";
-
-/// The fixture schema tag; bump when [`AdversarialFixture`] changes.
-pub const FIXTURE_SCHEMA: &str = "canopy-adversarial-fixture/v1";
 
 /// A minimized counterexample inside a report.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -44,7 +39,7 @@ pub struct Minimized {
 /// The aggregate output of one `scenario_search` run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SearchReport {
-    /// Schema tag ([`SEARCH_SCHEMA`]).
+    /// Schema tag, `canopy-search-report/v2`.
     pub schema: String,
     /// Family searched.
     pub family: String,
@@ -85,25 +80,17 @@ pub struct SearchReport {
     pub minimized: Option<Minimized>,
 }
 
-impl SearchReport {
-    /// Serializes to deterministic JSON (sorted keys).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("search reports always serialize")
+impl Artifact for SearchReport {
+    /// v2 added the hardening-gate fields `min_gap` / `below_min_gap`.
+    const SCHEMA: &'static str = "canopy-search-report/v2";
+
+    fn schema(&self) -> &str {
+        &self.schema
     }
 
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<SearchReport, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Validates the schema tag and basic invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SEARCH_SCHEMA {
-            return Err(format!(
-                "schema mismatch: `{}` (expected `{SEARCH_SCHEMA}`)",
-                self.schema
-            ));
-        }
+    /// Identity fields, the budget, the trajectory against the best
+    /// badness, the hardening gate, and both specs.
+    fn check(&self) -> Result<(), String> {
         if self.family.is_empty() || self.scheme.is_empty() || self.objective.is_empty() {
             return Err("empty identity field".into());
         }
@@ -158,7 +145,7 @@ impl SearchReport {
 /// A committed, self-contained adversarial regression fixture.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AdversarialFixture {
-    /// Schema tag ([`FIXTURE_SCHEMA`]).
+    /// Schema tag, `canopy-adversarial-fixture/v1`.
     pub schema: String,
     /// Family the counterexample came from.
     pub family: String,
@@ -210,7 +197,7 @@ impl AdversarialFixture {
         spec: ScenarioSpec,
     ) -> AdversarialFixture {
         AdversarialFixture {
-            schema: FIXTURE_SCHEMA.to_string(),
+            schema: Self::SCHEMA.to_string(),
             family: family.name().to_string(),
             objective: objective.kind.name().to_string(),
             scheme: objective.model.name.clone(),
@@ -248,16 +235,6 @@ impl AdversarialFixture {
         })
     }
 
-    /// Serializes to deterministic JSON (sorted keys).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("fixtures always serialize")
-    }
-
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<AdversarialFixture, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
     /// The canonical committed file name. Every axis a hunt can vary on —
     /// family, objective, scheme, model seed, budget class, optimizer,
     /// search seed — is part of the name, so two different hunts never
@@ -274,15 +251,18 @@ impl AdversarialFixture {
             self.search_seed
         )
     }
+}
 
-    /// Validates the schema tag and replayability invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != FIXTURE_SCHEMA {
-            return Err(format!(
-                "schema mismatch: `{}` (expected `{FIXTURE_SCHEMA}`)",
-                self.schema
-            ));
-        }
+impl Artifact for AdversarialFixture {
+    const SCHEMA: &'static str = "canopy-adversarial-fixture/v1";
+
+    fn schema(&self) -> &str {
+        &self.schema
+    }
+
+    /// Replayability: a known objective, optimizer and scheme, a replay
+    /// threshold at or above the violation threshold, and a valid spec.
+    fn check(&self) -> Result<(), String> {
         let objective = ObjectiveKind::parse(&self.objective)
             .ok_or_else(|| format!("unknown objective `{}`", self.objective))?;
         if self.optimizer != OPTIMIZER {
@@ -322,9 +302,12 @@ impl AdversarialFixture {
 /// Any other entry, any unreadable or invalid fixture and any other I/O
 /// error is an `Err`, so a stray or corrupted file is never skipped and the
 /// corpus the hardening loop trains on is the one the replay suite checks.
-pub fn load_corpus(dir: impl AsRef<Path>) -> Result<Vec<AdversarialFixture>, String> {
+pub fn load_corpus(dir: impl AsRef<Path>) -> Result<Vec<AdversarialFixture>, ArtifactError> {
     let dir = dir.as_ref();
-    let listed = |e: std::io::Error| format!("cannot list {}: {e}", dir.display());
+    let listed = |e| ArtifactError {
+        path: Some(dir.to_path_buf()),
+        cause: Cause::Io(e),
+    };
     let entries = match std::fs::read_dir(dir) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         entries => entries.map_err(listed)?,
@@ -336,27 +319,16 @@ pub fn load_corpus(dir: impl AsRef<Path>) -> Result<Vec<AdversarialFixture>, Str
             continue;
         }
         if !(path.is_file() && path.extension().is_some_and(|x| x == "json")) {
-            return Err(format!(
-                "{}: not a .json fixture (the corpus directory holds fixtures and traces/ only)",
-                path.display()
-            ));
+            let why = "not a .json fixture (the corpus directory holds fixtures and traces/ only)";
+            return Err(ArtifactError {
+                path: Some(path),
+                cause: Cause::Invalid(why.into()),
+            });
         }
         paths.push(path);
     }
     paths.sort();
-    paths
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let fixture = AdversarialFixture::from_json(&text)
-                .map_err(|e| format!("{}: not a fixture: {e}", path.display()))?;
-            fixture
-                .validate()
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            Ok(fixture)
-        })
-        .collect()
+    paths.iter().map(AdversarialFixture::read).collect()
 }
 
 #[cfg(test)]
@@ -366,7 +338,7 @@ mod tests {
 
     fn sample_report() -> SearchReport {
         SearchReport {
-            schema: SEARCH_SCHEMA.to_string(),
+            schema: SearchReport::SCHEMA.to_string(),
             family: "flash-crowd".into(),
             scheme: "canopy-shallow".into(),
             objective: "qc_sat".into(),
@@ -435,7 +407,7 @@ mod tests {
     /// A qc_sat fixture (violation threshold 0.5) recorded at badness 0.6.
     fn sample_fixture() -> AdversarialFixture {
         AdversarialFixture {
-            schema: FIXTURE_SCHEMA.to_string(),
+            schema: AdversarialFixture::SCHEMA.to_string(),
             family: "flash-crowd".into(),
             objective: "qc_sat".into(),
             scheme: "canopy-shallow".into(),

@@ -20,7 +20,7 @@ use canopy_search::{
     search, search_with_recorder, Objective, ObjectiveKind, SearchConfig, SearchSpace,
 };
 use canopy_telemetry::{
-    shared, FlightRecorder, LiveConfig, NoopRecorder, RecorderConfig, SharedRecorder,
+    shared, Artifact, FlightRecorder, LiveConfig, NoopRecorder, RecorderConfig, SharedRecorder,
     TelemetryReport,
 };
 

@@ -515,7 +515,7 @@ mod tests {
     use super::*;
     use canopy_core::property::PropertyParams;
     use canopy_nn::Activation;
-    use canopy_telemetry::{LiveConfig, RecorderConfig, SloKind, SloSpec, SpanStage};
+    use canopy_telemetry::{Artifact, LiveConfig, RecorderConfig, SloKind, SloSpec, SpanStage};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -27,22 +27,23 @@
 //!
 //! Two exporters turn a recording into artifacts: the canonical-JSON
 //! [`TelemetryReport`] (`TELEMETRY_report.json`, schema
-//! [`TELEMETRY_SCHEMA`]) and a Chrome-trace/Perfetto JSON view
+//! `canopy-telemetry/v2`) and a Chrome-trace/Perfetto JSON view
 //! ([`chrome_trace`]) so a decision timeline can be opened in
 //! `ui.perfetto.dev` or `chrome://tracing`.
 //!
 //! The [`live`] module layers streaming observability on top of the same
 //! machinery: rolling-window registry feeds, cadence-driven
 //! [`MetricsSnapshot`]s (JSONL + Prometheus-style exposition, schema
-//! [`LIVE_METRICS_SCHEMA`]), an SLO watchdog with a canonical alert
-//! ledger (schema [`ALERTS_SCHEMA`]), and wall-clock span timing for the
+//! `canopy-live-metrics/v1`), an SLO watchdog with a canonical alert
+//! ledger (schema `canopy-alerts/v1`), and wall-clock span timing for the
 //! batched hot path — gated off by default so every bitwise-checked
-//! artifact stays deterministic.
+//! artifact stays deterministic. Every artifact is an [`Artifact`].
 //!
 //! This crate sits below `canopy_netsim` in the dependency order, so it
 //! speaks raw nanoseconds and integer ids rather than the simulator's
 //! `Time`/`FlowId`/`LinkId` newtypes.
 
+pub mod artifact;
 pub mod chrome;
 pub mod event;
 pub mod live;
@@ -50,13 +51,14 @@ pub mod metrics;
 pub mod recorder;
 pub mod report;
 
+pub use artifact::{Artifact, ArtifactError};
 pub use chrome::chrome_trace;
 pub use event::{
     BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, SpanStage, TrainerEvent,
 };
 pub use live::{
     metrics_jsonl, AlertLedger, AlertRecord, LiveConfig, MetricsSnapshot, SloKind, SloSpec,
-    SloWatchdog, WindowCounterEntry, WindowHistogramEntry, ALERTS_SCHEMA, LIVE_METRICS_SCHEMA,
+    SloWatchdog, WindowCounterEntry, WindowHistogramEntry,
 };
 pub use metrics::{
     HistogramSummary, LogHistogram, Registry, RollingWindow, WindowAggregate, WindowSpec,
@@ -65,4 +67,4 @@ pub use recorder::{
     shared, FlightRecorder, NoopRecorder, Recorder, RecorderConfig, Ring, SharedRecorder,
     LINK_CADENCE_NS,
 };
-pub use report::{CounterEntry, SpanStageSummary, TelemetryReport, TELEMETRY_SCHEMA};
+pub use report::{CounterEntry, SpanStageSummary, TelemetryReport};

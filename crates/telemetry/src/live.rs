@@ -12,14 +12,9 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
+use crate::artifact::Artifact;
 use crate::metrics::{HistogramSummary, LogHistogram, Registry, RollingWindow, WindowSpec};
-use crate::report::CounterEntry;
-
-/// Schema tag of the JSONL metrics stream (one snapshot per line).
-pub const LIVE_METRICS_SCHEMA: &str = "canopy-live-metrics/v1";
-
-/// Schema tag of the alert ledger.
-pub const ALERTS_SCHEMA: &str = "canopy-alerts/v1";
+use crate::report::{export_registry, in_time_order, CounterEntry};
 
 /// One rolling-window counter as exported in a snapshot.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -53,7 +48,7 @@ pub struct WindowHistogramEntry {
 /// all-time histogram summaries, and every rolling-window aggregate.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Schema tag, [`LIVE_METRICS_SCHEMA`].
+    /// Schema tag, `canopy-live-metrics/v1`.
     pub schema: String,
     /// What is being observed (fleet name, scenario, …).
     pub label: String,
@@ -74,22 +69,14 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Snapshots a registry at sim-time `t_ns`.
     pub fn from_registry(registry: &Registry, label: &str, seq: u64, t_ns: u64) -> MetricsSnapshot {
+        let (counters, histograms) = export_registry(registry);
         MetricsSnapshot {
-            schema: LIVE_METRICS_SCHEMA.to_string(),
+            schema: Self::SCHEMA.to_string(),
             label: label.to_string(),
             seq,
             t_ns,
-            counters: registry
-                .counters()
-                .map(|(name, value)| CounterEntry {
-                    name: name.to_string(),
-                    value,
-                })
-                .collect(),
-            histograms: registry
-                .histograms()
-                .map(|(name, h)| HistogramSummary::of(name, h))
-                .collect(),
+            counters,
+            histograms,
             window_counters: registry
                 .windowed_counters()
                 .map(|(name, c)| WindowCounterEntry {
@@ -112,45 +99,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Canonical JSON (the vendored writer emits sorted keys).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("metrics snapshot serializes")
-    }
-
-    /// Parses a snapshot.
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Structural validation: schema tag, finite floats, ordered
-    /// quantiles, and positive window widths.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != LIVE_METRICS_SCHEMA {
-            return Err(format!(
-                "schema `{}` is not `{LIVE_METRICS_SCHEMA}`",
-                self.schema
-            ));
-        }
-        self.histograms
-            .iter()
-            .chain(self.window_histograms.iter().map(|w| &w.summary))
-            .try_for_each(HistogramSummary::validate)?;
-        for w in &self.window_counters {
-            if w.window_ns == 0 {
-                return Err(format!("window counter `{}`: zero-width window", w.name));
-            }
-            if w.window_sum > w.total {
-                return Err(format!("window counter `{}`: window exceeds total", w.name));
-            }
-        }
-        for w in &self.window_histograms {
-            if w.window_ns == 0 {
-                return Err(format!("window histogram `{}`: zero-width window", w.name));
-            }
-        }
-        Ok(())
-    }
-
     /// Renders the snapshot as Prometheus-style text exposition.
     /// Deterministic: metrics appear in registry (name) order and floats
     /// use Rust's shortest-round-trip formatting.
@@ -158,7 +106,10 @@ impl MetricsSnapshot {
         let mut out = String::new();
         out.push_str(&format!(
             "# {} label={} seq={} t_ns={}\n",
-            LIVE_METRICS_SCHEMA, self.label, self.seq, self.t_ns
+            Self::SCHEMA,
+            self.label,
+            self.seq,
+            self.t_ns
         ));
         for c in &self.counters {
             let name = metric_name(&c.name);
@@ -196,6 +147,36 @@ impl MetricsSnapshot {
             out.push_str(&format!("canopy_window_{name}_count {}\n", h.count));
         }
         out
+    }
+}
+
+impl Artifact for MetricsSnapshot {
+    const SCHEMA: &'static str = "canopy-live-metrics/v1";
+
+    fn schema(&self) -> &str {
+        &self.schema
+    }
+
+    /// Finite floats, ordered quantiles, and positive window widths.
+    fn check(&self) -> Result<(), String> {
+        self.histograms
+            .iter()
+            .chain(self.window_histograms.iter().map(|w| &w.summary))
+            .try_for_each(HistogramSummary::validate)?;
+        for w in &self.window_counters {
+            if w.window_ns == 0 {
+                return Err(format!("window counter `{}`: zero-width window", w.name));
+            }
+            if w.window_sum > w.total {
+                return Err(format!("window counter `{}`: window exceeds total", w.name));
+            }
+        }
+        for w in &self.window_histograms {
+            if w.window_ns == 0 {
+                return Err(format!("window histogram `{}`: zero-width window", w.name));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -301,7 +282,7 @@ pub struct AlertRecord {
 /// The append-only, schema-validated alert ledger.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AlertLedger {
-    /// Schema tag, [`ALERTS_SCHEMA`].
+    /// Schema tag, `canopy-alerts/v1`.
     pub schema: String,
     /// What was being watched.
     pub label: String,
@@ -313,36 +294,26 @@ impl AlertLedger {
     /// An empty ledger.
     pub fn new(label: &str) -> AlertLedger {
         AlertLedger {
-            schema: ALERTS_SCHEMA.to_string(),
+            schema: Self::SCHEMA.to_string(),
             label: label.to_string(),
             alerts: Vec::new(),
         }
     }
+}
 
-    /// Canonical JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("alert ledger serializes")
+impl Artifact for AlertLedger {
+    const SCHEMA: &'static str = "canopy-alerts/v1";
+
+    fn schema(&self) -> &str {
+        &self.schema
     }
 
-    /// Parses a ledger.
-    pub fn from_json(text: &str) -> Result<AlertLedger, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Structural validation: schema tag, nondecreasing timestamps,
-    /// finite floats, and per-SLO breach/clear alternation starting
-    /// with a breach.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != ALERTS_SCHEMA {
-            return Err(format!("schema `{}` is not `{ALERTS_SCHEMA}`", self.schema));
-        }
-        let mut prev = 0u64;
+    /// Nondecreasing timestamps, finite floats, and per-SLO breach/clear
+    /// alternation starting with a breach.
+    fn check(&self) -> Result<(), String> {
+        in_time_order("alert", self.alerts.iter().map(|a| a.t_ns))?;
         let mut active: BTreeSet<&str> = BTreeSet::new();
         for (i, a) in self.alerts.iter().enumerate() {
-            if a.t_ns < prev {
-                return Err(format!("alert {i} goes back in time"));
-            }
-            prev = a.t_ns;
             if !a.observed.is_finite() || !a.threshold.is_finite() {
                 return Err(format!("alert {i} carries a non-finite value"));
             }
@@ -450,10 +421,11 @@ impl SloWatchdog {
 /// Configuration of the live layer a [`crate::FlightRecorder`] can carry.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
-    /// Snapshot cadence in nanoseconds of sim time.
+    /// Snapshot cadence in nanoseconds of sim time; also the width of
+    /// one rolling-window bucket.
     pub cadence_ns: u64,
-    /// Rolling-window geometry for the windowed registry feeds.
-    pub window: WindowSpec,
+    /// Buckets each rolling window spans.
+    pub buckets: usize,
     /// Label stamped into snapshots and the alert ledger.
     pub label: String,
     /// Objectives the watchdog evaluates at each snapshot.
@@ -462,10 +434,9 @@ pub struct LiveConfig {
 
 impl Default for LiveConfig {
     fn default() -> LiveConfig {
-        let cadence_ns = 100_000_000; // 100 ms of sim time
         LiveConfig {
-            cadence_ns,
-            window: WindowSpec::new(cadence_ns, 8),
+            cadence_ns: 100_000_000, // 100 ms of sim time
+            buckets: 8,
             label: "live".to_string(),
             slos: Vec::new(),
         }
@@ -473,12 +444,16 @@ impl Default for LiveConfig {
 }
 
 impl LiveConfig {
-    /// Sets the snapshot cadence and aligns the window bucket width to
-    /// it (keeping `buckets` buckets).
+    /// Sets the snapshot cadence (the bucket width) and the bucket count.
     pub fn with_cadence(mut self, cadence_ns: u64, buckets: usize) -> LiveConfig {
         self.cadence_ns = cadence_ns.max(1);
-        self.window = WindowSpec::new(self.cadence_ns, buckets);
+        self.buckets = buckets;
         self
+    }
+
+    /// The windowed feeds' geometry: `buckets` buckets of one cadence each.
+    pub fn window(&self) -> WindowSpec {
+        WindowSpec::new(self.cadence_ns, self.buckets)
     }
 
     /// Sets the label.

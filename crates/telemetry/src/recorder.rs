@@ -234,7 +234,7 @@ impl FlightRecorder {
             next_ns: live.cadence_ns.max(1),
             snapshots: Ring::new(SNAPSHOT_CAPACITY),
             watchdog: SloWatchdog::new(&live.label, live.slos.clone()),
-            wall_latency: RollingWindow::new(live.window),
+            wall_latency: RollingWindow::new(live.window()),
             last_link_drops: BTreeMap::new(),
             config: live,
         });
@@ -381,7 +381,7 @@ impl Recorder for FlightRecorder {
         let mut r = r.clone();
         r.t_ns = self.arrive(r.t_ns);
         if let Some(live) = &self.live {
-            let w = live.config.window;
+            let w = live.config.window();
             self.registry.inc_windowed("decisions_total", w, r.t_ns, 1);
             if r.fallback {
                 self.registry
@@ -401,7 +401,7 @@ impl Recorder for FlightRecorder {
         let mut s = *s;
         s.t_ns = self.arrive(s.t_ns);
         if let Some(live) = self.live.as_mut() {
-            let w = live.config.window;
+            let w = live.config.window();
             // Drops arrive as per-run cumulative counts; the window
             // wants deltas. Origin shifts splice replays, where the
             // cumulative count restarts — hence the saturating delta.
@@ -451,6 +451,7 @@ impl Recorder for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::Artifact;
 
     fn decision(t_ns: u64) -> DecisionRecord {
         DecisionRecord {
@@ -593,10 +594,7 @@ mod tests {
         let jsonl = rec.live_metrics_jsonl();
         assert_eq!(jsonl.lines().count(), 3);
         for line in jsonl.lines() {
-            crate::live::MetricsSnapshot::from_json(line)
-                .unwrap()
-                .validate()
-                .unwrap();
+            crate::live::MetricsSnapshot::from_json(line).expect("valid snapshot");
         }
         assert!(rec.live_exposition().contains("canopy_decisions_total 3\n"));
     }

@@ -2,14 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::artifact::Artifact;
 use crate::event::{
     BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, TrainerEvent,
 };
-use crate::metrics::HistogramSummary;
+use crate::metrics::{HistogramSummary, Registry};
 use crate::recorder::{FlightRecorder, Ring};
-
-/// Schema tag of [`TelemetryReport`].
-pub const TELEMETRY_SCHEMA: &str = "canopy-telemetry/v2";
 
 /// One named counter (the registry serialized in name order).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -40,7 +38,7 @@ pub struct SpanStageSummary {
 /// to tell "the ring wrapped" apart from "nothing happened".
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
-    /// Schema tag, [`TELEMETRY_SCHEMA`].
+    /// Schema tag, `canopy-telemetry/v2`.
     pub schema: String,
     /// What was recorded (scenario name, bench name, …).
     pub label: String,
@@ -96,25 +94,45 @@ fn kept<T: Clone>(ring: &Ring<T>) -> Vec<T> {
     ring.iter().cloned().collect()
 }
 
+/// `Err` naming the first of `what` stamped before its predecessor.
+pub(crate) fn in_time_order(what: &str, stamps: impl Iterator<Item = u64>) -> Result<(), String> {
+    let mut prev = 0;
+    for (i, t) in stamps.enumerate() {
+        if t < prev {
+            return Err(format!("{what} {i} goes back in time"));
+        }
+        prev = t;
+    }
+    Ok(())
+}
+
+/// The part of a registry every export carries: its counters and its
+/// all-time histogram summaries, each in name order.
+pub(crate) fn export_registry(registry: &Registry) -> (Vec<CounterEntry>, Vec<HistogramSummary>) {
+    let counters = registry
+        .counters()
+        .map(|(name, value)| CounterEntry {
+            name: name.to_string(),
+            value,
+        })
+        .collect();
+    let histograms = registry
+        .histograms()
+        .map(|(name, h)| HistogramSummary::of(name, h))
+        .collect();
+    (counters, histograms)
+}
+
 impl TelemetryReport {
     /// Exports a recording.
     pub fn from_recorder(recorder: &FlightRecorder, label: &str, scheme: &str) -> TelemetryReport {
-        let registry = recorder.registry();
+        let (counters, histograms) = export_registry(recorder.registry());
         TelemetryReport {
-            schema: TELEMETRY_SCHEMA.to_string(),
+            schema: Self::SCHEMA.to_string(),
             label: label.to_string(),
             scheme: scheme.to_string(),
-            counters: registry
-                .counters()
-                .map(|(name, value)| CounterEntry {
-                    name: name.to_string(),
-                    value,
-                })
-                .collect(),
-            histograms: registry
-                .histograms()
-                .map(|(name, h)| HistogramSummary::of(name, h))
-                .collect(),
+            counters,
+            histograms,
             decisions: kept(recorder.decisions()),
             decisions_seen: recorder.decisions().seen(),
             decisions_dropped: recorder.decisions().dropped(),
@@ -149,27 +167,18 @@ impl TelemetryReport {
             search_dropped: recorder.search_events().dropped(),
         }
     }
+}
 
-    /// Canonical JSON (the vendored writer emits sorted keys).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("telemetry report serializes")
+impl Artifact for TelemetryReport {
+    const SCHEMA: &'static str = "canopy-telemetry/v2";
+
+    fn schema(&self) -> &str {
+        &self.schema
     }
 
-    /// Parses a report.
-    pub fn from_json(text: &str) -> Result<TelemetryReport, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Structural validation: the schema tag, exact-total accounting per
-    /// category, nondecreasing sim-time within the decision and link
-    /// streams, and finite floats everywhere.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != TELEMETRY_SCHEMA {
-            return Err(format!(
-                "schema mismatch: `{}` (expected `{TELEMETRY_SCHEMA}`)",
-                self.schema
-            ));
-        }
+    /// Exact-total accounting per category, nondecreasing sim-time within
+    /// every stream, and finite floats everywhere.
+    fn check(&self) -> Result<(), String> {
         let streams: [(&str, usize, u64, u64); 6] = [
             (
                 "decisions",
@@ -220,12 +229,11 @@ impl TelemetryReport {
                 ));
             }
         }
-        let mut prev = 0u64;
+        in_time_order("decision", self.decisions.iter().map(|d| d.t_ns))?;
+        in_time_order("link sample", self.links.iter().map(|s| s.t_ns))?;
+        in_time_order("batch record", self.batches.iter().map(|b| b.t_ns))?;
+        in_time_order("span", self.spans.iter().map(|s| s.t_ns))?;
         for (i, d) in self.decisions.iter().enumerate() {
-            if d.t_ns < prev {
-                return Err(format!("decision {i} goes back in time"));
-            }
-            prev = d.t_ns;
             for x in [
                 d.state_mean,
                 d.state_min,
@@ -244,12 +252,7 @@ impl TelemetryReport {
                 }
             }
         }
-        let mut prev = 0u64;
         for (i, s) in self.links.iter().enumerate() {
-            if s.t_ns < prev {
-                return Err(format!("link sample {i} goes back in time"));
-            }
-            prev = s.t_ns;
             if !s.utilization.is_finite() || s.utilization < 0.0 {
                 return Err(format!(
                     "link sample {i}: bad utilization {}",
@@ -257,12 +260,7 @@ impl TelemetryReport {
                 ));
             }
         }
-        let mut prev = 0u64;
         for (i, b) in self.batches.iter().enumerate() {
-            if b.t_ns < prev {
-                return Err(format!("batch record {i} goes back in time"));
-            }
-            prev = b.t_ns;
             if b.size == 0 {
                 return Err(format!("batch record {i} is empty"));
             }
@@ -272,13 +270,6 @@ impl TelemetryReport {
                     b.groups, b.size
                 ));
             }
-        }
-        let mut prev = 0u64;
-        for (i, s) in self.spans.iter().enumerate() {
-            if s.t_ns < prev {
-                return Err(format!("span {i} goes back in time"));
-            }
-            prev = s.t_ns;
         }
         if !self.span_stages.is_empty() {
             let stage_count: u64 = self.span_stages.iter().map(|s| s.count).sum();
@@ -387,7 +378,7 @@ mod tests {
         let mut bad = good.clone();
         bad.schema = "canopy-telemetry/v1".into();
         let err = bad.validate().expect_err("the previous tag is refused");
-        assert!(err.contains("schema mismatch"), "{err}");
+        assert!(err.to_string().contains("schema mismatch"), "{err}");
         let mut bad = good.clone();
         bad.decisions_seen = 99;
         assert!(bad.validate().is_err());
@@ -426,7 +417,7 @@ mod tests {
         forged.decisions_seen = 2; // kept = 5 > seen
         forged.decisions_dropped = u64::MAX - 2; // 5 + (MAX-2) wraps to 2
         let err = forged.validate().expect_err("forged accounting");
-        assert!(err.contains("exceeds seen"), "{err}");
+        assert!(err.to_string().contains("exceeds seen"), "{err}");
         let mut forged = good;
         forged.spans_seen = 3;
         forged.spans_dropped = u64::MAX - 2;

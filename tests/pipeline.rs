@@ -165,12 +165,15 @@ fn lambda_extremes() {
 /// enters `prev_action`, the state history or the window. Behind either
 /// kind of monitor, an actor whose enclosure overflows — a NaN bias, or
 /// finite weights scaled by 1e300 — certifies nothing instead of
-/// panicking, and the run goes on the same way.
+/// panicking, and the run goes on the same way. The zonotope domain
+/// encloses the same actors at the run's last decision context without
+/// panicking either.
 #[test]
 fn non_finite_actor_output_runs_the_kernel() {
     use canopy_repro::core::driver::{DriverPolicy, DriverPool};
     use canopy_repro::core::obs::StateLayout;
     use canopy_repro::core::runtime::FallbackController;
+    use canopy_repro::core::verifier::{AbstractDomain, Verifier};
     use canopy_repro::core::world::{spawn_all, Controller, FlowSpec};
     use canopy_repro::netsim::{BandwidthTrace, LinkConfig, Topology};
     use canopy_repro::nn::{Activation, Mlp};
@@ -194,7 +197,7 @@ fn non_finite_actor_output_runs_the_kernel() {
     }
     let props = Property::shallow_set(&PropertyParams::default());
     let arbitrating = FallbackController::new(props.clone(), 0.5, 4);
-    let observing = FallbackController::observing(props, 4);
+    let observing = FallbackController::observing(props.clone(), 4);
     let runs = [
         (&nan_bias, None),
         (&nan_bias, Some(arbitrating.clone())),
@@ -246,6 +249,12 @@ fn non_finite_actor_output_runs_the_kernel() {
         let qc = driver.fallback_qc_values();
         assert_eq!(qc.len(), if monitor.is_some() { 49 } else { 0 }, "{tag}");
         assert!(qc.iter().all(|q| (0.0..=1.0).contains(q)), "{tag}: {qc:?}");
+        let ctx = driver.step_context(&world.sim);
+        for domain in [AbstractDomain::Box, AbstractDomain::Zonotope] {
+            let verifier = Verifier::with_domain(4, domain);
+            let (_, agg) = verifier.certify_all(actor, &props, StateLayout::new(k), &ctx);
+            assert!((0.0..=1.0).contains(&agg), "{tag}, {domain:?}: {agg}");
+        }
         // Cubic kept the window: the flow moved real traffic.
         assert!(
             world.sim.flow_stats(driver.flow()).acked_packets > 1_000,
