@@ -4,16 +4,15 @@
 //! ```text
 //! cargo run -p canopy_bench --release --bin harden -- \
 //!     [--scheme canopy-shallow] [--objective reward_gap] [--seed N] \
-//!     [--model-seed N] [--rounds N] [--budget N] [--population N] \
-//!     [--fraction F] [--smoke] [--check] \
+//!     [--rounds N] [--budget N] [--population N] [--smoke] \
 //!     [--ledger ROBUSTNESS_ledger.json] [--fixture-out fixtures/adversarial] \
 //!     [--trace-out TELEMETRY_report.json]
 //! ```
 //!
 //! Each round: (1) train a model whose episode sampler mixes a seeded
-//! fraction of adversarial episodes — fuzz-family scenarios plus every
-//! fixture in the committed corpus plus this run's earlier finds —
-//! into the standard training pool; (2) gate it on a certification
+//! half (`MIX_FRACTION`) of adversarial episodes — fuzz-family scenarios
+//! plus every fixture in the committed corpus plus this run's earlier
+//! finds — into the standard training pool; (2) gate it on a certification
 //! probe (a collapsed-`QC_sat` model is rejected and the previous
 //! round's model keeps searching); (3) re-run adversarial search over
 //! every fuzz family against the admitted model; (4) append one ledger
@@ -26,12 +25,12 @@
 //! shrinking, hits zero, or the round budget runs out.
 //!
 //! The whole run is deterministic in its flags and the corpus snapshot,
-//! and bitwise invariant to `CANOPY_THREADS`; `--check` proves it by
-//! re-running every round from scratch and diffing ledger entries and
-//! fixtures byte for byte.
+//! and bitwise invariant to `CANOPY_THREADS`; the committed ledger, its
+//! fixtures and their traces are regenerated and compared byte for byte
+//! by `crates/bench/tests/regenerate.rs`.
 //!
-//! `--trace-out PATH` attaches a flight recorder to the (non-check)
-//! hardening run: every search records one event per generation
+//! `--trace-out PATH` attaches a flight recorder to the hardening run:
+//! every search records one event per generation
 //! and the report lands at PATH with a Chrome-trace twin. Independently
 //! of that flag, every *committed* fixture gets a decision-trace
 //! artifact at `{fixture-out}/traces/{fixture}.trace.json` — the
@@ -66,13 +65,10 @@ struct HardenOpts {
     scheme: ModelKind,
     objective: ObjectiveKind,
     seed: u64,
-    model_seed: u64,
     rounds: usize,
     budget: usize,
     population: usize,
-    fraction: f64,
     smoke: bool,
-    check: bool,
     ledger: String,
     fixture_out: String,
     trace_out: Option<String>,
@@ -84,20 +80,16 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
         scheme: ModelKind::Shallow,
         objective: ObjectiveKind::RewardGap,
         seed: DEFAULT_SEED,
-        model_seed: DEFAULT_SEED, // resolved after the flags
         rounds: 2,
         budget: 16,
         population: 8,
-        fraction: 0.5,
         smoke: false,
-        check: false,
         ledger: "ROBUSTNESS_ledger.json".to_string(),
         fixture_out: "fixtures/adversarial".to_string(),
         trace_out: None,
         retrace: false,
     };
     let at_least_1 = |n: &usize| *n >= 1;
-    let mut explicit_model_seed = None;
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -112,7 +104,6 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
                     .ok_or_else(|| format!("unknown objective `{v}`"))?;
             }
             "--seed" => opts.seed = flag_value(flag, args.next())?,
-            "--model-seed" => explicit_model_seed = Some(flag_value(flag, args.next())?),
             "--rounds" => {
                 opts.rounds = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
@@ -122,22 +113,19 @@ fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
             "--population" => {
                 opts.population = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
-            "--fraction" => {
-                let unit = |f: &f64| (0.0..=1.0).contains(f);
-                opts.fraction = flag_value_where(flag, args.next(), unit, "in [0, 1]")?;
-            }
             "--ledger" => opts.ledger = flag_value(flag, args.next())?,
             "--fixture-out" => opts.fixture_out = flag_value(flag, args.next())?,
             "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
             "--smoke" => opts.smoke = true,
-            "--check" => opts.check = true,
             "--retrace" => opts.retrace = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    opts.model_seed = model_seed(explicit_model_seed, opts.smoke);
     Ok(opts)
 }
+
+/// The share of episode boundaries that redraw from the adversarial pool.
+const MIX_FRACTION: f64 = 0.5;
 
 /// The horizon cap for decoded search scenarios (the scenario_search
 /// smoke convention, so committed fixtures replay at the same horizon).
@@ -209,7 +197,7 @@ fn train_hardened(
     pool: Vec<canopy_core::env::EpisodeSpec>,
     round: usize,
 ) -> TrainedModel {
-    let seed = opts.model_seed;
+    let seed = model_seed(opts.smoke);
     let mut cfg = trainer_config(
         opts.scheme,
         seed,
@@ -232,7 +220,7 @@ fn train_hardened(
     }
     cfg.name = format!("{}+hard-r{round}", opts.scheme.name());
     cfg.mix = Some(EpisodeMix {
-        fraction: opts.fraction,
+        fraction: MIX_FRACTION,
         seed: mix_seed(seed, round),
         pool,
     });
@@ -262,7 +250,6 @@ fn run_rounds(
     base: &TrainedModel,
     corpus_snapshot: &[AdversarialFixture],
     first_round: usize,
-    quiet: bool,
     recorder: Option<&SharedRecorder>,
 ) -> Result<RoundsResult, String> {
     let cap = duration_cap(opts);
@@ -290,12 +277,10 @@ fn run_rounds(
             let hardened_obj = Objective::new(opts.objective, hardened.clone());
             let gate = gate_qc_sat(&hardened_obj, &probe)?;
             if gate < GATE_FLOOR {
-                if !quiet {
-                    println!(
-                        "round {round}: hardened model REJECTED (gate QC_sat {gate:.3} < {GATE_FLOOR}); keeping {}",
-                        current.name
-                    );
-                }
+                println!(
+                    "round {round}: hardened model REJECTED (gate QC_sat {gate:.3} < {GATE_FLOOR}); keeping {}",
+                    current.name
+                );
             } else {
                 current = hardened;
             }
@@ -303,10 +288,8 @@ fn run_rounds(
         let objective = Objective::new(opts.objective, current.clone());
         let gate = gate_qc_sat(&objective, &probe)?;
 
-        if !quiet {
-            println!("\n## Round {round} — {}\n", current.name);
-            header(&["family", "badness", "reward gap", "qc_sat", "fallback"]);
-        }
+        println!("\n## Round {round} — {}\n", current.name);
+        header(&["family", "badness", "reward gap", "qc_sat", "fallback"]);
 
         let search_seed = opts.seed + round as u64;
         let mut worst: Option<(Family, f64, ScenarioSpec)> = None;
@@ -324,15 +307,13 @@ fn run_rounds(
                 .score_all(&outcome.best_spec)
                 .map_err(|e| e.to_string())?;
             let violation = outcome.best_badness >= threshold;
-            if !quiet {
-                row(&[
-                    family.name().to_string(),
-                    f3(outcome.best_badness),
-                    f3(scores.reward_gap),
-                    f3(scores.qc_sat),
-                    f3(scores.fallback_rate),
-                ]);
-            }
+            row(&[
+                family.name().to_string(),
+                f3(outcome.best_badness),
+                f3(scores.reward_gap),
+                f3(scores.qc_sat),
+                f3(scores.fallback_rate),
+            ]);
             if violation {
                 found_specs.push(outcome.best_spec.clone());
                 if worst
@@ -371,10 +352,7 @@ fn run_rounds(
                         &spec,
                         base_badness,
                         threshold,
-                        &ShrinkConfig {
-                            budget: 64,
-                            min_duration: Time::from_secs(2),
-                        },
+                        &ShrinkConfig::default(),
                         |s| base_objective.badness(s),
                     )
                     .map_err(|e| e.to_string())?;
@@ -387,7 +365,7 @@ fn run_rounds(
                     let fixture = AdversarialFixture::new(
                         family,
                         &base_objective,
-                        opts.model_seed,
+                        model_seed(opts.smoke),
                         opts.smoke,
                         search_seed,
                         shrunk.badness,
@@ -405,12 +383,10 @@ fn run_rounds(
                                 break;
                             }
                         }
-                        if !quiet {
-                            println!(
-                                "\nround {round}: committed {} (badness {badness:.3} vs {}, {:.3} minimized vs base)",
-                                name, current.name, shrunk.badness
-                            );
-                        }
+                        println!(
+                            "\nround {round}: committed {} (badness {badness:.3} vs {}, {:.3} minimized vs base)",
+                            name, current.name, shrunk.badness
+                        );
                         corpus.push(fixture.clone());
                         result.fixtures.push(fixture);
                     }
@@ -424,20 +400,14 @@ fn run_rounds(
             .filter(|e| e.round == round)
             .map(|e| (e.badness - threshold).max(0.0))
             .sum();
-        if !quiet {
-            println!("\nround {round}: violation mass {mass:.3}");
-        }
+        println!("\nround {round}: violation mass {mass:.3}");
         if round > first_round {
             if mass == 0.0 {
-                if !quiet {
-                    println!("fully hardened — no family violates; stopping");
-                }
+                println!("fully hardened — no family violates; stopping");
                 break;
             }
             if prev_mass.is_some_and(|p| mass >= p) {
-                if !quiet {
-                    println!("violation mass stopped shrinking; stopping");
-                }
+                println!("violation mass stopped shrinking; stopping");
                 break;
             }
         }
@@ -452,7 +422,7 @@ fn run_rounds(
 /// it — unreadable, not UTF-8, not a valid ledger, another lineage — is
 /// an error, so a file the run cannot resume is never overwritten.
 fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
-    let fresh = RobustnessLedger::new(opts.scheme.name(), opts.model_seed, opts.smoke);
+    let fresh = RobustnessLedger::new(opts.scheme.name(), model_seed(opts.smoke), opts.smoke);
     let ledger = match RobustnessLedger::read(&opts.ledger) {
         Err(e) if matches!(&e.cause, Cause::Io(e) if e.kind() == ErrorKind::NotFound) => {
             return Ok(fresh)
@@ -460,7 +430,7 @@ fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
         read => read.map_err(|e| e.to_string())?,
     };
     if ledger.scheme != opts.scheme.name()
-        || ledger.model_seed != opts.model_seed
+        || ledger.model_seed != model_seed(opts.smoke)
         || ledger.smoke != opts.smoke
     {
         return Err(format!(
@@ -469,12 +439,6 @@ fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
         ));
     }
     Ok(ledger)
-}
-
-fn rounds_digest(r: &RoundsResult) -> String {
-    let entries = serde_json::to_string(&r.entries).expect("entries serialize");
-    let fixtures: Vec<String> = r.fixtures.iter().map(AdversarialFixture::to_json).collect();
-    format!("{entries}\n{}", fixtures.join("\n"))
 }
 
 fn run() -> Result<(), String> {
@@ -499,18 +463,17 @@ fn run() -> Result<(), String> {
     let mut ledger = resume_ledger(&opts)?;
     let first_round = ledger.last_round().map_or(0, |r| r + 1);
     let harness = HarnessOpts {
-        seed: opts.model_seed,
+        seed: model_seed(opts.smoke),
         smoke: opts.smoke,
     };
     let (base, _) = model(opts.scheme, &harness);
     println!(
-        "# Hardening loop — {} × {} ({} rounds max, budget {}, population {}, fraction {}, seed {})",
+        "# Hardening loop — {} × {} ({} rounds max, budget {}, population {}, fraction {MIX_FRACTION}, seed {})",
         base.name,
         opts.objective.name(),
         opts.rounds,
         opts.budget,
         opts.population,
-        opts.fraction,
         opts.seed
     );
 
@@ -522,25 +485,12 @@ fn run() -> Result<(), String> {
         opts.ledger
     );
 
-    // The recorder rides only the recorded run: recording is observation,
-    // never input, so the quiet `--check` replay stays digest-comparable
-    // without one.
     let recorder = opts
         .trace_out
         .as_ref()
         .map(|_| Rc::new(RefCell::new(FlightRecorder::default())));
     let handle: Option<SharedRecorder> = recorder.as_ref().map(|r| r.clone() as SharedRecorder);
-    let result = run_rounds(&opts, &base, &corpus, first_round, false, handle.as_ref())?;
-
-    if opts.check {
-        // Reproducibility gate: replay every round from the same corpus
-        // snapshot and require bitwise-identical entries and fixtures.
-        let again = run_rounds(&opts, &base, &corpus, first_round, true, None)?;
-        if rounds_digest(&again) != rounds_digest(&result) {
-            return Err("--check FAILED: re-run diverged from the recorded rounds".into());
-        }
-        println!("--check OK: re-run is bitwise identical");
-    }
+    let result = run_rounds(&opts, &base, &corpus, first_round, handle.as_ref())?;
 
     ledger.entries.extend(result.entries);
     ledger.write(&opts.ledger).map_err(|e| e.to_string())?;
@@ -618,9 +568,8 @@ mod tests {
     fn defaults_and_flags_parse() {
         let opts = parse_opts(&argv(&[])).unwrap();
         assert_eq!(opts.rounds, 2);
-        assert_eq!(opts.fraction, 0.5);
         assert_eq!(opts.ledger, "ROBUSTNESS_ledger.json");
-        assert_eq!(opts.model_seed, DEFAULT_SEED);
+        assert!(!opts.smoke);
 
         let opts = parse_opts(&argv(&[
             "--scheme",
@@ -629,16 +578,13 @@ mod tests {
             "qc_sat",
             "--rounds",
             "3",
-            "--fraction",
-            "0.25",
             "--smoke",
         ]))
         .unwrap();
         assert_eq!(opts.scheme, ModelKind::Robust);
         assert_eq!(opts.objective, ObjectiveKind::QcSat);
         assert_eq!(opts.rounds, 3);
-        assert_eq!(opts.fraction, 0.25);
-        assert_eq!(opts.model_seed, 3);
+        assert!(opts.smoke);
     }
 
     #[test]
@@ -652,7 +598,6 @@ mod tests {
     #[test]
     fn bad_flags_fail_loudly() {
         assert!(parse_opts(&argv(&["--rounds", "0"])).is_err());
-        assert!(parse_opts(&argv(&["--fraction", "1.5"])).is_err());
         assert!(parse_opts(&argv(&["--scheme", "cubic"])).is_err());
         assert!(parse_opts(&argv(&["--objective", "latency"])).is_err());
         assert!(parse_opts(&argv(&["--mystery"])).is_err());

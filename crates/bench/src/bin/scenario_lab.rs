@@ -10,7 +10,7 @@
 //!     [--family all|<name>[,<name>...]] [--seeds N | --seeds a,b,c] \
 //!     [--schemes cubic,bbr,canopy-shallow,...] \
 //!     [--topology dumbbell|parking-lot:H|incast:K] \
-//!     [--check] [--smoke] [--seed N] [--out PATH] [--trace-out PATH] [--live-out DIR]
+//!     [--smoke] [--seed N] [--out PATH] [--trace-out PATH] [--live-out DIR]
 //! ```
 //!
 //! `--family` accepts `all` (default) or a comma list of
@@ -28,16 +28,16 @@
 //! the classic kernels (`cubic`, `newreno`, `vegas`, `bbr`) plus the
 //! trained models (`canopy-shallow`, `canopy-deep`, `canopy-robust`,
 //! `orca`), which are loaded from the model cache (training on first
-//! use; `--smoke` shrinks the budget). `--check` re-runs the entire
-//! matrix from re-parsed specs and fails unless the report is
-//! schema-valid and bitwise reproducible. `--trace-out PATH` additionally
+//! use; `--smoke` shrinks the budget). `--trace-out PATH` additionally
 //! replays the first scheme over each family's first scenario with a
 //! flight recorder attached and writes the `canopy-telemetry/v2` report
 //! (plus a Chrome-trace twin next to it); `--live-out DIR` runs the same
 //! replay with the recorder's live layer enabled and writes the
-//! streaming artifacts (`metrics.jsonl`, `exposition.prom`) into `DIR`;
-//! under `--check` the replay is re-recorded and every artifact must be
-//! bitwise identical.
+//! streaming artifacts (`metrics.jsonl`, `exposition.prom`) into `DIR`.
+//! Every output is a pure function of the flags: the committed
+//! `SCENARIOS_report.json` and `TELEMETRY_report{,.chrome}.json` are
+//! regenerated and compared byte for byte by
+//! `crates/bench/tests/regenerate.rs`.
 
 use std::cell::RefCell;
 use std::process::ExitCode;
@@ -64,7 +64,6 @@ struct LabOpts {
     topology: Option<TopologySpec>,
     /// Model-cache seed and budget for the learned `--schemes`.
     harness: HarnessOpts,
-    check: bool,
     out: String,
     trace_out: Option<String>,
     live_out: Option<String>,
@@ -162,7 +161,6 @@ fn parse_lab_args(args: &[String]) -> Result<LabOpts, String> {
             seed: DEFAULT_SEED,
             smoke: false,
         },
-        check: false,
         out: "SCENARIOS_report.json".to_string(),
         trace_out: None,
         live_out: None,
@@ -190,7 +188,6 @@ fn parse_lab_args(args: &[String]) -> Result<LabOpts, String> {
             "--topology" => {
                 opts.topology = Some(parse_topology(&flag_value::<String>(flag, args.next())?)?)
             }
-            "--check" => opts.check = true,
             "--out" => opts.out = flag_value(flag, args.next())?,
             "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
             "--live-out" => opts.live_out = Some(flag_value(flag, args.next())?),
@@ -321,53 +318,20 @@ fn run() -> Result<(), String> {
         report.schema
     );
 
-    let live = lab.live_out.is_some();
-    let record = || record_traces(&schemes[0], &lab.schemes[0], &lab.families, &specs, live);
-    let mut trace_report = None;
-    let mut live_artifacts = None;
-    if lab.trace_out.is_some() || live {
-        let (report, recorder) = record().map_err(|e| format!("trace recording failed: {e}"))?;
+    if lab.trace_out.is_some() || lab.live_out.is_some() {
+        let (report, recorder) = record_traces(
+            &schemes[0],
+            &lab.schemes[0],
+            &lab.families,
+            &specs,
+            lab.live_out.is_some(),
+        )
+        .map_err(|e| format!("trace recording failed: {e}"))?;
         if let Some(path) = &lab.trace_out {
             write_trace(path, &report)?;
         }
         if let Some(dir) = &lab.live_out {
-            let rec = recorder.borrow();
-            write_live_out(dir, &rec)?;
-            live_artifacts = Some((rec.live_metrics_jsonl(), rec.live_exposition()));
-        }
-        trace_report = Some(report);
-    }
-
-    if lab.check {
-        // Reproducibility gate: rebuild every spec from its (family, seed)
-        // identity, round-trip it through JSON, re-run the whole matrix,
-        // and require a bitwise-identical report.
-        let reparse =
-            |s: &ScenarioSpec| ScenarioSpec::from_json(&s.to_json()).expect("specs round-trip");
-        let reparsed: Vec<ScenarioSpec> = specs.iter().map(reparse).collect();
-        let again = run_matrix(&schemes, &reparsed, None)
-            .map_err(|e| format!("--check re-run failed: {e}"))?;
-        if ScenarioReport::new(again).to_json() != report.to_json() {
-            return Err("--check FAILED: re-run diverged from the report".into());
-        }
-        println!("--check OK: re-run from re-parsed specs is bitwise identical");
-
-        if let Some(report) = &trace_report {
-            // The recording is part of the contract: re-record the same
-            // replays and require the identical telemetry bytes.
-            let (again, rec_again) =
-                record().map_err(|e| format!("--check trace re-record failed: {e}"))?;
-            if again.to_json() != report.to_json() {
-                return Err("--check FAILED: trace re-record diverged".into());
-            }
-            println!("--check OK: trace re-record is bitwise identical");
-            if let Some((metrics, exposition)) = &live_artifacts {
-                let rec = rec_again.borrow();
-                if rec.live_metrics_jsonl() != *metrics || rec.live_exposition() != *exposition {
-                    return Err("--check FAILED: live metrics re-record diverged".into());
-                }
-                println!("--check OK: live metrics re-record is bitwise identical");
-            }
+            write_live_out(dir, &recorder.borrow())?;
         }
     }
     Ok(())

@@ -5,9 +5,8 @@
 //! ```text
 //! cargo run -p canopy_bench --release --bin scenario_search -- \
 //!     --family flash-crowd --seed 7 --objective qc_sat --budget 64 \
-//!     [--scheme canopy-shallow] [--population N] [--model-seed N] \
-//!     [--max-duration SECS] [--shrink-budget N] [--min-gap BADNESS] \
-//!     [--smoke] [--check] \
+//!     [--scheme canopy-shallow] [--population N] [--min-gap BADNESS] \
+//!     [--smoke] \
 //!     [--out SEARCH_report.json] [--fixture-out DIR] [--trace-out PATH]
 //! ```
 //!
@@ -21,13 +20,15 @@
 //! (maximize QC-monitor overrides), `reward_gap` (maximize reward conceded
 //! to Cubic on the identical scenario). The search (the cross-entropy
 //! method) is deterministic in `(family, seed, objective, scheme, budget,
-//! population)` and bitwise reproducible at any `CANOPY_THREADS`;
-//! `--check` proves it by re-running the search and diffing the reports.
-//! `--smoke` switches to the smoke-budget model (seed 3, the test suite's
-//! shared controller) and caps decoded horizons at 4 s so a CI run stays
-//! inside a wall-clock budget. When the worst case found clears the
-//! objective's violation threshold, it is delta-debugged down to a minimal
-//! spec; `--fixture-out` additionally writes that spec as a self-contained
+//! population)` and bitwise reproducible at any `CANOPY_THREADS`; the
+//! committed `SEARCH_report.json` is regenerated and compared byte for
+//! byte by `crates/bench/tests/regenerate.rs`. `--smoke` switches to the
+//! smoke-budget model (seed 3, the test suite's shared controller) and
+//! caps decoded horizons at 4 s so a CI run stays inside a wall-clock
+//! budget. When the worst case found clears the objective's violation
+//! threshold, it is delta-debugged (within [`ShrinkConfig::default`]'s
+//! budget) down to a minimal spec; `--fixture-out` additionally writes
+//! that spec as a self-contained
 //! `canopy-adversarial-fixture/v1` JSON replayed by the regression suite.
 //!
 //! `--min-gap BADNESS` turns the run into a hardening gate: if the search
@@ -48,8 +49,8 @@ use canopy_core::models::ModelKind;
 use canopy_netsim::Time;
 use canopy_scenarios::{run_scenario_recorded, Family};
 use canopy_search::{
-    search, search_with_recorder, AdversarialFixture, Minimized, Objective, ObjectiveKind,
-    SearchConfig, SearchReport, SearchSpace, ShrinkConfig, OPTIMIZER,
+    search_with_recorder, AdversarialFixture, Minimized, Objective, ObjectiveKind, SearchConfig,
+    SearchReport, SearchSpace, ShrinkConfig, OPTIMIZER,
 };
 use canopy_telemetry::{Artifact, FlightRecorder, SharedRecorder, TelemetryReport};
 
@@ -58,14 +59,10 @@ struct SearchOpts {
     objective: ObjectiveKind,
     scheme: ModelKind,
     seed: u64,
-    model_seed: u64,
     budget: usize,
     population: usize,
-    shrink_budget: usize,
-    max_duration: Option<Time>,
     min_gap: Option<f64>,
     smoke: bool,
-    check: bool,
     out: String,
     fixture_out: Option<String>,
     trace_out: Option<String>,
@@ -77,21 +74,16 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
         objective: ObjectiveKind::QcSat,
         scheme: ModelKind::Shallow,
         seed: DEFAULT_SEED,
-        model_seed: DEFAULT_SEED, // resolved after the flags
         budget: 64,
         population: 16,
-        shrink_budget: 64,
-        max_duration: None,
         min_gap: None,
         smoke: false,
-        check: false,
         out: "SEARCH_report.json".to_string(),
         fixture_out: None,
         trace_out: None,
     };
     let at_least_1 = |n: &usize| *n >= 1;
     let positive = |x: &f64| x.is_finite() && *x > 0.0;
-    let mut explicit_model_seed = None;
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -111,19 +103,11 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
                     .ok_or_else(|| format!("unknown scheme `{v}` (expected a model name)"))?;
             }
             "--seed" => opts.seed = flag_value(flag, args.next())?,
-            "--model-seed" => explicit_model_seed = Some(flag_value(flag, args.next())?),
             "--budget" => {
                 opts.budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
             }
             "--population" => {
                 opts.population = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
-            }
-            "--shrink-budget" => {
-                opts.shrink_budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
-            }
-            "--max-duration" => {
-                let s = flag_value_where(flag, args.next(), positive, "positive seconds")?;
-                opts.max_duration = Some(Time::from_secs_f64(s));
             }
             "--min-gap" => {
                 let gap = flag_value_where(flag, args.next(), positive, "positive badness")?;
@@ -133,15 +117,18 @@ fn parse_opts(args: &[String]) -> Result<SearchOpts, String> {
             "--fixture-out" => opts.fixture_out = Some(flag_value(flag, args.next())?),
             "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
             "--smoke" => opts.smoke = true,
-            "--check" => opts.check = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if opts.smoke && opts.max_duration.is_none() {
-        opts.max_duration = Some(Time::from_secs(4));
-    }
-    opts.model_seed = model_seed(explicit_model_seed, opts.smoke);
     Ok(opts)
+}
+
+impl SearchOpts {
+    /// The horizon cap on decoded scenarios: 4 s under `--smoke`, none
+    /// otherwise.
+    fn max_duration(&self) -> Option<Time> {
+        self.smoke.then(|| Time::from_secs(4))
+    }
 }
 
 /// `Ok(true)` means the `--min-gap` hardening gate tripped (exit 3).
@@ -150,7 +137,7 @@ fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_opts(&args)?;
     let harness = HarnessOpts {
-        seed: opts.model_seed,
+        seed: model_seed(opts.smoke),
         smoke: opts.smoke,
     };
     let (trained, _) = model(opts.scheme, &harness);
@@ -165,7 +152,7 @@ fn run() -> Result<bool, String> {
         opts.seed
     );
 
-    let space = SearchSpace::new(opts.family, opts.seed).with_duration_cap(opts.max_duration);
+    let space = SearchSpace::new(opts.family, opts.seed).with_duration_cap(opts.max_duration());
     let objective = Objective::new(opts.objective, trained.clone());
     let config = SearchConfig {
         budget: opts.budget,
@@ -193,10 +180,7 @@ fn run() -> Result<bool, String> {
             &outcome.best_spec,
             outcome.best_badness,
             threshold,
-            &ShrinkConfig {
-                budget: opts.shrink_budget,
-                min_duration: Time::from_secs(2),
-            },
+            &ShrinkConfig::default(),
             |s| objective.badness(s),
         )
         .map_err(|e| e.to_string())?;
@@ -238,7 +222,7 @@ fn run() -> Result<bool, String> {
         budget: opts.budget,
         population: opts.population,
         evaluations: outcome.evaluations,
-        duration_cap_s: opts.max_duration.map(Time::as_secs_f64),
+        duration_cap_s: opts.max_duration().map(Time::as_secs_f64),
         violation_threshold: threshold,
         min_gap: opts.min_gap,
         below_min_gap: opts.min_gap.is_some_and(|g| outcome.best_badness < g),
@@ -254,7 +238,7 @@ fn run() -> Result<bool, String> {
         let fixture = AdversarialFixture::new(
             opts.family,
             &objective,
-            opts.model_seed,
+            model_seed(opts.smoke),
             opts.smoke,
             opts.seed,
             min.badness,
@@ -279,18 +263,6 @@ fn run() -> Result<bool, String> {
         );
         let telemetry = TelemetryReport::from_recorder(&recorder.borrow(), &label, &trained.name);
         write_trace(path, &telemetry)?;
-    }
-
-    if opts.check {
-        // Reproducibility gate: re-run the search from scratch and
-        // require a bitwise-identical trajectory and best spec.
-        let again = search(&space, &objective, &config).map_err(|e| e.to_string())?;
-        if again.trajectory != outcome.trajectory
-            || again.best_spec.to_json() != outcome.best_spec.to_json()
-        {
-            return Err("--check FAILED: re-run diverged from the report".into());
-        }
-        println!("--check OK: re-run is bitwise identical");
     }
 
     match opts.min_gap {
@@ -345,22 +317,13 @@ mod tests {
         assert_eq!(opts.objective, ObjectiveKind::QcSat);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.budget, 64);
-        assert_eq!(opts.model_seed, DEFAULT_SEED);
-        assert!(opts.max_duration.is_none());
+        assert!(opts.max_duration().is_none());
     }
 
     #[test]
-    fn smoke_mode_caps_horizons_and_uses_the_test_model_seed() {
+    fn smoke_mode_caps_horizons() {
         let opts = parse_opts(&argv(&["--smoke"])).unwrap();
-        assert_eq!(opts.max_duration, Some(Time::from_secs(4)));
-        assert_eq!(opts.model_seed, 3);
-        let explicit = parse_opts(&argv(&["--model-seed", "5", "--smoke"])).unwrap();
-        assert_eq!(
-            explicit.model_seed, 5,
-            "an explicit seed wins in smoke mode"
-        );
-        let explicit = parse_opts(&argv(&["--smoke", "--max-duration", "2.5"])).unwrap();
-        assert_eq!(explicit.max_duration, Some(Time::from_secs_f64(2.5)));
+        assert_eq!(opts.max_duration(), Some(Time::from_secs(4)));
     }
 
     #[test]

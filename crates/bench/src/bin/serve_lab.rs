@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run -p canopy_bench --release --bin serve_lab -- \
 //!     [--flows N] [--duration-ms MS] [--seed N] [--smoke] \
-//!     [--breach] [--live-out DIR] [--check]
+//!     [--breach] [--live-out DIR]
 //! ```
 //!
 //! The fleet is a dumbbell of `--flows` self-driving flows sharing one
@@ -20,13 +20,13 @@
 //! engages on every decision, the fallback-engagement-rate SLO (max 10%)
 //! breaches on the first window, the watchdog appends to the
 //! `canopy-alerts/v1` ledger, and the promotion attempt is **vetoed**.
-//! The binary exits non-zero if any link of that chain fails to fire —
-//! this is the CI `live-obs-smoke` contract.
+//! The binary exits non-zero if any link of that chain fails to fire.
 //!
 //! `--live-out DIR` writes the streaming artifacts (`metrics.jsonl`,
 //! `exposition.prom`, and `alerts.json` when the watchdog ran) into
-//! `DIR`. `--check` re-runs the identical fleet and fails unless every
-//! live artifact is bitwise identical.
+//! `DIR`. They are a pure function of the flags: the breach drill behind
+//! the committed `fixtures/live/serve_lab/` is re-run, and its artifacts
+//! compared byte for byte, by `crates/bench/tests/regenerate.rs`.
 
 use std::cell::RefCell;
 use std::process::ExitCode;
@@ -49,7 +49,6 @@ struct ServeLabOpts {
     smoke: bool,
     breach: bool,
     live_out: Option<String>,
-    check: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<ServeLabOpts, String> {
@@ -60,7 +59,6 @@ fn parse_args(args: &[String]) -> Result<ServeLabOpts, String> {
         smoke: false,
         breach: false,
         live_out: None,
-        check: false,
     };
     let mut args = args.iter();
     while let Some(flag) = args.next() {
@@ -71,7 +69,6 @@ fn parse_args(args: &[String]) -> Result<ServeLabOpts, String> {
             "--smoke" => opts.smoke = true,
             "--breach" => opts.breach = true,
             "--live-out" => opts.live_out = Some(flag_value(flag, args.next())?),
-            "--check" => opts.check = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -135,15 +132,6 @@ fn run_fleet(
     fleet.attach_live(recorder.clone());
     let report = fleet.run(Time::from_millis(opts.duration_ms));
     (fleet, report, recorder)
-}
-
-/// The live artifacts whose bytes `--check` gates on.
-fn artifacts(rec: &FlightRecorder) -> (String, String, Option<String>) {
-    (
-        rec.live_metrics_jsonl(),
-        rec.live_exposition(),
-        rec.alert_ledger().map(|l| l.to_json()),
-    )
 }
 
 fn main() -> ExitCode {
@@ -225,18 +213,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if opts.check {
-        // Bitwise gate: the identical fleet re-run must stream byte-for-
-        // byte identical live artifacts (snapshots are sim-time-driven;
-        // wall clocks never reach them).
-        let first = artifacts(&recorder.borrow());
-        let (_, _, recorder2) = run_fleet(&opts);
-        if artifacts(&recorder2.borrow()) != first {
-            eprintln!("serve_lab: --check FAILED: live artifacts diverged between runs");
-            return ExitCode::FAILURE;
-        }
-        println!("--check OK: live artifacts are bitwise reproducible");
-    }
     ExitCode::SUCCESS
 }
 
@@ -253,7 +229,7 @@ mod tests {
         let d = parse_args(&argv(&[])).unwrap();
         assert_eq!(d.flows, 64);
         assert_eq!(d.duration_ms, 1000);
-        assert!(!d.breach && !d.check && d.live_out.is_none());
+        assert!(!d.breach && d.live_out.is_none());
 
         let o = parse_args(&argv(&[
             "--flows",
@@ -261,14 +237,13 @@ mod tests {
             "--duration-ms",
             "250",
             "--breach",
-            "--check",
             "--live-out",
             "live",
         ]))
         .unwrap();
         assert_eq!(o.flows, 8);
         assert_eq!(o.duration_ms, 250);
-        assert!(o.breach && o.check);
+        assert!(o.breach);
         assert_eq!(o.live_out.as_deref(), Some("live"));
     }
 
@@ -303,15 +278,5 @@ mod tests {
         };
         let outcome = fleet.promote(lab_actor(opts.seed ^ 0xa5), &gate);
         assert!(outcome.vetoed && !outcome.promoted);
-    }
-
-    #[test]
-    fn live_artifacts_are_reproducible_across_runs() {
-        let opts =
-            parse_args(&argv(&["--flows", "8", "--duration-ms", "300", "--breach"])).unwrap();
-        let (_, _, a) = run_fleet(&opts);
-        let (_, _, b) = run_fleet(&opts);
-        assert_eq!(artifacts(&a.borrow()), artifacts(&b.borrow()));
-        assert!(!a.borrow().live_metrics_jsonl().is_empty());
     }
 }

@@ -97,12 +97,16 @@ impl HarnessOpts {
     }
 }
 
-/// The model-training seed of the adversarial harnesses: an explicit
-/// `--model-seed`, else seed 3 in smoke mode (the test suite's shared smoke
-/// controller, so committed fixtures replay against a model the tests
-/// rebuild in seconds), else [`DEFAULT_SEED`].
-pub fn model_seed(explicit: Option<u64>, smoke: bool) -> u64 {
-    explicit.unwrap_or(if smoke { 3 } else { DEFAULT_SEED })
+/// The model-training seed of the adversarial harnesses: seed 3 in smoke
+/// mode (the test suite's shared smoke controller, so committed fixtures
+/// replay against a model the tests rebuild in seconds), else
+/// [`DEFAULT_SEED`].
+pub fn model_seed(smoke: bool) -> u64 {
+    if smoke {
+        3
+    } else {
+        DEFAULT_SEED
+    }
 }
 
 /// The shared on-disk model cache used by all figures.
@@ -311,5 +315,7 @@ mod tests {
             smoke: true,
         };
         assert_eq!(o.budget(), TrainBudget::smoke());
+        // Smoke runs use the test suite's shared seed-3 controller.
+        assert_eq!((model_seed(true), model_seed(false)), (3, DEFAULT_SEED));
     }
 }

@@ -33,7 +33,10 @@ pub const CWND_MAX: f64 = 8_192.0;
 /// ```
 pub fn f_cwnd(action: f64, cwnd_tcp: f64) -> f64 {
     let a = action.clamp(-1.0, 1.0);
-    ((2.0f64).powf(2.0 * a) * cwnd_tcp).clamp(CWND_MIN, CWND_MAX)
+    // `exp2`, not `2.0.powf(..)`: optimised builds rewrite `pow(2, x)` to
+    // `exp2(x)` and unoptimised ones call `pow`, which differs by an ULP
+    // on some actions — every profile must produce the same windows.
+    ((2.0 * a).exp2() * cwnd_tcp).clamp(CWND_MIN, CWND_MAX)
 }
 
 /// The abstract counterpart of [`f_cwnd`] (Eq. 5): lifts an action interval
@@ -104,6 +107,18 @@ mod tests {
         // Out-of-range actions clamp.
         assert_eq!(f_cwnd(5.0, 100.0), 400.0);
         assert_eq!(f_cwnd(-5.0, 100.0), 25.0);
+    }
+
+    #[test]
+    fn f_cwnd_is_exp2_bit_for_bit() {
+        // A dense grid over the action range at a power-of-two window, so
+        // the product is exact and any ULP in `2^(2a)` shows in the result.
+        let n = 200_000;
+        for i in 0..=n {
+            let a = -1.0 + 2.0 * i as f64 / n as f64;
+            let want = (2.0 * a).exp2() * 1024.0;
+            assert_eq!(f_cwnd(a, 1024.0).to_bits(), want.to_bits(), "a = {a:e}");
+        }
     }
 
     #[test]
