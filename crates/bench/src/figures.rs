@@ -12,6 +12,10 @@
 //! `canopy_core::world` builder); only `harvest_contexts` touches
 //! the training environment, to collect decision contexts for the
 //! certificate-distribution figures.
+//!
+//! Stdout depends only on `--seed` and `--smoke`: wall-clock timings
+//! (Table 4, the domain ablation) print on stderr. `FIGURES_smoke.md` is
+//! the stdout of `--all --smoke`, regenerated by `tests/regenerate.rs`.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -911,7 +915,7 @@ fn ablation_domains(opts: &HarnessOpts) {
     let steps = if opts.smoke { 20 } else { 100 };
     let (layout, contexts) = harvest_contexts(&canopy, &synthetic::square_fast(), 0.5, steps);
     title!("Ablation: abstract-domain precision vs cost ({steps} decision contexts)");
-    header!("verifier | mean QC feedback | mean bound width (Δcwnd) | proofs/ctx | µs/certificate");
+    header!("verifier | mean QC feedback | mean bound width (Δcwnd) | proofs/ctx");
     let zonotope = Verifier::with_domain(5, AbstractDomain::Zonotope);
     // (name, verifier, adaptive refinement depth)
     for (name, verifier, depth) in [
@@ -943,7 +947,8 @@ fn ablation_domains(opts: &HarnessOpts) {
         let micros = start.elapsed().as_micros() as f64 / n_certs;
         let (feedback, proofs) = (feedback / n_certs, proofs as f64 / n_certs);
         let width = width / widths.max(1) as f64;
-        row!("{name} | {feedback:.3} | {width:.3} | {proofs:.3} | {micros:.3}");
+        row!("{name} | {feedback:.3} | {width:.3} | {proofs:.3}");
+        eprintln!("ablation_domains: {name}: {micros:.3} µs/certificate");
     }
 }
 
@@ -1094,12 +1099,13 @@ fn table04(opts: &HarnessOpts) {
         steps as f64 / start.elapsed().as_secs_f64()
     };
     title!("Table 4: epoch rates (steps/second; higher is better)");
-    header!("configuration | epochs/s | relative to Orca");
+    println!("(wall-clock rates, printed on stderr)");
+    eprintln!("| configuration | epochs/s | relative to Orca |\n|---|---|---|");
     let orca = epoch_rate(ModelKind::Orca, 1);
-    row!("orca (no verifier) | {orca:.1} | {:.3}", 1.0);
+    eprintln!("| orca (no verifier) | {orca:.1} | {:.3} |", 1.0);
     for n in [1usize, 5, 10] {
         let rate = epoch_rate(ModelKind::Shallow, n);
-        row!("canopy N={n} | {rate:.1} | {:.3}", rate / orca);
+        eprintln!("| canopy N={n} | {rate:.1} | {:.3} |", rate / orca);
     }
 }
 

@@ -5,7 +5,6 @@ use canopy_absint::{
     axis_slices, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
 };
 use canopy_nn::{Matrix, Mlp};
-use serde::{Deserialize, Serialize};
 
 use crate::obs::StateLayout;
 use crate::plan::CertPlan;
@@ -90,7 +89,7 @@ pub struct StepContext {
 }
 
 /// Which abstract domain backs the certificates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AbstractDomain {
     /// The paper's hyper-interval (box) domain with IBP (§3.2).
     #[default]
@@ -101,7 +100,7 @@ pub enum AbstractDomain {
 }
 
 /// Configuration of the certification procedure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Verifier {
     /// Number of input components `N` (the paper trains with 5 and
     /// evaluates certificates with 50).
@@ -112,7 +111,6 @@ pub struct Verifier {
     /// default) consults `CANOPY_THREADS` / available parallelism;
     /// `Some(1)` forces sequential execution. Results are identical at
     /// every thread count.
-    #[serde(default)]
     pub threads: Option<usize>,
 }
 

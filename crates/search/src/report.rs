@@ -63,12 +63,10 @@ pub struct SearchReport {
     pub violation_threshold: f64,
     /// Hardening gate (`--min-gap`): the badness the search was required
     /// to reach for the run to count as "search succeeded".
-    #[serde(default)]
     pub min_gap: Option<f64>,
     /// Whether the gate tripped: a `min_gap` was set and the search never
     /// reached it — evidence the scheme is hardened against this family,
     /// reported distinctly from an ordinary no-violation run.
-    #[serde(default)]
     pub below_min_gap: bool,
     /// Worst badness found.
     pub best_badness: f64,
@@ -379,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn min_gap_fields_validate_and_default() {
+    fn min_gap_fields_validate_and_are_required() {
         let mut gated = sample_report();
         gated.min_gap = Some(0.9);
         gated.below_min_gap = true;
@@ -396,12 +394,13 @@ mod tests {
         orphan.below_min_gap = true;
         assert!(orphan.validate().is_err(), "flag without a gap");
 
-        // v1 reports (no gate fields) must still parse, defaulting off.
-        let text = sample_report().to_json().replace("\"min_gap\":null,", "");
-        let back = SearchReport::from_json(&text.replace("\"below_min_gap\":false,", ""))
-            .expect("v1-shaped report parses");
-        assert_eq!(back.min_gap, None);
-        assert!(!back.below_min_gap);
+        // A v2 report without either gate field is an error, not "no gate".
+        let text = sample_report().to_json();
+        for field in ["\"min_gap\":null,", "\"below_min_gap\":false,"] {
+            assert!(text.contains(field), "{field}");
+            let parsed = SearchReport::from_json(&text.replace(field, ""));
+            assert!(parsed.is_err(), "parsed without {field}");
+        }
     }
 
     /// A qc_sat fixture (violation threshold 0.5) recorded at badness 0.6.

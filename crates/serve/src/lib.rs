@@ -156,7 +156,7 @@ impl FleetConfig {
 }
 
 /// What one [`Fleet::run`] sustained.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FleetReport {
     /// Fleet size.
     pub flows: usize,
@@ -182,11 +182,9 @@ pub struct FleetReport {
     /// Alert-ledger entries (breaches + clears) appended by the live
     /// layer's SLO watchdog during this run; 0 when no live layer is
     /// attached.
-    #[serde(default)]
     pub slo_alerts: u64,
     /// Whether any SLO breach was still active when the run finished.
     /// While true, [`Fleet::promote`] is vetoed.
-    #[serde(default)]
     pub slo_breach_active: bool,
 }
 
@@ -209,7 +207,7 @@ pub struct PromotionGate {
 }
 
 /// The outcome of one [`Fleet::promote`] attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PromoteOutcome {
     /// Whether the candidate replaced the deployed actor.
     pub promoted: bool,
@@ -220,7 +218,6 @@ pub struct PromoteOutcome {
     /// Whether the attempt was refused *before* certification because an
     /// SLO breach was active on the attached live layer. A vetoed
     /// outcome certifies nothing: `min_qc` is 0 and `flows` is 0.
-    #[serde(default)]
     pub vetoed: bool,
 }
 
