@@ -31,7 +31,7 @@ use canopy_core::property::{Property, PropertyParams};
 use canopy_core::trainer::{EpochStats, Trainer};
 use canopy_core::verifier::{AbstractDomain, StepContext, Verifier};
 use canopy_core::world::{self, Controller, FlowSpec};
-use canopy_netsim::{BandwidthTrace, ImpairmentSchedule, Impairments, LinkConfig, Time};
+use canopy_netsim::{BandwidthTrace, ImpairmentPhase, ImpairmentSchedule, LinkConfig, Time};
 use canopy_scenarios::{
     episode_spec, run_matrix, run_scenario, ScenarioSpec, SpecError, TraceProgram,
 };
@@ -610,11 +610,12 @@ fn ext_random_loss(opts: &HarnessOpts) {
     let lossy = |&(label, random_loss): &(&str, f64)| {
         let name = format!("wireless-{label}");
         let mut spec = ScenarioSpec::simple(&name, 24e6, RTT, opts.eval_duration());
-        spec.impairments = Some(ImpairmentSchedule::constant(Impairments {
+        let phase = ImpairmentPhase {
+            start: Time::ZERO,
             random_loss,
             max_jitter: Time::ZERO,
-            seed: opts.seed,
-        }));
+        };
+        spec.impairments = Some(ImpairmentSchedule::new(vec![phase], opts.seed));
         spec
     };
     let specs: Vec<ScenarioSpec> = rates.iter().map(lossy).collect();

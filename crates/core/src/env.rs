@@ -12,7 +12,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use canopy_netsim::link::Impairments;
 use canopy_netsim::{
     BandwidthTrace, FlowId, LinkConfig, LinkId, MonitorSample, Simulator, Time, Topology,
 };
@@ -54,8 +53,6 @@ pub struct EnvConfig {
     /// Record per-ACK delay samples (needed for evaluation percentiles;
     /// off during training to save memory).
     pub record_samples: bool,
-    /// Stochastic link impairments (random loss, jitter); off by default.
-    pub impairments: Impairments,
 }
 
 impl EnvConfig {
@@ -71,7 +68,6 @@ impl EnvConfig {
             reward: RewardConfig::default(),
             noise: None,
             record_samples: false,
-            impairments: Impairments::default(),
         }
     }
 
@@ -83,7 +79,6 @@ impl EnvConfig {
     /// The link configuration implied by this environment.
     pub fn link(&self) -> LinkConfig {
         LinkConfig::with_bdp_buffer(self.trace.clone(), self.min_rtt, self.buffer_bdp)
-            .with_impairments(self.impairments)
     }
 
     /// Sets the episode length.

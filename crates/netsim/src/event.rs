@@ -11,9 +11,11 @@
 //! * **One retransmit slot per flow.** TCP restarts the RTO on every ACK,
 //!   which in a heap-based calendar buries thousands of stale timer
 //!   entries (one per ACK, each popped later as a no-op). Only the most
-//!   recently armed timer can ever fire (older generations are ignored by
-//!   the dispatcher), so the calendar keeps exactly one slot per flow and
-//!   lets re-arming overwrite it.
+//!   recently armed timer can ever fire, so the calendar keeps exactly one
+//!   slot per flow: re-arming overwrites it, disarming cancels it
+//!   ([`EventQueue::cancel_rto`]), and the slot is the one record of
+//!   whether the timer is live ([`EventQueue::rto_pending`]) — every timer
+//!   that pops is live, with no generation counter to check.
 //! * **Per-link lanes.** Each link of the topology serializes one packet
 //!   at a time, so at most one departure is pending per link, and hop
 //!   forwardings toward a link arrive in near-sorted order (a short
@@ -45,10 +47,11 @@ pub enum Event {
     HopArrival { link: LinkId, packet: Packet },
     /// An ACK reaches the sender of `flow`.
     AckArrival(Ack),
-    /// The retransmission timer for `flow` fires. The generation counter
-    /// invalidates stale timers: the event is ignored unless it matches the
-    /// flow's current `rto_generation`.
-    RtoTimer { flow: FlowId, generation: u64 },
+    /// The retransmission timer for the flow fires. A flow has at most one
+    /// pending: scheduling another replaces it, and
+    /// [`EventQueue::cancel_rto`] disarms it, so every one that fires is
+    /// live.
+    RtoTimer(FlowId),
     /// The application on `flow` starts sending.
     FlowStart(FlowId),
     /// The application on `flow` departs: no new data or retransmissions
@@ -96,9 +99,9 @@ fn insort_by_time<T>(lane: &mut VecDeque<T>, at: Time, entry: T, time_of: impl F
 struct FlowShard {
     /// Pending ACK arrivals and start/stop events, sorted by `(time, id)`.
     lane: VecDeque<(Time, u64, Event)>,
-    /// The armed retransmission timer, if any: `(time, id, generation)`.
-    /// Re-arming overwrites; only the newest generation can fire anyway.
-    rto: Option<(Time, u64, u64)>,
+    /// The armed retransmission timer, if any: `(time, id)`. Re-arming
+    /// overwrites, disarming empties it.
+    rto: Option<(Time, u64)>,
 }
 
 impl FlowShard {
@@ -113,7 +116,7 @@ impl FlowShard {
     fn head(&self) -> (Time, u64) {
         let lane = self.lane.front().map_or(IDLE, |&(at, id, _)| (at, id));
         match self.rto {
-            Some((at, id, _)) if (at, id) < lane => (at, id),
+            Some(rto) if rto < lane => rto,
             _ => lane,
         }
     }
@@ -185,23 +188,9 @@ impl EventQueue {
         q
     }
 
-    /// Creates an empty calendar pre-sized for `flows` concurrent flows.
-    pub fn with_flow_capacity(flows: usize) -> EventQueue {
-        let mut q = EventQueue::new();
-        q.ensure_shards(flows);
-        q
-    }
-
     /// Number of link lanes.
     fn link_lanes(&self) -> usize {
         self.links.len()
-    }
-
-    /// Pre-sizes the calendar for one more flow's worth of events (called
-    /// as flows are added, so shard count tracks the flow count).
-    pub fn reserve_for_flow(&mut self) {
-        let want = self.shards.len() + 1;
-        self.ensure_shards(want);
     }
 
     fn ensure_shards(&mut self, count: usize) {
@@ -307,13 +296,12 @@ impl EventQueue {
                 self.refresh_link_head(l);
                 self.len += 1;
             }
-            Event::RtoTimer { flow, generation } => {
+            Event::RtoTimer(flow) => {
                 let f = flow.0;
                 self.ensure_shards(f + 1);
-                // Overwrite: a superseded timer carries a stale generation
-                // and would be ignored at dispatch, so dropping it here is
-                // behaviourally identical and keeps one slot per flow.
-                if self.shards[f].rto.replace((at, id, generation)).is_none() {
+                // Overwrite: TCP restarts the timer, so only the newest
+                // deadline may fire.
+                if self.shards[f].rto.replace((at, id)).is_none() {
                     self.len += 1;
                 }
                 self.refresh_shard_head(f);
@@ -333,6 +321,20 @@ impl EventQueue {
                 self.refresh_shard_head(f);
             }
         }
+    }
+
+    /// Disarms `flow`'s retransmission timer, if one is pending.
+    pub fn cancel_rto(&mut self, flow: FlowId) {
+        let f = flow.0;
+        if self.shards.get_mut(f).and_then(|s| s.rto.take()).is_some() {
+            self.len -= 1;
+            self.refresh_shard_head(f);
+        }
+    }
+
+    /// Whether `flow`'s retransmission timer is pending.
+    pub fn rto_pending(&self, flow: FlowId) -> bool {
+        self.shards.get(flow.0).is_some_and(|s| s.rto.is_some())
     }
 
     /// The tournament's current minimum: `(lane index, (time, id))`.
@@ -380,12 +382,9 @@ impl EventQueue {
         let f = lane - self.link_lanes();
         let shard = &mut self.shards[f];
         let event = match shard.rto {
-            Some((rto_at, rto_id, generation)) if (rto_at, rto_id) == (at, id) => {
+            Some(rto) if rto == (at, id) => {
                 shard.rto = None;
-                Event::RtoTimer {
-                    flow: FlowId(f),
-                    generation,
-                }
+                Event::RtoTimer(FlowId(f))
             }
             _ => {
                 let (_, _, event) = shard.lane.pop_front().expect("lane head exists");
@@ -469,17 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn presized_queue_behaves_identically() {
-        let mut q = EventQueue::with_flow_capacity(4);
-        q.reserve_for_flow();
-        q.schedule(Time::from_millis(2), Event::LinkDeparture(LinkId(0)));
-        q.schedule(Time::from_millis(1), Event::LinkDeparture(LinkId(0)));
-        assert_eq!(q.peek_time(), Some(Time::from_millis(1)));
-        assert_eq!(q.pop().unwrap().at, Time::from_millis(1));
-        assert_eq!(q.pop().unwrap().at, Time::from_millis(2));
-    }
-
-    #[test]
     #[should_panic(expected = "outside the calendar")]
     fn scheduling_beyond_link_lanes_panics() {
         let mut q = EventQueue::with_links(2);
@@ -508,34 +496,28 @@ mod tests {
     }
 
     #[test]
-    fn rearming_overwrites_the_rto_slot() {
+    fn rearming_overwrites_and_cancelling_empties_the_rto_slot() {
         let mut q = EventQueue::new();
-        q.schedule(
-            Time::from_millis(200),
-            Event::RtoTimer {
-                flow: FlowId(0),
-                generation: 1,
-            },
-        );
-        // Re-arm earlier with a newer generation: exactly one timer stays.
-        q.schedule(
-            Time::from_millis(150),
-            Event::RtoTimer {
-                flow: FlowId(0),
-                generation: 2,
-            },
-        );
+        assert!(!q.rto_pending(FlowId(0)));
+        q.schedule(Time::from_millis(200), Event::RtoTimer(FlowId(0)));
+        // Re-arm earlier: exactly one timer stays, the newest.
+        q.schedule(Time::from_millis(150), Event::RtoTimer(FlowId(0)));
         assert_eq!(q.len(), 1);
+        assert!(q.rto_pending(FlowId(0)));
         let e = q.pop().unwrap();
-        assert_eq!(e.at, Time::from_millis(150));
-        match e.event {
-            Event::RtoTimer { flow, generation } => {
-                assert_eq!(flow, FlowId(0));
-                assert_eq!(generation, 2);
-            }
-            other => panic!("expected RtoTimer, got {other:?}"),
-        }
+        assert_eq!((e.at, e.id), (Time::from_millis(150), 1));
+        assert!(matches!(e.event, Event::RtoTimer(FlowId(0))));
+        assert!(!q.rto_pending(FlowId(0)));
         assert!(q.pop().is_none());
+        // A cancelled timer never fires; cancelling an idle slot (or an
+        // unknown flow's) is a no-op.
+        q.schedule(Time::from_millis(300), Event::RtoTimer(FlowId(0)));
+        q.cancel_rto(FlowId(0));
+        q.cancel_rto(FlowId(0));
+        q.cancel_rto(FlowId(9));
+        assert!(!q.rto_pending(FlowId(0)));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -564,7 +546,8 @@ mod tests {
     /// dispatch order exactly — same times, same FIFO tie-breaks — for a
     /// randomized interleaving of every event kind across several flows
     /// and several link lanes (multi-hop topology shape: departures and
-    /// hop forwardings spread over three links).
+    /// hop forwardings spread over three links), with retransmit timers
+    /// re-armed and cancelled at random on both sides.
     #[test]
     fn matches_reference_heap_order() {
         use std::cmp::Reverse;
@@ -582,10 +565,28 @@ mod tests {
         let mut q = EventQueue::with_links(3);
         let mut reference: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
         let mut pending_rto: [Option<u64>; 4] = [None; 4];
+        // The reference heap models slot overwrite and cancellation by
+        // discarding the superseded or cancelled timer's key.
+        let discard = |reference: &mut BinaryHeap<Reverse<(Time, u64)>>, old: Option<u64>| {
+            if let Some(old) = old {
+                let mut keep: Vec<Reverse<(Time, u64)>> = reference.drain().collect();
+                keep.retain(|Reverse((_, i))| *i != old);
+                reference.extend(keep);
+            }
+        };
         for id in 0..600u64 {
             let at = Time::from_micros(next() % 50_000);
             let flow = FlowId((next() % 4) as usize);
             let link = LinkId((next() % 3) as usize);
+            // Cancelling consumes no id: the next event still gets `id`.
+            if next() % 4 == 0 {
+                let victim = FlowId((next() % 5) as usize);
+                discard(
+                    &mut reference,
+                    pending_rto.get_mut(victim.0).and_then(Option::take),
+                );
+                q.cancel_rto(victim);
+            }
             let event = match next() % 5 {
                 0 => Event::LinkDeparture(link),
                 1 => Event::HopArrival {
@@ -594,23 +595,16 @@ mod tests {
                 },
                 2 => Event::FlowStart(flow),
                 3 => Event::FlowStop(flow),
-                _ => Event::RtoTimer {
-                    flow,
-                    generation: id,
-                },
+                _ => Event::RtoTimer(flow),
             };
-            // The reference heap models slot overwrite by discarding the
-            // superseded timer's key.
-            if let Event::RtoTimer { flow, .. } = event {
-                if let Some(old) = pending_rto[flow.0].take() {
-                    let mut keep: Vec<Reverse<(Time, u64)>> = reference.drain().collect();
-                    keep.retain(|Reverse((_, i))| *i != old);
-                    reference.extend(keep);
-                }
-                pending_rto[flow.0] = Some(id);
+            if let Event::RtoTimer(flow) = event {
+                discard(&mut reference, pending_rto[flow.0].replace(id));
             }
             reference.push(Reverse((at, id)));
             q.schedule(at, event);
+            for (f, pending) in pending_rto.iter().enumerate() {
+                assert_eq!(q.rto_pending(FlowId(f)), pending.is_some());
+            }
         }
         assert_eq!(q.len(), reference.len());
         while let Some(Reverse((at, eid))) = reference.pop() {

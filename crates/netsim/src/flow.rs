@@ -8,24 +8,17 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cc::CongestionControl;
 use crate::stats::{FlowStats, MonitorAccum};
 use crate::time::Time;
 use crate::topology::LinkId;
 
 /// Identifies a flow within one simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub usize);
 
-/// The default route: the single bottleneck of a dumbbell.
-fn dumbbell_path() -> Vec<LinkId> {
-    vec![LinkId(0)]
-}
-
 /// Static configuration of a flow.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowConfig {
     /// Two-way propagation delay (the RTT floor when queues are empty).
     pub min_rtt: Time,
@@ -42,7 +35,6 @@ pub struct FlowConfig {
     /// default (link `0` only) is the dumbbell route; multi-hop topologies
     /// set it via [`FlowConfig::on_path`]. Validated against the topology
     /// when the flow is added.
-    #[serde(default = "dumbbell_path")]
     pub path: Vec<LinkId>,
 }
 
@@ -55,7 +47,7 @@ impl FlowConfig {
             start_time: Time::ZERO,
             stop_time: None,
             record_samples: true,
-            path: dumbbell_path(),
+            path: vec![LinkId(0)],
         }
     }
 
@@ -105,173 +97,115 @@ pub struct SentMeta {
     pub delivered_at_send: u64,
 }
 
-/// An ordered set of sequence numbers over a ring buffer.
+/// Values keyed by sequence number, sorted ascending over a ring buffer;
+/// `SeqRing<()>` (the default) is an ordered set of sequence numbers.
 ///
-/// The reliability layer's sets see near-sorted traffic — new losses and
-/// out-of-order arrivals cluster at the frontier, recovery drains from
-/// the front — so a sorted ring with binary search beats a node-based
-/// tree on every hot operation while keeping identical ordered-set
-/// semantics (iteration and minimum are in ascending order).
-#[derive(Clone, Debug, Default)]
-pub struct SeqSet {
-    seqs: VecDeque<u64>,
+/// The reliability layer's sequence state sees near-sorted traffic: fresh
+/// data, new losses and out-of-order arrivals land at the frontier, while
+/// the cumulative ACK and recovery drain the front. So a sorted ring with
+/// frontier fast paths and a binary-search fallback beats a node-based
+/// tree on every hot operation while keeping ordered-map semantics
+/// (iteration and minimum are in ascending key order).
+#[derive(Clone, Debug)]
+pub struct SeqRing<V = ()> {
+    entries: VecDeque<(u64, V)>,
 }
 
-impl SeqSet {
-    /// An empty set.
-    pub fn new() -> SeqSet {
-        SeqSet::default()
-    }
-
-    /// Number of sequence numbers held.
-    pub fn len(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.seqs.clear();
-    }
-
-    /// Removes and returns the smallest element.
-    pub fn pop_first(&mut self) -> Option<u64> {
-        self.seqs.pop_front()
-    }
-
-    /// Inserts `seq`; returns `false` if it was already present.
-    #[inline]
-    pub fn insert(&mut self, seq: u64) -> bool {
-        // Frontier fast path: losses and reorderings are declared in
-        // mostly ascending order.
-        match self.seqs.back() {
-            None => {
-                self.seqs.push_back(seq);
-                return true;
-            }
-            Some(&last) if last < seq => {
-                self.seqs.push_back(seq);
-                return true;
-            }
-            _ => {}
+impl<V> Default for SeqRing<V> {
+    fn default() -> SeqRing<V> {
+        SeqRing {
+            entries: VecDeque::new(),
         }
-        match self.seqs.binary_search(&seq) {
-            Ok(_) => false,
-            Err(idx) => {
-                self.seqs.insert(idx, seq);
-                true
-            }
-        }
-    }
-
-    /// Removes `seq`; returns whether it was present.
-    #[inline]
-    pub fn remove(&mut self, seq: u64) -> bool {
-        // Recovery drains the front: the gap being filled is the minimum.
-        match self.seqs.front() {
-            None => return false,
-            Some(&first) if first == seq => {
-                self.seqs.pop_front();
-                return true;
-            }
-            Some(&first) if first > seq => return false,
-            _ => {}
-        }
-        match self.seqs.binary_search(&seq) {
-            Ok(idx) => {
-                self.seqs.remove(idx);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Removes every element strictly below `cutoff`.
-    pub fn drain_below(&mut self, cutoff: u64) {
-        let keep = self.seqs.partition_point(|&s| s < cutoff);
-        self.seqs.drain(..keep);
     }
 }
 
-/// The send window: outstanding packets keyed by sequence number, sorted
-/// ascending over a ring buffer (the ordered-map twin of [`SeqSet`]).
-/// Fresh data appends at the back, the cumulative ACK drains the front,
-/// and selective ACKs overwhelmingly hit the frontier.
-#[derive(Debug, Default)]
-pub struct SendWindow {
-    entries: VecDeque<(u64, SentMeta)>,
-}
+impl<V> SeqRing<V> {
+    /// An empty ring.
+    pub fn new() -> SeqRing<V> {
+        SeqRing::default()
+    }
 
-impl SendWindow {
-    /// An empty window pre-sized for a typical in-flight population.
-    pub fn with_capacity(capacity: usize) -> SendWindow {
-        SendWindow {
+    /// An empty ring pre-sized for `capacity` entries.
+    pub fn with_capacity(capacity: usize) -> SeqRing<V> {
+        SeqRing {
             entries: VecDeque::with_capacity(capacity),
         }
     }
 
-    /// Number of outstanding packets.
+    /// Number of entries held.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether nothing is outstanding.
+    /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Records a sent packet. Fresh data is an O(1) append; a retransmit
-    /// re-enters near the front.
-    pub fn insert(&mut self, seq: u64, meta: SentMeta) {
+    /// Removes every entry.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Removes and returns the entry with the smallest key.
+    pub fn pop_first(&mut self) -> Option<(u64, V)> {
+        self.entries.pop_front()
+    }
+
+    /// Inserts `value` under `seq`, overwriting the value already there;
+    /// returns whether `seq` was new. A key above every held key is an
+    /// O(1) append.
+    #[inline]
+    pub fn insert(&mut self, seq: u64, value: V) -> bool {
         if self.entries.back().is_none_or(|&(last, _)| last < seq) {
-            self.entries.push_back((seq, meta));
-            return;
+            self.entries.push_back((seq, value));
+            return true;
         }
         match self.entries.binary_search_by_key(&seq, |&(s, _)| s) {
-            Ok(idx) => self.entries[idx] = (seq, meta),
-            Err(idx) => self.entries.insert(idx, (seq, meta)),
+            Ok(idx) => {
+                self.entries[idx].1 = value;
+                false
+            }
+            Err(idx) => {
+                self.entries.insert(idx, (seq, value));
+                true
+            }
         }
     }
 
-    /// Removes `seq`, returning its metadata if it was outstanding.
+    /// Removes `seq`, returning its value if it was present. Removing the
+    /// smallest key is an O(1) pop.
     #[inline]
-    pub fn remove(&mut self, seq: u64) -> Option<SentMeta> {
-        // In-order delivery acknowledges the oldest outstanding packet.
+    pub fn remove(&mut self, seq: u64) -> Option<V> {
         match self.entries.front() {
             None => return None,
-            Some(&(first, meta)) if first == seq => {
-                self.entries.pop_front();
-                return Some(meta);
+            Some(&(first, _)) if first == seq => {
+                return self.entries.pop_front().map(|(_, value)| value);
             }
             Some(&(first, _)) if first > seq => return None,
             _ => {}
         }
         match self.entries.binary_search_by_key(&seq, |&(s, _)| s) {
-            Ok(idx) => self.entries.remove(idx).map(|(_, meta)| meta),
+            Ok(idx) => self.entries.remove(idx).map(|(_, value)| value),
             Err(_) => None,
         }
     }
 
-    /// Removes every packet strictly below the cumulative ACK, returning
-    /// how many were acknowledged.
-    pub fn drain_below(&mut self, cum_ack: u64) -> u64 {
-        let keep = self.entries.partition_point(|&(s, _)| s < cum_ack);
-        self.entries.drain(..keep);
-        keep as u64
+    /// Removes every entry keyed strictly below `cutoff`, returning how
+    /// many were removed.
+    pub fn drain_below(&mut self, cutoff: u64) -> u64 {
+        let below = self.entries.partition_point(|&(s, _)| s < cutoff);
+        self.entries.drain(..below);
+        below as u64
     }
 
-    /// Declares every outstanding packet lost: moves all sequence numbers
-    /// into `lost` (ascending) and empties the window, returning the count.
-    pub fn declare_all_lost(&mut self, lost: &mut SeqSet) -> u64 {
+    /// Moves every key into the set `into` and empties this ring,
+    /// returning how many keys moved.
+    pub fn move_keys_into(&mut self, into: &mut SeqRing) -> u64 {
         let count = self.entries.len() as u64;
-        for &(seq, _) in &self.entries {
-            lost.insert(seq);
+        for (seq, _) in self.entries.drain(..) {
+            into.insert(seq, ());
         }
-        self.entries.clear();
         count
     }
 }
@@ -282,7 +216,7 @@ pub struct Receiver {
     /// Next expected sequence number; everything below has been received.
     pub cum_recv: u64,
     /// Out-of-order packets received above `cum_recv`.
-    pub out_of_order: SeqSet,
+    pub out_of_order: SeqRing,
 }
 
 impl Receiver {
@@ -290,11 +224,11 @@ impl Receiver {
     pub fn on_data(&mut self, seq: u64) -> u64 {
         if seq == self.cum_recv {
             self.cum_recv += 1;
-            while self.out_of_order.remove(self.cum_recv) {
+            while self.out_of_order.remove(self.cum_recv).is_some() {
                 self.cum_recv += 1;
             }
         } else if seq > self.cum_recv {
-            self.out_of_order.insert(seq);
+            self.out_of_order.insert(seq, ());
         }
         // Below cum_recv: spurious duplicate, ACK still confirms cum_recv.
         self.cum_recv
@@ -318,9 +252,11 @@ pub struct FlowState {
     /// Cumulative ACK received: all `seq < cum_acked` are delivered.
     pub cum_acked: u64,
     /// Outstanding packets (sent, neither acknowledged nor declared lost).
-    pub outstanding: SendWindow,
+    /// Fresh data appends at the back, the cumulative ACK drains the
+    /// front, and a retransmit re-enters near the front.
+    pub outstanding: SeqRing<SentMeta>,
     /// Packets declared lost and awaiting retransmission.
-    pub lost_pending: SeqSet,
+    pub lost_pending: SeqRing,
     /// Duplicate-ACK counter.
     pub dup_acks: u32,
     /// While in fast recovery: recovery completes once `cum_acked` reaches
@@ -329,7 +265,8 @@ pub struct FlowState {
     /// Total bytes delivered (cumulative + selective), for rate estimation.
     pub delivered_bytes: u64,
 
-    // --- RTT estimation and the retransmission timer (RFC 6298) ---
+    // --- RTT estimation and the retransmission timer (RFC 6298); whether
+    // the timer is armed is recorded by the calendar's RTO slot alone ---
     /// Smoothed RTT; zero until the first sample.
     pub srtt: Time,
     /// RTT variance estimate.
@@ -338,10 +275,6 @@ pub struct FlowState {
     pub rto: Time,
     /// Consecutive backoffs applied to `rto` since the last new ACK.
     pub rto_backoff: u32,
-    /// Generation counter invalidating stale timer events.
-    pub rto_generation: u64,
-    /// Whether a timer event is currently scheduled.
-    pub rto_armed: bool,
 
     // --- Statistics ---
     /// Lifetime statistics.
@@ -363,8 +296,8 @@ impl FlowState {
             stopped: false,
             next_seq: 0,
             cum_acked: 0,
-            outstanding: SendWindow::with_capacity(64),
-            lost_pending: SeqSet::new(),
+            outstanding: SeqRing::with_capacity(64),
+            lost_pending: SeqRing::new(),
             dup_acks: 0,
             recovery_end: None,
             delivered_bytes: 0,
@@ -372,8 +305,6 @@ impl FlowState {
             rttvar: Time::ZERO,
             rto: Time::from_secs(1),
             rto_backoff: 0,
-            rto_generation: 0,
-            rto_armed: false,
             stats: FlowStats::new(),
             monitor: MonitorAccum::default(),
             receiver: Receiver::default(),
@@ -383,6 +314,12 @@ impl FlowState {
     /// Packets in flight: sent and neither acknowledged nor declared lost.
     pub fn inflight(&self) -> u64 {
         self.outstanding.len() as u64
+    }
+
+    /// Whether any packet is in flight or awaiting retransmission — what a
+    /// retransmission timer guards.
+    pub fn has_unacked(&self) -> bool {
+        !self.outstanding.is_empty() || !self.lost_pending.is_empty()
     }
 
     /// The effective window in whole packets, never below [`MIN_CWND`].
@@ -456,12 +393,98 @@ impl std::fmt::Debug for FlowState {
 mod tests {
     use super::*;
     use crate::cc::FixedWindow;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn flow() -> FlowState {
         FlowState::new(
             FlowConfig::new(Time::from_millis(40)),
             Box::new(FixedWindow::new(10.0)),
         )
+    }
+
+    fn keys<V>(ring: &SeqRing<V>) -> Vec<u64> {
+        ring.entries.iter().map(|&(k, _)| k).collect()
+    }
+
+    enum Op {
+        Insert(u64),
+        Remove(u64),
+        DrainBelow(u64),
+        PopFirst,
+        MoveKeys,
+    }
+
+    /// Draws one operation, its key chosen relative to the ring's current
+    /// front and back the way the reliability layer uses a ring: appends
+    /// and near-misses at the back, cumulative drains and recovery at the
+    /// front, and anywhere in a small key range.
+    fn draw(rng: &mut StdRng, ring: &SeqRing<u32>) -> Op {
+        let front = ring.entries.front().map_or(0, |&(s, _)| s);
+        let back = ring.entries.back().map_or(0, |&(s, _)| s);
+        let k = rng.random_range(0..48u64);
+        match rng.random_range(0..14u8) {
+            0..=3 => Op::Insert(back + k % 4),
+            4 => Op::Insert(back.saturating_sub(k % 6)),
+            5 => Op::Insert(k),
+            6..=7 => Op::Remove(front + k % 3),
+            8 => Op::Remove(k),
+            9..=10 => Op::DrainBelow(front + k % 5),
+            11..=12 => Op::PopFirst,
+            _ => Op::MoveKeys,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ring is an ordered map, and its set form an ordered set:
+        /// through frontier-biased insert / remove / drain_below /
+        /// pop_first / move_keys_into sequences, every return value and
+        /// every key (and value) in order match `BTreeMap` and `BTreeSet`.
+        #[test]
+        fn ring_matches_ordered_map_and_set(seed in 0..u64::MAX, len in 0..160usize) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ring: SeqRing<u32> = SeqRing::new();
+            let mut map: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut ring_set = SeqRing::new();
+            let mut set = BTreeSet::new();
+            for _ in 0..len {
+                match draw(&mut rng, &ring) {
+                    Op::Insert(k) => {
+                        let value = rng.random::<u32>();
+                        prop_assert_eq!(ring.insert(k, value), map.insert(k, value).is_none());
+                        prop_assert_eq!(ring_set.insert(k, ()), set.insert(k));
+                    }
+                    Op::Remove(k) => {
+                        prop_assert_eq!(ring.remove(k), map.remove(&k));
+                        prop_assert_eq!(ring_set.remove(k).is_some(), set.remove(&k));
+                    }
+                    Op::DrainBelow(cut) => {
+                        let kept = map.split_off(&cut);
+                        let below = std::mem::replace(&mut map, kept).len() as u64;
+                        prop_assert_eq!(ring.drain_below(cut), below);
+                        let kept = set.split_off(&cut);
+                        let below = std::mem::replace(&mut set, kept).len() as u64;
+                        prop_assert_eq!(ring_set.drain_below(cut), below);
+                    }
+                    Op::PopFirst => {
+                        prop_assert_eq!(ring.pop_first(), map.pop_first());
+                        prop_assert_eq!(ring_set.pop_first().map(|(k, ())| k), set.pop_first());
+                    }
+                    Op::MoveKeys => {
+                        let moved = map.len() as u64;
+                        set.extend(std::mem::take(&mut map).into_keys());
+                        prop_assert_eq!(ring.move_keys_into(&mut ring_set), moved);
+                    }
+                }
+                prop_assert!(ring.entries.iter().copied().eq(map.iter().map(|(&k, &v)| (k, v))));
+                prop_assert_eq!(keys(&ring_set), set.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!((ring.len(), ring_set.len()), (map.len(), set.len()));
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod trace;
 pub use canopy_telemetry::LinkSample;
 pub use cc::{AckInfo, CongestionControl, FixedWindow, LossInfo};
 pub use flow::{FlowConfig, FlowId};
-pub use link::{ImpairmentPhase, ImpairmentSchedule, Impairments, LinkConfig};
+pub use link::{ImpairmentPhase, ImpairmentSchedule, LinkConfig};
 pub use packet::MSS_BYTES;
 pub use sim::Simulator;
 pub use stats::{FlowStats, MonitorSample};

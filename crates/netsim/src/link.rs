@@ -7,21 +7,6 @@ use crate::queue::DropTailQueue;
 use crate::time::Time;
 use crate::trace::BandwidthTrace;
 
-/// Stochastic path impairments applied at the bottleneck, all seeded for
-/// determinism. These model non-congestive effects real paths exhibit —
-/// random (wireless) loss and delay jitter — and default to off.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct Impairments {
-    /// Probability that a packet is corrupted/lost *after* transmission
-    /// (independent of queue state); `0.0` disables.
-    pub random_loss: f64,
-    /// Maximum extra one-way delay added uniformly at random to each
-    /// delivered packet; [`Time::ZERO`] disables.
-    pub max_jitter: Time,
-    /// Seed for the impairment RNG.
-    pub seed: u64,
-}
-
 /// One phase of a time-scheduled impairment program: from `start` until the
 /// next phase begins (or forever), packets see the given loss probability
 /// and jitter bound.
@@ -36,11 +21,13 @@ pub struct ImpairmentPhase {
     pub max_jitter: Time,
 }
 
-/// A time-scheduled impairment program (loss/jitter phases), generalizing
-/// the static [`Impairments`]: before the first phase the link is clean,
-/// then each phase holds until the next one starts, and the final phase
-/// holds to the end of the run. One seeded RNG drives the whole program so
-/// runs stay deterministic.
+/// Stochastic path impairments applied at a link, as a time-scheduled
+/// program of loss/jitter phases. These model non-congestive effects real
+/// paths exhibit — random (wireless) loss and delay jitter: before the
+/// first phase the link is clean, then each phase holds until the next one
+/// starts, and the final phase holds to the end of the run (a static
+/// impairment is one phase starting at zero). One seeded RNG drives the
+/// whole program so runs stay deterministic.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ImpairmentSchedule {
     /// Phases sorted by `start` (unsorted input is sorted on construction;
@@ -55,18 +42,6 @@ impl ImpairmentSchedule {
     pub fn new(mut phases: Vec<ImpairmentPhase>, seed: u64) -> ImpairmentSchedule {
         phases.sort_by_key(|p| p.start);
         ImpairmentSchedule { phases, seed }
-    }
-
-    /// A single-phase schedule equivalent to static [`Impairments`].
-    pub fn constant(imp: Impairments) -> ImpairmentSchedule {
-        ImpairmentSchedule {
-            phases: vec![ImpairmentPhase {
-                start: Time::ZERO,
-                random_loss: imp.random_loss,
-                max_jitter: imp.max_jitter,
-            }],
-            seed: imp.seed,
-        }
     }
 
     /// Whether any phase impairs traffic.
@@ -89,28 +64,20 @@ impl ImpairmentSchedule {
     }
 }
 
-impl From<Impairments> for ImpairmentSchedule {
-    fn from(imp: Impairments) -> ImpairmentSchedule {
-        ImpairmentSchedule::constant(imp)
-    }
-}
-
 /// Static configuration of one link.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkConfig {
     /// The bandwidth process.
     pub trace: BandwidthTrace,
     /// Droptail buffer size in bytes.
     pub buffer_bytes: u64,
-    /// The impairment program (off by default); static [`Impairments`]
-    /// are its one-phase case, [`ImpairmentSchedule::constant`].
+    /// The impairment program (off by default).
     pub impairments: Option<ImpairmentSchedule>,
     /// One-way propagation delay added when forwarding a packet from this
     /// link to the *next* hop of its path. Irrelevant on a flow's final
     /// hop, where delivery uses the flow's `min_rtt` instead — so a
     /// dumbbell is delay-insensitive, exactly like the pre-topology
     /// engine.
-    #[serde(default)]
     pub delay: Time,
 }
 
@@ -131,10 +98,9 @@ impl LinkConfig {
         self
     }
 
-    /// Attaches an impairment program to the link; static [`Impairments`]
-    /// attach as their one-phase [`ImpairmentSchedule::constant`].
-    pub fn with_impairments(mut self, impairments: impl Into<ImpairmentSchedule>) -> LinkConfig {
-        self.impairments = Some(impairments.into());
+    /// Attaches an impairment program to the link.
+    pub fn with_impairments(mut self, impairments: ImpairmentSchedule) -> LinkConfig {
+        self.impairments = Some(impairments);
         self
     }
 
@@ -175,9 +141,6 @@ pub struct Link {
     /// Whether a packet is currently being serialized (a departure event is
     /// outstanding).
     pub busy: bool,
-    /// Set when a transmission could never complete (an infinite outage);
-    /// diagnostics only.
-    pub stalled: bool,
     /// Total bytes this link finished serializing (per-link utilization).
     pub served_bytes: u64,
 }
@@ -190,7 +153,6 @@ impl Link {
             queue: DropTailQueue::new(config.buffer_bytes),
             delay: config.delay,
             busy: false,
-            stalled: false,
             served_bytes: 0,
         }
     }

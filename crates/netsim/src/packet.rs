@@ -1,7 +1,5 @@
 //! Packet types exchanged between sender, bottleneck, and receiver.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::FlowId;
 use crate::time::Time;
 
@@ -10,7 +8,7 @@ use crate::time::Time;
 pub const MSS_BYTES: u32 = 1448;
 
 /// A data packet travelling sender → receiver.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// The flow this packet belongs to.
     pub flow: FlowId,
@@ -35,7 +33,7 @@ pub struct Packet {
 }
 
 /// An acknowledgement travelling receiver → sender.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Ack {
     /// The flow being acknowledged.
     pub flow: FlowId,

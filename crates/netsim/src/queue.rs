@@ -27,8 +27,6 @@ pub struct DropTailQueue {
     bytes: u64,
     /// Total packets dropped since creation.
     drops: u64,
-    /// Total packets accepted since creation.
-    accepted: u64,
     /// Running peak occupancy in bytes (for diagnostics).
     peak_bytes: u64,
     /// Time-integral of byte occupancy (byte·nanoseconds) up to
@@ -49,7 +47,6 @@ impl DropTailQueue {
             queue: VecDeque::new(),
             bytes: 0,
             drops: 0,
-            accepted: 0,
             peak_bytes: 0,
             occupancy_integral: 0,
             last_change: Time::ZERO,
@@ -74,7 +71,6 @@ impl DropTailQueue {
         self.accrue(now);
         self.bytes += size;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.accepted += 1;
         self.queue.push_back(QueuedPacket {
             packet,
             enqueued_at: now,
@@ -112,19 +108,9 @@ impl DropTailQueue {
         self.queue.is_empty()
     }
 
-    /// Configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
     /// Packets dropped since creation.
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Packets accepted since creation.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
     }
 
     /// Peak byte occupancy observed since creation.
@@ -183,7 +169,6 @@ mod tests {
         assert!(q.enqueue(pkt(1), Time::ZERO));
         assert!(!q.enqueue(pkt(2), Time::ZERO));
         assert_eq!(q.drops(), 1);
-        assert_eq!(q.accepted(), 2);
         assert_eq!(q.len(), 2);
         // Draining frees space again.
         q.dequeue(Time::ZERO);

@@ -131,9 +131,6 @@ impl Simulator {
         let start = config.start_time.max(self.now);
         let stop = config.stop_time;
         self.flows.push(FlowState::new(config, cc));
-        // Keep the calendar's capacity tracking the flow count so the
-        // heap's backing buffer never grows mid-run.
-        self.events.reserve_for_flow();
         self.events.schedule(start, Event::FlowStart(id));
         if let Some(stop) = stop {
             self.events.schedule(stop.max(start), Event::FlowStop(id));
@@ -332,15 +329,14 @@ impl Simulator {
                 flow.stopped = true;
                 flow.stats.stopped_at = Some(self.now);
                 // The departing application abandons undelivered data: no
-                // retransmissions, and the pending timer is invalidated.
+                // retransmissions, and the pending timer is cancelled.
                 flow.lost_pending.clear();
-                flow.rto_armed = false;
-                flow.rto_generation += 1;
+                self.events.cancel_rto(f);
             }
             Event::LinkDeparture(l) => self.on_departure(l),
             Event::HopArrival { link, packet } => self.on_hop_arrival(link, packet),
             Event::AckArrival(ack) => self.on_ack(ack),
-            Event::RtoTimer { flow, generation } => self.on_rto(flow, generation),
+            Event::RtoTimer(f) => self.on_rto(f),
         }
     }
 
@@ -354,7 +350,7 @@ impl Simulator {
                 break;
             }
             let (seq, retransmit) = match flow.lost_pending.pop_first() {
-                Some(s) => (s, true),
+                Some((s, ())) => (s, true),
                 None => {
                     let s = flow.next_seq;
                     flow.next_seq += 1;
@@ -398,18 +394,12 @@ impl Simulator {
         if link.busy || link.queue.is_empty() {
             return;
         }
-        match link.head_transmit_end(self.now) {
-            Some(end) => {
-                link.busy = true;
-                link.stalled = false;
-                self.events.schedule(end, Event::LinkDeparture(l));
-            }
-            None => {
-                // Permanent outage: packets sit in the queue; flows recover
-                // through their retransmission timers if the trace resumes
-                // via an external reconfiguration.
-                link.stalled = true;
-            }
+        // A permanent outage (`None`) leaves packets in the queue; flows
+        // recover through their retransmission timers if the trace resumes
+        // via an external reconfiguration.
+        if let Some(end) = link.head_transmit_end(self.now) {
+            link.busy = true;
+            self.events.schedule(end, Event::LinkDeparture(l));
         }
     }
 
@@ -559,7 +549,7 @@ impl Simulator {
                     // retransmit it without a fresh congestion signal.
                     let hole = ack.cum_ack;
                     if flow.outstanding.remove(hole).is_some() {
-                        flow.lost_pending.insert(hole);
+                        flow.lost_pending.insert(hole, ());
                         flow.stats.declared_losses += 1;
                         flow.monitor.lost_packets += 1;
                     }
@@ -571,7 +561,7 @@ impl Simulator {
             if flow.dup_acks == DUPACK_THRESHOLD && !flow.in_recovery() {
                 let hole = old_cum;
                 if flow.outstanding.remove(hole).is_some() {
-                    flow.lost_pending.insert(hole);
+                    flow.lost_pending.insert(hole, ());
                     flow.stats.declared_losses += 1;
                     flow.monitor.lost_packets += 1;
                 }
@@ -598,14 +588,10 @@ impl Simulator {
         self.try_send(f);
     }
 
-    fn on_rto(&mut self, f: FlowId, generation: u64) {
+    fn on_rto(&mut self, f: FlowId) {
         let now = self.now;
         let flow = &mut self.flows[f.0];
-        if generation != flow.rto_generation || !flow.rto_armed {
-            return; // Stale timer.
-        }
-        flow.rto_armed = false;
-        if flow.outstanding.is_empty() && flow.lost_pending.is_empty() {
+        if !flow.has_unacked() {
             return;
         }
         // Everything in flight is presumed lost.
@@ -614,7 +600,7 @@ impl Simulator {
             lost_pending,
             ..
         } = flow;
-        let count = outstanding.declare_all_lost(lost_pending);
+        let count = outstanding.move_keys_into(lost_pending);
         flow.stats.declared_losses += count;
         flow.monitor.lost_packets += count;
         flow.stats.timeouts += 1;
@@ -629,31 +615,20 @@ impl Simulator {
     /// Arms the retransmission timer only if it is not already pending
     /// (used by paths that must not restart a running timer).
     fn ensure_rto_armed(&mut self, f: FlowId) {
-        let flow = &self.flows[f.0];
-        let has_work = !flow.outstanding.is_empty() || !flow.lost_pending.is_empty();
-        if !flow.rto_armed && has_work {
+        if !self.events.rto_pending(f) && self.flows[f.0].has_unacked() {
             self.arm_rto(f);
         }
     }
 
     /// (Re)arms the retransmission timer; disarms when nothing is in flight.
     fn arm_rto(&mut self, f: FlowId) {
-        let now = self.now;
-        let flow = &mut self.flows[f.0];
-        flow.rto_generation += 1;
-        if flow.stopped || (flow.outstanding.is_empty() && flow.lost_pending.is_empty()) {
-            flow.rto_armed = false;
-            return;
+        let flow = &self.flows[f.0];
+        if flow.stopped || !flow.has_unacked() {
+            self.events.cancel_rto(f);
+        } else {
+            let deadline = self.now + flow.backed_off_rto();
+            self.events.schedule(deadline, Event::RtoTimer(f));
         }
-        flow.rto_armed = true;
-        let deadline = now + flow.backed_off_rto();
-        self.events.schedule(
-            deadline,
-            Event::RtoTimer {
-                flow: f,
-                generation: flow.rto_generation,
-            },
-        );
     }
 }
 
@@ -661,12 +636,23 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::cc::FixedWindow;
+    use crate::link::ImpairmentPhase;
     use crate::trace::BandwidthTrace;
 
     fn basic_sim(rate_bps: f64, rtt_ms: u64, bdp_mult: f64) -> Simulator {
         let trace = BandwidthTrace::constant("test", rate_bps);
         let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(rtt_ms), bdp_mult);
         Simulator::new(link)
+    }
+
+    /// A static impairment: one phase in force from time zero.
+    fn constant_impairment(random_loss: f64, max_jitter: Time, seed: u64) -> ImpairmentSchedule {
+        let phase = ImpairmentPhase {
+            start: Time::ZERO,
+            random_loss,
+            max_jitter,
+        };
+        ImpairmentSchedule::new(vec![phase], seed)
     }
 
     #[test]
@@ -897,15 +883,9 @@ mod tests {
 
     #[test]
     fn random_loss_impairment_drops_and_recovers() {
-        use crate::link::Impairments;
         let trace = BandwidthTrace::constant("lossy", 12e6);
-        let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(40), 4.0).with_impairments(
-            Impairments {
-                random_loss: 0.02,
-                max_jitter: Time::ZERO,
-                seed: 7,
-            },
-        );
+        let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(40), 4.0)
+            .with_impairments(constant_impairment(0.02, Time::ZERO, 7));
         let mut sim = Simulator::new(link);
         let f = sim.add_flow(
             FlowConfig::new(Time::from_millis(40)),
@@ -923,15 +903,10 @@ mod tests {
 
     #[test]
     fn jitter_widens_rtt_distribution_without_loss() {
-        use crate::link::Impairments;
         let run = |jitter_ms: u64| {
             let trace = BandwidthTrace::constant("jitter", 12e6);
             let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(40), 4.0)
-                .with_impairments(Impairments {
-                    random_loss: 0.0,
-                    max_jitter: Time::from_millis(jitter_ms),
-                    seed: 5,
-                });
+                .with_impairments(constant_impairment(0.0, Time::from_millis(jitter_ms), 5));
             let mut sim = Simulator::new(link);
             let f = sim.add_flow(
                 FlowConfig::new(Time::from_millis(40)),
@@ -1085,7 +1060,6 @@ mod tests {
 
     #[test]
     fn impairment_phases_schedule_loss_in_time() {
-        use crate::link::{ImpairmentPhase, ImpairmentSchedule};
         // Clean for 3 s, heavy random loss for 3 s, clean again.
         let trace = BandwidthTrace::constant("phased", 12e6);
         let schedule = ImpairmentSchedule::new(
@@ -1125,7 +1099,6 @@ mod tests {
 
     #[test]
     fn impairment_schedule_lookup() {
-        use crate::link::{ImpairmentPhase, ImpairmentSchedule};
         let s = ImpairmentSchedule::new(
             vec![
                 ImpairmentPhase {
@@ -1151,74 +1124,26 @@ mod tests {
     }
 
     #[test]
-    fn static_impairments_equal_one_phase_schedule() {
-        use crate::link::{ImpairmentPhase, ImpairmentSchedule, Impairments};
-        let run = |link: LinkConfig| {
-            let mut sim = Simulator::new(link);
-            let f = sim.add_flow(
-                FlowConfig::new(Time::from_millis(40)).without_samples(),
-                Box::new(FixedWindow::new(20.0)),
-            );
-            sim.run_until(Time::from_secs(5));
-            let s = sim.flow_stats(f);
-            (s.acked_packets, s.random_losses, s.retransmits)
-        };
-        let imp = Impairments {
-            random_loss: 0.01,
-            max_jitter: Time::from_millis(5),
-            seed: 3,
-        };
-        let mk = || {
-            LinkConfig::with_bdp_buffer(
-                BandwidthTrace::constant("det", 12e6),
-                Time::from_millis(40),
-                2.0,
-            )
-        };
-        let static_run = run(mk().with_impairments(imp));
-        let phase = ImpairmentPhase {
-            start: Time::ZERO,
-            random_loss: 0.01,
-            max_jitter: Time::from_millis(5),
-        };
-        let sched_run = run(mk().with_impairments(ImpairmentSchedule::new(vec![phase], 3)));
-        assert_eq!(static_run, sched_run);
-        // Pinned: lifting static impairments into a schedule must not move
-        // a single packet of this run.
-        assert_eq!(static_run, (1478, 21, 6));
-    }
-
-    #[test]
-    fn link_config_round_trips_through_json() {
-        use crate::link::{ImpairmentPhase, ImpairmentSchedule};
+    fn one_phase_impairment_run_is_pinned() {
         let link = LinkConfig::with_bdp_buffer(
-            BandwidthTrace::square_wave("rt", 6e6, 24e6, Time::from_millis(500)),
-            Time::from_millis(30),
-            1.5,
+            BandwidthTrace::constant("det", 12e6),
+            Time::from_millis(40),
+            2.0,
         )
-        .with_impairments(ImpairmentSchedule::new(
-            vec![ImpairmentPhase {
-                start: Time::from_secs(1),
-                random_loss: 0.02,
-                max_jitter: Time::from_millis(3),
-            }],
-            9,
-        ));
-        let text = serde_json::to_string(&link).expect("serialize");
-        let back: LinkConfig = serde_json::from_str(&text).expect("parse");
-        assert_eq!(serde_json::to_string(&back).expect("re-serialize"), text);
-        // The deserialized link drives an identical simulation.
-        let run = |link: LinkConfig| {
-            let mut sim = Simulator::new(link);
-            let f = sim.add_flow(
-                FlowConfig::new(Time::from_millis(30)).without_samples(),
-                Box::new(FixedWindow::new(30.0)),
-            );
-            sim.run_until(Time::from_secs(4));
-            let s = sim.flow_stats(f);
-            (s.sent_packets, s.acked_packets, s.random_losses)
-        };
-        assert_eq!(run(link), run(back));
+        .with_impairments(constant_impairment(0.01, Time::from_millis(5), 3));
+        let mut sim = Simulator::new(link);
+        let f = sim.add_flow(
+            FlowConfig::new(Time::from_millis(40)).without_samples(),
+            Box::new(FixedWindow::new(20.0)),
+        );
+        sim.run_until(Time::from_secs(5));
+        let s = sim.flow_stats(f);
+        // Loss draws, jitter draws and retransmit timers all shape this
+        // run: none of them may move a single packet.
+        assert_eq!(
+            (s.acked_packets, s.random_losses, s.retransmits),
+            (1478, 21, 6)
+        );
     }
 
     #[test]
@@ -1347,7 +1272,6 @@ mod tests {
 
     #[test]
     fn multi_hop_runs_are_deterministic() {
-        use crate::link::Impairments;
         use crate::topology::Topology;
         let run = || {
             let hop = LinkConfig::with_bdp_buffer(
@@ -1356,11 +1280,9 @@ mod tests {
                 1.0,
             )
             .with_delay(Time::from_millis(5));
-            let root = hop.clone().with_impairments(Impairments {
-                random_loss: 0.01,
-                max_jitter: Time::from_millis(2),
-                seed: 9,
-            });
+            let root =
+                hop.clone()
+                    .with_impairments(constant_impairment(0.01, Time::from_millis(2), 9));
             let mut sim =
                 Simulator::with_topology(Topology::new(vec![root, hop.clone(), hop.clone()]));
             let f = sim.add_flow(
@@ -1427,15 +1349,10 @@ mod tests {
 
     #[test]
     fn impairments_deterministic_per_seed() {
-        use crate::link::Impairments;
         let run = |seed: u64| {
             let trace = BandwidthTrace::constant("det", 12e6);
             let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(40), 2.0)
-                .with_impairments(Impairments {
-                    random_loss: 0.01,
-                    max_jitter: Time::from_millis(5),
-                    seed,
-                });
+                .with_impairments(constant_impairment(0.01, Time::from_millis(5), seed));
             let mut sim = Simulator::new(link);
             let f = sim.add_flow(
                 FlowConfig::new(Time::from_millis(40)).without_samples(),

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use crate::time::Time;
 
 /// One delay observation, recorded per acknowledged packet.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DelaySample {
     /// When the ACK arrived at the sender.
     pub at: Time,
@@ -17,7 +17,7 @@ pub struct DelaySample {
 }
 
 /// Lifetime statistics for a flow.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FlowStats {
     /// Packets handed to the bottleneck (including retransmissions).
     pub sent_packets: u64,
@@ -176,15 +176,6 @@ impl MonitorSample {
         }
         self.srtt.saturating_sub(self.min_rtt).as_millis_f64()
     }
-
-    /// Inverse normalized RTT (`minRTT / RTT`), the quantity plotted in
-    /// Figures 1b and 2b of the paper; 1.0 means the path is queue-free.
-    pub fn inv_rtt(&self) -> f64 {
-        if self.avg_rtt == Time::ZERO || self.min_rtt == Time::MAX {
-            return 1.0;
-        }
-        (self.min_rtt.as_secs_f64() / self.avg_rtt.as_secs_f64()).clamp(0.0, 1.0)
-    }
 }
 
 /// Accumulators the simulator fills between monitor drains.
@@ -313,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn orca_queue_delay_and_inv_rtt() {
+    fn orca_queue_delay_is_srtt_above_min_rtt() {
         let s = MonitorSample {
             at: Time::from_secs(1),
             duration: Time::from_millis(20),
@@ -330,6 +321,5 @@ mod tests {
             inflight: 3,
         };
         assert!((s.orca_queue_delay_ms() - 20.0).abs() < 1e-9);
-        assert!((s.inv_rtt() - 0.5).abs() < 1e-9);
     }
 }

@@ -22,10 +22,9 @@
 //!   bottleneck, the fan-in/incast-collapse construction.
 
 use crate::link::LinkConfig;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a link within one [`Topology`] (index into its link list).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 /// A directed multi-hop topology: an ordered set of links. Flow paths

@@ -8,12 +8,10 @@
 //! service time is obtained by integrating the rate over the segments it
 //! spans.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Time;
 
 /// One constant-rate piece of a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Segment {
     /// How long this rate holds.
     pub duration: Time,
@@ -40,7 +38,7 @@ pub struct Segment {
 /// assert_eq!(sq.rate_at(Time::from_millis(1500)), 20e6);
 /// assert_eq!(sq.rate_at(Time::from_millis(2500)), 10e6); // loops
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BandwidthTrace {
     name: String,
     segments: Vec<Segment>,
@@ -168,6 +166,35 @@ impl BandwidthTrace {
         }
     }
 
+    /// The rate as constant-rate pieces `(span, rate)` from `from` on: the
+    /// rest of the segment holding `from`, then whole segments in order —
+    /// wrapping on a looping trace — and, once a non-looping trace has
+    /// ended, its final rate held with span [`Time::MAX`], endlessly. Empty
+    /// for a trace without segments.
+    fn pieces(&self, from: Time) -> Pieces<'_> {
+        let (idx, offset) = self.locate(from);
+        let left = match self.segments.get(idx) {
+            Some(s) if self.loops || from < self.total => s.duration - offset,
+            _ => Time::MAX,
+        };
+        Pieces {
+            trace: self,
+            idx,
+            left,
+        }
+    }
+
+    /// [`pieces`](Self::pieces) clipped to `[from, to)`.
+    fn pieces_within(&self, from: Time, to: Time) -> impl Iterator<Item = (Time, f64)> + '_ {
+        self.pieces(from).scan(from, move |now, (left, rate)| {
+            (*now < to).then(|| {
+                let span = left.min(to - *now);
+                *now += span;
+                (span, rate)
+            })
+        })
+    }
+
     /// The time at which a transmission of `bytes` bytes starting at `start`
     /// completes, integrating the rate across segment boundaries.
     ///
@@ -178,85 +205,36 @@ impl BandwidthTrace {
         if bytes <= 0.0 {
             return Some(start);
         }
-        if self.segments.is_empty() {
-            return None;
-        }
         let mut remaining_bits = bytes * 8.0;
-        let (mut idx, offset) = self.locate(start);
         let mut now = start;
-        // Remaining time inside the current segment.
-        let mut seg_left = if self.loops || start < self.total {
-            self.segments[idx].duration - offset
-        } else {
-            Time::MAX // Final segment held forever.
-        };
         // One full zero-rate cycle on a looping trace means no progress ever.
         let mut zero_run = Time::ZERO;
-        loop {
-            let rate = self.segments[idx].rate_bps;
+        for (span, rate) in self.pieces(start) {
             if rate > 0.0 {
                 zero_run = Time::ZERO;
-                let bits_in_seg = rate * seg_left.as_secs_f64();
-                if bits_in_seg >= remaining_bits || seg_left == Time::MAX {
+                let bits_in_span = rate * span.as_secs_f64();
+                if bits_in_span >= remaining_bits || span == Time::MAX {
                     let dt = Time::from_secs_f64(remaining_bits / rate);
                     return Some(now + dt);
                 }
-                remaining_bits -= bits_in_seg;
+                remaining_bits -= bits_in_span;
             } else {
-                zero_run += seg_left.min(self.total);
-                if seg_left == Time::MAX || (self.loops && zero_run >= self.total) {
+                zero_run += span.min(self.total);
+                if span == Time::MAX || (self.loops && zero_run >= self.total) {
                     return None;
                 }
             }
-            now += seg_left;
-            // Advance to the next segment.
-            idx += 1;
-            if idx == self.segments.len() {
-                if self.loops {
-                    idx = 0;
-                } else {
-                    idx = self.segments.len() - 1;
-                    seg_left = Time::MAX;
-                    continue;
-                }
-            }
-            seg_left = self.segments[idx].duration;
+            now += span;
         }
+        None
     }
 
     /// Total deliverable bytes between `from` and `to` (the integral of the
     /// rate), used to compute link utilization.
     pub fn capacity_bytes(&self, from: Time, to: Time) -> f64 {
-        if to <= from || self.segments.is_empty() {
-            return 0.0;
-        }
-        let mut bits = 0.0;
-        let (mut idx, offset) = self.locate(from);
-        let mut now = from;
-        let mut seg_left = if self.loops || from < self.total {
-            self.segments[idx].duration - offset
-        } else {
-            Time::MAX
-        };
-        while now < to {
-            let span = seg_left.min(to - now);
-            bits += self.segments[idx].rate_bps * span.as_secs_f64();
-            now += span;
-            if now >= to {
-                break;
-            }
-            idx += 1;
-            if idx == self.segments.len() {
-                if self.loops {
-                    idx = 0;
-                } else {
-                    idx = self.segments.len() - 1;
-                    seg_left = Time::MAX;
-                    continue;
-                }
-            }
-            seg_left = self.segments[idx].duration;
-        }
+        let bits = self
+            .pieces_within(from, to)
+            .fold(0.0, |bits, (span, rate)| bits + rate * span.as_secs_f64());
         bits / 8.0
     }
 
@@ -294,19 +272,7 @@ impl BandwidthTrace {
     /// loops and the held final rate of non-looping traces.
     pub fn window(&self, from: Time, to: Time) -> Vec<Segment> {
         let mut out: Vec<Segment> = Vec::new();
-        if to <= from || self.segments.is_empty() {
-            return out;
-        }
-        let (mut idx, offset) = self.locate(from);
-        let mut now = from;
-        let mut seg_left = if self.loops || from < self.total {
-            self.segments[idx].duration - offset
-        } else {
-            Time::MAX
-        };
-        while now < to {
-            let span = seg_left.min(to - now);
-            let rate = self.segments[idx].rate_bps;
+        for (span, rate) in self.pieces_within(from, to) {
             match out.last_mut() {
                 Some(last) if last.rate_bps == rate => last.duration += span,
                 _ => out.push(Segment {
@@ -314,21 +280,6 @@ impl BandwidthTrace {
                     rate_bps: rate,
                 }),
             }
-            now += span;
-            if now >= to {
-                break;
-            }
-            idx += 1;
-            if idx == self.segments.len() {
-                if self.loops {
-                    idx = 0;
-                } else {
-                    idx = self.segments.len() - 1;
-                    seg_left = Time::MAX;
-                    continue;
-                }
-            }
-            seg_left = self.segments[idx].duration;
         }
         out
     }
@@ -447,6 +398,37 @@ impl BandwidthTrace {
             self.window(Time::ZERO, window),
             true,
         )
+    }
+}
+
+/// The cursor behind [`BandwidthTrace::pieces`].
+struct Pieces<'a> {
+    trace: &'a BandwidthTrace,
+    /// The segment the next piece comes from (`usize::MAX` for a trace
+    /// without segments).
+    idx: usize,
+    /// The next piece's span.
+    left: Time,
+}
+
+impl Iterator for Pieces<'_> {
+    type Item = (Time, f64);
+
+    fn next(&mut self) -> Option<(Time, f64)> {
+        let segments = &self.trace.segments;
+        let piece = (self.left, segments.get(self.idx)?.rate_bps);
+        self.idx += 1;
+        if self.idx < segments.len() {
+            self.left = segments[self.idx].duration;
+        } else if self.trace.loops {
+            self.idx = 0;
+            self.left = segments[0].duration;
+        } else {
+            // Past the end of a non-looping trace: hold the final rate.
+            self.idx = segments.len() - 1;
+            self.left = Time::MAX;
+        }
+        Some(piece)
     }
 }
 

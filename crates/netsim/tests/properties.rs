@@ -95,15 +95,12 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// A dumbbell run through the topology API is bitwise identical to
-    /// one through the legacy single-link constructor, for arbitrary
+    /// Flows routed over an explicit `[LinkId(0)]` path run bitwise
+    /// identically to flows on the default route, for arbitrary
     /// configurations including the RNG-bearing impairments (random loss
-    /// and jitter draw from the same per-link stream in both). This pins
-    /// the pre-refactor contract: `Simulator::new` semantics — and with
-    /// them every committed single-bottleneck artifact — survive the
-    /// multi-hop engine unchanged.
+    /// and jitter draw from the same per-link stream in both).
     #[test]
-    fn dumbbell_topology_matches_the_legacy_single_link_engine(
+    fn explicit_dumbbell_path_matches_the_default_route(
         rate_mbps in 2.0f64..60.0,
         rtt_ms in 4u64..100,
         w1 in 2.0f64..300.0,
@@ -112,17 +109,19 @@ proptest! {
         jitter_ms in 0u64..8,
         seed in 0u64..1000,
     ) {
-        use canopy_netsim::{Impairments, Topology};
+        use canopy_netsim::{ImpairmentPhase, ImpairmentSchedule};
         let link = || {
             let trace = BandwidthTrace::constant("pair", rate_mbps * 1e6);
+            let phase = ImpairmentPhase {
+                start: Time::ZERO,
+                random_loss: loss,
+                max_jitter: Time::from_millis(jitter_ms),
+            };
             LinkConfig::with_bdp_buffer(trace, Time::from_millis(rtt_ms), 1.5)
-                .with_impairments(Impairments {
-                    random_loss: loss,
-                    max_jitter: Time::from_millis(jitter_ms),
-                    seed,
-                })
+                .with_impairments(ImpairmentSchedule::new(vec![phase], seed))
         };
-        let run = |mut sim: Simulator, explicit_path: bool| {
+        let run = |explicit_path: bool| {
+            let mut sim = Simulator::new(link());
             let flow = |rtt: u64| {
                 let config = FlowConfig::new(Time::from_millis(rtt));
                 if explicit_path {
@@ -140,9 +139,7 @@ proptest! {
                 sim.link_at(LinkId(0)).served_bytes,
             )
         };
-        let legacy = run(Simulator::new(link()), false);
-        let topo = run(Simulator::with_topology(Topology::dumbbell(link())), true);
-        prop_assert_eq!(legacy, topo);
+        prop_assert_eq!(run(false), run(true));
     }
 
     /// Queue occupancy respects its capacity for any traffic pattern.

@@ -182,8 +182,8 @@ impl TraceProgram {
 /// fuzzable and searchable:
 ///
 /// * [`Dumbbell`](TopologySpec::Dumbbell) — the classic single bottleneck,
-///   every flow on it. The default; runs are bit-for-bit identical to the
-///   pre-topology engine.
+///   every flow on it; runs are bit-for-bit identical to the pre-topology
+///   engine.
 /// * [`ParkingLot`](TopologySpec::ParkingLot) — `hops` copies of the
 ///   bottleneck in series, each adding `hop_delay` of forwarding delay.
 ///   The primary flow crosses every hop; cross flow `i` crosses only hop
@@ -195,10 +195,9 @@ impl TraceProgram {
 ///
 /// Serialized as `"dumbbell"`, `{"parking-lot": {...}}`, or
 /// `{"incast": {...}}`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopologySpec {
     /// One bottleneck link shared by every flow (the historical model).
-    #[default]
     Dumbbell,
     /// `hops` bottlenecks in series; the primary crosses all of them.
     ParkingLot {
@@ -340,10 +339,8 @@ pub struct ScenarioSpec {
     pub noise: Option<NoiseConfig>,
     /// Baseline cross-traffic with staggered arrivals/departures.
     pub cross_traffic: Vec<CrossFlow>,
-    /// The topology the scenario runs over. Defaults to the dumbbell, so
-    /// specs predating the topology field (and hand-written ones that
-    /// never think about routing) keep their historical meaning.
-    #[serde(default)]
+    /// The topology the scenario runs over. Required in a spec's JSON: a
+    /// spec without it is refused rather than read as a dumbbell.
     pub topology: TopologySpec,
 }
 
@@ -719,15 +716,17 @@ mod tests {
     }
 
     #[test]
-    fn specs_without_a_topology_field_default_to_dumbbell() {
+    fn specs_without_a_topology_field_are_refused() {
         let spec = ScenarioSpec::simple("old", 24e6, Time::from_millis(30), Time::from_secs(6));
         let text = spec.to_json();
         assert!(text.contains("\"topology\":\"dumbbell\""));
-        // A pre-topology spec (no `topology` key at all) still parses.
-        let legacy = text.replace(",\"topology\":\"dumbbell\"", "");
-        assert_ne!(legacy, text, "key must have been removed");
-        let back = ScenarioSpec::from_json(&legacy).expect("legacy specs parse");
+        let back = ScenarioSpec::from_json(&text).expect("a complete spec parses");
         assert_eq!(back.topology, TopologySpec::Dumbbell);
+        // Without the key the spec is an error, not a silent dumbbell.
+        let missing = text.replace(",\"topology\":\"dumbbell\"", "");
+        assert_ne!(missing, text, "key must have been removed");
+        let e = ScenarioSpec::from_json(&missing).expect_err("a topology-less spec is refused");
+        assert!(e.to_string().contains("missing field `topology`"), "{e}");
     }
 
     #[test]
