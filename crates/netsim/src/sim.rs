@@ -211,7 +211,7 @@ impl Simulator {
     pub fn set_cwnd(&mut self, f: FlowId, cwnd: f64) {
         self.flows[f.0].cc.set_cwnd(cwnd);
         self.try_send(f);
-        self.ensure_rto_armed(f);
+        self.arm_rto_if_idle(f);
     }
 
     /// The congestion window currently proposed by the flow's kernel
@@ -322,7 +322,7 @@ impl Simulator {
                 flow.started = true;
                 flow.stats.started_at = Some(self.now);
                 self.try_send(f);
-                self.ensure_rto_armed(f);
+                self.arm_rto_if_idle(f);
             }
             Event::FlowStop(f) => {
                 let flow = &mut self.flows[f.0];
@@ -614,7 +614,7 @@ impl Simulator {
 
     /// Arms the retransmission timer only if it is not already pending
     /// (used by paths that must not restart a running timer).
-    fn ensure_rto_armed(&mut self, f: FlowId) {
+    fn arm_rto_if_idle(&mut self, f: FlowId) {
         if !self.events.rto_pending(f) && self.flows[f.0].has_unacked() {
             self.arm_rto(f);
         }
