@@ -602,9 +602,25 @@ mod tests {
             }
             reference.push(Reverse((at, id)));
             q.schedule(at, event);
+            // Dispatch interleaves with scheduling, as in a simulation: a
+            // stale lane head left behind by a cancel would surface here.
+            if next() % 3 == 0 {
+                let Reverse((at, eid)) = reference.pop().expect("just pushed");
+                let got = q.pop().expect("calendar has an event");
+                assert_eq!((got.at, got.id), (at, eid));
+                for pending in pending_rto.iter_mut() {
+                    if *pending == Some(eid) {
+                        *pending = None;
+                    }
+                }
+            }
             for (f, pending) in pending_rto.iter().enumerate() {
                 assert_eq!(q.rto_pending(FlowId(f)), pending.is_some());
             }
+        }
+        for (f, pending) in pending_rto.iter_mut().enumerate().take(2) {
+            discard(&mut reference, pending.take());
+            q.cancel_rto(FlowId(f));
         }
         assert_eq!(q.len(), reference.len());
         while let Some(Reverse((at, eid))) = reference.pop() {
