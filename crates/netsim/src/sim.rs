@@ -1147,6 +1147,49 @@ mod tests {
     }
 
     #[test]
+    fn long_newreno_recovery_then_rtos_is_pinned() {
+        // A 600-packet fixed window into a 10-packet buffer tail-drops most
+        // of its first burst, so NewReno spends many RTTs closing one hole
+        // per partial ACK with hundreds of holes still outstanding; the
+        // outage then fires timeouts that write the whole scoreboard off.
+        let trace = BandwidthTrace::from_segments(
+            "burst-outage",
+            vec![
+                crate::trace::Segment {
+                    duration: Time::from_secs(3),
+                    rate_bps: 12e6,
+                },
+                crate::trace::Segment {
+                    duration: Time::from_secs(1),
+                    rate_bps: 0.0,
+                },
+            ],
+            true,
+        );
+        let link = LinkConfig::with_bdp_buffer(trace, Time::from_millis(40), 0.25);
+        let mut sim = Simulator::new(link);
+        let f = sim.add_flow(
+            FlowConfig::new(Time::from_millis(40)).without_samples(),
+            Box::new(FixedWindow::new(600.0)),
+        );
+        sim.run_until(Time::from_secs(10));
+        let s = sim.flow_stats(f);
+        let cum = sim.flows[f.0].receiver.cum_recv;
+        assert_eq!(
+            (
+                s.sent_packets,
+                s.acked_packets,
+                s.retransmits,
+                s.declared_losses,
+                s.timeouts,
+                s.dropped_packets,
+                cum
+            ),
+            (9459, 6273, 2586, 2586, 4, 3138, 191)
+        );
+    }
+
+    #[test]
     fn parking_lot_short_hop_flows_beat_the_long_flow() {
         use crate::topology::Topology;
         // 3 hops; the long flow crosses all three queues and carries a
