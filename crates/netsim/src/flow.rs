@@ -86,127 +86,187 @@ pub const DUPACK_THRESHOLD: u32 = 3;
 /// Linux enforces the same floor.
 pub const MIN_CWND: f64 = 2.0;
 
-/// Metadata retained for each outstanding (unacknowledged) packet.
-#[derive(Clone, Copy, Debug)]
-pub struct SentMeta {
-    /// When this copy was sent.
-    pub sent_at: Time,
-    /// Whether this copy was a retransmission.
-    pub retransmit: bool,
-    /// Cumulative delivered bytes at send time (delivery-rate estimation).
-    pub delivered_at_send: u64,
-}
-
-/// Values keyed by sequence number, sorted ascending over a ring buffer;
-/// `SeqRing<()>` (the default) is an ordered set of sequence numbers.
+/// A set of sequence numbers stored as a bitmap: bit `b` of word `i` is
+/// the key `64 (base + i) + b`.
 ///
-/// The reliability layer's sequence state sees near-sorted traffic: fresh
-/// data, new losses and out-of-order arrivals land at the frontier, while
-/// the cumulative ACK and recovery drain the front. So a sorted ring with
-/// frontier fast paths and a binary-search fallback beats a node-based
-/// tree on every hot operation while keeping ordered-map semantics
-/// (iteration and minimum are in ascending key order).
-#[derive(Clone, Debug)]
-pub struct SeqRing<V = ()> {
-    entries: VecDeque<(u64, V)>,
+/// The reliability layer's sequence state spans a bounded window — from
+/// the cumulative ACK (or the receiver's next expected packet) up to the
+/// next fresh sequence number — with holes anywhere inside it. So every
+/// operation indexes its word directly: insert and remove shift no memory
+/// (an insert outside the span first grows it by zero words), the minimum
+/// is a `trailing_zeros`, and a cumulative drain is a popcount per
+/// drained word. The words are anchored at the lowest live word and
+/// trimmed to a nonzero word at both ends, so memory follows the span of
+/// held keys at one bit per sequence number.
+#[derive(Clone, Debug, Default)]
+pub struct SeqRing {
+    /// The bitmap, from the lowest to the highest live word; both ends
+    /// are nonzero whenever the set is not empty.
+    words: VecDeque<u64>,
+    /// Word index of `words[0]` (meaningless while `words` is empty).
+    base: u64,
+    /// Number of keys held.
+    len: usize,
 }
 
-impl<V> Default for SeqRing<V> {
-    fn default() -> SeqRing<V> {
-        SeqRing {
-            entries: VecDeque::new(),
-        }
-    }
-}
-
-impl<V> SeqRing<V> {
-    /// An empty ring.
-    pub fn new() -> SeqRing<V> {
+impl SeqRing {
+    /// An empty set.
+    pub fn new() -> SeqRing {
         SeqRing::default()
     }
 
-    /// An empty ring pre-sized for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> SeqRing<V> {
-        SeqRing {
-            entries: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Number of entries held.
+    /// Number of keys held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// Whether the ring is empty.
+    /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Removes every entry.
+    /// Removes every key.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.words.clear();
+        self.len = 0;
     }
 
-    /// Removes and returns the entry with the smallest key.
-    pub fn pop_first(&mut self) -> Option<(u64, V)> {
-        self.entries.pop_front()
+    /// The smallest key held.
+    pub(crate) fn first(&self) -> Option<u64> {
+        let word = *self.words.front()?;
+        Some(self.base * 64 + u64::from(word.trailing_zeros()))
     }
 
-    /// Inserts `value` under `seq`, overwriting the value already there;
-    /// returns whether `seq` was new. A key above every held key is an
-    /// O(1) append.
+    /// The largest key held.
+    pub(crate) fn last(&self) -> Option<u64> {
+        let word = *self.words.back()?;
+        let top = self.base + self.words.len() as u64 - 1;
+        Some(top * 64 + u64::from(63 - word.leading_zeros()))
+    }
+
+    /// Removes and returns the smallest key.
+    pub fn pop_first(&mut self) -> Option<u64> {
+        let seq = self.first()?;
+        let word = &mut self.words[0];
+        *word &= *word - 1;
+        self.len -= 1;
+        if *word == 0 {
+            self.trim();
+        }
+        Some(seq)
+    }
+
+    /// Inserts `seq`; returns whether it was new.
     #[inline]
-    pub fn insert(&mut self, seq: u64, value: V) -> bool {
-        if self.entries.back().is_none_or(|&(last, _)| last < seq) {
-            self.entries.push_back((seq, value));
-            return true;
-        }
-        match self.entries.binary_search_by_key(&seq, |&(s, _)| s) {
-            Ok(idx) => {
-                self.entries[idx].1 = value;
-                false
-            }
-            Err(idx) => {
-                self.entries.insert(idx, (seq, value));
-                true
-            }
-        }
+    pub fn insert(&mut self, seq: u64) -> bool {
+        let word = self.word_mut(seq / 64);
+        let bit = 1 << (seq % 64);
+        let new = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(new);
+        new
     }
 
-    /// Removes `seq`, returning its value if it was present. Removing the
-    /// smallest key is an O(1) pop.
+    /// Removes `seq`; returns whether it was present.
     #[inline]
-    pub fn remove(&mut self, seq: u64) -> Option<V> {
-        match self.entries.front() {
-            None => return None,
-            Some(&(first, _)) if first == seq => {
-                return self.entries.pop_front().map(|(_, value)| value);
-            }
-            Some(&(first, _)) if first > seq => return None,
-            _ => {}
+    pub fn remove(&mut self, seq: u64) -> bool {
+        let Some(idx) = (seq / 64).checked_sub(self.base) else {
+            return false;
+        };
+        let Some(word) = self.words.get_mut(idx as usize) else {
+            return false;
+        };
+        let bit = 1 << (seq % 64);
+        if *word & bit == 0 {
+            return false;
         }
-        match self.entries.binary_search_by_key(&seq, |&(s, _)| s) {
-            Ok(idx) => self.entries.remove(idx).map(|(_, value)| value),
-            Err(_) => None,
+        *word &= !bit;
+        self.len -= 1;
+        if *word == 0 {
+            self.trim();
         }
+        true
     }
 
-    /// Removes every entry keyed strictly below `cutoff`, returning how
-    /// many were removed.
+    /// Removes every key strictly below `cutoff`, returning how many were
+    /// removed.
     pub fn drain_below(&mut self, cutoff: u64) -> u64 {
-        let below = self.entries.partition_point(|&(s, _)| s < cutoff);
-        self.entries.drain(..below);
-        below as u64
+        let mut removed = 0;
+        while self.base < cutoff / 64 {
+            let Some(word) = self.words.pop_front() else {
+                break;
+            };
+            removed += u64::from(word.count_ones());
+            self.base += 1;
+        }
+        if self.base == cutoff / 64 {
+            if let Some(word) = self.words.front_mut() {
+                let below = *word & ((1 << (cutoff % 64)) - 1);
+                removed += u64::from(below.count_ones());
+                *word &= !below;
+            }
+        }
+        self.len -= removed as usize;
+        self.trim();
+        removed
     }
 
-    /// Moves every key into the set `into` and empties this ring,
-    /// returning how many keys moved.
+    /// Moves every key into `into` and empties this set, returning how
+    /// many keys moved.
     pub fn move_keys_into(&mut self, into: &mut SeqRing) -> u64 {
-        let count = self.entries.len() as u64;
-        for (seq, _) in self.entries.drain(..) {
-            into.insert(seq, ());
+        let moved = self.len as u64;
+        if into.is_empty() {
+            std::mem::swap(self, into);
+        } else if let Some(top) = self.last() {
+            into.word_mut(self.base);
+            into.word_mut(top / 64);
+            let offset = (self.base - into.base) as usize;
+            for (&word, slot) in self.words.iter().zip(into.words.range_mut(offset..)) {
+                into.len += (word & !*slot).count_ones() as usize;
+                *slot |= word;
+            }
         }
-        count
+        self.clear();
+        moved
+    }
+
+    /// Whether no key is in both sets (a word-wise AND over the words
+    /// they share).
+    pub(crate) fn is_disjoint(&self, other: &SeqRing) -> bool {
+        let lo = self.base.max(other.base);
+        let hi = (self.base + self.words.len() as u64).min(other.base + other.words.len() as u64);
+        (lo..hi).all(|w| {
+            self.words[(w - self.base) as usize] & other.words[(w - other.base) as usize] == 0
+        })
+    }
+
+    /// The word holding keys `64 w .. 64 w + 64`, growing the bitmap with
+    /// zero words to reach it; the caller sets a bit in it, which keeps
+    /// both ends nonzero.
+    fn word_mut(&mut self, w: u64) -> &mut u64 {
+        if self.words.is_empty() {
+            self.base = w;
+        }
+        while w < self.base {
+            self.words.push_front(0);
+            self.base -= 1;
+        }
+        let idx = (w - self.base) as usize;
+        if idx >= self.words.len() {
+            self.words.resize(idx + 1, 0);
+        }
+        &mut self.words[idx]
+    }
+
+    /// Drops zero words from both ends.
+    fn trim(&mut self) {
+        while self.words.front() == Some(&0) {
+            self.words.pop_front();
+            self.base += 1;
+        }
+        while self.words.back() == Some(&0) {
+            self.words.pop_back();
+        }
     }
 }
 
@@ -224,11 +284,11 @@ impl Receiver {
     pub fn on_data(&mut self, seq: u64) -> u64 {
         if seq == self.cum_recv {
             self.cum_recv += 1;
-            while self.out_of_order.remove(self.cum_recv).is_some() {
+            while self.out_of_order.remove(self.cum_recv) {
                 self.cum_recv += 1;
             }
         } else if seq > self.cum_recv {
-            self.out_of_order.insert(seq, ());
+            self.out_of_order.insert(seq);
         }
         // Below cum_recv: spurious duplicate, ACK still confirms cum_recv.
         self.cum_recv
@@ -252,9 +312,10 @@ pub struct FlowState {
     /// Cumulative ACK received: all `seq < cum_acked` are delivered.
     pub cum_acked: u64,
     /// Outstanding packets (sent, neither acknowledged nor declared lost).
-    /// Fresh data appends at the back, the cumulative ACK drains the
-    /// front, and a retransmit re-enters near the front.
-    pub outstanding: SeqRing<SentMeta>,
+    /// What a copy carried when sent (send time, retransmit flag,
+    /// delivered bytes) travels in the packet and its ACK's echo, so the
+    /// sender keeps only the sequence numbers.
+    pub outstanding: SeqRing,
     /// Packets declared lost and awaiting retransmission.
     pub lost_pending: SeqRing,
     /// Duplicate-ACK counter.
@@ -296,7 +357,7 @@ impl FlowState {
             stopped: false,
             next_seq: 0,
             cum_acked: 0,
-            outstanding: SeqRing::with_capacity(64),
+            outstanding: SeqRing::new(),
             lost_pending: SeqRing::new(),
             dup_acks: 0,
             recovery_end: None,
@@ -374,6 +435,30 @@ impl FlowState {
     pub fn in_recovery(&self) -> bool {
         self.recovery_end.is_some()
     }
+
+    /// Checks the sender's scoreboard in debug builds: no sequence number
+    /// is both outstanding and lost, every one lies in
+    /// `[cum_acked, next_seq)`, and the two sets' kept counts fit that
+    /// window.
+    pub(crate) fn debug_assert_scoreboard(&self) {
+        let in_window = |set: &SeqRing| {
+            set.first().is_none_or(|lo| lo >= self.cum_acked)
+                && set.last().is_none_or(|hi| hi < self.next_seq)
+        };
+        debug_assert!(
+            self.outstanding.is_disjoint(&self.lost_pending),
+            "a sequence number is both outstanding and lost: {self:?}"
+        );
+        debug_assert!(
+            in_window(&self.outstanding) && in_window(&self.lost_pending),
+            "a scoreboard key lies outside [cum_acked, next_seq): {self:?}"
+        );
+        debug_assert!(
+            self.outstanding.len() + self.lost_pending.len()
+                <= (self.next_seq - self.cum_acked) as usize,
+            "the scoreboard holds more keys than its window: {self:?}"
+        );
+    }
 }
 
 impl std::fmt::Debug for FlowState {
@@ -396,7 +481,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     fn flow() -> FlowState {
         FlowState::new(
@@ -405,8 +490,13 @@ mod tests {
         )
     }
 
-    fn keys<V>(ring: &SeqRing<V>) -> Vec<u64> {
-        ring.entries.iter().map(|&(k, _)| k).collect()
+    fn keys(set: &SeqRing) -> Vec<u64> {
+        let mut keys = Vec::new();
+        for (i, &word) in set.words.iter().enumerate() {
+            let base = (set.base + i as u64) * 64;
+            keys.extend((0..64).filter(|b| word >> b & 1 == 1).map(|b| base + b));
+        }
+        keys
     }
 
     enum Op {
@@ -414,75 +504,86 @@ mod tests {
         Remove(u64),
         DrainBelow(u64),
         PopFirst,
-        MoveKeys,
+        /// Moves every key of one set into the other; `true` moves the
+        /// set under test into its partner.
+        MoveKeys(bool),
     }
 
-    /// Draws one operation, its key chosen relative to the ring's current
-    /// front and back the way the reliability layer uses a ring: appends
-    /// and near-misses at the back, cumulative drains and recovery at the
-    /// front, and anywhere in a small key range.
-    fn draw(rng: &mut StdRng, ring: &SeqRing<u32>) -> Op {
-        let front = ring.entries.front().map_or(0, |&(s, _)| s);
-        let back = ring.entries.back().map_or(0, |&(s, _)| s);
+    /// Draws one operation, its key chosen relative to the set's current
+    /// front and back the way the reliability layer uses one (appends and
+    /// near-misses at the back, cumulative drains and recovery at the
+    /// front), plus the bitmap's own edges: keys on either side of a word
+    /// boundary, inserts below the lowest word, drains at exact multiples
+    /// of 64 and past the back, and jumps of thousands of keys.
+    fn draw(rng: &mut StdRng, set: &SeqRing) -> Op {
+        let front = set.first().unwrap_or(0);
+        let back = set.last().unwrap_or(0);
         let k = rng.random_range(0..48u64);
-        match rng.random_range(0..14u8) {
+        let boundary = [63, 64, 65, 127, 128][k as usize % 5];
+        let next_word = (front / 64 + 1 + k % 3) * 64;
+        match rng.random_range(0..22u8) {
             0..=3 => Op::Insert(back + k % 4),
             4 => Op::Insert(back.saturating_sub(k % 6)),
             5 => Op::Insert(k),
-            6..=7 => Op::Remove(front + k % 3),
-            8 => Op::Remove(k),
-            9..=10 => Op::DrainBelow(front + k % 5),
-            11..=12 => Op::PopFirst,
-            _ => Op::MoveKeys,
+            6 => Op::Insert(boundary),
+            7 => Op::Insert(next_word - 1 + k % 3),
+            8 => Op::Insert(front.saturating_sub(64 + k * 7)),
+            9 => Op::Insert(back + rng.random_range(0..4000u64)),
+            10..=11 => Op::Remove(front + k % 3),
+            12 => Op::Remove(k),
+            13 => Op::Remove(next_word - 1 + k % 3),
+            14 => Op::DrainBelow(front + k % 5),
+            15 => Op::DrainBelow(next_word - 64 * (k % 2)),
+            16 => Op::DrainBelow(back + 1 + k * 40),
+            17..=18 => Op::PopFirst,
+            19 => Op::MoveKeys(true),
+            _ => Op::MoveKeys(k % 2 == 0),
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The ring is an ordered map, and its set form an ordered set:
-        /// through frontier-biased insert / remove / drain_below /
-        /// pop_first / move_keys_into sequences, every return value and
-        /// every key (and value) in order match `BTreeMap` and `BTreeSet`.
+        /// The bitmap is an ordered set: through insert / remove /
+        /// drain_below / pop_first / move_keys_into sequences that straddle
+        /// word boundaries, every return value, every key in order, the
+        /// kept count, the minimum and maximum and disjointness from a
+        /// partner set match `BTreeSet`, and both ends stay trimmed.
         #[test]
-        fn ring_matches_ordered_map_and_set(seed in 0..u64::MAX, len in 0..160usize) {
+        fn bitset_matches_ordered_set(seed in 0..u64::MAX, len in 0..200usize) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut ring: SeqRing<u32> = SeqRing::new();
-            let mut map: BTreeMap<u64, u32> = BTreeMap::new();
-            let mut ring_set = SeqRing::new();
-            let mut set = BTreeSet::new();
+            let (mut set, mut other) = (SeqRing::new(), SeqRing::new());
+            let (mut oracle, mut other_oracle) = (BTreeSet::new(), BTreeSet::new());
             for _ in 0..len {
-                match draw(&mut rng, &ring) {
-                    Op::Insert(k) => {
-                        let value = rng.random::<u32>();
-                        prop_assert_eq!(ring.insert(k, value), map.insert(k, value).is_none());
-                        prop_assert_eq!(ring_set.insert(k, ()), set.insert(k));
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(ring.remove(k), map.remove(&k));
-                        prop_assert_eq!(ring_set.remove(k).is_some(), set.remove(&k));
-                    }
+                match draw(&mut rng, &set) {
+                    Op::Insert(k) => prop_assert_eq!(set.insert(k), oracle.insert(k)),
+                    Op::Remove(k) => prop_assert_eq!(set.remove(k), oracle.remove(&k)),
                     Op::DrainBelow(cut) => {
-                        let kept = map.split_off(&cut);
-                        let below = std::mem::replace(&mut map, kept).len() as u64;
-                        prop_assert_eq!(ring.drain_below(cut), below);
-                        let kept = set.split_off(&cut);
-                        let below = std::mem::replace(&mut set, kept).len() as u64;
-                        prop_assert_eq!(ring_set.drain_below(cut), below);
+                        let kept = oracle.split_off(&cut);
+                        let below = std::mem::replace(&mut oracle, kept).len() as u64;
+                        prop_assert_eq!(set.drain_below(cut), below);
                     }
-                    Op::PopFirst => {
-                        prop_assert_eq!(ring.pop_first(), map.pop_first());
-                        prop_assert_eq!(ring_set.pop_first().map(|(k, ())| k), set.pop_first());
-                    }
-                    Op::MoveKeys => {
-                        let moved = map.len() as u64;
-                        set.extend(std::mem::take(&mut map).into_keys());
-                        prop_assert_eq!(ring.move_keys_into(&mut ring_set), moved);
+                    Op::PopFirst => prop_assert_eq!(set.pop_first(), oracle.pop_first()),
+                    Op::MoveKeys(forward) => {
+                        let (from, into, from_oracle, into_oracle) = if forward {
+                            (&mut set, &mut other, &mut oracle, &mut other_oracle)
+                        } else {
+                            (&mut other, &mut set, &mut other_oracle, &mut oracle)
+                        };
+                        let moved = from_oracle.len() as u64;
+                        into_oracle.append(from_oracle);
+                        prop_assert_eq!(from.move_keys_into(into), moved);
                     }
                 }
-                prop_assert!(ring.entries.iter().copied().eq(map.iter().map(|(&k, &v)| (k, v))));
-                prop_assert_eq!(keys(&ring_set), set.iter().copied().collect::<Vec<_>>());
-                prop_assert_eq!((ring.len(), ring_set.len()), (map.len(), set.len()));
+                for (set, oracle) in [(&set, &oracle), (&other, &other_oracle)] {
+                    prop_assert_eq!(keys(set), oracle.iter().copied().collect::<Vec<_>>());
+                    prop_assert_eq!((set.len(), set.is_empty()), (oracle.len(), oracle.is_empty()));
+                    prop_assert_eq!(set.first(), oracle.first().copied());
+                    prop_assert_eq!(set.last(), oracle.last().copied());
+                    prop_assert!(set.words.front().is_none_or(|&w| w != 0));
+                    prop_assert!(set.words.back().is_none_or(|&w| w != 0));
+                }
+                prop_assert_eq!(set.is_disjoint(&other), oracle.is_disjoint(&other_oracle));
             }
         }
     }
@@ -571,15 +672,10 @@ mod tests {
         f.started = true;
         assert!(f.can_send());
         for s in 0..10 {
-            f.outstanding.insert(
-                s,
-                SentMeta {
-                    sent_at: Time::ZERO,
-                    retransmit: false,
-                    delivered_at_send: 0,
-                },
-            );
+            f.outstanding.insert(s);
         }
         assert!(!f.can_send());
+        f.outstanding.remove(4);
+        assert!(f.can_send());
     }
 }

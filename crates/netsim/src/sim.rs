@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cc::{AckInfo, CongestionControl, LossInfo};
 use crate::event::{Event, EventQueue};
-use crate::flow::{FlowConfig, FlowId, FlowState, SentMeta, DUPACK_THRESHOLD};
+use crate::flow::{FlowConfig, FlowId, FlowState, DUPACK_THRESHOLD};
 use crate::link::{ImpairmentSchedule, Link, LinkConfig};
 use crate::packet::{Ack, Packet, MSS_BYTES};
 use crate::stats::{DelaySample, FlowStats, MonitorSample};
@@ -350,19 +350,14 @@ impl Simulator {
                 break;
             }
             let (seq, retransmit) = match flow.lost_pending.pop_first() {
-                Some((s, ())) => (s, true),
+                Some(s) => (s, true),
                 None => {
                     let s = flow.next_seq;
                     flow.next_seq += 1;
                     (s, false)
                 }
             };
-            let meta = SentMeta {
-                sent_at: now,
-                retransmit,
-                delivered_at_send: flow.delivered_bytes,
-            };
-            flow.outstanding.insert(seq, meta);
+            flow.outstanding.insert(seq);
             flow.stats.sent_packets += 1;
             if retransmit {
                 flow.stats.retransmits += 1;
@@ -373,7 +368,7 @@ impl Simulator {
                 size: MSS_BYTES,
                 sent_at: now,
                 retransmit,
-                delivered_at_send: meta.delivered_at_send,
+                delivered_at_send: flow.delivered_bytes,
                 hop: 0,
                 accrued_queue_delay: Time::ZERO,
             };
@@ -386,6 +381,7 @@ impl Simulator {
                 self.flows[f.0].stats.dropped_packets += 1;
             }
         }
+        self.flows[f.0].debug_assert_scoreboard();
     }
 
     /// Starts serializing `l`'s head-of-line packet if that link is idle.
@@ -522,7 +518,7 @@ impl Simulator {
 
         // Selective acknowledgement of the packet that triggered this ACK.
         if ack.echo_seq >= old_cum {
-            if flow.outstanding.remove(ack.echo_seq).is_some() {
+            if flow.outstanding.remove(ack.echo_seq) {
                 newly_acked += 1;
                 credit_delivery(flow, 1);
             }
@@ -548,8 +544,8 @@ impl Simulator {
                     // NewReno partial ACK: the new first hole is also lost;
                     // retransmit it without a fresh congestion signal.
                     let hole = ack.cum_ack;
-                    if flow.outstanding.remove(hole).is_some() {
-                        flow.lost_pending.insert(hole, ());
+                    if flow.outstanding.remove(hole) {
+                        flow.lost_pending.insert(hole);
                         flow.stats.declared_losses += 1;
                         flow.monitor.lost_packets += 1;
                     }
@@ -560,8 +556,8 @@ impl Simulator {
             flow.dup_acks += 1;
             if flow.dup_acks == DUPACK_THRESHOLD && !flow.in_recovery() {
                 let hole = old_cum;
-                if flow.outstanding.remove(hole).is_some() {
-                    flow.lost_pending.insert(hole, ());
+                if flow.outstanding.remove(hole) {
+                    flow.lost_pending.insert(hole);
                     flow.stats.declared_losses += 1;
                     flow.monitor.lost_packets += 1;
                 }
@@ -573,6 +569,7 @@ impl Simulator {
                 flow.cc.on_loss(now, &info);
             }
         }
+        flow.debug_assert_scoreboard();
 
         let info = AckInfo {
             newly_acked,
@@ -607,6 +604,7 @@ impl Simulator {
         flow.dup_acks = 0;
         flow.recovery_end = None;
         flow.rto_backoff += 1;
+        flow.debug_assert_scoreboard();
         flow.cc.on_timeout(now);
         self.arm_rto(f);
         self.try_send(f);

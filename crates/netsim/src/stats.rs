@@ -128,10 +128,13 @@ fn quantile_ms(samples: impl Iterator<Item = Time>, q: f64) -> f64 {
     if v.is_empty() {
         return 0.0;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("delay samples are finite"));
     let q = q.clamp(0.0, 1.0);
     let idx = ((v.len() - 1) as f64 * q).round() as usize;
-    v[idx]
+    // Selection puts the same order statistic at `idx` as a full sort.
+    *v.select_nth_unstable_by(idx, |a, b| {
+        a.partial_cmp(b).expect("delay samples are finite")
+    })
+    .1
 }
 
 /// Aggregated network feedback over one monitor interval — the raw material
