@@ -1188,6 +1188,121 @@ mod tests {
     }
 
     #[test]
+    fn multi_hop_jitter_run_is_pinned() {
+        use crate::topology::Topology;
+        // Jitter from 1 s on reorders what one hop hands on: forwarded
+        // packets land mid-lane at the next link's calendar lane and ACKs
+        // land mid-lane in their flow's lane, while departures keep
+        // interleaving with both. Every count below must hold to the packet.
+        let jitter = || {
+            let phase = ImpairmentPhase {
+                start: Time::from_secs(1),
+                random_loss: 0.0,
+                max_jitter: Time::from_millis(4),
+            };
+            ImpairmentSchedule::new(vec![phase], 11)
+        };
+        let hop = LinkConfig::with_bdp_buffer(
+            BandwidthTrace::constant("hop", 16e6),
+            Time::from_millis(20),
+            1.0,
+        )
+        .with_delay(Time::from_millis(5));
+        let parking_lot = Topology::new(vec![
+            hop.clone(),
+            hop.clone().with_impairments(jitter()),
+            hop,
+        ]);
+        let mut paths = vec![Topology::parking_lot_long_path(3)];
+        paths.extend((0..3).map(|i| Topology::parking_lot_hop_path(i, 3)));
+        let root = LinkConfig::with_bdp_buffer(
+            BandwidthTrace::constant("root", 12e6),
+            Time::from_millis(20),
+            0.5,
+        );
+        let leaf = LinkConfig::new(BandwidthTrace::constant("leaf", 48e6), 200 * 1448);
+        let mut incast = Topology::incast(root, leaf.clone(), 4).links().to_vec();
+        incast[2] = leaf.with_impairments(jitter());
+        let incast = Topology::new(incast);
+        let incast_paths: Vec<Vec<LinkId>> = (0..4).map(|i| Topology::incast_path(i, 4)).collect();
+
+        let run = |topology: Topology, paths: &[Vec<LinkId>], window: f64| {
+            let links = topology.len();
+            let mut sim = Simulator::with_topology(topology);
+            let flows: Vec<FlowId> = paths
+                .iter()
+                .map(|path| {
+                    sim.add_flow(
+                        FlowConfig::new(Time::from_millis(20))
+                            .without_samples()
+                            .on_path(path.clone()),
+                        Box::new(FixedWindow::new(window)),
+                    )
+                })
+                .collect();
+            sim.run_until(Time::from_secs(5));
+            let per_flow: Vec<(u64, u64, u64, u64, u64)> = flows
+                .iter()
+                .map(|&f| {
+                    let s = sim.flow_stats(f);
+                    (
+                        s.sent_packets,
+                        s.acked_packets,
+                        s.retransmits,
+                        s.timeouts,
+                        s.dropped_packets,
+                    )
+                })
+                .collect();
+            let per_link: Vec<(u64, u64)> = (0..links)
+                .map(|l| {
+                    let link = sim.link_at(LinkId(l));
+                    (link.served_bytes, link.queue.drops())
+                })
+                .collect();
+            (per_flow, per_link)
+        };
+        let (flows, links) = run(parking_lot, &paths, 60.0);
+        assert_eq!(
+            flows,
+            vec![
+                (1342, 900, 382, 6, 442),
+                (5344, 5122, 162, 1, 168),
+                (5622, 5538, 24, 0, 55),
+                (6165, 5976, 129, 0, 135),
+            ],
+            "parking lot (sent, acked, retransmits, timeouts, dropped) per flow"
+        );
+        assert_eq!(
+            links,
+            vec![(8774880, 599), (9378696, 55), (9996992, 146)],
+            "parking lot (served_bytes, drops) per link"
+        );
+        let (flows, links) = run(incast, &incast_paths, 80.0);
+        assert_eq!(
+            flows,
+            vec![
+                (3411, 3296, 35, 0, 100),
+                (776, 662, 34, 0, 110),
+                (1197, 946, 171, 0, 241),
+                (335, 254, 1, 0, 80),
+            ],
+            "incast (sent, acked, retransmits, timeouts, dropped) per flow"
+        );
+        assert_eq!(
+            links,
+            vec![
+                (7499192, 531),
+                (4939128, 0),
+                (1123648, 0),
+                (1733256, 0),
+                (485080, 0),
+            ],
+            "incast (served_bytes, drops) per link"
+        );
+    }
+
+    #[test]
     fn parking_lot_short_hop_flows_beat_the_long_flow() {
         use crate::topology::Topology;
         // 3 hops; the long flow crosses all three queues and carries a
