@@ -218,32 +218,45 @@ pub fn train_model(kind: ModelKind, seed: u64, budget: TrainBudget) -> TrainingR
 
 /// Loads a cached model from `dir`, training and caching it on a miss.
 ///
-/// The cache key includes the kind, seed, and budget, so changing any of
-/// them retrains rather than serving a stale model.
+/// The cache file is keyed by a hash of the full trainer configuration,
+/// so changing the kind, seed, budget or anything else
+/// `trainer_config` sets retrains rather than serving a stale model. A
+/// failed save is reported on stderr; the trained model is returned
+/// either way.
 pub fn load_or_train(
     dir: &Path,
     kind: ModelKind,
     seed: u64,
     budget: TrainBudget,
 ) -> (TrainedModel, TrainingHistory) {
-    let path = cache_path(dir, kind, seed, budget);
+    let config = trainer_config(kind, seed, budget);
+    let path = cache_path(dir, &config);
     if let Ok((model, history)) = TrainedModel::load(&path) {
         return (model, history);
     }
-    let result = train_model(kind, seed, budget);
-    // Caching is best-effort: a read-only directory just means retraining.
-    let _ = result.model.save(&path, &result.history);
+    let result = Trainer::new(config).train();
+    if let Err(e) = result.model.save(&path, &result.history) {
+        eprintln!(
+            "warning: could not cache the model at {}: {e}",
+            path.display()
+        );
+    }
     (result.model, result.history)
 }
 
-fn cache_path(dir: &Path, kind: ModelKind, seed: u64, budget: TrainBudget) -> PathBuf {
+/// The cache file for `config`: its name, seed and budget for the reader,
+/// then the FNV-1a hash of its `Debug` text, which prints every field —
+/// each `f64` round-trip exact — so two configurations share a file only
+/// when they are equal.
+fn cache_path(dir: &Path, config: &TrainerConfig) -> PathBuf {
     dir.join(format!(
-        "{}-s{}-e{}x{}x{}.json",
-        kind.name(),
-        seed,
-        budget.epochs,
-        budget.steps_per_epoch,
-        budget.n_envs
+        "{}-s{}-e{}x{}x{}-{:016x}.json",
+        config.name,
+        config.seed,
+        config.epochs,
+        config.steps_per_epoch,
+        config.envs.len(),
+        canopy_traces::fnv1a(&format!("{config:?}"))
     ))
 }
 
@@ -300,6 +313,30 @@ mod tests {
     }
 
     #[test]
+    fn cache_file_is_keyed_by_the_whole_trainer_config() {
+        let budget = TrainBudget {
+            epochs: 1,
+            steps_per_epoch: 10,
+            n_envs: 1,
+        };
+        let dir = Path::new("cache");
+        let config = trainer_config(ModelKind::Shallow, 4, budget);
+        let path = cache_path(dir, &config);
+        assert_eq!(
+            path,
+            cache_path(dir, &trainer_config(ModelKind::Shallow, 4, budget))
+        );
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert!(name.starts_with("canopy-shallow-s4-e1x10x1-"), "{name}");
+        let mut other = config.clone();
+        other.td3.tau *= 1.0 + f64::EPSILON;
+        assert_ne!(cache_path(dir, &other), path);
+        let mut other = config;
+        other.td3.policy_delay += 1;
+        assert_ne!(cache_path(dir, &other), path);
+    }
+
+    #[test]
     fn cache_round_trip_via_load_or_train() {
         let dir = std::env::temp_dir().join("canopy-cache-test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -312,6 +349,14 @@ mod tests {
         // Second call must hit the cache and return identical parameters.
         let (b, _) = load_or_train(&dir, ModelKind::Orca, 2, budget);
         assert_eq!(a.actor.params_flat(), b.actor.params_flat());
+        // It is served from the file, not retrained: plant a different
+        // model there and the next call returns that one.
+        let planted = train_model(ModelKind::Orca, 3, budget);
+        let path = cache_path(&dir, &trainer_config(ModelKind::Orca, 2, budget));
+        planted.model.save(&path, &planted.history).unwrap();
+        let (c, _) = load_or_train(&dir, ModelKind::Orca, 2, budget);
+        assert_eq!(c.seed, 3);
+        assert_eq!(c.actor.params_flat(), planted.model.actor.params_flat());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

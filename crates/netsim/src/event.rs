@@ -1,36 +1,42 @@
-//! The discrete-event calendar, sharded per flow and per link.
+//! The discrete-event calendar, sharded per link and per flow.
 //!
 //! The calendar exploits the structure of a packet-level simulation
-//! instead of funnelling every event through one global binary heap:
+//! instead of funnelling every event through one global binary heap. It
+//! keeps one **shard** per link and one per flow, each a short sorted lane
+//! plus one slot:
 //!
-//! * **Per-flow lanes.** Each flow owns a sorted ring of its pending
-//!   ACK-arrival and start/stop events. ACKs are generated in departure
-//!   order and arrive one fixed propagation delay later, so without
-//!   jitter every insertion is an O(1) append; jitter displaces an entry
-//!   by at most a few slots from the tail.
-//! * **One retransmit slot per flow.** TCP restarts the RTO on every ACK,
-//!   which in a heap-based calendar buries thousands of stale timer
-//!   entries (one per ACK, each popped later as a no-op). Only the most
-//!   recently armed timer can ever fire, so the calendar keeps exactly one
-//!   slot per flow: re-arming overwrites it, disarming cancels it
+//! * **Link shards.** A link serializes one packet at a time and starts
+//!   the next only after the current one departs, so at most one
+//!   departure is pending per link: it lives in the link's slot
+//!   (scheduling a second is a caller bug and panics). The lane holds
+//!   only hop forwardings toward the link, which arrive in near-sorted
+//!   order.
+//! * **Flow shards.** The lane holds the flow's pending ACK-arrival and
+//!   start/stop events. ACKs are generated in departure order and arrive
+//!   one fixed propagation delay later, so without jitter every insertion
+//!   is an O(1) append; jitter displaces an entry by at most a few slots
+//!   from the tail. The slot is the retransmit timer: TCP restarts the
+//!   RTO on every ACK, which in a heap-based calendar buries thousands of
+//!   stale timer entries. Only the most recently armed timer can ever
+//!   fire, so re-arming overwrites the slot, disarming empties it
 //!   ([`EventQueue::cancel_rto`]), and the slot is the one record of
-//!   whether the timer is live ([`EventQueue::rto_pending`]) — every timer
-//!   that pops is live, with no generation counter to check.
-//! * **Per-link lanes.** Each link of the topology serializes one packet
-//!   at a time, so at most one departure is pending per link, and hop
-//!   forwardings toward a link arrive in near-sorted order (a short
-//!   sorted lane per link keeps the structure general).
+//!   whether the timer is live ([`EventQueue::rto_pending`]) — every
+//!   timer that pops is live, with no generation counter to check.
 //!
-//! The lanes merge through a small top-level ladder: a cached
-//! `(time, id)` head per lane, combined by a tournament (winner) tree
-//! whose root always names the lane holding the globally earliest event.
-//! A head change re-plays one leaf-to-root path (O(log #lanes)); peeking
-//! is O(1). Ids are assigned globally in schedule order, so the merged
-//! dispatch order is **identical** to the classic global min-heap with
-//! FIFO tie-breaks — simulations replay bit-for-bit — while every hot
-//! operation is O(1) in the event population.
+//! The shards merge through a tournament (winner) tree over one packed
+//! `u128` head key per shard, `(time << 64) | id`, padded with the idle
+//! key to a power of two, so every match is one branch-free integer
+//! compare. A head change re-plays one leaf-to-root path
+//! (O(log #shards)). The popped shard's re-play is deferred to the next
+//! lookup, so the event its dispatch schedules back into the same shard
+//! (the next departure, the re-armed RTO) shares that one re-play. Ids
+//! are assigned globally in schedule order, so the merged dispatch order
+//! is **identical** to the classic global min-heap with FIFO tie-breaks —
+//! simulations replay bit-for-bit — while every hot operation is O(1) in
+//! the event population.
 
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 
 use crate::flow::FlowId;
 use crate::packet::{Ack, Packet};
@@ -40,7 +46,8 @@ use crate::topology::LinkId;
 /// Events processed by the simulator's main loop.
 #[derive(Clone, Debug)]
 pub enum Event {
-    /// The named link finished serializing its head-of-line packet.
+    /// The named link finished serializing its head-of-line packet. A
+    /// link has at most one pending.
     LinkDeparture(LinkId),
     /// `packet` reaches the ingress of `link`, the next hop of its path
     /// (multi-hop topologies only; a dumbbell never forwards).
@@ -70,93 +77,89 @@ pub struct ScheduledEvent {
     pub event: Event,
 }
 
-/// Ring capacity pre-reserved per flow: enough for a window of in-flight
+/// Lane capacity pre-reserved per flow: enough for a window of in-flight
 /// ACKs plus control events without reallocating mid-run.
 const EVENTS_PER_FLOW: usize = 64;
 
-/// The "no pending event" ladder entry; compares after every real head.
-const IDLE: (Time, u64) = (Time::MAX, u64::MAX);
+/// The key of "no pending event"; compares after every real one.
+const IDLE: u128 = u128::MAX;
 
-/// Inserts `entry` into a lane keeping `(time, id)` order, where `time_of`
-/// projects an entry's activation time. Ids grow monotonically, so an
-/// entry lands at the tail unless jitter reordered activation times, and
-/// equal times keep FIFO order.
-fn insort_by_time<T>(lane: &mut VecDeque<T>, at: Time, entry: T, time_of: impl Fn(&T) -> Time) {
-    let mut idx = lane.len();
-    while idx > 0 && time_of(&lane[idx - 1]) > at {
-        idx -= 1;
-    }
-    if idx == lane.len() {
-        lane.push_back(entry);
-    } else {
-        lane.insert(idx, entry);
-    }
+/// Packs `(time, id)` into one key whose integer order is the
+/// lexicographic one.
+#[inline]
+fn pack(at: Time, id: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(id)
 }
 
-/// One flow's calendar shard: its sorted event lane plus the single
-/// retransmit-timer slot.
-#[derive(Debug, Default)]
-struct FlowShard {
-    /// Pending ACK arrivals and start/stop events, sorted by `(time, id)`.
-    lane: VecDeque<(Time, u64, Event)>,
-    /// The armed retransmission timer, if any: `(time, id)`. Re-arming
-    /// overwrites, disarming empties it.
-    rto: Option<(Time, u64)>,
+/// The activation time packed into `key`.
+#[inline]
+fn time_of(key: u128) -> Time {
+    Time::from_nanos((key >> 64) as u64)
 }
 
-impl FlowShard {
-    fn with_capacity(capacity: usize) -> FlowShard {
-        FlowShard {
+/// One link's or one flow's calendar shard.
+#[derive(Debug)]
+struct Shard {
+    /// Pending hop arrivals (link) or ACK and start/stop events (flow),
+    /// sorted by key.
+    lane: VecDeque<(u128, Event)>,
+    /// The one pending departure (link) or armed retransmission timer
+    /// (flow), if any.
+    slot: Option<u128>,
+}
+
+impl Shard {
+    fn with_capacity(capacity: usize) -> Shard {
+        Shard {
             lane: VecDeque::with_capacity(capacity),
-            rto: None,
+            slot: None,
         }
     }
 
-    /// The earliest `(time, id)` pending in this shard.
-    fn head(&self) -> (Time, u64) {
-        let lane = self.lane.front().map_or(IDLE, |&(at, id, _)| (at, id));
-        match self.rto {
-            Some(rto) if rto < lane => rto,
-            _ => lane,
-        }
+    /// The earliest key pending in this shard.
+    #[inline]
+    fn head(&self) -> u128 {
+        let lane = self.lane.front().map_or(IDLE, |e| e.0);
+        lane.min(self.slot.unwrap_or(IDLE))
     }
 
-    /// Inserts keeping `(time, id)` order.
-    fn insort(&mut self, at: Time, id: u64, event: Event) {
-        insort_by_time(&mut self.lane, at, (at, id, event), |e| e.0);
+    /// Inserts keeping key order. Ids grow monotonically, so an entry
+    /// lands at the tail unless jitter reordered activation times, and
+    /// equal times keep FIFO order.
+    fn insort(&mut self, key: u128, event: Event) {
+        let mut idx = self.lane.len();
+        while idx > 0 && self.lane[idx - 1].0 > key {
+            idx -= 1;
+        }
+        self.lane.insert(idx, (key, event));
     }
 }
 
-/// A deterministic event calendar: per-flow lanes plus per-link lanes,
-/// merged by a tournament tree over cached lane heads (min `(time, id)`,
-/// FIFO on ties).
+/// A deterministic event calendar: per-link and per-flow shards merged by
+/// a tournament tree over their head keys (min `(time, id)`, FIFO on
+/// ties).
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Per-link lanes, indexed by `LinkId`: pending departures (at most
-    /// one per link in a real simulation) and inbound hop forwardings,
-    /// sorted by `(time, id)`. Fixed at construction — topologies do not
-    /// grow mid-run.
-    links: Vec<VecDeque<(Time, u64, Event)>>,
-    /// Per-flow shards, indexed by `FlowId`.
-    shards: Vec<FlowShard>,
-    /// The merge ladder: `heads[l]` mirrors link `l`'s lane for
-    /// `l < links.len()`, `heads[links.len() + f]` mirrors flow `f`'s
-    /// shard. Kept exact on every mutation.
-    heads: Vec<(Time, u64)>,
+    /// Shard `l < links` is link `l`'s, shard `links + f` flow `f`'s. The
+    /// link shards are fixed at construction — topologies do not grow
+    /// mid-run.
+    shards: Vec<Shard>,
+    links: usize,
+    /// `heads[s]` mirrors shard `s`'s head key, padded with [`IDLE`] to
+    /// `leaf_base` entries. Exact on every mutation.
+    heads: Vec<u128>,
     /// Tournament tree over `heads`: a complete binary tree with
-    /// `leaf_base` leaves (`heads` padded with [`IDLE`]); `tree[1]` is the
-    /// index of the lane holding the earliest `(time, id)`. `tree[n]` for
-    /// internal `n` names the winner among the leaves below `n`.
+    /// `leaf_base` leaves; `tree[1]` is the shard holding the earliest key,
+    /// and `tree[n]` for internal `n` the winner among the leaves below.
     tree: Vec<u32>,
-    /// Number of leaves (a power of two, `>= heads.len()`).
+    /// Number of leaves (a power of two, `>= shards.len()`).
     leaf_base: usize,
+    /// The shard popped last, whose path has not been re-played since:
+    /// every tree node off that path is exact.
+    stale: Option<usize>,
     next_id: u64,
     len: usize,
 }
-
-/// The tournament slot for "no lane" (beyond `heads.len()`); its key is
-/// [`IDLE`], so it loses every match.
-const NO_LANE: u32 = u32::MAX;
 
 impl Default for EventQueue {
     fn default() -> EventQueue {
@@ -165,22 +168,23 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty calendar with a single link lane (the dumbbell
+    /// Creates an empty calendar with a single link shard (the dumbbell
     /// fast path).
     pub fn new() -> EventQueue {
         EventQueue::with_links(1)
     }
 
-    /// Creates an empty calendar with one lane per link of a
+    /// Creates an empty calendar with one shard per link of a
     /// `links`-link topology.
     pub fn with_links(links: usize) -> EventQueue {
         assert!(links >= 1, "a calendar needs at least one link lane");
         let mut q = EventQueue {
-            links: (0..links).map(|_| VecDeque::with_capacity(2)).collect(),
-            shards: Vec::new(),
-            heads: vec![IDLE; links],
+            shards: (0..links).map(|_| Shard::with_capacity(2)).collect(),
+            links,
+            heads: Vec::new(),
             tree: Vec::new(),
             leaf_base: 0,
+            stale: None,
             next_id: 0,
             len: 0,
         };
@@ -188,211 +192,179 @@ impl EventQueue {
         q
     }
 
-    /// Number of link lanes.
-    fn link_lanes(&self) -> usize {
-        self.links.len()
-    }
-
-    fn ensure_shards(&mut self, count: usize) {
-        if self.shards.len() >= count {
-            return;
-        }
-        while self.shards.len() < count {
-            self.shards.push(FlowShard::with_capacity(EVENTS_PER_FLOW));
-            self.heads.push(IDLE);
-            let lane = self.heads.len() - 1;
-            if lane < self.leaf_base {
-                // Room in the current tournament: claim the leaf (its key
-                // is IDLE, so no path needs re-playing yet).
-                self.tree[self.leaf_base + lane] = lane as u32;
+    /// The shard of `flow`, created (with its leaf) on first use.
+    fn flow_shard(&mut self, flow: FlowId) -> usize {
+        let shard = self.links + flow.0;
+        if shard >= self.shards.len() {
+            self.shards
+                .resize_with(shard + 1, || Shard::with_capacity(EVENTS_PER_FLOW));
+            // New shards are idle, so a tree with room for them is exact.
+            if self.shards.len() > self.leaf_base {
+                self.rebuild_tree();
             }
         }
-        if self.heads.len() > self.leaf_base {
-            self.rebuild_tree();
-        }
+        shard
     }
 
-    /// Rebuilds the tournament tree from scratch (lane-count growth only;
+    /// Rebuilds the tournament tree from scratch (shard-count growth only;
     /// steady-state updates re-play single paths).
     fn rebuild_tree(&mut self) {
-        let mut leaves = 2usize;
-        while leaves < self.heads.len() {
-            leaves *= 2;
-        }
+        let leaves = self.shards.len().next_power_of_two().max(2);
         self.leaf_base = leaves;
-        self.tree = vec![NO_LANE; 2 * leaves];
-        for lane in 0..self.heads.len() {
-            self.tree[leaves + lane] = lane as u32;
-        }
+        self.heads.resize(leaves, IDLE);
+        self.tree = vec![0; leaves];
+        self.tree.extend(0..leaves as u32);
         for n in (1..leaves).rev() {
             self.tree[n] = self.winner(self.tree[2 * n], self.tree[2 * n + 1]);
         }
-    }
-
-    #[inline]
-    fn key(&self, lane: u32) -> (Time, u64) {
-        if lane == NO_LANE {
-            IDLE
-        } else {
-            self.heads[lane as usize]
-        }
+        self.stale = None;
     }
 
     #[inline]
     fn winner(&self, a: u32, b: u32) -> u32 {
-        if self.key(b) < self.key(a) {
-            b
-        } else {
-            a
-        }
+        select_unpredictable(self.heads[b as usize] < self.heads[a as usize], b, a)
     }
 
-    /// Re-plays the tournament path from `lane`'s leaf to the root after
-    /// its head changed.
+    /// Re-plays the tournament path from `shard`'s leaf to the root.
     #[inline]
-    fn replay(&mut self, lane: usize) {
-        let mut n = (self.leaf_base + lane) / 2;
+    fn replay(&mut self, shard: usize) {
+        let mut n = (self.leaf_base + shard) / 2;
         while n >= 1 {
             self.tree[n] = self.winner(self.tree[2 * n], self.tree[2 * n + 1]);
             n /= 2;
         }
     }
 
-    fn refresh_shard_head(&mut self, flow: usize) {
-        let lane = self.link_lanes() + flow;
-        let head = self.shards[flow].head();
-        // Most mutations leave the head alone (ACKs append at the back,
-        // timer re-arms land behind the next ACK): skip the tournament
-        // re-play unless the lane's key actually moved.
-        if self.heads[lane] != head {
-            self.heads[lane] = head;
-            self.replay(lane);
+    /// Re-syncs `shard`'s head key after a mutation. Most mutations leave
+    /// the head alone (ACKs append at the back, timer re-arms land behind
+    /// the next ACK), and the stale shard's path is re-played by the next
+    /// lookup anyway: only a moved head of another shard re-plays now.
+    #[inline]
+    fn refresh(&mut self, shard: usize) {
+        let head = self.shards[shard].head();
+        if self.heads[shard] != head {
+            self.heads[shard] = head;
+            if self.stale != Some(shard) {
+                self.replay(shard);
+            }
         }
     }
 
-    fn refresh_link_head(&mut self, link: usize) {
-        let head = self.links[link]
-            .front()
-            .map_or(IDLE, |&(at, id, _)| (at, id));
-        if self.heads[link] != head {
-            self.heads[link] = head;
-            self.replay(link);
-        }
-    }
-
-    /// Schedules `event` at time `at`.
+    /// Schedules `event` at time `at`. Panics when a departure is already
+    /// pending on the same link.
     pub fn schedule(&mut self, at: Time, event: Event) {
-        let id = self.next_id;
+        let key = pack(at, self.next_id);
         self.next_id += 1;
-        match event {
-            Event::LinkDeparture(link) | Event::HopArrival { link, .. } => {
-                let l = link.0;
+        self.len += 1;
+        let shard = match event {
+            Event::LinkDeparture(LinkId(l))
+            | Event::HopArrival {
+                link: LinkId(l), ..
+            } => {
                 assert!(
-                    l < self.links.len(),
+                    l < self.links,
                     "link {l} outside the calendar's {} lanes",
-                    self.links.len()
+                    self.links
                 );
-                insort_by_time(&mut self.links[l], at, (at, id, event), |e| e.0);
-                self.refresh_link_head(l);
-                self.len += 1;
+                l
             }
-            Event::RtoTimer(flow) => {
-                let f = flow.0;
-                self.ensure_shards(f + 1);
-                // Overwrite: TCP restarts the timer, so only the newest
-                // deadline may fire.
-                if self.shards[f].rto.replace((at, id)).is_none() {
-                    self.len += 1;
+            Event::AckArrival(Ack { flow, .. })
+            | Event::RtoTimer(flow)
+            | Event::FlowStart(flow)
+            | Event::FlowStop(flow) => self.flow_shard(flow),
+        };
+        let s = &mut self.shards[shard];
+        match event {
+            Event::LinkDeparture(_) => {
+                let pending = s.slot.replace(key);
+                assert!(
+                    pending.is_none(),
+                    "a departure is already pending on link {shard}"
+                );
+            }
+            // Overwrite: TCP restarts the timer, so only the newest
+            // deadline may fire.
+            Event::RtoTimer(_) => {
+                if s.slot.replace(key).is_some() {
+                    self.len -= 1;
                 }
-                self.refresh_shard_head(f);
             }
-            Event::AckArrival(ref ack) => {
-                let f = ack.flow.0;
-                self.ensure_shards(f + 1);
-                self.shards[f].insort(at, id, event);
-                self.len += 1;
-                self.refresh_shard_head(f);
-            }
-            Event::FlowStart(flow) | Event::FlowStop(flow) => {
-                let f = flow.0;
-                self.ensure_shards(f + 1);
-                self.shards[f].insort(at, id, event);
-                self.len += 1;
-                self.refresh_shard_head(f);
-            }
+            _ => s.insort(key, event),
         }
+        self.refresh(shard);
     }
 
     /// Disarms `flow`'s retransmission timer, if one is pending.
     pub fn cancel_rto(&mut self, flow: FlowId) {
-        let f = flow.0;
-        if self.shards.get_mut(f).and_then(|s| s.rto.take()).is_some() {
+        let shard = self.links + flow.0;
+        if self
+            .shards
+            .get_mut(shard)
+            .and_then(|s| s.slot.take())
+            .is_some()
+        {
             self.len -= 1;
-            self.refresh_shard_head(f);
+            self.refresh(shard);
         }
     }
 
     /// Whether `flow`'s retransmission timer is pending.
     pub fn rto_pending(&self, flow: FlowId) -> bool {
-        self.shards.get(flow.0).is_some_and(|s| s.rto.is_some())
+        self.shards
+            .get(self.links + flow.0)
+            .is_some_and(|s| s.slot.is_some())
     }
 
-    /// The tournament's current minimum: `(lane index, (time, id))`.
+    /// The tournament's current minimum, `(shard, key)`, after re-playing
+    /// the stale path.
     #[inline]
-    fn min_head(&self) -> Option<(usize, (Time, u64))> {
-        let lane = self.tree[1];
-        let key = self.key(lane);
-        if key == IDLE {
-            None
-        } else {
-            Some((lane as usize, key))
+    fn min_head(&mut self) -> Option<(usize, u128)> {
+        if let Some(stale) = self.stale.take() {
+            self.replay(stale);
         }
+        let shard = self.tree[1] as usize;
+        let key = self.heads[shard];
+        (key != IDLE).then_some((shard, key))
     }
 
     /// The activation time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.min_head().map(|(_, (at, _))| at)
+    pub fn peek_time(&mut self) -> Option<Time> {
+        self.min_head().map(|(_, key)| time_of(key))
     }
 
     /// Removes and returns the earliest pending event (FIFO on time ties,
     /// by global schedule order).
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        let (lane, (at, id)) = self.min_head()?;
-        Some(self.pop_lane(lane, at, id))
+        self.pop_due(Time::MAX)
     }
 
     /// Removes and returns the earliest pending event if it activates at
     /// or before `t` — the simulator main loop's peek-and-pop fused into
     /// one tournament lookup.
     pub fn pop_due(&mut self, t: Time) -> Option<ScheduledEvent> {
-        let (lane, (at, id)) = self.min_head()?;
+        let (shard, key) = self.min_head()?;
+        let at = time_of(key);
         if at > t {
             return None;
         }
-        Some(self.pop_lane(lane, at, id))
-    }
-
-    fn pop_lane(&mut self, lane: usize, at: Time, id: u64) -> ScheduledEvent {
         self.len -= 1;
-        if lane < self.link_lanes() {
-            let (_, _, event) = self.links[lane].pop_front().expect("link head exists");
-            self.refresh_link_head(lane);
-            return ScheduledEvent { at, id, event };
-        }
-        let f = lane - self.link_lanes();
-        let shard = &mut self.shards[f];
-        let event = match shard.rto {
-            Some(rto) if rto == (at, id) => {
-                shard.rto = None;
-                Event::RtoTimer(FlowId(f))
+        let s = &mut self.shards[shard];
+        let event = if s.slot == Some(key) {
+            s.slot = None;
+            match shard.checked_sub(self.links) {
+                None => Event::LinkDeparture(LinkId(shard)),
+                Some(f) => Event::RtoTimer(FlowId(f)),
             }
-            _ => {
-                let (_, _, event) = shard.lane.pop_front().expect("lane head exists");
-                event
-            }
+        } else {
+            s.lane.pop_front().expect("the head is in the lane").1
         };
-        self.refresh_shard_head(f);
-        ScheduledEvent { at, id, event }
+        self.heads[shard] = s.head();
+        self.stale = Some(shard);
+        Some(ScheduledEvent {
+            at,
+            id: key as u64,
+            event,
+        })
     }
 
     /// Number of pending events.
@@ -425,10 +397,10 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_links(3);
         q.schedule(Time::from_millis(5), Event::LinkDeparture(LinkId(0)));
-        q.schedule(Time::from_millis(1), Event::LinkDeparture(LinkId(0)));
-        q.schedule(Time::from_millis(3), Event::LinkDeparture(LinkId(0)));
+        q.schedule(Time::from_millis(1), Event::LinkDeparture(LinkId(1)));
+        q.schedule(Time::from_millis(3), Event::LinkDeparture(LinkId(2)));
         let order: Vec<Time> = std::iter::from_fn(|| q.pop().map(|e| e.at)).collect();
         assert_eq!(
             order,
@@ -475,6 +447,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "already pending on link 1")]
+    fn a_second_pending_departure_on_one_link_panics() {
+        let mut q = EventQueue::with_links(2);
+        q.schedule(Time::from_millis(1), Event::LinkDeparture(LinkId(1)));
+        q.schedule(Time::from_millis(2), Event::LinkDeparture(LinkId(0)));
+        q.schedule(Time::from_millis(3), Event::LinkDeparture(LinkId(1)));
+    }
+
+    #[test]
     fn hop_arrivals_carry_their_packet_through_link_lanes() {
         let mut q = EventQueue::with_links(2);
         q.schedule(
@@ -485,7 +466,9 @@ mod tests {
             },
         );
         q.schedule(Time::from_millis(1), Event::LinkDeparture(LinkId(1)));
-        assert_eq!(q.pop().unwrap().at, Time::from_millis(1));
+        let e = q.pop().unwrap();
+        assert_eq!(e.at, Time::from_millis(1));
+        assert!(matches!(e.event, Event::LinkDeparture(LinkId(1))));
         match q.pop().unwrap().event {
             Event::HopArrival { link, packet } => {
                 assert_eq!(link, LinkId(1));
@@ -545,9 +528,10 @@ mod tests {
     /// The sharded calendar must replay the classic global min-heap's
     /// dispatch order exactly — same times, same FIFO tie-breaks — for a
     /// randomized interleaving of every event kind across several flows
-    /// and several link lanes (multi-hop topology shape: departures and
-    /// hop forwardings spread over three links), with retransmit timers
-    /// re-armed and cancelled at random on both sides.
+    /// and several links (multi-hop topology shape: hop forwardings spread
+    /// over three links, each with at most one departure pending, as the
+    /// simulator schedules them), with retransmit timers re-armed and
+    /// cancelled at random on both sides.
     #[test]
     fn matches_reference_heap_order() {
         use std::cmp::Reverse;
@@ -565,6 +549,7 @@ mod tests {
         let mut q = EventQueue::with_links(3);
         let mut reference: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
         let mut pending_rto: [Option<u64>; 4] = [None; 4];
+        let mut pending_departure: [Option<u64>; 3] = [None; 3];
         // The reference heap models slot overwrite and cancellation by
         // discarding the superseded or cancelled timer's key.
         let discard = |reference: &mut BinaryHeap<Reverse<(Time, u64)>>, old: Option<u64>| {
@@ -574,7 +559,8 @@ mod tests {
                 reference.extend(keep);
             }
         };
-        for id in 0..600u64 {
+        let mut id = 0u64;
+        while id < 600 {
             let at = Time::from_micros(next() % 50_000);
             let flow = FlowId((next() % 4) as usize);
             let link = LinkId((next() % 3) as usize);
@@ -588,8 +574,8 @@ mod tests {
                 q.cancel_rto(victim);
             }
             let event = match next() % 5 {
-                0 => Event::LinkDeparture(link),
-                1 => Event::HopArrival {
+                0 | 1 if pending_departure[link.0].is_none() => Event::LinkDeparture(link),
+                0 | 1 => Event::HopArrival {
                     link,
                     packet: packet(flow.0, id),
                 },
@@ -597,21 +583,46 @@ mod tests {
                 3 => Event::FlowStop(flow),
                 _ => Event::RtoTimer(flow),
             };
-            if let Event::RtoTimer(flow) = event {
-                discard(&mut reference, pending_rto[flow.0].replace(id));
+            match event {
+                Event::RtoTimer(flow) => {
+                    discard(&mut reference, pending_rto[flow.0].replace(id));
+                }
+                Event::LinkDeparture(link) => pending_departure[link.0] = Some(id),
+                _ => {}
             }
             reference.push(Reverse((at, id)));
             q.schedule(at, event);
+            id += 1;
             // Dispatch interleaves with scheduling, as in a simulation: a
             // stale lane head left behind by a cancel would surface here.
             if next() % 3 == 0 {
                 let Reverse((at, eid)) = reference.pop().expect("just pushed");
                 let got = q.pop().expect("calendar has an event");
                 assert_eq!((got.at, got.id), (at, eid));
-                for pending in pending_rto.iter_mut() {
+                for pending in pending_rto.iter_mut().chain(&mut pending_departure) {
                     if *pending == Some(eid) {
                         *pending = None;
                     }
+                }
+                // Like the simulator, often schedule straight back into
+                // the shard just popped — the next departure of a link,
+                // the re-armed timer of a flow — before the next lookup.
+                let back = match got.event {
+                    Event::LinkDeparture(l) if next() % 2 == 0 => {
+                        pending_departure[l.0] = Some(id);
+                        Some(got.event)
+                    }
+                    Event::RtoTimer(f) if next() % 2 == 0 => {
+                        pending_rto[f.0] = Some(id);
+                        Some(got.event)
+                    }
+                    _ => None,
+                };
+                if let Some(event) = back {
+                    let later = got.at + Time::from_micros(next() % 2_000);
+                    reference.push(Reverse((later, id)));
+                    q.schedule(later, event);
+                    id += 1;
                 }
             }
             for (f, pending) in pending_rto.iter().enumerate() {

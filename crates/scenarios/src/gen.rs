@@ -75,15 +75,8 @@ impl Family {
     }
 }
 
-/// FNV-style string hash for family/seed separation.
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 pub(crate) fn rng_for(family: Family, seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ fxhash(family.name()))
+    StdRng::seed_from_u64(seed ^ canopy_traces::fnv1a(family.name()))
 }
 
 /// Generates the `(family, seed)` scenario. Pure and deterministic: the

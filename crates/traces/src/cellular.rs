@@ -56,7 +56,7 @@ pub const TMOBILE: OperatorModel = OperatorModel {
 /// Generates one operator's trace: `duration_secs` of 100 ms segments,
 /// looping.
 pub fn generate(model: &OperatorModel, seed: u64, duration_secs: f64) -> BandwidthTrace {
-    let mut rng = StdRng::seed_from_u64(seed ^ fxhash(model.name));
+    let mut rng = StdRng::seed_from_u64(seed ^ crate::fnv1a(model.name));
     let ticks = (duration_secs / 0.1).max(1.0) as usize;
     let mut regime = 1usize; // Start in the mid regime.
     let segments: Vec<Segment> = (0..ticks)
@@ -84,13 +84,6 @@ pub fn generate(model: &OperatorModel, seed: u64, duration_secs: f64) -> Bandwid
         })
         .collect();
     BandwidthTrace::from_segments(model.name, segments, true)
-}
-
-/// A tiny deterministic string hash for per-operator seed separation.
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// The three cellular traces (60 s cycles).

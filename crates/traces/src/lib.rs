@@ -31,6 +31,14 @@ pub fn all_eval_traces(seed: u64) -> Vec<BandwidthTrace> {
     v
 }
 
+/// The 64-bit FNV-1a hash of `s`: the workspace's one stable string hash,
+/// for seed separation and cache keys.
+pub fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// Looks up any trace by its canonical name — an evaluation trace
 /// (`syn-*`, `cell-*`) or a global-testbed path (`rw-<region>`) — so
 /// scenario specs can reference the paper's base traces declaratively and
