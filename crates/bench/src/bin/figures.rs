@@ -15,52 +15,25 @@
 
 use std::process::ExitCode;
 
-use canopy_bench::figures::{self, Figure, REGISTRY};
-use canopy_bench::HarnessOpts;
+use canopy_bench::cli::{run_main, FiguresCmd};
+use canopy_bench::figures::{self, REGISTRY};
 
 fn run(args: &[String]) -> Result<(), String> {
-    canopy_core::pool::env_threads()?;
-    if args.first().is_some_and(|a| a == "explore") {
-        return figures::explore(&args[1..]);
-    }
-    let (mut all, mut list) = (false, false);
-    let mut selected: Vec<&Figure> = Vec::new();
-    // Whatever is not a selector must be a shared harness flag.
-    let mut rest = Vec::new();
-    for arg in args {
-        match (arg.as_str(), figures::find(arg)) {
-            ("--all", _) => all = true,
-            ("--list", _) => list = true,
-            (_, Some(figure)) => selected.push(figure),
-            (_, None) => rest.push(arg.clone()),
+    match FiguresCmd::parse(args)? {
+        FiguresCmd::List => {
+            for figure in REGISTRY {
+                println!("{:<20}{}", figure.id, figure.what);
+            }
         }
-    }
-    let opts = HarnessOpts::parse(&rest)?;
-    if list {
-        for figure in REGISTRY {
-            println!("{:<20}{}", figure.id, figure.what);
+        FiguresCmd::Explore(opts) => figures::explore(&opts)?,
+        FiguresCmd::Run(selected, _) if selected.is_empty() => {
+            return Err("nothing to run: name figure ids, or pass --all or --list".into())
         }
-        return Ok(());
-    }
-    if all {
-        selected = REGISTRY.iter().collect();
-    }
-    if selected.is_empty() {
-        return Err("nothing to run: name figure ids, or pass --all or --list".into());
-    }
-    for figure in selected {
-        figure.run(&opts);
+        FiguresCmd::Run(selected, harness) => selected.iter().for_each(|f| f.run(&harness)),
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
+    run_main("error: ", 2, run)
 }

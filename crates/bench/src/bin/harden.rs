@@ -41,101 +41,27 @@
 //! already in the corpus, rebuilding each fixture's recorded model from
 //! its own metadata.
 
-use std::cell::RefCell;
 use std::io::ErrorKind;
 use std::process::ExitCode;
-use std::rc::Rc;
 
+use canopy_bench::cli::{run_main, HardenOpts};
 use canopy_bench::{
-    f3, flag_value, flag_value_where, header, model, model_dir, model_seed, row, write_trace,
-    HarnessOpts, DEFAULT_SEED,
+    f3, header, minimize, model, model_dir, row, write_trace, HarnessOpts, Recording,
 };
-use canopy_core::models::{trainer_config, ModelKind, TrainedModel};
+use canopy_core::env::EpisodeSpec;
+use canopy_core::models::{trainer_config, TrainedModel};
 use canopy_core::trainer::{EpisodeMix, Trainer};
 use canopy_netsim::Time;
-use canopy_scenarios::{episode_spec, generate, run_scenario_recorded, Family, ScenarioSpec};
+use canopy_scenarios::{episode_spec, generate, Family, ScenarioSpec};
 use canopy_search::{
-    load_corpus, search_with_recorder, AdversarialFixture, Objective, ObjectiveKind,
-    RobustnessLedger, SearchConfig, SearchSpace, ShrinkConfig,
+    load_corpus, search_with_recorder, AdversarialFixture, LedgerEntry, Objective, ObjectiveKind,
+    RobustnessLedger, SearchConfig, SearchSpace,
 };
 use canopy_telemetry::artifact::Cause;
-use canopy_telemetry::{Artifact, FlightRecorder, SharedRecorder, TelemetryReport};
-
-struct HardenOpts {
-    scheme: ModelKind,
-    objective: ObjectiveKind,
-    seed: u64,
-    rounds: usize,
-    budget: usize,
-    population: usize,
-    smoke: bool,
-    ledger: String,
-    fixture_out: String,
-    trace_out: Option<String>,
-    retrace: bool,
-}
-
-fn parse_opts(args: &[String]) -> Result<HardenOpts, String> {
-    let mut opts = HardenOpts {
-        scheme: ModelKind::Shallow,
-        objective: ObjectiveKind::RewardGap,
-        seed: DEFAULT_SEED,
-        rounds: 2,
-        budget: 16,
-        population: 8,
-        smoke: false,
-        ledger: "ROBUSTNESS_ledger.json".to_string(),
-        fixture_out: "fixtures/adversarial".to_string(),
-        trace_out: None,
-        retrace: false,
-    };
-    let at_least_1 = |n: &usize| *n >= 1;
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scheme" => {
-                let v: String = flag_value(flag, args.next())?;
-                opts.scheme = ModelKind::parse(v.trim())
-                    .ok_or_else(|| format!("unknown scheme `{v}` (expected a model name)"))?;
-            }
-            "--objective" => {
-                let v: String = flag_value(flag, args.next())?;
-                opts.objective = ObjectiveKind::parse(v.trim())
-                    .ok_or_else(|| format!("unknown objective `{v}`"))?;
-            }
-            "--seed" => opts.seed = flag_value(flag, args.next())?,
-            "--rounds" => {
-                opts.rounds = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
-            }
-            "--budget" => {
-                opts.budget = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
-            }
-            "--population" => {
-                opts.population = flag_value_where(flag, args.next(), at_least_1, "at least 1")?
-            }
-            "--ledger" => opts.ledger = flag_value(flag, args.next())?,
-            "--fixture-out" => opts.fixture_out = flag_value(flag, args.next())?,
-            "--trace-out" => opts.trace_out = Some(flag_value(flag, args.next())?),
-            "--smoke" => opts.smoke = true,
-            "--retrace" => opts.retrace = true,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(opts)
-}
+use canopy_telemetry::Artifact;
 
 /// The share of episode boundaries that redraw from the adversarial pool.
 const MIX_FRACTION: f64 = 0.5;
-
-/// The horizon cap for decoded search scenarios (the scenario_search
-/// smoke convention, so committed fixtures replay at the same horizon).
-fn duration_cap(opts: &HardenOpts) -> Time {
-    if opts.smoke {
-        Time::from_secs(4)
-    } else {
-        Time::from_secs(6)
-    }
-}
 
 /// The horizon cap for mix-pool *episodes*. Shorter than the search cap:
 /// the sampler only redraws at episode boundaries, so episodes must be
@@ -167,46 +93,24 @@ fn build_pool(
     corpus: &[AdversarialFixture],
     k: usize,
     cap: Time,
-) -> Vec<canopy_core::env::EpisodeSpec> {
-    let mut pool = Vec::new();
-    for family in Family::ALL {
-        for gen_seed in [11u64, 12] {
-            let spec = generate(family, gen_seed);
-            if let Ok(e) = episode_spec(&spec, k, Some(cap)) {
-                pool.push(e);
-            }
-        }
-    }
-    for fixture in corpus {
-        if let Ok(e) = episode_spec(&fixture.spec, k, Some(cap)) {
-            pool.push(e);
-        }
-    }
-    for spec in specs_from_rounds {
-        if let Ok(e) = episode_spec(spec, k, Some(cap)) {
-            pool.push(e);
-        }
-    }
-    pool
+) -> Vec<EpisodeSpec> {
+    let generated = Family::ALL
+        .into_iter()
+        .flat_map(|f| [11, 12].map(|s| generate(f, s)));
+    let committed = corpus.iter().map(|fixture| fixture.spec.clone());
+    let specs = generated
+        .chain(committed)
+        .chain(specs_from_rounds.iter().cloned());
+    specs
+        .filter_map(|spec| episode_spec(&spec, k, Some(cap)).ok())
+        .collect()
 }
 
 /// Trains round `round`'s hardened model: the base recipe with the
 /// adversarial episode mix spliced into its sampler.
-fn train_hardened(
-    opts: &HardenOpts,
-    pool: Vec<canopy_core::env::EpisodeSpec>,
-    round: usize,
-) -> TrainedModel {
-    let seed = model_seed(opts.smoke);
-    let mut cfg = trainer_config(
-        opts.scheme,
-        seed,
-        HarnessOpts {
-            seed,
-            smoke: opts.smoke,
-        }
-        .budget(),
-    );
+fn train_hardened(opts: &HardenOpts, pool: Vec<EpisodeSpec>, round: usize) -> TrainedModel {
+    let lineage = HarnessOpts::adversarial(opts.smoke);
+    let mut cfg = trainer_config(opts.scheme, lineage.seed, lineage.budget());
     if opts.smoke {
         // The stock smoke budget (a few hundred steps over 6 s episodes)
         // never reaches an episode boundary, so the mix would never draw.
@@ -221,7 +125,7 @@ fn train_hardened(
     cfg.name = format!("{}+hard-r{round}", opts.scheme.name());
     cfg.mix = Some(EpisodeMix {
         fraction: MIX_FRACTION,
-        seed: mix_seed(seed, round),
+        seed: mix_seed(lineage.seed, round),
         pool,
     });
     Trainer::new(cfg).train().model
@@ -240,19 +144,20 @@ fn gate_qc_sat(objective: &Objective, probe: &ScenarioSpec) -> Result<f64, Strin
 /// A hardened model whose probe `QC_sat` drops below this is rejected.
 const GATE_FLOOR: f64 = 0.25;
 
-struct RoundsResult {
-    entries: Vec<canopy_search::LedgerEntry>,
-    fixtures: Vec<AdversarialFixture>,
-}
-
+/// Runs the rounds after the ledger's last one (round 0 for a fresh
+/// lineage), appending each round's entries to `ledger`; returns the
+/// fixtures they committed.
 fn run_rounds(
     opts: &HardenOpts,
     base: &TrainedModel,
     corpus_snapshot: &[AdversarialFixture],
-    first_round: usize,
-    recorder: Option<&SharedRecorder>,
-) -> Result<RoundsResult, String> {
-    let cap = duration_cap(opts);
+    ledger: &mut RobustnessLedger,
+    recording: Option<&Recording>,
+) -> Result<Vec<AdversarialFixture>, String> {
+    // The search horizon of the smoke lineage, so committed fixtures
+    // replay at the horizon they were found at.
+    let lineage = HarnessOpts::adversarial(opts.smoke);
+    let cap = lineage.search_horizon().unwrap_or(Time::from_secs(6));
     let threshold = opts.objective.violation_threshold();
     let probe = ScenarioSpec::simple("harden-gate", 24e6, Time::from_millis(40), cap);
     let base_objective = Objective::new(opts.objective, base.clone());
@@ -260,14 +165,11 @@ fn run_rounds(
 
     let mut corpus: Vec<AdversarialFixture> = corpus_snapshot.to_vec();
     let mut found_specs: Vec<ScenarioSpec> = Vec::new();
-    let mut result = RoundsResult {
-        entries: Vec::new(),
-        fixtures: Vec::new(),
-    };
+    let mut fixtures = Vec::new();
     let mut current = base.clone();
     let mut prev_mass: Option<f64> = None;
+    let first_round = ledger.last_round().map_or(0, |r| r + 1);
     let last_round = first_round + opts.rounds;
-
     for round in first_round..=last_round {
         // Round 0 measures the unhardened base; every later round
         // retrains with the corpus accumulated so far mixed in.
@@ -289,7 +191,7 @@ fn run_rounds(
         let gate = gate_qc_sat(&objective, &probe)?;
 
         println!("\n## Round {round} — {}\n", current.name);
-        header(&["family", "badness", "reward gap", "qc_sat", "fallback"]);
+        header!("family | badness | reward gap | qc_sat | fallback");
 
         let search_seed = opts.seed + round as u64;
         let mut worst: Option<(Family, f64, ScenarioSpec)> = None;
@@ -301,29 +203,28 @@ fn run_rounds(
                 seed: search_seed,
                 threads: None,
             };
-            let outcome = search_with_recorder(&space, &objective, &config, recorder.cloned())
+            let handle = recording.map(Recording::handle);
+            let outcome = search_with_recorder(&space, &objective, &config, handle)
                 .map_err(|e| e.to_string())?;
             let scores = objective
                 .score_all(&outcome.best_spec)
                 .map_err(|e| e.to_string())?;
             let violation = outcome.best_badness >= threshold;
-            row(&[
-                family.name().to_string(),
+            row!(
+                "{} | {} | {} | {} | {}",
+                family.name(),
                 f3(outcome.best_badness),
                 f3(scores.reward_gap),
                 f3(scores.qc_sat),
                 f3(scores.fallback_rate),
-            ]);
+            );
             if violation {
                 found_specs.push(outcome.best_spec.clone());
-                if worst
-                    .as_ref()
-                    .is_none_or(|(_, b, _)| outcome.best_badness > *b)
-                {
+                if worst.as_ref().is_none_or(|w| outcome.best_badness > w.1) {
                     worst = Some((family, outcome.best_badness, outcome.best_spec.clone()));
                 }
             }
-            result.entries.push(canopy_search::LedgerEntry {
+            ledger.entries.push(LedgerEntry {
                 round,
                 model: current.name.clone(),
                 family: family.name().to_string(),
@@ -344,62 +245,39 @@ fn run_rounds(
         // but only when it also violates against the *base* model, so
         // every committed fixture replays from the file alone (the
         // regression suite can only rebuild base models).
-        if round > 0 {
-            if let Some((family, badness, spec)) = worst {
-                let base_badness = base_objective.badness(&spec).map_err(|e| e.to_string())?;
-                if base_badness >= threshold {
-                    let shrunk = canopy_search::shrink(
-                        &spec,
-                        base_badness,
-                        threshold,
-                        &ShrinkConfig::default(),
-                        |s| base_objective.badness(s),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let mut min_spec = shrunk.spec;
-                    min_spec.name = format!(
-                        "{}-{}-r{round}-s{search_seed}-min",
-                        family.name(),
-                        opts.objective.name().replace('_', "-")
-                    );
-                    let fixture = AdversarialFixture::new(
-                        family,
-                        &base_objective,
-                        model_seed(opts.smoke),
-                        opts.smoke,
-                        search_seed,
-                        shrunk.badness,
-                        min_spec,
-                    );
-                    fixture
-                        .validate()
-                        .map_err(|e| format!("round {round} fixture: {e}"))?;
-                    let name = fixture.file_name();
-                    let fresh = !corpus.iter().any(|f| f.file_name() == name);
-                    if fresh {
-                        for e in result.entries.iter_mut().rev() {
-                            if e.round == round && e.family == family.name() {
-                                e.fixture = Some(name.clone());
-                                break;
-                            }
-                        }
-                        println!(
-                            "\nround {round}: committed {} (badness {badness:.3} vs {}, {:.3} minimized vs base)",
-                            name, current.name, shrunk.badness
-                        );
-                        corpus.push(fixture.clone());
-                        result.fixtures.push(fixture);
+        if let Some((family, badness, spec)) = worst.filter(|_| round > 0) {
+            let base_badness = base_objective.badness(&spec).map_err(|e| e.to_string())?;
+            if base_badness >= threshold {
+                let found = (&spec, base_badness);
+                let (_, fixture) = minimize(
+                    &base_objective,
+                    family,
+                    found,
+                    search_seed,
+                    Some(round),
+                    opts.smoke,
+                )?;
+                fixture
+                    .validate()
+                    .map_err(|e| format!("round {round} fixture: {e}"))?;
+                let name = fixture.file_name();
+                if !corpus.iter().any(|f| f.file_name() == name) {
+                    let mut entries = ledger.entries.iter_mut().rev();
+                    let entry = entries.find(|e| e.round == round && e.family == family.name());
+                    if let Some(e) = entry {
+                        e.fixture = Some(name.clone());
                     }
+                    println!(
+                        "\nround {round}: committed {} (badness {badness:.3} vs {}, {:.3} minimized vs base)",
+                        name, current.name, fixture.recorded_badness
+                    );
+                    corpus.push(fixture.clone());
+                    fixtures.push(fixture);
                 }
             }
         }
 
-        let mass: f64 = result
-            .entries
-            .iter()
-            .filter(|e| e.round == round)
-            .map(|e| (e.badness - threshold).max(0.0))
-            .sum();
+        let mass = ledger.violation_mass(round);
         println!("\nround {round}: violation mass {mass:.3}");
         if round > first_round {
             if mass == 0.0 {
@@ -413,7 +291,7 @@ fn run_rounds(
         }
         prev_mass = Some(mass);
     }
-    Ok(result)
+    Ok(fixtures)
 }
 
 /// The ledger this run appends to: the one at `--ledger` when it belongs
@@ -422,7 +300,8 @@ fn run_rounds(
 /// it — unreadable, not UTF-8, not a valid ledger, another lineage — is
 /// an error, so a file the run cannot resume is never overwritten.
 fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
-    let fresh = RobustnessLedger::new(opts.scheme.name(), model_seed(opts.smoke), opts.smoke);
+    let model_seed = HarnessOpts::adversarial(opts.smoke).seed;
+    let fresh = RobustnessLedger::new(opts.scheme.name(), model_seed, opts.smoke);
     let ledger = match RobustnessLedger::read(&opts.ledger) {
         Err(e) if matches!(&e.cause, Cause::Io(e) if e.kind() == ErrorKind::NotFound) => {
             return Ok(fresh)
@@ -430,7 +309,7 @@ fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
         read => read.map_err(|e| e.to_string())?,
     };
     if ledger.scheme != opts.scheme.name()
-        || ledger.model_seed != model_seed(opts.smoke)
+        || ledger.model_seed != model_seed
         || ledger.smoke != opts.smoke
     {
         return Err(format!(
@@ -441,82 +320,49 @@ fn resume_ledger(opts: &HardenOpts) -> Result<RobustnessLedger, String> {
     Ok(ledger)
 }
 
-fn run() -> Result<(), String> {
-    canopy_core::pool::env_threads()?;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_opts(&args)?;
+fn run(args: &[String]) -> Result<(), String> {
+    let opts = HardenOpts::parse(args)?;
+    let (kind, dir, ledger_path) = (opts.objective.name(), &opts.fixture_out, &opts.ledger);
     if opts.retrace {
-        let corpus = load_corpus(&opts.fixture_out).map_err(|e| e.to_string())?;
+        let corpus = load_corpus(dir).map_err(|e| e.to_string())?;
         if corpus.is_empty() {
-            return Err(format!("--retrace: no fixtures in {}", opts.fixture_out));
+            return Err(format!("--retrace: no fixtures in {dir}"));
         }
-        println!(
-            "retracing {} fixtures in {}",
-            corpus.len(),
-            opts.fixture_out
-        );
+        println!("retracing {} fixtures in {dir}", corpus.len());
         for fixture in &corpus {
-            write_fixture_trace(&opts.fixture_out, fixture)?;
+            write_fixture_trace(dir, fixture)?;
         }
         return Ok(());
     }
     let mut ledger = resume_ledger(&opts)?;
     let first_round = ledger.last_round().map_or(0, |r| r + 1);
-    let harness = HarnessOpts {
-        seed: model_seed(opts.smoke),
-        smoke: opts.smoke,
-    };
-    let (base, _) = model(opts.scheme, &harness);
+    let (base, _) = model(opts.scheme, &HarnessOpts::adversarial(opts.smoke));
     println!(
-        "# Hardening loop — {} × {} ({} rounds max, budget {}, population {}, fraction {MIX_FRACTION}, seed {})",
-        base.name,
-        opts.objective.name(),
-        opts.rounds,
-        opts.budget,
-        opts.population,
-        opts.seed
+        "# Hardening loop — {} × {kind} ({} rounds max, budget {}, population {}, fraction {MIX_FRACTION}, seed {})",
+        base.name, opts.rounds, opts.budget, opts.population, opts.seed
     );
 
-    let corpus = load_corpus(&opts.fixture_out).map_err(|e| e.to_string())?;
-    println!(
-        "corpus: {} fixtures in {}; ledger {} starts at round {first_round}",
-        corpus.len(),
-        opts.fixture_out,
-        opts.ledger
-    );
+    let corpus = load_corpus(dir).map_err(|e| e.to_string())?;
+    let n = corpus.len();
+    println!("corpus: {n} fixtures in {dir}; ledger {ledger_path} starts at round {first_round}");
 
-    let recorder = opts
-        .trace_out
-        .as_ref()
-        .map(|_| Rc::new(RefCell::new(FlightRecorder::default())));
-    let handle: Option<SharedRecorder> = recorder.as_ref().map(|r| r.clone() as SharedRecorder);
-    let result = run_rounds(&opts, &base, &corpus, first_round, handle.as_ref())?;
+    let recording = opts.trace_out.as_ref().map(|_| Recording::default());
+    let fixtures = run_rounds(&opts, &base, &corpus, &mut ledger, recording.as_ref())?;
 
-    ledger.entries.extend(result.entries);
-    ledger.write(&opts.ledger).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {} (schema {}, {} entries)",
-        opts.ledger,
-        RobustnessLedger::SCHEMA,
-        ledger.entries.len()
-    );
-    std::fs::create_dir_all(&opts.fixture_out)
-        .map_err(|e| format!("cannot create {}: {e}", opts.fixture_out))?;
-    for fixture in &result.fixtures {
-        let path = format!("{}/{}", opts.fixture_out, fixture.file_name());
+    ledger.write(ledger_path).map_err(|e| e.to_string())?;
+    let (schema, entries) = (RobustnessLedger::SCHEMA, ledger.entries.len());
+    println!("wrote {ledger_path} (schema {schema}, {entries} entries)");
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    for fixture in &fixtures {
+        let path = format!("{dir}/{}", fixture.file_name());
         fixture.write(&path).map_err(|e| e.to_string())?;
         println!("wrote fixture {path}");
-        write_fixture_trace(&opts.fixture_out, fixture)?;
+        write_fixture_trace(dir, fixture)?;
     }
 
-    if let (Some(path), Some(recorder)) = (&opts.trace_out, &recorder) {
-        let label = format!(
-            "harden {} × {} rounds {first_round}..",
-            base.name,
-            opts.objective.name()
-        );
-        let telemetry = TelemetryReport::from_recorder(&recorder.borrow(), &label, &base.name);
-        write_trace(path, &telemetry)?;
+    if let (Some(path), Some(recording)) = (&opts.trace_out, &recording) {
+        let label = format!("harden {} × {kind} rounds {first_round}..", base.name);
+        write_trace(path, &recording.report(&label, &base.name))?;
     }
     Ok(())
 }
@@ -530,14 +376,12 @@ fn write_fixture_trace(fixture_out: &str, fixture: &AdversarialFixture) -> Resul
     let objective = fixture
         .objective(&model_dir())
         .map_err(|e| format!("{}: {e}", fixture.file_name()))?;
-    let scheme = objective.fallback_scheme();
-    let rec = Rc::new(RefCell::new(FlightRecorder::default()));
-    let handle: SharedRecorder = rec.clone();
-    run_scenario_recorded(&scheme, &fixture.spec, None, &handle).map_err(|e| e.to_string())?;
+    let recording = Recording::default();
+    recording.replay(&objective.fallback_scheme(), &fixture.spec)?;
     let name = fixture.file_name();
     let stem = name.strip_suffix(".json").unwrap_or(&name);
     let label = format!("harden fixture {name}");
-    let report = TelemetryReport::from_recorder(&rec.borrow(), &label, &objective.model.name);
+    let report = recording.report(&label, &objective.model.name);
     let dir = format!("{fixture_out}/traces");
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
     let path = format!("{dir}/{stem}.trace.json");
@@ -547,13 +391,7 @@ fn write_fixture_trace(fixture_out: &str, fixture: &AdversarialFixture) -> Resul
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("harden: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    run_main("harden: ", 1, run)
 }
 
 #[cfg(test)]
@@ -562,45 +400,6 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn defaults_and_flags_parse() {
-        let opts = parse_opts(&argv(&[])).unwrap();
-        assert_eq!(opts.rounds, 2);
-        assert_eq!(opts.ledger, "ROBUSTNESS_ledger.json");
-        assert!(!opts.smoke);
-
-        let opts = parse_opts(&argv(&[
-            "--scheme",
-            "canopy-robust",
-            "--objective",
-            "qc_sat",
-            "--rounds",
-            "3",
-            "--smoke",
-        ]))
-        .unwrap();
-        assert_eq!(opts.scheme, ModelKind::Robust);
-        assert_eq!(opts.objective, ObjectiveKind::QcSat);
-        assert_eq!(opts.rounds, 3);
-        assert!(opts.smoke);
-    }
-
-    #[test]
-    fn trace_out_parses() {
-        let opts = parse_opts(&argv(&["--trace-out", "trace.json"])).unwrap();
-        assert_eq!(opts.trace_out.as_deref(), Some("trace.json"));
-        assert_eq!(parse_opts(&argv(&[])).unwrap().trace_out, None);
-        assert!(parse_opts(&argv(&["--trace-out"])).is_err());
-    }
-
-    #[test]
-    fn bad_flags_fail_loudly() {
-        assert!(parse_opts(&argv(&["--rounds", "0"])).is_err());
-        assert!(parse_opts(&argv(&["--scheme", "cubic"])).is_err());
-        assert!(parse_opts(&argv(&["--objective", "latency"])).is_err());
-        assert!(parse_opts(&argv(&["--mystery"])).is_err());
     }
 
     #[test]
@@ -622,7 +421,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("canopy-harden-ledger-{}", std::process::id()));
         let path_str = path.to_str().expect("utf-8 temp path");
-        let opts = parse_opts(&argv(&["--smoke", "--ledger", path_str])).unwrap();
+        let opts = HardenOpts::parse(&argv(&["--smoke", "--ledger", path_str])).unwrap();
         let _ = std::fs::remove_file(&path);
         let fresh = resume_ledger(&opts).expect("a missing ledger is a fresh lineage");
         assert!(fresh.entries.is_empty() && fresh.last_round().is_none());

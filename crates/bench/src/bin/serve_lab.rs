@@ -32,58 +32,18 @@ use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use canopy_bench::{flag_value, write_live_out, DEFAULT_SEED};
+use canopy_bench::cli::{run_main, ServeLabOpts};
+use canopy_bench::write_live_out;
 use canopy_core::obs::StateLayout;
 use canopy_core::property::{Property, PropertyParams};
 use canopy_netsim::Time;
 use canopy_nn::{Activation, Mlp};
-use canopy_serve::{Fleet, FleetConfig, PromoteOutcome, PromotionGate, QcMonitorConfig};
+use canopy_serve::{
+    Fleet, FleetConfig, FleetReport, PromoteOutcome, PromotionGate, QcMonitorConfig,
+};
 use canopy_telemetry::{Artifact, FlightRecorder, LiveConfig, RecorderConfig, SloKind, SloSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-struct ServeLabOpts {
-    flows: usize,
-    duration_ms: u64,
-    seed: u64,
-    smoke: bool,
-    breach: bool,
-    live_out: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<ServeLabOpts, String> {
-    let mut opts = ServeLabOpts {
-        flows: 64,
-        duration_ms: 1000,
-        seed: DEFAULT_SEED,
-        smoke: false,
-        breach: false,
-        live_out: None,
-    };
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--flows" => opts.flows = flag_value(flag, args.next())?,
-            "--duration-ms" => opts.duration_ms = flag_value(flag, args.next())?,
-            "--seed" => opts.seed = flag_value(flag, args.next())?,
-            "--smoke" => opts.smoke = true,
-            "--breach" => opts.breach = true,
-            "--live-out" => opts.live_out = Some(flag_value(flag, args.next())?),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if opts.flows == 0 {
-        return Err("--flows must be at least 1".into());
-    }
-    if opts.smoke {
-        opts.duration_ms = opts.duration_ms.min(400);
-        opts.flows = opts.flows.min(32);
-    }
-    if opts.duration_ms == 0 {
-        return Err("--duration-ms must be at least 1".into());
-    }
-    Ok(opts)
-}
 
 /// The fleet's shared policy: a small seeded tanh net (k = 3). The lab
 /// measures the observability plumbing, not policy quality.
@@ -98,13 +58,7 @@ fn lab_actor(seed: u64) -> Mlp {
 
 /// One fleet run with the live layer attached; returns the fleet (for
 /// the promotion attempt), its report, and the recorder.
-fn run_fleet(
-    opts: &ServeLabOpts,
-) -> (
-    Fleet,
-    canopy_serve::FleetReport,
-    Rc<RefCell<FlightRecorder>>,
-) {
+fn run_fleet(opts: &ServeLabOpts) -> (Fleet, FleetReport, Rc<RefCell<FlightRecorder>>) {
     let mut config = FleetConfig::dumbbell(opts.flows, 256e6, 3);
     if opts.breach {
         // A QC threshold no certificate can reach: the fallback engages
@@ -134,27 +88,15 @@ fn run_fleet(
     (fleet, report, recorder)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match canopy_core::pool::env_threads().and_then(|_| parse_args(&args)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("serve_lab: {e}");
-            return ExitCode::FAILURE;
-        }
+fn run(args: &[String]) -> Result<(), String> {
+    let opts = ServeLabOpts::parse(args)?;
+    let (flows, ms, seed) = (opts.flows, opts.duration_ms, opts.seed);
+    let drill = if opts.breach {
+        ", SLO breach drill"
+    } else {
+        ""
     };
-
-    println!(
-        "# Serve lab — {} flows, {} ms, seed {}{}\n",
-        opts.flows,
-        opts.duration_ms,
-        opts.seed,
-        if opts.breach {
-            ", SLO breach drill"
-        } else {
-            ""
-        }
-    );
+    println!("# Serve lab — {flows} flows, {ms} ms, seed {seed}{drill}\n");
     let (mut fleet, report, recorder) = run_fleet(&opts);
     println!(
         "decisions {} | batches {} | mean batch {:.1} | realtime ×{:.1}",
@@ -184,36 +126,29 @@ fn main() -> ExitCode {
         // The drill's contract: breach recorded, ledger non-empty and
         // valid, promotion vetoed.
         let rec = recorder.borrow();
-        let ledger = match rec.alert_ledger() {
-            Some(l) => l,
-            None => {
-                eprintln!("serve_lab: breach drill produced no alert ledger");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = ledger.validate() {
-            eprintln!("serve_lab: alert ledger is invalid: {e}");
-            return ExitCode::FAILURE;
-        }
+        let ledger = rec
+            .alert_ledger()
+            .ok_or("breach drill produced no alert ledger")?;
+        ledger
+            .validate()
+            .map_err(|e| format!("alert ledger is invalid: {e}"))?;
         if !report.slo_breach_active || report.slo_alerts == 0 {
-            eprintln!("serve_lab: breach drill did not trip the SLO watchdog");
-            return ExitCode::FAILURE;
+            return Err("breach drill did not trip the SLO watchdog".into());
         }
         if !outcome.vetoed || outcome.promoted {
-            eprintln!("serve_lab: active breach failed to veto the promotion");
-            return ExitCode::FAILURE;
+            return Err("active breach failed to veto the promotion".into());
         }
         println!("\nbreach drill OK: SLO breached, ledger valid, promotion vetoed");
     }
 
     if let Some(dir) = &opts.live_out {
-        if let Err(e) = write_live_out(dir, &recorder.borrow()) {
-            eprintln!("serve_lab: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_live_out(dir, &recorder.borrow())?;
     }
+    Ok(())
+}
 
-    ExitCode::SUCCESS
+fn main() -> ExitCode {
+    run_main("serve_lab: ", 1, run)
 }
 
 #[cfg(test)]
@@ -225,43 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn args_parse_with_defaults_and_overrides() {
-        let d = parse_args(&argv(&[])).unwrap();
-        assert_eq!(d.flows, 64);
-        assert_eq!(d.duration_ms, 1000);
-        assert!(!d.breach && d.live_out.is_none());
-
-        let o = parse_args(&argv(&[
-            "--flows",
-            "8",
-            "--duration-ms",
-            "250",
-            "--breach",
-            "--live-out",
-            "live",
-        ]))
-        .unwrap();
-        assert_eq!(o.flows, 8);
-        assert_eq!(o.duration_ms, 250);
-        assert!(o.breach);
-        assert_eq!(o.live_out.as_deref(), Some("live"));
-    }
-
-    #[test]
-    fn smoke_shrinks_and_bad_args_are_loud() {
-        let s = parse_args(&argv(&["--smoke"])).unwrap();
-        assert_eq!(s.duration_ms, 400);
-        assert_eq!(s.flows, 32);
-        assert!(parse_args(&argv(&["--flows", "0"])).is_err());
-        assert!(parse_args(&argv(&["--duration-ms", "0"])).is_err());
-        assert!(parse_args(&argv(&["--flows"])).is_err());
-        assert!(parse_args(&argv(&["--bogus"])).is_err());
-    }
-
-    #[test]
     fn breach_drill_trips_the_watchdog_and_vetoes_promotion() {
         let opts =
-            parse_args(&argv(&["--flows", "8", "--duration-ms", "300", "--breach"])).unwrap();
+            ServeLabOpts::parse(&argv(&["--flows", "8", "--duration-ms", "300", "--breach"]))
+                .unwrap();
         let (mut fleet, report, recorder) = run_fleet(&opts);
         assert!(report.slo_breach_active);
         assert!(report.slo_alerts >= 1);

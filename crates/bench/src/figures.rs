@@ -38,9 +38,8 @@ use canopy_scenarios::{
 use canopy_traces::realworld::{paths, PathClass, PathConfig};
 use canopy_traces::{cellular, synthetic};
 
-use crate::{
-    f1, f3, fig11_specs, flag_value, mean_std, model, resolve_scheme, HarnessOpts, DEFAULT_SEED,
-};
+use crate::cli::ExploreOpts;
+use crate::{f1, f3, fig11_specs, mean_std, model, resolve_scheme, HarnessOpts};
 
 /// One regenerable artifact of the evaluation.
 pub struct Figure {
@@ -209,24 +208,6 @@ pub static REGISTRY: &[Figure] = &[
 /// The propagation RTT of every single-flow condition but the testbed
 /// paths and Fig. 2's high-BDP link.
 const RTT: Time = Time::from_millis(40);
-
-/// Prints a table's title from a format string.
-macro_rules! title {
-    ($($arg:tt)*) => { println!("\n# {}\n", format_args!($($arg)*)) };
-}
-
-/// Prints a table's header row from a ` | `-separated format string.
-macro_rules! header {
-    ($($arg:tt)*) => {{
-        let columns = format!($($arg)*);
-        println!("| {columns} |\n|{}", "---|".repeat(columns.split(" | ").count()));
-    }};
-}
-
-/// Prints one table row from a ` | `-separated format string.
-macro_rules! row {
-    ($($arg:tt)*) => { println!("| {} |", format_args!($($arg)*)) };
-}
 
 fn joined(cells: impl Iterator<Item = String>) -> String {
     cells.collect::<Vec<_>>().join(" | ")
@@ -1125,24 +1106,9 @@ fn table04(opts: &HarnessOpts) {
 ///          canopy-deep | canopy-robust
 /// Traces:  any evaluation trace (syn-*, cell-*); `--trace list` prints them.
 /// ```
-pub fn explore(args: &[String]) -> Result<(), String> {
-    let (mut scheme_name, mut trace) = ("cubic".to_string(), "syn-step-up".to_string());
-    let (mut buffer_bdp, mut rtt_ms, mut duration_s) = (1.0, 40u64, 20u64);
-    let (mut noise, mut seed) = (None::<f64>, DEFAULT_SEED);
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scheme" => scheme_name = flag_value(flag, args.next())?,
-            "--trace" => trace = flag_value(flag, args.next())?,
-            "--buffer-bdp" => buffer_bdp = flag_value(flag, args.next())?,
-            "--rtt-ms" => rtt_ms = flag_value(flag, args.next())?,
-            "--duration-s" => duration_s = flag_value(flag, args.next())?,
-            "--noise" => noise = Some(flag_value(flag, args.next())?),
-            "--seed" => seed = flag_value(flag, args.next())?,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if trace == "list" {
+pub fn explore(opts: &ExploreOpts) -> Result<(), String> {
+    let seed = opts.seed;
+    if opts.trace == "list" {
         println!("available traces:");
         for t in canopy_traces::all_eval_traces(seed) {
             println!("  {}", t.name());
@@ -1150,15 +1116,15 @@ pub fn explore(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let mut spec = ScenarioSpec::from_eval_trace(&trace, seed);
-    spec.buffer_bdp = buffer_bdp;
-    spec.primary_min_rtt = Time::from_millis(rtt_ms);
-    spec.duration = Time::from_secs(duration_s);
-    spec.noise = noise.map(|mu| NoiseConfig { mu, seed });
+    let mut spec = ScenarioSpec::from_eval_trace(&opts.trace, seed);
+    spec.buffer_bdp = opts.buffer_bdp;
+    spec.primary_min_rtt = Time::from_millis(opts.rtt_ms);
+    spec.duration = Time::from_secs(opts.duration_s);
+    spec.noise = opts.noise.map(|mu| NoiseConfig { mu, seed });
     // Before any model loads (or trains): a bad condition fails fast.
     spec.validate().map_err(|e| e.to_string())?;
-    let scheme = resolve_scheme(&scheme_name, &HarnessOpts { seed, smoke: false })?;
-    let qc = ModelKind::parse(&scheme_name).map(|kind| QcEval {
+    let scheme = resolve_scheme(&opts.scheme, &HarnessOpts { seed, smoke: false })?;
+    let qc = opts.scheme.parse::<ModelKind>().ok().map(|kind| QcEval {
         properties: kind.properties(&PropertyParams::default()),
         n_components: 25,
     });
@@ -1167,7 +1133,8 @@ pub fn explore(args: &[String]) -> Result<(), String> {
     let m = run.primary;
     println!("scheme        : {}", m.scheme);
     println!("trace         : {}", m.trace);
-    println!("buffer        : {buffer_bdp} BDP, RTT {rtt_ms} ms, {duration_s} s");
+    let (bdp, rtt_ms, duration_s) = (opts.buffer_bdp, opts.rtt_ms, opts.duration_s);
+    println!("buffer        : {bdp} BDP, RTT {rtt_ms} ms, {duration_s} s");
     println!("utilization   : {:.3}", m.utilization);
     println!("throughput    : {:.2} Mbps", m.throughput_mbps);
     println!("avg q-delay   : {:.1} ms", m.avg_qdelay_ms);

@@ -3,50 +3,67 @@
 //! The [`figures`] registry regenerates every table and figure of the
 //! paper's evaluation through one `figures` binary; `scenario_lab`,
 //! `scenario_search`, `harden` and `serve_lab` drive the scenario matrix,
-//! adversarial search, the hardening loop and the serving fleet. They
-//! share: a fixed default seed, the cached model store (so every run sees
-//! identical trained controllers), scheme-name resolution, simple table
-//! printers, and a `--smoke` mode that shrinks runs enough for CI.
+//! adversarial search, the hardening loop and the serving fleet. Each
+//! binary holds its own logic only; every mechanism they share is stated
+//! once, here:
+//!
+//! - command lines: each harness's options struct and pure parser, the
+//!   one strict flag loop, comma lists, and the exit-status mapping of
+//!   every `main` live in [`cli`];
+//! - models: [`model`] loads (or trains and caches) a model for a
+//!   [`HarnessOpts`]; [`HarnessOpts::adversarial`] is the adversarial
+//!   harnesses' model lineage and [`HarnessOpts::search_horizon`] their
+//!   smoke horizon; [`resolve_scheme`] turns a scheme name into a scheme;
+//! - tables: the [`title!`], [`header!`] and [`row!`] macros;
+//! - recordings: a [`Recording`] replays scenarios on a flight recorder
+//!   and exports a telemetry report; [`write_trace`] and
+//!   [`write_live_out`] write what it holds;
+//! - violations: [`minimize`] shrinks a search's worst case into a named
+//!   report entry and fixture.
 
+// The table macros come before the modules, which use them by textual
+// scope.
+
+/// Prints a table's title from a format string.
+#[macro_export]
+macro_rules! title {
+    ($($arg:tt)*) => { println!("\n# {}\n", format_args!($($arg)*)) };
+}
+
+/// Prints a Markdown table's header row and separator from a
+/// ` | `-separated format string.
+#[macro_export]
+macro_rules! header {
+    ($($arg:tt)*) => {{
+        let columns = format!($($arg)*);
+        println!("| {columns} |\n|{}", "---|".repeat(columns.split(" | ").count()));
+    }};
+}
+
+/// Prints one Markdown table row from a ` | `-separated format string.
+#[macro_export]
+macro_rules! row {
+    ($($arg:tt)*) => { println!("| {} |", format_args!($($arg)*)) };
+}
+
+pub mod cli;
 pub mod figures;
 
+use std::cell::{RefCell, RefMut};
 use std::path::PathBuf;
-use std::str::FromStr;
+use std::rc::Rc;
 
 use canopy_core::env::NoiseConfig;
 use canopy_core::eval::Scheme;
 use canopy_core::models::{self, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::trainer::TrainingHistory;
 use canopy_netsim::Time;
-use canopy_scenarios::ScenarioSpec;
-use canopy_telemetry::{Artifact, FlightRecorder, TelemetryReport};
+use canopy_scenarios::{run_scenario_recorded, Family, ScenarioSpec};
+use canopy_search::{AdversarialFixture, Minimized, Objective, ShrinkConfig};
+use canopy_telemetry::{Artifact, FlightRecorder, SharedRecorder, TelemetryReport};
 
 /// The seed every figure uses unless overridden with `--seed N`.
 pub const DEFAULT_SEED: u64 = 20260427;
-
-/// The value following `flag` on a strict command line: a missing or
-/// malformed value is an error naming the flag — never a silent default.
-pub fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    let bad = |_| format!("{flag}: bad value `{value}`");
-    value.parse().map_err(bad)
-}
-
-/// A [`flag_value`] that must also satisfy `ok` (else "`flag` must be
-/// `what`").
-pub fn flag_value_where<T: FromStr>(
-    flag: &str,
-    value: Option<&String>,
-    ok: impl Fn(&T) -> bool,
-    what: &str,
-) -> Result<T, String> {
-    let value = flag_value(flag, value)?;
-    if ok(&value) {
-        Ok(value)
-    } else {
-        Err(format!("{flag} must be {what}"))
-    }
-}
 
 /// Command-line options shared by all harness binaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,24 +75,13 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--seed N` and `--smoke` out of `args` (the command line
-    /// without the program name and without whatever the binary consumed
-    /// itself). Anything else is an error, as is a `--seed` without a
-    /// value or with one that is not a `u64` — never the default seed.
-    pub fn parse(args: &[String]) -> Result<HarnessOpts, String> {
-        let mut opts = HarnessOpts {
-            seed: DEFAULT_SEED,
-            smoke: false,
-        };
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--smoke" => opts.smoke = true,
-                "--seed" => opts.seed = flag_value(arg, args.next())?,
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(opts)
+    /// The model lineage of the adversarial harnesses (`scenario_search`,
+    /// `harden`): seed 3 in smoke mode (the test suite's shared smoke
+    /// controller, so committed fixtures replay against a model the tests
+    /// rebuild in seconds), else [`DEFAULT_SEED`].
+    pub fn adversarial(smoke: bool) -> HarnessOpts {
+        let seed = if smoke { 3 } else { DEFAULT_SEED };
+        HarnessOpts { seed, smoke }
     }
 
     /// The training budget for learned models under these options.
@@ -95,17 +101,12 @@ impl HarnessOpts {
             Time::from_secs(20)
         }
     }
-}
 
-/// The model-training seed of the adversarial harnesses: seed 3 in smoke
-/// mode (the test suite's shared smoke controller, so committed fixtures
-/// replay against a model the tests rebuild in seconds), else
-/// [`DEFAULT_SEED`].
-pub fn model_seed(smoke: bool) -> u64 {
-    if smoke {
-        3
-    } else {
-        DEFAULT_SEED
+    /// The horizon cap on decoded search scenarios: 4 s under `--smoke`
+    /// (so committed fixtures replay at the horizon they were found at),
+    /// none otherwise.
+    pub fn search_horizon(&self) -> Option<Time> {
+        self.smoke.then(|| Time::from_secs(4))
     }
 }
 
@@ -122,14 +123,13 @@ pub fn model(kind: ModelKind, opts: &HarnessOpts) -> (TrainedModel, TrainingHist
 }
 
 /// Resolves a scheme name: a classic kernel (`canopy_cc::by_name`) or one
-/// of the paper's trained models ([`ModelKind::parse`]), loaded from the
-/// model cache.
+/// of the paper's trained models ([`ModelKind`]), loaded from the model
+/// cache.
 pub fn resolve_scheme(name: &str, opts: &HarnessOpts) -> Result<Scheme, String> {
     if canopy_cc::by_name(name).is_some() {
         return Ok(Scheme::Baseline(name.to_string()));
     }
-    let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown scheme `{name}`"))?;
-    Ok(Scheme::Learned(model(kind, opts).0))
+    Ok(Scheme::Learned(model(name.parse()?, opts).0))
 }
 
 /// The Figure 11 evaluation conditions as declarative scenario specs: for
@@ -167,23 +167,14 @@ pub fn fig11_specs(seed: u64, smoke: bool) -> Vec<ScenarioSpec> {
     specs
 }
 
-/// The Chrome-trace twin of a telemetry report path: `X.json` becomes
-/// `X.chrome.json` (any other name just gets the suffix appended), so
-/// `--trace-out` always yields both the canonical report and something a
-/// Perfetto / `chrome://tracing` viewer opens directly.
-pub fn chrome_trace_path(path: &str) -> String {
-    match path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.chrome.json"),
-        None => format!("{path}.chrome.json"),
-    }
-}
-
 /// Validates and writes one telemetry report to `path`, plus its
-/// Chrome-trace export next to it. Every `--trace-out` flag funnels here
-/// so the two artifacts never drift apart.
+/// Chrome-trace twin next to it — `X.json` becomes `X.chrome.json` (any
+/// other name just gets the suffix appended), which a Perfetto /
+/// `chrome://tracing` viewer opens directly. Every `--trace-out` flag
+/// funnels here so the two artifacts never drift apart.
 pub fn write_trace(path: &str, report: &TelemetryReport) -> Result<(), String> {
     report.write(path).map_err(|e| e.to_string())?;
-    let chrome = chrome_trace_path(path);
+    let chrome = format!("{}.chrome.json", path.strip_suffix(".json").unwrap_or(path));
     std::fs::write(&chrome, canopy_telemetry::chrome_trace(report))
         .map_err(|e| format!("cannot write {chrome}: {e}"))?;
     let schema = TelemetryReport::SCHEMA;
@@ -226,18 +217,81 @@ pub fn write_live_out(dir: &str, rec: &FlightRecorder) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints a Markdown-style table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+/// A flight recorder shared with the searches and replays that record
+/// into it: the one way a harness replays a scenario on a recorder and
+/// exports the recording.
+#[derive(Default)]
+pub struct Recording(Rc<RefCell<FlightRecorder>>);
+
+impl Recording {
+    /// Records on `recorder` (a default one is [`Recording::default`]).
+    pub fn new(recorder: FlightRecorder) -> Recording {
+        Recording(Rc::new(RefCell::new(recorder)))
+    }
+
+    /// The handle a search records through.
+    pub fn handle(&self) -> SharedRecorder {
+        self.0.clone()
+    }
+
+    /// Replays `spec` under `scheme` on the recorder.
+    pub fn replay(&self, scheme: &Scheme, spec: &ScenarioSpec) -> Result<(), String> {
+        run_scenario_recorded(scheme, spec, None, &self.handle()).map_err(|e| e.to_string())?;
+        Ok(())
+    }
+
+    /// The recorder itself.
+    pub fn recorder(&self) -> RefMut<'_, FlightRecorder> {
+        self.0.borrow_mut()
+    }
+
+    /// The recording as a telemetry report labelled `label` for `model`.
+    pub fn report(&self, label: &str, model: &str) -> TelemetryReport {
+        TelemetryReport::from_recorder(&self.0.borrow(), label, model)
+    }
 }
 
-/// Prints a Markdown-style table header with separator.
-pub fn header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
-    println!(
-        "|{}|",
-        cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+/// Minimizes a violation the search over `family` seeded `search_seed`
+/// found — `found` at its badness against `objective` — within
+/// [`ShrinkConfig::default`]'s budget, and names it
+/// `{family}-{objective}-[r{round}-]s{search_seed}-min`: as the report's
+/// [`Minimized`] entry and as a fixture of the smoke or standard
+/// adversarial lineage ([`HarnessOpts::adversarial`]).
+pub fn minimize(
+    objective: &Objective,
+    family: Family,
+    (found, badness): (&ScenarioSpec, f64),
+    search_seed: u64,
+    round: Option<usize>,
+    smoke: bool,
+) -> Result<(Minimized, AdversarialFixture), String> {
+    let threshold = objective.kind.violation_threshold();
+    let config = ShrinkConfig::default();
+    let shrunk =
+        canopy_search::shrink(found, badness, threshold, &config, |s| objective.badness(s))
+            .map_err(|e| e.to_string())?;
+    let mut spec = shrunk.spec;
+    let round = round.map_or(String::new(), |r| format!("r{r}-"));
+    let kind = objective.kind.name().replace('_', "-");
+    spec.name = format!("{}-{kind}-{round}s{search_seed}-min", family.name());
+    let lineage = HarnessOpts::adversarial(smoke);
+    let fixture = AdversarialFixture::new(
+        family,
+        objective,
+        lineage.seed,
+        smoke,
+        search_seed,
+        shrunk.badness,
+        spec.clone(),
     );
+    let minimized = Minimized {
+        badness: shrunk.badness,
+        threshold,
+        evaluations: shrunk.evaluations,
+        applied: shrunk.applied,
+        spec,
+    };
+    Ok((minimized, fixture))
 }
 
 /// Formats a float with 3 decimal places.
@@ -273,41 +327,6 @@ mod tests {
         assert_eq!(mean_std(&[]), (0.0, 0.0));
     }
 
-    fn parse(args: &[&str]) -> Result<HarnessOpts, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        HarnessOpts::parse(&args)
-    }
-
-    #[test]
-    fn parse_reads_seed_and_smoke_and_rejects_everything_else() {
-        let o = parse(&[]).expect("empty command line");
-        assert_eq!((o.seed, o.smoke), (DEFAULT_SEED, false));
-        let o = parse(&["--seed", "7"]).expect("valid seed");
-        assert_eq!((o.seed, o.smoke), (7, false));
-        let o = parse(&["--smoke", "--seed", "9"]).expect("both");
-        assert_eq!((o.seed, o.smoke), (9, true));
-        // A typo, a stray positional, or a flag missing its value must
-        // never silently run the full-size default.
-        for bad in [&["--smok"][..], &["fig99"], &["--smoke", "7"], &["--seed"]] {
-            assert!(parse(bad).is_err(), "{bad:?}");
-        }
-        let err = parse(&["--smok"]).expect_err("typo");
-        assert!(err.contains("unknown argument `--smok`"), "{err}");
-    }
-
-    #[test]
-    fn parse_rejects_a_bad_seed_instead_of_defaulting() {
-        for bad in [
-            &["--seed", "7x"][..],
-            &["--seed", "-1"],
-            &["--seed", ""],
-            &["--smoke", "--seed"],
-        ] {
-            let err = parse(bad).expect_err("bad seed");
-            assert!(err.contains("--seed"), "{bad:?}: {err}");
-        }
-    }
-
     #[test]
     fn default_opts() {
         let o = HarnessOpts {
@@ -316,6 +335,7 @@ mod tests {
         };
         assert_eq!(o.budget(), TrainBudget::smoke());
         // Smoke runs use the test suite's shared seed-3 controller.
-        assert_eq!((model_seed(true), model_seed(false)), (3, DEFAULT_SEED));
+        let lineage = |smoke| HarnessOpts::adversarial(smoke).seed;
+        assert_eq!((lineage(true), lineage(false)), (3, DEFAULT_SEED));
     }
 }

@@ -11,6 +11,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -92,18 +93,6 @@ impl ModelKind {
         }
     }
 
-    /// Parses a canonical model name back to its kind.
-    pub fn parse(name: &str) -> Option<ModelKind> {
-        [
-            ModelKind::Shallow,
-            ModelKind::Deep,
-            ModelKind::Robust,
-            ModelKind::Orca,
-        ]
-        .into_iter()
-        .find(|k| k.name() == name)
-    }
-
     /// The buffer depth (BDP multiples) this model trains on, following
     /// Section 5 of the paper.
     pub fn buffer_bdp(self) -> f64 {
@@ -130,6 +119,23 @@ impl ModelKind {
             ModelKind::Orca => 0.0,
             _ => 0.25,
         }
+    }
+}
+
+impl FromStr for ModelKind {
+    type Err = String;
+
+    /// Parses a canonical model name back to its kind.
+    fn from_str(name: &str) -> Result<ModelKind, String> {
+        [
+            ModelKind::Shallow,
+            ModelKind::Deep,
+            ModelKind::Robust,
+            ModelKind::Orca,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or_else(|| format!("unknown scheme `{name}`"))
     }
 }
 

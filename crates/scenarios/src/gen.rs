@@ -13,6 +13,8 @@
 //! churn, incast fan-in bursts, and parking-lot RTT unfairness — the last
 //! two on multi-hop topologies.
 
+use std::str::FromStr;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,10 +70,15 @@ impl Family {
             Family::ParkingLotUnfairness => "parking-lot-unfairness",
         }
     }
+}
+
+impl FromStr for Family {
+    type Err = String;
 
     /// Parses a canonical family name.
-    pub fn parse(name: &str) -> Option<Family> {
-        Family::ALL.iter().copied().find(|f| f.name() == name)
+    fn from_str(name: &str) -> Result<Family, String> {
+        let family = Family::ALL.into_iter().find(|f| f.name() == name);
+        family.ok_or_else(|| format!("unknown family `{name}`"))
     }
 }
 
@@ -111,9 +118,9 @@ mod tests {
     #[test]
     fn family_names_round_trip() {
         for f in Family::ALL {
-            assert_eq!(Family::parse(f.name()), Some(f));
+            assert_eq!(f.name().parse(), Ok(f));
         }
-        assert_eq!(Family::parse("nope"), None);
+        assert!("nope".parse::<Family>().is_err());
     }
 
     #[test]

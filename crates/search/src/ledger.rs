@@ -94,7 +94,7 @@ impl RobustnessLedger {
     pub fn violation_mass(&self, round: usize) -> f64 {
         self.round_entries(round)
             .filter_map(|e| {
-                let kind = ObjectiveKind::parse(&e.objective)?;
+                let kind: ObjectiveKind = e.objective.parse().ok()?;
                 Some((e.badness - kind.violation_threshold()).max(0.0))
             })
             .sum()
@@ -111,9 +111,7 @@ impl Artifact for RobustnessLedger {
     /// Identity vocabulary, metric ranges, the monotone round sequence,
     /// and (model, family, round) uniqueness.
     fn check(&self) -> Result<(), String> {
-        if canopy_core::models::ModelKind::parse(&self.scheme).is_none() {
-            return Err(format!("unknown scheme `{}`", self.scheme));
-        }
+        self.scheme.parse::<canopy_core::models::ModelKind>()?;
         let mut last_round = 0usize;
         let mut seen: Vec<(&str, &str, usize)> = Vec::new();
         for (i, e) in self.entries.iter().enumerate() {
@@ -125,11 +123,10 @@ impl Artifact for RobustnessLedger {
             if e.model.is_empty() {
                 return Err(format!("{at}: empty model name"));
             }
-            if canopy_scenarios::Family::parse(&e.family).is_none() {
+            if e.family.parse::<canopy_scenarios::Family>().is_err() {
                 return Err(format!("{at}: unknown family"));
             }
-            let kind = ObjectiveKind::parse(&e.objective)
-                .ok_or_else(|| format!("{at}: unknown objective `{}`", e.objective))?;
+            let kind: ObjectiveKind = e.objective.parse().map_err(|e| format!("{at}: {e}"))?;
             let key = (e.model.as_str(), e.family.as_str(), e.round);
             if seen.contains(&key) {
                 return Err(format!("{at}: duplicate (model, family, round)"));

@@ -6,6 +6,8 @@
 //! the scheme under test — the optimizer maximizes badness, the shrinker
 //! preserves it.
 
+use std::str::FromStr;
+
 use serde::{Deserialize, Serialize};
 
 use canopy_core::eval::{run_reward, QcEval, Scheme};
@@ -44,11 +46,6 @@ impl ObjectiveKind {
         }
     }
 
-    /// Parses a canonical objective name.
-    pub fn parse(name: &str) -> Option<ObjectiveKind> {
-        ObjectiveKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     /// The badness level at which a scenario counts as a *violation*
     /// worth minimizing and committing: certificates below 0.5, the
     /// monitor benching the agent a quarter of the time, or a tenth of a
@@ -59,6 +56,16 @@ impl ObjectiveKind {
             ObjectiveKind::FallbackRate => 0.25,
             ObjectiveKind::RewardGap => 0.1,
         }
+    }
+}
+
+impl FromStr for ObjectiveKind {
+    type Err = String;
+
+    /// Parses a canonical objective name.
+    fn from_str(name: &str) -> Result<ObjectiveKind, String> {
+        let kind = ObjectiveKind::ALL.into_iter().find(|k| k.name() == name);
+        kind.ok_or_else(|| format!("unknown objective `{name}`"))
     }
 }
 
@@ -179,10 +186,10 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for k in ObjectiveKind::ALL {
-            assert_eq!(ObjectiveKind::parse(k.name()), Some(k));
+            assert_eq!(k.name().parse(), Ok(k));
             assert!(k.violation_threshold() > 0.0);
         }
-        assert_eq!(ObjectiveKind::parse("latency"), None);
+        assert!("latency".parse::<ObjectiveKind>().is_err());
     }
 
     #[test]

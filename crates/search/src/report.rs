@@ -216,10 +216,8 @@ impl AdversarialFixture {
     /// the cache at `model_dir`), with the recorded component count and
     /// fallback threshold.
     pub fn objective(&self, model_dir: &Path) -> Result<Objective, String> {
-        let kind = ModelKind::parse(&self.scheme)
-            .ok_or_else(|| format!("unknown scheme `{}`", self.scheme))?;
-        let objective = ObjectiveKind::parse(&self.objective)
-            .ok_or_else(|| format!("unknown objective `{}`", self.objective))?;
+        let kind: ModelKind = self.scheme.parse()?;
+        let objective: ObjectiveKind = self.objective.parse()?;
         let budget = if self.smoke_model {
             TrainBudget::smoke()
         } else {
@@ -261,17 +259,14 @@ impl Artifact for AdversarialFixture {
     /// Replayability: a known objective, optimizer and scheme, a replay
     /// threshold at or above the violation threshold, and a valid spec.
     fn check(&self) -> Result<(), String> {
-        let objective = ObjectiveKind::parse(&self.objective)
-            .ok_or_else(|| format!("unknown objective `{}`", self.objective))?;
+        let objective: ObjectiveKind = self.objective.parse()?;
         if self.optimizer != OPTIMIZER {
             return Err(format!(
                 "unknown optimizer `{}` (expected `{OPTIMIZER}`)",
                 self.optimizer
             ));
         }
-        if ModelKind::parse(&self.scheme).is_none() {
-            return Err(format!("unknown scheme `{}`", self.scheme));
-        }
+        self.scheme.parse::<ModelKind>()?;
         let floor = objective.violation_threshold();
         if !self.replay_threshold.is_finite() || self.replay_threshold < floor {
             return Err(format!(

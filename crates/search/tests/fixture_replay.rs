@@ -95,7 +95,7 @@ fn committed_fixtures_replay_their_violations() {
         let objective = fixture
             .objective(&cache)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let family = Family::parse(&fixture.family).expect("known family");
+        let family: Family = fixture.family.parse().expect("known family");
         let rebuilt = AdversarialFixture::new(
             family,
             &objective,
