@@ -1,59 +1,103 @@
-//! README.md and the verify notes checked against the code: every
-//! harness command line they show parses through that harness's parser in
-//! `canopy_bench::cli`, and every repository path they name in backticks
-//! exists. A renamed flag or a moved file fails here, not in a reader's
-//! shell.
+//! README.md and the verify notes checked against the code. Every harness
+//! command line they show parses through that harness's parser in
+//! `canopy_bench::cli`; README "Artifacts" shows each regeneration command
+//! of `common::ROWS` token for token, and no other command writes to a
+//! committed artifact's path; every backticked repository path exists;
+//! every grep recipe in the verify notes prints the result it states;
+//! README.md stays short; and CI's search-smoke hunt covers every family.
+//! A renamed flag, a moved file or a stale count fails here, not in a
+//! reader's shell.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::process::Command;
 
 use canopy_bench::cli::{FiguresCmd, HardenOpts, LabOpts, SearchOpts, ServeLabOpts};
+use canopy_scenarios::Family;
+
+mod common;
+use common::{repo_root, ROWS};
+
+const README: &str = "README.md";
+const VERIFY_NOTES: &str = ".claude/skills/verify/SKILL.md";
 
 /// The documents held to the code.
-const DOCS: [&str; 2] = ["README.md", ".claude/skills/verify/SKILL.md"];
+const DOCS: [&str; 2] = [README, VERIFY_NOTES];
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
+/// The longest README.md may grow: it states contracts, and the per-PR
+/// record lives in CHANGES.md.
+const README_MAX_LINES: usize = 700;
 
 fn read(doc: &str) -> String {
     fs::read_to_string(repo_root().join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"))
 }
 
-/// Parses `args` with the parser of the harness binary `bin`.
-fn parse(bin: &str, args: &[String]) -> Result<(), String> {
-    match bin {
-        "figures" => FiguresCmd::parse(args).map(drop),
-        "scenario_lab" => LabOpts::parse(args).map(drop),
-        "scenario_search" => SearchOpts::parse(args).map(drop),
-        "harden" => HardenOpts::parse(args).map(drop),
-        "serve_lab" => ServeLabOpts::parse(args).map(drop),
-        other => Err(format!("`{other}` is not a harness binary")),
+/// One shell line inside a fenced code block: the number of its first
+/// line, its code with `\` continuations joined, and its trailing `# …`
+/// comment (a line that is only a comment has empty code).
+struct ShellLine {
+    line: usize,
+    code: String,
+    comment: Option<String>,
+}
+
+fn shell_lines(text: &str) -> Vec<ShellLine> {
+    let mut found = Vec::new();
+    let mut fenced = false;
+    let mut pending: Option<ShellLine> = None;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            found.extend(pending.take());
+            continue;
+        }
+        if !fenced {
+            continue;
+        }
+        let trimmed = line.trim();
+        let (code, comment) = match trimmed.strip_prefix("# ") {
+            Some(comment) => ("", Some(comment)),
+            None => match trimmed.split_once(" # ") {
+                Some((code, comment)) => (code, Some(comment)),
+                None => (trimmed, None),
+            },
+        };
+        let code = code.trim_end();
+        let current = pending.get_or_insert(ShellLine {
+            line: i + 1,
+            code: String::new(),
+            comment: None,
+        });
+        match code.strip_suffix('\\') {
+            Some(head) => current.code.push_str(&format!("{} ", head.trim_end())),
+            None => {
+                current.code.push_str(code);
+                current.comment = comment.map(|c| c.trim().to_string());
+                found.extend(pending.take());
+            }
+        }
+    }
+    found.extend(pending);
+    found
+}
+
+/// One `--bin <harness> [-- <args>]` command line.
+struct HarnessCommand {
+    line: usize,
+    bin: String,
+    args: Vec<String>,
+}
+
+impl HarnessCommand {
+    fn shown(&self) -> String {
+        format!("{} {}", self.bin, self.args.join(" "))
     }
 }
 
-/// Every `--bin <harness> [-- <args>]` command line in `text`: its line
-/// number, the harness, and its arguments, with `\` continuations joined
-/// and trailing `# …` comments dropped.
-fn commands(text: &str) -> Vec<(usize, String, Vec<String>)> {
-    let lines: Vec<&str> = text.lines().collect();
+fn commands(text: &str) -> Vec<HarnessCommand> {
     let mut found = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let start = i;
-        let mut command = String::new();
-        loop {
-            let code = lines[i].split(" #").next().unwrap_or_default().trim_end();
-            i += 1;
-            match code.strip_suffix('\\') {
-                Some(head) if i < lines.len() => command.push_str(&format!("{head} ")),
-                _ => {
-                    command.push_str(code);
-                    break;
-                }
-            }
-        }
-        let words: Vec<&str> = command.split_whitespace().collect();
+    for shell in shell_lines(text) {
+        let words: Vec<&str> = shell.code.split_whitespace().collect();
         let Some(at) = words.iter().position(|w| *w == "--bin") else {
             continue;
         };
@@ -62,9 +106,111 @@ fn commands(text: &str) -> Vec<(usize, String, Vec<String>)> {
             Some(&"--") => words[at + 3..].iter().map(|w| w.to_string()).collect(),
             _ => Vec::new(),
         };
-        found.push((start + 1, bin, args));
+        found.push(HarnessCommand {
+            line: shell.line,
+            bin,
+            args,
+        });
     }
     found
+}
+
+/// A path a harness command writes, relative to the directory it runs in.
+#[derive(Debug)]
+enum Output {
+    File(String),
+    /// A directory the command writes files directly into.
+    Dir(String),
+}
+
+fn clean(path: &str) -> String {
+    let path = path.strip_prefix("./").unwrap_or(path);
+    path.trim_end_matches('/').to_string()
+}
+
+/// A `--trace-out` report and its Chrome-trace twin.
+fn trace_files(path: Option<String>) -> Vec<Output> {
+    let Some(path) = path else {
+        return Vec::new();
+    };
+    let chrome = format!(
+        "{}.chrome.json",
+        path.strip_suffix(".json").unwrap_or(&path)
+    );
+    vec![Output::File(clean(&path)), Output::File(clean(&chrome))]
+}
+
+/// Parses `args` with the parser of the harness binary `bin` and returns
+/// what the command writes, by the options it parses to.
+fn outputs(bin: &str, args: &[String]) -> Result<Vec<Output>, String> {
+    let dir = |d: &str| Output::Dir(clean(d));
+    Ok(match bin {
+        "figures" => FiguresCmd::parse(args).map(|_| Vec::new())?,
+        "scenario_lab" => {
+            let o = LabOpts::parse(args)?;
+            let mut out = vec![Output::File(clean(&o.out))];
+            out.extend(trace_files(o.trace_out));
+            out.extend(o.live_out.as_deref().map(dir));
+            out
+        }
+        "scenario_search" => {
+            let o = SearchOpts::parse(args)?;
+            let mut out = vec![Output::File(clean(&o.out))];
+            out.extend(o.fixture_out.as_deref().map(dir));
+            out.extend(trace_files(o.trace_out));
+            out
+        }
+        "harden" => {
+            let o = HardenOpts::parse(args)?;
+            let traces = dir(&format!("{}/traces", clean(&o.fixture_out)));
+            if o.retrace {
+                vec![traces]
+            } else {
+                let mut out = vec![Output::File(clean(&o.ledger)), dir(&o.fixture_out), traces];
+                out.extend(trace_files(o.trace_out));
+                out
+            }
+        }
+        "serve_lab" => ServeLabOpts::parse(args)?
+            .live_out
+            .as_deref()
+            .map(dir)
+            .into_iter()
+            .collect(),
+        other => return Err(format!("`{other}` is not a harness binary")),
+    })
+}
+
+/// A regeneration row's harness name and arguments.
+fn row_command(bin: &str, args: &str) -> (String, Vec<String>) {
+    let name = Path::new(bin).file_stem().expect("binary file name");
+    let args = args.split_whitespace().map(str::to_string).collect();
+    (name.to_string_lossy().into_owned(), args)
+}
+
+fn is_row(command: &HarnessCommand) -> bool {
+    ROWS.iter()
+        .map(|row| row_command(row.bin, row.args))
+        .any(|(bin, args)| bin == command.bin && args == command.args)
+}
+
+/// The committed artifact `output` would overwrite, if any.
+fn committed_target(output: &Output) -> Option<&'static str> {
+    let parent = |p: &str| {
+        Path::new(p)
+            .parent()
+            .map(|d| d.to_string_lossy().into_owned())
+    };
+    let mut committed = ROWS.iter().flat_map(|row| row.reproduces.iter().copied());
+    committed.find(|&c| {
+        let c_is_dir = repo_root().join(c).is_dir();
+        match (output, c_is_dir) {
+            (Output::File(f), false) => f == c,
+            (Output::File(f), true) => parent(f).as_deref() == Some(c),
+            (Output::Dir(d), false) => parent(c).as_deref() == Some(d.as_str()),
+            (Output::Dir(d), true) => d == c,
+        }
+    })
 }
 
 #[test]
@@ -72,16 +218,65 @@ fn every_documented_harness_command_line_parses() {
     let mut checked = 0;
     let mut failures = Vec::new();
     for doc in DOCS {
-        for (line, bin, args) in commands(&read(doc)) {
+        for command in commands(&read(doc)) {
             checked += 1;
-            if let Err(e) = parse(&bin, &args) {
-                failures.push(format!("{doc}:{line}: {bin} {}: {e}", args.join(" ")));
+            if let Err(e) = outputs(&command.bin, &command.args) {
+                failures.push(format!("{doc}:{}: {}: {e}", command.line, command.shown()));
             }
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // README shows every harness; a parser that finds nothing proves nothing.
     assert!(checked >= 20, "only {checked} command lines found");
+}
+
+/// The text of README's `## Artifacts` section.
+fn artifacts_section(readme: &str) -> &str {
+    let start = readme
+        .find("\n## Artifacts\n")
+        .expect("README has an Artifacts section");
+    let body = &readme[start + 1..];
+    let end = body[1..].find("\n## ").map_or(body.len(), |i| i + 1);
+    &body[..end]
+}
+
+#[test]
+fn readme_artifacts_shows_every_regeneration_command() {
+    let shown = commands(artifacts_section(&read(README)));
+    let missing: Vec<String> = ROWS
+        .iter()
+        .map(|row| row_command(row.bin, row.args))
+        .filter(|(bin, args)| !shown.iter().any(|c| &c.bin == bin && &c.args == args))
+        .map(|(bin, args)| format!("--bin {bin} -- {}", args.join(" ")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "README \"Artifacts\" does not show these regeneration commands:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn no_other_documented_command_writes_a_committed_artifact() {
+    let mut failures = Vec::new();
+    for doc in DOCS {
+        for command in commands(&read(doc)) {
+            if is_row(&command) {
+                continue;
+            }
+            // A command that does not parse fails its own test.
+            for output in outputs(&command.bin, &command.args).unwrap_or_default() {
+                if let Some(committed) = committed_target(&output) {
+                    failures.push(format!(
+                        "{doc}:{}: `{}` writes {output:?}, over the committed `{committed}`",
+                        command.line,
+                        command.shown()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// Backticked spans outside fenced code blocks that name a repository
@@ -137,4 +332,78 @@ fn every_backticked_repository_path_exists() {
     }
     assert!(missing.is_empty(), "missing paths:\n{}", missing.join("\n"));
     assert!(checked >= 20, "only {checked} paths found");
+}
+
+/// What a recipe's comment says it prints: nothing (`None`), or a count.
+fn stated_result(comment: &str) -> Option<Option<String>> {
+    if comment == "prints nothing" {
+        return Some(None);
+    }
+    let first = comment.split_whitespace().next()?;
+    first.parse::<u64>().ok().map(|n| Some(n.to_string()))
+}
+
+#[test]
+fn every_verify_recipe_prints_its_stated_result() {
+    let mut checked = 0;
+    let mut failures = Vec::new();
+    let recipes = shell_lines(&read(VERIFY_NOTES));
+    for recipe in recipes.iter().filter(|l| l.code.starts_with("grep ")) {
+        let at = format!("{VERIFY_NOTES}:{}: `{}`", recipe.line, recipe.code);
+        let Some(want) = recipe.comment.as_deref().and_then(stated_result) else {
+            failures.push(format!(
+                "{at} states no result (`# prints nothing` or `# N …`)"
+            ));
+            continue;
+        };
+        checked += 1;
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(&recipe.code)
+            .current_dir(repo_root())
+            .output()
+            .expect("sh runs");
+        let got = String::from_utf8_lossy(&out.stdout);
+        let holds = match &want {
+            None => got.is_empty(),
+            Some(n) => got.trim() == n,
+        };
+        if !holds {
+            let want = want.as_deref().unwrap_or("nothing");
+            failures.push(format!("{at} should print {want}, printed:\n{got}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(checked >= 21, "only {checked} recipes found");
+}
+
+#[test]
+fn readme_is_at_most_700_lines() {
+    let lines = read(README).lines().count();
+    assert!(
+        lines <= README_MAX_LINES,
+        "README.md is {lines} lines, more than {README_MAX_LINES}: move history to CHANGES.md"
+    );
+}
+
+#[test]
+fn ci_search_smoke_hunts_every_family() {
+    let ci = read(".github/workflows/ci.yml");
+    let loops: Vec<Vec<&str>> = ci
+        .lines()
+        .filter_map(|line| line.split_once("for fam in "))
+        .map(|(_, rest)| {
+            rest.split(';')
+                .next()
+                .unwrap_or_default()
+                .split_whitespace()
+                .collect()
+        })
+        .collect();
+    let families: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
+    assert_eq!(loops.len(), 1, "expected one `for fam in …` loop in ci.yml");
+    assert_eq!(
+        loops[0], families,
+        "ci.yml's family loop is not `Family::ALL`"
+    );
 }

@@ -1,91 +1,21 @@
-//! The committed artifacts are the behavioural contract. Each row below is
-//! one harness invocation: it runs the built binary in an empty directory
-//! with an empty model cache (training what it needs) and the caller's
-//! `CANOPY_THREADS`, and every file it reproduces must equal the committed
-//! file at the same path byte for byte. A mismatch names the file, the
-//! first differing line and both lines around the first differing byte.
+//! The committed artifacts are the behavioural contract. Each row of
+//! `common::ROWS` is one harness invocation: it runs the built binary in an
+//! empty directory with an empty model cache (training what it needs) and
+//! the caller's `CANOPY_THREADS`, and every file it reproduces must equal
+//! the committed file at the same path byte for byte. A mismatch names the
+//! file, the first differing line and both lines around the first
+//! differing byte.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// One regeneration command.
-struct Row {
-    /// The harness executable.
-    bin: &'static str,
-    /// Its arguments, separated by whitespace.
-    args: &'static str,
-    /// Seeds the run's `fixtures/adversarial/` with the committed fixtures
-    /// whose file name ends with this suffix.
-    corpus: Option<&'static str>,
-    /// Where the run's stdout is saved, relative to its directory; `None`
-    /// discards it. Stderr is never compared.
-    stdout: Option<&'static str>,
-    /// Committed files — or directories, meaning every file directly in
-    /// them and no other — that the run writes at the same relative path.
-    reproduces: &'static [&'static str],
-}
-
-const ROWS: &[Row] = &[
-    Row {
-        bin: env!("CARGO_BIN_EXE_scenario_lab"),
-        args: "--family all --seeds 8 --schemes cubic",
-        corpus: None,
-        stdout: None,
-        reproduces: &["SCENARIOS_report.json"],
-    },
-    Row {
-        bin: env!("CARGO_BIN_EXE_scenario_lab"),
-        args: "--family all --seeds 1 --schemes canopy-shallow --smoke \
-               --out SCENARIOS_smoke.json --trace-out TELEMETRY_report.json",
-        corpus: None,
-        stdout: None,
-        reproduces: &["TELEMETRY_report.json", "TELEMETRY_report.chrome.json"],
-    },
-    Row {
-        bin: env!("CARGO_BIN_EXE_scenario_search"),
-        args: "--family flash-crowd --seed 7 --objective reward_gap --budget 64 --smoke",
-        corpus: None,
-        stdout: None,
-        reproduces: &["SEARCH_report.json"],
-    },
-    Row {
-        bin: env!("CARGO_BIN_EXE_harden"),
-        args: "--seed 29 --rounds 2 --smoke",
-        corpus: Some("-s7.json"),
-        stdout: None,
-        reproduces: &["ROBUSTNESS_ledger.json", "fixtures/adversarial"],
-    },
-    Row {
-        bin: env!("CARGO_BIN_EXE_harden"),
-        args: "--retrace --smoke",
-        corpus: Some(".json"),
-        stdout: None,
-        reproduces: &["fixtures/adversarial/traces"],
-    },
-    Row {
-        bin: env!("CARGO_BIN_EXE_serve_lab"),
-        args: "--flows 16 --duration-ms 500 --breach --live-out fixtures/live/serve_lab",
-        corpus: None,
-        stdout: None,
-        reproduces: &["fixtures/live/serve_lab"],
-    },
-    Row {
-        bin: env!("CARGO_BIN_EXE_figures"),
-        args: "--all --smoke",
-        corpus: None,
-        stdout: Some("FIGURES_smoke.md"),
-        reproduces: &["FIGURES_smoke.md"],
-    },
-];
+mod common;
+use common::{repo_root, Row, ROWS};
 
 /// Bytes of a differing line shown before and after its first difference.
 const BEFORE: usize = 240;
 const AFTER: usize = 80;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 fn command_line(row: &Row) -> String {
     let bin = Path::new(row.bin).file_name().expect("binary file name");

@@ -35,6 +35,13 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// The range a compiled bandwidth program's non-zero rates must lie in,
+/// in bits per second (zero is an outage). Every generated and evaluation
+/// trace lies within 3.3–234 Mb/s; far outside the range the simulator
+/// cannot run a flow: at 1e-300 b/s one packet's serialization overflows
+/// the clock, and at 1e300 b/s a run never ends.
+const RATE_BPS: std::ops::RangeInclusive<f64> = 1e3..=1e10;
+
 /// A bandwidth program: a small combinator algebra over base traces.
 ///
 /// Leaves are either paper evaluation traces referenced by canonical name
@@ -169,6 +176,64 @@ impl TraceProgram {
                 }
                 Ok(inner.compile()?.periodic(*window))
             }
+        }
+    }
+
+    /// Refuses a program whose own numbers are malformed: every one must be
+    /// finite, and a leaf rate or a scale factor non-negative. (The
+    /// combinators floor a negative rate at zero, so the compiled trace
+    /// alone would hide it; `Shift` is signed and `Clamp` floors its
+    /// bounds by design.)
+    fn check_numbers(&self) -> Result<(), SpecError> {
+        let finite = |what: &str, x: f64| {
+            if x.is_finite() {
+                Ok(())
+            } else {
+                Err(err(format!("{what} {x:e} must be finite")))
+            }
+        };
+        let non_negative = |what: &str, x: f64| {
+            if x >= 0.0 {
+                finite(what, x)
+            } else {
+                Err(err(format!("{what} {x:e} must be non-negative")))
+            }
+        };
+        match self {
+            TraceProgram::Named { .. } => Ok(()),
+            TraceProgram::Constant { rate_bps } => non_negative("constant rate_bps", *rate_bps),
+            TraceProgram::SquareWave {
+                low_bps, high_bps, ..
+            } => {
+                non_negative("square wave low_bps", *low_bps)?;
+                non_negative("square wave high_bps", *high_bps)
+            }
+            TraceProgram::Scale { inner, factor } => {
+                non_negative("scale factor", *factor)?;
+                inner.check_numbers()
+            }
+            TraceProgram::Shift { inner, delta_bps } => {
+                finite("shift delta_bps", *delta_bps)?;
+                inner.check_numbers()
+            }
+            TraceProgram::Clamp {
+                inner,
+                min_bps,
+                max_bps,
+            } => {
+                finite("clamp min_bps", *min_bps)?;
+                finite("clamp max_bps", *max_bps)?;
+                inner.check_numbers()
+            }
+            TraceProgram::Concat { first, second, .. } => {
+                first.check_numbers()?;
+                second.check_numbers()
+            }
+            TraceProgram::Splice { base, patch, .. } => {
+                base.check_numbers()?;
+                patch.check_numbers()
+            }
+            TraceProgram::Periodic { inner, .. } => inner.check_numbers(),
         }
     }
 }
@@ -397,7 +462,9 @@ impl ScenarioSpec {
     }
 
     /// Checks internal consistency and that the bandwidth program compiles
-    /// to a usable trace.
+    /// to a usable trace: every number in the program finite, every leaf
+    /// rate and scale factor non-negative, every compiled rate zero or
+    /// within [1 kb/s, 10 Gb/s], and not all of them zero.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.is_empty() {
             return Err(err("scenario name must not be empty"));
@@ -412,7 +479,15 @@ impl ScenarioSpec {
             return Err(err("primary_min_rtt must be positive"));
         }
         self.topology.validate()?;
+        self.trace.check_numbers()?;
         let trace = self.trace.compile()?;
+        for rate in trace.segments().iter().map(|s| s.rate_bps) {
+            if !(rate == 0.0 || RATE_BPS.contains(&rate)) {
+                return Err(err(format!(
+                    "bandwidth program rate {rate:e} b/s is neither 0 nor within [1e3, 1e10]"
+                )));
+            }
+        }
         if trace.peak_rate() <= 0.0 {
             return Err(err("bandwidth program is a permanent outage"));
         }
@@ -649,6 +724,69 @@ mod tests {
             min_rtt: Time::from_millis(20),
         });
         assert!(inverted.validate().is_err());
+    }
+
+    /// A spec over `trace`: a 2 s cubic dumbbell at 35 ms and 0.5 BDP.
+    fn over(trace: TraceProgram) -> ScenarioSpec {
+        let mut spec = ScenarioSpec::simple("rate", 1e7, Time::from_millis(35), Time::from_secs(2));
+        spec.buffer_bdp = 0.5;
+        spec.trace = trace;
+        spec
+    }
+
+    #[test]
+    fn a_rate_too_fast_to_finish_is_refused() {
+        let e = over(TraceProgram::Constant { rate_bps: 1e300 }).validate();
+        assert!(e
+            .expect_err("1e300 b/s never finishes a run")
+            .0
+            .contains("1e300"));
+    }
+
+    #[test]
+    fn an_infinitely_scaled_rate_is_refused() {
+        let ten_mbps = Box::new(TraceProgram::Constant { rate_bps: 1e7 });
+        let spec = over(TraceProgram::Scale {
+            inner: ten_mbps,
+            factor: f64::INFINITY,
+        });
+        let e = spec.validate().expect_err("an infinite rate is refused");
+        assert!(e.0.contains("scale factor inf"), "{e}");
+    }
+
+    #[test]
+    fn a_rate_too_slow_to_send_a_packet_is_refused() {
+        let e = over(TraceProgram::Constant { rate_bps: 1e-300 }).validate();
+        assert!(e
+            .expect_err("1e-300 b/s overflows the clock")
+            .0
+            .contains("1e-300"));
+    }
+
+    #[test]
+    fn a_negative_rate_is_refused() {
+        let spec = over(TraceProgram::SquareWave {
+            low_bps: -5e7,
+            high_bps: 5e7,
+            half_period: Time::from_millis(500),
+        });
+        let e = spec.validate().expect_err("a negative rate is refused");
+        assert!(e.0.contains("low_bps -5e7"), "{e}");
+    }
+
+    #[test]
+    fn rates_at_the_bounds_and_outages_validate() {
+        for rate_bps in [1e3, 1e10] {
+            assert!(over(TraceProgram::Constant { rate_bps }).validate().is_ok());
+        }
+        let outages = TraceProgram::SquareWave {
+            low_bps: 0.0,
+            high_bps: 1e3,
+            half_period: Time::from_millis(500),
+        };
+        assert!(over(outages).validate().is_ok());
+        let below = TraceProgram::Constant { rate_bps: 999.0 };
+        assert!(over(below).validate().is_err());
     }
 
     #[test]
