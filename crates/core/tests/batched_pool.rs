@@ -411,3 +411,61 @@ fn batched_runs_emit_consistent_batch_telemetry() {
         batches.len() as u64
     );
 }
+
+/// FNV-1a over a string's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The recorded decision stream of a pool with everything a committed
+/// artifact lacks — two policy groups per batch, fallback decisions next
+/// to agent ones, observation noise and a departing flow — pinned by the
+/// digest of its canonical report, so any change to what the pool
+/// records, in which order, or with which stamp shows up here.
+#[test]
+fn recorded_stream_of_a_two_group_arbitrated_pool_is_pinned() {
+    use canopy_telemetry::{Artifact, FlightRecorder, TelemetryReport};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let s = Scenario {
+        flows: 4,
+        topo: Topo::Single,
+        policy: PolicyKind::Arbitrated,
+        noisy: true,
+        aligned: true,
+        mixed_actors: true,
+        departing: true,
+        swap: false,
+        duration: Time::from_millis(600),
+    };
+    let (mut sim, mut pool) = build_pool(&s);
+    let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
+    pool.set_recorder(Some(recorder.clone()));
+    pool.run_until(&mut sim, s.duration);
+    let rec = recorder.borrow();
+
+    let decisions: Vec<_> = rec.decisions().iter().collect();
+    let executed: u64 = pool.drivers().iter().map(|d| d.decisions()).sum();
+    assert_eq!(decisions.len() as u64, executed);
+    let fallbacks = decisions.iter().filter(|d| d.fallback).count();
+    assert!(fallbacks > 0, "the threshold benches some decisions");
+    assert!(
+        fallbacks < decisions.len(),
+        "and lets the agent keep others"
+    );
+    assert!(decisions
+        .iter()
+        .filter(|d| d.fallback)
+        .all(|d| d.action_clamped == 0.0));
+    assert!(rec.batches().iter().any(|b| b.groups == 2));
+
+    let json = TelemetryReport::from_recorder(&rec, "pinned", "two-group").to_json();
+    assert_eq!(
+        fnv1a(&json),
+        0xf7cd_ab58_5f1e_2bfd,
+        "report digest moved; the report as found:\n{json}"
+    );
+}
