@@ -40,9 +40,7 @@
 //! primitives directly.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -114,25 +112,6 @@ impl DriverConfig {
 pub struct DriverPolicy {
     actor: Arc<Mlp>,
     monitor: Option<FallbackController>,
-    /// [`fingerprint`] of `actor`, computed when the actor is set, so
-    /// cloned policies never re-hash.
-    actor_key: u64,
-}
-
-/// A hash of an actor's architecture and exact parameter bits. The pool
-/// looks compiled policies up by it and confirms a hit by exact
-/// comparison ([`CompiledPolicy::matches`]).
-fn fingerprint(actor: &Mlp) -> u64 {
-    let mut h = DefaultHasher::new();
-    for layer in actor.layers() {
-        layer.fan_in().hash(&mut h);
-        layer.fan_out().hash(&mut h);
-        std::mem::discriminant(&layer.activation).hash(&mut h);
-        for p in layer.weights.as_slice().iter().chain(&layer.bias) {
-            p.to_bits().hash(&mut h);
-        }
-    }
-    h.finish()
 }
 
 /// Exact equality of two actors: shapes, activations, and parameter bits.
@@ -154,7 +133,6 @@ impl DriverPolicy {
     /// A plain learned policy.
     pub fn new(actor: Mlp) -> DriverPolicy {
         DriverPolicy {
-            actor_key: fingerprint(&actor),
             actor: Arc::new(actor),
             monitor: None,
         }
@@ -183,9 +161,9 @@ impl DriverPolicy {
 
 /// The observation half of one decision, produced by
 /// [`OrcaDriver::prepare_decision`]: the drained monitor sample and the
-/// decision-point context (state *after* the history push). Feeding it
-/// back through [`OrcaDriver::apply_decision`] with the computed action
-/// completes the decision.
+/// decision-point context (state *after* the history push). The action
+/// the policy computes for it, applied through
+/// [`OrcaDriver::apply_decision`], completes the decision.
 #[derive(Clone, Debug)]
 pub struct PreparedDecision {
     /// The noise-free monitor sample paired with the decision.
@@ -215,7 +193,6 @@ pub struct OrcaDriver {
     policy: Option<DriverPolicy>,
     decisions: u64,
     fallback_qc: Vec<f64>,
-    recorder: Option<SharedRecorder>,
 }
 
 impl OrcaDriver {
@@ -242,7 +219,6 @@ impl OrcaDriver {
             policy: None,
             decisions: 0,
             fallback_qc: Vec::new(),
-            recorder: None,
         }
     }
 
@@ -266,67 +242,16 @@ impl OrcaDriver {
     ///
     /// Panics if no policy is attached.
     pub fn swap_actor(&mut self, actor: Mlp) {
-        self.adopt_actor(&DriverPolicy::new(actor));
+        self.adopt_actor(Arc::new(actor));
     }
 
-    /// Takes over `donor`'s (shared, already hashed) actor.
-    fn adopt_actor(&mut self, donor: &DriverPolicy) {
+    /// Takes over a (shared) actor.
+    fn adopt_actor(&mut self, actor: Arc<Mlp>) {
         let policy = self
             .policy
             .as_mut()
             .expect("swap_actor requires an attached policy");
-        policy.actor = donor.actor.clone();
-        policy.actor_key = donor.actor_key;
-    }
-
-    /// Attaches or detaches the telemetry recorder in place: every
-    /// decision (self-driven or training-loop) emits one [`DecisionRecord`]
-    /// timestamped in simulation time. Recording only reads decision state,
-    /// so an inert recorder leaves the run bitwise unchanged.
-    pub fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
-        self.recorder = recorder;
-    }
-
-    /// Emits one decision record when a recorder is attached. `t_ns` is
-    /// the decision instant, `state` the vector the policy acted on,
-    /// `sample` the monitor sample paired with the decision, `action` the
-    /// raw actor output, `applied` the action actually enforced through
-    /// Eq. (1) (0 on fallback), `cwnd` the resulting window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_decision(
-        &self,
-        t_ns: u64,
-        state: &[f64],
-        sample: &MonitorSample,
-        action: f64,
-        applied: f64,
-        cwnd: f64,
-        qc_sat: Option<f64>,
-        fallback: bool,
-    ) {
-        let Some(recorder) = &self.recorder else {
-            return;
-        };
-        let n = state.len().max(1) as f64;
-        let record = DecisionRecord {
-            t_ns,
-            flow: self.flow.0 as u64,
-            state_mean: state.iter().sum::<f64>() / n,
-            state_min: state.iter().copied().fold(f64::INFINITY, f64::min),
-            state_max: state.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            action,
-            action_clamped: applied.clamp(-1.0, 1.0),
-            cwnd,
-            qdelay_ns: sample.avg_queue_delay.as_nanos(),
-            qc_sat,
-            fallback,
-        };
-        recorder.borrow_mut().record_decision(&record);
-    }
-
-    /// Whether a telemetry recorder is attached.
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
+        policy.actor = actor;
     }
 
     // --- Primitives (the pieces every harness shares) --------------------
@@ -376,7 +301,7 @@ impl OrcaDriver {
         cwnd
     }
 
-    /// Resets the episode state (history, bookkeeping, telemetry) while
+    /// Resets the episode state (history, bookkeeping, `QC_sat` stream) while
     /// deterministically **continuing** the noise stream, exactly as
     /// [`CcEnv::reset`](crate::env::CcEnv::reset) requires.
     pub fn reset_episode(&mut self) {
@@ -416,12 +341,15 @@ impl OrcaDriver {
     }
 
     /// The application half: arbitrates an already-computed decision and
-    /// enforces it. `action` is the actor output for `prepared.ctx.state`;
+    /// enforces it. `action` is the actor output for the prepared state;
     /// `qc_sat` carries the certificate aggregate when the policy has a
     /// monitor (the stream and the monitor's bookkeeping are updated here,
     /// via [`FallbackController::arbitrate`]). A non-finite `action` never
-    /// reaches the agent path: the interval runs on the kernel and is
-    /// recorded as a fallback.
+    /// reaches the agent path: the interval runs on the kernel, as on a
+    /// fallback.
+    ///
+    /// Returns the enforced window and whether the agent set it (`false`
+    /// when the kernel kept the interval).
     ///
     /// # Panics
     ///
@@ -430,21 +358,20 @@ impl OrcaDriver {
     pub fn apply_decision(
         &mut self,
         sim: &mut Simulator,
-        prepared: &PreparedDecision,
         action: f64,
         qc_sat: Option<f64>,
-    ) {
+    ) -> (f64, bool) {
         let policy = self
             .policy
             .as_mut()
             .expect("self-driving decisions require a policy");
-        let (qc_sat, use_agent) = match policy.monitor.as_mut() {
+        let use_agent = match policy.monitor.as_mut() {
             Some(monitor) => {
                 let agg = qc_sat.expect("monitor attached but no aggregate was supplied");
                 self.fallback_qc.push(agg);
-                (Some(agg), monitor.arbitrate(agg).use_agent)
+                monitor.arbitrate(agg).use_agent
             }
-            None => (None, true),
+            None => true,
         };
         // A non-finite action has no window under Eq. (1), and stored as
         // `prev_action` it would poison every later state: the kernel keeps
@@ -457,19 +384,7 @@ impl OrcaDriver {
         };
         self.decisions += 1;
         self.next_decision += self.mi;
-        if self.recorder.is_some() {
-            let applied = if use_agent { action } else { 0.0 };
-            self.record_decision(
-                sim.now().as_nanos(),
-                &prepared.ctx.state,
-                &prepared.sample,
-                action,
-                applied,
-                cwnd,
-                qc_sat,
-                !use_agent,
-            );
-        }
+        (cwnd, use_agent)
     }
 
     // --- Accessors --------------------------------------------------------
@@ -561,7 +476,6 @@ pub struct BatchDispatch {
 /// one `(Verifier, properties)` share an entry.
 #[derive(Debug)]
 struct CompiledPolicy {
-    key: u64,
     /// Drivers currently pointing at this entry.
     users: usize,
     actor: Arc<Mlp>,
@@ -575,14 +489,13 @@ struct CompiledPolicy {
 
 impl CompiledPolicy {
     /// Compiles `policy`; the plan is built only when it has a monitor.
-    fn compile(key: u64, policy: &DriverPolicy, layout: StateLayout) -> CompiledPolicy {
+    fn compile(policy: &DriverPolicy, layout: StateLayout) -> CompiledPolicy {
         let net = PreparedMlp::new(&policy.actor);
         let plan = policy
             .monitor
             .as_ref()
             .map(|m| CertPlan::compile(*m.verifier(), &net, m.properties(), layout));
         CompiledPolicy {
-            key,
             users: 1,
             actor: policy.actor.clone(),
             net,
@@ -612,13 +525,12 @@ struct PolicyTable {
 }
 
 impl PolicyTable {
-    /// Finds or compiles the entry for `policy` and returns its slot,
-    /// pointing the policy at the entry's copy of the actor. `key` only
-    /// narrows the search: a hit is confirmed by exact comparison, so two
-    /// policies that collide on it still get separate entries.
-    fn intern(&mut self, key: u64, policy: &mut DriverPolicy, layout: StateLayout) -> usize {
+    /// Finds the entry compiled from a policy exactly equal to `policy`
+    /// ([`CompiledPolicy::matches`]), or compiles one, and returns its
+    /// slot, pointing the policy at the entry's copy of the actor.
+    fn intern(&mut self, policy: &mut DriverPolicy, layout: StateLayout) -> usize {
         let hit = self.entries.iter_mut().enumerate().find_map(|(slot, e)| {
-            let e = e.as_mut().filter(|e| e.key == key && e.matches(policy))?;
+            let e = e.as_mut().filter(|e| e.matches(policy))?;
             Some((slot, e))
         });
         if let Some((slot, entry)) = hit {
@@ -626,7 +538,7 @@ impl PolicyTable {
             policy.actor = entry.actor.clone();
             return slot;
         }
-        let compiled = Some(CompiledPolicy::compile(key, policy, layout));
+        let compiled = Some(CompiledPolicy::compile(policy, layout));
         match self.entries.iter().position(Option::is_none) {
             Some(slot) => {
                 self.entries[slot] = compiled;
@@ -656,8 +568,8 @@ impl PolicyTable {
 /// deterministic tie-break).
 ///
 /// Policies are **interned**: [`push`](Self::push) and
-/// [`swap_actor`](Self::swap_actor) look the driver's policy up (by
-/// fingerprint, confirmed by exact comparison) in a table of compiled
+/// [`swap_actor`](Self::swap_actor) look the driver's policy up, by exact
+/// equality of actor bits and monitor config, in a table of compiled
 /// policies — shared actor, resident transposed weights, certification
 /// plans and scratch — compiling it on first sight and dropping it with
 /// its last driver. Nothing decision-independent is rebuilt per dispatch.
@@ -744,8 +656,7 @@ impl DriverPool {
             .policy
             .as_mut()
             .expect("pooled drivers must be self-driving (attach a DriverPolicy)");
-        self.slots
-            .push(self.table.intern(policy.actor_key, policy, layout));
+        self.slots.push(self.table.intern(policy, layout));
         let index = self.drivers.len();
         if driver.next_decision < Time::MAX {
             self.queue.push(Reverse((driver.next_decision, index)));
@@ -784,32 +695,30 @@ impl DriverPool {
     }
 
     /// [`swap_actor`](Self::swap_actor) for every pooled driver at once —
-    /// the fleet-wide rollout: one shared copy of `actor`, hashed once,
-    /// compiled once per distinct monitor config.
+    /// the fleet-wide rollout: one shared copy of `actor`, compiled once
+    /// per distinct monitor config.
     pub fn swap_actor_all(&mut self, actor: Mlp) {
         self.adopt_actor(0..self.drivers.len(), actor);
     }
 
     fn adopt_actor(&mut self, indices: Range<usize>, actor: Mlp) {
-        let donor = DriverPolicy::new(actor);
+        let actor = Arc::new(actor);
         for i in indices {
             let driver = &mut self.drivers[i];
-            driver.adopt_actor(&donor);
+            driver.adopt_actor(actor.clone());
             let policy = driver.policy.as_mut().expect("checked by adopt_actor");
-            let slot = self.table.intern(policy.actor_key, policy, driver.layout);
+            let slot = self.table.intern(policy, driver.layout);
             self.table
                 .release(std::mem::replace(&mut self.slots[i], slot));
         }
     }
 
-    /// Attaches (or detaches) one shared recorder on every pooled driver
-    /// and on the pool itself (batch-dispatch records). Records stay
+    /// Attaches (or detaches) the recorder. The pool is the one place a
+    /// decision is recorded: each applied decision, each batch dispatch,
+    /// its spans, and the simulator's link samples. Records stay
     /// `CANOPY_THREADS`-invariant: the pool dispatches decisions on the
     /// coordinator thread in deterministic order.
     pub fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
-        for driver in &mut self.drivers {
-            driver.set_recorder(recorder.clone());
-        }
         self.recorder = recorder;
     }
 
@@ -887,13 +796,13 @@ impl DriverPool {
     /// group by compiled policy, one batched actor/certification pass per
     /// group, apply in insertion order.
     ///
-    /// When a recorder is attached, the span profiler emits one
-    /// [`SpanRecord`] per hot-path stage (a `dispatch` parent plus
-    /// `prepare`/`group`/`forward`/`certify`/`apply` children). Span
-    /// *structure* is deterministic; wall-clock durations are measured
-    /// only when the recorder asks for them (`wants_span_timing`) and
-    /// recorded as 0 otherwise, so deterministic artifacts never carry
-    /// timing bytes.
+    /// When a recorder is attached, each decision emits one
+    /// [`DecisionRecord`] right after its driver applies it, and the
+    /// dispatch then emits one [`SpanRecord`] per hot-path stage (a
+    /// `dispatch` parent plus `prepare`/`group`/`forward`/`certify`/`apply`
+    /// children). Both are stamped in simulation time. A span carries its
+    /// stage and item count only (`dur_ns = 0`), so a recording holds no
+    /// wall-clock bytes.
     fn dispatch_batched(&mut self, sim: &mut Simulator, due: &[usize]) -> BatchDispatch {
         let DriverPool {
             drivers,
@@ -911,26 +820,17 @@ impl DriverPool {
             actions,
             aggs,
         } = batch;
-        let timing = recorder
-            .as_ref()
-            .is_some_and(|r| r.borrow().wants_span_timing());
-        let span_ns = |a: Option<std::time::Instant>, b: Option<std::time::Instant>| -> u64 {
-            match (a, b) {
-                (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
-                _ => 0,
-            }
-        };
-        let t_start = timing.then(std::time::Instant::now);
+        let recorder = recorder.as_ref();
         items.clear();
         for &i in due {
             if let Some(prepared) = drivers[i].prepare_decision(sim) {
                 items.push((i, prepared));
             }
         }
-        let t_prepared = timing.then(std::time::Instant::now);
+        let at = sim.now();
         if items.is_empty() {
             return BatchDispatch {
-                at: sim.now(),
+                at,
                 decisions: 0,
                 groups: 0,
             };
@@ -944,16 +844,12 @@ impl DriverPool {
                 groups.push(slots[*i]);
             }
         }
-        let t_grouped = timing.then(std::time::Instant::now);
         actions.clear();
         actions.resize(items.len(), 0.0);
         aggs.clear();
         aggs.resize(items.len(), None);
-        let mut forward_ns = 0u64;
-        let mut certify_ns = 0u64;
         let mut certify_items = 0u64;
         for &slot in groups.iter() {
-            let g_start = timing.then(std::time::Instant::now);
             members.clear();
             members.extend((0..items.len()).filter(|&pos| slots[items[pos].0] == slot));
             let ctx_of = |j: usize| &items[members[j]].1.ctx;
@@ -975,8 +871,6 @@ impl DriverPool {
             for (j, &pos) in members.iter().enumerate() {
                 actions[pos] = out.get(j, 0);
             }
-            let g_forwarded = timing.then(std::time::Instant::now);
-            forward_ns += span_ns(g_start, g_forwarded);
             if let Some(plan) = plan {
                 plan.run(net, actor, members.len(), |j| &ctx_of(j).state, scratch);
                 for (j, &pos) in members.iter().enumerate() {
@@ -984,58 +878,58 @@ impl DriverPool {
                 }
                 certify_items += members.len() as u64;
             }
-            certify_ns += span_ns(g_forwarded, timing.then(std::time::Instant::now));
         }
-        let t_certified = timing.then(std::time::Instant::now);
+        let t_ns = at.as_nanos();
         for (pos, (i, prepared)) in items.iter().enumerate() {
-            drivers[*i].apply_decision(sim, prepared, actions[pos], aggs[pos]);
+            let (action, qc_sat) = (actions[pos], aggs[pos]);
+            let (cwnd, by_agent) = drivers[*i].apply_decision(sim, action, qc_sat);
+            let Some(rec) = recorder else { continue };
+            let state = &prepared.ctx.state;
+            rec.borrow_mut().record_decision(&DecisionRecord {
+                t_ns,
+                flow: drivers[*i].flow.0 as u64,
+                state_mean: state.iter().sum::<f64>() / state.len().max(1) as f64,
+                state_min: state.iter().copied().fold(f64::INFINITY, f64::min),
+                state_max: state.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                action,
+                action_clamped: if by_agent {
+                    action.clamp(-1.0, 1.0)
+                } else {
+                    0.0
+                },
+                cwnd,
+                qdelay_ns: prepared.sample.avg_queue_delay.as_nanos(),
+                qc_sat,
+                fallback: !by_agent,
+            });
         }
-        let dispatch = BatchDispatch {
-            at: sim.now(),
-            decisions: items.len(),
-            groups: groups.len(),
-        };
         if let Some(rec) = recorder {
-            let t_end = timing.then(std::time::Instant::now);
-            let t_ns = dispatch.at.as_nanos();
-            let batch = *dispatches;
-            let stages: [(SpanStage, u64, u64); 6] = [
-                (
-                    SpanStage::Dispatch,
-                    items.len() as u64,
-                    span_ns(t_start, t_end),
-                ),
-                (
-                    SpanStage::Prepare,
-                    due.len() as u64,
-                    span_ns(t_start, t_prepared),
-                ),
-                (
-                    SpanStage::Group,
-                    items.len() as u64,
-                    span_ns(t_prepared, t_grouped),
-                ),
-                (SpanStage::Forward, items.len() as u64, forward_ns),
-                (SpanStage::Certify, certify_items, certify_ns),
-                (
-                    SpanStage::Apply,
-                    items.len() as u64,
-                    span_ns(t_certified, t_end),
-                ),
+            let n = items.len() as u64;
+            let stages = [
+                (SpanStage::Dispatch, n),
+                (SpanStage::Prepare, due.len() as u64),
+                (SpanStage::Group, n),
+                (SpanStage::Forward, n),
+                (SpanStage::Certify, certify_items),
+                (SpanStage::Apply, n),
             ];
             let mut rec = rec.borrow_mut();
-            for (stage, items, dur_ns) in stages {
+            for (stage, items) in stages {
                 rec.record_span(&SpanRecord {
                     t_ns,
-                    batch,
+                    batch: *dispatches,
                     stage,
                     items,
-                    dur_ns,
+                    dur_ns: 0,
                 });
             }
         }
         *dispatches += 1;
-        dispatch
+        BatchDispatch {
+            at,
+            decisions: items.len(),
+            groups: groups.len(),
+        }
     }
 }
 
@@ -1195,29 +1089,27 @@ mod tests {
         // one copy of the weights.
         let (mut a, mut b) = (monitored(actor(3, 5)), monitored(actor(3, 5)));
         assert!(!Arc::ptr_eq(&a.actor, &b.actor));
-        assert_eq!(a.actor_key, b.actor_key);
-        let slot = table.intern(a.actor_key, &mut a, layout);
-        assert_eq!(table.intern(b.actor_key, &mut b, layout), slot);
+        let slot = table.intern(&mut a, layout);
+        assert_eq!(table.intern(&mut b, layout), slot);
         assert!(Arc::ptr_eq(&a.actor, &b.actor));
 
         // The threshold is the driver's, not the entry's: an observing
         // monitor over the same config shares it.
         let observing = FallbackController::observing(props(), 4);
         let mut e = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
-        assert_eq!(table.intern(e.actor_key, &mut e, layout), slot);
+        assert_eq!(table.intern(&mut e, layout), slot);
         table.release(slot);
 
-        // The key only narrows the search. Forced onto `a`'s key, an actor
-        // one weight bit away, and an equal actor under another monitor
-        // config, still get their own entries.
+        // Equality is exact: an actor one weight bit away, and an equal
+        // actor under another monitor config, get their own entries.
         let mut flipped = actor(3, 5);
         let w = flipped.layers_mut()[0].weights.get_mut(0, 0);
         *w = f64::from_bits(w.to_bits() ^ 1);
         let mut c = monitored(flipped);
         let observing = FallbackController::observing(props(), 3);
         let mut d = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
-        let slot_c = table.intern(a.actor_key, &mut c, layout);
-        let slot_d = table.intern(a.actor_key, &mut d, layout);
+        let slot_c = table.intern(&mut c, layout);
+        let slot_d = table.intern(&mut d, layout);
         assert!(slot_c != slot && slot_d != slot && slot_c != slot_d);
         assert!(!Arc::ptr_eq(&a.actor, &c.actor));
         assert!(!Arc::ptr_eq(&a.actor, &d.actor));
@@ -1228,7 +1120,7 @@ mod tests {
         table.release(slot);
         assert!(table.entries[slot].is_none());
         let mut plain = DriverPolicy::new(actor(3, 6));
-        assert_eq!(table.intern(plain.actor_key, &mut plain, layout), slot);
+        assert_eq!(table.intern(&mut plain, layout), slot);
         assert!(table.entries[slot].as_ref().unwrap().plan.is_none());
     }
 }

@@ -291,53 +291,19 @@ impl CcEnv {
         self.steps = 0;
     }
 
-    /// Attaches or detaches a telemetry recorder: every step emits one
-    /// decision record (timestamped at the decision instant, paired with
-    /// the interval sample the decision produced). Recording only reads
-    /// step state, so an inert recorder leaves the episode bitwise
-    /// unchanged.
-    pub fn set_recorder(&mut self, recorder: Option<canopy_telemetry::SharedRecorder>) {
-        self.driver.set_recorder(recorder);
-    }
-
     /// Applies an agent action and advances one monitor interval.
     pub fn step(&mut self, action: f64) -> StepResult {
-        let recorded = self
-            .driver
-            .has_recorder()
-            .then(|| (self.sim.now().as_nanos(), self.driver.state()));
         let cwnd = self.driver.apply_agent(&mut self.sim, action);
-        let result = self.advance(cwnd);
-        if let Some((t_ns, state)) = recorded {
-            self.driver.record_decision(
-                t_ns,
-                &state,
-                &result.sample,
-                action,
-                action,
-                cwnd,
-                None,
-                false,
-            );
-        }
-        result
+        self.advance(cwnd)
     }
 
     /// Advances one monitor interval *without* overriding the window —
-    /// Cubic rules alone (used by the runtime fallback and by baseline
-    /// evaluation through the same code path).
+    /// Cubic rules alone, through the same bookkeeping as
+    /// [`step`](Self::step). The consistency tests replay a pooled run's
+    /// kernel-only intervals with it; no harness calls it.
     pub fn step_without_agent(&mut self) -> StepResult {
-        let recorded = self
-            .driver
-            .has_recorder()
-            .then(|| (self.sim.now().as_nanos(), self.driver.state()));
         let cwnd = self.driver.apply_kernel(&mut self.sim);
-        let result = self.advance(cwnd);
-        if let Some((t_ns, state)) = recorded {
-            self.driver
-                .record_decision(t_ns, &state, &result.sample, 0.0, 0.0, cwnd, None, true);
-        }
-        result
+        self.advance(cwnd)
     }
 
     fn advance(&mut self, cwnd_applied: f64) -> StepResult {

@@ -229,8 +229,8 @@ pub fn run_multiflow(
     run_multiflow_recorded(link, flows, duration, bin, None)
 }
 
-/// [`run_multiflow`] with an optional flight recorder: every pooled
-/// driver records its decisions and the simulator emits link samples
+/// [`run_multiflow`] with an optional flight recorder: the pool records
+/// every decision and the simulator emits link samples
 /// every [`LINK_CADENCE_NS`](canopy_telemetry::LINK_CADENCE_NS), which
 /// the pool hands to the recorder in sim-time order. A no-op recorder
 /// leaves the series bitwise identical to [`run_multiflow`].

@@ -234,7 +234,7 @@ fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Ti
                     .certify_all(policy.actor(), m.properties(), d.layout(), ctx)
                     .1
             });
-            d.apply_decision(sim, &prepared, action, qc_sat);
+            d.apply_decision(sim, action, qc_sat);
         }
     }
     sim.run_until(horizon);

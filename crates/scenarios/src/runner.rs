@@ -74,12 +74,13 @@ pub fn run_scenario(
 }
 
 /// [`run_scenario`] with a flight recorder attached: the simulator emits
-/// per-link samples every [`LINK_CADENCE_NS`] and the learned driver (when
-/// the scheme has one) records every decision, the link samples reaching
-/// the recorder in sim-time order between decisions (the pool drains them
-/// before each dispatch). With a no-op recorder the metrics are
-/// bitwise identical to [`run_scenario`] — sampling only reads link state
-/// and recording happens after each decision is applied.
+/// per-link samples every [`LINK_CADENCE_NS`] and the pool records every
+/// decision of the learned flow (when the scheme has one), the link
+/// samples reaching the recorder in sim-time order between decisions
+/// (the pool drains them before each dispatch). With a no-op recorder
+/// the metrics are bitwise identical to [`run_scenario`] — sampling only
+/// reads link state and recording happens after each decision is
+/// applied.
 pub fn run_scenario_recorded(
     scheme: &Scheme,
     spec: &ScenarioSpec,

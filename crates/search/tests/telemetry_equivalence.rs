@@ -1,16 +1,14 @@
 //! The telemetry layer's core contract, proven end to end: recording is
 //! observation, never input. A no-op recorder must leave every wired
-//! code path — the `CcEnv` decision loop, the pooled multi-flow runner,
-//! the scenario runner, and a hardening-style adversarial search round —
-//! bitwise identical to running with no recorder at all; and the flight
-//! recorder's own output must be invariant to how the evaluation pool is
-//! partitioned across threads. And what it observes arrives in sim-time
-//! order: a learned scheme's link samples land in the same live windows
-//! as a baseline's.
+//! code path — the pooled multi-flow runner, the scenario runner, and a
+//! hardening-style adversarial search round — bitwise identical to
+//! running with no recorder at all; and the flight recorder's own output
+//! must be invariant to how the evaluation pool is partitioned across
+//! threads. And what it observes arrives in sim-time order: a learned
+//! scheme's link samples land in the same live windows as a baseline's.
 
 use std::path::PathBuf;
 
-use canopy_core::env::{CcEnv, EnvConfig};
 use canopy_core::eval::{run_multiflow, run_multiflow_recorded, Scheme};
 use canopy_core::models::{self, ModelKind, TrainBudget, TrainedModel};
 use canopy_core::world::{Controller, FlowSpec};
@@ -37,30 +35,6 @@ fn smoke_model() -> TrainedModel {
 /// paths produces).
 fn digest(series: &[Vec<f64>]) -> String {
     format!("{series:?}")
-}
-
-#[test]
-fn ccenv_noop_recorder_is_bitwise_inert() {
-    let config = EnvConfig::new(
-        BandwidthTrace::constant("equiv-env", 24e6),
-        Time::from_millis(40),
-        1.0,
-    )
-    .with_episode(Time::from_secs(2));
-    let mut plain = CcEnv::new(config.clone());
-    let mut recorded = CcEnv::new(config);
-    recorded.set_recorder(Some(shared(NoopRecorder)));
-    for i in 0..120u64 {
-        let action = ((i * 37 % 21) as f64) / 10.0 - 1.0;
-        let a = plain.step(action);
-        let b = recorded.step(action);
-        assert_eq!(
-            format!("{:?} {:?} {:?}", a.state, a.reward, a.cwnd_applied),
-            format!("{:?} {:?} {:?}", b.state, b.reward, b.cwnd_applied),
-            "step {i} diverged under a no-op recorder"
-        );
-        assert_eq!(a.done, b.done);
-    }
 }
 
 #[test]

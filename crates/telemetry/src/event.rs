@@ -115,10 +115,8 @@ impl SpanStage {
 }
 
 /// One profiled stage of one batched dispatch. The timestamp, batch
-/// sequence, stage, and item count are simulation-deterministic; the
-/// duration is wall-clock and is recorded as 0 unless the recorder
-/// opts into span timing (so bitwise-checked artifacts never carry
-/// wall-clock bytes).
+/// sequence, stage, and item count are simulation-deterministic; no
+/// wall clock is read, so the duration is always 0.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Simulation time of the dispatch, in nanoseconds.
@@ -129,7 +127,8 @@ pub struct SpanRecord {
     pub stage: SpanStage,
     /// Items processed by the stage (decisions, groups, or contexts).
     pub items: u64,
-    /// Wall-clock duration in nanoseconds (0 when span timing is off).
+    /// Duration in nanoseconds: always 0, kept so the schema stays
+    /// `canopy-telemetry/v2`.
     pub dur_ns: u64,
 }
 

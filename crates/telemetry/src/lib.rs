@@ -15,10 +15,12 @@
 //!    across runs and at any `CANOPY_THREADS`.
 //!    Wall-clock measurements exist only in the perf harness's own
 //!    histograms.
-//! 2. **Zero cost when disabled.** Instrumented hot paths hold an
-//!    `Option<SharedRecorder>`; disabled means one `None` branch per
-//!    decision. The [`NoopRecorder`] exists for equivalence tests proving
-//!    that an attached-but-inert recorder changes nothing bitwise.
+//! 2. **Zero cost when disabled.** Each instrumented host — the decision
+//!    pool (the one place a decision is recorded), the runners, the
+//!    trainer, the optimizer — holds one `Option<SharedRecorder>`;
+//!    disabled means one `None` branch per dispatch. The [`NoopRecorder`]
+//!    exists for equivalence tests proving that an attached-but-inert
+//!    recorder changes nothing bitwise.
 //! 3. **Bounded.** The [`FlightRecorder`] keeps each event stream in a
 //!    [`Ring`] of fixed capacity that evicts its oldest event when full,
 //!    so long runs cannot grow memory without bound; every event is kept
@@ -35,9 +37,9 @@
 //! machinery: rolling-window registry feeds, cadence-driven
 //! [`MetricsSnapshot`]s (JSONL + Prometheus-style exposition, schema
 //! `canopy-live-metrics/v1`), an SLO watchdog with a canonical alert
-//! ledger (schema `canopy-alerts/v1`), and wall-clock span timing for the
-//! batched hot path — gated off by default so every bitwise-checked
-//! artifact stays deterministic. Every artifact is an [`Artifact`].
+//! ledger (schema `canopy-alerts/v1`), and a span profiler for the
+//! batched hot path that records each stage's item count, never a
+//! duration. Every artifact is an [`Artifact`].
 //!
 //! This crate sits below `canopy_netsim` in the dependency order, so it
 //! speaks raw nanoseconds and integer ids rather than the simulator's

@@ -14,8 +14,8 @@ use crate::metrics::{LogHistogram, Registry, RollingWindow};
 ///
 /// Every method has an empty default body, so a recorder implements only
 /// the categories it cares about and [`NoopRecorder`] implements none.
-/// `Debug` is a supertrait so instrumented hosts (drivers, environments)
-/// can keep deriving `Debug` around a `SharedRecorder`.
+/// `Debug` is a supertrait so instrumented hosts (the decision pool, the
+/// optimizer) can keep deriving `Debug` around a `SharedRecorder`.
 pub trait Recorder: std::fmt::Debug {
     /// One Orca decision fired.
     fn record_decision(&mut self, _r: &DecisionRecord) {}
@@ -28,13 +28,6 @@ pub trait Recorder: std::fmt::Debug {
 
     /// One profiled stage of a batched dispatch.
     fn record_span(&mut self, _s: &SpanRecord) {}
-
-    /// Whether the instrumented hot path should measure wall-clock span
-    /// durations. When `false` (the default, and the only deterministic
-    /// mode), spans are still recorded but carry `dur_ns = 0`.
-    fn wants_span_timing(&self) -> bool {
-        false
-    }
 
     /// One trainer-loop event.
     fn record_trainer(&mut self, _e: &TrainerEvent) {}
@@ -74,14 +67,11 @@ const SNAPSHOT_CAPACITY: usize = 4096;
 /// time, in nanoseconds.
 pub const LINK_CADENCE_NS: u64 = 10_000_000;
 
-/// The one thing a flight recorder lets its host choose.
+/// A flight recorder's settings: none, since every recording is
+/// deterministic. The type stays so that the constructors keep their
+/// signatures.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct RecorderConfig {
-    /// Measure wall-clock span durations. Off by default: durations are
-    /// nondeterministic, so every bitwise-checked artifact keeps this
-    /// off and records `dur_ns = 0`.
-    pub span_timing: bool,
-}
+pub struct RecorderConfig {}
 
 /// A bounded ring with exact totals: `seen` counts every pushed item,
 /// and once `capacity` items are held each push evicts the oldest one.
@@ -187,7 +177,6 @@ impl LiveLayer {
 /// and the Perfetto traces.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    span_timing: bool,
     origin_ns: u64,
     decisions: Ring<DecisionRecord>,
     links: Ring<LinkSample>,
@@ -210,9 +199,8 @@ impl Default for FlightRecorder {
 
 impl FlightRecorder {
     /// An empty recorder.
-    pub fn new(config: RecorderConfig) -> FlightRecorder {
+    pub fn new(_config: RecorderConfig) -> FlightRecorder {
         FlightRecorder {
-            span_timing: config.span_timing,
             origin_ns: 0,
             decisions: Ring::new(EVENT_CAPACITY),
             links: Ring::new(EVENT_CAPACITY),
@@ -433,10 +421,6 @@ impl Recorder for FlightRecorder {
         self.spans.push(s);
     }
 
-    fn wants_span_timing(&self) -> bool {
-        self.span_timing
-    }
-
     fn record_trainer(&mut self, e: &TrainerEvent) {
         self.registry.inc("trainer_events_total", 1);
         self.trainer.push(e.clone());
@@ -534,7 +518,6 @@ mod tests {
     #[test]
     fn spans_aggregate_into_the_stage_table() {
         let mut rec = FlightRecorder::default();
-        assert!(!rec.wants_span_timing());
         for batch in 0..3u64 {
             for stage in SpanStage::ALL {
                 rec.record_span(&SpanRecord {
@@ -556,15 +539,6 @@ mod tests {
         assert_eq!((count, items, dur), (3, 12, 180));
         let child_dur: u64 = totals[1..].iter().map(|t| t.3).sum();
         assert_eq!(child_dur, 150);
-    }
-
-    #[test]
-    fn timing_flag_comes_from_config() {
-        let rec = FlightRecorder::new(RecorderConfig { span_timing: true });
-        assert!(rec.wants_span_timing());
-        let handle: SharedRecorder = shared(rec);
-        assert!(handle.borrow().wants_span_timing());
-        assert!(!NoopRecorder.wants_span_timing());
     }
 
     #[test]

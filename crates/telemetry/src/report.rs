@@ -28,8 +28,8 @@ pub struct SpanStageSummary {
     pub count: u64,
     /// Total items the stage processed across all its spans.
     pub items: u64,
-    /// Total wall-clock nanoseconds attributed to the stage (0 when
-    /// span timing was off).
+    /// Total nanoseconds attributed to the stage: always 0, since spans
+    /// read no wall clock.
     pub dur_ns: u64,
 }
 

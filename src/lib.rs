@@ -42,3 +42,9 @@ pub use canopy_search as search;
 pub use canopy_serve as serve;
 pub use canopy_telemetry as telemetry;
 pub use canopy_traces as traces;
+
+/// README.md's Rust examples, compiled as doctests so they keep up with
+/// the API they show.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
