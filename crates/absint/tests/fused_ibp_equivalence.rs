@@ -24,7 +24,14 @@ use rand::{Rng, SeedableRng};
 mod common;
 use common::{edge_net, edgy, ACTIVATIONS};
 
-const SHAPES: [&[usize]; 3] = [&[7, 13, 9, 3], &[70, 64, 64, 1], &[33, 41, 40, 2]];
+/// The last shape's 107-wide layer runs three 32-column blocks, one 8-column
+/// block and a three-column tail in one layer.
+const SHAPES: [&[usize]; 4] = [
+    &[7, 13, 9, 3],
+    &[70, 64, 64, 1],
+    &[33, 41, 40, 2],
+    &[70, 107, 64, 1],
+];
 const ROW_COUNTS: [usize; 5] = [1, 5, 10, 32, 33];
 /// Largest input deviation: ordinary boxes, and boxes a few ULPs wide — there
 /// `D·|W|ᵀ` is below the `γ`-scaled magnitude accumulator, so the output
