@@ -15,15 +15,35 @@
 //!   accumulator feeding the `γ_n` rounding bound — exact because
 //!   `|w·c| = |w|·|c|` in IEEE arithmetic) —
 //!
-//! computed in one pass over `Wᵀ`: per row and 32-column block the three
-//! accumulator blocks stay in registers, and each ascending `k` loads
-//! `w[k][j..]` once, takes `|w|` in register and issues three fused
-//! multiply-adds. 3 × 32 `f64` are 24 of the 32 vector registers AVX-512VL
-//! gives 256-bit code, leaving room for `w`, `|w|` and the three broadcast
-//! inputs, so nothing spills (a 70→64→64→1 actor is 25 920 FMAs per box,
-//! 21 440 when a plan supplies the first layer's deviations, against a peak
-//! of 8 per cycle). The scalar path's outward-rounded activation
-//! transformers follow; all intermediates live in a caller-owned scratch.
+//! computed in one pass over `Wᵀ`. The kernel is written once over
+//! `F64x8`, eight `f64` lanes (`lanes.rs`): one 512-bit register on an
+//! AVX-512 build, a plain `[f64; 8]` elsewhere. Per two rows and 32-column
+//! block the three accumulator streams stay in registers, 2 × 4 lane
+//! vectors each; each ascending `k` loads `w[k][j..]` once as four
+//! vectors, takes `|w|` in register and issues three fused multiply-adds
+//! per vector and row against broadcast inputs — 24 FMAs per 4 `abs`. The
+//! 24 accumulators, 4 `w` and 4 `|w|` are the 32 zmm registers, so the
+//! three-stream layers spill two accumulators to L1; the first layer,
+//! whose deviations a plan supplies, runs two streams and spills nothing.
+//! On the array path a block is one vector wide (`FUSED_V`). Rows and
+//! width were picked by measurement over 1–5 rows and 1, 2 or 4 vectors,
+//! against holding `|Wᵀ|` resident (packed beside `Wᵀ` it doubles what a
+//! call streams from L2, and ran slower at 10 rows) and against forming
+//! `|C| + D` once per layer (no faster).
+//!
+//! What that buys, for the fleet actor (70→64→64→1 with ReLU hidden
+//! layers and a `tanh` output: 25 920 FMAs per box, 21 440 when a plan
+//! supplies the first layer's deviations) at 10 boxes per call, best
+//! decile of 2 001 calls on a two-vCPU AVX-512 Xeon at a nominal 2.1 GHz,
+//! against its 512-bit ceiling of 16 f64 FMAs per cycle (33.6 per ns; a
+//! register-only FMA loop reaches 37–39 per ns): the 256-bit kernel this
+//! replaces ran 1.50–1.54 µs per box (1.40–1.45 with the plan's first
+//! layer), 50–52 % (44–46 %) of that ceiling; this one runs 1.13 µs
+//! (1.03), 69 % (62 %). Achieved/peak is FMAs per box ÷ (ns per box ×
+//! 2.1 × 16); the rest of the time is the scalar 64→1 tail, the
+//! activation epilogue and per-layer set-up. The scalar path's
+//! outward-rounded activation transformers follow; all intermediates live
+//! in a caller-owned scratch.
 //!
 //! Soundness is inherited: the `γ_n` error bound holds for any summation
 //! order. Every element is still its own ascending-`k` chain of fused
@@ -36,6 +56,7 @@ use canopy_nn::{Activation, Matrix, Mlp};
 use crate::boxdom::BoxState;
 use crate::ibp::{gamma, WIDEN_FLOOR};
 use crate::interval::Interval;
+use crate::lanes::F64x8;
 
 /// Branchless outward widening of a non-negative deviation: at least one
 /// ULP up (like `next_up`) but vectorizable — a relative bump of 4ε plus
@@ -119,68 +140,131 @@ impl IbpBatchScratch {
     }
 }
 
-/// Column-block width of the fused layer kernel (see the module docs), and
-/// the rows a single-column tail runs side by side so that its latency-bound
-/// scalar chains overlap (a 64→1 layer: 105 → 79 ns per box; 8 read no better).
-const FUSED_JB: usize = 32;
+/// Lane vectors per full column block of the fused layer kernel, and the
+/// rows one block pass carries (see the module docs). Where an [`F64x8`]
+/// is one 512-bit register: two rows of four vectors (32 columns), 24
+/// accumulators of the 32 registers. Where it is a `[f64; 8]`: two rows of
+/// one vector, whose six accumulators (twelve 256-bit halves) plus `w` and
+/// `|w|` fill AVX2's sixteen registers; four vectors a row spill there.
+const FUSED_V: usize = if F64x8::IN_REGISTER { 4 } else { 1 };
+const FUSED_ROWS: usize = 2;
+/// Rows a tail column runs side by side so that its latency-bound scalar
+/// chains overlap (a 64→1 layer: 105 → 79 ns per box; 8 read no better).
 const FUSED_TAIL_ROWS: usize = 4;
 
-/// One layer as one pass over the transposed weights: for `ins = [c, d, wt]`
-/// (`rows × k`, `rows × k`, `k × n`) sizes `out` to `rows × n` and writes
-/// `[c·wt, d·|wt|, (|c| + d)·|wt|]`. `CM` selects the centre and magnitude
-/// streams (without it `c` is ignored and only `out[1]` is touched), `DEV`
-/// the deviation stream (without it `out[1]` is sized, not written). Every
-/// element is the ascending-`k` fused chain [`Matrix::matmul_into`] runs.
-fn fused_layer<const CM: bool, const DEV: bool>(ins: [&Matrix; 3], mut out: [&mut Matrix; 3]) {
-    let (rows, n) = (ins[1].rows(), ins[2].cols());
-    assert_eq!(ins[1].cols(), ins[2].rows(), "layer shape mismatch");
+/// One layer as one pass over its transposed weights: for `ins = [c, d]`
+/// (each `rows × k`) and `wt` (`k × n`) sizes `out` to `rows × n` and
+/// writes `[c·wt, d·|wt|, (|c| + d)·|wt|]`. `CM` selects the centre and
+/// magnitude streams (without it `c` is ignored and only `out[1]` is
+/// touched), `DEV` the deviation stream (without it `out[1]` is sized, not
+/// written). Every element is the ascending-`k` fused chain
+/// [`Matrix::matmul_into`] runs.
+fn fused_layer<const CM: bool, const DEV: bool>(
+    ins: [&Matrix; 2],
+    wt: &Matrix,
+    mut out: [&mut Matrix; 3],
+) {
+    let (rows, n) = (ins[1].rows(), wt.cols());
+    assert_eq!(ins[1].cols(), wt.rows(), "layer shape mismatch");
     let sized = if CM { &mut out[..] } else { &mut out[1..2] };
     sized.iter_mut().for_each(|stream| stream.reshape(rows, n));
     let mut j = 0;
     while j < n {
-        j += match n - j {
-            FUSED_JB.. => fused_columns::<1, FUSED_JB, CM, DEV>(ins, &mut out, j),
-            8.. => fused_columns::<1, 8, CM, DEV>(ins, &mut out, j),
-            _ => fused_columns::<FUSED_TAIL_ROWS, 1, CM, DEV>(ins, &mut out, j),
+        // An `if` chain, not a `match`: the two block widths coincide on
+        // the array path.
+        j += if n - j >= FUSED_JB {
+            fused_columns::<FUSED_ROWS, FUSED_V, CM, DEV>(ins, wt, &mut out, j)
+        } else if n - j >= 8 {
+            fused_columns::<FUSED_ROWS, 1, CM, DEV>(ins, wt, &mut out, j)
+        } else {
+            fused_tail::<CM, DEV>(ins, wt, &mut out, j)
         };
     }
 }
 
-/// Columns `j..j + JB` of [`fused_layer`], `R` rows at a time (a short last
-/// group repeats its last row); returns `JB`. The accumulators stay in
-/// registers across the reduction; each `k` loads `w` once and takes `|w|`.
+/// Columns in one full block of [`fused_layer`].
+const FUSED_JB: usize = 8 * FUSED_V;
+
+/// Columns `j..j + 8V` of [`fused_layer`], `R` rows at a time (a short
+/// last group repeats its last row), as `V` lane vectors per stream and
+/// row; returns `8V`. The accumulators stay in registers across the
+/// reduction; each `k` loads the block's `w` once and takes `|w|` in
+/// register.
 #[inline(always)]
-fn fused_columns<const R: usize, const JB: usize, const CM: bool, const DEV: bool>(
-    [c, d, wt]: [&Matrix; 3],
+fn fused_columns<const R: usize, const V: usize, const CM: bool, const DEV: bool>(
+    [c, d]: [&Matrix; 2],
+    wt: &Matrix,
     out: &mut [&mut Matrix; 3],
     j: usize,
 ) -> usize {
     for r in (0..d.rows()).step_by(R) {
         let row = |i: usize| (r + i).min(d.rows() - 1);
         let ins: [_; R] = std::array::from_fn(|i| (c.row(row(i)), d.row(row(i))));
-        let mut acc = [[[0.0f64; JB]; R]; 3];
+        let mut acc = [[[F64x8::splat(0.0); V]; R]; 3];
         for (k, w_row) in wt.as_slice().chunks_exact(wt.cols()).enumerate() {
-            for i in 0..R {
-                let (cv, dv) = (ins[i].0[k], ins[i].1[k]);
-                let mag = cv.abs() + dv;
-                for (jj, &w) in w_row[j..j + JB].iter().enumerate() {
+            let (w_block, _) = w_row[j..j + 8 * V].as_chunks::<8>();
+            for (v, w) in w_block.iter().enumerate() {
+                let w = F64x8::load(w);
+                let w_abs = w.abs();
+                for (i, &(c_row, d_row)) in ins.iter().enumerate() {
                     if CM {
-                        acc[0][i][jj] = cv.mul_add(w, acc[0][i][jj]);
-                        acc[2][i][jj] = mag.mul_add(w.abs(), acc[2][i][jj]);
+                        let mag = c_row[k].abs() + d_row[k];
+                        acc[0][i][v] = F64x8::splat(c_row[k]).mul_add(w, acc[0][i][v]);
+                        acc[2][i][v] = F64x8::splat(mag).mul_add(w_abs, acc[2][i][v]);
                     }
                     if DEV {
-                        acc[1][i][jj] = dv.mul_add(w.abs(), acc[1][i][jj]);
+                        acc[1][i][v] = F64x8::splat(d_row[k]).mul_add(w_abs, acc[1][i][v]);
                     }
                 }
             }
         }
         for ((stream, acc), runs) in out.iter_mut().zip(&acc).zip([CM, DEV, CM]) {
             for (i, acc_row) in acc.iter().enumerate().filter(|_| runs) {
-                stream.row_mut(row(i))[j..j + JB].copy_from_slice(acc_row);
+                let (dst, _) = stream.row_mut(row(i))[j..j + 8 * V].as_chunks_mut::<8>();
+                for (lanes, dst) in acc_row.iter().zip(dst) {
+                    lanes.store(dst);
+                }
             }
         }
     }
-    JB
+    8 * V
+}
+
+/// Tail column `j` of [`fused_layer`] (fewer than 8 columns are left),
+/// [`FUSED_TAIL_ROWS`] rows at a time (a short last group repeats its
+/// last row); returns 1.
+#[inline(always)]
+fn fused_tail<const CM: bool, const DEV: bool>(
+    [c, d]: [&Matrix; 2],
+    wt: &Matrix,
+    out: &mut [&mut Matrix; 3],
+    j: usize,
+) -> usize {
+    const R: usize = FUSED_TAIL_ROWS;
+    for r in (0..d.rows()).step_by(R) {
+        let row = |i: usize| (r + i).min(d.rows() - 1);
+        let ins: [_; R] = std::array::from_fn(|i| (c.row(row(i)), d.row(row(i))));
+        let mut acc = [[0.0f64; R]; 3];
+        for (k, w_row) in wt.as_slice().chunks_exact(wt.cols()).enumerate() {
+            let w = w_row[j];
+            for (i, &(c_row, d_row)) in ins.iter().enumerate() {
+                let (cv, dv) = (c_row[k], d_row[k]);
+                if CM {
+                    acc[0][i] = cv.mul_add(w, acc[0][i]);
+                    acc[2][i] = (cv.abs() + dv).mul_add(w.abs(), acc[2][i]);
+                }
+                if DEV {
+                    acc[1][i] = dv.mul_add(w.abs(), acc[1][i]);
+                }
+            }
+        }
+        for ((stream, acc), runs) in out.iter_mut().zip(&acc).zip([CM, DEV, CM]) {
+            for (i, &value) in acc.iter().enumerate().filter(|_| runs) {
+                stream.row_mut(row(i))[j] = value;
+            }
+        }
+    }
+    1
 }
 
 impl PreparedMlp {
@@ -248,7 +332,7 @@ impl PreparedMlp {
     /// the image back in place of the GEMM leaves every bound bit unchanged.
     pub fn first_dev_image(&self, devs: &Matrix) -> Matrix {
         let mut out = [(); 3].map(|()| Matrix::zeros(0, 0));
-        fused_layer::<false, true>([devs, devs, &self.layers[0].wt], out.each_mut());
+        fused_layer::<false, true>([devs; 2], &self.layers[0].wt, out.each_mut());
         let [_, image, _] = out;
         image
     }
@@ -284,15 +368,16 @@ impl PreparedMlp {
         let n = in_c.rows();
         for (i, layer) in self.layers.iter().enumerate() {
             let (cur_c, cur_d): (&Matrix, &Matrix) = if i == 0 { (in_c, in_d) } else { (c, d) };
+            let ins = [cur_c, cur_d];
             let out = [&mut *c_next, &mut *d_next, &mut *abs_acc];
             match dev_image {
                 Some((image, offset)) if i == 0 => {
-                    fused_layer::<true, false>([cur_c, cur_d, &layer.wt], out);
+                    fused_layer::<true, false>(ins, &layer.wt, out);
                     for r in 0..n {
                         d_next.set_row(r, image.row((offset + r) % image.rows()));
                     }
                 }
-                _ => fused_layer::<true, true>([cur_c, cur_d, &layer.wt], out),
+                _ => fused_layer::<true, true>(ins, &layer.wt, out),
             }
 
             // Elementwise epilogue: bias, rounding slack, activation

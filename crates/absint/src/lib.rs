@@ -14,11 +14,15 @@
 //! every concretely reachable value, which is what makes a
 //! quantitative-certificate proof a proof.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod batch_ibp;
 pub mod boxdom;
 pub mod diff_ibp;
 pub mod ibp;
 pub mod interval;
+mod lanes;
 pub mod zonotope;
 
 pub use batch_ibp::{IbpBatchScratch, PreparedMlp};

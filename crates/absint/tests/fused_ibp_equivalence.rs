@@ -14,7 +14,11 @@
 //! steps per `k` — `fma(|c|, |w|, ·)` then `fma(d, |w|, ·)` — instead of
 //! one `fma(|c| + d, |w|, ·)` fails this suite (it rounds twice where the
 //! oracle rounds once; only the ULP-wide [`DEV_SCALES`] entry can see it),
-//! and so does taking `|w|` out of either stream.
+//! and so does taking `|w|` out of either stream. On the lane kernel
+//! (`F64x8`) each of these fails it too: an unfused `mul` then `add` in the
+//! wide `mul_add` or in the array one, an `abs` that returns its input, the
+//! magnitude stream reading `w` for `|w|`, and a two-row pass that reads
+//! its first row twice.
 
 use canopy_absint::{IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::{Activation, Matrix, Mlp};

@@ -125,11 +125,17 @@ impl CertPlan {
         workers: &mut Vec<IbpBatchScratch>,
     ) {
         let total = contexts * self.rows_per_context();
-        let threads = pool::resolve_threads(self.verifier.threads);
+        // A single chunk would run on the calling thread anyway, so only a
+        // run big enough to fan out asks how many workers there are.
+        let fans_out = total > CERT_CHUNK && total * actor.param_count() >= PARALLEL_MIN_WORK;
+        let threads = if fans_out {
+            pool::resolve_threads(self.verifier.threads)
+        } else {
+            1
+        };
         let mut rows = std::mem::take(&mut self.rows);
         rows.clear();
-        // A single chunk would run on the calling thread anyway.
-        if threads > 1 && total > CERT_CHUNK && total * actor.param_count() >= PARALLEL_MIN_WORK {
+        if threads > 1 {
             if workers.len() < threads {
                 workers.resize_with(threads, IbpBatchScratch::new);
             }

@@ -17,6 +17,7 @@
 //! one process) pass `Some(n)` instead of consulting the environment.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// `CANOPY_THREADS` as the environment states it: `Ok(None)` when unset,
 /// the worker count when it is a positive integer, and an error naming the
@@ -34,12 +35,14 @@ pub fn env_threads() -> Result<Option<usize>, String> {
 }
 
 /// The pool-wide worker count: `CANOPY_THREADS` if set and valid,
-/// otherwise the machine's available parallelism (at least 1).
+/// otherwise the machine's available parallelism (at least 1). The
+/// variable is read on every call; the machine's parallelism once per
+/// process, since [`std::thread::available_parallelism`] reads the cgroup
+/// quota files each time it is asked.
 pub fn thread_count() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
     env_threads().ok().flatten().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 

@@ -340,8 +340,9 @@ impl Matrix {
 }
 
 /// Accumulator-block width (in `f64` elements) for the register-blocked
-/// GEMM kernel: four 512-bit vectors' worth, giving four independent
-/// floating-point add chains without spilling.
+/// GEMM kernel: eight independent fused chains that stay in registers.
+/// LLVM's x86 tuning prefers 256-bit vectors, so even a native AVX-512
+/// build compiles the block to eight 256-bit vectors, not four 512-bit ones.
 const GEMM_JB: usize = 32;
 
 /// One register-blocked GEMM panel: `out[j..j+JB] (+)= Σ_k a[k] · b[k][j..]`,
