@@ -147,6 +147,7 @@ impl IbpBatchScratch {
 /// one vector, whose six accumulators (twelve 256-bit halves) plus `w` and
 /// `|w|` fill AVX2's sixteen registers; four vectors a row spill there.
 const FUSED_V: usize = if F64x8::IN_REGISTER { 4 } else { 1 };
+const FUSED_JB: usize = 8 * FUSED_V;
 const FUSED_ROWS: usize = 2;
 /// Rows a tail column runs side by side so that its latency-bound scalar
 /// chains overlap (a 64→1 layer: 105 → 79 ns per box; 8 read no better).
@@ -181,9 +182,6 @@ fn fused_layer<const CM: bool, const DEV: bool>(
         };
     }
 }
-
-/// Columns in one full block of [`fused_layer`].
-const FUSED_JB: usize = 8 * FUSED_V;
 
 /// Columns `j..j + 8V` of [`fused_layer`], `R` rows at a time (a short
 /// last group repeats its last row), as `V` lane vectors per stream and
