@@ -100,7 +100,7 @@ impl BoxState {
     /// Replaces one dimension with the given interval (used to abstract the
     /// "variable of interest" while keeping other features concrete, as the
     /// paper's implementation does in Section 5).
-    pub fn with_dim_interval(mut self, i: usize, interval: Interval) -> BoxState {
+    pub(crate) fn with_dim_interval(mut self, i: usize, interval: Interval) -> BoxState {
         self.center[i] = interval.center();
         self.dev[i] = interval.deviation();
         self
@@ -117,17 +117,6 @@ impl BoxState {
         axis_slices(self.dim_interval(axis), n)
             .map(|slice| self.clone().with_dim_interval(axis, slice))
             .collect()
-    }
-
-    /// The box volume (product of widths over dimensions with non-zero
-    /// width; dimensions that are points contribute a factor of 1 so that
-    /// partially-concrete states still have a meaningful measure).
-    pub fn volume(&self) -> f64 {
-        self.dev
-            .iter()
-            .filter(|d| **d > 0.0)
-            .map(|d| 2.0 * d)
-            .product()
     }
 }
 
@@ -170,7 +159,6 @@ mod tests {
         let b = BoxState::point(&[1.0, 2.0]);
         assert!(b.contains(&[1.0, 2.0]));
         assert!(!b.contains(&[1.0, 2.0001]));
-        assert_eq!(b.volume(), 1.0); // all dims are points
     }
 
     #[test]
@@ -206,16 +194,6 @@ mod tests {
         let small = BoxState::from_intervals(&[Interval::new(2.0, 3.0)]);
         assert!(small.is_subset_of(&big));
         assert!(!big.is_subset_of(&small));
-    }
-
-    #[test]
-    fn volume_ignores_point_dims() {
-        let b = BoxState::from_intervals(&[
-            Interval::new(0.0, 2.0),
-            Interval::point(7.0),
-            Interval::new(0.0, 0.5),
-        ]);
-        assert!((b.volume() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -267,10 +267,12 @@ fn affine_bounds(
         hi: &[f64],
         bias: &[f64],
     ) -> [[f64; L]; 2] {
-        let bias: [f64; L] = bias[at..at + L].try_into().expect("L biases");
+        let bias: [f64; L] = bias[at..at + L].try_into().expect("the slice is L long");
         let (mut zl, mut zh) = (bias, bias);
         for (j, (&l, &h)) in lo.iter().zip(hi).enumerate() {
-            let w: &[f64; L] = wt.row(j)[at..at + L].try_into().expect("L weights");
+            let w: &[f64; L] = wt.row(j)[at..at + L]
+                .try_into()
+                .expect("the slice is L long");
             for k in 0..L {
                 let (for_lo, for_hi) = if w[k] >= 0.0 { (l, h) } else { (h, l) };
                 zl[k] += w[k] * for_lo;

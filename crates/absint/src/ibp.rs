@@ -45,7 +45,7 @@ pub(crate) const WIDEN_FLOOR: f64 = f64::from_bits((1023_u64 - 498) << 52);
 /// # Panics
 ///
 /// Panics if the box dimensionality does not match the layer's fan-in.
-pub fn propagate_dense(layer: &Dense, input: &BoxState) -> BoxState {
+pub(crate) fn propagate_dense(layer: &Dense, input: &BoxState) -> BoxState {
     assert_eq!(input.dim(), layer.fan_in(), "abstract state shape mismatch");
     // `dim()` only measures `center`; the fields are public, so a
     // mismatched `dev` must stay a loud panic — the zip below would
@@ -80,7 +80,7 @@ pub fn propagate_dense(layer: &Dense, input: &BoxState) -> BoxState {
 }
 
 /// Applies an activation's abstract transformer dimension-wise.
-pub fn apply_activation(activation: Activation, input: &BoxState) -> BoxState {
+pub(crate) fn apply_activation(activation: Activation, input: &BoxState) -> BoxState {
     match activation {
         Activation::Identity => input.clone(),
         Activation::Relu => transform_intervals(input, Interval::relu),

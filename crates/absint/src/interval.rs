@@ -121,30 +121,15 @@ impl Interval {
         other.lo <= self.lo && self.hi <= other.hi
     }
 
-    /// Whether the intervals share at least one point.
-    #[inline]
-    pub fn intersects(self, other: Interval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
     /// The intersection, if non-empty.
     #[inline]
-    pub fn intersect(self, other: Interval) -> Option<Interval> {
+    pub(crate) fn intersect(self, other: Interval) -> Option<Interval> {
         let lo = self.lo.max(other.lo);
         let hi = self.hi.min(other.hi);
         if lo <= hi {
             Some(Interval { lo, hi })
         } else {
             None
-        }
-    }
-
-    /// The convex hull of both intervals.
-    #[inline]
-    pub fn hull(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
         }
     }
 
@@ -393,11 +378,8 @@ mod tests {
     fn set_operations() {
         let a = Interval::new(0.0, 2.0);
         let b = Interval::new(1.0, 3.0);
-        assert!(a.intersects(b));
         assert_eq!(a.intersect(b), Some(Interval::new(1.0, 2.0)));
-        assert_eq!(a.hull(b), Interval::new(0.0, 3.0));
         let c = Interval::new(5.0, 6.0);
-        assert!(!a.intersects(c));
         assert_eq!(a.intersect(c), None);
         assert!(Interval::new(0.5, 1.0).is_subset_of(a));
         assert!(!b.is_subset_of(a));

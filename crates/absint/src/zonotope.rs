@@ -36,7 +36,7 @@ pub struct Zonotope {
 impl Zonotope {
     /// Lifts a box: one axis-aligned generator per non-degenerate
     /// dimension.
-    pub fn from_box(b: &BoxState) -> Zonotope {
+    pub(crate) fn from_box(b: &BoxState) -> Zonotope {
         let m = b.dim();
         let mut generators = Vec::new();
         for (i, &d) in b.dev.iter().enumerate() {
@@ -55,11 +55,6 @@ impl Zonotope {
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.center.len()
-    }
-
-    /// Number of generators (the zonotope's order numerator).
-    pub fn order(&self) -> usize {
-        self.generators.len()
     }
 
     /// The tightest per-dimension interval cover:
@@ -173,7 +168,7 @@ impl Zonotope {
     /// Reduces the generator count to at most `max_generators` by folding
     /// the smallest generators into axis-aligned (box) generators. Sound:
     /// the result contains the original zonotope.
-    pub fn reduce_order(&mut self, max_generators: usize) {
+    pub(crate) fn reduce_order(&mut self, max_generators: usize) {
         if self.generators.len() <= max_generators {
             return;
         }
@@ -263,7 +258,7 @@ mod tests {
             Interval::new(0.0, 0.5),
         ]);
         let z = Zonotope::from_box(&b);
-        assert_eq!(z.order(), 2); // point dims need no generator
+        assert_eq!(z.generators.len(), 2); // point dims need no generator
         let ivs = z.to_intervals();
         assert!((ivs[0].lo - -1.0).abs() < 1e-12 && (ivs[0].hi - 3.0).abs() < 1e-12);
         assert!(ivs[1].width() < 1e-12);
@@ -389,7 +384,7 @@ mod tests {
         };
         let before = z.to_intervals();
         z.reduce_order(8);
-        assert!(z.order() <= 8 + 2);
+        assert!(z.generators.len() <= 8 + 2);
         let after = z.to_intervals();
         for (b, a) in before.iter().zip(&after) {
             assert!(b.is_subset_of(*a), "{b:?} not within {a:?}");

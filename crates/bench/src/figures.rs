@@ -31,12 +31,12 @@ use canopy_core::property::{Property, PropertyParams};
 use canopy_core::trainer::{EpochStats, Trainer};
 use canopy_core::verifier::{AbstractDomain, StepContext, Verifier};
 use canopy_core::world::{self, Controller, FlowSpec};
+use canopy_netsim::traces::realworld::{paths, PathClass, PathConfig};
+use canopy_netsim::traces::{cellular, synthetic};
 use canopy_netsim::{BandwidthTrace, ImpairmentPhase, ImpairmentSchedule, LinkConfig, Time};
 use canopy_scenarios::{
     episode_spec, run_matrix, run_scenario, ScenarioSpec, SpecError, TraceProgram,
 };
-use canopy_traces::realworld::{paths, PathClass, PathConfig};
-use canopy_traces::{cellular, synthetic};
 
 use crate::cli::ExploreOpts;
 use crate::{f1, f3, fig11_specs, mean_std, model, resolve_scheme, HarnessOpts};
@@ -618,7 +618,7 @@ fn ext_random_loss(opts: &HarnessOpts) {
     let one_percent = rates
         .iter()
         .position(|r| r.0 == "p=1%")
-        .expect("always swept");
+        .expect("the loss-rate sweep includes p=1%");
     for i in [0, 1, 2, 5] {
         let retransmits = results[i][one_percent].retransmits as f64;
         row!("{} | {retransmits:.1}", schemes[i].name());
@@ -949,7 +949,7 @@ fn fig14(opts: &HarnessOpts) {
         let ratio = |&(n, rtt_ms, bdp): &(usize, u64, f64)| {
             let rtt = Time::from_millis(rtt_ms);
             let ratio = friendliness_ratio(scheme, n, &trace, rtt, bdp, duration);
-            f3(ratio.expect("cubic competitors on a dumbbell"))
+            f3(ratio.expect("kernel flows on one dumbbell always build"))
         };
         row!("{name} | {}", joined(sweep.iter().map(ratio)));
     };
@@ -1110,7 +1110,7 @@ pub fn explore(opts: &ExploreOpts) -> Result<(), String> {
     let seed = opts.seed;
     if opts.trace == "list" {
         println!("available traces:");
-        for t in canopy_traces::all_eval_traces(seed) {
+        for t in canopy_netsim::traces::all_eval_traces(seed) {
             println!("  {}", t.name());
         }
         return Ok(());

@@ -94,7 +94,7 @@ impl HarnessOpts {
     }
 
     /// The evaluation duration for single-flow runs.
-    pub fn eval_duration(&self) -> Time {
+    pub(crate) fn eval_duration(&self) -> Time {
         if self.smoke {
             Time::from_secs(4)
         } else {
@@ -140,11 +140,11 @@ pub fn resolve_scheme(name: &str, opts: &HarnessOpts) -> Result<Scheme, String> 
 /// by `figures fig11`. Specs come in (clean, noisy) pairs, trace-major.
 pub fn fig11_specs(seed: u64, smoke: bool) -> Vec<ScenarioSpec> {
     let mut traces = if smoke {
-        canopy_traces::synthetic::all(seed)[..3].to_vec()
+        canopy_netsim::traces::synthetic::all(seed)[..3].to_vec()
     } else {
-        canopy_traces::synthetic::all(seed)
+        canopy_netsim::traces::synthetic::all(seed)
     };
-    traces.extend(canopy_traces::cellular::all(seed));
+    traces.extend(canopy_netsim::traces::cellular::all(seed));
     // The same horizon every single-flow harness uses, from one place.
     let duration = HarnessOpts { seed, smoke }.eval_duration();
     let mut specs = Vec::with_capacity(traces.len() * 2);
@@ -305,7 +305,7 @@ pub fn f1(x: f64) -> String {
 }
 
 /// Mean and population standard deviation.
-pub fn mean_std(values: &[f64]) -> (f64, f64) {
+pub(crate) fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
         return (0.0, 0.0);
     }

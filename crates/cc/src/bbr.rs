@@ -19,17 +19,17 @@ use std::collections::VecDeque;
 use canopy_netsim::{AckInfo, CongestionControl, LossInfo, Time, MSS_BYTES};
 
 /// Startup / drain gains (2/ln 2 and its inverse).
-pub const STARTUP_GAIN: f64 = 2.885;
+pub(crate) const STARTUP_GAIN: f64 = 2.885;
 /// ProbeBW gain cycle.
-pub const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+pub(crate) const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 /// How long ProbeRTT pins the window down.
-pub const PROBE_RTT_DURATION: Time = Time::from_millis(200);
+pub(crate) const PROBE_RTT_DURATION: Time = Time::from_millis(200);
 /// How often ProbeRTT triggers.
-pub const PROBE_RTT_INTERVAL: Time = Time::from_secs(10);
+pub(crate) const PROBE_RTT_INTERVAL: Time = Time::from_secs(10);
 /// Bandwidth filter window, in estimated round trips.
-pub const BW_FILTER_RTTS: u32 = 10;
+pub(crate) const BW_FILTER_RTTS: u32 = 10;
 /// Minimum window during ProbeRTT, packets.
-pub const PROBE_RTT_CWND: f64 = 4.0;
+pub(crate) const PROBE_RTT_CWND: f64 = 4.0;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -41,7 +41,7 @@ enum State {
 
 /// Simplified BBR congestion control.
 #[derive(Clone, Debug)]
-pub struct Bbr {
+pub(crate) struct Bbr {
     cwnd: f64,
     state: State,
     /// Windowed max-filter over delivery-rate samples: (expiry, bytes/s).
@@ -83,7 +83,7 @@ impl Bbr {
     }
 
     /// Current bottleneck-bandwidth estimate in bytes per second.
-    pub fn btl_bw(&self) -> f64 {
+    pub(crate) fn btl_bw(&self) -> f64 {
         self.bw_samples
             .iter()
             .map(|&(_, bw)| bw)
@@ -91,7 +91,7 @@ impl Bbr {
     }
 
     /// Current propagation-RTT estimate.
-    pub fn rt_prop(&self) -> Option<Time> {
+    pub(crate) fn rt_prop(&self) -> Option<Time> {
         self.rtt_samples.iter().map(|&(_, r)| r).min()
     }
 

@@ -9,9 +9,9 @@
 use canopy_netsim::{AckInfo, CongestionControl, LossInfo, Time};
 
 /// The cubic scaling constant `C` (units: packets/s³).
-pub const CUBIC_C: f64 = 0.4;
+pub(crate) const CUBIC_C: f64 = 0.4;
 /// Multiplicative decrease factor `β`.
-pub const CUBIC_BETA: f64 = 0.7;
+pub(crate) const CUBIC_BETA: f64 = 0.7;
 /// Initial window, packets (RFC 6928's IW10).
 pub const INITIAL_CWND: f64 = 10.0;
 
@@ -56,7 +56,7 @@ impl Cubic {
     }
 
     /// Whether the controller is still in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 

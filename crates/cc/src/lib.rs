@@ -7,17 +7,17 @@
 //!    Canopy) modulates: the learned agent reads `cwnd_tcp = cubic.cwnd()`
 //!    once per monitor interval and writes back `2^(2a) · cwnd_tcp`
 //!    (Eq. 1 of the paper).
-//! 2. Cubic, [`NewReno`], [`Vegas`], and [`Bbr`] are the TCP baselines in
+//! 2. Cubic, [`NewReno`], [`Vegas`], and BBR ([`by_name`]`("bbr")`) are the TCP baselines in
 //!    the evaluation figures (Figs. 9, 10, 12, 14, 15).
 //!
 //! All window arithmetic is in packets, matching the simulator.
 
-pub mod bbr;
+mod bbr;
 pub mod cubic;
 pub mod newreno;
 pub mod vegas;
 
-pub use bbr::Bbr;
+use bbr::Bbr;
 pub use cubic::Cubic;
 pub use newreno::NewReno;
 pub use vegas::Vegas;
@@ -43,18 +43,15 @@ pub fn by_name(name: &str) -> Option<Box<dyn CongestionControl>> {
     }
 }
 
-/// Names of all available baseline kernels.
-pub const BASELINE_NAMES: &[&str] = &["cubic", "newreno", "vegas", "bbr"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registry_covers_all_baselines() {
-        for name in BASELINE_NAMES {
+        for name in ["cubic", "newreno", "vegas", "bbr"] {
             let cc = by_name(name).expect("registered");
-            assert_eq!(cc.name(), *name);
+            assert_eq!(cc.name(), name);
             assert!(cc.cwnd() >= 1.0);
         }
     }

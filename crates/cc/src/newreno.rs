@@ -29,7 +29,7 @@ impl NewReno {
     }
 
     /// Whether the controller is still in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 }

@@ -8,11 +8,11 @@
 use canopy_netsim::{AckInfo, CongestionControl, LossInfo, Time};
 
 /// Lower bound on queued packets before increasing.
-pub const VEGAS_ALPHA: f64 = 2.0;
+pub(crate) const VEGAS_ALPHA: f64 = 2.0;
 /// Upper bound on queued packets before decreasing.
-pub const VEGAS_BETA: f64 = 4.0;
+pub(crate) const VEGAS_BETA: f64 = 4.0;
 /// Slow-start exit threshold on queued packets.
-pub const VEGAS_GAMMA: f64 = 1.0;
+pub(crate) const VEGAS_GAMMA: f64 = 1.0;
 /// Initial window, packets.
 pub const INITIAL_CWND: f64 = 10.0;
 

@@ -36,7 +36,7 @@
 //! protocol. Only the RL training loop decides *at* time zero — it acts on
 //! the initial all-zero state — and [`CcEnv`](crate::env::CcEnv) does so
 //! through the
-//! [`apply_agent`](OrcaDriver::apply_agent)/[`observe`](OrcaDriver::observe)
+//! `apply_agent`/[`observe`](OrcaDriver::observe)
 //! primitives directly.
 
 use std::cmp::Reverse;
@@ -282,7 +282,7 @@ impl OrcaDriver {
     /// Applies an agent action through Eq. (1) — **the** action→cwnd
     /// runtime path — and records it for the next observation. Returns the
     /// enforced window.
-    pub fn apply_agent(&mut self, sim: &mut Simulator, action: f64) -> f64 {
+    pub(crate) fn apply_agent(&mut self, sim: &mut Simulator, action: f64) -> f64 {
         let cwnd_tcp = sim.cwnd(self.flow);
         let cwnd = f_cwnd(action, cwnd_tcp);
         sim.set_cwnd(self.flow, cwnd);
@@ -294,7 +294,7 @@ impl OrcaDriver {
     /// Lets the interval run on the unmodified kernel (the fallback path
     /// and baseline evaluation through the same bookkeeping): the recorded
     /// action is 0 — `f_cwnd(0, w) = w`, i.e. "keep TCP's window".
-    pub fn apply_kernel(&mut self, sim: &mut Simulator) -> f64 {
+    pub(crate) fn apply_kernel(&mut self, sim: &mut Simulator) -> f64 {
         let cwnd = sim.cwnd(self.flow);
         self.prev_action = 0.0;
         self.prev_cwnd = cwnd;
@@ -304,7 +304,7 @@ impl OrcaDriver {
     /// Resets the episode state (history, bookkeeping, `QC_sat` stream) while
     /// deterministically **continuing** the noise stream, exactly as
     /// [`CcEnv::reset`](crate::env::CcEnv::reset) requires.
-    pub fn reset_episode(&mut self) {
+    pub(crate) fn reset_episode(&mut self) {
         self.builder.reset();
         self.prev_action = 0.0;
         self.prev_cwnd = canopy_cc::cubic::INITIAL_CWND;
@@ -367,7 +367,7 @@ impl OrcaDriver {
             .expect("self-driving decisions require a policy");
         let use_agent = match policy.monitor.as_mut() {
             Some(monitor) => {
-                let agg = qc_sat.expect("monitor attached but no aggregate was supplied");
+                let agg = qc_sat.expect("callers certify a monitored policy first (see # Panics)");
                 self.fallback_qc.push(agg);
                 monitor.arbitrate(agg).use_agent
             }
@@ -553,7 +553,9 @@ impl PolicyTable {
 
     /// Drops one user of `slot`, and the entry with its last user.
     fn release(&mut self, slot: usize) {
-        let entry = self.entries[slot].as_mut().expect("released a live slot");
+        let entry = self.entries[slot]
+            .as_mut()
+            .expect("only a driver holding the slot releases it");
         entry.users -= 1;
         if entry.users == 0 {
             self.entries[slot] = None;

@@ -15,10 +15,10 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use canopy_netsim::traces::synthetic;
 use canopy_netsim::Time;
 use canopy_nn::Mlp;
 use canopy_rl::Td3Config;
-use canopy_traces::synthetic;
 
 use crate::env::EnvConfig;
 use crate::property::{Property, PropertyParams};
@@ -45,7 +45,7 @@ pub struct TrainedModel {
 
 impl TrainedModel {
     /// Serializes the model (and the training curve) to a JSON file.
-    pub fn save(&self, path: &Path, history: &TrainingHistory) -> std::io::Result<()> {
+    pub(crate) fn save(&self, path: &Path, history: &TrainingHistory) -> std::io::Result<()> {
         let blob = serde_json::json!({
             "model": self,
             "history": history,
@@ -56,7 +56,7 @@ impl TrainedModel {
         fs::write(path, serde_json::to_string(&blob)?)
     }
 
-    /// Restores a model and its training curve from [`save`](Self::save)
+    /// Restores a model and its training curve from `save`
     /// output.
     pub fn load(path: &Path) -> std::io::Result<(TrainedModel, TrainingHistory)> {
         let text = fs::read_to_string(path)?;
@@ -262,7 +262,7 @@ fn cache_path(dir: &Path, config: &TrainerConfig) -> PathBuf {
         config.epochs,
         config.steps_per_epoch,
         config.envs.len(),
-        canopy_traces::fnv1a(&format!("{config:?}"))
+        canopy_netsim::traces::fnv1a(&format!("{config:?}"))
     ))
 }
 

@@ -14,20 +14,14 @@ use canopy_netsim::{LinkConfig, MonitorSample, Time};
 
 /// Features per history step, in order:
 /// `[thr, loss, delay, n_acks, interval, srtt, prev_action]`.
-pub const FEATURES_PER_STEP: usize = 7;
+pub(crate) const FEATURES_PER_STEP: usize = 7;
 
 /// Index of the throughput feature within a step.
 pub const THR_IDX: usize = 0;
 /// Index of the loss-rate feature within a step.
-pub const LOSS_IDX: usize = 1;
+pub(crate) const LOSS_IDX: usize = 1;
 /// Index of the normalized queuing-delay feature within a step.
 pub const DELAY_IDX: usize = 2;
-/// Index of the valid-ACK-count feature within a step.
-pub const ACK_IDX: usize = 3;
-/// Index of the report-interval feature within a step.
-pub const INTERVAL_IDX: usize = 4;
-/// Index of the smoothed-RTT feature within a step.
-pub const SRTT_IDX: usize = 5;
 /// Index of the previous-action feature within a step.
 pub const ACTION_IDX: usize = 6;
 
@@ -101,7 +95,7 @@ impl Normalizer {
 
     /// Maps an observation to the normalized 7-feature step vector
     /// (the action slot is filled by the caller).
-    pub fn features(&self, obs: &Observation, prev_action: f64) -> [f64; FEATURES_PER_STEP] {
+    pub(crate) fn features(&self, obs: &Observation, prev_action: f64) -> [f64; FEATURES_PER_STEP] {
         let srtt_scale = self.min_rtt_ms + self.max_queue_delay_ms;
         [
             (obs.throughput_bps / self.max_throughput_bps).clamp(0.0, 1.0),
@@ -112,11 +106,6 @@ impl Normalizer {
             (obs.srtt_ms / srtt_scale).clamp(0.0, 2.0),
             prev_action.clamp(-1.0, 1.0),
         ]
-    }
-
-    /// Normalizes a raw queuing delay in milliseconds.
-    pub fn normalize_delay(&self, delay_ms: f64) -> f64 {
-        (delay_ms / self.max_queue_delay_ms).clamp(0.0, 1.0)
     }
 }
 
@@ -162,7 +151,7 @@ impl StateLayout {
 
     /// The index used as the partitioning axis for QC components: the most
     /// recent step's queuing delay.
-    pub fn primary_delay_idx(&self) -> usize {
+    pub(crate) fn primary_delay_idx(&self) -> usize {
         self.idx(0, DELAY_IDX)
     }
 }
@@ -242,8 +231,6 @@ mod tests {
             "{}",
             n.max_queue_delay_ms
         );
-        assert!((n.normalize_delay(20.0) - 0.5).abs() < 0.01);
-        assert_eq!(n.normalize_delay(1000.0), 1.0); // clamped
     }
 
     #[test]

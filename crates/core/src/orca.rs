@@ -12,13 +12,13 @@ use canopy_absint::Interval;
 use serde::{Deserialize, Serialize};
 
 /// Hard window bounds applied after Eq. (1), in packets.
-pub const CWND_MIN: f64 = 2.0;
+pub(crate) const CWND_MIN: f64 = 2.0;
 /// Upper window clamp, packets — the kernel-memory-style cap Orca inherits
 /// from the host stack. Sized to comfortably exceed the evaluation
 /// envelope's BDP-plus-buffer (≈ 4000 packets at 192 Mbps, 40 ms, 5 BDP)
 /// while stopping the exponential self-multiplication of Eq. (1) from
 /// manufacturing windows no real socket would reach.
-pub const CWND_MAX: f64 = 8_192.0;
+pub(crate) const CWND_MAX: f64 = 8_192.0;
 
 /// The two-level control law of Eq. (1).
 ///

@@ -11,7 +11,7 @@
 //! first layer's deviation image `D·|W₁|ᵀ` (the fused layer kernel then
 //! skips its deviation stream there) — so that running it **stages** each
 //! (context × property × component) row straight into the batched-IBP
-//! matrices, **encloses** them ([`Verifier::enclose`]) and **judges** the
+//! matrices, **encloses** them (`Verifier::enclose`) and **judges** the
 //! action intervals into Eq. 5–7 (the `judge` of a
 //! [`Postcondition`](crate::property::Postcondition)).
 //!
@@ -84,7 +84,7 @@ impl CertPlan {
     /// Re-targets the plan at `net` — the same architecture with new
     /// weights — by recomputing the one weight-dependent part, the
     /// first-layer deviation image.
-    pub fn rebind(&mut self, net: &PreparedMlp) {
+    pub(crate) fn rebind(&mut self, net: &PreparedMlp) {
         if let Some((devs, image)) = &mut self.dev_image {
             *image = net.first_dev_image(devs);
         }
@@ -111,7 +111,7 @@ impl CertPlan {
     /// `workers`, which grows to one scratch per thread and is reused
     /// across runs; results are identical at every thread count. Read the
     /// outcome with [`aggregate`](Self::aggregate) or
-    /// [`certificates`](Self::certificates).
+    /// `certificates`.
     ///
     /// # Panics
     ///
@@ -202,7 +202,7 @@ impl CertPlan {
     }
 
     /// The Eq. (7) aggregate at context `j` of the last run — bitwise the
-    /// aggregate of [`certificates`](Self::certificates), without building
+    /// aggregate of `certificates`, without building
     /// them. `action` computes the actor's concrete output at `ctx.state`
     /// (only a robustness postcondition, which compares against the
     /// unperturbed output, calls it).
@@ -224,7 +224,7 @@ impl CertPlan {
 
     /// The full certificates at context `j` of the last run, one per
     /// property.
-    pub fn certificates(
+    pub(crate) fn certificates(
         &self,
         j: usize,
         ctx: &StepContext,

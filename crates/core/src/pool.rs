@@ -2,7 +2,7 @@
 //!
 //! No crates.io threading runtime is available in this build environment,
 //! so parallelism is built from `std::thread::scope` directly: one
-//! index-claiming fork–join, [`parallel_map_with`] (and its stateless
+//! index-claiming fork–join, `parallel_map_with` (and its stateless
 //! wrapper [`parallel_map`]), in which the calling thread is itself worker
 //! zero and only `threads − 1` helpers are spawned. Workers share nothing
 //! but the claim counter: each owns its state and its results, so there is
@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 /// `CANOPY_THREADS` as the environment states it: `Ok(None)` when unset,
 /// the worker count when it is a positive integer, and an error naming the
-/// value otherwise. Binaries report the error; [`thread_count`] falls back
+/// value otherwise. Binaries report the error; `thread_count` falls back
 /// to the machine's parallelism.
 pub fn env_threads() -> Result<Option<usize>, String> {
     let Some(raw) = std::env::var_os("CANOPY_THREADS") else {
@@ -39,7 +39,7 @@ pub fn env_threads() -> Result<Option<usize>, String> {
 /// variable is read on every call; the machine's parallelism once per
 /// process, since [`std::thread::available_parallelism`] reads the cgroup
 /// quota files each time it is asked.
-pub fn thread_count() -> usize {
+pub(crate) fn thread_count() -> usize {
     static MACHINE: OnceLock<usize> = OnceLock::new();
     env_threads().ok().flatten().unwrap_or_else(|| {
         *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -76,7 +76,7 @@ where
 /// # Panics
 ///
 /// Panics if `states` is empty.
-pub fn parallel_map_with<S, T, U, F>(states: &mut [S], items: &[T], f: F) -> Vec<U>
+pub(crate) fn parallel_map_with<S, T, U, F>(states: &mut [S], items: &[T], f: F) -> Vec<U>
 where
     S: Send,
     T: Sync,
@@ -86,7 +86,7 @@ where
     let threads = states.len().min(items.len()).max(1);
     let (caller, helpers) = states[..threads]
         .split_first_mut()
-        .expect("at least one worker state");
+        .expect("callers pass at least one worker state");
     if helpers.is_empty() {
         return items.iter().map(|item| f(caller, item)).collect();
     }

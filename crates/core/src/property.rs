@@ -14,7 +14,7 @@
 //!
 //! This file is the whole of a property: the certification engines are
 //! schedules over **stage** ([`Stage`]), **enclose**
-//! ([`Verifier::enclose`](crate::verifier::Verifier::enclose)) and **judge**
+//! (`Verifier::enclose`) and **judge**
 //! (the methods of [`Postcondition`]), so a new pre- or postcondition is an
 //! edit here alone.
 
@@ -72,7 +72,7 @@ impl Default for PropertyParams {
 /// increase/decrease ("continued past non-decrease", "already decreased"),
 /// so this reproduction excludes a small neutral band: `|a| <` this value
 /// counts as neither increasing nor decreasing.
-pub const ACTION_SIGN_DEAD_ZONE: f64 = 0.05;
+pub(crate) const ACTION_SIGN_DEAD_ZONE: f64 = 0.05;
 
 /// Sign constraint on the past-action history dimensions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,7 +158,7 @@ impl Postcondition {
     /// (decision, property): `cwnd_{i−1}` for the direction properties; for
     /// robustness the *unperturbed* `cwnd_i`, Eq. (1) at `action()` — the
     /// actor's concrete output at `ctx.state`.
-    pub fn reference_cwnd(self, ctx: &StepContext, action: impl FnOnce() -> f64) -> f64 {
+    pub(crate) fn reference_cwnd(self, ctx: &StepContext, action: impl FnOnce() -> f64) -> f64 {
         match self {
             Postcondition::NoDecrease | Postcondition::NoIncrease => ctx.cwnd_prev,
             Postcondition::BoundedChange { .. } => f_cwnd(action(), ctx.cwnd_tcp),
@@ -176,7 +176,7 @@ impl Postcondition {
     }
 
     /// Whether one concrete action lands in `Y` — a genuine counterexample.
-    pub fn violated_by(self, action: f64, ctx: &StepContext, reference: f64) -> bool {
+    pub(crate) fn violated_by(self, action: f64, ctx: &StepContext, reference: f64) -> bool {
         !self
             .allowed_output()
             .contains(self.output(action, ctx, reference))
@@ -185,7 +185,7 @@ impl Postcondition {
     /// One component verdict (Eq. 5–6) from its partition slice and its
     /// enclosed action interval: Eq. (5), then the arithmetic of
     /// [`output`](Self::output) outward-rounded, against the allowed region.
-    pub fn judge(
+    pub(crate) fn judge(
         self,
         input_slice: Interval,
         action: Interval,
@@ -206,7 +206,7 @@ impl Postcondition {
     /// pre-activation bound `[z_lo, z_hi]` (see `QC_HINGE_MARGIN` for why
     /// there): `(loss, ∂loss/∂z_lo, ∂loss/∂z_hi)`, the derivatives scaled
     /// by `weight` and both zero when the hinge is inactive.
-    pub fn hinge(self, z_lo: f64, z_hi: f64, weight: f64) -> (f64, f64, f64) {
+    pub(crate) fn hinge(self, z_lo: f64, z_hi: f64, weight: f64) -> (f64, f64, f64) {
         let (loss, g_lo, g_hi) = match self {
             // Want z_lo ≥ margin (⟺ a_lo ≥ tanh(margin) > 0):
             // loss = relu(margin − z_lo).
@@ -482,7 +482,7 @@ impl Stage {
     /// The components of the region around an all-zero state, ascending
     /// along the partition axis, whose deviations every box of this stage
     /// shares; `None` when the region is rebuilt per decision.
-    pub fn templates(&self) -> Option<&[BoxState]> {
+    pub(crate) fn templates(&self) -> Option<&[BoxState]> {
         self.live.as_ref().map(|_| &self.parts[..])
     }
 
@@ -492,7 +492,7 @@ impl Stage {
     /// # Panics
     ///
     /// Panics if `state` does not match the layout.
-    pub fn write_center_dev(
+    pub(crate) fn write_center_dev(
         &self,
         state: &[f64],
         k: usize,
@@ -528,7 +528,7 @@ impl Stage {
     /// # Panics
     ///
     /// Panics if `state` does not match the layout.
-    pub fn write_lo_hi(&self, state: &[f64], lo: &mut [f64], hi: &mut [f64]) {
+    pub(crate) fn write_lo_hi(&self, state: &[f64], lo: &mut [f64], hi: &mut [f64]) {
         assert_eq!(state.len(), lo.len(), "state does not match layout");
         match &self.live {
             Some(live) => {

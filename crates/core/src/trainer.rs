@@ -250,7 +250,7 @@ impl Trainer {
     /// interaction step, so recordings are deterministic and unaffected by
     /// `CANOPY_THREADS`. Recording reads loop state only: `train()` is
     /// bitwise identical with or without a recorder.
-    pub fn train_with_recorder(&self, recorder: Option<SharedRecorder>) -> TrainingResult {
+    pub(crate) fn train_with_recorder(&self, recorder: Option<SharedRecorder>) -> TrainingResult {
         let record = |e: TrainerEvent| {
             if let Some(r) = &recorder {
                 r.borrow_mut().record_trainer(&e);

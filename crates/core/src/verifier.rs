@@ -152,7 +152,7 @@ impl Verifier {
     /// image, when the caller holds one; see
     /// [`PreparedMlp::propagate_staged`]), or a zonotope pass per row over
     /// `actor`, the network `net` was prepared from.
-    pub fn enclose(
+    pub(crate) fn enclose(
         &self,
         net: &PreparedMlp,
         actor: &Mlp,

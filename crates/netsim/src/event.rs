@@ -19,8 +19,8 @@
 //!   RTO on every ACK, which in a heap-based calendar buries thousands of
 //!   stale timer entries. Only the most recently armed timer can ever
 //!   fire, so re-arming overwrites the slot, disarming empties it
-//!   ([`EventQueue::cancel_rto`]), and the slot is the one record of
-//!   whether the timer is live ([`EventQueue::rto_pending`]) — every
+//!   (`EventQueue::cancel_rto`), and the slot is the one record of
+//!   whether the timer is live (`EventQueue::rto_pending`) — every
 //!   timer that pops is live, with no generation counter to check.
 //!
 //! The shards merge through a tournament (winner) tree over one packed
@@ -45,7 +45,7 @@ use crate::topology::LinkId;
 
 /// Events processed by the simulator's main loop.
 #[derive(Clone, Debug)]
-pub enum Event {
+pub(crate) enum Event {
     /// The named link finished serializing its head-of-line packet. A
     /// link has at most one pending.
     LinkDeparture(LinkId),
@@ -68,10 +68,11 @@ pub enum Event {
 
 /// An event with its activation time and a monotone tie-break id.
 #[derive(Clone, Debug)]
-pub struct ScheduledEvent {
+pub(crate) struct ScheduledEvent {
     /// Activation time.
     pub at: Time,
     /// Insertion order, used to break ties deterministically (FIFO).
+    #[cfg(test)]
     pub id: u64,
     /// Payload.
     pub event: Event,
@@ -139,7 +140,7 @@ impl Shard {
 /// a tournament tree over their head keys (min `(time, id)`, FIFO on
 /// ties).
 #[derive(Debug)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// Shard `l < links` is link `l`'s, shard `links + f` flow `f`'s. The
     /// link shards are fixed at construction — topologies do not grow
     /// mid-run.
@@ -158,7 +159,6 @@ pub struct EventQueue {
     /// every tree node off that path is exact.
     stale: Option<usize>,
     next_id: u64,
-    len: usize,
 }
 
 impl Default for EventQueue {
@@ -176,7 +176,7 @@ impl EventQueue {
 
     /// Creates an empty calendar with one shard per link of a
     /// `links`-link topology.
-    pub fn with_links(links: usize) -> EventQueue {
+    pub(crate) fn with_links(links: usize) -> EventQueue {
         assert!(links >= 1, "a calendar needs at least one link lane");
         let mut q = EventQueue {
             shards: (0..links).map(|_| Shard::with_capacity(2)).collect(),
@@ -186,7 +186,6 @@ impl EventQueue {
             leaf_base: 0,
             stale: None,
             next_id: 0,
-            len: 0,
         };
         q.rebuild_tree();
         q
@@ -255,7 +254,6 @@ impl EventQueue {
     pub fn schedule(&mut self, at: Time, event: Event) {
         let key = pack(at, self.next_id);
         self.next_id += 1;
-        self.len += 1;
         let shard = match event {
             Event::LinkDeparture(LinkId(l))
             | Event::HopArrival {
@@ -284,18 +282,14 @@ impl EventQueue {
             }
             // Overwrite: TCP restarts the timer, so only the newest
             // deadline may fire.
-            Event::RtoTimer(_) => {
-                if s.slot.replace(key).is_some() {
-                    self.len -= 1;
-                }
-            }
+            Event::RtoTimer(_) => s.slot = Some(key),
             _ => s.insort(key, event),
         }
         self.refresh(shard);
     }
 
     /// Disarms `flow`'s retransmission timer, if one is pending.
-    pub fn cancel_rto(&mut self, flow: FlowId) {
+    pub(crate) fn cancel_rto(&mut self, flow: FlowId) {
         let shard = self.links + flow.0;
         if self
             .shards
@@ -303,13 +297,12 @@ impl EventQueue {
             .and_then(|s| s.slot.take())
             .is_some()
         {
-            self.len -= 1;
             self.refresh(shard);
         }
     }
 
     /// Whether `flow`'s retransmission timer is pending.
-    pub fn rto_pending(&self, flow: FlowId) -> bool {
+    pub(crate) fn rto_pending(&self, flow: FlowId) -> bool {
         self.shards
             .get(self.links + flow.0)
             .is_some_and(|s| s.slot.is_some())
@@ -327,27 +320,15 @@ impl EventQueue {
         (key != IDLE).then_some((shard, key))
     }
 
-    /// The activation time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.min_head().map(|(_, key)| time_of(key))
-    }
-
-    /// Removes and returns the earliest pending event (FIFO on time ties,
-    /// by global schedule order).
-    pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.pop_due(Time::MAX)
-    }
-
     /// Removes and returns the earliest pending event if it activates at
     /// or before `t` — the simulator main loop's peek-and-pop fused into
     /// one tournament lookup.
-    pub fn pop_due(&mut self, t: Time) -> Option<ScheduledEvent> {
+    pub(crate) fn pop_due(&mut self, t: Time) -> Option<ScheduledEvent> {
         let (shard, key) = self.min_head()?;
         let at = time_of(key);
         if at > t {
             return None;
         }
-        self.len -= 1;
         let s = &mut self.shards[shard];
         let event = if s.slot == Some(key) {
             s.slot = None;
@@ -362,19 +343,37 @@ impl EventQueue {
         self.stale = Some(shard);
         Some(ScheduledEvent {
             at,
+            #[cfg(test)]
             id: key as u64,
             event,
         })
     }
+}
+
+/// What the calendar's own tests observe; the simulator only calls
+/// [`EventQueue::pop_due`].
+#[cfg(test)]
+impl EventQueue {
+    /// The activation time of the earliest pending event.
+    fn peek_time(&mut self) -> Option<Time> {
+        self.min_head().map(|(_, key)| time_of(key))
+    }
+
+    /// Removes and returns the earliest pending event (FIFO on time ties,
+    /// by global schedule order).
+    fn pop(&mut self) -> Option<ScheduledEvent> {
+        self.pop_due(Time::MAX)
+    }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> usize {
+        let pending = |s: &Shard| s.lane.len() + usize::from(s.slot.is_some());
+        self.shards.iter().map(pending).sum()
     }
 
     /// Whether the calendar is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 

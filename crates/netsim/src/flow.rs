@@ -77,14 +77,14 @@ impl FlowConfig {
 }
 
 /// Minimum retransmission timeout, matching Linux's 200 ms floor.
-pub const MIN_RTO: Time = Time::from_millis(200);
+pub(crate) const MIN_RTO: Time = Time::from_millis(200);
 /// Maximum retransmission timeout.
-pub const MAX_RTO: Time = Time::from_secs(60);
+pub(crate) const MAX_RTO: Time = Time::from_secs(60);
 /// Duplicate-ACK threshold for fast retransmit.
-pub const DUPACK_THRESHOLD: u32 = 3;
+pub(crate) const DUPACK_THRESHOLD: u32 = 3;
 /// The sender never lets the effective window drop below this many packets;
 /// Linux enforces the same floor.
-pub const MIN_CWND: f64 = 2.0;
+pub(crate) const MIN_CWND: f64 = 2.0;
 
 /// A set of sequence numbers stored as a bitmap: bit `b` of word `i` is
 /// the key `64 (base + i) + b`.
@@ -145,7 +145,7 @@ impl SeqRing {
     }
 
     /// Removes and returns the smallest key.
-    pub fn pop_first(&mut self) -> Option<u64> {
+    pub(crate) fn pop_first(&mut self) -> Option<u64> {
         let seq = self.first()?;
         let word = &mut self.words[0];
         *word &= *word - 1;
@@ -190,7 +190,7 @@ impl SeqRing {
 
     /// Removes every key strictly below `cutoff`, returning how many were
     /// removed.
-    pub fn drain_below(&mut self, cutoff: u64) -> u64 {
+    pub(crate) fn drain_below(&mut self, cutoff: u64) -> u64 {
         let mut removed = 0;
         while self.base < cutoff / 64 {
             let Some(word) = self.words.pop_front() else {
@@ -213,7 +213,7 @@ impl SeqRing {
 
     /// Moves every key into `into` and empties this set, returning how
     /// many keys moved.
-    pub fn move_keys_into(&mut self, into: &mut SeqRing) -> u64 {
+    pub(crate) fn move_keys_into(&mut self, into: &mut SeqRing) -> u64 {
         let moved = self.len as u64;
         if into.is_empty() {
             std::mem::swap(self, into);
@@ -272,7 +272,7 @@ impl SeqRing {
 
 /// Receiver-side reassembly state.
 #[derive(Debug, Default)]
-pub struct Receiver {
+pub(crate) struct Receiver {
     /// Next expected sequence number; everything below has been received.
     pub cum_recv: u64,
     /// Out-of-order packets received above `cum_recv`.
@@ -281,7 +281,7 @@ pub struct Receiver {
 
 impl Receiver {
     /// Processes an arriving data packet and returns the new cumulative ACK.
-    pub fn on_data(&mut self, seq: u64) -> u64 {
+    pub(crate) fn on_data(&mut self, seq: u64) -> u64 {
         if seq == self.cum_recv {
             self.cum_recv += 1;
             while self.out_of_order.remove(self.cum_recv) {
@@ -296,7 +296,7 @@ impl Receiver {
 }
 
 /// Full per-flow state owned by the simulator.
-pub struct FlowState {
+pub(crate) struct FlowState {
     /// Static configuration.
     pub config: FlowConfig,
     /// The congestion-control kernel.
@@ -379,12 +379,12 @@ impl FlowState {
 
     /// Whether any packet is in flight or awaiting retransmission — what a
     /// retransmission timer guards.
-    pub fn has_unacked(&self) -> bool {
+    pub(crate) fn has_unacked(&self) -> bool {
         !self.outstanding.is_empty() || !self.lost_pending.is_empty()
     }
 
     /// The effective window in whole packets, never below [`MIN_CWND`].
-    pub fn effective_cwnd(&self) -> u64 {
+    pub(crate) fn effective_cwnd(&self) -> u64 {
         self.cc.cwnd().max(MIN_CWND).floor() as u64
     }
 
@@ -394,12 +394,12 @@ impl FlowState {
     }
 
     /// Whether the window permits sending another packet.
-    pub fn can_send(&self) -> bool {
+    pub(crate) fn can_send(&self) -> bool {
         self.active() && self.inflight() < self.effective_cwnd()
     }
 
     /// Feeds an RTT sample through the RFC 6298 estimator and updates `rto`.
-    pub fn record_rtt_sample(&mut self, rtt: Time) {
+    pub(crate) fn record_rtt_sample(&mut self, rtt: Time) {
         if self.stats.min_rtt == Time::MAX || rtt < self.stats.min_rtt {
             self.stats.min_rtt = rtt;
         }
@@ -423,7 +423,7 @@ impl FlowState {
     }
 
     /// The RTO with the current exponential backoff applied.
-    pub fn backed_off_rto(&self) -> Time {
+    pub(crate) fn backed_off_rto(&self) -> Time {
         let mut rto = self.rto;
         for _ in 0..self.rto_backoff.min(16) {
             rto = (rto * 2).min(MAX_RTO);
@@ -432,7 +432,7 @@ impl FlowState {
     }
 
     /// Whether the flow is currently in fast recovery.
-    pub fn in_recovery(&self) -> bool {
+    pub(crate) fn in_recovery(&self) -> bool {
         self.recovery_end.is_some()
     }
 

@@ -30,7 +30,7 @@
 //!    bit-for-bit identical to the historical single-link engine.
 
 pub mod cc;
-pub mod event;
+mod event;
 pub mod flow;
 pub mod link;
 pub mod packet;
@@ -40,6 +40,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod trace;
+pub mod traces;
 
 pub use canopy_telemetry::LinkSample;
 pub use cc::{AckInfo, CongestionControl, FixedWindow, LossInfo};

@@ -45,7 +45,7 @@ impl ImpairmentSchedule {
     }
 
     /// Whether any phase impairs traffic.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.phases
             .iter()
             .any(|p| p.random_loss > 0.0 || p.max_jitter > Time::ZERO)
@@ -158,7 +158,7 @@ impl Link {
     }
 
     /// When the head-of-line packet would finish serializing if started now.
-    pub fn head_transmit_end(&self, now: Time) -> Option<Time> {
+    pub(crate) fn head_transmit_end(&self, now: Time) -> Option<Time> {
         let head = self.queue.peek()?;
         self.trace.transmit_end(now, head.packet.size as f64)
     }

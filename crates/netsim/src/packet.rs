@@ -28,13 +28,13 @@ pub struct Packet {
     /// occupies (`0` on a dumbbell).
     pub hop: u32,
     /// Queueing delay accumulated at hops already crossed; the final hop
-    /// adds its own and echoes the total in [`Ack::queue_delay`].
+    /// adds its own and echoes the total in `Ack::queue_delay`.
     pub accrued_queue_delay: Time,
 }
 
 /// An acknowledgement travelling receiver → sender.
 #[derive(Clone, Copy, Debug)]
-pub struct Ack {
+pub(crate) struct Ack {
     /// The flow being acknowledged.
     pub flow: FlowId,
     /// Cumulative ACK: all packets with `seq < cum_ack` have been received.

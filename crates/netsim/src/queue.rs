@@ -62,7 +62,7 @@ impl DropTailQueue {
 
     /// Attempts to enqueue; returns `true` on success, `false` if the packet
     /// was dropped (tail drop).
-    pub fn enqueue(&mut self, packet: Packet, now: Time) -> bool {
+    pub(crate) fn enqueue(&mut self, packet: Packet, now: Time) -> bool {
         let size = packet.size as u64;
         if self.bytes + size > self.capacity_bytes {
             self.drops += 1;
@@ -79,7 +79,7 @@ impl DropTailQueue {
     }
 
     /// Removes and returns the head-of-line packet, if any.
-    pub fn dequeue(&mut self, now: Time) -> Option<QueuedPacket> {
+    pub(crate) fn dequeue(&mut self, now: Time) -> Option<QueuedPacket> {
         if self.queue.front().is_some() {
             self.accrue(now);
         }

@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns the topology's [`Link`]s and all [`FlowState`]s, and
+//! The engine owns the topology's [`Link`]s and all `FlowState`s, and
 //! dispatches calendar events until a caller-specified horizon. External
 //! code (a learned controller, an experiment driver) interleaves with the
 //! simulation by calling [`Simulator::run_until`] and then inspecting or

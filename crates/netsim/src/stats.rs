@@ -183,7 +183,7 @@ impl MonitorSample {
 
 /// Accumulators the simulator fills between monitor drains.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct MonitorAccum {
+pub(crate) struct MonitorAccum {
     pub(crate) last_drain: Time,
     pub(crate) acked_packets: u64,
     pub(crate) acked_bytes: u64,

@@ -123,11 +123,6 @@ impl BandwidthTrace {
         self.total
     }
 
-    /// Whether the trace wraps around after [`cycle_duration`](Self::cycle_duration).
-    pub fn loops(&self) -> bool {
-        self.loops
-    }
-
     /// The segments of one cycle.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
@@ -249,14 +244,6 @@ impl BandwidthTrace {
     /// The maximum segment rate of one cycle, in bits per second.
     pub fn peak_rate(&self) -> f64 {
         self.segments.iter().map(|s| s.rate_bps).fold(0.0, f64::max)
-    }
-
-    /// The minimum segment rate of one cycle, in bits per second.
-    pub fn min_rate(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.rate_bps)
-            .fold(f64::INFINITY, f64::min)
     }
 
     // -----------------------------------------------------------------
@@ -429,6 +416,23 @@ impl Iterator for Pieces<'_> {
             self.left = Time::MAX;
         }
         Some(piece)
+    }
+}
+
+/// What the trace tests (here and in [`crate::traces`]) observe.
+#[cfg(test)]
+impl BandwidthTrace {
+    /// Whether the trace wraps around after [`cycle_duration`](Self::cycle_duration).
+    pub(crate) fn loops(&self) -> bool {
+        self.loops
+    }
+
+    /// The minimum segment rate of one cycle, in bits per second.
+    pub(crate) fn min_rate(&self) -> f64 {
+        self.segments
+            .iter()
+            .map(|s| s.rate_bps)
+            .fold(f64::INFINITY, f64::min)
     }
 }
 

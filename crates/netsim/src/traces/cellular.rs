@@ -9,8 +9,8 @@
 //! variation. The substitution preserves what the evaluation needs — highly
 //! variable available bandwidth that punishes slow-adapting controllers.
 
-use canopy_netsim::trace::Segment;
-use canopy_netsim::{BandwidthTrace, Time};
+use crate::trace::Segment;
+use crate::{BandwidthTrace, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +30,7 @@ pub struct OperatorModel {
 }
 
 /// AT&T-like: moderate mean, frequent mid/low switching.
-pub const ATT: OperatorModel = OperatorModel {
+pub(crate) const ATT: OperatorModel = OperatorModel {
     name: "cell-att-lte",
     regime_mbps: [6.0, 18.0, 36.0],
     jitter: 0.35,
@@ -38,7 +38,7 @@ pub const ATT: OperatorModel = OperatorModel {
 };
 
 /// Verizon-like: higher mean, occasional deep fades.
-pub const VERIZON: OperatorModel = OperatorModel {
+pub(crate) const VERIZON: OperatorModel = OperatorModel {
     name: "cell-verizon-lte",
     regime_mbps: [8.0, 30.0, 60.0],
     jitter: 0.30,
@@ -46,7 +46,7 @@ pub const VERIZON: OperatorModel = OperatorModel {
 };
 
 /// T-Mobile-like: bursty, wide dynamic range.
-pub const TMOBILE: OperatorModel = OperatorModel {
+pub(crate) const TMOBILE: OperatorModel = OperatorModel {
     name: "cell-tmobile-lte",
     regime_mbps: [6.0, 24.0, 72.0],
     jitter: 0.45,
@@ -56,7 +56,7 @@ pub const TMOBILE: OperatorModel = OperatorModel {
 /// Generates one operator's trace: `duration_secs` of 100 ms segments,
 /// looping.
 pub fn generate(model: &OperatorModel, seed: u64, duration_secs: f64) -> BandwidthTrace {
-    let mut rng = StdRng::seed_from_u64(seed ^ crate::fnv1a(model.name));
+    let mut rng = StdRng::seed_from_u64(seed ^ super::fnv1a(model.name));
     let ticks = (duration_secs / 0.1).max(1.0) as usize;
     let mut regime = 1usize; // Start in the mid regime.
     let segments: Vec<Segment> = (0..ticks)

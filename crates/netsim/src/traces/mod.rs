@@ -21,7 +21,7 @@ pub mod synthetic;
 
 pub use realworld::{PathClass, PathConfig};
 
-use canopy_netsim::BandwidthTrace;
+use crate::BandwidthTrace;
 
 /// Every evaluation trace: 18 synthetic plus 3 cellular (21 total, the
 /// count used throughout Section 6).

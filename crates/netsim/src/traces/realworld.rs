@@ -8,8 +8,8 @@
 //! bottleneck rate wanders slowly; the jitter process models cross
 //! traffic).
 
-use canopy_netsim::trace::Segment;
-use canopy_netsim::{BandwidthTrace, Time};
+use crate::trace::Segment;
+use crate::{BandwidthTrace, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,8 +6,8 @@
 //! which Orca misbehaves); the rest add the finer-grained variation the
 //! paper credits over SAGE's trace set.
 
-use canopy_netsim::trace::Segment;
-use canopy_netsim::{BandwidthTrace, Time};
+use crate::trace::Segment;
+use crate::{BandwidthTrace, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +30,7 @@ pub fn step_up() -> BandwidthTrace {
 }
 
 /// Two-level step, high→low.
-pub fn step_down() -> BandwidthTrace {
+pub(crate) fn step_down() -> BandwidthTrace {
     trace("syn-step-down", vec![seg(5.0, 48.0), seg(5.0, 12.0)])
 }
 
@@ -81,33 +81,33 @@ pub fn dips() -> BandwidthTrace {
 }
 
 /// Staircase up, 8 × 1 s steps from 12 to 96 Mbps.
-pub fn ramp_up() -> BandwidthTrace {
+pub(crate) fn ramp_up() -> BandwidthTrace {
     let steps = (0..8).map(|i| seg(1.0, 12.0 + 12.0 * i as f64)).collect();
     trace("syn-ramp-up", steps)
 }
 
 /// Staircase down, 8 × 1 s steps from 96 to 12 Mbps.
-pub fn ramp_down() -> BandwidthTrace {
+pub(crate) fn ramp_down() -> BandwidthTrace {
     let steps = (0..8).map(|i| seg(1.0, 96.0 - 12.0 * i as f64)).collect();
     trace("syn-ramp-down", steps)
 }
 
 /// Sawtooth: gradual climb then sharp drop.
-pub fn sawtooth() -> BandwidthTrace {
+pub(crate) fn sawtooth() -> BandwidthTrace {
     let mut v: Vec<Segment> = (0..6).map(|i| seg(1.0, 24.0 + 12.0 * i as f64)).collect();
     v.push(seg(1.0, 12.0));
     trace("syn-sawtooth", v)
 }
 
 /// Triangle: climb then symmetric descent.
-pub fn triangle() -> BandwidthTrace {
+pub(crate) fn triangle() -> BandwidthTrace {
     let up = (0..5).map(|i| seg(1.0, 24.0 + 18.0 * i as f64));
     let down = (1..4).map(|i| seg(1.0, 96.0 - 18.0 * i as f64));
     trace("syn-triangle", up.chain(down).collect())
 }
 
 /// High-frequency oscillation (250 ms half-period).
-pub fn oscillation() -> BandwidthTrace {
+pub(crate) fn oscillation() -> BandwidthTrace {
     BandwidthTrace::square_wave(
         "syn-oscillation",
         24.0 * MBPS,
@@ -117,7 +117,7 @@ pub fn oscillation() -> BandwidthTrace {
 }
 
 /// Three-level staircase with a long plateau at each level.
-pub fn double_step() -> BandwidthTrace {
+pub(crate) fn double_step() -> BandwidthTrace {
     trace(
         "syn-double-step",
         vec![seg(3.0, 12.0), seg(3.0, 24.0), seg(3.0, 48.0)],
@@ -125,17 +125,17 @@ pub fn double_step() -> BandwidthTrace {
 }
 
 /// High plateau with periodic 2 s dips to half rate.
-pub fn plateau_dip() -> BandwidthTrace {
+pub(crate) fn plateau_dip() -> BandwidthTrace {
     trace("syn-plateau-dip", vec![seg(6.0, 48.0), seg(2.0, 24.0)])
 }
 
 /// Alternating burst and lull (high BDP stress, then starvation).
-pub fn burst_lull() -> BandwidthTrace {
+pub(crate) fn burst_lull() -> BandwidthTrace {
     trace("syn-burst-lull", vec![seg(1.0, 96.0), seg(2.0, 6.0)])
 }
 
 /// A seeded bounded random walk, quantized to 500 ms segments.
-pub fn random_walk(seed: u64) -> BandwidthTrace {
+pub(crate) fn random_walk(seed: u64) -> BandwidthTrace {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5241_4e44);
     let mut rate: f64 = 48.0;
     let segments = (0..40)
@@ -164,7 +164,7 @@ pub fn markov_switch(seed: u64) -> BandwidthTrace {
 }
 
 /// A discretized sine wave between 24 and 96 Mbps.
-pub fn gentle_wave() -> BandwidthTrace {
+pub(crate) fn gentle_wave() -> BandwidthTrace {
     let segments = (0..16)
         .map(|i| {
             let phase = i as f64 / 16.0 * std::f64::consts::TAU;
@@ -175,7 +175,7 @@ pub fn gentle_wave() -> BandwidthTrace {
 }
 
 /// The full 6↔192 Mbps envelope as a square wave (extreme swings).
-pub fn extremes() -> BandwidthTrace {
+pub(crate) fn extremes() -> BandwidthTrace {
     BandwidthTrace::square_wave("syn-extremes", 6.0 * MBPS, 192.0 * MBPS, Time::from_secs(2))
 }
 
@@ -211,7 +211,7 @@ pub fn by_name(name: &str, seed: u64) -> Option<BandwidthTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canopy_netsim::Time;
+    use crate::Time;
 
     #[test]
     fn eighteen_traces_within_envelope() {

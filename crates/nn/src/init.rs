@@ -5,14 +5,14 @@ use rand::Rng;
 /// Draws from the Xavier/Glorot uniform distribution
 /// `U(−√(6/(fan_in+fan_out)), +√(6/(fan_in+fan_out)))`, the standard choice
 /// for tanh networks like Orca's actor.
-pub fn xavier_uniform<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> f64 {
+pub(crate) fn xavier_uniform<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> f64 {
     let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
     rng.random_range(-limit..limit)
 }
 
 /// Draws from the He/Kaiming uniform distribution
 /// `U(−√(6/fan_in), +√(6/fan_in))`, preferred for ReLU layers.
-pub fn he_uniform<R: Rng>(rng: &mut R, fan_in: usize) -> f64 {
+pub(crate) fn he_uniform<R: Rng>(rng: &mut R, fan_in: usize) -> f64 {
     let limit = (6.0 / fan_in as f64).sqrt();
     rng.random_range(-limit..limit)
 }

@@ -67,7 +67,7 @@ pub struct Dense {
 impl Matrix {
     /// An empty gradient placeholder used when deserializing snapshots
     /// (gradients are transient and resized on first use).
-    pub fn empty_grad() -> Matrix {
+    pub(crate) fn empty_grad() -> Matrix {
         Matrix::zeros(0, 0)
     }
 }
@@ -132,7 +132,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `a.len() + b.len()` does not match the fan-in.
-    pub fn affine2(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
+    pub(crate) fn affine2(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
         assert_eq!(a.len() + b.len(), self.fan_in(), "affine2 shape mismatch");
         let mut z = Vec::with_capacity(self.fan_out());
         for r in 0..self.fan_out() {

@@ -15,7 +15,7 @@
 
 pub mod adam;
 pub mod batch;
-pub mod init;
+mod init;
 pub mod layer;
 pub mod mlp;
 pub mod tensor;

@@ -122,7 +122,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `y.len() != rows`.
-    pub fn t_matvec(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn t_matvec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows, "t_matvec shape mismatch");
         let mut out = vec![0.0; self.cols];
         for (r, &yr) in y.iter().enumerate() {
@@ -140,7 +140,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn add_outer(&mut self, y: &[f64], x: &[f64]) {
+    pub(crate) fn add_outer(&mut self, y: &[f64], x: &[f64]) {
         assert_eq!(y.len(), self.rows, "outer rows mismatch");
         assert_eq!(x.len(), self.cols, "outer cols mismatch");
         for (r, &yr) in y.iter().enumerate() {
@@ -207,7 +207,7 @@ impl Matrix {
     /// order for every output element, with one fused `mul_add` per step,
     /// so each element is bitwise identical to a sequential fused dot
     /// product — and therefore to the scalar
-    /// [`matvec`](Self::matvec)/[`t_matvec`](Self::t_matvec) paths, which
+    /// `matvec`/`t_matvec` paths, which
     /// use the same fused step. That invariant is what lets batched
     /// training reproduce the per-sample code path exactly; do not
     /// reorder the reduction or unfuse the step on one side only.

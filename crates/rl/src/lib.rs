@@ -13,10 +13,9 @@
 //! Everything is deterministic given a seed; the exploration and sampling
 //! randomness flows through caller-supplied RNGs.
 
-pub mod noise;
+mod noise;
 pub mod replay;
 pub mod td3;
 
-pub use noise::GaussianNoise;
 pub use replay::{ReplayBuffer, Transition};
 pub use td3::{Td3, Td3Config, UpdateStats};

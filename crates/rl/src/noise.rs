@@ -8,7 +8,7 @@ use rand::Rng;
 
 /// A zero-mean Gaussian noise source with configurable standard deviation.
 #[derive(Clone, Copy, Debug)]
-pub struct GaussianNoise {
+pub(crate) struct GaussianNoise {
     /// Standard deviation of each sample.
     pub std_dev: f64,
 }
@@ -27,13 +27,13 @@ impl GaussianNoise {
     }
 
     /// Draws one sample clipped to `[-clip, clip]`.
-    pub fn sample_clipped<R: Rng>(&self, rng: &mut R, clip: f64) -> f64 {
+    pub(crate) fn sample_clipped<R: Rng>(&self, rng: &mut R, clip: f64) -> f64 {
         self.sample(rng).clamp(-clip.abs(), clip.abs())
     }
 }
 
 /// One standard normal variate (Box–Muller).
-pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     // u1 ∈ (0, 1] avoids ln(0).
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();

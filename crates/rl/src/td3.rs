@@ -164,11 +164,6 @@ impl Td3 {
         &self.actor
     }
 
-    /// The greedy action `π(s)`.
-    pub fn act(&self, state: &[f64]) -> Vec<f64> {
-        self.actor.forward(state)
-    }
-
     /// The exploratory action `clip(π(s) + ε)`, ε ~ N(0, σ²).
     pub fn act_explore<R: Rng>(&self, state: &[f64], noise_std: f64, rng: &mut R) -> Vec<f64> {
         let noise = GaussianNoise::new(noise_std);
@@ -177,16 +172,6 @@ impl Td3 {
             .into_iter()
             .map(|a| (a + noise.sample(rng)).clamp(-1.0, 1.0))
             .collect()
-    }
-
-    /// Q₁ estimate for a state–action pair (diagnostics).
-    pub fn q1(&self, state: &[f64], action: &[f64]) -> f64 {
-        self.critic1.forward_concat(state, action)[0]
-    }
-
-    /// Number of gradient updates performed so far.
-    pub fn update_count(&self) -> u64 {
-        self.updates
     }
 
     /// One TD3 update from uniformly sampled replay data.
@@ -447,7 +432,7 @@ mod tests {
             let mut count = 0;
             for i in -10..=10 {
                 let s = i as f64 / 10.0;
-                let a = agent.act(&[s])[0];
+                let a = agent.actor().forward(&[s])[0];
                 total += (a - s) * (a - s);
                 count += 1;
             }
@@ -515,7 +500,7 @@ mod tests {
             }
             let mut mean = 0.0;
             for i in -5..=5 {
-                mean += agent.act(&[i as f64 / 5.0])[0];
+                mean += agent.actor().forward(&[i as f64 / 5.0])[0];
             }
             mean / 11.0
         };
@@ -555,8 +540,11 @@ mod tests {
             assert_eq!(sa.actor_loss, sb.actor_loss, "step {step}");
         }
         assert_eq!(fast.actor().params_flat(), slow.actor().params_flat());
-        assert_eq!(fast.act(&[0.3]), slow.act(&[0.3]));
-        assert_eq!(fast.q1(&[0.3], &[0.1]), slow.q1(&[0.3], &[0.1]));
+        assert_eq!(fast.actor().forward(&[0.3]), slow.actor().forward(&[0.3]));
+        assert_eq!(
+            fast.critic1.forward_concat(&[0.3], &[0.1]),
+            slow.critic1.forward_concat(&[0.3], &[0.1])
+        );
     }
 
     #[test]
@@ -579,7 +567,7 @@ mod tests {
             for _ in 0..10 {
                 agent.update(&replay, &mut rng);
             }
-            agent.act(&[0.5])[0]
+            agent.actor().forward(&[0.5])[0]
         };
         assert_eq!(run(), run());
     }
@@ -792,11 +780,11 @@ mod reference {
                 prop_assert_eq!(a.actor_loss, b.actor_loss, "step {}", step);
             }
             prop_assert_eq!(fast.actor().params_flat(), slow.actor().params_flat());
-            prop_assert_eq!(fast.update_count(), slow.update_count());
+            prop_assert_eq!(fast.updates, slow.updates);
             let probe: Vec<f64> = (0..state_dim).map(|d| d as f64 * 0.1 - 0.2).collect();
-            prop_assert_eq!(fast.act(&probe), slow.act(&probe));
+            prop_assert_eq!(fast.actor().forward(&probe), slow.actor().forward(&probe));
             let act_probe: Vec<f64> = (0..action_dim).map(|_| 0.25).collect();
-            prop_assert_eq!(fast.q1(&probe, &act_probe), slow.q1(&probe, &act_probe));
+            prop_assert_eq!(fast.critic1.forward_concat(&probe, &act_probe), slow.critic1.forward_concat(&probe, &act_probe));
         }
 
         /// The update consumes the RNG stream identically, so interleaving

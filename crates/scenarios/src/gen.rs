@@ -83,20 +83,13 @@ impl FromStr for Family {
 }
 
 pub(crate) fn rng_for(family: Family, seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ canopy_traces::fnv1a(family.name()))
+    StdRng::seed_from_u64(seed ^ canopy_netsim::traces::fnv1a(family.name()))
 }
 
 /// Generates the `(family, seed)` scenario. Pure and deterministic: the
 /// same pair always yields a byte-identical spec.
 pub fn generate(family: Family, seed: u64) -> ScenarioSpec {
     params::draw(family, seed, &mut rng_for(family, seed), None)
-}
-
-/// The fuzz suite: `seeds` scenarios from each listed family
-/// (`seed = 0..seeds`), in deterministic family-major order.
-pub fn fuzz_suite(families: &[Family], seeds: u64) -> Vec<ScenarioSpec> {
-    let all: Vec<u64> = (0..seeds).collect();
-    fuzz_suite_seeds(families, &all)
 }
 
 /// The fuzz suite over an explicit seed list, in deterministic
@@ -139,7 +132,7 @@ mod tests {
 
     #[test]
     fn suite_is_distinct_and_covers_arrival_departure() {
-        let suite = fuzz_suite(&Family::ALL, 8);
+        let suite = fuzz_suite_seeds(&Family::ALL, &(0..8).collect::<Vec<u64>>());
         assert_eq!(suite.len(), 64);
         let mut names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
         names.sort();

@@ -42,7 +42,7 @@ pub mod runner;
 pub mod spec;
 
 pub use episode::{episode_env, episode_spec};
-pub use gen::{fuzz_suite, fuzz_suite_seeds, generate, Family};
+pub use gen::{fuzz_suite_seeds, generate, Family};
 pub use params::{decode_unit, dims, draw};
 pub use runner::{
     run_matrix, run_matrix_with_threads, run_scenario, run_scenario_recorded, ScenarioMetrics,

@@ -127,7 +127,7 @@ impl TraceProgram {
     /// Compiles the program into a concrete [`BandwidthTrace`].
     pub fn compile(&self) -> Result<BandwidthTrace, SpecError> {
         match self {
-            TraceProgram::Named { name, seed } => canopy_traces::by_name(name, *seed)
+            TraceProgram::Named { name, seed } => canopy_netsim::traces::by_name(name, *seed)
                 .ok_or_else(|| err(format!("unknown base trace `{name}`"))),
             TraceProgram::Constant { rate_bps } => Ok(BandwidthTrace::constant("const", *rate_bps)),
             TraceProgram::SquareWave {
@@ -349,7 +349,7 @@ impl Deserialize for TopologySpec {
         match v {
             Value::String(s) if s == "dumbbell" => Ok(TopologySpec::Dumbbell),
             Value::Object(m) if m.len() == 1 => {
-                let (variant, inner) = m.iter().next().expect("len == 1");
+                let (variant, inner) = m.iter().next().expect("the guard checked one entry");
                 match variant.as_str() {
                     "parking-lot" => Ok(TopologySpec::ParkingLot {
                         hops: usize::from_value(&inner["hops"])?,
@@ -896,7 +896,7 @@ mod tests {
 
     #[test]
     fn paper_traces_re_express_as_specs() {
-        for tr in canopy_traces::all_eval_traces(11) {
+        for tr in canopy_netsim::traces::all_eval_traces(11) {
             let spec = ScenarioSpec::from_eval_trace(tr.name(), 11);
             assert!(spec.validate().is_ok(), "{}", tr.name());
             let compiled = spec.trace.compile().unwrap();

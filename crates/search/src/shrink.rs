@@ -160,7 +160,11 @@ fn candidates(spec: &ScenarioSpec, config: &ShrinkConfig) -> Vec<(String, Scenar
     if let Some(sched) = &spec.impairments {
         for i in (0..sched.phases.len()).rev() {
             let mut s = spec.clone();
-            let phases = &mut s.impairments.as_mut().expect("present").phases;
+            let phases = &mut s
+                .impairments
+                .as_mut()
+                .expect("cloned from a spec with impairments")
+                .phases;
             phases.remove(i);
             if phases.is_empty() {
                 s.impairments = None;

@@ -50,11 +50,6 @@ impl SearchSpace {
         self.seed
     }
 
-    /// The configured horizon cap, if any.
-    pub fn duration_cap(&self) -> Option<Time> {
-        self.duration_cap
-    }
-
     /// Dimensionality of the unit cube.
     pub fn dims(&self) -> usize {
         self.dims

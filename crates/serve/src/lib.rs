@@ -1,5 +1,5 @@
 //! Fleet-scale serving: hundreds-to-thousands of self-driving flows on
-//! one simulator, paced against the wall clock.
+//! one simulator, run flat out and timed on the wall clock.
 //!
 //! The training and evaluation harnesses ask "what does this policy do to
 //! the network?"; this crate asks the deployment question instead: **can
@@ -10,10 +10,8 @@
 //! batched dispatch —
 //! flows sharing one policy that decide at the same instant cost one
 //! batched actor pass, not N scalar ones. [`Fleet::run`] measures
-//! sustained decisions/sec and
-//! per-decision latency quantiles; [`Fleet::run_realtime`] additionally
-//! paces dispatch so simulation time never runs ahead of the wall clock,
-//! which is how a live serving process would tick.
+//! sustained decisions/sec, per-decision latency quantiles and how much
+//! faster than real time the fleet ran.
 //!
 //! Model hot-swap is certificate-gated: [`Fleet::promote`] certifies the
 //! candidate actor against every flow's *current* decision context (one
@@ -31,8 +29,7 @@
 //!
 //! Wall-clock readings appear **only** in the returned [`FleetReport`]
 //! and in the live layer's wall-latency SLO feed; the simulation itself
-//! stays bitwise deterministic (pacing changes when work happens, never
-//! what it computes).
+//! stays bitwise deterministic.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -186,13 +183,6 @@ pub struct FleetReport {
     /// Whether any SLO breach was still active when the run finished.
     /// While true, [`Fleet::promote`] is vetoed.
     pub slo_breach_active: bool,
-}
-
-impl FleetReport {
-    /// Whether the fleet kept up with the wall clock.
-    pub fn sustains_realtime(&self) -> bool {
-        self.realtime_factor >= 1.0
-    }
 }
 
 /// The certification gate a candidate model must clear to be promoted.
@@ -363,18 +353,6 @@ impl Fleet {
     /// Runs the fleet flat out for `duration` of simulation time,
     /// measuring sustained throughput and per-decision latency.
     pub fn run(&mut self, duration: Time) -> FleetReport {
-        self.run_inner(duration, false)
-    }
-
-    /// [`run`](Self::run), but paced: each dispatch waits until the wall
-    /// clock has caught up with its simulation instant, the way a live
-    /// serving tick loop would. Throughput then reads as real-time rate,
-    /// and `realtime_factor` hovers near 1.0 when the fleet keeps up.
-    pub fn run_realtime(&mut self, duration: Time) -> FleetReport {
-        self.run_inner(duration, true)
-    }
-
-    fn run_inner(&mut self, duration: Time, pace: bool) -> FleetReport {
         let sim_start = self.sim.now();
         let horizon = sim_start + duration;
         let wall_start = Instant::now();
@@ -382,17 +360,6 @@ impl Fleet {
         let mut decisions = 0u64;
         let mut batches = 0u64;
         loop {
-            if pace {
-                let next = self.pool.next_decision();
-                if next >= horizon {
-                    break;
-                }
-                let due_ns = next.saturating_sub(sim_start).as_nanos();
-                let elapsed_ns = wall_start.elapsed().as_nanos() as u64;
-                if due_ns > elapsed_ns {
-                    std::thread::sleep(std::time::Duration::from_nanos(due_ns - elapsed_ns));
-                }
-            }
             let t0 = Instant::now();
             let Some(batch) = self.pool.dispatch_next(&mut self.sim, horizon) else {
                 break;
@@ -446,32 +413,25 @@ impl Fleet {
     /// Certificate-gated model hot-swap: certifies `candidate` against
     /// every flow's current decision context in one batched pass and
     /// deploys it only if the weakest aggregate clears the gate. On
-    /// rejection the running fleet is untouched. A candidate that is not a
+    /// rejection the running fleet is untouched. A candidate whose input
+    /// width is not the fleet's state layout, one that is not a
     /// single-output actor with finite parameters, and any candidate for a
     /// fleet with no flows (no live context to certify it on), is rejected
     /// before the verifier sees it (`min_qc` 0, `flows` 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the candidate's input width does not match the fleet's
-    /// state layout.
     pub fn promote(&mut self, candidate: Mlp, gate: &PromotionGate) -> PromoteOutcome {
-        assert_eq!(
-            candidate.input_dim(),
-            self.layout.dim(),
-            "candidate input width must match the fleet's state layout"
-        );
         let refused = |vetoed| PromoteOutcome {
             promoted: false,
             min_qc: 0.0,
             flows: 0,
             vetoed,
         };
-        // A non-finite parameter is no model to certify, the certificate
+        // A candidate of another input width reads some other state, a
+        // non-finite parameter is no model to certify, the certificate
         // reads output 0 as *the* action, and an empty fleet would promote
         // on no evidence at all.
-        let malformed =
-            candidate.output_dim() != 1 || candidate.params_flat().iter().any(|p| !p.is_finite());
+        let malformed = candidate.input_dim() != self.layout.dim()
+            || candidate.output_dim() != 1
+            || candidate.params_flat().iter().any(|p| !p.is_finite());
         if malformed || self.pool.is_empty() {
             return refused(false);
         }
@@ -571,7 +531,7 @@ mod tests {
         let report = fleet.run(Time::from_millis(100));
         assert_eq!(report.flows, 24);
         assert_eq!(report.decisions, 24 * 4);
-        assert!(report.sustains_realtime() || report.realtime_factor > 0.0);
+        assert!(report.realtime_factor > 0.0);
     }
 
     #[test]
@@ -582,20 +542,6 @@ mod tests {
         // Starts at 0/5/10/15 ms with a 20 ms MI never coincide.
         assert!((report.mean_batch - 1.0).abs() < 1e-9);
         assert!(report.batches > 0);
-    }
-
-    #[test]
-    fn realtime_pacing_does_not_outrun_the_wall_clock() {
-        let config = FleetConfig::dumbbell(2, 24e6, 3);
-        let mut fleet = Fleet::new(&config, actor(3, 4));
-        let report = fleet.run_realtime(Time::from_millis(50));
-        // Paced: the run takes at least as long as the last decision's
-        // instant (40 ms), so the factor cannot blow past real time.
-        assert!(
-            report.realtime_factor <= 1.5,
-            "paced run stayed near real time"
-        );
-        assert_eq!(report.decisions, 2 * 2);
     }
 
     #[test]
@@ -636,9 +582,10 @@ mod tests {
     }
 
     /// A candidate the verifier cannot soundly read — a NaN weight, a `±∞`
-    /// bias (which used to abort inside `Interval::new`), two outputs — is
-    /// rejected where it enters, and the fleet keeps its actor and its one
-    /// compiled policy.
+    /// bias (which used to abort inside `Interval::new`), two outputs, an
+    /// input width built for another history length (which used to panic)
+    /// — is rejected where it enters, and the fleet keeps its actor and its
+    /// one compiled policy.
     #[test]
     fn promote_rejects_malformed_candidates_without_certifying() {
         let gate = PromotionGate {
@@ -661,7 +608,14 @@ mod tests {
             &[StateLayout::new(3).dim(), 16, 2],
             Activation::Tanh,
         );
-        for candidate in [nan_weight, inf_bias, neg_inf_bias, two_outputs] {
+        let wider_history = constant_actor(4, 0.25);
+        for candidate in [
+            nan_weight,
+            inf_bias,
+            neg_inf_bias,
+            two_outputs,
+            wider_history,
+        ] {
             let outcome = fleet.promote(candidate, &gate);
             let rejected = PromoteOutcome {
                 promoted: false,

@@ -172,7 +172,7 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
     // Trainer and search events have no simulation clock; index them by
     // step/generation on a millisecond-spaced synthetic timeline.
     for e in &report.trainer {
-        let label = serde_json::to_string(e).expect("trainer event serializes");
+        let label = serde_json::to_string(e).expect("the JSON writer is infallible");
         events.push(obj(vec![
             ("ph", Value::String("i".into())),
             ("s", Value::String("t".into())),
@@ -212,7 +212,7 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
         ),
         ("traceEvents", Value::Array(events)),
     ]);
-    serde_json::to_string(&root).expect("chrome trace serializes")
+    serde_json::to_string(&root).expect("the JSON writer is infallible")
 }
 
 #[cfg(test)]

@@ -110,7 +110,10 @@ impl SpanStage {
 
     /// Index into [`SpanStage::ALL`].
     pub fn index(&self) -> usize {
-        SpanStage::ALL.iter().position(|s| s == self).unwrap()
+        SpanStage::ALL
+            .iter()
+            .position(|s| s == self)
+            .expect("ALL lists every stage")
     }
 }
 

@@ -59,8 +59,8 @@ pub use event::{
     BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, SpanStage, TrainerEvent,
 };
 pub use live::{
-    metrics_jsonl, AlertLedger, AlertRecord, LiveConfig, MetricsSnapshot, SloKind, SloSpec,
-    SloWatchdog, WindowCounterEntry, WindowHistogramEntry,
+    AlertLedger, AlertRecord, LiveConfig, MetricsSnapshot, SloKind, SloSpec, WindowCounterEntry,
+    WindowHistogramEntry,
 };
 pub use metrics::{
     HistogramSummary, LogHistogram, Registry, RollingWindow, WindowAggregate, WindowSpec,

@@ -68,7 +68,12 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Snapshots a registry at sim-time `t_ns`.
-    pub fn from_registry(registry: &Registry, label: &str, seq: u64, t_ns: u64) -> MetricsSnapshot {
+    pub(crate) fn from_registry(
+        registry: &Registry,
+        label: &str,
+        seq: u64,
+        t_ns: u64,
+    ) -> MetricsSnapshot {
         let (counters, histograms) = export_registry(registry);
         MetricsSnapshot {
             schema: Self::SCHEMA.to_string(),
@@ -102,7 +107,7 @@ impl MetricsSnapshot {
     /// Renders the snapshot as Prometheus-style text exposition.
     /// Deterministic: metrics appear in registry (name) order and floats
     /// use Rust's shortest-round-trip formatting.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "# {} label={} seq={} t_ns={}\n",
@@ -182,7 +187,7 @@ impl Artifact for MetricsSnapshot {
 
 /// Renders snapshots as the append-only JSONL stream (one canonical-JSON
 /// snapshot per line).
-pub fn metrics_jsonl(snapshots: &[MetricsSnapshot]) -> String {
+pub(crate) fn metrics_jsonl(snapshots: &[MetricsSnapshot]) -> String {
     let mut out = String::new();
     for s in snapshots {
         out.push_str(&s.to_json());
@@ -335,7 +340,7 @@ impl Artifact for AlertLedger {
 /// Evaluates a set of [`SloSpec`]s over the rolling windows at each
 /// snapshot boundary, appending breach/clear transitions to the ledger.
 #[derive(Clone, Debug)]
-pub struct SloWatchdog {
+pub(crate) struct SloWatchdog {
     specs: Vec<SloSpec>,
     active: BTreeSet<String>,
     ledger: AlertLedger,
@@ -354,7 +359,7 @@ impl SloWatchdog {
     /// Evaluates every objective against the registry's rolling windows
     /// (and the serving-only wall-latency window) at boundary `t_ns`.
     /// An objective with no window data keeps its current state.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &mut self,
         t_ns: u64,
         registry: &Registry,

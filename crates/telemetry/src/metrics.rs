@@ -108,7 +108,7 @@ impl LogHistogram {
     }
 
     /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -119,7 +119,7 @@ impl LogHistogram {
     /// The `q`-quantile (0..=1): the representative value of the bucket
     /// holding the rank-`round(q·(n−1))` observation, clamped to the
     /// observed min/max so single-bucket histograms report exactly.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -153,7 +153,7 @@ impl LogHistogram {
     }
 
     /// 95th percentile.
-    pub fn p95(&self) -> u64 {
+    pub(crate) fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
@@ -166,7 +166,7 @@ impl LogHistogram {
     /// of their value multisets, the merge is too — merging per-bucket
     /// histograms of a partitioned stream equals the histogram of the
     /// whole stream, in any merge order.
-    pub fn merge(&mut self, other: &LogHistogram) {
+    pub(crate) fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {
             return;
         }
@@ -354,7 +354,7 @@ impl Registry {
     }
 
     /// Adds `by` to the named counter, creating it at zero.
-    pub fn inc(&mut self, name: &'static str, by: u64) {
+    pub(crate) fn inc(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
@@ -374,19 +374,25 @@ impl Registry {
     }
 
     /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// Adds `by` at time `t_ns` to the named rolling-window counter,
     /// creating it with geometry `spec` on first use (later calls keep
     /// the original geometry).
-    pub fn inc_windowed(&mut self, name: &'static str, spec: WindowSpec, t_ns: u64, by: u64) {
+    pub(crate) fn inc_windowed(
+        &mut self,
+        name: &'static str,
+        spec: WindowSpec,
+        t_ns: u64,
+        by: u64,
+    ) {
         self.windowed_counters
             .entry(name)
             .or_insert_with(|| RollingWindow::new(spec))
@@ -395,7 +401,13 @@ impl Registry {
 
     /// Records `v` at time `t_ns` into the named rolling-window
     /// histogram, creating it with geometry `spec` on first use.
-    pub fn observe_windowed(&mut self, name: &'static str, spec: WindowSpec, t_ns: u64, v: u64) {
+    pub(crate) fn observe_windowed(
+        &mut self,
+        name: &'static str,
+        spec: WindowSpec,
+        t_ns: u64,
+        v: u64,
+    ) {
         self.windowed_histograms
             .entry(name)
             .or_insert_with(|| RollingWindow::new(spec))
@@ -405,7 +417,7 @@ impl Registry {
     /// Slides every rolling window forward to cover the bucket
     /// containing `t_ns` (used at snapshot boundaries so quiet metrics
     /// still evict stale buckets).
-    pub fn advance_windows(&mut self, t_ns: u64) {
+    pub(crate) fn advance_windows(&mut self, t_ns: u64) {
         for c in self.windowed_counters.values_mut() {
             c.advance_to(t_ns);
         }
@@ -415,22 +427,24 @@ impl Registry {
     }
 
     /// The named rolling-window counter, if it exists.
-    pub fn windowed_counter(&self, name: &str) -> Option<&RollingWindow<u64>> {
+    pub(crate) fn windowed_counter(&self, name: &str) -> Option<&RollingWindow<u64>> {
         self.windowed_counters.get(name)
     }
 
     /// The named rolling-window histogram, if it exists.
-    pub fn windowed_histogram(&self, name: &str) -> Option<&RollingWindow<LogHistogram>> {
+    pub(crate) fn windowed_histogram(&self, name: &str) -> Option<&RollingWindow<LogHistogram>> {
         self.windowed_histograms.get(name)
     }
 
     /// All rolling-window counters in name order.
-    pub fn windowed_counters(&self) -> impl Iterator<Item = (&'static str, &RollingWindow<u64>)> {
+    pub(crate) fn windowed_counters(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &RollingWindow<u64>)> {
         self.windowed_counters.iter().map(|(k, v)| (*k, v))
     }
 
     /// All rolling-window histograms in name order.
-    pub fn windowed_histograms(
+    pub(crate) fn windowed_histograms(
         &self,
     ) -> impl Iterator<Item = (&'static str, &RollingWindow<LogHistogram>)> {
         self.windowed_histograms.iter().map(|(k, v)| (*k, v))
@@ -461,7 +475,7 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     /// Summarizes one named histogram.
-    pub fn of(name: &str, h: &LogHistogram) -> HistogramSummary {
+    pub(crate) fn of(name: &str, h: &LogHistogram) -> HistogramSummary {
         HistogramSummary {
             name: name.to_string(),
             count: h.count(),

@@ -346,12 +346,12 @@ impl FlightRecorder {
     }
 
     /// The trainer-event stream.
-    pub fn trainer_events(&self) -> &Ring<TrainerEvent> {
+    pub(crate) fn trainer_events(&self) -> &Ring<TrainerEvent> {
         &self.trainer
     }
 
     /// The search-event stream.
-    pub fn search_events(&self) -> &Ring<SearchEvent> {
+    pub(crate) fn search_events(&self) -> &Ring<SearchEvent> {
         &self.search
     }
 }

@@ -35,13 +35,13 @@ pub use canopy_absint as absint;
 pub use canopy_cc as cc;
 pub use canopy_core as core;
 pub use canopy_netsim as netsim;
+pub use canopy_netsim::traces;
 pub use canopy_nn as nn;
 pub use canopy_rl as rl;
 pub use canopy_scenarios as scenarios;
 pub use canopy_search as search;
 pub use canopy_serve as serve;
 pub use canopy_telemetry as telemetry;
-pub use canopy_traces as traces;
 
 /// README.md's Rust examples, compiled as doctests so they keep up with
 /// the API they show.
