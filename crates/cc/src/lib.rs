@@ -7,8 +7,8 @@
 //!    Canopy) modulates: the learned agent reads `cwnd_tcp = cubic.cwnd()`
 //!    once per monitor interval and writes back `2^(2a) · cwnd_tcp`
 //!    (Eq. 1 of the paper).
-//! 2. Cubic, [`NewReno`], [`Vegas`], and BBR ([`by_name`]`("bbr")`) are the TCP baselines in
-//!    the evaluation figures (Figs. 9, 10, 12, 14, 15).
+//! 2. Cubic, [`NewReno`], [`Vegas`], and BBR (`by_name("bbr")`) are the
+//!    TCP baselines in the evaluation figures (Figs. 9, 10, 12, 14, 15).
 //!
 //! All window arithmetic is in packets, matching the simulator.
 

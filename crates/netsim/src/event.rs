@@ -19,8 +19,8 @@
 //!   RTO on every ACK, which in a heap-based calendar buries thousands of
 //!   stale timer entries. Only the most recently armed timer can ever
 //!   fire, so re-arming overwrites the slot, disarming empties it
-//!   (`EventQueue::cancel_rto`), and the slot is the one record of
-//!   whether the timer is live (`EventQueue::rto_pending`) — every
+//!   ([`EventQueue::cancel_rto`]), and the slot is the one record of
+//!   whether the timer is live ([`EventQueue::rto_pending`]) — every
 //!   timer that pops is live, with no generation counter to check.
 //!
 //! The shards merge through a tournament (winner) tree over one packed
@@ -66,7 +66,8 @@ pub(crate) enum Event {
     FlowStop(FlowId),
 }
 
-/// An event with its activation time and a monotone tie-break id.
+/// An event with its activation time (and, for the calendar's tests, the
+/// monotone id that broke its ties).
 #[derive(Clone, Debug)]
 pub(crate) struct ScheduledEvent {
     /// Activation time.
@@ -161,19 +162,7 @@ pub(crate) struct EventQueue {
     next_id: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue::new()
-    }
-}
-
 impl EventQueue {
-    /// Creates an empty calendar with a single link shard (the dumbbell
-    /// fast path).
-    pub fn new() -> EventQueue {
-        EventQueue::with_links(1)
-    }
-
     /// Creates an empty calendar with one shard per link of a
     /// `links`-link topology.
     pub(crate) fn with_links(links: usize) -> EventQueue {
@@ -350,10 +339,15 @@ impl EventQueue {
     }
 }
 
-/// What the calendar's own tests observe; the simulator only calls
-/// [`EventQueue::pop_due`].
+/// What the calendar's own tests use; the simulator builds it with
+/// [`EventQueue::with_links`] and drains it with [`EventQueue::pop_due`].
 #[cfg(test)]
 impl EventQueue {
+    /// An empty calendar with a single link shard (a dumbbell's).
+    fn new() -> EventQueue {
+        EventQueue::with_links(1)
+    }
+
     /// The activation time of the earliest pending event.
     fn peek_time(&mut self) -> Option<Time> {
         self.min_head().map(|(_, key)| time_of(key))

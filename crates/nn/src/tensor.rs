@@ -207,7 +207,7 @@ impl Matrix {
     /// order for every output element, with one fused `mul_add` per step,
     /// so each element is bitwise identical to a sequential fused dot
     /// product — and therefore to the scalar
-    /// `matvec`/`t_matvec` paths, which
+    /// [`matvec`](Self::matvec)/`t_matvec` paths, which
     /// use the same fused step. That invariant is what lets batched
     /// training reproduce the per-sample code path exactly; do not
     /// reorder the reduction or unfuse the step on one side only.
