@@ -17,7 +17,9 @@
 //! construction.
 //!
 //! There is one engine that schedules and computes self-driven decisions:
-//! [`DriverPool`]. A solo learned flow is a pool of one.
+//! [`DriverPool`]. A solo learned flow is a pool of one. The pool batches
+//! same-instant decisions per policy and forwards and certifies each
+//! distinct state of a batch once, however many flows share it.
 //!
 //! A policy has at most one certificate monitor
 //! ([`FallbackController`]), and so one per-decision `QC_sat` stream
@@ -504,6 +506,51 @@ impl CompiledPolicy {
         }
     }
 
+    /// Decides `n` same-instant contexts of this policy — one batched
+    /// forward and, under a monitor, one [`CertPlan`] run, each over the
+    /// distinct states among them only — and hands context `j`'s action and
+    /// Eq. (7) aggregate to `out(j, action, agg)`. A context shares its
+    /// representative's action and certified rows (both are row-wise in
+    /// the state), but its aggregate is judged against its own
+    /// `cwnd_tcp`/`cwnd_prev`.
+    fn decide<'a>(
+        &mut self,
+        n: usize,
+        ctx: impl Fn(usize) -> &'a StepContext + Sync,
+        distinct: &mut DistinctStates,
+        mut out: impl FnMut(usize, f64, Option<f64>),
+    ) {
+        distinct.group(n, |j| &ctx(j).state);
+        let DistinctStates {
+            reps,
+            rep_of,
+            actions,
+            ..
+        } = distinct;
+        let CompiledPolicy {
+            actor,
+            net,
+            plan,
+            scratch,
+            ..
+        } = self;
+        let (states, _) = scratch[0].stage(reps.len(), net.input_dim());
+        for (r, &j) in reps.iter().enumerate() {
+            states.set_row(r, &ctx(j).state);
+        }
+        let forward = net.forward_staged(&mut scratch[0]);
+        actions.clear();
+        actions.extend((0..reps.len()).map(|r| forward.get(r, 0)));
+        if let Some(plan) = plan {
+            plan.run(net, actor, reps.len(), |r| &ctx(reps[r]).state, scratch);
+        }
+        for (j, &r) in rep_of.iter().enumerate() {
+            let action = actions[r];
+            let agg = plan.as_ref().map(|p| p.aggregate(r, ctx(j), || action));
+            out(j, action, agg);
+        }
+    }
+
     /// Whether this entry was compiled from a policy exactly equal to
     /// `policy` up to its monitor's threshold (never called on the
     /// dispatch path).
@@ -579,12 +626,17 @@ impl PolicyTable {
 /// Same-instant decisions are **batched**: the pool prepares every due
 /// driver, groups the prepared states by compiled policy, runs one batched
 /// actor pass per group (and one [`CertPlan`] pass per group whose policy
-/// has a monitor), then applies the results in insertion order. The
-/// batched paths are bitwise identical to the per-sample paths and
-/// same-instant decisions are independent across flows, so a dispatch is
-/// bitwise identical to deciding flow by flow with per-call
-/// `Verifier::certify_all` and `Mlp::forward` — the oracle
-/// `tests/batched_pool.rs` rebuilds from the driver's public primitives.
+/// has a monitor), then applies the results in insertion order. Each pass
+/// covers each **distinct state once**: flows of a group whose states are
+/// bitwise equal (in practice, flows whose monitor windows saw no ACK)
+/// share one forward row and one block of certified rows, while each
+/// flow's certificate is still judged against its own windows. The
+/// batched paths are bitwise identical to the per-sample paths, every row
+/// depends on its own state alone, and same-instant decisions are
+/// independent across flows, so a dispatch is bitwise identical to
+/// deciding flow by flow with per-call `Verifier::certify_all` and
+/// `Mlp::forward` — the oracle `tests/batched_pool.rs` rebuilds from the
+/// driver's public primitives.
 #[derive(Debug)]
 pub struct DriverPool {
     drivers: Vec<OrcaDriver>,
@@ -605,16 +657,64 @@ pub struct DriverPool {
     dispatches: u64,
 }
 
-/// What one batched dispatch fills in: the prepared decisions, the
-/// distinct table slots among them (first-seen order), the current
-/// group's positions in `items`, and the per-item results.
+/// What one dispatch fills in: the drivers due, their prepared decisions,
+/// the distinct table slots among them (first-seen order), the current
+/// group's positions in `items` and its distinct states, and the per-item
+/// results. Reused across dispatches: once they have grown to the largest
+/// batch, neither the due list nor the grouping allocates.
 #[derive(Debug, Default)]
 struct BatchBuffers {
+    due: Vec<usize>,
     items: Vec<(usize, PreparedDecision)>,
     groups: Vec<usize>,
     members: Vec<usize>,
+    distinct: DistinctStates,
     actions: Vec<f64>,
     aggs: Vec<Option<f64>>,
+}
+
+/// One policy group's states, grouped by bit pattern: sorting an index
+/// buffer by `f64::to_bits` puts equal states in runs, so there is no
+/// hashing and no collision path.
+#[derive(Debug, Default)]
+struct DistinctStates {
+    /// Member indices in ascending (state bits, index) order.
+    order: Vec<usize>,
+    /// One member per distinct state: the lowest index of its run.
+    reps: Vec<usize>,
+    /// `rep_of[j]`: the position in `reps` of member `j`'s state.
+    rep_of: Vec<usize>,
+    /// The forward pass's action per entry of `reps`.
+    actions: Vec<f64>,
+}
+
+impl DistinctStates {
+    /// Groups the states of members `0..n`.
+    fn group<'a>(&mut self, n: usize, state: impl Fn(usize) -> &'a [f64]) {
+        let DistinctStates {
+            order,
+            reps,
+            rep_of,
+            ..
+        } = self;
+        reps.clear();
+        rep_of.clear();
+        rep_of.resize(n, 0);
+        if n == 1 {
+            reps.push(0);
+            return;
+        }
+        let bits = |j: usize| state(j).iter().map(|x| x.to_bits());
+        order.clear();
+        order.extend(0..n);
+        order.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
+        for (pos, &j) in order.iter().enumerate() {
+            if pos == 0 || !bits(j).eq(bits(order[pos - 1])) {
+                reps.push(j);
+            }
+            rep_of[j] = reps.len() - 1;
+        }
+    }
 }
 
 impl Default for DriverPool {
@@ -733,8 +833,8 @@ impl DriverPool {
     /// Advances the simulator to the earliest pending decision strictly
     /// before `horizon` and dispatches every driver due at that instant
     /// as one batch. Returns `None` without touching the simulator when
-    /// no decision is due — the single-step API `canopy_serve` paces its
-    /// wall-clock loop around.
+    /// no decision is due. This is the single-step API: `Fleet::run`
+    /// (`canopy_serve`) calls it flat out and times each batch it returns.
     pub fn dispatch_next(&mut self, sim: &mut Simulator, horizon: Time) -> Option<BatchDispatch> {
         let next = self.next_decision();
         if next >= horizon {
@@ -746,16 +846,16 @@ impl DriverPool {
         self.drain_link_samples(sim);
         // Pop everything due at this instant; the heap yields equal-time
         // entries in ascending index order, i.e. insertion order.
-        let mut due = Vec::new();
+        self.batch.due.clear();
         while let Some(&Reverse((t, i))) = self.queue.peek() {
             if t > next {
                 break;
             }
             self.queue.pop();
-            due.push(i);
+            self.batch.due.push(i);
         }
-        let dispatch = self.dispatch_batched(sim, &due);
-        for &i in &due {
+        let dispatch = self.dispatch_batched(sim);
+        for &i in &self.batch.due {
             let nd = self.drivers[i].next_decision;
             if nd < Time::MAX {
                 self.queue.push(Reverse((nd, i)));
@@ -794,9 +894,13 @@ impl DriverPool {
         }
     }
 
-    /// One batched dispatch: prepare all due drivers in insertion order,
-    /// group by compiled policy, one batched actor/certification pass per
-    /// group, apply in insertion order.
+    /// One batched dispatch of the drivers in `batch.due`: prepare them in
+    /// insertion order, group by compiled policy, one batched
+    /// actor/certification pass per group, apply in insertion order. Each
+    /// group's pass covers each distinct state once
+    /// ([`CompiledPolicy::decide`]): flows whose states are bitwise equal
+    /// share one forward row and one block of certified rows, and each
+    /// flow's certificate is still judged against its own windows.
     ///
     /// When a recorder is attached, each decision emits one
     /// [`DecisionRecord`] right after its driver applies it, and the
@@ -805,7 +909,7 @@ impl DriverPool {
     /// children). Both are stamped in simulation time. A span carries its
     /// stage and item count only (`dur_ns = 0`), so a recording holds no
     /// wall-clock bytes.
-    fn dispatch_batched(&mut self, sim: &mut Simulator, due: &[usize]) -> BatchDispatch {
+    fn dispatch_batched(&mut self, sim: &mut Simulator) -> BatchDispatch {
         let DriverPool {
             drivers,
             slots,
@@ -816,15 +920,17 @@ impl DriverPool {
             ..
         } = self;
         let BatchBuffers {
+            due,
             items,
             groups,
             members,
+            distinct,
             actions,
             aggs,
         } = batch;
         let recorder = recorder.as_ref();
         items.clear();
-        for &i in due {
+        for &i in due.iter() {
             if let Some(prepared) = drivers[i].prepare_decision(sim) {
                 items.push((i, prepared));
             }
@@ -854,32 +960,17 @@ impl DriverPool {
         for &slot in groups.iter() {
             members.clear();
             members.extend((0..items.len()).filter(|&pos| slots[items[pos].0] == slot));
-            let ctx_of = |j: usize| &items[members[j]].1.ctx;
             let compiled = table.entries[slot]
                 .as_mut()
                 .expect("pooled drivers point at live entries");
-            let CompiledPolicy {
-                actor,
-                net,
-                plan,
-                scratch,
-                ..
-            } = compiled;
-            let (states, _) = scratch[0].stage(members.len(), net.input_dim());
-            for j in 0..members.len() {
-                states.set_row(j, &ctx_of(j).state);
-            }
-            let out = net.forward_staged(&mut scratch[0]);
-            for (j, &pos) in members.iter().enumerate() {
-                actions[pos] = out.get(j, 0);
-            }
-            if let Some(plan) = plan {
-                plan.run(net, actor, members.len(), |j| &ctx_of(j).state, scratch);
-                for (j, &pos) in members.iter().enumerate() {
-                    aggs[pos] = Some(plan.aggregate(j, ctx_of(j), || actions[pos]));
-                }
+            if compiled.plan.is_some() {
                 certify_items += members.len() as u64;
             }
+            let ctx_of = |j: usize| &items[members[j]].1.ctx;
+            compiled.decide(members.len(), ctx_of, distinct, |j, action, agg| {
+                actions[members[j]] = action;
+                aggs[members[j]] = agg;
+            });
         }
         let t_ns = at.as_nanos();
         for (pos, (i, prepared)) in items.iter().enumerate() {
@@ -1076,6 +1167,87 @@ mod tests {
         assert_eq!(observed.fallback_engagements(), None);
         let first = |d: &OrcaDriver| d.fallback_qc_values()[0].to_bits();
         assert_eq!(first(&fb), first(&observed));
+    }
+
+    /// Seven contexts of one policy over four distinct states — one a
+    /// state that differs from another only by the sign of a zero — with
+    /// duplicates that differ in their windows. The forward pass and the
+    /// plan each see the four states, and every context's action and
+    /// aggregate equal its own `Mlp::forward` and `Verifier::certify_all`
+    /// bit for bit. Mutation-checked: handing each context the
+    /// neighbouring representative's action and rows fails this test, and
+    /// so does handing them to the repeated contexts alone.
+    #[test]
+    fn each_distinct_state_is_forwarded_and_certified_once() {
+        let layout = StateLayout::new(3);
+        let net = actor(3, 9);
+        let mut states: Vec<Vec<f64>> = (0..3)
+            .map(|s| {
+                (0..layout.dim())
+                    .map(|i| ((9 * s + 7 * i) % 11) as f64 / 10.0)
+                    .collect()
+            })
+            .collect();
+        let mut signed = states[0].clone();
+        assert_eq!(signed[0].to_bits(), 0);
+        signed[0] = -0.0;
+        states.push(signed);
+        let ctxs: Vec<StepContext> = [2, 0, 3, 2, 1, 0, 2]
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| StepContext {
+                state: states[s].clone(),
+                cwnd_tcp: 10.0 + 7.0 * j as f64,
+                cwnd_prev: 12.0 + 5.0 * j as f64,
+            })
+            .collect();
+        let props = Property::shallow_set(&PropertyParams::default());
+        for monitor in [None, Some(FallbackController::observing(props, 4))] {
+            let mut policy = DriverPolicy::new(net.clone());
+            if let Some(m) = &monitor {
+                policy = policy.with_fallback(m.clone());
+            }
+            let mut compiled = CompiledPolicy::compile(&policy, layout);
+            let mut got = Vec::new();
+            let mut distinct = DistinctStates::default();
+            compiled.decide(
+                ctxs.len(),
+                |j| &ctxs[j],
+                &mut distinct,
+                |j, a, agg| got.push((j, a.to_bits(), agg.map(f64::to_bits))),
+            );
+            // The last pass staged one row per distinct state (forward) or
+            // per distinct state, property and component (certification).
+            let rows_per_state = monitor.as_ref().map_or(1, |m| m.properties().len() * 4);
+            let staged = compiled.scratch[0].staged().0.rows();
+            assert_eq!(
+                staged,
+                4 * rows_per_state,
+                "monitored: {}",
+                monitor.is_some()
+            );
+            let want: Vec<_> = ctxs
+                .iter()
+                .enumerate()
+                .map(|(j, ctx)| {
+                    let qc = monitor.as_ref().map(|m| {
+                        m.verifier()
+                            .certify_all(&net, m.properties(), layout, ctx)
+                            .1
+                    });
+                    (
+                        j,
+                        net.forward(&ctx.state)[0].to_bits(),
+                        qc.map(f64::to_bits),
+                    )
+                })
+                .collect();
+            assert_eq!(got, want);
+            // Contexts 0 and 3 share a state, not their windows.
+            if monitor.is_some() {
+                assert_ne!(got[0].2, got[3].2);
+            }
+        }
     }
 
     #[test]

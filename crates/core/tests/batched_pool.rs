@@ -69,6 +69,10 @@ struct Scenario {
     /// The last flow's actor is hot-swapped at 300 ms — exercises
     /// re-interning (no stale compiled policy).
     swap: bool,
+    /// The bottleneck runs at half rate and is dark for its first `OUTAGE`:
+    /// flows see empty monitor windows, and those whose first windows were
+    /// lost see no ACK at all, so their states coincide bit for bit.
+    outage: bool,
     duration: Time,
 }
 
@@ -81,6 +85,10 @@ fn actor(seed: u64) -> Mlp {
     )
 }
 
+/// How long the outage scenarios' bottleneck carries nothing from the start
+/// of each one-second cycle of its trace.
+const OUTAGE: Time = Time::from_millis(300);
+
 fn link(name: &str, rate_bps: f64) -> LinkConfig {
     LinkConfig::with_bdp_buffer(
         BandwidthTrace::constant(name, rate_bps),
@@ -92,7 +100,11 @@ fn link(name: &str, rate_bps: f64) -> LinkConfig {
 /// The scenario's simulator and its self-driving drivers, in insertion
 /// order, not yet owned by any engine.
 fn build(s: &Scenario) -> (Simulator, Vec<OrcaDriver>) {
-    let bottleneck = link("bp", 96e6);
+    let mut bottleneck = link("bp", if s.outage { 48e6 } else { 96e6 });
+    if s.outage {
+        let dark = BandwidthTrace::constant("dark", 0.0);
+        bottleneck.trace = bottleneck.trace.spliced(Time::ZERO, &dark, OUTAGE);
+    }
     let mut sim = match s.topo {
         Topo::Single => Simulator::new(bottleneck.clone()),
         Topo::ParkingLot => Simulator::with_topology(Topology::parking_lot(bottleneck.clone(), 3)),
@@ -214,18 +226,28 @@ fn run_pool(s: &Scenario) -> Fingerprint {
 
 /// The oracle's `run_until`: every decision scheduled strictly before
 /// `horizon`, earliest first, same-instant ties in insertion order, each
-/// one computed on its own through the per-call entry points.
-fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Time) {
+/// one computed on its own through the per-call entry points. Returns how
+/// many decisions repeat, bit for bit, the state of an earlier decision at
+/// the same instant (the pool forwards and certifies such a state once).
+fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Time) -> usize {
     let due = |drivers: &[OrcaDriver]| {
         let next = drivers.iter().map(OrcaDriver::next_decision).min();
         next.filter(|&t| t < horizon)
     };
+    let mut repeats = 0;
     while let Some(next) = due(drivers) {
         sim.run_until(next);
+        let mut seen: Vec<Vec<u64>> = Vec::new();
         for d in drivers.iter_mut().filter(|d| d.next_decision() == next) {
             let Some(prepared) = d.prepare_decision(sim) else {
                 continue;
             };
+            let bits: Vec<u64> = prepared.ctx.state.iter().map(|x| x.to_bits()).collect();
+            if seen.contains(&bits) {
+                repeats += 1;
+            } else {
+                seen.push(bits);
+            }
             let policy = d.policy().expect("self-driving");
             let action = policy.actor().forward(&prepared.ctx.state)[0];
             let qc_sat = policy.monitor().map(|m| {
@@ -238,17 +260,20 @@ fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Ti
         }
     }
     sim.run_until(horizon);
+    repeats
 }
 
-fn run_oracle(s: &Scenario) -> Fingerprint {
+/// The oracle's fingerprint and its count of same-instant repeated states.
+fn run_oracle(s: &Scenario) -> (Fingerprint, usize) {
     let (mut sim, mut drivers) = build(s);
+    let mut repeats = 0;
     if s.swap {
-        oracle_run_until(&mut sim, &mut drivers, SWAP_AT);
+        repeats += oracle_run_until(&mut sim, &mut drivers, SWAP_AT);
         drivers[s.flows - 1].swap_actor(actor(SWAP_SEED));
     }
-    oracle_run_until(&mut sim, &mut drivers, s.duration);
+    repeats += oracle_run_until(&mut sim, &mut drivers, s.duration);
     assert_eq!(sim.now(), s.duration);
-    fingerprint(&sim, &drivers)
+    (fingerprint(&sim, &drivers), repeats)
 }
 
 proptest! {
@@ -278,9 +303,10 @@ proptest! {
             mixed_actors,
             departing,
             swap,
+            outage: false,
             duration: Time::from_millis(600),
         };
-        prop_assert_eq!(run_pool(&s), run_oracle(&s), "engines diverged on {:?}", s);
+        prop_assert_eq!(run_pool(&s), run_oracle(&s).0, "engines diverged on {:?}", s);
     }
 }
 
@@ -297,13 +323,48 @@ fn synchronized_qc_fleet_matches_the_oracle_bitwise() {
         mixed_actors: false,
         departing: false,
         swap: false,
+        outage: false,
         duration: Time::from_secs(1),
     };
     let batched = run_pool(&s);
-    assert_eq!(batched, run_oracle(&s));
+    assert_eq!(batched, run_oracle(&s).0);
     // Sanity: decisions actually fired (49 per flow at a 20 ms MI less
     // the strict-horizon boundary).
     assert!(batched.iter().all(|d| d.0 == 49));
+}
+
+/// Most flows of each batch share a state: 24 identical synchronized flows
+/// on one dumbbell that is dark for its first 300 ms. Every batch of the
+/// outage is one state; after it, the flows that still see no ACK share
+/// states while the others spread out (10 distinct states in each batch of
+/// 24 from 360 ms on). That is the case the pool forwards and certifies once per
+/// distinct state, each flow still judged and arbitrated against its own
+/// windows. The oracle decides every flow on its own and counts the
+/// repeats, so the race covers the grouping only because repeats really
+/// occur. Mutation-checked: handing each flow the neighbouring distinct
+/// state's action and certified rows fails this test, and so does handing
+/// them to the repeats alone, which every other test here passes.
+#[test]
+fn a_batch_of_repeated_states_matches_the_oracle_bitwise() {
+    let s = Scenario {
+        flows: 24,
+        topo: Topo::Single,
+        policy: PolicyKind::Arbitrated,
+        noisy: false,
+        aligned: true,
+        mixed_actors: false,
+        departing: false,
+        swap: false,
+        outage: true,
+        duration: Time::from_secs(1),
+    };
+    let (oracle, repeats) = run_oracle(&s);
+    let decisions: u64 = oracle.iter().map(|d| d.0).sum();
+    assert!(
+        2 * repeats as u64 > decisions,
+        "only {repeats} of {decisions} decisions repeat a state of their batch"
+    );
+    assert_eq!(run_pool(&s), oracle);
 }
 
 #[test]
@@ -317,9 +378,10 @@ fn fallback_arbitration_matches_the_oracle_bitwise() {
         mixed_actors: true,
         departing: true,
         swap: true,
+        outage: false,
         duration: Time::from_millis(800),
     };
-    assert_eq!(run_pool(&s), run_oracle(&s));
+    assert_eq!(run_pool(&s), run_oracle(&s).0);
 }
 
 /// A monitored policy pays exactly one certification pass per decision,
@@ -345,6 +407,7 @@ fn a_monitored_decision_is_certified_once() {
             mixed_actors: true,
             departing: true,
             swap: true,
+            outage: false,
             duration: Time::from_millis(500),
         };
         let (mut sim, mut pool) = build_pool(&s);
@@ -385,6 +448,7 @@ fn batched_runs_emit_consistent_batch_telemetry() {
         mixed_actors: true,
         departing: false,
         swap: false,
+        outage: false,
         duration: Time::from_millis(400),
     };
     let (mut sim, mut pool) = build_pool(&s);
@@ -439,6 +503,7 @@ fn recorded_stream_of_a_two_group_arbitrated_pool_is_pinned() {
         mixed_actors: true,
         departing: true,
         swap: false,
+        outage: false,
         duration: Time::from_millis(600),
     };
     let (mut sim, mut pool) = build_pool(&s);
