@@ -4,21 +4,27 @@
 //! of `common::ROWS` token for token, and no other command writes to a
 //! committed artifact's path; every backticked repository path exists;
 //! every grep recipe in the verify notes prints the result it states;
-//! README.md stays short; and CI's search-smoke hunt covers every family.
+//! every `canopy-<name>/v<N>` schema tag in README.md, ci.yml and the
+//! crates' doc comments is a current `Artifact::SCHEMA`; README.md stays
+//! short; and CI's search-smoke hunt covers every family.
 //! A renamed flag, a moved file or a stale count fails here, not in a
 //! reader's shell.
 
+use std::collections::BTreeSet;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use canopy_bench::cli::{FiguresCmd, HardenOpts, LabOpts, SearchOpts, ServeLabOpts};
-use canopy_scenarios::Family;
+use canopy_scenarios::{Family, ScenarioReport};
+use canopy_search::{AdversarialFixture, RobustnessLedger, SearchReport};
+use canopy_telemetry::{AlertLedger, Artifact, MetricsSnapshot, TelemetryReport};
 
 mod common;
 use common::{repo_root, ROWS};
 
 const README: &str = "README.md";
+const CI: &str = ".github/workflows/ci.yml";
 const VERIFY_NOTES: &str = ".claude/skills/verify/SKILL.md";
 
 /// The documents held to the code.
@@ -377,6 +383,110 @@ fn every_verify_recipe_prints_its_stated_result() {
     assert!(checked >= 21, "only {checked} recipes found");
 }
 
+/// The seven committed artifact schemas, each its type's own tag.
+const SCHEMAS: [&str; 7] = [
+    TelemetryReport::SCHEMA,
+    MetricsSnapshot::SCHEMA,
+    AlertLedger::SCHEMA,
+    ScenarioReport::SCHEMA,
+    SearchReport::SCHEMA,
+    AdversarialFixture::SCHEMA,
+    RobustnessLedger::SCHEMA,
+];
+
+/// Every `canopy-<name>/v<N>` tag in `line`.
+fn schema_tags(line: &str) -> Vec<&str> {
+    const PREFIX: &str = "canopy-";
+    let mut tags = Vec::new();
+    for (at, _) in line.match_indices(PREFIX) {
+        let tail = &line[at..];
+        let name = PREFIX.len()
+            + tail[PREFIX.len()..]
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(tail.len() - PREFIX.len());
+        let Some(version) = tail[name..].strip_prefix("/v") else {
+            continue;
+        };
+        let digits = version
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(version.len());
+        if digits > 0 {
+            tags.push(&tail[..name + "/v".len() + digits]);
+        }
+    }
+    tags
+}
+
+/// The `.rs` files under `dir`, recursively.
+fn rust_files(dir: &Path, found: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, found);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            found.push(path);
+        }
+    }
+}
+
+/// A schema version lives in its type's `Artifact::SCHEMA`; every
+/// tag README.md, ci.yml or a `//!`/`///` doc under `crates/*/src` names
+/// must be one of the current seven, and README names all seven. Checked
+/// by hand on a copy of the tree after the telemetry bump to v3: leaving
+/// `canopy-telemetry/v2` in README.md's recorder example, in ci.yml's
+/// outside validator or in `scenario_lab.rs`'s module doc fails this
+/// test, which names each file, line and tag.
+#[test]
+fn every_documented_schema_tag_is_current() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("crate directory").path().join("src"),
+            &mut sources,
+        );
+    }
+    sources.sort();
+    let mut docs = vec![(README.to_string(), read(README), false)];
+    docs.push((CI.to_string(), read(CI), false));
+    for path in sources {
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let shown = path
+            .strip_prefix(&root)
+            .unwrap_or(&path)
+            .display()
+            .to_string();
+        docs.push((shown, text, true));
+    }
+    let mut stale = Vec::new();
+    let mut in_readme = BTreeSet::new();
+    for (doc, text, doc_comments_only) in &docs {
+        for (i, line) in text.lines().enumerate() {
+            let trimmed = line.trim_start();
+            if *doc_comments_only && !(trimmed.starts_with("//!") || trimmed.starts_with("///")) {
+                continue;
+            }
+            for tag in schema_tags(line) {
+                if !SCHEMAS.contains(&tag) {
+                    stale.push(format!("{doc}:{}: {tag}", i + 1));
+                } else if doc == README {
+                    in_readme.insert(tag);
+                }
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "tags that are no current Artifact::SCHEMA ({SCHEMAS:?}):\n{}",
+        stale.join("\n")
+    );
+    let missing: Vec<&str> = SCHEMAS
+        .into_iter()
+        .filter(|s| !in_readme.contains(s))
+        .collect();
+    assert!(missing.is_empty(), "README.md names no {missing:?}");
+}
+
 #[test]
 fn readme_is_at_most_700_lines() {
     let lines = read(README).lines().count();
@@ -388,7 +498,7 @@ fn readme_is_at_most_700_lines() {
 
 #[test]
 fn ci_search_smoke_hunts_every_family() {
-    let ci = read(".github/workflows/ci.yml");
+    let ci = read(CI);
     let loops: Vec<Vec<&str>> = ci
         .lines()
         .filter_map(|line| line.split_once("for fam in "))

@@ -52,7 +52,7 @@ use rand::{Rng, SeedableRng};
 use canopy_absint::{IbpBatchScratch, PreparedMlp};
 use canopy_netsim::{FlowId, LinkConfig, MonitorSample, Simulator, Time};
 use canopy_nn::Mlp;
-use canopy_telemetry::{BatchRecord, DecisionRecord, SharedRecorder, SpanRecord, SpanStage};
+use canopy_telemetry::{BatchRecord, DecisionRecord, SharedRecorder};
 
 use crate::env::NoiseConfig;
 use crate::obs::{Normalizer, Observation, StateBuilder, StateLayout};
@@ -649,12 +649,11 @@ pub struct DriverPool {
     /// ascending `(time, index)`, which *is* the insertion-order
     /// tie-break for equal times.
     queue: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Where each decision, each dispatch's [`BatchRecord`] and the
+    /// simulator's link samples go, when attached.
     recorder: Option<SharedRecorder>,
     /// Per-dispatch working set, reused across dispatches.
     batch: BatchBuffers,
-    /// Batched dispatches executed so far — the span profiler's batch
-    /// sequence number (deterministic: one per non-empty dispatch).
-    dispatches: u64,
 }
 
 /// What one dispatch fills in: the drivers due, their prepared decisions,
@@ -745,7 +744,6 @@ impl DriverPool {
             queue: BinaryHeap::new(),
             recorder: None,
             batch: BatchBuffers::default(),
-            dispatches: 0,
         }
     }
 
@@ -817,7 +815,7 @@ impl DriverPool {
 
     /// Attaches (or detaches) the recorder. The pool is the one place a
     /// decision is recorded: each applied decision, each batch dispatch,
-    /// its spans, and the simulator's link samples. Records stay
+    /// and the simulator's link samples. Records stay
     /// `CANOPY_THREADS`-invariant: the pool dispatches decisions on the
     /// coordinator thread in deterministic order.
     pub fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
@@ -903,12 +901,9 @@ impl DriverPool {
     /// flow's certificate is still judged against its own windows.
     ///
     /// When a recorder is attached, each decision emits one
-    /// [`DecisionRecord`] right after its driver applies it, and the
-    /// dispatch then emits one [`SpanRecord`] per hot-path stage (a
-    /// `dispatch` parent plus `prepare`/`group`/`forward`/`certify`/`apply`
-    /// children). Both are stamped in simulation time. A span carries its
-    /// stage and item count only (`dur_ns = 0`), so a recording holds no
-    /// wall-clock bytes.
+    /// [`DecisionRecord`], stamped in simulation time, right after its
+    /// driver applies it; [`dispatch_next`](Self::dispatch_next) then
+    /// records the dispatch as one [`BatchRecord`].
     fn dispatch_batched(&mut self, sim: &mut Simulator) -> BatchDispatch {
         let DriverPool {
             drivers,
@@ -916,7 +911,6 @@ impl DriverPool {
             table,
             batch,
             recorder,
-            dispatches,
             ..
         } = self;
         let BatchBuffers {
@@ -956,16 +950,12 @@ impl DriverPool {
         actions.resize(items.len(), 0.0);
         aggs.clear();
         aggs.resize(items.len(), None);
-        let mut certify_items = 0u64;
         for &slot in groups.iter() {
             members.clear();
             members.extend((0..items.len()).filter(|&pos| slots[items[pos].0] == slot));
             let compiled = table.entries[slot]
                 .as_mut()
                 .expect("pooled drivers point at live entries");
-            if compiled.plan.is_some() {
-                certify_items += members.len() as u64;
-            }
             let ctx_of = |j: usize| &items[members[j]].1.ctx;
             compiled.decide(members.len(), ctx_of, distinct, |j, action, agg| {
                 actions[members[j]] = action;
@@ -996,28 +986,6 @@ impl DriverPool {
                 fallback: !by_agent,
             });
         }
-        if let Some(rec) = recorder {
-            let n = items.len() as u64;
-            let stages = [
-                (SpanStage::Dispatch, n),
-                (SpanStage::Prepare, due.len() as u64),
-                (SpanStage::Group, n),
-                (SpanStage::Forward, n),
-                (SpanStage::Certify, certify_items),
-                (SpanStage::Apply, n),
-            ];
-            let mut rec = rec.borrow_mut();
-            for (stage, items) in stages {
-                rec.record_span(&SpanRecord {
-                    t_ns,
-                    batch: *dispatches,
-                    stage,
-                    items,
-                    dur_ns: 0,
-                });
-            }
-        }
-        *dispatches += 1;
         BatchDispatch {
             at,
             decisions: items.len(),

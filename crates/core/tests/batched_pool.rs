@@ -385,11 +385,12 @@ fn fallback_arbitration_matches_the_oracle_bitwise() {
 }
 
 /// A monitored policy pays exactly one certification pass per decision,
-/// observing or arbitrating, and a plain one none: the certify span's item
-/// count is the number of (decision, pass) pairs.
+/// observing or arbitrating, and a plain one none: the registry's
+/// `decisions_certified_total` counts the decisions that carry a
+/// certificate, and the monitor's `QC_sat` stream holds one value each.
 #[test]
 fn a_monitored_decision_is_certified_once() {
-    use canopy_telemetry::{FlightRecorder, SpanStage};
+    use canopy_telemetry::FlightRecorder;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -415,12 +416,14 @@ fn a_monitored_decision_is_certified_once() {
         pool.set_recorder(Some(recorder.clone()));
         pool.run_until(&mut sim, s.duration);
         let decisions: u64 = pool.drivers().iter().map(|d| d.decisions()).sum();
-        let totals = recorder.borrow().span_stage_totals();
-        let certified = totals
-            .iter()
-            .find(|t| t.0 == SpanStage::Certify)
-            .expect("stage");
-        assert_eq!(certified.2, passes * decisions, "{policy:?}");
+        let rec = recorder.borrow();
+        let registry = rec.registry();
+        assert_eq!(registry.counter("decisions_total"), decisions, "{policy:?}");
+        assert_eq!(
+            registry.counter("decisions_certified_total"),
+            passes * decisions,
+            "{policy:?}"
+        );
         let streamed: u64 = pool
             .drivers()
             .iter()
@@ -530,7 +533,7 @@ fn recorded_stream_of_a_two_group_arbitrated_pool_is_pinned() {
     let json = TelemetryReport::from_recorder(&rec, "pinned", "two-group").to_json();
     assert_eq!(
         fnv1a(&json),
-        0xf7cd_ab58_5f1e_2bfd,
+        0xe0e7_684f_6fc5_de56,
         "report digest moved; the report as found:\n{json}"
     );
 }

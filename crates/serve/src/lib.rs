@@ -472,7 +472,9 @@ mod tests {
     use super::*;
     use canopy_core::property::PropertyParams;
     use canopy_nn::Activation;
-    use canopy_telemetry::{Artifact, LiveConfig, RecorderConfig, SloKind, SloSpec, SpanStage};
+    use canopy_telemetry::{
+        Artifact, LiveConfig, RecorderConfig, SloKind, SloSpec, TelemetryReport,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -827,10 +829,10 @@ mod tests {
     }
 
     #[test]
-    fn span_table_accounts_for_the_decision_path() {
-        // Every dispatch emits one span per stage; each stage but the
-        // certification (the fleet has no monitor) covers every decision,
-        // and no span carries a wall-clock duration.
+    fn batch_stream_accounts_for_the_decision_path() {
+        // Every dispatch leaves one batch record; their sizes cover every
+        // decision, and no decision is certified (the fleet has no
+        // monitor).
         let config = FleetConfig::dumbbell(32, 192e6, 3);
         let mut fleet = Fleet::new(&config, actor(3, 7));
         let rec = Rc::new(RefCell::new(FlightRecorder::default()));
@@ -838,18 +840,16 @@ mod tests {
         let report = fleet.run(Time::from_millis(200));
         assert!(report.decisions > 0);
         let rec = rec.borrow();
-        let totals = rec.span_stage_totals();
-        assert_eq!(totals.len(), SpanStage::ALL.len());
-        for (stage, count, items, dur_ns) in totals {
-            assert_eq!(count, report.batches, "{stage:?}");
-            let covered = if stage == SpanStage::Certify {
-                0
-            } else {
-                report.decisions
-            };
-            assert_eq!(items, covered, "{stage:?}");
-            assert_eq!(dur_ns, 0, "{stage:?}");
-        }
+        let batches = rec.batches();
+        assert_eq!(batches.dropped(), 0, "the ring kept every dispatch");
+        assert_eq!(batches.len() as u64, report.batches);
+        let sizes: u64 = batches.iter().map(|b| b.size).sum();
+        assert_eq!(sizes, report.decisions);
+        let exported = TelemetryReport::from_recorder(&rec, "fleet", "plain");
+        assert!(exported
+            .counters
+            .iter()
+            .all(|c| c.name != "decisions_certified_total"));
     }
 
     #[test]

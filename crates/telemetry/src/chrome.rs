@@ -3,22 +3,22 @@
 //! Emits the classic `traceEvents` JSON array format, which both
 //! `chrome://tracing` and <https://ui.perfetto.dev> open directly:
 //! decision instants per flow track, link queue depth / utilization /
-//! drops as counter tracks, and trainer/search events on their own
-//! tracks. Timestamps are simulation microseconds; the output is
-//! canonical (sorted keys, deterministic float formatting) so traces diff
-//! cleanly across runs.
+//! drops and the batched dispatch sizes as counter tracks, and
+//! trainer/search events on their own tracks. Timestamps are simulation
+//! microseconds; the output is canonical (sorted keys, deterministic float
+//! formatting) so traces diff cleanly across runs.
 
 use serde::{Map, Value};
 
 use crate::report::TelemetryReport;
 
-/// Process ids of the synthetic trace: flows, links, trainer, search.
+/// Process ids of the synthetic trace: flows, links, trainer, search,
+/// batches.
 const PID_FLOWS: u64 = 1;
 const PID_LINKS: u64 = 2;
 const PID_TRAINER: u64 = 3;
 const PID_SEARCH: u64 = 4;
 const PID_BATCHES: u64 = 5;
-const PID_SPANS: u64 = 6;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
     let mut m = Map::new();
@@ -50,7 +50,6 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
         meta(PID_TRAINER, 0, "process_name", "trainer"),
         meta(PID_SEARCH, 0, "process_name", "search"),
         meta(PID_BATCHES, 0, "process_name", "batching"),
-        meta(PID_SPANS, 0, "process_name", "hot path"),
     ];
 
     let mut named_flows: Vec<u64> = Vec::new();
@@ -133,42 +132,6 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
         ]));
     }
 
-    // Hot-path spans as complete ("X") duration events. Each batch's
-    // `dispatch` span is the parent; its child stages are laid out
-    // back-to-back from the parent's start (children nest under the
-    // parent when contained in its duration, which holds by
-    // construction: the stages partition the dispatch).
-    let mut child_offset_ns = 0u64;
-    for s in &report.spans {
-        let name = s.stage.name();
-        if name == "dispatch" {
-            child_offset_ns = 0;
-        }
-        let ts_ns = if name == "dispatch" {
-            s.t_ns
-        } else {
-            let ts = s.t_ns + child_offset_ns;
-            child_offset_ns += s.dur_ns;
-            ts
-        };
-        events.push(obj(vec![
-            ("ph", Value::String("X".into())),
-            ("pid", Value::U64(PID_SPANS)),
-            ("tid", Value::U64(0)),
-            ("ts", us(ts_ns)),
-            ("dur", us(s.dur_ns)),
-            ("name", Value::String(name.into())),
-            ("cat", Value::String("span".into())),
-            (
-                "args",
-                obj(vec![
-                    ("batch", Value::U64(s.batch)),
-                    ("items", Value::U64(s.items)),
-                ]),
-            ),
-        ]));
-    }
-
     // Trainer and search events have no simulation clock; index them by
     // step/generation on a millisecond-spaced synthetic timeline.
     for e in &report.trainer {
@@ -218,7 +181,7 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{BatchRecord, DecisionRecord, LinkSample, SpanRecord, SpanStage};
+    use crate::event::{BatchRecord, DecisionRecord, LinkSample};
     use crate::recorder::{FlightRecorder, Recorder};
 
     #[test]
@@ -260,47 +223,5 @@ mod tests {
         assert!(a.contains("\"decisions per batch\""));
         let parsed: serde::Value = serde_json::from_str(&a).expect("valid JSON");
         assert!(parsed["traceEvents"].as_array().unwrap().len() >= 6);
-    }
-
-    #[test]
-    fn spans_nest_children_inside_the_dispatch_parent() {
-        let mut rec = FlightRecorder::default();
-        let durs = [100u64, 20, 5, 40, 25, 10]; // dispatch, then stages
-        for (stage, dur_ns) in SpanStage::ALL.into_iter().zip(durs) {
-            rec.record_span(&SpanRecord {
-                t_ns: 50_000_000,
-                batch: 0,
-                stage,
-                items: 8,
-                dur_ns,
-            });
-        }
-        let report = TelemetryReport::from_recorder(&rec, "unit", "cubic");
-        let trace = chrome_trace(&report);
-        let parsed: serde::Value = serde_json::from_str(&trace).expect("valid JSON");
-        let spans: Vec<&serde::Value> = parsed["traceEvents"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .filter(|e| e["cat"].as_str() == Some("span"))
-            .collect();
-        assert_eq!(spans.len(), 6);
-        let ts = |v: &serde::Value| v["ts"].as_f64().unwrap();
-        let dur = |v: &serde::Value| v["dur"].as_f64().unwrap();
-        // Parent covers 100 ns starting at the dispatch instant.
-        assert_eq!(spans[0]["name"].as_str(), Some("dispatch"));
-        assert_eq!(ts(spans[0]), 50_000.0);
-        assert_eq!(dur(spans[0]), 0.1);
-        // Children tile back-to-back inside the parent.
-        let mut expect = 50_000.0;
-        for (child, d) in spans[1..].iter().zip(&durs[1..]) {
-            assert!(
-                (ts(child) - expect).abs() < 1e-6,
-                "{} vs {expect}",
-                ts(child)
-            );
-            expect += *d as f64 / 1000.0;
-        }
-        assert!(ts(spans[5]) + dur(spans[5]) <= ts(spans[0]) + dur(spans[0]) + 1e-9);
     }
 }

@@ -65,76 +65,6 @@ pub struct BatchRecord {
     pub groups: u64,
 }
 
-/// A stage of the batched decision hot path, as instrumented by the
-/// span profiler in `DriverPool::dispatch_batched`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpanStage {
-    /// The whole dispatch (parent span; the other stages are its
-    /// children and partition its duration).
-    Dispatch,
-    /// `prepare_decision` over every due driver.
-    Prepare,
-    /// Compiled-policy grouping of the prepared batch.
-    Group,
-    /// The batched actor pass over each policy group.
-    Forward,
-    /// The certification pass over each monitored group's contexts (one
-    /// item per certified decision: a policy has at most one monitor).
-    Certify,
-    /// `apply_decision` over every prepared driver.
-    Apply,
-}
-
-impl SpanStage {
-    /// Every stage, parent first, in hot-path order.
-    pub const ALL: [SpanStage; 6] = [
-        SpanStage::Dispatch,
-        SpanStage::Prepare,
-        SpanStage::Group,
-        SpanStage::Forward,
-        SpanStage::Certify,
-        SpanStage::Apply,
-    ];
-
-    /// Stable lowercase name (used for report tables and trace labels).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpanStage::Dispatch => "dispatch",
-            SpanStage::Prepare => "prepare",
-            SpanStage::Group => "group",
-            SpanStage::Forward => "forward",
-            SpanStage::Certify => "certify",
-            SpanStage::Apply => "apply",
-        }
-    }
-
-    /// Index into [`SpanStage::ALL`].
-    pub fn index(&self) -> usize {
-        SpanStage::ALL
-            .iter()
-            .position(|s| s == self)
-            .expect("ALL lists every stage")
-    }
-}
-
-/// One profiled stage of one batched dispatch. The timestamp, batch
-/// sequence, stage, and item count are simulation-deterministic; no
-/// wall clock is read, so the duration is always 0.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SpanRecord {
-    /// Simulation time of the dispatch, in nanoseconds.
-    pub t_ns: u64,
-    /// Dispatch sequence number (shared by the 6 spans of one batch).
-    pub batch: u64,
-    /// Which hot-path stage this span covers.
-    pub stage: SpanStage,
-    /// Items processed by the stage (decisions, groups, or contexts).
-    pub items: u64,
-    /// Duration in nanoseconds: always 0, kept so the schema stays
-    /// `canopy-telemetry/v2`.
-    pub dur_ns: u64,
-}
-
 /// One trainer-loop event.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TrainerEvent {

@@ -21,25 +21,24 @@
 //!    disabled means one `None` branch per dispatch. The [`NoopRecorder`]
 //!    exists for equivalence tests proving that an attached-but-inert
 //!    recorder changes nothing bitwise.
-//! 3. **Bounded.** The [`FlightRecorder`] keeps each event stream in a
-//!    [`Ring`] of fixed capacity that evicts its oldest event when full,
-//!    so long runs cannot grow memory without bound; every event is kept
-//!    until then, and totals are still counted exactly (`seen`, and
-//!    `dropped` = evicted).
+//! 3. **Bounded.** The [`FlightRecorder`] keeps each event stream —
+//!    decisions, link samples, batch dispatches, trainer events and
+//!    search generations — in a [`Ring`] of fixed capacity that evicts
+//!    its oldest event when full, so long runs cannot grow memory without
+//!    bound; every event is kept until then, and totals are still counted
+//!    exactly (`seen`, and `dropped` = evicted).
 //!
 //! Two exporters turn a recording into artifacts: the canonical-JSON
 //! [`TelemetryReport`] (`TELEMETRY_report.json`, schema
-//! `canopy-telemetry/v2`) and a Chrome-trace/Perfetto JSON view
+//! `canopy-telemetry/v3`) and a Chrome-trace/Perfetto JSON view
 //! ([`chrome_trace`]) so a decision timeline can be opened in
 //! `ui.perfetto.dev` or `chrome://tracing`.
 //!
 //! The [`live`] module layers streaming observability on top of the same
 //! machinery: rolling-window registry feeds, cadence-driven
 //! [`MetricsSnapshot`]s (JSONL + Prometheus-style exposition, schema
-//! `canopy-live-metrics/v1`), an SLO watchdog with a canonical alert
-//! ledger (schema `canopy-alerts/v1`), and a span profiler for the
-//! batched hot path that records each stage's item count, never a
-//! duration. Every artifact is an [`Artifact`].
+//! `canopy-live-metrics/v1`), and an SLO watchdog with a canonical alert
+//! ledger (schema `canopy-alerts/v1`). Every artifact is an [`Artifact`].
 //!
 //! This crate sits below `canopy_netsim` in the dependency order, so it
 //! speaks raw nanoseconds and integer ids rather than the simulator's
@@ -55,9 +54,7 @@ pub mod report;
 
 pub use artifact::{Artifact, ArtifactError};
 pub use chrome::chrome_trace;
-pub use event::{
-    BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, SpanStage, TrainerEvent,
-};
+pub use event::{BatchRecord, DecisionRecord, LinkSample, SearchEvent, TrainerEvent};
 pub use live::{
     AlertLedger, AlertRecord, LiveConfig, MetricsSnapshot, SloKind, SloSpec, WindowCounterEntry,
     WindowHistogramEntry,
@@ -69,4 +66,4 @@ pub use recorder::{
     shared, FlightRecorder, NoopRecorder, Recorder, RecorderConfig, Ring, SharedRecorder,
     LINK_CADENCE_NS,
 };
-pub use report::{CounterEntry, SpanStageSummary, TelemetryReport};
+pub use report::{CounterEntry, TelemetryReport};

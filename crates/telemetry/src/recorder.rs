@@ -4,9 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use crate::event::{
-    BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, SpanStage, TrainerEvent,
-};
+use crate::event::{BatchRecord, DecisionRecord, LinkSample, SearchEvent, TrainerEvent};
 use crate::live::{metrics_jsonl, AlertLedger, LiveConfig, MetricsSnapshot, SloWatchdog};
 use crate::metrics::{LogHistogram, Registry, RollingWindow};
 
@@ -25,9 +23,6 @@ pub trait Recorder: std::fmt::Debug {
 
     /// One batched pool dispatch (all decisions due at one sim instant).
     fn record_batch(&mut self, _b: &BatchRecord) {}
-
-    /// One profiled stage of a batched dispatch.
-    fn record_span(&mut self, _s: &SpanRecord) {}
 
     /// One trainer-loop event.
     fn record_trainer(&mut self, _e: &TrainerEvent) {}
@@ -54,7 +49,7 @@ pub fn shared<R: Recorder + 'static>(recorder: R) -> SharedRecorder {
     Rc::new(RefCell::new(recorder))
 }
 
-/// Ring capacity of the decision, link, batch and span streams.
+/// Ring capacity of the decision, link and batch streams.
 const EVENT_CAPACITY: usize = 4096;
 /// Ring capacity of the trainer stream.
 const TRAINER_CAPACITY: usize = 2048;
@@ -181,10 +176,6 @@ pub struct FlightRecorder {
     decisions: Ring<DecisionRecord>,
     links: Ring<LinkSample>,
     batches: Ring<BatchRecord>,
-    spans: Ring<SpanRecord>,
-    /// Per-stage (count, items, dur_ns) totals, indexed by
-    /// [`SpanStage::index`]. Counts every offered span, kept or not.
-    span_stats: [(u64, u64, u64); SpanStage::ALL.len()],
     trainer: Ring<TrainerEvent>,
     search: Ring<SearchEvent>,
     registry: Registry,
@@ -205,8 +196,6 @@ impl FlightRecorder {
             decisions: Ring::new(EVENT_CAPACITY),
             links: Ring::new(EVENT_CAPACITY),
             batches: Ring::new(EVENT_CAPACITY),
-            spans: Ring::new(EVENT_CAPACITY),
-            span_stats: [(0, 0, 0); SpanStage::ALL.len()],
             trainer: Ring::new(TRAINER_CAPACITY),
             search: Ring::new(SEARCH_CAPACITY),
             registry: Registry::new(),
@@ -328,23 +317,6 @@ impl FlightRecorder {
         &self.batches
     }
 
-    /// The hot-path span stream.
-    pub fn spans(&self) -> &Ring<SpanRecord> {
-        &self.spans
-    }
-
-    /// Exact per-stage `(stage, count, items, dur_ns)` totals over every
-    /// offered span (kept or not), in [`SpanStage::ALL`] order.
-    pub fn span_stage_totals(&self) -> Vec<(SpanStage, u64, u64, u64)> {
-        SpanStage::ALL
-            .iter()
-            .map(|&stage| {
-                let (count, items, dur_ns) = self.span_stats[stage.index()];
-                (stage, count, items, dur_ns)
-            })
-            .collect()
-    }
-
     /// The trainer-event stream.
     pub(crate) fn trainer_events(&self) -> &Ring<TrainerEvent> {
         &self.trainer
@@ -408,17 +380,6 @@ impl Recorder for FlightRecorder {
         let mut b = *b;
         b.t_ns = self.arrive(b.t_ns);
         self.batches.push(b);
-    }
-
-    fn record_span(&mut self, s: &SpanRecord) {
-        self.registry.inc("spans_total", 1);
-        let mut s = *s;
-        s.t_ns = self.arrive(s.t_ns);
-        let stats = &mut self.span_stats[s.stage.index()];
-        stats.0 += 1;
-        stats.1 += s.items;
-        stats.2 += s.dur_ns;
-        self.spans.push(s);
     }
 
     fn record_trainer(&mut self, e: &TrainerEvent) {
@@ -513,32 +474,6 @@ mod tests {
         assert_eq!(hist.count(), 3);
         assert_eq!(hist.min(), 1);
         assert!(hist.max() >= 32);
-    }
-
-    #[test]
-    fn spans_aggregate_into_the_stage_table() {
-        let mut rec = FlightRecorder::default();
-        for batch in 0..3u64 {
-            for stage in SpanStage::ALL {
-                rec.record_span(&SpanRecord {
-                    t_ns: batch * 1_000,
-                    batch,
-                    stage,
-                    items: 4,
-                    dur_ns: if stage == SpanStage::Dispatch { 60 } else { 10 },
-                });
-            }
-        }
-        assert_eq!(rec.spans().seen(), 18);
-        assert_eq!(rec.spans().dropped(), 0);
-        assert_eq!(rec.registry().counter("spans_total"), 18);
-        let totals = rec.span_stage_totals();
-        assert_eq!(totals.len(), 6);
-        let (stage, count, items, dur) = totals[0];
-        assert_eq!(stage, SpanStage::Dispatch);
-        assert_eq!((count, items, dur), (3, 12, 180));
-        let child_dur: u64 = totals[1..].iter().map(|t| t.3).sum();
-        assert_eq!(child_dur, 150);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::Artifact;
-use crate::event::{
-    BatchRecord, DecisionRecord, LinkSample, SearchEvent, SpanRecord, TrainerEvent,
-};
+use crate::event::{BatchRecord, DecisionRecord, LinkSample, SearchEvent, TrainerEvent};
 use crate::metrics::{HistogramSummary, Registry};
 use crate::recorder::{FlightRecorder, Ring};
 
@@ -18,27 +16,12 @@ pub struct CounterEntry {
     pub value: u64,
 }
 
-/// One row of the span profiler's time-attribution table: exact totals
-/// over every offered span of one hot-path stage.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SpanStageSummary {
-    /// Stage name ([`crate::SpanStage::name`]).
-    pub stage: String,
-    /// Spans recorded for this stage (one per batched dispatch).
-    pub count: u64,
-    /// Total items the stage processed across all its spans.
-    pub items: u64,
-    /// Total nanoseconds attributed to the stage: always 0, since spans
-    /// read no wall clock.
-    pub dur_ns: u64,
-}
-
 /// Everything one flight recording exports: exact counters, histogram
 /// summaries, and the kept event rings with their exact totals — enough
 /// to tell "the ring wrapped" apart from "nothing happened".
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
-    /// Schema tag, `canopy-telemetry/v2`.
+    /// Schema tag, `canopy-telemetry/v3`.
     pub schema: String,
     /// What was recorded (scenario name, bench name, …).
     pub label: String,
@@ -66,15 +49,6 @@ pub struct TelemetryReport {
     pub batches_seen: u64,
     /// Batch records evicted from the full ring.
     pub batches_dropped: u64,
-    /// Kept hot-path span records, oldest first.
-    pub spans: Vec<SpanRecord>,
-    /// Total spans offered.
-    pub spans_seen: u64,
-    /// Span records evicted from the full ring.
-    pub spans_dropped: u64,
-    /// Per-stage time-attribution totals over every offered span, in
-    /// hot-path order (parent `dispatch` first).
-    pub span_stages: Vec<SpanStageSummary>,
     /// Kept trainer events, oldest first.
     pub trainer: Vec<TrainerEvent>,
     /// Total trainer events offered.
@@ -142,23 +116,6 @@ impl TelemetryReport {
             batches: kept(recorder.batches()),
             batches_seen: recorder.batches().seen(),
             batches_dropped: recorder.batches().dropped(),
-            spans: kept(recorder.spans()),
-            spans_seen: recorder.spans().seen(),
-            spans_dropped: recorder.spans().dropped(),
-            span_stages: if recorder.spans().seen() == 0 {
-                Vec::new()
-            } else {
-                recorder
-                    .span_stage_totals()
-                    .into_iter()
-                    .map(|(stage, count, items, dur_ns)| SpanStageSummary {
-                        stage: stage.name().to_string(),
-                        count,
-                        items,
-                        dur_ns,
-                    })
-                    .collect()
-            },
             trainer: kept(recorder.trainer_events()),
             trainer_seen: recorder.trainer_events().seen(),
             trainer_dropped: recorder.trainer_events().dropped(),
@@ -170,7 +127,7 @@ impl TelemetryReport {
 }
 
 impl Artifact for TelemetryReport {
-    const SCHEMA: &'static str = "canopy-telemetry/v2";
+    const SCHEMA: &'static str = "canopy-telemetry/v3";
 
     fn schema(&self) -> &str {
         &self.schema
@@ -179,7 +136,7 @@ impl Artifact for TelemetryReport {
     /// Exact-total accounting per category, nondecreasing sim-time within
     /// every stream, and finite floats everywhere.
     fn check(&self) -> Result<(), String> {
-        let streams: [(&str, usize, u64, u64); 6] = [
+        let streams: [(&str, usize, u64, u64); 5] = [
             (
                 "decisions",
                 self.decisions.len(),
@@ -197,12 +154,6 @@ impl Artifact for TelemetryReport {
                 self.batches.len(),
                 self.batches_seen,
                 self.batches_dropped,
-            ),
-            (
-                "spans",
-                self.spans.len(),
-                self.spans_seen,
-                self.spans_dropped,
             ),
             (
                 "trainer",
@@ -232,7 +183,6 @@ impl Artifact for TelemetryReport {
         in_time_order("decision", self.decisions.iter().map(|d| d.t_ns))?;
         in_time_order("link sample", self.links.iter().map(|s| s.t_ns))?;
         in_time_order("batch record", self.batches.iter().map(|b| b.t_ns))?;
-        in_time_order("span", self.spans.iter().map(|s| s.t_ns))?;
         for (i, d) in self.decisions.iter().enumerate() {
             for x in [
                 d.state_mean,
@@ -271,17 +221,6 @@ impl Artifact for TelemetryReport {
                 ));
             }
         }
-        if !self.span_stages.is_empty() {
-            let stage_count: u64 = self.span_stages.iter().map(|s| s.count).sum();
-            if stage_count != self.spans_seen {
-                return Err(format!(
-                    "span stage table counts {stage_count} spans, {} were seen",
-                    self.spans_seen
-                ));
-            }
-        } else if self.spans_seen != 0 {
-            return Err("spans were seen but the stage table is empty".to_string());
-        }
         for (i, e) in self.trainer.iter().enumerate() {
             if e.floats().iter().any(|x| !x.is_finite()) {
                 return Err(format!("trainer event {i} carries a non-finite value"));
@@ -301,7 +240,7 @@ impl Artifact for TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DecisionRecord, SpanStage};
+    use crate::event::DecisionRecord;
     use crate::recorder::{Recorder, RecorderConfig};
 
     fn recorded() -> FlightRecorder {
@@ -333,15 +272,6 @@ mod tests {
             size: 5,
             groups: 2,
         });
-        for stage in SpanStage::ALL {
-            rec.record_span(&SpanRecord {
-                t_ns: 20_000_000,
-                batch: 0,
-                stage,
-                items: 5,
-                dur_ns: 0,
-            });
-        }
         rec.record_trainer(&TrainerEvent::TdLoss {
             step: 10,
             critic_loss: 0.02,
@@ -365,18 +295,14 @@ mod tests {
         assert_eq!(back.to_json(), text, "canonical round trip");
         assert_eq!(back.decisions_seen, 5);
         assert_eq!(back.batches_seen, 1);
-        assert_eq!(back.spans_seen, 6);
-        assert_eq!(back.span_stages.len(), 6);
-        assert_eq!(back.span_stages[0].stage, "dispatch");
-        assert_eq!(back.span_stages[0].items, 5);
-        assert_eq!(back.counters.len(), 8);
+        assert_eq!(back.counters.len(), 7);
     }
 
     #[test]
     fn validation_rejects_broken_reports() {
         let good = TelemetryReport::from_recorder(&recorded(), "unit", "cubic");
         let mut bad = good.clone();
-        bad.schema = "canopy-telemetry/v1".into();
+        bad.schema = "canopy-telemetry/v2".into();
         let err = bad.validate().expect_err("the previous tag is refused");
         assert!(err.to_string().contains("schema mismatch"), "{err}");
         let mut bad = good.clone();
@@ -394,18 +320,9 @@ mod tests {
         let mut bad = good.clone();
         bad.batches_seen = 7;
         assert!(bad.validate().is_err(), "batch accounting must balance");
-        let mut bad = good.clone();
+        let mut bad = good;
         bad.batches[0].groups = 9;
         assert!(bad.validate().is_err(), "more groups than decisions");
-        let mut bad = good.clone();
-        bad.spans[0].t_ns = u64::MAX;
-        assert!(bad.validate().is_err(), "span time went backwards");
-        let mut bad = good.clone();
-        bad.span_stages[0].count += 1;
-        assert!(bad.validate().is_err(), "stage table out of sync");
-        let mut bad = good;
-        bad.span_stages.clear();
-        assert!(bad.validate().is_err(), "spans seen but no stage table");
     }
 
     #[test]
@@ -419,8 +336,12 @@ mod tests {
         let err = forged.validate().expect_err("forged accounting");
         assert!(err.to_string().contains("exceeds seen"), "{err}");
         let mut forged = good;
-        forged.spans_seen = 3;
-        forged.spans_dropped = u64::MAX - 2;
-        assert!(forged.validate().is_err());
+        forged.batches_seen = 0; // kept = 1 > seen
+        forged.batches_dropped = u64::MAX; // 1 + MAX wraps to 0
+        let err = forged.validate().expect_err("forged batch accounting");
+        assert!(
+            err.to_string().contains("batches: kept 1 exceeds seen 0"),
+            "{err}"
+        );
     }
 }
