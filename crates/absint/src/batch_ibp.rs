@@ -15,35 +15,45 @@
 //!   accumulator feeding the `γ_n` rounding bound — exact because
 //!   `|w·c| = |w|·|c|` in IEEE arithmetic) —
 //!
-//! computed in one pass over `Wᵀ`. The kernel is written once over
-//! `F64x8`, eight `f64` lanes (`lanes.rs`): one 512-bit register on an
-//! AVX-512 build, a plain `[f64; 8]` elsewhere. Per two rows and 32-column
-//! block the three accumulator streams stay in registers, 2 × 4 lane
-//! vectors each; each ascending `k` loads `w[k][j..]` once as four
+//! computed in one pass over `Wᵀ`, bias, rounding slack, outward widening
+//! and the activation transformer applied to the accumulators before they
+//! are stored: one pass per layer, and each output element stored once.
+//! The kernel is written once over `F64x8`, eight `f64` lanes
+//! (`lanes.rs`): one 512-bit register on an AVX-512 build, a plain
+//! `[f64; 8]` elsewhere. [`PreparedMlp`] keeps `Wᵀ` in 8-column panels of
+//! 64-byte-aligned rows, so a lane load never splits a cache line (a
+//! `Vec<f64>` row-major `Wᵀ` split nearly every one). Per two rows and
+//! 32-column block the three accumulator streams stay in registers, 2 × 4
+//! lane vectors each; each ascending `k` loads `w[k][j..]` once as four
 //! vectors, takes `|w|` in register and issues three fused multiply-adds
-//! per vector and row against broadcast inputs — 24 FMAs per 4 `abs`. The
-//! 24 accumulators, 4 `w` and 4 `|w|` are the 32 zmm registers, so the
-//! three-stream layers spill two accumulators to L1; the first layer,
-//! whose deviations a plan supplies, runs two streams and spills nothing.
-//! On the array path a block is one vector wide (`FUSED_V`). Rows and
-//! width were picked by measurement over 1–5 rows and 1, 2 or 4 vectors,
-//! against holding `|Wᵀ|` resident (packed beside `Wᵀ` it doubles what a
-//! call streams from L2, and ran slower at 10 rows) and against forming
-//! `|C| + D` once per layer (no faster).
+//! per vector and row against inputs broadcast from memory — 24 FMAs per
+//! 4 `abs`. The magnitude input `|c| + d` is itself a layer output, formed
+//! in the previous layer's epilogue (and once for the staged rows), so the
+//! 24 accumulators, 6 broadcasts, `w` and the `abs` mask are the 32 zmm
+//! registers and nothing spills; the first layer, whose deviations a plan
+//! supplies, runs two streams. On the array path a block is one vector
+//! wide (`BOUNDS_V`). A one-stream pass — the concrete forward pass
+//! ([`forward_staged`](PreparedMlp::forward_staged)) and the deviation
+//! image — runs eight vectors per row. Columns past the last full block of
+//! eight (the 64→1 output layer) run with eight rows in the lanes, fed by
+//! an in-register 8 × 8 transpose of the inputs. Only `tanh` is scalar in the epilogue; the ReLU and identity
+//! transformers are lane operations that give the scalar transformers'
+//! bits. All intermediates live in a caller-owned scratch, one set of
+//! buffers per layer.
 //!
 //! What that buys, for the fleet actor (70→64→64→1 with ReLU hidden
 //! layers and a `tanh` output: 25 920 FMAs per box, 21 440 when a plan
 //! supplies the first layer's deviations) at 10 boxes per call, best
 //! decile of 2 001 calls on a two-vCPU AVX-512 Xeon at a nominal 2.1 GHz,
 //! against its 512-bit ceiling of 16 f64 FMAs per cycle (33.6 per ns; a
-//! register-only FMA loop reaches 37–39 per ns): the 256-bit kernel this
-//! replaces ran 1.50–1.54 µs per box (1.40–1.45 with the plan's first
-//! layer), 50–52 % (44–46 %) of that ceiling; this one runs 1.13 µs
-//! (1.03), 69 % (62 %). Achieved/peak is FMAs per box ÷ (ns per box ×
-//! 2.1 × 16); the rest of the time is the scalar 64→1 tail, the
-//! activation epilogue and per-layer set-up. The scalar path's
-//! outward-rounded activation transformers follow; all intermediates live
-//! in a caller-owned scratch.
+//! register-only FMA loop reaches 37–39 per ns): the two-pass kernel this
+//! replaces ran 1.13–1.14 µs per box (1.04 with the plan's first layer),
+//! 68 % (61 %) of that ceiling; this one runs 0.94–0.96 µs (0.84–0.86),
+//! 80–82 % (74–76 %). Achieved/peak is FMAs per box ÷ (ns per box × 2.1 ×
+//! 16); the rest is the transposed 64→1 tail, the scalar `tanh` and
+//! per-call set-up. The forward pass on the same kernel runs 0.81–0.93 µs
+//! per row at one row (the GEMM it replaces: 0.94–1.19), and 0.26–0.42 µs
+//! per row at 10, 32 and 128 rows (0.64–0.97).
 //!
 //! Soundness is inherited: the `γ_n` error bound holds for any summation
 //! order. Every element is still its own ascending-`k` chain of fused
@@ -51,7 +61,7 @@
 //! path in the last few ULPs (differently-rounded enclosures of the same
 //! set), which is why the certification layer uses one path consistently.
 
-use canopy_nn::{Activation, Matrix, Mlp};
+use canopy_nn::{Activation, Dense, Matrix, Mlp};
 
 use crate::boxdom::BoxState;
 use crate::ibp::{gamma, WIDEN_FLOOR};
@@ -64,20 +74,104 @@ use crate::lanes::F64x8;
 /// floor sits far above the subnormal range.
 #[inline(always)]
 fn widen(x: f64) -> f64 {
-    x * (1.0 + 4.0 * f64::EPSILON) + WIDEN_FLOOR
+    x * WIDEN_FACTOR + WIDEN_FLOOR
+}
+
+/// [`widen`]'s relative bump.
+const WIDEN_FACTOR: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+/// Rows of eight `f64`s, each at a 64-byte boundary — one cache line, one
+/// lane load — in an ordinary `Vec<f64>` that starts with up to seven
+/// spare elements: an over-aligned allocation would fragment the heap of a
+/// caller that prepares a network every training step.
+#[derive(Debug)]
+struct LineRows {
+    buf: Vec<f64>,
+    start: usize,
+}
+
+impl LineRows {
+    /// `n` rows, written by `fill`.
+    fn new(n: usize, fill: impl FnOnce(&mut [[f64; 8]])) -> LineRows {
+        let mut buf = vec![0.0; 8 * n + 7];
+        // `buf` is never resized, so this offset stays true.
+        let start = (64 - buf.as_ptr() as usize % 64) % 64 / 8;
+        fill(buf[start..start + 8 * n].as_chunks_mut::<8>().0);
+        LineRows { buf, start }
+    }
+
+    fn rows(&self) -> &[[f64; 8]] {
+        let n = (self.buf.len() - 7) / 8;
+        self.buf[self.start..self.start + 8 * n].as_chunks::<8>().0
+    }
+}
+
+impl Clone for LineRows {
+    /// Re-aligned in the copy's own allocation.
+    fn clone(&self) -> LineRows {
+        let rows = self.rows();
+        LineRows::new(rows.len(), |dst| dst.copy_from_slice(rows))
+    }
 }
 
 /// One dense layer pre-arranged for batched propagation.
 #[derive(Clone, Debug)]
 struct PreparedLayer {
-    /// Transposed weights, `in × out`.
-    wt: Matrix,
+    /// The weights transposed (`in × out`) in 8-column panels: panel `p`
+    /// holds columns `8p..8p + 8`, one row per input, so that a pass over
+    /// a column block reads each of its panels front to back and no lane
+    /// load splits a cache line.
+    panels: LineRows,
+    /// The last `out % 8` columns, one after another, one weight per input.
+    tail: Vec<f64>,
+    /// Fan-in and fan-out.
+    depth: usize,
+    width: usize,
     /// Bias, length `out`.
     bias: Vec<f64>,
     /// The layer activation.
     activation: Activation,
     /// `γ` rounding coefficient for this layer's fan-in.
     gamma: f64,
+}
+
+impl PreparedLayer {
+    /// Transposes and packs `layer`.
+    fn new(layer: &Dense) -> PreparedLayer {
+        let (depth, width) = (layer.fan_in(), layer.fan_out());
+        let full = width / 8 * 8;
+        // Row `j` of `weights` is output column `j` of the transpose.
+        let w = &layer.weights;
+        let panels = LineRows::new(full / 8 * depth, |rows| {
+            for (p, panel) in rows.chunks_exact_mut(depth).enumerate() {
+                let columns: [&[f64]; 8] = std::array::from_fn(|l| w.row(8 * p + l));
+                for (k, dst) in panel.iter_mut().enumerate() {
+                    *dst = std::array::from_fn(|l| columns[l][k]);
+                }
+            }
+        });
+        PreparedLayer {
+            panels,
+            tail: (full..width).flat_map(|j| w.row(j)).copied().collect(),
+            depth,
+            width,
+            bias: layer.bias.clone(),
+            activation: layer.activation,
+            gamma: gamma(layer.fan_in()),
+        }
+    }
+
+    /// The panel of columns `j..j + 8`, `j` a multiple of 8 below
+    /// `width / 8 * 8`.
+    fn panel(&self, j: usize) -> &[[f64; 8]] {
+        &self.panels.rows()[j / 8 * self.depth..(j / 8 + 1) * self.depth]
+    }
+
+    /// Column `j`, at or past `width / 8 * 8`.
+    fn tail_column(&self, j: usize) -> &[f64] {
+        let start = (j - self.width / 8 * 8) * self.depth;
+        &self.tail[start..start + self.depth]
+    }
 }
 
 /// A network pre-arranged (transposed weights) for repeated batched IBP and
@@ -90,18 +184,20 @@ pub struct PreparedMlp {
     output_dim: usize,
 }
 
-/// Caller-owned intermediates for [`PreparedMlp::propagate_staged`]:
-/// the input staging matrices, ping-pong centre/deviation matrices and
-/// the magnitude accumulator.
+/// Caller-owned intermediates for [`PreparedMlp::propagate_staged`] and
+/// [`PreparedMlp::forward_staged`]: the input staging matrices and each
+/// layer's outputs. A layer keeps its own buffers, so a batch of a
+/// repeated size reshapes nothing and refills nothing.
 #[derive(Clone, Debug, Default)]
 pub struct IbpBatchScratch {
-    c: Matrix,
-    d: Matrix,
-    c_next: Matrix,
-    d_next: Matrix,
-    abs_acc: Matrix,
     in_c: Matrix,
     in_d: Matrix,
+    /// `|c| + d` of the staged rows.
+    in_m: Matrix,
+    /// Per layer: centres, deviations and the next layer's `|c| + d`.
+    bounds: Vec<[Matrix; 3]>,
+    /// Per layer: the forward pass's outputs.
+    forward: Vec<Matrix>,
 }
 
 impl IbpBatchScratch {
@@ -127,161 +223,334 @@ impl IbpBatchScratch {
     /// Every resident buffer, for tests that audit what a propagation
     /// leaves behind (`tests/no_subnormals.rs`).
     #[doc(hidden)]
-    pub fn buffers(&self) -> [&Matrix; 7] {
-        [
-            &self.c,
-            &self.d,
-            &self.c_next,
-            &self.d_next,
-            &self.abs_acc,
-            &self.in_c,
-            &self.in_d,
-        ]
+    pub fn buffers(&self) -> Vec<&Matrix> {
+        let staged = [&self.in_c, &self.in_d, &self.in_m];
+        let layers = self.bounds.iter().flatten().chain(&self.forward);
+        staged.into_iter().chain(layers).collect()
     }
 }
 
-/// Lane vectors per full column block of the fused layer kernel, and the
-/// rows one block pass carries (see the module docs). Where an [`F64x8`]
-/// is one 512-bit register: two rows of four vectors (32 columns), 24
-/// accumulators of the 32 registers. Where it is a `[f64; 8]`: two rows of
-/// one vector, whose six accumulators (twelve 256-bit halves) plus `w` and
-/// `|w|` fill AVX2's sixteen registers; four vectors a row spill there.
-const FUSED_V: usize = if F64x8::IN_REGISTER { 4 } else { 1 };
-const FUSED_JB: usize = 8 * FUSED_V;
+/// Lane vectors per column block of a bounds pass (centres, magnitudes
+/// and, without a first-layer deviation image, deviations) and of a
+/// one-stream pass (the forward pass, the deviation image), and the rows
+/// one block pass carries (see the module docs). Where an [`F64x8`] is one
+/// 512-bit register: two rows of four vectors (32 columns), 24 accumulators
+/// of the 32 registers, or of eight vectors (64 columns) and one stream.
+/// Where it is a `[f64; 8]`: two rows of one vector, whose six
+/// accumulators (twelve 256-bit halves) plus `w` and `|w|` fill AVX2's
+/// sixteen registers (four vectors a row spill there), or of two vectors
+/// and one stream.
+const BOUNDS_V: usize = if F64x8::IN_REGISTER { 4 } else { 1 };
+const SINGLE_V: usize = if F64x8::IN_REGISTER { 8 } else { 2 };
 const FUSED_ROWS: usize = 2;
-/// Rows a tail column runs side by side so that its latency-bound scalar
-/// chains overlap (a 64→1 layer: 105 → 79 ns per box; 8 read no better).
-const FUSED_TAIL_ROWS: usize = 4;
 
-/// One layer as one pass over its transposed weights: for `ins = [c, d]`
-/// (each `rows × k`) and `wt` (`k × n`) sizes `out` to `rows × n` and
-/// writes `[c·wt, d·|wt|, (|c| + d)·|wt|]`. `CM` selects the centre and
-/// magnitude streams (without it `c` is ignored and only `out[1]` is
-/// touched), `DEV` the deviation stream (without it `out[1]` is sized, not
-/// written). Every element is the ascending-`k` fused chain
-/// [`Matrix::matmul_into`] runs.
-fn fused_layer<const CM: bool, const DEV: bool>(
-    ins: [&Matrix; 2],
-    wt: &Matrix,
+/// One layer as one pass over its transposed weights. For `ins = [c, d,
+/// m]` (each `rows × k`, `m = |c| + d`) it runs the accumulator streams `C`
+/// (`c·wt`), `D` (`d·|wt|`) and `M` (`m·|wt|`), and stores, sized
+/// `rows × n`:
+///
+/// * with `M`, the bounds epilogue — bias, `γ·(A + |b|)`, [`widen`], the
+///   activation transformer — as centres `out[0]` and deviations `out[1]`,
+///   and the next layer's `|c| + d` in `out[2]`; without `D` the deviation
+///   accumulator of row `r` is row `(offset + r) % rows` of
+///   `image = (image, offset)`;
+/// * with `C` alone, the concrete forward pass `act(c·wt + b)` in `out[0]`;
+/// * with `D` alone, the raw deviation accumulator in `out[1]`.
+///
+/// Every accumulator is the ascending-`k` fused chain
+/// [`Matrix::matmul_into`] runs, and the epilogue is the scalar one lane by
+/// lane.
+fn fused_layer<const V: usize, const C: bool, const D: bool, const M: bool>(
+    ins: [&Matrix; 3],
+    layer: &PreparedLayer,
+    image: Option<(&Matrix, usize)>,
     mut out: [&mut Matrix; 3],
 ) {
-    let (rows, n) = (ins[1].rows(), wt.cols());
-    assert_eq!(ins[1].cols(), wt.rows(), "layer shape mismatch");
-    let sized = if CM { &mut out[..] } else { &mut out[1..2] };
-    sized.iter_mut().for_each(|stream| stream.reshape(rows, n));
+    debug_assert_eq!(!D && M, image.is_some(), "a deviation image replaces D");
+    let input = if C { ins[0] } else { ins[1] };
+    let (rows, n) = (input.rows(), layer.width);
+    assert_eq!(input.cols(), layer.depth, "layer shape mismatch");
+    if C {
+        out[0].reshape(rows, n);
+    }
+    if D || M {
+        out[1].reshape(rows, n);
+    }
+    if M {
+        out[2].reshape(rows, n);
+    }
     let mut j = 0;
     while j < n {
         // An `if` chain, not a `match`: the two block widths coincide on
-        // the array path.
-        j += if n - j >= FUSED_JB {
-            fused_columns::<FUSED_ROWS, FUSED_V, CM, DEV>(ins, wt, &mut out, j)
+        // the array path's bounds passes.
+        j += if n - j >= 8 * V {
+            fused_block::<V, C, D, M>(ins, layer, image, &mut out, j)
         } else if n - j >= 8 {
-            fused_columns::<FUSED_ROWS, 1, CM, DEV>(ins, wt, &mut out, j)
+            fused_block::<1, C, D, M>(ins, layer, image, &mut out, j)
         } else {
-            fused_tail::<CM, DEV>(ins, wt, &mut out, j)
+            fused_tail::<C, D, M>(ins, layer, image, &mut out, j)
         };
     }
 }
 
-/// Columns `j..j + 8V` of [`fused_layer`], `R` rows at a time (a short
-/// last group repeats its last row), as `V` lane vectors per stream and
-/// row; returns `8V`. The accumulators stay in registers across the
-/// reduction; each `k` loads the block's `w` once and takes `|w|` in
-/// register.
+/// Columns `j..j + 8V` of [`fused_layer`], [`FUSED_ROWS`] rows at a time
+/// and a last odd row alone; returns `8V`.
 #[inline(always)]
-fn fused_columns<const R: usize, const V: usize, const CM: bool, const DEV: bool>(
-    [c, d]: [&Matrix; 2],
-    wt: &Matrix,
+fn fused_block<const V: usize, const C: bool, const D: bool, const M: bool>(
+    ins: [&Matrix; 3],
+    layer: &PreparedLayer,
+    image: Option<(&Matrix, usize)>,
     out: &mut [&mut Matrix; 3],
     j: usize,
 ) -> usize {
-    for r in (0..d.rows()).step_by(R) {
-        let row = |i: usize| (r + i).min(d.rows() - 1);
-        let ins: [_; R] = std::array::from_fn(|i| (c.row(row(i)), d.row(row(i))));
-        let mut acc = [[[F64x8::splat(0.0); V]; R]; 3];
-        for (k, w_row) in wt.as_slice().chunks_exact(wt.cols()).enumerate() {
-            let (w_block, _) = w_row[j..j + 8 * V].as_chunks::<8>();
-            for (v, w) in w_block.iter().enumerate() {
-                let w = F64x8::load(w);
-                let w_abs = w.abs();
-                for (i, &(c_row, d_row)) in ins.iter().enumerate() {
-                    if CM {
-                        let mag = c_row[k].abs() + d_row[k];
-                        acc[0][i][v] = F64x8::splat(c_row[k]).mul_add(w, acc[0][i][v]);
-                        acc[2][i][v] = F64x8::splat(mag).mul_add(w_abs, acc[2][i][v]);
-                    }
-                    if DEV {
-                        acc[1][i][v] = F64x8::splat(d_row[k]).mul_add(w_abs, acc[1][i][v]);
-                    }
-                }
-            }
-        }
-        for ((stream, acc), runs) in out.iter_mut().zip(&acc).zip([CM, DEV, CM]) {
-            for (i, acc_row) in acc.iter().enumerate().filter(|_| runs) {
-                let (dst, _) = stream.row_mut(row(i))[j..j + 8 * V].as_chunks_mut::<8>();
-                for (lanes, dst) in acc_row.iter().zip(dst) {
-                    lanes.store(dst);
-                }
-            }
-        }
+    let rows = if C { ins[0].rows() } else { ins[1].rows() };
+    let mut r = 0;
+    while r < rows {
+        r += if rows - r >= FUSED_ROWS {
+            fused_columns::<FUSED_ROWS, V, C, D, M>(ins, layer, image, out, r, j)
+        } else {
+            fused_columns::<1, V, C, D, M>(ins, layer, image, out, r, j)
+        };
     }
     8 * V
 }
 
-/// Tail column `j` of [`fused_layer`] (fewer than 8 columns are left),
-/// [`FUSED_TAIL_ROWS`] rows at a time (a short last group repeats its
-/// last row); returns 1.
+/// Rows `r..r + R`, columns `j..j + 8V` of [`fused_layer`], as `V` lane
+/// vectors per stream and row; returns `R`. The accumulators stay in
+/// registers across the reduction — each `k` loads the block's `w` once
+/// and takes `|w|` in register — and the epilogue runs on them there, so
+/// each output element is stored once.
 #[inline(always)]
-fn fused_tail<const CM: bool, const DEV: bool>(
-    [c, d]: [&Matrix; 2],
-    wt: &Matrix,
-    out: &mut [&mut Matrix; 3],
+fn fused_columns<const R: usize, const V: usize, const C: bool, const D: bool, const M: bool>(
+    [c, d, m]: [&Matrix; 3],
+    layer: &PreparedLayer,
+    image: Option<(&Matrix, usize)>,
+    [c_out, d_out, m_out]: &mut [&mut Matrix; 3],
+    r: usize,
     j: usize,
 ) -> usize {
-    const R: usize = FUSED_TAIL_ROWS;
-    for r in (0..d.rows()).step_by(R) {
-        let row = |i: usize| (r + i).min(d.rows() - 1);
-        let ins: [_; R] = std::array::from_fn(|i| (c.row(row(i)), d.row(row(i))));
-        let mut acc = [[0.0f64; R]; 3];
-        for (k, w_row) in wt.as_slice().chunks_exact(wt.cols()).enumerate() {
-            let w = w_row[j];
-            for (i, &(c_row, d_row)) in ins.iter().enumerate() {
-                let (cv, dv) = (c_row[k], d_row[k]);
-                if CM {
-                    acc[0][i] = cv.mul_add(w, acc[0][i]);
-                    acc[2][i] = (cv.abs() + dv).mul_add(w.abs(), acc[2][i]);
+    let ins: [_; R] = std::array::from_fn(|i| (c.row(r + i), d.row(r + i), m.row(r + i)));
+    let panels: [_; V] = std::array::from_fn(|v| layer.panel(j + 8 * v));
+    let mut acc = [[[F64x8::splat(0.0); V]; R]; 3];
+    for k in 0..layer.depth {
+        for (v, panel) in panels.iter().enumerate() {
+            let w = F64x8::load(&panel[k]);
+            let w_abs = w.abs();
+            for (i, &(c_row, d_row, m_row)) in ins.iter().enumerate() {
+                if C {
+                    acc[0][i][v] = F64x8::splat(c_row[k]).mul_add(w, acc[0][i][v]);
                 }
-                if DEV {
-                    acc[1][i] = dv.mul_add(w.abs(), acc[1][i]);
+                if M {
+                    acc[2][i][v] = F64x8::splat(m_row[k]).mul_add(w_abs, acc[2][i][v]);
+                }
+                if D {
+                    acc[1][i][v] = F64x8::splat(d_row[k]).mul_add(w_abs, acc[1][i][v]);
                 }
             }
         }
-        for ((stream, acc), runs) in out.iter_mut().zip(&acc).zip([CM, DEV, CM]) {
-            for (i, &value) in acc.iter().enumerate().filter(|_| runs) {
-                stream.row_mut(row(i))[j] = value;
+    }
+    let cols = j..j + 8 * V;
+    let (bias, _) = layer.bias[cols.clone()].as_chunks::<8>();
+    // Moved out, not borrowed: a borrow of `acc` would keep it in memory
+    // through the reduction, stored back on every `k`.
+    let [acc_c, acc_d, acc_m] = acc;
+    let rows = acc_c.iter().zip(&acc_d).zip(&acc_m);
+    for (row, ((acc_c, acc_d), acc_m)) in (r..).zip(rows) {
+        if !C {
+            let (dst, _) = d_out.row_mut(row)[cols.clone()].as_chunks_mut::<8>();
+            acc_d
+                .iter()
+                .zip(dst)
+                .for_each(|(lanes, dst)| lanes.store(dst));
+            continue;
+        }
+        let (c_dst, _) = c_out.row_mut(row)[cols.clone()].as_chunks_mut::<8>();
+        if !M {
+            for ((z, b), dst) in acc_c.iter().zip(bias).zip(c_dst.iter_mut()) {
+                forward_lanes(layer.activation, *z, F64x8::load(b)).store(dst);
+            }
+            if layer.activation == Activation::Tanh {
+                let z = c_dst.as_flattened_mut();
+                z.iter_mut().for_each(|z| *z = layer.activation.apply(*z));
+            }
+            continue;
+        }
+        let image_row = image.map(|(image, offset)| {
+            let src = &image.row((offset + row) % image.rows())[cols.clone()];
+            src.as_chunks::<8>().0
+        });
+        let (d_dst, _) = d_out.row_mut(row)[cols.clone()].as_chunks_mut::<8>();
+        let (m_dst, _) = m_out.row_mut(row)[cols.clone()].as_chunks_mut::<8>();
+        let lanes = acc_c.iter().zip(acc_d).zip(acc_m).zip(bias);
+        let dsts = c_dst.iter_mut().zip(d_dst.iter_mut()).zip(m_dst.iter_mut());
+        for (v, ((((centre, dev), mag), b), ((c_dst, d_dst), m_dst))) in lanes.zip(dsts).enumerate()
+        {
+            let dev = image_row.map_or(*dev, |src| F64x8::load(&src[v]));
+            let (centre, dev) = bounds_lanes(layer, F64x8::load(b), *centre, dev, *mag);
+            centre.store(c_dst);
+            dev.store(d_dst);
+            centre.abs().add(dev).store(m_dst);
+        }
+        if layer.activation == Activation::Tanh {
+            let c = c_dst.as_flattened_mut().iter_mut();
+            let bounds = c
+                .zip(d_dst.as_flattened_mut())
+                .zip(m_dst.as_flattened_mut());
+            bounds.for_each(|((c, d), m)| {
+                tanh_bounds(c, d);
+                *m = c.abs() + *d;
+            });
+        }
+    }
+    R
+}
+
+/// Tail column `j` of [`fused_layer`] (fewer than 8 columns are left),
+/// with eight rows in the lanes of one vector per stream (a short last
+/// group repeats its last row and stores only the rows it has); each lane
+/// is still its own ascending-`k` chain. The inputs come eight `k` at a
+/// time through an in-register transpose, the last `depth % 8` lane by
+/// lane. Returns 1.
+#[inline(always)]
+fn fused_tail<const C: bool, const D: bool, const M: bool>(
+    [c, d, _]: [&Matrix; 3],
+    layer: &PreparedLayer,
+    image: Option<(&Matrix, usize)>,
+    [c_out, d_out, m_out]: &mut [&mut Matrix; 3],
+    j: usize,
+) -> usize {
+    let (weights, depth) = (layer.tail_column(j), layer.depth);
+    let rows = if C { c.rows() } else { d.rows() };
+    let step = |acc: &mut [F64x8; 3], k: usize, cv: F64x8, dv: F64x8| {
+        let w = F64x8::splat(weights[k]);
+        let w_abs = w.abs();
+        if C {
+            acc[0] = cv.mul_add(w, acc[0]);
+        }
+        if M {
+            acc[2] = cv.abs().add(dv).mul_add(w_abs, acc[2]);
+        }
+        if D {
+            acc[1] = dv.mul_add(w_abs, acc[1]);
+        }
+    };
+    for r in (0..rows).step_by(8) {
+        let row = |l: usize| (r + l).min(rows - 1);
+        let c_rows: [&[f64]; 8] = std::array::from_fn(|l| &c.row(row(l))[..depth]);
+        let d_rows: [&[f64]; 8] = std::array::from_fn(|l| &d.row(row(l))[..depth]);
+        let c_blocks: [_; 8] = std::array::from_fn(|l| c_rows[l].as_chunks::<8>().0);
+        let d_blocks: [_; 8] = std::array::from_fn(|l| d_rows[l].as_chunks::<8>().0);
+        let mut acc = [F64x8::splat(0.0); 3];
+        for b in 0..depth / 8 {
+            let cs = F64x8::transpose(std::array::from_fn(|l| F64x8::load(&c_blocks[l][b])));
+            let ds = F64x8::transpose(std::array::from_fn(|l| F64x8::load(&d_blocks[l][b])));
+            for (t, (cv, dv)) in cs.into_iter().zip(ds).enumerate() {
+                step(&mut acc, 8 * b + t, cv, dv);
+            }
+        }
+        for k in depth / 8 * 8..depth {
+            let cv = F64x8::load(&std::array::from_fn(|l| c_rows[l][k]));
+            let dv = F64x8::load(&std::array::from_fn(|l| d_rows[l][k]));
+            step(&mut acc, k, cv, dv);
+        }
+        let b = F64x8::splat(layer.bias[j]);
+        let (mut centres, mut devs) = ([0.0; 8], [0.0; 8]);
+        if !C {
+            acc[1].store(&mut devs);
+        } else if !M {
+            forward_lanes(layer.activation, acc[0], b).store(&mut centres);
+        } else {
+            let dev = match image {
+                Some((image, offset)) => F64x8::load(&std::array::from_fn(|l| {
+                    image.get((offset + row(l)) % image.rows(), j)
+                })),
+                None => acc[1],
+            };
+            let (centre, dev) = bounds_lanes(layer, b, acc[0], dev, acc[2]);
+            centre.store(&mut centres);
+            dev.store(&mut devs);
+        }
+        for (l, (mut centre, mut dev)) in centres.into_iter().zip(devs).enumerate() {
+            if l >= rows - r {
+                break;
+            }
+            if C && layer.activation == Activation::Tanh {
+                if M {
+                    tanh_bounds(&mut centre, &mut dev);
+                } else {
+                    centre = layer.activation.apply(centre);
+                }
+            }
+            if C {
+                c_out.row_mut(r + l)[j] = centre;
+            }
+            if D || M {
+                d_out.row_mut(r + l)[j] = dev;
+            }
+            if M {
+                m_out.row_mut(r + l)[j] = centre.abs() + dev;
             }
         }
     }
     1
 }
 
+/// The forward epilogue on eight elements: `z + b`, then the activation —
+/// but `tanh`, which the caller applies per element.
+#[inline(always)]
+fn forward_lanes(activation: Activation, z: F64x8, b: F64x8) -> F64x8 {
+    let z = z.add(b);
+    match activation {
+        Activation::Relu => z.max(F64x8::splat(0.0)),
+        Activation::Identity | Activation::Tanh => z,
+    }
+}
+
+/// The bounds epilogue on eight elements of a layer's centre, deviation
+/// and magnitude accumulators, with bias lanes `b`: the centre `c + b`
+/// and the deviation `widen(d + γ·(m + |b|))` — the same enclosure as the
+/// scalar `propagate_dense`, widened outward by the branchless [`widen`]
+/// instead of `next_up` — then the ReLU transformer, which is exact on
+/// interval endpoints. A `tanh` layer's transformer is the caller's
+/// ([`tanh_bounds`], per element).
+#[inline(always)]
+fn bounds_lanes(layer: &PreparedLayer, b: F64x8, c: F64x8, d: F64x8, m: F64x8) -> (F64x8, F64x8) {
+    let splat = F64x8::splat;
+    let widen = |x: F64x8| x.mul(splat(WIDEN_FACTOR)).add(splat(WIDEN_FLOOR));
+    let centre = c.add(b);
+    let err = splat(layer.gamma).mul(m.add(b.abs()));
+    let dev = widen(d.add(err));
+    match layer.activation {
+        Activation::Identity | Activation::Tanh => (centre, dev),
+        Activation::Relu => {
+            let lo = centre.sub(dev).max(splat(0.0));
+            let hi = centre.add(dev).max(splat(0.0));
+            // `x · 4 · ε` as the scalar transformers write it: two
+            // roundings. Halving is `· 0.5`, the same exact operation.
+            let slack = lo
+                .abs()
+                .max(hi.abs())
+                .mul(splat(4.0))
+                .mul(splat(f64::EPSILON));
+            let half = splat(0.5);
+            let centre = lo.mul(half).add(hi.mul(half));
+            (centre, widen(hi.sub(lo).mul(half).add(slack)))
+        }
+    }
+}
+
+/// The `tanh` transformer on one element's pre-activation bounds, in place.
+fn tanh_bounds(c: &mut f64, d: &mut f64) {
+    let out = Interval::centered(*c, *d).tanh();
+    let slack = out.lo.abs().max(out.hi.abs()) * 4.0 * f64::EPSILON;
+    *c = out.center();
+    *d = widen(out.deviation() + slack);
+}
+
 impl PreparedMlp {
     /// Prepares `net` for batched propagation.
     pub fn new(net: &Mlp) -> PreparedMlp {
-        let layers = net
-            .layers()
-            .iter()
-            .map(|layer| {
-                let mut wt = Matrix::zeros(0, 0);
-                layer.weights.transpose_into(&mut wt);
-                PreparedLayer {
-                    wt,
-                    bias: layer.bias.clone(),
-                    activation: layer.activation,
-                    gamma: gamma(layer.fan_in()),
-                }
-            })
-            .collect();
+        let layers = net.layers().iter().map(PreparedLayer::new).collect();
         PreparedMlp {
             layers,
             input_dim: net.input_dim(),
@@ -301,7 +570,8 @@ impl PreparedMlp {
 
     /// The concrete forward pass over the rows staged in `scratch`'s
     /// centre matrix (see [`IbpBatchScratch::stage`]); the outputs live in
-    /// `scratch`. Every element is the same ascending-`k` fused reduction
+    /// `scratch`. It runs the centre stream of the bounds kernel alone:
+    /// every element is the same ascending-`k` fused reduction from `+0.0`
     /// plus bias as [`Mlp::forward`], so row `n` is bitwise identical to
     /// `net.forward(row n)` — with no per-call transpose.
     ///
@@ -309,19 +579,18 @@ impl PreparedMlp {
     ///
     /// Panics if the staged width disagrees with the network.
     pub fn forward_staged<'s>(&self, scratch: &'s mut IbpBatchScratch) -> &'s Matrix {
-        let IbpBatchScratch {
-            in_c, c, c_next, ..
-        } = scratch;
+        let IbpBatchScratch { in_c, forward, .. } = scratch;
         assert_eq!(in_c.cols(), self.input_dim, "bad batch width");
-        for (i, layer) in self.layers.iter().enumerate() {
-            let input: &Matrix = if i == 0 { in_c } else { c };
-            input.matmul_bias_into(&layer.wt, &layer.bias, c_next);
-            for z in c_next.as_mut_slice() {
-                *z = layer.activation.apply(*z);
-            }
-            std::mem::swap(c, c_next);
+        forward.resize_with(self.layers.len(), Matrix::default);
+        // The pass writes no deviations and no magnitudes.
+        let mut unused = [Matrix::default(), Matrix::default()];
+        let mut input: &Matrix = in_c;
+        for (layer, out) in self.layers.iter().zip(forward) {
+            let [d, m] = unused.each_mut();
+            fused_layer::<SINGLE_V, true, false, false>([input; 3], layer, None, [out, d, m]);
+            input = out;
         }
-        c
+        input
     }
 
     /// The first layer's deviation image `D · |W₁|ᵀ` of a fixed block of
@@ -330,20 +599,21 @@ impl PreparedMlp {
     /// the image back in place of the GEMM leaves every bound bit unchanged.
     pub fn first_dev_image(&self, devs: &Matrix) -> Matrix {
         let mut out = [(); 3].map(|()| Matrix::zeros(0, 0));
-        fused_layer::<false, true>([devs; 2], &self.layers[0].wt, out.each_mut());
+        let first = &self.layers[0];
+        fused_layer::<SINGLE_V, false, true, false>([devs; 3], first, None, out.each_mut());
         let [_, image, _] = out;
         image
     }
 
     /// Propagates the `N` boxes staged in `scratch` (row `i` of the
-    /// centre/deviation staging matrices is box `i`) through the network.
-    /// Returns the output `(centers, devs)` matrices, which live in
-    /// `scratch`.
+    /// centre/deviation staging matrices is box `i`) through the network,
+    /// one fused pass per layer. Returns the output `(centers, devs)`
+    /// matrices, which live in `scratch`.
     ///
     /// `dev_image`, when given, is `(image, offset)` from
     /// [`first_dev_image`](Self::first_dev_image): staged row `r` must carry
     /// the deviations of the image's source row `(offset + r) % rows`, and
-    /// the first layer then copies the image instead of recomputing it.
+    /// the first layer then reads the image instead of recomputing it.
     ///
     /// # Panics
     ///
@@ -354,82 +624,34 @@ impl PreparedMlp {
         dev_image: Option<(&Matrix, usize)>,
     ) -> (&'s Matrix, &'s Matrix) {
         let IbpBatchScratch {
-            c,
-            d,
-            c_next,
-            d_next,
-            abs_acc,
             in_c,
             in_d,
+            in_m,
+            bounds,
+            ..
         } = scratch;
         assert_eq!(in_c.cols(), self.input_dim, "bad box dimensionality");
-        let n = in_c.rows();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (cur_c, cur_d): (&Matrix, &Matrix) = if i == 0 { (in_c, in_d) } else { (c, d) };
-            let ins = [cur_c, cur_d];
-            let out = [&mut *c_next, &mut *d_next, &mut *abs_acc];
-            match dev_image {
-                Some((image, offset)) if i == 0 => {
-                    fused_layer::<true, false>(ins, &layer.wt, out);
-                    for r in 0..n {
-                        d_next.set_row(r, image.row((offset + r) % image.rows()));
-                    }
-                }
-                _ => fused_layer::<true, true>(ins, &layer.wt, out),
-            }
-
-            // Elementwise epilogue: bias, rounding slack, activation
-            // transformer — the same *mathematical* enclosure as the
-            // scalar `propagate_dense`, with the outward widening done by
-            // the branchless [`widen`] (≥ one ULP, vectorizable) instead
-            // of `next_up`, so the per-element loop stays SIMD-friendly.
-            // The activation dispatch is hoisted out of the loop.
-            for r in 0..n {
-                let abs_row = abs_acc.row(r);
-                let it = c_next
-                    .row_mut(r)
-                    .iter_mut()
-                    .zip(d_next.row_mut(r))
-                    .zip(abs_row)
-                    .zip(&layer.bias);
-                match layer.activation {
-                    Activation::Identity => {
-                        for (((c_slot, d_slot), abs_v), b) in it {
-                            *c_slot += b;
-                            let err = layer.gamma * (abs_v + b.abs());
-                            *d_slot = widen(*d_slot + err);
-                        }
-                    }
-                    Activation::Relu => {
-                        for (((c_slot, d_slot), abs_v), b) in it {
-                            let c = *c_slot + b;
-                            let err = layer.gamma * (abs_v + b.abs());
-                            let d = widen(*d_slot + err);
-                            // ReLU is exact on interval endpoints.
-                            let lo = (c - d).max(0.0);
-                            let hi = (c + d).max(0.0);
-                            let slack = lo.abs().max(hi.abs()) * 4.0 * f64::EPSILON;
-                            *c_slot = lo / 2.0 + hi / 2.0;
-                            *d_slot = widen((hi - lo) / 2.0 + slack);
-                        }
-                    }
-                    Activation::Tanh => {
-                        for (((c_slot, d_slot), abs_v), b) in it {
-                            let c = *c_slot + b;
-                            let err = layer.gamma * (abs_v + b.abs());
-                            let d = widen(*d_slot + err);
-                            let out = Interval::centered(c, d).tanh();
-                            let slack = out.lo.abs().max(out.hi.abs()) * 4.0 * f64::EPSILON;
-                            *c_slot = out.center();
-                            *d_slot = widen(out.deviation() + slack);
-                        }
-                    }
-                }
-            }
-            std::mem::swap(c, c_next);
-            std::mem::swap(d, d_next);
+        bounds.resize_with(self.layers.len(), Default::default);
+        in_m.reshape(in_c.rows(), in_c.cols());
+        let staged = in_c.as_slice().iter().zip(in_d.as_slice());
+        for (m, (c, d)) in in_m.as_mut_slice().iter_mut().zip(staged) {
+            *m = c.abs() + d;
         }
-        (c, d)
+        let mut ins: [&Matrix; 3] = [in_c, in_d, in_m];
+        for (i, (layer, out)) in self.layers.iter().zip(bounds).enumerate() {
+            match dev_image.filter(|_| i == 0) {
+                Some(image) => fused_layer::<BOUNDS_V, true, false, true>(
+                    ins,
+                    layer,
+                    Some(image),
+                    out.each_mut(),
+                ),
+                None => fused_layer::<BOUNDS_V, true, true, true>(ins, layer, None, out.each_mut()),
+            }
+            let [c, d, m] = &*out;
+            ins = [c, d, m];
+        }
+        (ins[0], ins[1])
     }
 
     /// Convenience wrapper: propagates a sequence of [`BoxState`]s and

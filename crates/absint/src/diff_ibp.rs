@@ -134,6 +134,8 @@ impl DiffIbp {
     /// `(lower, upper)` output bounds of staged box `row`, after the output
     /// activation.
     pub fn out_bounds(&self, row: usize) -> (&[f64], &[f64]) {
+        // `bind` sizes one layer per network layer, and `Mlp::new` asserts
+        // at least one; a row is only read after `bind` and a propagation.
         let [lo, hi] = &self.layers.last().expect("at least one layer").post;
         (lo.row(row), hi.row(row))
     }
@@ -145,6 +147,7 @@ impl DiffIbp {
     /// post-activation bound cannot pull a saturated policy back, while
     /// the pre-activation bound always carries gradient.
     pub fn pre_out_bounds(&self, row: usize) -> (&[f64], &[f64]) {
+        // As in `out_bounds`: a bound engine has one layer per network layer.
         let [lo, hi] = &self.layers.last().expect("at least one layer").pre;
         (lo.row(row), hi.row(row))
     }
@@ -267,9 +270,12 @@ fn affine_bounds(
         hi: &[f64],
         bias: &[f64],
     ) -> [[f64; L]; 2] {
+        // `at..at + L` is L long by construction; the index panics first
+        // if it runs past the bias.
         let bias: [f64; L] = bias[at..at + L].try_into().expect("the slice is L long");
         let (mut zl, mut zh) = (bias, bias);
         for (j, (&l, &h)) in lo.iter().zip(hi).enumerate() {
+            // As for the bias: the range is L long by construction.
             let w: &[f64; L] = wt.row(j)[at..at + L]
                 .try_into()
                 .expect("the slice is L long");

@@ -6,9 +6,11 @@
 //! explicit `|C| + D`, then the epilogue formulas — and requires `to_bits`
 //! equality of every output centre and deviation: all three activations,
 //! widths that end in every column tail (32-wide blocks, 8-wide blocks,
-//! single columns), row counts on both sides of the row grouping, weights
-//! and centres that include `-0.0`, zeros and subnormals, with and without
-//! a first-layer deviation image at every row offset.
+//! single columns), row counts on both sides of the row pairs and of the
+//! tail columns' eight-row lane groups (8, 9, 16, 17: a full group and a
+//! one-row spill), weights and centres that include `-0.0`, zeros and
+//! subnormals, with and without a first-layer deviation image at every row
+//! offset.
 //!
 //! Mutation-checked by hand: accumulating the magnitude stream in two
 //! steps per `k` — `fma(|c|, |w|, ·)` then `fma(d, |w|, ·)` — instead of
@@ -36,7 +38,7 @@ const SHAPES: [&[usize]; 4] = [
     &[33, 41, 40, 2],
     &[70, 107, 64, 1],
 ];
-const ROW_COUNTS: [usize; 5] = [1, 5, 10, 32, 33];
+const ROW_COUNTS: [usize; 9] = [1, 5, 8, 9, 10, 16, 17, 32, 33];
 /// Largest input deviation: ordinary boxes, and boxes a few ULPs wide — there
 /// `D·|W|ᵀ` is below the `γ`-scaled magnitude accumulator, so the output
 /// deviation shows the accumulator's own last bits.

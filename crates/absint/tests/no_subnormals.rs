@@ -123,7 +123,7 @@ fn audit(label: &str, net: &Mlp, dead_units: &[usize]) {
                         }
                     }
                 }
-                let resident: [&Matrix; 7] = scratch.buffers();
+                let resident = scratch.buffers();
                 for (b, buffer) in resident.iter().enumerate() {
                     for &x in buffer.as_slice() {
                         assert_clean(&format!("{label} buffer {b}"), x);

@@ -50,6 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use canopy_absint::{IbpBatchScratch, PreparedMlp};
+use canopy_netsim::traces::fnv1a;
 use canopy_netsim::{FlowId, LinkConfig, MonitorSample, Simulator, Time};
 use canopy_nn::Mlp;
 use canopy_telemetry::{BatchRecord, DecisionRecord, SharedRecorder};
@@ -249,6 +250,8 @@ impl OrcaDriver {
 
     /// Takes over a (shared) actor.
     fn adopt_actor(&mut self, actor: Arc<Mlp>) {
+        // A documented precondition of `swap_actor` (`# Panics`), and the
+        // pool only pools drivers that carry a policy (`push`).
         let policy = self
             .policy
             .as_mut()
@@ -363,12 +366,16 @@ impl OrcaDriver {
         action: f64,
         qc_sat: Option<f64>,
     ) -> (f64, bool) {
+        // A documented precondition (`# Panics`); the pool, which calls
+        // this for every pooled decision, pools only drivers with a policy.
         let policy = self
             .policy
             .as_mut()
             .expect("self-driving decisions require a policy");
         let use_agent = match policy.monitor.as_mut() {
             Some(monitor) => {
+                // The pool certifies every monitored group before it
+                // applies (`# Panics` states it for any other caller).
                 let agg = qc_sat.expect("callers certify a monitored policy first (see # Panics)");
                 self.fallback_qc.push(agg);
                 monitor.arbitrate(agg).use_agent
@@ -484,8 +491,12 @@ struct CompiledPolicy {
     net: PreparedMlp,
     /// The monitor's certification pass, when the policy has a monitor.
     plan: Option<CertPlan>,
-    /// `[0]` stages the forward pass and sequential certification; the
-    /// certification fan-out grows one more per worker.
+    /// Stages the forward pass. Its own, so that the forward's few rows
+    /// and certification's many do not resize (and refill) one set of
+    /// buffers back and forth on every dispatch.
+    forward: IbpBatchScratch,
+    /// `[0]` stages sequential certification; the certification fan-out
+    /// grows one more per worker.
     scratch: Vec<IbpBatchScratch>,
 }
 
@@ -502,6 +513,7 @@ impl CompiledPolicy {
             actor: policy.actor.clone(),
             net,
             plan,
+            forward: IbpBatchScratch::new(),
             scratch: vec![IbpBatchScratch::new()],
         }
     }
@@ -531,14 +543,15 @@ impl CompiledPolicy {
             actor,
             net,
             plan,
+            forward,
             scratch,
             ..
         } = self;
-        let (states, _) = scratch[0].stage(reps.len(), net.input_dim());
+        let (states, _) = forward.stage(reps.len(), net.input_dim());
         for (r, &j) in reps.iter().enumerate() {
             states.set_row(r, &ctx(j).state);
         }
-        let forward = net.forward_staged(&mut scratch[0]);
+        let forward = net.forward_staged(forward);
         actions.clear();
         actions.extend((0..reps.len()).map(|r| forward.get(r, 0)));
         if let Some(plan) = plan {
@@ -600,6 +613,8 @@ impl PolicyTable {
 
     /// Drops one user of `slot`, and the entry with its last user.
     fn release(&mut self, slot: usize) {
+        // A slot is released once per user it was interned for, and an
+        // entry is dropped only with its last user.
         let entry = self.entries[slot]
             .as_mut()
             .expect("only a driver holding the slot releases it");
@@ -672,13 +687,15 @@ struct BatchBuffers {
     aggs: Vec<Option<f64>>,
 }
 
-/// One policy group's states, grouped by bit pattern: sorting an index
-/// buffer by `f64::to_bits` puts equal states in runs, so there is no
-/// hashing and no collision path.
+/// One policy group's states, grouped by bit pattern: sorting the members
+/// by a 64-bit key of their state bits ([`fnv1a`] over the `f64` words),
+/// ties broken by the bits themselves and then the index, puts equal
+/// states in runs. The key only orders; equality is always the full bit
+/// comparison, so a collision costs a comparison and nothing else.
 #[derive(Debug, Default)]
 struct DistinctStates {
-    /// Member indices in ascending (state bits, index) order.
-    order: Vec<usize>,
+    /// (key, member index) in ascending (key, state bits, index) order.
+    order: Vec<(u64, usize)>,
     /// One member per distinct state: the lowest index of its run.
     reps: Vec<usize>,
     /// `rep_of[j]`: the position in `reps` of member `j`'s state.
@@ -705,10 +722,19 @@ impl DistinctStates {
         }
         let bits = |j: usize| state(j).iter().map(|x| x.to_bits());
         order.clear();
-        order.extend(0..n);
-        order.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
-        for (pos, &j) in order.iter().enumerate() {
-            if pos == 0 || !bits(j).eq(bits(order[pos - 1])) {
+        order.extend((0..n).map(|j| (fnv1a(bits(j)), j)));
+        order.sort_unstable_by(|&(key_a, a), &(key_b, b)| {
+            key_a
+                .cmp(&key_b)
+                .then_with(|| bits(a).cmp(bits(b)))
+                .then(a.cmp(&b))
+        });
+        for (pos, &(key, j)) in order.iter().enumerate() {
+            let new_run = pos == 0 || {
+                let (prev_key, prev) = order[pos - 1];
+                key != prev_key || !bits(j).eq(bits(prev))
+            };
+            if new_run {
                 reps.push(j);
             }
             rep_of[j] = reps.len() - 1;
@@ -752,6 +778,8 @@ impl DriverPool {
     /// driver shares its compiled form and its copy of the actor.
     pub fn push(&mut self, mut driver: OrcaDriver) -> usize {
         let layout = driver.layout;
+        // A documented precondition of `push`: the pool decides for the
+        // driver, so it needs the driver's policy.
         let policy = driver
             .policy
             .as_mut()
@@ -806,6 +834,7 @@ impl DriverPool {
         for i in indices {
             let driver = &mut self.drivers[i];
             driver.adopt_actor(actor.clone());
+            // `OrcaDriver::adopt_actor` just found the policy.
             let policy = driver.policy.as_mut().expect("checked by adopt_actor");
             let slot = self.table.intern(policy, driver.layout);
             self.table
@@ -953,6 +982,8 @@ impl DriverPool {
         for &slot in groups.iter() {
             members.clear();
             members.extend((0..items.len()).filter(|&pos| slots[items[pos].0] == slot));
+            // `slot` is a pooled driver's slot, and an entry lives as long
+            // as a driver uses it.
             let compiled = table.entries[slot]
                 .as_mut()
                 .expect("pooled drivers point at live entries");
@@ -1184,16 +1215,13 @@ mod tests {
                 &mut distinct,
                 |j, a, agg| got.push((j, a.to_bits(), agg.map(f64::to_bits))),
             );
-            // The last pass staged one row per distinct state (forward) or
-            // per distinct state, property and component (certification).
-            let rows_per_state = monitor.as_ref().map_or(1, |m| m.properties().len() * 4);
-            let staged = compiled.scratch[0].staged().0.rows();
-            assert_eq!(
-                staged,
-                4 * rows_per_state,
-                "monitored: {}",
-                monitor.is_some()
-            );
+            // The forward staged one row per distinct state, and
+            // certification one per distinct state, property and component.
+            assert_eq!(compiled.forward.staged().0.rows(), 4);
+            if let Some(m) = &monitor {
+                let staged = compiled.scratch[0].staged().0.rows();
+                assert_eq!(staged, 4 * m.properties().len() * 4);
+            }
             let want: Vec<_> = ctxs
                 .iter()
                 .enumerate()

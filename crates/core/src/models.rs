@@ -262,7 +262,7 @@ fn cache_path(dir: &Path, config: &TrainerConfig) -> PathBuf {
         config.epochs,
         config.steps_per_epoch,
         config.envs.len(),
-        canopy_netsim::traces::fnv1a(&format!("{config:?}"))
+        canopy_netsim::traces::fnv1a(format!("{config:?}").bytes())
     ))
 }
 

@@ -43,9 +43,20 @@ pub fn f_cwnd(action: f64, cwnd_tcp: f64) -> f64 {
 /// to the interval of windows the controller can produce. `2^(2a)` is
 /// monotone, so the interval image is exact up to outward rounding.
 pub fn f_cwnd_abstract(action: Interval, cwnd_tcp: f64) -> Interval {
+    f_cwnd_scaled(cwnd_factor(action), cwnd_tcp)
+}
+
+/// The flow-independent half of [`f_cwnd_abstract`]: the factor interval
+/// `2^(2·clamp(a))`.
+pub(crate) fn cwnd_factor(action: Interval) -> Interval {
     let a = Interval::new(action.lo.clamp(-1.0, 1.0), action.hi.clamp(-1.0, 1.0));
-    let pow = a.scale(2.0).exp2();
-    let w = pow.scale(cwnd_tcp);
+    a.scale(2.0).exp2()
+}
+
+/// The per-flow half of [`f_cwnd_abstract`]: a [`cwnd_factor`] scaled by
+/// the flow's `cwnd_tcp`, then clamped to the window range.
+pub(crate) fn f_cwnd_scaled(factor: Interval, cwnd_tcp: f64) -> Interval {
+    let w = factor.scale(cwnd_tcp);
     Interval::new(
         w.lo.clamp(CWND_MIN, CWND_MAX),
         w.hi.clamp(CWND_MIN, CWND_MAX),

@@ -11,8 +11,9 @@
 //! first layer's deviation image `D·|W₁|ᵀ` (the fused layer kernel then
 //! skips its deviation stream there) — so that running it **stages** each
 //! (context × property × component) row straight into the batched-IBP
-//! matrices, **encloses** them (`Verifier::enclose`) and **judges** the
-//! action intervals into Eq. 5–7 (the `judge` of a
+//! matrices, **encloses** them (`Verifier::enclose`), takes each action
+//! interval's window factor `2^(2·clamp(a))` once per row, and **judges**
+//! it per flow into Eq. 5–7 (the `judge_factor` of a
 //! [`Postcondition`](crate::property::Postcondition)).
 //!
 //! This is the **only** fixed-partition certification path:
@@ -27,6 +28,7 @@ use canopy_absint::{IbpBatchScratch, Interval, PreparedMlp};
 use canopy_nn::{Matrix, Mlp};
 
 use crate::obs::StateLayout;
+use crate::orca::cwnd_factor;
 use crate::pool;
 use crate::property::{Property, Stage};
 use crate::qc::{Certificate, ComponentResult};
@@ -43,7 +45,8 @@ pub struct CertPlan {
     /// (property, component) template, row by row, and their first-layer
     /// image `D · |W₁|ᵀ`.
     dev_image: Option<(Matrix, Matrix)>,
-    /// Per staged row of the last run: (input slice, action interval).
+    /// Per staged row of the last run: (input slice, the action
+    /// interval's [`cwnd_factor`]).
     rows: Vec<(Interval, Interval)>,
 }
 
@@ -156,7 +159,8 @@ impl CertPlan {
     }
 
     /// Stages and propagates the global rows `range`, appending one
-    /// (input slice, action interval) pair per row to `out`.
+    /// (input slice, action [`cwnd_factor`]) pair per row to `out` — the
+    /// factor's two `exp2` once per row, however many flows share it.
     fn propagate<'a>(
         &self,
         net: &PreparedMlp,
@@ -180,7 +184,7 @@ impl CertPlan {
         let image = image.map(|(_, image)| (image, range.start % per_context));
         self.verifier
             .enclose(net, actor, scratch, image, |r, action| {
-                out[base + r].1 = action
+                out[base + r].1 = cwnd_factor(action)
             });
     }
 
@@ -198,7 +202,7 @@ impl CertPlan {
         let base = j * self.rows_per_context() + p * n;
         self.rows[base..base + n]
             .iter()
-            .map(move |&(slice, act)| post.judge(slice, act, ctx, reference))
+            .map(move |&(slice, factor)| post.judge_factor(slice, factor, ctx, reference))
     }
 
     /// The Eq. (7) aggregate at context `j` of the last run — bitwise the

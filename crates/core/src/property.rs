@@ -22,7 +22,7 @@ use canopy_absint::{axis_slices, BoxState, Interval};
 use serde::{Deserialize, Serialize};
 
 use crate::obs::{StateLayout, ACTION_IDX, DELAY_IDX, LOSS_IDX};
-use crate::orca::{f_cwnd, f_cwnd_abstract};
+use crate::orca::{cwnd_factor, f_cwnd, f_cwnd_scaled};
 use crate::qc::ComponentResult;
 use crate::verifier::StepContext;
 
@@ -192,7 +192,20 @@ impl Postcondition {
         ctx: &StepContext,
         reference: f64,
     ) -> ComponentResult {
-        let delta = f_cwnd_abstract(action, ctx.cwnd_tcp).sub(Interval::point(reference));
+        self.judge_factor(input_slice, cwnd_factor(action), ctx, reference)
+    }
+
+    /// [`judge`](Self::judge) from the action's [`cwnd_factor`], which
+    /// does not depend on the flow: Eq. (5) is that factor scaled by the
+    /// flow's `cwnd_tcp`.
+    pub(crate) fn judge_factor(
+        self,
+        input_slice: Interval,
+        factor: Interval,
+        ctx: &StepContext,
+        reference: f64,
+    ) -> ComponentResult {
+        let delta = f_cwnd_scaled(factor, ctx.cwnd_tcp).sub(Interval::point(reference));
         let output = match self {
             Postcondition::NoDecrease | Postcondition::NoIncrease => delta,
             Postcondition::BoundedChange { .. } => {

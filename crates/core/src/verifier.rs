@@ -195,6 +195,7 @@ impl Verifier {
         layout: StateLayout,
         ctx: &StepContext,
     ) -> Certificate {
+        // `certify_all` returns one certificate per property.
         self.certify_all(actor, std::slice::from_ref(property), layout, ctx)
             .0
             .pop()
@@ -371,6 +372,7 @@ impl Verifier {
         layout: StateLayout,
         ctx: &StepContext,
     ) -> (Vec<Certificate>, f64) {
+        // `certify_all_many` returns one certification per context.
         self.certify_all_many(actor, properties, layout, std::slice::from_ref(ctx))
             .pop()
             .expect("one context in, one certification out")

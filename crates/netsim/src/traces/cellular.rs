@@ -56,7 +56,7 @@ pub(crate) const TMOBILE: OperatorModel = OperatorModel {
 /// Generates one operator's trace: `duration_secs` of 100 ms segments,
 /// looping.
 pub fn generate(model: &OperatorModel, seed: u64, duration_secs: f64) -> BandwidthTrace {
-    let mut rng = StdRng::seed_from_u64(seed ^ super::fnv1a(model.name));
+    let mut rng = StdRng::seed_from_u64(seed ^ super::fnv1a(model.name.bytes()));
     let ticks = (duration_secs / 0.1).max(1.0) as usize;
     let mut regime = 1usize; // Start in the mid regime.
     let segments: Vec<Segment> = (0..ticks)

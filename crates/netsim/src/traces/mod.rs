@@ -31,11 +31,12 @@ pub fn all_eval_traces(seed: u64) -> Vec<BandwidthTrace> {
     v
 }
 
-/// The 64-bit FNV-1a hash of `s`: the workspace's one stable string hash,
-/// for seed separation and cache keys.
-pub fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+/// The 64-bit FNV-1a hash of a sequence of units — a string's bytes, a
+/// state's `f64` bit patterns — one unit per step: the workspace's one
+/// stable hash, for seed separation, cache keys and grouping equal states.
+pub fn fnv1a<T: Into<u64>>(units: impl IntoIterator<Item = T>) -> u64 {
+    units.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, unit| {
+        (h ^ unit.into()).wrapping_mul(0x100_0000_01b3)
     })
 }
 

@@ -83,7 +83,7 @@ impl FromStr for Family {
 }
 
 pub(crate) fn rng_for(family: Family, seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ canopy_netsim::traces::fnv1a(family.name()))
+    StdRng::seed_from_u64(seed ^ canopy_netsim::traces::fnv1a(family.name().bytes()))
 }
 
 /// Generates the `(family, seed)` scenario. Pure and deterministic: the
