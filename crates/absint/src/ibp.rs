@@ -127,7 +127,7 @@ pub fn propagate_mlp(net: &Mlp, input: &BoxState) -> BoxState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canopy_nn::Matrix;
+    use canopy_nn::{relu, Matrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -201,10 +201,7 @@ mod tests {
         for (c, e) in [(1.0f64, 0.5f64), (-1.0, 0.5), (0.2, 0.7), (0.0, 0.0)] {
             let hi = c + e;
             let lo = c - e;
-            let paper = (
-                (hi.max(0.0) + lo.max(0.0)) / 2.0,
-                (hi.max(0.0) - lo.max(0.0)) / 2.0,
-            );
+            let paper = ((relu(hi) + relu(lo)) / 2.0, (relu(hi) - relu(lo)) / 2.0);
             let iv = Interval::new(lo, hi).relu();
             assert!((iv.center() - paper.0).abs() < 1e-12);
             assert!((iv.deviation() - paper.1).abs() < 1e-12);

@@ -1,5 +1,6 @@
 //! Sound closed-interval arithmetic over `f64`.
 
+use canopy_nn::relu;
 use serde::{Deserialize, Serialize};
 
 /// How many ULP steps to widen after elementary-function evaluation; the
@@ -213,8 +214,8 @@ impl Interval {
     #[inline]
     pub fn relu(self) -> Interval {
         Interval {
-            lo: self.lo.max(0.0),
-            hi: self.hi.max(0.0),
+            lo: relu(self.lo),
+            hi: relu(self.hi),
         }
     }
 
@@ -270,6 +271,18 @@ impl Interval {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both endpoints map through the one scalar ReLU: a zero of either
+    /// sign maps to `+0.0` on every build profile.
+    #[test]
+    fn relu_maps_signed_zeros_to_positive_zero() {
+        let iv = Interval::new(std::hint::black_box(-0.0), std::hint::black_box(-0.0)).relu();
+        assert_eq!((iv.lo.to_bits(), iv.hi.to_bits()), (0, 0));
+        let iv = Interval::new(-3.0, std::hint::black_box(-0.0)).relu();
+        assert_eq!((iv.lo.to_bits(), iv.hi.to_bits()), (0, 0));
+        let iv = Interval::new(f64::NEG_INFINITY, f64::INFINITY).relu();
+        assert_eq!((iv.lo.to_bits(), iv.hi), (0, f64::INFINITY));
+    }
 
     #[test]
     fn construction_and_accessors() {

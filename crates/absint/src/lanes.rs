@@ -16,8 +16,8 @@
 //! operators, and `mul_add` rounds once, like [`f64::mul_add`]. `max` is
 //! [`f64::max`] (a NaN operand yields the other one) with its one open
 //! case closed: of two equal operands, `+0.0` and `-0.0`, it returns
-//! `other`, which is what x86 builds compile the scalar `x.max(0.0)` of an
-//! activation transformer to. `transpose` moves bits. So each lane is
+//! `other`, so `max(x, 0)` is the scalar [`canopy_nn::relu`] the activation
+//! transformers write, `+0.0` for `-0.0`. `transpose` moves bits. So each lane is
 //! bitwise the scalar operation on either path, and a kernel written over
 //! `F64x8` gives the same bits as its scalar loop (`tests` below;
 //! `tests/fused_ibp_equivalence.rs` for the kernel).
@@ -383,8 +383,8 @@ mod tests {
     }
 
     /// `f64::max` wherever it is specified; of two equal zeros, `other`;
-    /// and the scalar `x.max(0.0)` the ReLU transformers write, for every
-    /// special `x` (`-0.0` included).
+    /// and the scalar [`canopy_nn::relu`] the ReLU transformers write, for
+    /// every special `x` (`-0.0` and NaN included).
     #[test]
     fn max_is_the_scalar_max() {
         assert_binary(
@@ -399,7 +399,11 @@ mod tests {
         );
         for x in SPECIAL {
             let got = lanes(F64x8::splat(x).max(F64x8::splat(0.0)));
-            assert_lanes_eq(got, [std::hint::black_box(x).max(0.0); 8], "max(x, 0)");
+            assert_lanes_eq(
+                got,
+                [canopy_nn::relu(std::hint::black_box(x)); 8],
+                "max(x, 0)",
+            );
         }
         let got = lanes(F64x8::splat(-0.0).max(F64x8::splat(0.0)));
         assert_eq!(got.map(f64::to_bits), [0.0f64.to_bits(); 8], "max(-0, +0)");

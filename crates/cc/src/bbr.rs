@@ -187,7 +187,7 @@ impl CongestionControl for Bbr {
         let rtprop_guess = self
             .rt_prop()
             .unwrap_or(info.rtt.unwrap_or(Time::from_millis(100)));
-        if let Some(bw) = info.delivery_rate {
+        if let Some(bw) = info.delivery_rate() {
             let window = rtprop_guess
                 .mul_f64(BW_FILTER_RTTS as f64)
                 .max(Time::from_secs(1));
@@ -254,7 +254,9 @@ mod tests {
             rtt: Some(Time::from_millis(rtt_ms)),
             min_rtt: Time::from_millis(rtt_ms),
             inflight,
-            delivery_rate: Some(rate),
+            // One second at `rate`: every rate these tests use is whole.
+            delivered: rate as u64,
+            elapsed: Time::from_secs(1),
             is_duplicate: false,
         }
     }

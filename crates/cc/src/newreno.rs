@@ -87,7 +87,8 @@ mod tests {
             rtt: Some(Time::from_millis(40)),
             min_rtt: Time::from_millis(40),
             inflight: 10,
-            delivery_rate: None,
+            delivered: 0,
+            elapsed: Time::ZERO,
             is_duplicate: false,
         }
     }

@@ -133,7 +133,8 @@ mod tests {
             rtt: Some(Time::from_millis(rtt_ms)),
             min_rtt: Time::from_millis(rtt_ms),
             inflight: 10,
-            delivery_rate: None,
+            delivered: 0,
+            elapsed: Time::ZERO,
             is_duplicate: false,
         }
     }

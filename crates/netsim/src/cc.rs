@@ -19,12 +19,24 @@ pub struct AckInfo {
     pub min_rtt: Time,
     /// Packets currently outstanding (sent, not yet acknowledged or lost).
     pub inflight: u64,
-    /// Delivery-rate sample in bytes per second, if computable
-    /// (total bytes delivered between the echoed packet's send and now,
-    /// divided by the elapsed time); BBR's bandwidth filter consumes this.
-    pub delivery_rate: Option<f64>,
+    /// Bytes delivered between the echoed packet's send and this ACK
+    /// (what this ACK itself acknowledges not included).
+    pub delivered: u64,
+    /// Time since the echoed packet was sent.
+    pub elapsed: Time,
     /// Whether the ACK was a duplicate (did not advance the cumulative ACK).
     pub is_duplicate: bool,
+}
+
+impl AckInfo {
+    /// Delivery-rate sample in bytes per second — [`delivered`](Self::delivered)
+    /// over [`elapsed`](Self::elapsed) — when any time elapsed; BBR's
+    /// bandwidth filter consumes it. Computed on demand: most kernels never
+    /// ask.
+    #[inline]
+    pub fn delivery_rate(&self) -> Option<f64> {
+        (self.elapsed > Time::ZERO).then(|| self.delivered as f64 / self.elapsed.as_secs_f64())
+    }
 }
 
 /// Information delivered on a fast-retransmit-style loss detection.
@@ -123,7 +135,8 @@ mod tests {
                 rtt: Some(Time::from_millis(10)),
                 min_rtt: Time::from_millis(10),
                 inflight: 5,
-                delivery_rate: None,
+                delivered: 0,
+                elapsed: Time::ZERO,
                 is_duplicate: false,
             },
         );

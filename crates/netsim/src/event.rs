@@ -23,17 +23,26 @@
 //!   whether the timer is live ([`EventQueue::rto_pending`]) — every
 //!   timer that pops is live, with no generation counter to check.
 //!
-//! The shards merge through a tournament (winner) tree over one packed
-//! `u128` head key per shard, `(time << 64) | id`, padded with the idle
-//! key to a power of two, so every match is one branch-free integer
-//! compare. A head change re-plays one leaf-to-root path
-//! (O(log #shards)). The popped shard's re-play is deferred to the next
-//! lookup, so the event its dispatch schedules back into the same shard
-//! (the next departure, the re-armed RTO) shares that one re-play. Ids
-//! are assigned globally in schedule order, so the merged dispatch order
-//! is **identical** to the classic global min-heap with FIFO tie-breaks —
-//! simulations replay bit-for-bit — while every hot operation is O(1) in
-//! the event population.
+//! Every event carries a packed `u128` key, `(time << 64) | id`, whose
+//! integer order is the lexicographic `(time, id)` one; ids are assigned
+//! globally in schedule order. The shards merge through a tournament
+//! (winner) tree with one leaf per shard, padded with idle leaves to a
+//! power of two. A tree node is 16 bytes and holds its winner **by
+//! value**: the winning head's activation time and the winning leaf, so a
+//! match compares two times already in hand, with no index to chase. The
+//! id half of each leaf's head lives apart, in a per-leaf array that a
+//! match reads only when both times are equal — so the merged order is
+//! still exactly `(time, id)`, FIFO among equal times. An idle leaf holds
+//! the time and the id `u64::MAX`, and loses every match against a
+//! pending head.
+//!
+//! A head change re-plays one leaf-to-root path (O(log #shards)) and
+//! returns the root it computed. The popped shard's re-play is deferred to
+//! the next lookup, so the event its dispatch schedules back into the same
+//! shard (the next departure, the re-armed RTO) shares that one re-play.
+//! The merged dispatch order is **identical** to the classic global
+//! min-heap with FIFO tie-breaks — simulations replay bit-for-bit — while
+//! every hot operation is O(1) in the event population.
 
 use std::collections::VecDeque;
 use std::hint::select_unpredictable;
@@ -89,14 +98,24 @@ const IDLE: u128 = u128::MAX;
 /// Packs `(time, id)` into one key whose integer order is the
 /// lexicographic one.
 #[inline]
-fn pack(at: Time, id: u64) -> u128 {
-    (u128::from(at.as_nanos()) << 64) | u128::from(id)
+fn pack(at: u64, id: u64) -> u128 {
+    (u128::from(at) << 64) | u128::from(id)
 }
 
-/// The activation time packed into `key`.
+/// Splits a key into its `(time, id)` halves, in nanoseconds.
 #[inline]
-fn time_of(key: u128) -> Time {
-    Time::from_nanos((key >> 64) as u64)
+fn unpack(key: u128) -> (u64, u64) {
+    ((key >> 64) as u64, key as u64)
+}
+
+/// A tournament node: the head time of the leaf that wins below it, and
+/// that leaf.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// Activation time in nanoseconds; `u64::MAX` for an idle leaf.
+    at: u64,
+    /// The winning leaf, which is its shard's index.
+    leaf: usize,
 }
 
 /// One link's or one flow's calendar shard.
@@ -105,31 +124,35 @@ struct Shard {
     /// Pending hop arrivals (link) or ACK and start/stop events (flow),
     /// sorted by key.
     lane: VecDeque<(u128, Event)>,
-    /// The one pending departure (link) or armed retransmission timer
-    /// (flow), if any.
-    slot: Option<u128>,
+    /// The key of the one pending departure (link) or armed
+    /// retransmission timer (flow); [`IDLE`] when there is none.
+    slot: u128,
 }
 
 impl Shard {
     fn with_capacity(capacity: usize) -> Shard {
         Shard {
             lane: VecDeque::with_capacity(capacity),
-            slot: None,
+            slot: IDLE,
         }
     }
 
     /// The earliest key pending in this shard.
     #[inline]
     fn head(&self) -> u128 {
-        let lane = self.lane.front().map_or(IDLE, |e| e.0);
-        lane.min(self.slot.unwrap_or(IDLE))
+        self.lane.front().map_or(IDLE, |e| e.0).min(self.slot)
     }
 
     /// Inserts keeping key order. Ids grow monotonically, so an entry
-    /// lands at the tail unless jitter reordered activation times, and
-    /// equal times keep FIFO order.
+    /// lands at the tail — an append — unless jitter reordered activation
+    /// times, and equal times keep FIFO order.
+    #[inline]
     fn insort(&mut self, key: u128, event: Event) {
-        let mut idx = self.lane.len();
+        if self.lane.back().is_none_or(|e| e.0 < key) {
+            self.lane.push_back((key, event));
+            return;
+        }
+        let mut idx = self.lane.len() - 1;
         while idx > 0 && self.lane[idx - 1].0 > key {
             idx -= 1;
         }
@@ -147,13 +170,15 @@ pub(crate) struct EventQueue {
     /// mid-run.
     shards: Vec<Shard>,
     links: usize,
-    /// `heads[s]` mirrors shard `s`'s head key, padded with [`IDLE`] to
-    /// `leaf_base` entries. Exact on every mutation.
-    heads: Vec<u128>,
-    /// Tournament tree over `heads`: a complete binary tree with
-    /// `leaf_base` leaves; `tree[1]` is the shard holding the earliest key,
-    /// and `tree[n]` for internal `n` the winner among the leaves below.
-    tree: Vec<u32>,
+    /// The tournament tree, a complete binary tree of `leaf_base` leaves:
+    /// `tree[leaf_base + s]` is shard `s`'s leaf, `tree[n]` for
+    /// `1 <= n < leaf_base` the winner among the leaves below `n`, and
+    /// `tree[1]` the earliest head of all. Leaves are exact on every
+    /// mutation; internal nodes off the stale path too.
+    tree: Vec<Node>,
+    /// `ids[s]` is the id half of shard `s`'s head key (`u64::MAX` when
+    /// idle), read only to break a tie between equal times.
+    ids: Vec<u64>,
     /// Number of leaves (a power of two, `>= shards.len()`).
     leaf_base: usize,
     /// The shard popped last, whose path has not been re-played since:
@@ -170,8 +195,8 @@ impl EventQueue {
         let mut q = EventQueue {
             shards: (0..links).map(|_| Shard::with_capacity(2)).collect(),
             links,
-            heads: Vec::new(),
             tree: Vec::new(),
+            ids: Vec::new(),
             leaf_base: 0,
             stale: None,
             next_id: 0,
@@ -194,54 +219,92 @@ impl EventQueue {
         shard
     }
 
-    /// Rebuilds the tournament tree from scratch (shard-count growth only;
-    /// steady-state updates re-play single paths).
+    /// Rebuilds the tournament tree from every shard's head (shard-count
+    /// growth only; steady-state updates re-play single paths).
     fn rebuild_tree(&mut self) {
         let leaves = self.shards.len().next_power_of_two().max(2);
         self.leaf_base = leaves;
-        self.heads.resize(leaves, IDLE);
-        self.tree = vec![0; leaves];
-        self.tree.extend(0..leaves as u32);
+        self.ids = vec![u64::MAX; leaves];
+        self.tree = vec![Node { at: 0, leaf: 0 }; leaves];
+        self.tree
+            .extend((0..leaves).map(|leaf| Node { at: u64::MAX, leaf }));
+        for (s, shard) in self.shards.iter().enumerate() {
+            (self.tree[leaves + s].at, self.ids[s]) = unpack(shard.head());
+        }
         for n in (1..leaves).rev() {
-            self.tree[n] = self.winner(self.tree[2 * n], self.tree[2 * n + 1]);
+            self.tree[n] = self.play(self.tree[2 * n], self.tree[2 * n + 1]);
         }
         self.stale = None;
     }
 
+    /// The winner of one match: the earlier time, and on equal times the
+    /// earlier id.
     #[inline]
-    fn winner(&self, a: u32, b: u32) -> u32 {
-        select_unpredictable(self.heads[b as usize] < self.heads[a as usize], b, a)
+    fn play(&self, a: Node, b: Node) -> Node {
+        let b_wins = if a.at == b.at {
+            self.ids[b.leaf] < self.ids[a.leaf]
+        } else {
+            b.at < a.at
+        };
+        select_unpredictable(b_wins, b, a)
     }
 
-    /// Re-plays the tournament path from `shard`'s leaf to the root.
+    /// Re-plays the tournament path from `shard`'s leaf to the root and
+    /// returns the root.
     #[inline]
-    fn replay(&mut self, shard: usize) {
-        let mut n = (self.leaf_base + shard) / 2;
-        while n >= 1 {
-            self.tree[n] = self.winner(self.tree[2 * n], self.tree[2 * n + 1]);
+    fn replay(&mut self, shard: usize) -> Node {
+        let mut n = self.leaf_base + shard;
+        let mut winner = self.tree[n];
+        while n > 1 {
+            winner = self.play(winner, self.tree[n ^ 1]);
             n /= 2;
+            self.tree[n] = winner;
+        }
+        winner
+    }
+
+    /// Stores `shard`'s head key in its leaf and its id.
+    #[inline]
+    fn set_leaf(&mut self, shard: usize, key: u128) {
+        (self.tree[self.leaf_base + shard].at, self.ids[shard]) = unpack(key);
+    }
+
+    /// The key at `shard`'s leaf: its head, exact on every mutation.
+    #[inline]
+    fn leaf_key(&self, shard: usize) -> u128 {
+        pack(self.tree[self.leaf_base + shard].at, self.ids[shard])
+    }
+
+    /// Stores `shard`'s new head key `head` and re-plays its path — unless
+    /// the shard is the stale one, whose path the next lookup re-plays
+    /// anyway.
+    #[inline]
+    fn move_head(&mut self, shard: usize, head: u128) {
+        self.set_leaf(shard, head);
+        if self.stale != Some(shard) {
+            self.replay(shard);
         }
     }
 
-    /// Re-syncs `shard`'s head key after a mutation. Most mutations leave
-    /// the head alone (ACKs append at the back, timer re-arms land behind
-    /// the next ACK), and the stale shard's path is re-played by the next
-    /// lookup anyway: only a moved head of another shard re-plays now.
+    /// Re-syncs `shard`'s leaf after its head key left the shard.
     #[inline]
     fn refresh(&mut self, shard: usize) {
         let head = self.shards[shard].head();
-        if self.heads[shard] != head {
-            self.heads[shard] = head;
-            if self.stale != Some(shard) {
-                self.replay(shard);
-            }
-        }
+        self.move_head(shard, head);
     }
 
     /// Schedules `event` at time `at`. Panics when a departure is already
     /// pending on the same link.
+    ///
+    /// The new key's id is the largest yet, so it becomes its shard's head
+    /// exactly when its time is earlier than the head's; only a timer
+    /// re-arm that overwrites the head itself re-reads the shard. Most
+    /// calls move no head (ACKs append at the back, a re-armed timer lands
+    /// behind the next ACK, and the next departure goes to the stale shard
+    /// just popped) and re-play nothing.
+    #[inline]
     pub fn schedule(&mut self, at: Time, event: Event) {
-        let key = pack(at, self.next_id);
+        let key = pack(at.as_nanos(), self.next_id);
         self.next_id += 1;
         let shard = match event {
             Event::LinkDeparture(LinkId(l))
@@ -260,33 +323,39 @@ impl EventQueue {
             | Event::FlowStart(flow)
             | Event::FlowStop(flow) => self.flow_shard(flow),
         };
+        let head = self.leaf_key(shard);
         let s = &mut self.shards[shard];
         match event {
             Event::LinkDeparture(_) => {
-                let pending = s.slot.replace(key);
                 assert!(
-                    pending.is_none(),
+                    s.slot == IDLE,
                     "a departure is already pending on link {shard}"
                 );
+                s.slot = key;
             }
             // Overwrite: TCP restarts the timer, so only the newest
             // deadline may fire.
-            Event::RtoTimer(_) => s.slot = Some(key),
+            Event::RtoTimer(_) => {
+                if std::mem::replace(&mut s.slot, key) == head {
+                    self.refresh(shard);
+                    return;
+                }
+            }
             _ => s.insort(key, event),
         }
-        self.refresh(shard);
+        if key < head {
+            self.move_head(shard, key);
+        }
     }
 
     /// Disarms `flow`'s retransmission timer, if one is pending.
     pub(crate) fn cancel_rto(&mut self, flow: FlowId) {
         let shard = self.links + flow.0;
-        if self
-            .shards
-            .get_mut(shard)
-            .and_then(|s| s.slot.take())
-            .is_some()
-        {
-            self.refresh(shard);
+        if let Some(s) = self.shards.get_mut(shard) {
+            let slot = std::mem::replace(&mut s.slot, IDLE);
+            if slot != IDLE && slot == self.leaf_key(shard) {
+                self.refresh(shard);
+            }
         }
     }
 
@@ -294,44 +363,47 @@ impl EventQueue {
     pub(crate) fn rto_pending(&self, flow: FlowId) -> bool {
         self.shards
             .get(self.links + flow.0)
-            .is_some_and(|s| s.slot.is_some())
+            .is_some_and(|s| s.slot != IDLE)
     }
 
-    /// The tournament's current minimum, `(shard, key)`, after re-playing
-    /// the stale path.
+    /// The tournament's current minimum, after re-playing the stale path.
     #[inline]
-    fn min_head(&mut self) -> Option<(usize, u128)> {
-        if let Some(stale) = self.stale.take() {
-            self.replay(stale);
+    fn root(&mut self) -> Node {
+        match self.stale.take() {
+            Some(stale) => self.replay(stale),
+            None => self.tree[1],
         }
-        let shard = self.tree[1] as usize;
-        let key = self.heads[shard];
-        (key != IDLE).then_some((shard, key))
     }
 
     /// Removes and returns the earliest pending event if it activates at
     /// or before `t` — the simulator main loop's peek-and-pop fused into
     /// one tournament lookup.
     pub(crate) fn pop_due(&mut self, t: Time) -> Option<ScheduledEvent> {
-        let (shard, key) = self.min_head()?;
-        let at = time_of(key);
-        if at > t {
+        let Node { at, leaf: shard } = self.root();
+        if at > t.as_nanos() {
+            return None;
+        }
+        let key = self.leaf_key(shard);
+        if key == IDLE {
             return None;
         }
         let s = &mut self.shards[shard];
-        let event = if s.slot == Some(key) {
-            s.slot = None;
+        let event = if s.slot == key {
+            s.slot = IDLE;
             match shard.checked_sub(self.links) {
                 None => Event::LinkDeparture(LinkId(shard)),
                 Some(f) => Event::RtoTimer(FlowId(f)),
             }
         } else {
+            // The root is this shard's head, and a head that is not the
+            // slot's key is the lane's front.
             s.lane.pop_front().expect("the head is in the lane").1
         };
-        self.heads[shard] = s.head();
+        let head = s.head();
+        self.set_leaf(shard, head);
         self.stale = Some(shard);
         Some(ScheduledEvent {
-            at,
+            at: Time::from_nanos(at),
             #[cfg(test)]
             id: key as u64,
             event,
@@ -350,7 +422,8 @@ impl EventQueue {
 
     /// The activation time of the earliest pending event.
     fn peek_time(&mut self) -> Option<Time> {
-        self.min_head().map(|(_, key)| time_of(key))
+        let Node { at, leaf } = self.root();
+        (self.leaf_key(leaf) != IDLE).then_some(Time::from_nanos(at))
     }
 
     /// Removes and returns the earliest pending event (FIFO on time ties,
@@ -361,7 +434,7 @@ impl EventQueue {
 
     /// Number of pending events.
     fn len(&self) -> usize {
-        let pending = |s: &Shard| s.lane.len() + usize::from(s.slot.is_some());
+        let pending = |s: &Shard| s.lane.len() + usize::from(s.slot != IDLE);
         self.shards.iter().map(pending).sum()
     }
 
@@ -379,7 +452,6 @@ mod tests {
         Packet {
             flow: FlowId(flow),
             seq,
-            size: crate::packet::MSS_BYTES,
             sent_at: Time::ZERO,
             retransmit: false,
             delivered_at_send: 0,
@@ -524,7 +596,10 @@ mod tests {
     /// and several links (multi-hop topology shape: hop forwardings spread
     /// over three links, each with at most one departure pending, as the
     /// simulator schedules them), with retransmit timers re-armed and
-    /// cancelled at random on both sides.
+    /// cancelled at random on both sides. Half the times fall on a coarse
+    /// grid, so equal times across shards are common and the id tie-break
+    /// decides; flows join as the run goes on, so the calendar grows and
+    /// rebuilds its tree mid-run, with events pending and a stale path.
     #[test]
     fn matches_reference_heap_order() {
         use std::cmp::Reverse;
@@ -541,7 +616,7 @@ mod tests {
 
         let mut q = EventQueue::with_links(3);
         let mut reference: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
-        let mut pending_rto: [Option<u64>; 4] = [None; 4];
+        let mut pending_rto: [Option<u64>; 16] = [None; 16];
         let mut pending_departure: [Option<u64>; 3] = [None; 3];
         // The reference heap models slot overwrite and cancellation by
         // discarding the superseded or cancelled timer's key.
@@ -553,13 +628,21 @@ mod tests {
             }
         };
         let mut id = 0u64;
-        while id < 600 {
-            let at = Time::from_micros(next() % 50_000);
-            let flow = FlowId((next() % 4) as usize);
+        let mut ties = 0;
+        let mut last_pop = None;
+        while id < 1_500 {
+            let at = if next() % 2 == 0 {
+                Time::from_millis(next() % 50)
+            } else {
+                Time::from_micros(next() % 50_000)
+            };
+            // Two flows at first, one more every hundred events.
+            let flows = (2 + id / 100).min(16);
+            let flow = FlowId((next() % flows) as usize);
             let link = LinkId((next() % 3) as usize);
             // Cancelling consumes no id: the next event still gets `id`.
             if next() % 4 == 0 {
-                let victim = FlowId((next() % 5) as usize);
+                let victim = FlowId((next() % (flows + 1)) as usize);
                 discard(
                     &mut reference,
                     pending_rto.get_mut(victim.0).and_then(Option::take),
@@ -592,6 +675,7 @@ mod tests {
                 let Reverse((at, eid)) = reference.pop().expect("just pushed");
                 let got = q.pop().expect("calendar has an event");
                 assert_eq!((got.at, got.id), (at, eid));
+                ties += usize::from(last_pop.replace(at) == Some(at));
                 for pending in pending_rto.iter_mut().chain(&mut pending_departure) {
                     if *pending == Some(eid) {
                         *pending = None;
@@ -631,7 +715,11 @@ mod tests {
             assert_eq!(q.peek_time(), Some(at));
             let got = q.pop().expect("calendar has an event");
             assert_eq!((got.at, got.id), (at, eid));
+            ties += usize::from(last_pop.replace(at) == Some(at));
         }
         assert!(q.is_empty());
+        // 3 links and 16 flows: the tree grew from 8 leaves to 32.
+        assert_eq!(q.leaf_base, 32);
+        assert!(ties > 100, "only {ties} equal-time pops");
     }
 }

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::packet::MSS_BYTES;
 use crate::queue::DropTailQueue;
 use crate::time::Time;
-use crate::trace::BandwidthTrace;
+use crate::trace::{BandwidthTrace, TraceCursor};
 
 /// One phase of a time-scheduled impairment program: from `start` until the
 /// next phase begins (or forever), packets see the given loss probability
@@ -143,6 +143,8 @@ pub struct Link {
     pub busy: bool,
     /// Total bytes this link finished serializing (per-link utilization).
     pub served_bytes: u64,
+    /// Where in `trace` the last departure lookup started.
+    cursor: TraceCursor,
 }
 
 impl Link {
@@ -154,13 +156,14 @@ impl Link {
             delay: config.delay,
             busy: false,
             served_bytes: 0,
+            cursor: TraceCursor::default(),
         }
     }
 
-    /// When the head-of-line packet would finish serializing if started now.
-    pub(crate) fn head_transmit_end(&self, now: Time) -> Option<Time> {
-        let head = self.queue.peek()?;
-        self.trace.transmit_end(now, head.packet.size as f64)
+    /// When the head-of-line packet — every packet is one MSS — would
+    /// finish serializing if started now.
+    pub(crate) fn head_transmit_end(&mut self, now: Time) -> Option<Time> {
+        self.trace.mss_transmit_end(&mut self.cursor, now)
     }
 }
 

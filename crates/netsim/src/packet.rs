@@ -7,15 +7,14 @@ use crate::time::Time;
 /// IP/TCP headers, matching Mahimahi's default packetization).
 pub const MSS_BYTES: u32 = 1448;
 
-/// A data packet travelling sender → receiver.
+/// A data packet travelling sender → receiver. Every packet carries one
+/// [`MSS_BYTES`] payload.
 #[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// The flow this packet belongs to.
     pub flow: FlowId,
     /// Sequence number, in packets (not bytes).
     pub seq: u64,
-    /// Payload size in bytes.
-    pub size: u32,
     /// When the sender transmitted this copy.
     pub sent_at: Time,
     /// Whether this copy is a retransmission (Karn's rule: no RTT sample).

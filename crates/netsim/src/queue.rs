@@ -2,20 +2,21 @@
 
 use std::collections::VecDeque;
 
-use crate::packet::Packet;
+use crate::packet::{Packet, MSS_BYTES};
 use crate::time::Time;
 
 /// A packet sitting in the bottleneck queue, together with its arrival time
 /// (so queueing delay can be measured exactly at dequeue).
 #[derive(Clone, Copy, Debug)]
-pub struct QueuedPacket {
+pub(crate) struct QueuedPacket {
     /// The packet itself.
     pub packet: Packet,
     /// When it entered the queue.
     pub enqueued_at: Time,
 }
 
-/// A FIFO droptail queue with a byte-capacity limit.
+/// A FIFO droptail queue with a byte-capacity limit. Every packet is one
+/// [`MSS_BYTES`] payload, so byte accounting counts packets of that size.
 ///
 /// The packet currently in service remains in the queue until its
 /// transmission completes, which matches how a physical interface buffer
@@ -43,7 +44,7 @@ impl DropTailQueue {
     /// can ever be in flight.
     pub fn new(capacity_bytes: u64) -> DropTailQueue {
         DropTailQueue {
-            capacity_bytes: capacity_bytes.max(crate::packet::MSS_BYTES as u64),
+            capacity_bytes: capacity_bytes.max(u64::from(MSS_BYTES)),
             queue: VecDeque::new(),
             bytes: 0,
             drops: 0,
@@ -63,7 +64,7 @@ impl DropTailQueue {
     /// Attempts to enqueue; returns `true` on success, `false` if the packet
     /// was dropped (tail drop).
     pub(crate) fn enqueue(&mut self, packet: Packet, now: Time) -> bool {
-        let size = packet.size as u64;
+        let size = u64::from(MSS_BYTES);
         if self.bytes + size > self.capacity_bytes {
             self.drops += 1;
             return false;
@@ -84,13 +85,8 @@ impl DropTailQueue {
             self.accrue(now);
         }
         let qp = self.queue.pop_front()?;
-        self.bytes -= qp.packet.size as u64;
+        self.bytes -= u64::from(MSS_BYTES);
         Some(qp)
-    }
-
-    /// The head-of-line packet without removing it.
-    pub fn peek(&self) -> Option<&QueuedPacket> {
-        self.queue.front()
     }
 
     /// Current occupancy in bytes.
@@ -133,13 +129,11 @@ impl DropTailQueue {
 mod tests {
     use super::*;
     use crate::flow::FlowId;
-    use crate::packet::MSS_BYTES;
 
     fn pkt(seq: u64) -> Packet {
         Packet {
             flow: FlowId(0),
             seq,
-            size: MSS_BYTES,
             sent_at: Time::ZERO,
             retransmit: false,
             delivered_at_send: 0,

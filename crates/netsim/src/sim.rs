@@ -365,7 +365,6 @@ impl Simulator {
             let packet = Packet {
                 flow: f,
                 seq,
-                size: MSS_BYTES,
                 sent_at: now,
                 retransmit,
                 delivered_at_send: flow.delivered_bytes,
@@ -403,12 +402,14 @@ impl Simulator {
         let now = self.now;
         let lr = &mut self.links[l.0];
         lr.link.busy = false;
+        // A departure is scheduled only for a non-empty queue, and the
+        // packet in service stays queued until this event removes it.
         let qp = lr
             .link
             .queue
             .dequeue(now)
             .expect("departure event implies a packet in service");
-        lr.link.served_bytes += qp.packet.size as u64;
+        lr.link.served_bytes += u64::from(MSS_BYTES);
         let f = qp.packet.flow;
         // Non-congestive impairments after transmission, under whichever
         // phase of this link's impairment program is active right now.
@@ -498,14 +499,11 @@ impl Simulator {
             }
         }
 
-        // Delivery-rate sample for bandwidth estimators.
+        // The delivery-rate sample's parts; a kernel that wants the rate
+        // divides (`AckInfo::delivery_rate`). `delivered_bytes` only grows
+        // and the echo is an earlier value of it, so this cannot underflow.
+        let delivered = flow.delivered_bytes - ack.delivered_at_send;
         let elapsed = now.saturating_sub(ack.echo_sent_at);
-        let delivery_rate = if elapsed > Time::ZERO && flow.delivered_bytes >= ack.delivered_at_send
-        {
-            Some((flow.delivered_bytes - ack.delivered_at_send) as f64 / elapsed.as_secs_f64())
-        } else {
-            None
-        };
 
         let mut newly_acked = 0u64;
         let credit_delivery = |flow: &mut FlowState, count: u64| {
@@ -576,7 +574,8 @@ impl Simulator {
             rtt: rtt_sample,
             min_rtt: flow.stats.min_rtt,
             inflight: flow.inflight(),
-            delivery_rate,
+            delivered,
+            elapsed,
             is_duplicate: !advanced,
         };
         flow.cc.on_ack(now, &info);

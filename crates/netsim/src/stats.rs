@@ -131,6 +131,8 @@ fn quantile_ms(samples: impl Iterator<Item = Time>, q: f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
     let idx = ((v.len() - 1) as f64 * q).round() as usize;
     // Selection puts the same order statistic at `idx` as a full sort.
+    // Every sample is a `Time` in milliseconds, never NaN, so any two
+    // compare.
     *v.select_nth_unstable_by(idx, |a, b| {
         a.partial_cmp(b).expect("delay samples are finite")
     })

@@ -7,8 +7,17 @@
 //! write, while transmission times remain exact because each packet's
 //! service time is obtained by integrating the rate over the segments it
 //! spans.
+//!
+//! A link looks its departures up through a [`TraceCursor`]: the segment
+//! its last departure started in, resumed in O(1) while time moves
+//! forward, with that segment's one-MSS serialization time cached.
 
+use crate::packet::MSS_BYTES;
 use crate::time::Time;
+
+/// The bits of one MSS payload, as [`BandwidthTrace::transmit_end`] counts
+/// them for a packet.
+const MSS_BITS: f64 = MSS_BYTES as f64 * 8.0;
 
 /// One constant-rate piece of a trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -224,6 +233,77 @@ impl BandwidthTrace {
         None
     }
 
+    /// [`transmit_end`](Self::transmit_end) of one [`MSS_BYTES`] payload,
+    /// bit for bit, resuming at `cursor`'s position in this trace.
+    ///
+    /// For non-decreasing starts the lookup costs O(1): the start lies in
+    /// the cursor's segment or in the one after it, and when one MSS fits
+    /// in the rest of that segment the answer is `start` plus the
+    /// segment's cached serialization time. A start further on or earlier
+    /// re-seeks by binary search over the segment starts; a transmission
+    /// that crosses a segment boundary or waits out an outage takes the
+    /// full integration.
+    pub fn mss_transmit_end(&self, cursor: &mut TraceCursor, start: Time) -> Option<Time> {
+        if !cursor.covers(start) && !self.seek(cursor, start) {
+            // A trace without segments never delivers.
+            return None;
+        }
+        let left = if cursor.to == Time::MAX {
+            u64::MAX
+        } else {
+            (cursor.to - start).as_nanos()
+        };
+        if cursor.rate > 0.0 && left >= cursor.fit_ns {
+            Some(start + cursor.serialization)
+        } else {
+            self.transmit_end(start, f64::from(MSS_BYTES))
+        }
+    }
+
+    /// Moves `cursor` to the segment holding `start`: one step forward
+    /// when that reaches it, [`locate`](Self::locate) otherwise. Returns
+    /// `false`, leaving the cursor as it was, on a trace without segments.
+    fn seek(&self, cursor: &mut TraceCursor, start: Time) -> bool {
+        let n = self.segments.len();
+        if n == 0 {
+            return false;
+        }
+        if cursor.idx < n && start >= cursor.to {
+            // Step to the next segment, wrapping a looping trace and
+            // holding a non-looping one's final rate past its end.
+            cursor.from = cursor.to;
+            if cursor.idx + 1 < n {
+                cursor.idx += 1;
+            } else if self.loops {
+                cursor.idx = 0;
+            }
+            cursor.to = if cursor.from == self.total && !self.loops {
+                Time::MAX
+            } else {
+                cursor
+                    .from
+                    .saturating_add(self.segments[cursor.idx].duration)
+            };
+        }
+        if !cursor.covers(start) {
+            let (idx, offset) = self.locate(start);
+            cursor.idx = idx;
+            (cursor.from, cursor.to) = if !self.loops && start >= self.total {
+                (self.total, Time::MAX)
+            } else {
+                let from = start - offset;
+                (from, from.saturating_add(self.segments[idx].duration))
+            };
+        }
+        let rate = self.segments[cursor.idx].rate_bps;
+        cursor.rate = rate;
+        if rate > 0.0 {
+            cursor.serialization = Time::from_secs_f64(MSS_BITS / rate);
+            cursor.fit_ns = least_fitting_span(rate, MSS_BITS);
+        }
+        true
+    }
+
     /// Total deliverable bytes between `from` and `to` (the integral of the
     /// rate), used to compute link utilization.
     pub fn capacity_bytes(&self, from: Time, to: Time) -> f64 {
@@ -385,6 +465,92 @@ impl BandwidthTrace {
             self.window(Time::ZERO, window),
             true,
         )
+    }
+}
+
+/// The least span `ns`, in nanoseconds, over which `rate` carries `bits`
+/// by the test [`BandwidthTrace::transmit_end`] applies to a piece,
+/// `rate · ns.as_secs_f64() >= bits`; `u64::MAX` when no span does. The
+/// test is monotone in `ns`, so comparing an integer span against this one
+/// is that float test, bit for bit. `rate` must be positive.
+fn least_fitting_span(rate: f64, bits: f64) -> u64 {
+    let fits = |ns: u64| rate * Time::from_nanos(ns).as_secs_f64() >= bits;
+    // The float quotient lands within a few nanoseconds of the answer:
+    // gallop up to a span that fits, down to one that does not, then bisect.
+    let mut hi = (bits / rate * 1e9) as u64;
+    let mut step = 1u64;
+    while !fits(hi) {
+        if hi == u64::MAX {
+            return u64::MAX;
+        }
+        hi = hi.saturating_add(step);
+        step = step.saturating_mul(2);
+    }
+    step = 1;
+    let mut lo = loop {
+        if hi == 0 {
+            return 0;
+        }
+        let below = hi.saturating_sub(step);
+        if !fits(below) {
+            break below;
+        }
+        hi = below;
+        step = step.saturating_mul(2);
+    };
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// A link's resumable position in its [`BandwidthTrace`], for
+/// [`BandwidthTrace::mss_transmit_end`]: the segment its last lookup
+/// started in, that segment's absolute span in the current cycle, and,
+/// cached once per visit, its one-MSS serialization time and the least
+/// span that fits one MSS.
+///
+/// A cursor belongs to one trace; a fresh one covers no time, so its first
+/// lookup seeks. It changes no result, only what a lookup costs.
+#[derive(Clone, Debug)]
+pub struct TraceCursor {
+    /// The segment the cursor is in (`usize::MAX` until the first seek).
+    idx: usize,
+    /// Absolute `[from, to)` of the segment; `to` is [`Time::MAX`] once a
+    /// non-looping trace holds its final rate.
+    from: Time,
+    to: Time,
+    /// The segment's rate, bits per second.
+    rate: f64,
+    /// [`least_fitting_span`] of one MSS at `rate` (positive rates only).
+    fit_ns: u64,
+    /// One MSS's serialization time at `rate` (positive rates only).
+    serialization: Time,
+}
+
+impl Default for TraceCursor {
+    fn default() -> TraceCursor {
+        TraceCursor {
+            idx: usize::MAX,
+            from: Time::MAX,
+            to: Time::ZERO,
+            rate: 0.0,
+            fit_ns: u64::MAX,
+            serialization: Time::ZERO,
+        }
+    }
+}
+
+impl TraceCursor {
+    /// Whether `t` lies in the cursor's segment.
+    #[inline]
+    fn covers(&self, t: Time) -> bool {
+        self.from <= t && (t < self.to || self.to == Time::MAX)
     }
 }
 
@@ -714,6 +880,72 @@ mod tests {
         assert_eq!(out.rate_at(Time::from_millis(600)), 1e6);
         assert_eq!(out.rate_at(Time::ZERO), 16e6);
         assert!(out.peak_rate() <= 48e6);
+    }
+
+    /// After every lookup the cursor sits where [`BandwidthTrace::locate`]
+    /// puts the start — same segment, same offset into it, or the held
+    /// final rate past a non-looping trace's end — whatever order the
+    /// starts come in, and its answer is `transmit_end`'s.
+    #[test]
+    fn cursor_position_is_locates() {
+        let odd = BandwidthTrace::from_segments(
+            "odd",
+            vec![
+                Segment {
+                    duration: Time::from_nanos(1_234_567),
+                    rate_bps: 7.3e6,
+                },
+                Segment {
+                    duration: Time::from_millis(3),
+                    rate_bps: 0.0,
+                },
+            ],
+            true,
+        );
+        let once = BandwidthTrace::from_segments("once", two_step().segments().to_vec(), false);
+        let mut grid: Vec<Time> = (0..400).map(|k| Time::from_nanos(k * 13_577_011)).collect();
+        grid.extend([Time::from_secs(1), Time::from_secs(2), Time::from_secs(4)]);
+        let mut reversed = grid.clone();
+        reversed.reverse();
+        let mut random = grid.clone();
+        let mut state = 7u64;
+        for i in (1..random.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            random.swap(i, ((state >> 33) % (i as u64 + 1)) as usize);
+        }
+        for trace in [two_step(), once, odd] {
+            for starts in [&grid, &reversed, &random] {
+                let mut c = TraceCursor::default();
+                for &t in starts {
+                    let end = trace.mss_transmit_end(&mut c, t);
+                    assert_eq!(end, trace.transmit_end(t, f64::from(MSS_BYTES)));
+                    let (idx, offset) = trace.locate(t);
+                    assert_eq!(c.idx, idx, "{} at {t:?}", trace.name());
+                    if c.to == Time::MAX {
+                        assert!(!trace.loops && t >= trace.total && offset == Time::ZERO);
+                    } else {
+                        assert_eq!(t - c.from, offset, "{} at {t:?}", trace.name());
+                        assert_eq!(c.to - c.from, trace.segments[idx].duration);
+                    }
+                    assert_eq!(c.rate, trace.rate_at(t));
+                }
+            }
+        }
+    }
+
+    /// The least fitting span is the float test's threshold: it fits, one
+    /// nanosecond less does not.
+    #[test]
+    fn least_fitting_span_is_the_float_tests_threshold() {
+        for rate in [1.0, 123_456.7, 7.3e6, 12e6, 48e6, 1e12, f64::INFINITY] {
+            let fits = |ns: u64| rate * Time::from_nanos(ns).as_secs_f64() >= MSS_BITS;
+            let ns = least_fitting_span(rate, MSS_BITS);
+            assert!(fits(ns), "rate {rate}");
+            assert!(ns == 0 || !fits(ns - 1), "rate {rate}");
+        }
+        assert_eq!(least_fitting_span(1e-12, MSS_BITS), u64::MAX);
     }
 
     #[test]

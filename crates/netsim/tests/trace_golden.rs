@@ -18,8 +18,15 @@
 //! the outputs of the trace combinators.
 //!
 //! A mismatch prints the whole table as found.
+//!
+//! A link looks its departures up through a `TraceCursor` instead
+//! (`mss_transmit_end`), so the same grid also checks that lookup against
+//! `transmit_end`, bit for bit, with the starts — and those where one MSS
+//! just fits before a segment ends — replayed in increasing order, in
+//! reverse and in a random order, and along back-to-back departure
+//! streams.
 
-use canopy_netsim::trace::Segment;
+use canopy_netsim::trace::{Segment, TraceCursor};
 use canopy_netsim::{BandwidthTrace, Time, MSS_BYTES};
 
 /// Per trace: name, then the digests of `transmit_end`, `capacity_bytes`,
@@ -198,4 +205,104 @@ fn every_trace_query_matches_its_committed_digests() {
         found.as_slice() == GOLDEN.as_slice(),
         "a trace query's result changed; found:\n{table}"
     );
+}
+
+/// Deterministic shuffle (splitmix-driven Fisher–Yates), so the test needs
+/// no RNG dependency.
+fn shuffled(mut v: Vec<Time>, mut state: u64) -> Vec<Time> {
+    for i in (1..v.len()).rev() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        v.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+    v
+}
+
+fn mss_end(trace: &BandwidthTrace, start: Time) -> Option<Time> {
+    trace.transmit_end(start, f64::from(MSS_BYTES))
+}
+
+/// Per segment of positive rate, the starts where one MSS just fits
+/// before the segment's end and one nanosecond either side: the span left
+/// is the least `n` with `rate · n.as_secs_f64() >= bits`, the float test
+/// `transmit_end` applies, found here by a linear walk from its estimate.
+fn threshold_starts(trace: &BandwidthTrace) -> Vec<Time> {
+    let bits = f64::from(MSS_BYTES) * 8.0;
+    let mut out = Vec::new();
+    let mut end = Time::ZERO;
+    for s in trace.segments() {
+        end += s.duration;
+        if s.rate_bps <= 0.0 {
+            continue;
+        }
+        let fits = |n: u64| s.rate_bps * Time::from_nanos(n).as_secs_f64() >= bits;
+        let mut n = (bits / s.rate_bps * 1e9) as u64;
+        while n > 0 && fits(n - 1) {
+            n -= 1;
+        }
+        while !fits(n) {
+            n += 1;
+        }
+        for span in [n - 1, n, n + 1] {
+            if let Some(start) = end.as_nanos().checked_sub(span) {
+                out.push(Time::from_nanos(start));
+                out.push(Time::from_nanos(start) + trace.cycle_duration());
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn cursor_lookups_equal_transmit_end_in_any_order() {
+    for trace in traces() {
+        let mut grid = starts(&trace);
+        grid.extend(threshold_starts(&trace));
+        grid.sort();
+        let mut reversed = grid.clone();
+        reversed.reverse();
+        let random = shuffled(grid.clone(), grid.len() as u64);
+        for (order, starts) in [
+            ("increasing", grid),
+            ("reverse", reversed),
+            ("random", random),
+        ] {
+            let mut cursor = TraceCursor::default();
+            for start in starts {
+                assert_eq!(
+                    trace.mss_transmit_end(&mut cursor, start),
+                    mss_end(&trace, start),
+                    "{} at {start:?}, {order} order",
+                    trace.name()
+                );
+            }
+        }
+    }
+}
+
+/// From every grid start, a link sending back to back: each departure
+/// starts when the previous one ends, with now and then an idle gap, so
+/// the cursor steps across segment boundaries, loop wraps and the held
+/// final rate.
+#[test]
+fn cursor_follows_back_to_back_departures() {
+    for trace in traces() {
+        let mut cursor = TraceCursor::default();
+        for first in starts(&trace) {
+            let mut start = first;
+            for k in 0..400u64 {
+                let end = trace.mss_transmit_end(&mut cursor, start);
+                assert_eq!(end, mss_end(&trace, start), "{} at {start:?}", trace.name());
+                let Some(end) = end else { break };
+                let gap = if k % 7 == 0 {
+                    Time::from_nanos(k * 104_729)
+                } else {
+                    Time::ZERO
+                };
+                start = end + gap;
+            }
+        }
+    }
 }

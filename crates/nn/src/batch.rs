@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use crate::layer::Activation;
+use crate::layer::{relu, Activation};
 use crate::mlp::Mlp;
 use crate::tensor::Matrix;
 
@@ -340,7 +340,7 @@ fn bias_activate(z: &mut Matrix, bias: &[f64], act: Activation) {
     for (row, &b) in z.as_mut_slice().chunks_exact_mut(n).zip(bias) {
         match act {
             Activation::Identity => row.iter_mut().for_each(|v| *v += b),
-            Activation::Relu => row.iter_mut().for_each(|v| *v = (*v + b).max(0.0)),
+            Activation::Relu => row.iter_mut().for_each(|v| *v = relu(*v + b)),
             Activation::Tanh => row.iter_mut().for_each(|v| *v = (*v + b).tanh()),
         }
     }

@@ -6,6 +6,20 @@ use serde::{Deserialize, Serialize};
 use crate::init::{he_uniform, xavier_uniform};
 use crate::tensor::Matrix;
 
+/// `max(x, 0)` as one answer on every build: `+0.0` for `±0.0` and NaN,
+/// `x` above zero. The scalar `x.max(0.0)` leaves the sign of a `-0.0`
+/// input to the optimiser (`-0.0` unoptimised, `+0.0` at `-O`); this is
+/// bitwise the `-O` answer for every input, so outputs do not depend on
+/// the build profile. Every scalar ReLU and ReLU transformer uses it.
+#[inline]
+pub fn relu(x: f64) -> f64 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
 /// Element-wise activation functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
@@ -23,7 +37,7 @@ impl Activation {
     #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
-            Activation::Relu => x.max(0.0),
+            Activation::Relu => relu(x),
             Activation::Tanh => x.tanh(),
             Activation::Identity => x,
         }
@@ -180,6 +194,27 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The helper is the `-O` `max(x, 0)` on the inputs where the two
+    /// profiles could differ: both zeros, NaN and both infinities.
+    #[test]
+    fn relu_is_one_answer_on_every_profile() {
+        let cases = [
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (f64::NAN, 0.0),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+            (-2.5, 0.0),
+            (2.5, 2.5),
+            (f64::MIN_POSITIVE, f64::MIN_POSITIVE),
+        ];
+        for (x, want) in cases {
+            let x = std::hint::black_box(x);
+            assert_eq!(relu(x).to_bits(), f64::to_bits(want), "relu({x:?})");
+            assert_eq!(Activation::Relu.apply(x).to_bits(), f64::to_bits(want));
+        }
+    }
 
     #[test]
     fn activations() {

@@ -22,6 +22,6 @@ pub mod tensor;
 
 pub use adam::Adam;
 pub use batch::{Batch, BatchScratch};
-pub use layer::{Activation, Dense};
+pub use layer::{relu, Activation, Dense};
 pub use mlp::{ForwardTrace, Mlp};
 pub use tensor::Matrix;
