@@ -257,8 +257,8 @@ const FUSED_ROWS: usize = 2;
 /// * with `C` alone, the concrete forward pass `act(c·wt + b)` in `out[0]`;
 /// * with `D` alone, the raw deviation accumulator in `out[1]`.
 ///
-/// Every accumulator is the ascending-`k` fused chain
-/// [`Matrix::matmul_into`] runs, and the epilogue is the scalar one lane by
+/// Every accumulator is one ascending-`k` chain of fused `mul_add`s, as
+/// in a naive triple-loop GEMM, and the epilogue is the scalar one lane by
 /// lane.
 fn fused_layer<const V: usize, const C: bool, const D: bool, const M: bool>(
     ins: [&Matrix; 3],

@@ -39,10 +39,11 @@ struct BoundLayer {
 /// [`backward_row`](Self::backward_row) for every row whose loss is active.
 /// All buffers are resident, so steady-state use allocates nothing.
 ///
-/// **Bitwise contract.** Every row carries exactly the bounds the one-row
-/// [`forward_bounds`] computes for the same box: each bound is the bias
-/// plus the ascending-`j` sum of unfused `w·x` products, the `w ≥ 0` choice
-/// between the two input bounds made by a select instead of a branch.
+/// **Bitwise contract.** A row's bounds depend on its own box alone, so a
+/// box staged among others gets the bits it gets staged alone: each bound
+/// is the bias plus the ascending-`j` sum of unfused `w·x` products, the
+/// `w ≥ 0` choice between the two input bounds made by a select instead
+/// of a branch.
 /// `backward_row` adds one term per weight, so calling it for rows in
 /// ascending order accumulates into `grad_weights` exactly as a per-sample
 /// loop over those rows would.
@@ -299,94 +300,6 @@ fn affine_bounds(
     }
 }
 
-/// The bounds of one box, from [`forward_bounds`], consumed by
-/// [`backward_bounds`]: a one-row [`DiffIbp`].
-#[derive(Clone, Debug)]
-pub struct BoundsTrace(DiffIbp);
-
-impl BoundsTrace {
-    /// The output lower bounds.
-    pub fn out_lo(&self) -> &[f64] {
-        self.0.out_bounds(0).0
-    }
-
-    /// The output upper bounds.
-    pub fn out_hi(&self) -> &[f64] {
-        self.0.out_bounds(0).1
-    }
-
-    /// The final layer's **pre-activation** lower bounds (see
-    /// [`DiffIbp::pre_out_bounds`]).
-    pub fn pre_out_lo(&self) -> &[f64] {
-        self.0.pre_out_bounds(0).0
-    }
-
-    /// The final layer's pre-activation upper bounds.
-    pub fn pre_out_hi(&self) -> &[f64] {
-        self.0.pre_out_bounds(0).1
-    }
-}
-
-/// Propagates an input box `[lo, hi]` through the network, returning the
-/// output bounds and the trace needed for the backward pass.
-///
-/// For an affine layer, `lo' = W⁺·lo + W⁻·hi + b` and
-/// `hi' = W⁺·hi + W⁻·lo + b` (`W⁺`/`W⁻` the positive/negative parts);
-/// monotone activations map bounds to bounds.
-///
-/// # Panics
-///
-/// Panics if `lo`/`hi` lengths mismatch the network input, or any
-/// `lo[i] > hi[i]`.
-pub fn forward_bounds(net: &Mlp, lo: &[f64], hi: &[f64]) -> BoundsTrace {
-    assert_eq!(lo.len(), net.input_dim(), "lower-bound shape mismatch");
-    assert_eq!(hi.len(), net.input_dim(), "upper-bound shape mismatch");
-    let mut engine = DiffIbp::default();
-    engine.bind(net);
-    let (in_lo, in_hi) = engine.stage(1);
-    in_lo.set_row(0, lo);
-    in_hi.set_row(0, hi);
-    engine.forward();
-    BoundsTrace(engine)
-}
-
-/// Backpropagates a loss gradient on the output bounds into the network's
-/// gradient accumulators (adding on top of whatever is there, so the
-/// certified loss composes with a policy-gradient update), and returns the
-/// gradients with respect to the input bounds.
-///
-/// # Panics
-///
-/// Panics if gradient shapes mismatch the network output.
-pub fn backward_bounds(
-    net: &mut Mlp,
-    trace: &BoundsTrace,
-    grad_out_lo: &[f64],
-    grad_out_hi: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    let mut grads = BoundGrads::default();
-    let engine = &trace.0;
-    engine.backward_row(net, 0, grad_out_lo, grad_out_hi, false, &mut grads);
-    (grads.lo, grads.hi)
-}
-
-/// Like [`backward_bounds`], but the gradients are with respect to the
-/// final layer's **pre-activation** bounds (see
-/// [`BoundsTrace::pre_out_lo`]), skipping the output activation's
-/// derivative — the entry point certified training uses to stay clear of
-/// tanh saturation.
-pub fn backward_bounds_pre(
-    net: &mut Mlp,
-    trace: &BoundsTrace,
-    grad_pre_lo: &[f64],
-    grad_pre_hi: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    let mut grads = BoundGrads::default();
-    let engine = &trace.0;
-    engine.backward_row(net, 0, grad_pre_lo, grad_pre_hi, true, &mut grads);
-    (grads.lo, grads.hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,6 +312,30 @@ mod tests {
         Mlp::new(&mut rng, widths, act)
     }
 
+    /// An engine bound to `net` with the one box `[lo, hi]` propagated.
+    fn one_box(net: &Mlp, lo: &[f64], hi: &[f64]) -> DiffIbp {
+        let mut engine = DiffIbp::default();
+        engine.bind(net);
+        let (in_lo, in_hi) = engine.stage(1);
+        in_lo.set_row(0, lo);
+        in_hi.set_row(0, hi);
+        engine.forward();
+        engine
+    }
+
+    /// `backward_row` on the one box; returns the input-bound gradients.
+    fn backward(
+        engine: &DiffIbp,
+        net: &mut Mlp,
+        grad_lo: &[f64],
+        grad_hi: &[f64],
+        from_pre_activation: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut grads = BoundGrads::default();
+        engine.backward_row(net, 0, grad_lo, grad_hi, from_pre_activation, &mut grads);
+        (grads.lo, grads.hi)
+    }
+
     #[test]
     fn forward_bounds_match_sound_ibp() {
         // The training-time bounds must agree with the sound propagation
@@ -406,29 +343,29 @@ mod tests {
         let net = net(0, &[3, 16, 16, 1], Activation::Tanh);
         let lo = [0.0, -0.5, 0.25];
         let hi = [0.5, 0.0, 0.25];
-        let trace = forward_bounds(&net, &lo, &hi);
+        let trace = one_box(&net, &lo, &hi);
         let boxed = crate::boxdom::BoxState::from_intervals(&[
             crate::interval::Interval::new(lo[0], hi[0]),
             crate::interval::Interval::new(lo[1], hi[1]),
             crate::interval::Interval::new(lo[2], hi[2]),
         ]);
         let sound = crate::ibp::propagate_mlp(&net, &boxed).dim_interval(0);
-        assert!((trace.out_lo()[0] - sound.lo).abs() < 1e-9);
-        assert!((trace.out_hi()[0] - sound.hi).abs() < 1e-9);
+        assert!((trace.out_bounds(0).0[0] - sound.lo).abs() < 1e-9);
+        assert!((trace.out_bounds(0).1[0] - sound.hi).abs() < 1e-9);
         // And the sound interval contains the training interval.
-        assert!(sound.lo <= trace.out_lo()[0] + 1e-12);
-        assert!(sound.hi >= trace.out_hi()[0] - 1e-12);
+        assert!(sound.lo <= trace.out_bounds(0).0[0] + 1e-12);
+        assert!(sound.hi >= trace.out_bounds(0).1[0] - 1e-12);
     }
 
     #[test]
     fn degenerate_box_equals_forward() {
         let net = net(1, &[4, 8, 2], Activation::Tanh);
         let x = [0.1, -0.3, 0.7, 0.0];
-        let trace = forward_bounds(&net, &x, &x);
+        let trace = one_box(&net, &x, &x);
         let y = net.forward(&x);
         for (k, &yk) in y.iter().enumerate() {
-            assert!((trace.out_lo()[k] - yk).abs() < 1e-12);
-            assert!((trace.out_hi()[k] - yk).abs() < 1e-12);
+            assert!((trace.out_bounds(0).0[k] - yk).abs() < 1e-12);
+            assert!((trace.out_bounds(0).1[k] - yk).abs() < 1e-12);
         }
     }
 
@@ -442,12 +379,12 @@ mod tests {
             let hi = [0.3, -0.1, 0.6];
             // Loss = 2·hi_out − 3·lo_out (arbitrary linear functional).
             let loss = |n: &Mlp| {
-                let t = forward_bounds(n, &lo, &hi);
-                2.0 * t.out_hi()[0] - 3.0 * t.out_lo()[0]
+                let t = one_box(n, &lo, &hi);
+                2.0 * t.out_bounds(0).1[0] - 3.0 * t.out_bounds(0).0[0]
             };
             network.zero_grads();
-            let trace = forward_bounds(&network, &lo, &hi);
-            backward_bounds(&mut network, &trace, &[-3.0], &[2.0]);
+            let trace = one_box(&network, &lo, &hi);
+            backward(&trace, &mut network, &[-3.0], &[2.0], false);
             let analytic = network.grads_flat();
             let params = network.params_flat();
             let eps = 1e-6;
@@ -479,12 +416,12 @@ mod tests {
         let lo = [0.0, -0.5];
         let hi = [0.5, 0.5];
         network.zero_grads();
-        let trace = forward_bounds(&network, &lo, &hi);
-        let (g_lo, g_hi) = backward_bounds(&mut network, &trace, &[1.0], &[1.0]);
+        let trace = one_box(&network, &lo, &hi);
+        let (g_lo, g_hi) = backward(&trace, &mut network, &[1.0], &[1.0], false);
         let eps = 1e-6;
         let loss = |lo: &[f64; 2], hi: &[f64; 2]| {
-            let t = forward_bounds(&network, lo, hi);
-            t.out_lo()[0] + t.out_hi()[0]
+            let t = one_box(&network, lo, hi);
+            t.out_bounds(0).0[0] + t.out_bounds(0).1[0]
         };
         for i in 0..2 {
             let mut lp = lo;
@@ -511,16 +448,16 @@ mod tests {
         let lo = [0.0, 0.0, 0.0];
         let hi = [0.2, 0.2, 0.2];
         let margin = 0.3;
-        let bound = |n: &Mlp| forward_bounds(n, &lo, &hi).out_lo()[0];
+        let bound = |n: &Mlp| one_box(n, &lo, &hi).out_bounds(0).0[0];
         let before = bound(&network);
         let mut opt = canopy_nn::Adam::new(network.param_count(), 5e-3);
         for _ in 0..200 {
             network.zero_grads();
-            let trace = forward_bounds(&network, &lo, &hi);
-            let l = trace.out_lo()[0];
+            let trace = one_box(&network, &lo, &hi);
+            let l = trace.out_bounds(0).0[0];
             if l < margin {
                 // d relu(margin − lo)/d lo = −1.
-                backward_bounds(&mut network, &trace, &[-1.0], &[0.0]);
+                backward(&trace, &mut network, &[-1.0], &[0.0], false);
             }
             opt.step(&mut network, 1.0);
         }
@@ -535,7 +472,7 @@ mod tests {
     #[should_panic(expected = "inverted input bounds")]
     fn rejects_inverted_bounds() {
         let network = net(5, &[2, 2], Activation::Identity);
-        forward_bounds(&network, &[1.0, 0.0], &[0.0, 0.0]);
+        one_box(&network, &[1.0, 0.0], &[0.0, 0.0]);
     }
 
     /// Pre-activation gradients must also match finite differences.
@@ -545,12 +482,12 @@ mod tests {
         let lo = [0.0, -0.4, 0.2];
         let hi = [0.3, -0.1, 0.6];
         let loss = |n: &Mlp| {
-            let t = forward_bounds(n, &lo, &hi);
-            t.pre_out_hi()[0] - 2.0 * t.pre_out_lo()[0]
+            let t = one_box(n, &lo, &hi);
+            t.pre_out_bounds(0).1[0] - 2.0 * t.pre_out_bounds(0).0[0]
         };
         network.zero_grads();
-        let trace = forward_bounds(&network, &lo, &hi);
-        backward_bounds_pre(&mut network, &trace, &[-2.0], &[1.0]);
+        let trace = one_box(&network, &lo, &hi);
+        backward(&trace, &mut network, &[-2.0], &[1.0], true);
         let analytic = network.grads_flat();
         let params = network.params_flat();
         let eps = 1e-6;
@@ -581,16 +518,16 @@ mod tests {
         network.layers_mut()[n_layers - 1].bias[0] = 8.0;
         let lo = [0.0, 0.0, 0.0];
         let hi = [0.5, 0.5, 0.5];
-        let out_hi = |n: &Mlp| forward_bounds(n, &lo, &hi).out_hi()[0];
+        let out_hi = |n: &Mlp| one_box(n, &lo, &hi).out_bounds(0).1[0];
         assert!(out_hi(&network) > 0.999, "policy starts saturated");
         // Adam's per-step movement is ≈ lr under a consistent gradient, so
         // crossing from bias +8 to below the margin needs lr·steps ≫ 8.
         let mut opt = canopy_nn::Adam::new(network.param_count(), 3e-2);
         for _ in 0..1000 {
             network.zero_grads();
-            let trace = forward_bounds(&network, &lo, &hi);
-            if trace.pre_out_hi()[0] > -0.2 {
-                backward_bounds_pre(&mut network, &trace, &[0.0], &[1.0]);
+            let trace = one_box(&network, &lo, &hi);
+            if trace.pre_out_bounds(0).1[0] > -0.2 {
+                backward(&trace, &mut network, &[0.0], &[1.0], true);
             }
             opt.step(&mut network, 1.0);
         }

@@ -1,9 +1,7 @@
 //! Bitwise equivalence of the batched differentiable-IBP engine
-//! ([`canopy_absint::DiffIbp`], and the one-row `forward_bounds` /
-//! `backward_bounds(_pre)` calls built on it) against the per-sample
+//! ([`canopy_absint::DiffIbp`], one box or many) against the per-sample
 //! scalar loops it replaced, kept verbatim in [`oracle`].
 
-use canopy_absint::diff_ibp::{backward_bounds, backward_bounds_pre, forward_bounds};
 use canopy_absint::{BoundGrads, DiffIbp};
 use canopy_nn::{Activation, Mlp};
 use rand::rngs::StdRng;
@@ -274,45 +272,46 @@ fn random_grads(rng: &mut StdRng, dim: usize) -> (Vec<f64>, Vec<f64>) {
     (g(rng), g(rng))
 }
 
-/// The one-row public calls against the oracle: every bound, the returned
-/// input-bound gradients and the accumulated weight gradients.
+/// An engine bound to `net` with the one box `[lo, hi]` staged and
+/// propagated.
+fn one_box(net: &Mlp, lo: &[f64], hi: &[f64]) -> DiffIbp {
+    let mut engine = DiffIbp::default();
+    engine.bind(net);
+    let (in_lo, in_hi) = engine.stage(1);
+    in_lo.set_row(0, lo);
+    in_hi.set_row(0, hi);
+    engine.forward();
+    engine
+}
+
+/// A fresh engine per box against the oracle: every bound, the input-bound
+/// gradients and the accumulated weight gradients.
 #[test]
 fn one_row_calls_match_the_old_loops() {
+    let mut grads = BoundGrads::default();
     for case in 0..90 {
         let mut rng = StdRng::seed_from_u64(1000 + case as u64);
         let net = fixture(case);
         let (lo, hi) = random_box(&mut rng, net.input_dim());
-        let got = forward_bounds(&net, &lo, &hi);
+        let got = one_box(&net, &lo, &hi);
         let want = oracle::forward_bounds(&net, &lo, &hi);
-        assert_eq!(
-            bits(got.pre_out_lo()),
-            bits(want.pre_out_lo()),
-            "case {case}"
-        );
-        assert_eq!(
-            bits(got.pre_out_hi()),
-            bits(want.pre_out_hi()),
-            "case {case}"
-        );
-        assert_eq!(bits(got.out_lo()), bits(want.out_lo()), "case {case}");
-        assert_eq!(bits(got.out_hi()), bits(want.out_hi()), "case {case}");
+        let ((pre_lo, pre_hi), (out_lo, out_hi)) = (got.pre_out_bounds(0), got.out_bounds(0));
+        assert_eq!(bits(pre_lo), bits(want.pre_out_lo()), "case {case}");
+        assert_eq!(bits(pre_hi), bits(want.pre_out_hi()), "case {case}");
+        assert_eq!(bits(out_lo), bits(want.out_lo()), "case {case}");
+        assert_eq!(bits(out_hi), bits(want.out_hi()), "case {case}");
 
         let (g_lo, g_hi) = random_grads(&mut rng, net.output_dim());
         for pre in [false, true] {
             let (mut a, mut b) = (net.clone(), net.clone());
-            let (got_in, want_in) = if pre {
-                (
-                    backward_bounds_pre(&mut a, &got, &g_lo, &g_hi),
-                    oracle::backward_bounds_pre(&mut b, &want, &g_lo, &g_hi),
-                )
+            got.backward_row(&mut a, 0, &g_lo, &g_hi, pre, &mut grads);
+            let want_in = if pre {
+                oracle::backward_bounds_pre(&mut b, &want, &g_lo, &g_hi)
             } else {
-                (
-                    backward_bounds(&mut a, &got, &g_lo, &g_hi),
-                    oracle::backward_bounds(&mut b, &want, &g_lo, &g_hi),
-                )
+                oracle::backward_bounds(&mut b, &want, &g_lo, &g_hi)
             };
-            assert_eq!(bits(&got_in.0), bits(&want_in.0), "case {case} pre {pre}");
-            assert_eq!(bits(&got_in.1), bits(&want_in.1), "case {case} pre {pre}");
+            assert_eq!(bits(&grads.lo), bits(&want_in.0), "case {case} pre {pre}");
+            assert_eq!(bits(&grads.hi), bits(&want_in.1), "case {case} pre {pre}");
             assert_eq!(bits(&a.grads_flat()), bits(&b.grads_flat()), "case {case}");
         }
     }
@@ -404,7 +403,7 @@ fn one_row_call_rejects_inverted_bounds() {
     let net = fixture(0);
     let lo = vec![0.5; net.input_dim()];
     let hi = vec![0.0; net.input_dim()];
-    forward_bounds(&net, &lo, &hi);
+    one_box(&net, &lo, &hi);
 }
 
 #[test]
@@ -420,18 +419,20 @@ fn batch_rejects_one_inverted_row() {
     engine.forward();
 }
 
+/// Staging sizes every row to the bound network's input width, so a
+/// short box is refused as it is written.
 #[test]
-#[should_panic(expected = "lower-bound shape mismatch")]
+#[should_panic(expected = "row length mismatch")]
 fn rejects_short_lower_bounds() {
     let net = fixture(0);
-    forward_bounds(&net, &[], &vec![0.0; net.input_dim()]);
+    one_box(&net, &[], &vec![0.0; net.input_dim()]);
 }
 
 #[test]
-#[should_panic(expected = "upper-bound shape mismatch")]
+#[should_panic(expected = "row length mismatch")]
 fn rejects_short_upper_bounds() {
     let net = fixture(0);
-    forward_bounds(&net, &vec![0.0; net.input_dim()], &[]);
+    one_box(&net, &vec![0.0; net.input_dim()], &[]);
 }
 
 #[test]
@@ -439,6 +440,6 @@ fn rejects_short_upper_bounds() {
 fn rejects_misshapen_output_gradients() {
     let mut net = fixture(0);
     let x = vec![0.0; net.input_dim()];
-    let trace = forward_bounds(&net, &x, &x);
-    backward_bounds(&mut net, &trace, &[], &[]);
+    let engine = one_box(&net, &x, &x);
+    engine.backward_row(&mut net, 0, &[], &[], false, &mut BoundGrads::default());
 }

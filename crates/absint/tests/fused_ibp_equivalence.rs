@@ -1,8 +1,8 @@
 //! Bitwise oracle for the batched-IBP layer kernel.
 //!
 //! `PreparedMlp::propagate_staged` runs each layer as one fused pass over
-//! `Wᵀ`. This suite rebuilds the layer it replaced from public primitives —
-//! three `Matrix::matmul_into` calls on `Wᵀ`, an explicit `|W|ᵀ` and an
+//! `Wᵀ`. This suite rebuilds the layer it replaced — three naive
+//! ascending-`k` `mul_add` GEMMs on `Wᵀ`, an explicit `|W|ᵀ` and an
 //! explicit `|C| + D`, then the epilogue formulas — and requires `to_bits`
 //! equality of every output centre and deviation: all three activations,
 //! widths that end in every column tail (32-wide blocks, 8-wide blocks,
@@ -56,16 +56,27 @@ fn gamma(n: usize) -> f64 {
     2.0 * (n as f64 + 2.0) * f64::EPSILON
 }
 
+/// `a · b` as a triple loop: each element one fused `mul_add` chain over
+/// `k` in ascending order, from `0.0`.
+fn naive_gemm(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0;
+            for k in 0..a.cols() {
+                acc = a.get(i, k).mul_add(b.get(k, j), acc);
+            }
+            *out.get_mut(i, j) = acc;
+        }
+    }
+    out
+}
+
 /// The pre-fusion layer stack: per layer `C·Wᵀ`, `D·|W|ᵀ` and
 /// `(|C| + D)·|W|ᵀ` as three separate GEMMs, then the epilogue.
 fn three_gemm_oracle(net: &Mlp, in_c: &Matrix, in_d: &Matrix) -> (Matrix, Matrix) {
     let (mut c, mut d) = (in_c.clone(), in_d.clone());
-    let (mut wt, mut c_next, mut d_next, mut acc) = (
-        Matrix::zeros(0, 0),
-        Matrix::zeros(0, 0),
-        Matrix::zeros(0, 0),
-        Matrix::zeros(0, 0),
-    );
+    let mut wt = Matrix::zeros(0, 0);
     for layer in net.layers() {
         layer.weights.transpose_into(&mut wt);
         let mut w_abs_t = wt.clone();
@@ -76,9 +87,9 @@ fn three_gemm_oracle(net: &Mlp, in_c: &Matrix, in_d: &Matrix) -> (Matrix, Matrix
         for (a, &dv) in mag_in.as_mut_slice().iter_mut().zip(d.as_slice()) {
             *a = a.abs() + dv;
         }
-        c.matmul_into(&wt, &mut c_next);
-        d.matmul_into(&w_abs_t, &mut d_next);
-        mag_in.matmul_into(&w_abs_t, &mut acc);
+        let mut c_next = naive_gemm(&c, &wt);
+        let mut d_next = naive_gemm(&d, &w_abs_t);
+        let acc = naive_gemm(&mag_in, &w_abs_t);
         let g = gamma(layer.fan_in());
         for r in 0..c.rows() {
             for (j, &b) in layer.bias.iter().enumerate() {
@@ -102,8 +113,7 @@ fn three_gemm_oracle(net: &Mlp, in_c: &Matrix, in_d: &Matrix) -> (Matrix, Matrix
                 *d_next.get_mut(r, j) = dev;
             }
         }
-        std::mem::swap(&mut c, &mut c_next);
-        std::mem::swap(&mut d, &mut d_next);
+        (c, d) = (c_next, d_next);
     }
     (c, d)
 }

@@ -6,7 +6,8 @@
 //! every grep recipe in the verify notes prints the result it states;
 //! every `canopy-<name>/v<N>` schema tag in README.md, ci.yml and the
 //! crates' doc comments is a current `Artifact::SCHEMA`; README.md stays
-//! short; and CI's search-smoke hunt covers every family.
+//! short; CI's search-smoke hunt covers every family; and every `pub fn`
+//! in the crates is named by non-test code or listed in [`ORACLES`].
 //! A renamed flag, a moved file or a stale count fails here, not in a
 //! reader's shell.
 
@@ -515,5 +516,164 @@ fn ci_search_smoke_hunts_every_family() {
     assert_eq!(
         loops[0], families,
         "ci.yml's family loop is not `Family::ALL`"
+    );
+}
+
+/// The `pub fn`s that no non-test code names and that stay public anyway,
+/// by file and name, each with why: the oracles tests compare the pipeline
+/// against, the observers they read it through, and the constructors and
+/// builders of its public types. Anything else no pipeline code names is
+/// deleted, or demoted so the `dead_code` lint holds it.
+#[rustfmt::skip]
+const ORACLES: [(&str, &str, &str); 25] = [
+    ("crates/absint/src/batch_ibp.rs", "buffers", "observer: `no_subnormals` audits every resident buffer of a propagation"),
+    ("crates/absint/src/diff_ibp.rs", "out_bounds", "post-activation bounds, read against the sound IBP by the soundness suites"),
+    ("crates/absint/src/ibp.rs", "propagate_mlp", "the scalar sound IBP, the enclosure oracle of the batched and zonotope domains"),
+    ("crates/absint/src/interval.rs", "div", "sound division, one of the interval operators the soundness proptest closes"),
+    ("crates/core/src/driver.rs", "compiled_policies", "observer: the pool and fleet tests count interned policies"),
+    ("crates/core/src/driver.rs", "swap_actor", "one driver's hot swap, alone or pooled, that `swap_actor_all` generalises"),
+    ("crates/core/src/env.rs", "step_without_agent", "the Cubic-only step the consistency tests replay pooled runs with"),
+    ("crates/core/src/env.rs", "with_samples", "builder: per-ACK delay samples for the consistency tests"),
+    ("crates/core/src/orca.rs", "f_cwnd_abstract", "Eq. 5's abstract window, the soundness oracle of the certified window"),
+    ("crates/netsim/src/link.rs", "with_impairments", "builder: impairment programs on a hand-built link"),
+    ("crates/netsim/src/time.rs", "from_micros", "constructor of the simulator's time type, beside `from_millis`"),
+    ("crates/netsim/src/topology.rs", "parking_lot", "the multi-hop topology the driver and pool tests build by hand"),
+    ("crates/netsim/src/trace.rs", "rate_at", "a trace's rate at an instant, pinned by the trace goldens"),
+    ("crates/nn/src/mlp.rs", "backward", "per-sample backward pass, the batch engine's and `td3::reference`'s oracle"),
+    ("crates/nn/src/mlp.rs", "forward_concat", "per-sample critic forward pass of `td3::reference`"),
+    ("crates/nn/src/mlp.rs", "forward_trace", "per-sample traced forward pass, the batch engine's oracle"),
+    ("crates/nn/src/mlp.rs", "grads_flat", "observer: accumulated gradients, compared bit for bit by the oracles"),
+    ("crates/nn/src/mlp.rs", "set_params_flat", "writes parameters for the finite-difference gradient checks"),
+    ("crates/nn/src/tensor.rs", "from_rows", "constructor of the public matrix type"),
+    ("crates/nn/src/tensor.rs", "from_vec", "constructor of the public matrix type"),
+    ("crates/scenarios/src/episode.rs", "episode_env", "a scenario as one `CcEnv`, the step-for-step oracle of `run_scenario`"),
+    ("crates/telemetry/src/live.rs", "with_cadence", "builder: the live layer's snapshot cadence"),
+    ("crates/telemetry/src/metrics.rs", "counter", "observer: one counter of a metrics registry"),
+    ("crates/telemetry/src/metrics.rs", "histogram", "observer: one histogram of a metrics registry"),
+    ("crates/telemetry/src/metrics.rs", "window_end_ns", "observer: the windowed histogram's end, beside `window_start_ns`"),
+];
+
+/// `text` up to its first column-0 `#[cfg(test)]` (the test module, or a
+/// trailing test-only `impl`), the cut of the verify notes' size count.
+fn non_test_part(text: &str) -> &str {
+    let cut = text
+        .match_indices("#[cfg(test)]")
+        .find(|&(at, _)| at == 0 || text[..at].ends_with('\n'))
+        .map_or(text.len(), |(at, _)| at);
+    &text[..cut]
+}
+
+/// The identifiers of Rust `code`, skipping `//` comments, string literals
+/// and `pub use` re-exports (a re-export names nothing for use).
+fn identifiers(code: &str) -> Vec<&str> {
+    let bytes = code.as_bytes();
+    let mut found = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let rest = &code[i..];
+        let word = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        if rest.starts_with("//") {
+            i += rest.find('\n').unwrap_or(rest.len());
+        } else if rest.starts_with("pub use ") {
+            i += rest.find(';').unwrap_or(rest.len());
+        } else if rest.starts_with("'\"'") {
+            // The one character literal that would open a string.
+            i += 3;
+        } else if bytes[i] == b'"' {
+            i += 1;
+            while i < bytes.len() && bytes[i] != b'"' {
+                i += if bytes[i] == b'\\' { 2 } else { 1 };
+            }
+            i += 1;
+        } else if word > 0 {
+            if !bytes[i].is_ascii_digit() {
+                found.push(&rest[..word]);
+            }
+            i += word;
+        } else {
+            i += rest.chars().next().map_or(1, char::len_utf8);
+        }
+    }
+    found
+}
+
+/// Holds the public surface to the pipeline: a `pub fn` under
+/// `crates/*/src` must be named — outside its own definition, comments,
+/// strings and re-exports — by non-test code (`crates/*/src` and
+/// `benchmark/src` up to their test modules, `examples/`, `src/`), or be
+/// listed in [`ORACLES`] with a reason; an entry whose function is gone
+/// or has gained a caller must leave the list. An integration test naming
+/// an item does not keep it public on its own. A name census: a second
+/// function of the same name anywhere keeps both.
+#[test]
+fn every_pub_fn_is_named_by_non_test_code_or_an_oracle() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("crate directory").path().join("src"),
+            &mut files,
+        );
+    }
+    let crate_files = files.len();
+    for dir in ["benchmark/src", "examples", "src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut defined: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut named: BTreeSet<String> = BTreeSet::new();
+    for (i, path) in files.iter().enumerate() {
+        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let shown = path
+            .strip_prefix(&root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
+        let words = identifiers(non_test_part(&text));
+        for (at, word) in words.iter().enumerate() {
+            let before = |back: usize| at.checked_sub(back).map(|j| words[j]);
+            if before(1) != Some("fn") {
+                named.insert(word.to_string());
+            } else if i < crate_files
+                && (before(2) == Some("pub")
+                    || (before(2) == Some("const") && before(3) == Some("pub")))
+            {
+                defined.insert((shown.clone(), word.to_string()));
+            }
+        }
+    }
+    let listed: BTreeSet<(String, String)> = ORACLES
+        .iter()
+        .map(|&(file, name, _)| (file.to_string(), name.to_string()))
+        .collect();
+    let unnamed: BTreeSet<(String, String)> = defined
+        .iter()
+        .filter(|(_, name)| !named.contains(name))
+        .cloned()
+        .collect();
+    let unlisted: Vec<String> = unnamed
+        .difference(&listed)
+        .map(|(file, name)| format!("{file}: `pub fn {name}`"))
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "public functions no non-test code names: delete them, make them \
+         `pub(crate)`, or list them in ORACLES with a reason:\n{}",
+        unlisted.join("\n")
+    );
+    let stale: Vec<String> = listed
+        .difference(&unnamed)
+        .map(|(file, name)| format!("{file}: `{name}`"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "ORACLES entries that are gone or named by non-test code now:\n{}",
+        stale.join("\n")
+    );
+    assert!(
+        defined.len() >= 300,
+        "only {} `pub fn`s found",
+        defined.len()
     );
 }

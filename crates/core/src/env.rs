@@ -218,6 +218,9 @@ impl CcEnv {
     /// The single-link environment: the dumbbell episode of `config`
     /// ([`EnvConfig::episode`]).
     pub fn new(config: EnvConfig) -> CcEnv {
+        // `build` refuses only cross traffic (an unknown kernel, a driver of
+        // its own) and paths off the topology; this episode has no cross
+        // flow and its one path is the dumbbell's one link.
         CcEnv::build(config.episode(), config.record_samples)
             .expect("a lone flow on its own dumbbell always builds")
     }
@@ -280,8 +283,9 @@ impl CcEnv {
     /// Restarts the episode with a fresh simulator (deterministic: the
     /// noise stream continues, everything else rebuilds identically).
     pub fn reset(&mut self) {
-        // The flow list was validated at construction, so the rebuild is
-        // infallible. Only the simulator is replaced: flow ids follow the
+        // `build` spawned this topology and flow list once, and neither
+        // has changed since (both fields are private), so the rebuild
+        // cannot fail. Only the simulator is replaced: flow ids follow the
         // list, so the driver (and its noise stream) carries on bound to
         // the same id.
         let world =

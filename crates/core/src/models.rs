@@ -57,12 +57,14 @@ impl TrainedModel {
     }
 
     /// Restores a model and its training curve from `save`
-    /// output.
+    /// output. An actor whose layers do not chain
+    /// ([`Mlp::check_shapes`]) is an error, not a model.
     pub fn load(path: &Path) -> std::io::Result<(TrainedModel, TrainingHistory)> {
         let text = fs::read_to_string(path)?;
         let blob: serde_json::Value = serde_json::from_str(&text)?;
         let model: TrainedModel =
             serde_json::from_value(blob["model"].clone()).map_err(std::io::Error::other)?;
+        model.actor.check_shapes().map_err(std::io::Error::other)?;
         let history: TrainingHistory =
             serde_json::from_value(blob["history"].clone()).map_err(std::io::Error::other)?;
         Ok((model, history))
@@ -213,7 +215,6 @@ pub fn trainer_config(kind: ModelKind, seed: u64, budget: TrainBudget) -> Traine
         name: kind.name().to_string(),
         qc_grad_weight: if kind.lambda() > 0.0 { 1.0 } else { 0.0 },
         mix: None,
-        threads: None,
     }
 }
 
@@ -363,6 +364,33 @@ mod tests {
         let (c, _) = load_or_train(&dir, ModelKind::Orca, 2, budget);
         assert_eq!(c.seed, 3);
         assert_eq!(c.actor.params_flat(), planted.model.actor.params_flat());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache file whose actor's layers do not chain fails to load, so
+    /// `load_or_train` retrains and rewrites it instead of serving it.
+    #[test]
+    fn a_cache_file_with_broken_shapes_is_retrained() {
+        let dir = std::env::temp_dir().join("canopy-broken-cache-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let budget = TrainBudget {
+            epochs: 1,
+            steps_per_epoch: 10,
+            n_envs: 1,
+        };
+        let fresh = train_model(ModelKind::Orca, 2, budget);
+        let path = cache_path(&dir, &trainer_config(ModelKind::Orca, 2, budget));
+        let mut broken = fresh.model.clone();
+        broken.actor.layers_mut()[0].bias.pop();
+        broken.save(&path, &fresh.history).unwrap();
+        assert!(TrainedModel::load(&path).is_err());
+        let (served, _) = load_or_train(&dir, ModelKind::Orca, 2, budget);
+        assert_eq!(served.actor.params_flat(), fresh.model.actor.params_flat());
+        let (reloaded, _) = TrainedModel::load(&path).expect("the retrained model was cached");
+        assert_eq!(
+            reloaded.actor.params_flat(),
+            fresh.model.actor.params_flat()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

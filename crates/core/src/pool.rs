@@ -84,6 +84,9 @@ where
     F: Fn(&mut S, &T) -> U + Sync,
 {
     let threads = states.len().min(items.len()).max(1);
+    // Every caller passes at least one: `parallel_map` sizes its states
+    // `threads.max(1)`, the plan and the adaptive verifier a
+    // `resolve_threads` count, which is never 0.
     let (caller, helpers) = states[..threads]
         .split_first_mut()
         .expect("callers pass at least one worker state");
@@ -110,8 +113,10 @@ where
             .map(|state| scope.spawn(move || work(state)))
             .collect();
         let mut indexed = work(caller);
+        // A worker that panicked re-raises its own panic here, so the
+        // caller sees `f`'s message rather than a second one.
         for h in handles {
-            indexed.extend(h.join().expect("pool worker panicked"));
+            indexed.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
         indexed
     });

@@ -166,11 +166,6 @@ pub struct TrainerConfig {
     /// Optional adversarial episode mix (`None` trains on the stock
     /// curriculum alone, bitwise identical to the pre-mix trainer).
     pub mix: Option<EpisodeMix>,
-    /// Verifier worker-count override for in-loop certification (`None`
-    /// consults `CANOPY_THREADS`). Certificates are thread-count
-    /// invariant, so this only affects wall-clock — it exists so tests can
-    /// compare thread counts inside one process.
-    pub threads: Option<usize>,
 }
 
 /// Per-epoch training telemetry (the series of Figure 17).
@@ -261,10 +256,7 @@ impl Trainer {
         let layout = StateLayout::new(cfg.envs[0].k);
         let mut agent = Td3::new(&mut rng, layout.dim(), 1, cfg.td3.clone());
         let mut replay = ReplayBuffer::new(cfg.replay_capacity);
-        let verifier = match cfg.threads {
-            Some(t) => Verifier::new(cfg.n_components).with_threads(t),
-            None => Verifier::new(cfg.n_components),
-        };
+        let verifier = Verifier::new(cfg.n_components);
         let mut envs: Vec<CcEnv> = cfg.envs.iter().cloned().map(CcEnv::new).collect();
         // The in-loop certificate is compiled against the actor once and
         // re-bound only after an actor step; built here rather than in
@@ -332,7 +324,7 @@ impl Trainer {
                     let draw = match (&cfg.mix, &mut mix_rng) {
                         (Some(mix), Some(rng)) if !mix.pool.is_empty() => {
                             if rng.random::<f64>() < mix.fraction {
-                                Some(rng.random_range(0..mix.pool.len()))
+                                Some(&mix.pool[rng.random_range(0..mix.pool.len())])
                             } else {
                                 None
                             }
@@ -340,15 +332,16 @@ impl Trainer {
                         _ => None,
                     };
                     match draw {
-                        Some(pick) => {
-                            let spec =
-                                cfg.mix.as_ref().expect("drawn from a mix").pool[pick].clone();
+                        Some(spec) => {
                             record(TrainerEvent::MixDraw {
                                 step,
                                 episode: spec.name.clone(),
                             });
-                            envs[slot] =
-                                CcEnv::from_episode(spec).expect("mix episodes are validated");
+                            // `new` ran `check` on every pool episode and
+                            // the config is private to the trainer, so the
+                            // build cannot fail here.
+                            envs[slot] = CcEnv::from_episode(spec.clone())
+                                .expect("mix episodes are validated");
                             slot_is_adversarial[slot] = true;
                         }
                         None if slot_is_adversarial[slot] => {
@@ -444,7 +437,6 @@ mod tests {
             name: "test".into(),
             qc_grad_weight: 1.0,
             mix: None,
-            threads: None,
         }
     }
 

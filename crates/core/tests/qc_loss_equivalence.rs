@@ -4,10 +4,11 @@
 //! of its loop that calls [`Verifier::certify_all`] once per step and a
 //! per-sample loss once per (transition × property). The replica runs
 //! twice: with the public [`accumulate_qc_gradient`] (batching and row
-//! order), and with that function's pre-batching body, kept verbatim in
-//! [`accumulate_qc_gradient_before`] (region staging and hinges).
+//! order), and with that function's pre-batching body, kept in
+//! [`accumulate_qc_gradient_before`] (region staging and hinges) with its
+//! one-box bound calls written out on a one-row [`DiffIbp`].
 
-use canopy_absint::diff_ibp::{backward_bounds_pre, forward_bounds};
+use canopy_absint::{BoundGrads, DiffIbp};
 use canopy_core::property::{Postcondition, Property, PropertyParams};
 use canopy_core::trainer::{accumulate_qc_gradient, EpochStats, Trainer, TrainerConfig};
 use canopy_core::{CcEnv, EnvConfig, StateLayout, Verifier};
@@ -45,14 +46,13 @@ fn config(properties: Vec<Property>) -> TrainerConfig {
         name: "qc-loss-test".into(),
         qc_grad_weight: 1.0,
         mix: None,
-        threads: None,
     }
 }
 
 const QC_HINGE_MARGIN: f64 = 0.05;
 
 /// `canopy_core::trainer::accumulate_qc_gradient` as it was before the
-/// batched loss, unchanged.
+/// batched loss, its one-box bound calls on a one-row engine.
 fn accumulate_qc_gradient_before(
     actor: &mut Mlp,
     property: &Property,
@@ -65,9 +65,14 @@ fn accumulate_qc_gradient_before(
     let intervals = region.to_intervals();
     let lo: Vec<f64> = intervals.iter().map(|i| i.lo).collect();
     let hi: Vec<f64> = intervals.iter().map(|i| i.hi).collect();
-    let trace = forward_bounds(actor, &lo, &hi);
-    let z_lo = trace.pre_out_lo()[0];
-    let z_hi = trace.pre_out_hi()[0];
+    let mut engine = DiffIbp::default();
+    engine.bind(actor);
+    let (in_lo, in_hi) = engine.stage(1);
+    in_lo.set_row(0, &lo);
+    in_hi.set_row(0, &hi);
+    engine.forward();
+    let z_lo = engine.pre_out_bounds(0).0[0];
+    let z_hi = engine.pre_out_bounds(0).1[0];
     let (loss, g_lo, g_hi) = match property.post {
         // Want z_lo ≥ margin (⟺ a_lo ≥ tanh(margin) > 0):
         // loss = relu(margin − z_lo).
@@ -100,7 +105,8 @@ fn accumulate_qc_gradient_before(
         }
     };
     if g_lo != 0.0 || g_hi != 0.0 {
-        backward_bounds_pre(actor, &trace, &[g_lo], &[g_hi]);
+        let mut grads = BoundGrads::default();
+        engine.backward_row(actor, 0, &[g_lo], &[g_hi], true, &mut grads);
     }
     loss
 }

@@ -393,9 +393,12 @@ impl FlowState {
         self.started && !self.stopped
     }
 
-    /// Whether the window permits sending another packet.
-    pub(crate) fn can_send(&self) -> bool {
-        self.active() && self.inflight() < self.effective_cwnd()
+    /// Whether a window of `cwnd` packets (an [`effective_cwnd`] read)
+    /// permits sending another packet.
+    ///
+    /// [`effective_cwnd`]: Self::effective_cwnd
+    pub(crate) fn can_send(&self, cwnd: u64) -> bool {
+        self.active() && self.inflight() < cwnd
     }
 
     /// Feeds an RTT sample through the RFC 6298 estimator and updates `rto`.
@@ -670,12 +673,13 @@ mod tests {
     fn can_send_respects_window() {
         let mut f = flow();
         f.started = true;
-        assert!(f.can_send());
+        let cwnd = f.effective_cwnd();
+        assert!(f.can_send(cwnd));
         for s in 0..10 {
             f.outstanding.insert(s);
         }
-        assert!(!f.can_send());
+        assert!(!f.can_send(cwnd));
         f.outstanding.remove(4);
-        assert!(f.can_send());
+        assert!(f.can_send(cwnd));
     }
 }

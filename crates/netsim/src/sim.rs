@@ -343,10 +343,13 @@ impl Simulator {
     /// Transmits as many packets as the flow's window allows, retransmitting
     /// declared losses before new data.
     fn try_send(&mut self, f: FlowId) {
+        // No kernel hook runs inside the loop, so the window read here
+        // holds for every packet it sends.
+        let cwnd = self.flows[f.0].effective_cwnd();
         loop {
             let now = self.now;
             let flow = &mut self.flows[f.0];
-            if !flow.can_send() {
+            if !flow.can_send(cwnd) {
                 break;
             }
             let (seq, retransmit) = match flow.lost_pending.pop_first() {

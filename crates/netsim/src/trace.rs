@@ -405,29 +405,6 @@ impl BandwidthTrace {
         )
     }
 
-    /// Shifts the time origin: the result at time `t` has the rate this
-    /// trace has at `dt + t`. Looping traces rotate; non-looping traces
-    /// drop the prefix and keep holding their final rate.
-    pub fn time_shifted(&self, dt: Time) -> BandwidthTrace {
-        let name = format!("tshift({},{dt})", self.name);
-        if self.segments.is_empty() {
-            return BandwidthTrace::from_segments(&name, Vec::new(), self.loops);
-        }
-        let segments = if self.loops {
-            let dt = Time::from_nanos(dt.as_nanos() % self.total.as_nanos().max(1));
-            self.window(dt, dt + self.total)
-        } else if dt >= self.total {
-            // Only the held final rate remains.
-            vec![Segment {
-                duration: Time::from_secs(1),
-                rate_bps: self.segments[self.segments.len() - 1].rate_bps,
-            }]
-        } else {
-            self.window(dt, self.total)
-        };
-        BandwidthTrace::from_segments(&name, segments, self.loops)
-    }
-
     /// One full cycle of `self` followed by one full cycle of `other`;
     /// `loops` selects whether the concatenation repeats.
     pub fn concat(&self, other: &BandwidthTrace, loops: bool) -> BandwidthTrace {
@@ -797,25 +774,6 @@ mod tests {
         // Inverted bounds are reordered instead of panicking.
         let tr = two_step().clamped(12e6, 10e6);
         assert_eq!(tr.min_rate(), 12e6);
-    }
-
-    #[test]
-    fn time_shift_rotates_looping_traces() {
-        let tr = two_step().time_shifted(Time::from_secs(1));
-        assert_eq!(tr.cycle_duration(), Time::from_secs(2));
-        assert_eq!(tr.rate_at(Time::ZERO), 16e6);
-        assert_eq!(tr.rate_at(Time::from_millis(1500)), 8e6);
-        // Shift by a whole cycle is identity on rates.
-        let id = two_step().time_shifted(Time::from_secs(2));
-        assert_eq!(id.rate_at(Time::ZERO), 8e6);
-    }
-
-    #[test]
-    fn time_shift_past_end_of_non_looping_holds_last() {
-        let tr = BandwidthTrace::from_segments("nl", two_step().segments().to_vec(), false);
-        let sh = tr.time_shifted(Time::from_secs(10));
-        assert_eq!(sh.rate_at(Time::ZERO), 16e6);
-        assert_eq!(sh.rate_at(Time::from_secs(100)), 16e6);
     }
 
     #[test]

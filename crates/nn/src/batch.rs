@@ -85,8 +85,8 @@ impl Mlp {
     }
 
     /// Whole-batch forward pass that records the per-layer activations
-    /// needed by [`backward_batch`](Self::backward_batch) in `scratch`;
-    /// returns the `N × output_dim` outputs.
+    /// needed by [`backward_batch_cols`](Self::backward_batch_cols) in
+    /// `scratch`; returns the `N × output_dim` outputs.
     ///
     /// # Panics
     ///
@@ -109,39 +109,18 @@ impl Mlp {
             feature_major_gemm(&layer.weights, Orient::Forward, 0..layer.fan_out(), x, z);
             bias_activate(z, &layer.bias, layer.activation);
         }
+        // One trace entry per layer, and a served network has a layer (see
+        // `Mlp::check_shapes`).
         post.last()
             .expect("network has at least one layer")
             .transpose_into(result);
         result
     }
 
-    /// Whole-batch reverse-mode pass. `scratch` must hold the trace from a
-    /// [`forward_trace_batch`](Self::forward_trace_batch) call on this
-    /// network with the same `input`; `grad_output` is `N × output_dim`.
-    ///
-    /// Accumulates parameter gradients (summed over the batch, in sample
-    /// order — bitwise identical to `N` per-sample
-    /// [`backward`](Self::backward) calls) and returns the `N × input_dim`
-    /// gradient with respect to the inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch trace or gradient shapes do not match.
-    pub fn backward_batch<'s>(
-        &mut self,
-        input: &Batch,
-        scratch: &'s mut BatchScratch,
-        grad_output: &Matrix,
-    ) -> &'s Matrix {
-        let all = 0..self.input_dim();
-        self.backward_batch_cols(input, scratch, grad_output, all)
-    }
-
-    /// Like [`backward_batch`](Self::backward_batch) but skips computing
-    /// the gradient with respect to the inputs — the first layer's
-    /// backward GEMM — for callers that only need parameter gradients
-    /// (e.g. a critic's TD-error step). Parameter gradients are bitwise
-    /// identical to the full pass.
+    /// [`backward_batch_cols`](Self::backward_batch_cols) with no input
+    /// columns: skips the first layer's backward GEMM, for callers that
+    /// only need parameter gradients (e.g. a critic's TD-error step).
+    /// Parameter gradients are bitwise identical to the full pass.
     ///
     /// # Panics
     ///
@@ -155,11 +134,17 @@ impl Mlp {
         self.backward_batch_cols(input, scratch, grad_output, 0..0);
     }
 
-    /// Like [`backward_batch`](Self::backward_batch) but computes the input
-    /// gradient only for the input features `cols` (e.g. the action
-    /// coordinates of a critic's `[s ‖ a]` input): returns the
-    /// `N × cols.len()` gradient whose column `j` is input feature
-    /// `cols.start + j`, bitwise equal to that column of the full pass.
+    /// Whole-batch reverse-mode pass. `scratch` must hold the trace from a
+    /// [`forward_trace_batch`](Self::forward_trace_batch) call on this
+    /// network with the same `input`; `grad_output` is `N × output_dim`.
+    ///
+    /// Accumulates parameter gradients (summed over the batch, in sample
+    /// order — bitwise identical to `N` per-sample
+    /// [`backward`](Self::backward) calls) and returns the gradient with
+    /// respect to the input features `cols` (`0..input_dim` for all of
+    /// them, the action coordinates of a critic's `[s ‖ a]` input for a
+    /// policy step): `N × cols.len()`, column `j` being input feature
+    /// `cols.start + j`.
     ///
     /// # Panics
     ///
@@ -498,7 +483,7 @@ mod tests {
         batched.zero_grads();
         let mut scratch = BatchScratch::new();
         batched.forward_trace_batch(&x, &mut scratch);
-        let grad_in = batched.backward_batch(&x, &mut scratch, &g);
+        let grad_in = batched.backward_batch_cols(&x, &mut scratch, &g, 0..3);
         let grad_in = grad_in.clone();
 
         scalar.zero_grads();
@@ -522,7 +507,7 @@ mod tests {
         let g = random_batch(&mut rng, 11, 1);
         let mut scratch = BatchScratch::new();
         net.forward_trace_batch(&x, &mut scratch);
-        let full = net.backward_batch(&x, &mut scratch, &g).clone();
+        let full = net.backward_batch_cols(&x, &mut scratch, &g, 0..6).clone();
         for cols in [0..0, 2..3, 4..6, 0..6] {
             net.forward_trace_batch(&x, &mut scratch);
             let part = net.backward_batch_cols(&x, &mut scratch, &g, cols.clone());
@@ -559,6 +544,6 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let x = Batch::zeros(2, 3);
         let g = Matrix::zeros(2, 2);
-        net.backward_batch(&x, &mut scratch, &g);
+        net.backward_batch_cols(&x, &mut scratch, &g, 0..3);
     }
 }

@@ -79,6 +79,38 @@ impl Mlp {
         self.layers.last().map_or(0, Dense::fan_out)
     }
 
+    /// Checks that the layers chain: at least one layer, each weight
+    /// matrix holding `rows × cols` values, each bias one per output unit,
+    /// and each fan-in the previous layer's fan-out. Every pass over the
+    /// network assumes this. [`new`](Self::new) builds only networks that
+    /// pass; one read from JSON or edited through
+    /// [`layers_mut`](Self::layers_mut) is checked before it is served.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("the network has no layers".into());
+        }
+        let mut width = self.input_dim();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let w = &layer.weights;
+            if w.rows().checked_mul(w.cols()) != Some(w.as_slice().len()) {
+                let (len, rows, cols) = (w.as_slice().len(), w.rows(), w.cols());
+                return Err(format!("layer {i}: {len} weights for {rows} × {cols}"));
+            }
+            if layer.bias.len() != layer.fan_out() {
+                let (len, out) = (layer.bias.len(), layer.fan_out());
+                return Err(format!("layer {i}: {len} biases for {out} outputs"));
+            }
+            if layer.fan_in() != width {
+                let fan_in = layer.fan_in();
+                return Err(format!(
+                    "layer {i}: fan-in {fan_in} after a layer of {width}"
+                ));
+            }
+            width = layer.fan_out();
+        }
+        Ok(())
+    }
+
     /// Forward pass without caching.
     ///
     /// # Panics
@@ -106,6 +138,9 @@ impl Mlp {
             pre.push(z);
             post.push(y);
         }
+        // Never empty: `new` builds at least one layer, `layers_mut` cannot
+        // remove one, and a network read from JSON is served only after
+        // `check_shapes`.
         (
             post.last().expect("network has at least one layer").clone(),
             ForwardTrace {
@@ -126,6 +161,7 @@ impl Mlp {
     /// Panics if `a.len() + b.len()` does not match the input
     /// dimensionality.
     pub fn forward_concat(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
+        // As in `forward_trace`: a served network has a layer.
         let first = self.layers.first().expect("network has at least one layer");
         let mut h: Vec<f64> = first
             .affine2(a, b)
@@ -248,20 +284,6 @@ impl Mlp {
                 *o = (1.0 - tau) * *o + tau * t;
             }
         }
-    }
-
-    /// Serializes the network to JSON (a model snapshot).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("MLP serialization cannot fail")
-    }
-
-    /// Restores a network from [`to_json`](Self::to_json) output.
-    pub fn from_json(json: &str) -> Result<Mlp, serde_json::Error> {
-        let mut mlp: Mlp = serde_json::from_str(json)?;
-        for layer in &mut mlp.layers {
-            layer.ensure_grads();
-        }
-        Ok(mlp)
     }
 }
 
@@ -405,10 +427,33 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_behaviour() {
         let net = toy_net(7);
-        let json = net.to_json();
-        let back = Mlp::from_json(&json).unwrap();
+        let json = serde_json::to_string(&net).unwrap();
+        let back: Mlp = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.check_shapes(), Ok(()));
         let x = [0.4, 0.5, -0.6];
         assert_eq!(net.forward(&x), back.forward(&x));
+    }
+
+    #[test]
+    fn check_shapes_refuses_layers_that_do_not_chain() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut short_bias = toy_net(10);
+        short_bias.layers_mut()[0].bias.pop();
+        let mut wrong_fan_in = toy_net(10);
+        wrong_fan_in.layers_mut()[1] = Dense::new(&mut rng, 5, 8, Activation::Relu);
+        let mut torn_weights = toy_net(10);
+        torn_weights.layers_mut()[2].weights =
+            serde_json::from_str(r#"{"rows":2,"cols":8,"data":[0.5]}"#).unwrap();
+        let layerless: Mlp = serde_json::from_str(r#"{"layers":[]}"#).unwrap();
+        for (net, why) in [
+            (short_bias, "layer 0: 7 biases for 8 outputs"),
+            (wrong_fan_in, "layer 1: fan-in 5 after a layer of 8"),
+            (torn_weights, "layer 2: 1 weights for 2 × 8"),
+            (layerless, "the network has no layers"),
+        ] {
+            assert_eq!(net.check_shapes(), Err(why.to_string()));
+        }
+        assert_eq!(toy_net(10).check_shapes(), Ok(()));
     }
 
     #[test]

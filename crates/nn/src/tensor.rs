@@ -189,114 +189,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · rhs` (cache-blocked GEMM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Matrix product `self · rhs` written into `out` (resized as needed;
-    /// no allocation once `out`'s buffer is large enough).
-    ///
-    /// The kernel visits the reduction index `k` in strictly ascending
-    /// order for every output element, with one fused `mul_add` per step,
-    /// so each element is bitwise identical to a sequential fused dot
-    /// product — and therefore to the scalar
-    /// [`matvec`](Self::matvec)/`t_matvec` paths, which
-    /// use the same fused step. That invariant is what lets batched
-    /// training reproduce the per-sample code path exactly; do not
-    /// reorder the reduction or unfuse the step on one side only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_impl(rhs, None, out);
-    }
-
-    fn matmul_impl(&self, rhs: &Matrix, bias: Option<&[f64]>, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        out.reshape(self.rows, rhs.cols);
-        let n = rhs.cols;
-        let kk = self.cols;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * kk..(i + 1) * kk];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            // Register-blocked kernel: a GEMM_JB-wide accumulator block
-            // stays in vector registers across the entire reduction, so
-            // each k step costs one broadcast and GEMM_JB/lane-width
-            // load+mul+add — no accumulator traffic. The block is several
-            // vectors wide, giving the out-of-order core independent add
-            // chains to hide FP latency. Each element still accumulates
-            // in strictly ascending `k` order (the bitwise contract).
-            let mut j = 0;
-            while j + GEMM_JB <= n {
-                gemm_block::<GEMM_JB>(a_row, &rhs.data, n, j, bias, &mut out_row[j..j + GEMM_JB]);
-                j += GEMM_JB;
-            }
-            // Narrow-column tail (e.g. observation-width or scalar-output
-            // layers): an 8-wide block, then a 4-wide one.
-            while j + 8 <= n {
-                gemm_block::<8>(a_row, &rhs.data, n, j, bias, &mut out_row[j..j + 8]);
-                j += 8;
-            }
-            while j + 4 <= n {
-                gemm_block::<4>(a_row, &rhs.data, n, j, bias, &mut out_row[j..j + 4]);
-                j += 4;
-            }
-        }
-        // Columns past the widest 4-aligned block: a single-element
-        // reduction is one latency-bound chain, so process four *rows* at
-        // a time instead — four independent chains per column, same
-        // ascending-`k` order per element.
-        let tail_start = (n / 4) * 4;
-        for jt in tail_start..n {
-            let mut i = 0;
-            while i + 4 <= self.rows {
-                let mut acc = [0.0f64; 4];
-                for k in 0..kk {
-                    let b = rhs.data[k * n + jt];
-                    for (slot, row) in acc.iter_mut().zip(0..4) {
-                        *slot = self.data[(i + row) * kk + k].mul_add(b, *slot);
-                    }
-                }
-                let b = bias.map_or(0.0, |b| b[jt]);
-                for (row, &v) in acc.iter().enumerate() {
-                    out.data[(i + row) * n + jt] = v + b;
-                }
-                i += 4;
-            }
-            while i < self.rows {
-                let a_row = &self.data[i * kk..(i + 1) * kk];
-                let mut acc = 0.0;
-                for (k, &a) in a_row.iter().enumerate() {
-                    acc = a.mul_add(rhs.data[k * n + jt], acc);
-                }
-                out.data[i * n + jt] = acc + bias.map_or(0.0, |b| b[jt]);
-                i += 1;
-            }
-        }
-    }
-
-    /// Like [`matmul_into`](Self::matmul_into), then adds `bias[j]` to
-    /// every element of column `j` — fused into the store phase, so the
-    /// bias costs no extra pass over `out`. Each element is the full
-    /// ascending-`k` reduction *then* `+ bias`, bitwise identical to
-    /// `matmul_into` followed by a row-broadcast add.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or `bias.len() != rhs.cols`.
-    pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
-        assert_eq!(bias.len(), rhs.cols, "bias length mismatch");
-        self.matmul_impl(rhs, Some(bias), out);
-    }
-
     /// Writes the transpose of `self` into `out` (resized to
     /// `cols × rows`).
     pub fn transpose_into(&self, out: &mut Matrix) {
@@ -336,46 +228,6 @@ impl Matrix {
                 };
             }
         }
-    }
-}
-
-/// Accumulator-block width (in `f64` elements) for the register-blocked
-/// GEMM kernel: eight independent fused chains that stay in registers.
-/// LLVM's x86 tuning prefers 256-bit vectors, so even a native AVX-512
-/// build compiles the block to eight 256-bit vectors, not four 512-bit ones.
-const GEMM_JB: usize = 32;
-
-/// One register-blocked GEMM panel: `out[j..j+JB] (+)= Σ_k a[k] · b[k][j..]`,
-/// with the accumulator block held in registers across the whole
-/// reduction and `k` visited in ascending order (the bitwise contract of
-/// [`Matrix::matmul_into`]). `out_blk` carries the initial values (zeros
-/// for a fresh product).
-#[inline(always)]
-fn gemm_block<const JB: usize>(
-    a_row: &[f64],
-    b: &[f64],
-    n: usize,
-    j: usize,
-    bias: Option<&[f64]>,
-    out_blk: &mut [f64],
-) {
-    let mut acc = [0.0f64; JB];
-    for (k, &a) in a_row.iter().enumerate() {
-        let b_blk = &b[k * n + j..k * n + j + JB];
-        for (slot, &bv) in acc.iter_mut().zip(b_blk) {
-            *slot = a.mul_add(bv, *slot);
-        }
-    }
-    match bias {
-        // The bias lands after the completed reduction, during the store
-        // — bitwise identical to a separate broadcast pass, one pass
-        // cheaper.
-        Some(bias) => {
-            for ((o, &v), bv) in out_blk.iter_mut().zip(&acc).zip(&bias[j..j + JB]) {
-                *o = v + bv;
-            }
-        }
-        None => out_blk.copy_from_slice(&acc),
     }
 }
 
@@ -420,21 +272,6 @@ mod tests {
         assert_eq!(m, back);
     }
 
-    /// A deliberately naive triple loop used as the GEMM oracle.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut acc = 0.0;
-                for k in 0..a.cols() {
-                    acc = a.get(i, k).mul_add(b.get(k, j), acc);
-                }
-                *out.get_mut(i, j) = acc;
-            }
-        }
-        out
-    }
-
     fn pseudo_random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         // A tiny deterministic LCG keeps this test free of the rand dep.
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -446,27 +283,6 @@ mod tests {
             data.push((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
         }
         Matrix::from_vec(rows, cols, data)
-    }
-
-    #[test]
-    fn blocked_matmul_matches_naive_bitwise() {
-        // Sizes straddle the 64-wide tile boundary to exercise blocking.
-        for &(m, k, n) in &[(3, 5, 4), (65, 70, 66), (1, 130, 1), (64, 64, 64)] {
-            let a = pseudo_random_matrix(m, k, 7);
-            let b = pseudo_random_matrix(k, n, 13);
-            assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn matmul_matches_t_matvec_bitwise() {
-        // G(N×out) · W(out×in) row r equals Wᵀ · g_r.
-        let g = pseudo_random_matrix(6, 11, 5);
-        let w = pseudo_random_matrix(11, 19, 6);
-        let gx = g.matmul(&w);
-        for r in 0..g.rows() {
-            assert_eq!(gx.row(r), w.t_matvec(g.row(r)).as_slice(), "row {r}");
-        }
     }
 
     #[test]

@@ -45,10 +45,11 @@ fn check_forward(net: &Mlp, x: &Batch) {
     }
 }
 
-/// Two accumulating `forward_trace_batch` + `backward_batch` passes (the
-/// second adds onto the first's gradients) equal the per-sample
-/// `forward_trace` + `backward` loop, input gradients included, and
-/// `backward_batch_params_only` accumulates the same parameter gradients.
+/// Two accumulating `forward_trace_batch` + `backward_batch_cols` passes
+/// over every input column (the second adds onto the first's gradients)
+/// equal the per-sample `forward_trace` + `backward` loop, input gradients
+/// included, and `backward_batch_params_only` accumulates the same
+/// parameter gradients.
 fn check_backward(net: &Mlp, x: &Batch, grads: [&Matrix; 2]) {
     let mut batched = net.clone();
     let mut params_only = net.clone();
@@ -59,7 +60,9 @@ fn check_backward(net: &Mlp, x: &Batch, grads: [&Matrix; 2]) {
     let mut scratch = BatchScratch::new();
     for g in grads {
         batched.forward_trace_batch(x, &mut scratch);
-        let grad_in = batched.backward_batch(x, &mut scratch, g).clone();
+        let grad_in = batched
+            .backward_batch_cols(x, &mut scratch, g, 0..x.cols())
+            .clone();
         params_only.forward_trace_batch(x, &mut scratch);
         params_only.backward_batch_params_only(x, &mut scratch, g);
         for r in 0..x.rows() {
@@ -93,9 +96,10 @@ proptest! {
         check_forward(&net, &random_batch(x_seed, n, input));
     }
 
-    /// `backward_batch` and `backward_batch_params_only` accumulate exactly
-    /// the gradients of the per-sample `forward_trace` + `backward` loop,
-    /// and `backward_batch` returns the same per-row input gradients.
+    /// `backward_batch_cols` and `backward_batch_params_only` accumulate
+    /// exactly the gradients of the per-sample `forward_trace` + `backward`
+    /// loop, and `backward_batch_cols` returns the same per-row input
+    /// gradients.
     #[test]
     fn backward_batch_equals_per_sample(
         net_seed in 0u64..500,
@@ -113,32 +117,6 @@ proptest! {
         let g1 = random_batch(g_seed, n, out);
         let g2 = random_batch(g_seed.wrapping_add(1), n, out);
         check_backward(&net, &x, [&g1, &g2]);
-    }
-
-    /// The blocked GEMM equals a naive triple loop bitwise for shapes
-    /// around the tile boundary.
-    #[test]
-    fn blocked_gemm_equals_naive(
-        a_seed in 0u64..500,
-        b_seed in 0u64..500,
-        m in 1usize..80,
-        k in 1usize..80,
-        n in 1usize..40,
-    ) {
-        let a = random_batch(a_seed, m, k);
-        let b = random_batch(b_seed, k, n);
-        let fast = a.matmul(&b);
-        let mut slow = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for kk in 0..k {
-                    acc = a.get(i, kk).mul_add(b.get(kk, j), acc);
-                }
-                *slow.get_mut(i, j) = acc;
-            }
-        }
-        prop_assert_eq!(fast, slow);
     }
 
     /// Scratch buffers can be reused across differing batch sizes without

@@ -413,11 +413,12 @@ impl Fleet {
     /// Certificate-gated model hot-swap: certifies `candidate` against
     /// every flow's current decision context in one batched pass and
     /// deploys it only if the weakest aggregate clears the gate. On
-    /// rejection the running fleet is untouched. A candidate whose input
-    /// width is not the fleet's state layout, one that is not a
-    /// single-output actor with finite parameters, and any candidate for a
-    /// fleet with no flows (no live context to certify it on), is rejected
-    /// before the verifier sees it (`min_qc` 0, `flows` 0).
+    /// rejection the running fleet is untouched. A candidate whose layers
+    /// do not chain ([`Mlp::check_shapes`]), whose input width is not the
+    /// fleet's state layout, one that is not a single-output actor with
+    /// finite parameters, and any candidate for a fleet with no flows (no
+    /// live context to certify it on), is rejected before the verifier
+    /// sees it (`min_qc` 0, `flows` 0).
     pub fn promote(&mut self, candidate: Mlp, gate: &PromotionGate) -> PromoteOutcome {
         let refused = |vetoed| PromoteOutcome {
             promoted: false,
@@ -425,11 +426,13 @@ impl Fleet {
             flows: 0,
             vetoed,
         };
-        // A candidate of another input width reads some other state, a
-        // non-finite parameter is no model to certify, the certificate
-        // reads output 0 as *the* action, and an empty fleet would promote
-        // on no evidence at all.
-        let malformed = candidate.input_dim() != self.layout.dim()
+        // Layers that do not chain are no network at all, a candidate of
+        // another input width reads some other state, a non-finite
+        // parameter is no model to certify, the certificate reads output 0
+        // as *the* action, and an empty fleet would promote on no evidence
+        // at all.
+        let malformed = candidate.check_shapes().is_err()
+            || candidate.input_dim() != self.layout.dim()
             || candidate.output_dim() != 1
             || candidate.params_flat().iter().any(|p| !p.is_finite());
         if malformed || self.pool.is_empty() {
@@ -471,7 +474,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use canopy_core::property::PropertyParams;
-    use canopy_nn::Activation;
+    use canopy_nn::{Activation, Dense};
     use canopy_telemetry::{
         Artifact, LiveConfig, RecorderConfig, SloKind, SloSpec, TelemetryReport,
     };
@@ -585,9 +588,10 @@ mod tests {
 
     /// A candidate the verifier cannot soundly read — a NaN weight, a `±∞`
     /// bias (which used to abort inside `Interval::new`), two outputs, an
-    /// input width built for another history length (which used to panic)
-    /// — is rejected where it enters, and the fleet keeps its actor and its
-    /// one compiled policy.
+    /// input width built for another history length, a layer whose fan-in
+    /// is not the previous layer's fan-out, a bias one entry short (each of
+    /// the last three used to panic) — is rejected where it enters, and the
+    /// fleet keeps its actor and its one compiled policy.
     #[test]
     fn promote_rejects_malformed_candidates_without_certifying() {
         let gate = PromotionGate {
@@ -611,12 +615,20 @@ mod tests {
             Activation::Tanh,
         );
         let wider_history = constant_actor(4, 0.25);
+        // Layer 0 emits 16 values; this layer 1 reads 13.
+        let mut unchained = constant_actor(3, 0.25);
+        unchained.layers_mut()[1] =
+            Dense::new(&mut StdRng::seed_from_u64(2), 13, 1, Activation::Tanh);
+        let mut short_bias = constant_actor(3, 0.25);
+        short_bias.layers_mut()[0].bias.pop();
         for candidate in [
             nan_weight,
             inf_bias,
             neg_inf_bias,
             two_outputs,
             wider_history,
+            unchained,
+            short_bias,
         ] {
             let outcome = fleet.promote(candidate, &gate);
             let rejected = PromoteOutcome {

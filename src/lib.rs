@@ -16,7 +16,7 @@
 //! * [`search`] — adversarial scenario search: bounded family spaces,
 //!   failure objectives, a seeded CEM optimizer, counterexample shrinking
 //! * [`serve`] — fleet-scale serving: batched decision dispatch for
-//!   hundreds of flows, real-time pacing, certificate-gated model hot-swap
+//!   hundreds of flows, certificate-gated model hot-swap
 //! * [`telemetry`] — the deterministic flight recorder and metrics layer
 //!   threaded through the decision loop, simulator, trainer, and search
 //!
