@@ -51,9 +51,9 @@ pub struct Interval {
 
 // The arithmetic methods intentionally shadow the std operator names
 // without implementing the traits: these are *outward-rounded* interval
-// transformers whose signatures differ from the operators (`div` returns
-// `Option`, all take `self` by value), and spelling them as method calls
-// keeps the soundness-critical rounding explicit at every call site.
+// transformers whose signatures differ from the operators (all take
+// `self` by value), and spelling them as method calls keeps the
+// soundness-critical rounding explicit at every call site.
 #[allow(clippy::should_implement_trait)]
 impl Interval {
     /// Creates `[lo, hi]`.
@@ -186,28 +186,6 @@ impl Interval {
             lo: lo.next_down(),
             hi: hi.next_up(),
         }
-    }
-
-    /// Sound division by an interval not containing zero.
-    ///
-    /// Returns `None` if `other` contains zero.
-    #[inline]
-    pub fn div(self, other: Interval) -> Option<Interval> {
-        if other.contains(0.0) {
-            return None;
-        }
-        let quotients = [
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        ];
-        let lo = quotients.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = quotients.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some(Interval {
-            lo: lo.next_down(),
-            hi: hi.next_up(),
-        })
     }
 
     /// The image under `max(x, 0)` (exact: endpoints map to endpoints).
@@ -347,14 +325,6 @@ mod tests {
             assert!(m.lo <= lo && m.hi >= hi, "{a:?}*{b:?} = {m:?}");
             assert!(m.lo >= lo - 1e-9 && m.hi <= hi + 1e-9, "not too wide");
         }
-    }
-
-    #[test]
-    fn div_rejects_zero_crossing() {
-        let a = Interval::new(1.0, 2.0);
-        assert!(a.div(Interval::new(-1.0, 1.0)).is_none());
-        let q = a.div(Interval::new(2.0, 4.0)).unwrap();
-        assert!(q.contains(0.25) && q.contains(1.0));
     }
 
     #[test]

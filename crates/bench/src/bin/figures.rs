@@ -10,7 +10,8 @@
 //!
 //! `--smoke` shrinks horizons, trace sets and training budgets to seconds.
 //! The first model-using run trains and caches the models (keyed by
-//! kind/seed/budget); later runs load them. Any unknown argument, unknown
+//! kind/seed/budget, the trainer configuration and the trainer's source);
+//! later runs load them. Any unknown argument, unknown
 //! id or malformed value is a one-line error and exit status 2.
 
 use std::process::ExitCode;

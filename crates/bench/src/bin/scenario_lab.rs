@@ -30,7 +30,7 @@
 //! `orca`), which are loaded from the model cache (training on first
 //! use; `--smoke` shrinks the budget). `--trace-out PATH` additionally
 //! replays the first scheme over each family's first scenario with a
-//! flight recorder attached and writes the `canopy-telemetry/v3` report
+//! flight recorder attached and writes the `canopy-telemetry/v4` report
 //! (plus a Chrome-trace twin next to it); `--live-out DIR` runs the same
 //! replay with the recorder's live layer enabled and writes the
 //! streaming artifacts (`metrics.jsonl`, `exposition.prom`) into `DIR`.

@@ -13,7 +13,7 @@
 //! `--trace-out PATH` attaches a flight recorder: the search records
 //! one event per generation and the worst case found is replayed once
 //! more behind the QC fallback monitor to capture its decision timeline.
-//! The `canopy-telemetry/v3` report lands at PATH with a Chrome-trace
+//! The `canopy-telemetry/v4` report lands at PATH with a Chrome-trace
 //! twin next to it.
 //!
 //! Objectives: `qc_sat` (minimize the runtime certificate), `fallback_rate`

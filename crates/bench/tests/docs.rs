@@ -525,13 +525,10 @@ fn ci_search_smoke_hunts_every_family() {
 /// builders of its public types. Anything else no pipeline code names is
 /// deleted, or demoted so the `dead_code` lint holds it.
 #[rustfmt::skip]
-const ORACLES: [(&str, &str, &str); 25] = [
+const ORACLES: [(&str, &str, &str); 22] = [
     ("crates/absint/src/batch_ibp.rs", "buffers", "observer: `no_subnormals` audits every resident buffer of a propagation"),
     ("crates/absint/src/diff_ibp.rs", "out_bounds", "post-activation bounds, read against the sound IBP by the soundness suites"),
     ("crates/absint/src/ibp.rs", "propagate_mlp", "the scalar sound IBP, the enclosure oracle of the batched and zonotope domains"),
-    ("crates/absint/src/interval.rs", "div", "sound division, one of the interval operators the soundness proptest closes"),
-    ("crates/core/src/driver.rs", "compiled_policies", "observer: the pool and fleet tests count interned policies"),
-    ("crates/core/src/driver.rs", "swap_actor", "one driver's hot swap, alone or pooled, that `swap_actor_all` generalises"),
     ("crates/core/src/env.rs", "step_without_agent", "the Cubic-only step the consistency tests replay pooled runs with"),
     ("crates/core/src/env.rs", "with_samples", "builder: per-ACK delay samples for the consistency tests"),
     ("crates/core/src/orca.rs", "f_cwnd_abstract", "Eq. 5's abstract window, the soundness oracle of the certified window"),

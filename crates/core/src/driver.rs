@@ -17,9 +17,10 @@
 //! construction.
 //!
 //! There is one engine that schedules and computes self-driven decisions:
-//! [`DriverPool`]. A solo learned flow is a pool of one. The pool batches
-//! same-instant decisions per policy and forwards and certifies each
-//! distinct state of a batch once, however many flows share it.
+//! [`DriverPool`]. A solo learned flow is a pool of one. A pool serves one
+//! policy, as the runtime of §4.4 deploys one certified actor: it batches
+//! same-instant decisions and forwards and certifies each distinct state
+//! of a batch once, however many flows share it.
 //!
 //! A policy has at most one certificate monitor
 //! ([`FallbackController`]), and so one per-decision `QC_sat` stream
@@ -43,7 +44,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -59,8 +59,9 @@ use crate::env::NoiseConfig;
 use crate::obs::{Normalizer, Observation, StateBuilder, StateLayout};
 use crate::orca::f_cwnd;
 use crate::plan::CertPlan;
+use crate::property::Property;
 use crate::runtime::FallbackController;
-use crate::verifier::StepContext;
+use crate::verifier::{StepContext, Verifier};
 
 /// Static configuration of one driver: everything about the decision loop
 /// that is not the policy itself.
@@ -109,8 +110,8 @@ impl DriverConfig {
 /// The decision policy of a self-driving driver: the actor network,
 /// optionally behind one certificate monitor.
 ///
-/// The actor is shared (`Arc`): cloning a policy, or pooling drivers whose
-/// policies are equal, keeps one copy of the weights.
+/// The actor is shared (`Arc`): cloning a policy, or pooling drivers, keeps
+/// one copy of the weights.
 #[derive(Clone, Debug)]
 pub struct DriverPolicy {
     actor: Arc<Mlp>,
@@ -159,6 +160,17 @@ impl DriverPolicy {
     /// The certificate monitor, when the policy has one.
     pub fn monitor(&self) -> Option<&FallbackController> {
         self.monitor.as_ref()
+    }
+
+    /// Whether one compiled policy serves both: bit-equal actors and equal
+    /// monitor verifier and properties. A monitor's threshold and counters
+    /// are per driver, so an observing and an arbitrating monitor over one
+    /// `(Verifier, properties)` compile alike.
+    pub(crate) fn compiles_like(&self, other: &DriverPolicy) -> bool {
+        fn config(p: &DriverPolicy) -> Option<(&Verifier, &[Property])> {
+            p.monitor.as_ref().map(|m| (m.verifier(), m.properties()))
+        }
+        same_actor(&self.actor, &other.actor) && config(self) == config(other)
     }
 }
 
@@ -234,29 +246,6 @@ impl OrcaDriver {
     /// The attached policy, when self-driving.
     pub fn policy(&self) -> Option<&DriverPolicy> {
         self.policy.as_ref()
-    }
-
-    /// Replaces the policy's actor in place — the model hot-swap path.
-    /// Scheduling state is untouched. (A pooled driver is swapped through
-    /// [`DriverPool::swap_actor`], which also re-interns its compiled
-    /// policy.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if no policy is attached.
-    pub fn swap_actor(&mut self, actor: Mlp) {
-        self.adopt_actor(Arc::new(actor));
-    }
-
-    /// Takes over a (shared) actor.
-    fn adopt_actor(&mut self, actor: Arc<Mlp>) {
-        // A documented precondition of `swap_actor` (`# Panics`), and the
-        // pool only pools drivers that carry a policy (`push`).
-        let policy = self
-            .policy
-            .as_mut()
-            .expect("swap_actor requires an attached policy");
-        policy.actor = actor;
     }
 
     // --- Primitives (the pieces every harness shares) --------------------
@@ -471,23 +460,18 @@ pub struct BatchDispatch {
     pub at: Time,
     /// Decisions executed (drivers due, minus any that departed).
     pub decisions: usize,
-    /// Distinct policy groups the batch split into (each group paid one
-    /// batched actor pass and at most one batched certification pass).
-    pub groups: usize,
 }
 
-/// One interned policy: everything the pool derives from a policy that
-/// does not depend on the decision, shared by every driver whose policy is
-/// exactly equal — one copy of the actor, its transposed weights (which
-/// serve the forward pass and batched IBP alike), the monitor's
-/// [`CertPlan`], and the scratch all of them reuse. A monitor's threshold
-/// and counters are per driver, so observing and arbitrating monitors over
-/// one `(Verifier, properties)` share an entry.
+/// The pool's policy, compiled: everything the pool derives from it that
+/// does not depend on the decision — one copy of the actor, its transposed
+/// weights (which serve the forward pass and batched IBP alike), the
+/// monitor's [`CertPlan`], and the scratch all of them reuse.
 #[derive(Debug)]
 struct CompiledPolicy {
-    /// Drivers currently pointing at this entry.
-    users: usize,
-    actor: Arc<Mlp>,
+    /// The policy compiled, holding the pool's one copy of the actor. Its
+    /// monitor's threshold and counters go unused: each driver keeps its
+    /// own.
+    policy: DriverPolicy,
     net: PreparedMlp,
     /// The monitor's certification pass, when the policy has a monitor.
     plan: Option<CertPlan>,
@@ -509,13 +493,22 @@ impl CompiledPolicy {
             .as_ref()
             .map(|m| CertPlan::compile(*m.verifier(), &net, m.properties(), layout));
         CompiledPolicy {
-            users: 1,
-            actor: policy.actor.clone(),
+            policy: policy.clone(),
             net,
             plan,
             forward: IbpBatchScratch::new(),
             scratch: vec![IbpBatchScratch::new()],
         }
+    }
+
+    /// Re-targets the compiled form at `actor`, keeping the monitor's
+    /// stages and the scratch ([`CertPlan::rebind`]).
+    fn rebind(&mut self, actor: Arc<Mlp>) {
+        self.net = PreparedMlp::new(&actor);
+        if let Some(plan) = &mut self.plan {
+            plan.rebind(&self.net);
+        }
+        self.policy.actor = actor;
     }
 
     /// Decides `n` same-instant contexts of this policy — one batched
@@ -540,12 +533,11 @@ impl CompiledPolicy {
             ..
         } = distinct;
         let CompiledPolicy {
-            actor,
+            policy,
             net,
             plan,
             forward,
             scratch,
-            ..
         } = self;
         let (states, _) = forward.stage(reps.len(), net.input_dim());
         for (r, &j) in reps.iter().enumerate() {
@@ -555,72 +547,18 @@ impl CompiledPolicy {
         actions.clear();
         actions.extend((0..reps.len()).map(|r| forward.get(r, 0)));
         if let Some(plan) = plan {
-            plan.run(net, actor, reps.len(), |r| &ctx(reps[r]).state, scratch);
+            plan.run(
+                net,
+                &policy.actor,
+                reps.len(),
+                |r| &ctx(reps[r]).state,
+                scratch,
+            );
         }
         for (j, &r) in rep_of.iter().enumerate() {
             let action = actions[r];
             let agg = plan.as_ref().map(|p| p.aggregate(r, ctx(j), || action));
             out(j, action, agg);
-        }
-    }
-
-    /// Whether this entry was compiled from a policy exactly equal to
-    /// `policy` up to its monitor's threshold (never called on the
-    /// dispatch path).
-    fn matches(&self, policy: &DriverPolicy) -> bool {
-        let compiled = self.plan.as_ref().map(|p| (p.verifier(), p.properties()));
-        let wanted = policy
-            .monitor
-            .as_ref()
-            .map(|m| (m.verifier(), m.properties()));
-        same_actor(&self.actor, &policy.actor) && compiled == wanted
-    }
-}
-
-/// The pool's intern table of compiled policies.
-#[derive(Debug, Default)]
-struct PolicyTable {
-    /// Slots are stable while an entry has users, and reused afterwards.
-    entries: Vec<Option<CompiledPolicy>>,
-}
-
-impl PolicyTable {
-    /// Finds the entry compiled from a policy exactly equal to `policy`
-    /// ([`CompiledPolicy::matches`]), or compiles one, and returns its
-    /// slot, pointing the policy at the entry's copy of the actor.
-    fn intern(&mut self, policy: &mut DriverPolicy, layout: StateLayout) -> usize {
-        let hit = self.entries.iter_mut().enumerate().find_map(|(slot, e)| {
-            let e = e.as_mut().filter(|e| e.matches(policy))?;
-            Some((slot, e))
-        });
-        if let Some((slot, entry)) = hit {
-            entry.users += 1;
-            policy.actor = entry.actor.clone();
-            return slot;
-        }
-        let compiled = Some(CompiledPolicy::compile(policy, layout));
-        match self.entries.iter().position(Option::is_none) {
-            Some(slot) => {
-                self.entries[slot] = compiled;
-                slot
-            }
-            None => {
-                self.entries.push(compiled);
-                self.entries.len() - 1
-            }
-        }
-    }
-
-    /// Drops one user of `slot`, and the entry with its last user.
-    fn release(&mut self, slot: usize) {
-        // A slot is released once per user it was interned for, and an
-        // entry is dropped only with its last user.
-        let entry = self.entries[slot]
-            .as_mut()
-            .expect("only a driver holding the slot releases it");
-        entry.users -= 1;
-        if entry.users == 0 {
-            self.entries[slot] = None;
         }
     }
 }
@@ -631,18 +569,17 @@ impl PolicyTable {
 /// dispatches every driver due at that instant in insertion order (the
 /// deterministic tie-break).
 ///
-/// Policies are **interned**: [`push`](Self::push) and
-/// [`swap_actor`](Self::swap_actor) look the driver's policy up, by exact
-/// equality of actor bits and monitor config, in a table of compiled
-/// policies — shared actor, resident transposed weights, certification
-/// plans and scratch — compiling it on first sight and dropping it with
-/// its last driver. Nothing decision-independent is rebuilt per dispatch.
+/// A pool serves **one policy**: [`push`](Self::push) compiles the first
+/// driver's — shared actor, resident transposed weights, certification
+/// plan and scratch — and every later driver must carry one that compiles
+/// alike (bit-equal actor, equal monitor verifier and properties; its
+/// monitor's threshold and counters stay its own). Nothing
+/// decision-independent is rebuilt per dispatch.
 ///
 /// Same-instant decisions are **batched**: the pool prepares every due
-/// driver, groups the prepared states by compiled policy, runs one batched
-/// actor pass per group (and one [`CertPlan`] pass per group whose policy
-/// has a monitor), then applies the results in insertion order. Each pass
-/// covers each **distinct state once**: flows of a group whose states are
+/// driver, runs one batched actor pass (and one [`CertPlan`] pass when the
+/// policy has a monitor), then applies the results in insertion order.
+/// Each pass covers each **distinct state once**: flows whose states are
 /// bitwise equal (in practice, flows whose monitor windows saw no ACK)
 /// share one forward row and one block of certified rows, while each
 /// flow's certificate is still judged against its own windows. The
@@ -655,9 +592,8 @@ impl PolicyTable {
 #[derive(Debug)]
 pub struct DriverPool {
     drivers: Vec<OrcaDriver>,
-    /// `slots[i]` is driver `i`'s entry in `table`.
-    slots: Vec<usize>,
-    table: PolicyTable,
+    /// The drivers' one policy, compiled; `None` while the pool is empty.
+    compiled: Option<CompiledPolicy>,
     /// Min-heap of `(next_decision, index)` with exactly one live entry
     /// per active driver — the pool is the only mutator of pooled
     /// drivers' schedules, so entries never go stale. `Reverse` pops
@@ -671,23 +607,18 @@ pub struct DriverPool {
     batch: BatchBuffers,
 }
 
-/// What one dispatch fills in: the drivers due, their prepared decisions,
-/// the distinct table slots among them (first-seen order), the current
-/// group's positions in `items` and its distinct states, and the per-item
-/// results. Reused across dispatches: once they have grown to the largest
-/// batch, neither the due list nor the grouping allocates.
+/// What one dispatch fills in: the drivers due, their prepared decisions
+/// and their distinct states. Reused across dispatches: once they have
+/// grown to the largest batch, neither the due list nor the grouping
+/// allocates.
 #[derive(Debug, Default)]
 struct BatchBuffers {
     due: Vec<usize>,
     items: Vec<(usize, PreparedDecision)>,
-    groups: Vec<usize>,
-    members: Vec<usize>,
     distinct: DistinctStates,
-    actions: Vec<f64>,
-    aggs: Vec<Option<f64>>,
 }
 
-/// One policy group's states, grouped by bit pattern: sorting the members
+/// One batch's states, grouped by bit pattern: sorting the members
 /// by a 64-bit key of their state bits ([`fnv1a`] over the `f64` words),
 /// ties broken by the bits themselves and then the index, puts equal
 /// states in runs. The key only orders; equality is always the full bit
@@ -750,6 +681,10 @@ impl Default for DriverPool {
 
 /// Pools drivers in iteration order — how a harness takes over
 /// [`World::drivers`](crate::world::World::drivers).
+///
+/// # Panics
+///
+/// As [`DriverPool::push`].
 impl FromIterator<OrcaDriver> for DriverPool {
     fn from_iter<I: IntoIterator<Item = OrcaDriver>>(drivers: I) -> DriverPool {
         let mut pool = DriverPool::new();
@@ -765,26 +700,42 @@ impl DriverPool {
     pub fn new() -> DriverPool {
         DriverPool {
             drivers: Vec::new(),
-            slots: Vec::new(),
-            table: PolicyTable::default(),
+            compiled: None,
             queue: BinaryHeap::new(),
             recorder: None,
             batch: BatchBuffers::default(),
         }
     }
 
-    /// Adds a driver (it must carry a policy) and returns its index. The
-    /// policy is interned: if an exactly equal one is already pooled, the
-    /// driver shares its compiled form and its copy of the actor.
+    /// Adds a driver and returns its index. The first driver's policy is
+    /// compiled; a later driver shares its compiled form and its copy of
+    /// the actor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the driver carries no policy, or one that does not compile
+    /// like the pool's (a bit-different actor, another monitor verifier or
+    /// property set): a pool serves one policy.
     pub fn push(&mut self, mut driver: OrcaDriver) -> usize {
         let layout = driver.layout;
-        // A documented precondition of `push`: the pool decides for the
-        // driver, so it needs the driver's policy.
+        // Documented preconditions of `push`: the pool decides for the
+        // driver, so it needs the driver's policy, and it decides with
+        // one compiled policy.
         let policy = driver
             .policy
             .as_mut()
             .expect("pooled drivers must be self-driving (attach a DriverPolicy)");
-        self.slots.push(self.table.intern(policy, layout));
+        match &self.compiled {
+            Some(compiled) => {
+                assert!(
+                    policy.compiles_like(&compiled.policy),
+                    "a pool serves one policy: driver {} differs from the first",
+                    self.drivers.len()
+                );
+                policy.actor = compiled.policy.actor.clone();
+            }
+            None => self.compiled = Some(CompiledPolicy::compile(policy, layout)),
+        }
         let index = self.drivers.len();
         if driver.next_decision < Time::MAX {
             self.queue.push(Reverse((driver.next_decision, index)));
@@ -808,37 +759,18 @@ impl DriverPool {
         &self.drivers
     }
 
-    /// How many distinct compiled policies the pool currently holds.
-    pub fn compiled_policies(&self) -> usize {
-        self.table.entries.iter().flatten().count()
-    }
-
-    /// Replaces the actor of driver `index`'s policy in place — the
-    /// certificate-checked hot-swap path. Scheduling state is untouched,
-    /// so the heap invariant holds across swaps; the driver moves to the
-    /// new policy's compiled entry, and the old entry is dropped with its
-    /// last driver.
-    pub fn swap_actor(&mut self, index: usize, actor: Mlp) {
-        self.adopt_actor(index..index + 1, actor);
-    }
-
-    /// [`swap_actor`](Self::swap_actor) for every pooled driver at once —
-    /// the fleet-wide rollout: one shared copy of `actor`, compiled once
-    /// per distinct monitor config.
+    /// Replaces the actor of every pooled driver's policy — the
+    /// certificate-checked fleet-wide rollout: one shared copy of `actor`,
+    /// compiled once. Scheduling state is untouched, so the heap invariant
+    /// holds across swaps.
     pub fn swap_actor_all(&mut self, actor: Mlp) {
-        self.adopt_actor(0..self.drivers.len(), actor);
-    }
-
-    fn adopt_actor(&mut self, indices: Range<usize>, actor: Mlp) {
         let actor = Arc::new(actor);
-        for i in indices {
-            let driver = &mut self.drivers[i];
-            driver.adopt_actor(actor.clone());
-            // `OrcaDriver::adopt_actor` just found the policy.
-            let policy = driver.policy.as_mut().expect("checked by adopt_actor");
-            let slot = self.table.intern(policy, driver.layout);
-            self.table
-                .release(std::mem::replace(&mut self.slots[i], slot));
+        // `push` pools only drivers that carry a policy: this is every one.
+        for policy in self.drivers.iter_mut().filter_map(|d| d.policy.as_mut()) {
+            policy.actor = actor.clone();
+        }
+        if let Some(compiled) = &mut self.compiled {
+            compiled.rebind(actor);
         }
     }
 
@@ -893,7 +825,6 @@ impl DriverPool {
                 recorder.borrow_mut().record_batch(&BatchRecord {
                     t_ns: dispatch.at.as_nanos(),
                     size: dispatch.decisions as u64,
-                    groups: dispatch.groups as u64,
                 });
             }
         }
@@ -902,8 +833,7 @@ impl DriverPool {
 
     /// Runs the simulator to `horizon`, dispatching every pooled decision
     /// scheduled strictly before it (ties in insertion order, same-instant
-    /// decisions batched per policy group), and lands the clock exactly on
-    /// `horizon`.
+    /// decisions batched), and lands the clock exactly on `horizon`.
     pub fn run_until(&mut self, sim: &mut Simulator, horizon: Time) {
         while self.dispatch_next(sim, horizon).is_some() {}
         sim.run_until(horizon);
@@ -922,9 +852,8 @@ impl DriverPool {
     }
 
     /// One batched dispatch of the drivers in `batch.due`: prepare them in
-    /// insertion order, group by compiled policy, one batched
-    /// actor/certification pass per group, apply in insertion order. Each
-    /// group's pass covers each distinct state once
+    /// insertion order, one batched actor/certification pass, apply in
+    /// insertion order. The pass covers each distinct state once
     /// ([`CompiledPolicy::decide`]): flows whose states are bitwise equal
     /// share one forward row and one block of certified rows, and each
     /// flow's certificate is still judged against its own windows.
@@ -936,8 +865,7 @@ impl DriverPool {
     fn dispatch_batched(&mut self, sim: &mut Simulator) -> BatchDispatch {
         let DriverPool {
             drivers,
-            slots,
-            table,
+            compiled,
             batch,
             recorder,
             ..
@@ -945,11 +873,7 @@ impl DriverPool {
         let BatchBuffers {
             due,
             items,
-            groups,
-            members,
             distinct,
-            actions,
-            aggs,
         } = batch;
         let recorder = recorder.as_ref();
         items.clear();
@@ -959,45 +883,16 @@ impl DriverPool {
             }
         }
         let at = sim.now();
-        if items.is_empty() {
-            return BatchDispatch {
-                at,
-                decisions: 0,
-                groups: 0,
-            };
-        }
-        // The distinct compiled policies among the items, in first-seen
-        // order. A linear scan beats a hash map at realistic group counts
-        // (fleets share a handful of policies).
-        groups.clear();
-        for (i, _) in items.iter() {
-            if !groups.contains(&slots[*i]) {
-                groups.push(slots[*i]);
-            }
-        }
-        actions.clear();
-        actions.resize(items.len(), 0.0);
-        aggs.clear();
-        aggs.resize(items.len(), None);
-        for &slot in groups.iter() {
-            members.clear();
-            members.extend((0..items.len()).filter(|&pos| slots[items[pos].0] == slot));
-            // `slot` is a pooled driver's slot, and an entry lives as long
-            // as a driver uses it.
-            let compiled = table.entries[slot]
-                .as_mut()
-                .expect("pooled drivers point at live entries");
-            let ctx_of = |j: usize| &items[members[j]].1.ctx;
-            compiled.decide(members.len(), ctx_of, distinct, |j, action, agg| {
-                actions[members[j]] = action;
-                aggs[members[j]] = agg;
-            });
-        }
+        let decisions = items.len();
+        let Some(compiled) = compiled.as_mut().filter(|_| decisions > 0) else {
+            return BatchDispatch { at, decisions };
+        };
         let t_ns = at.as_nanos();
-        for (pos, (i, prepared)) in items.iter().enumerate() {
-            let (action, qc_sat) = (actions[pos], aggs[pos]);
+        let ctx_of = |j: usize| &items[j].1.ctx;
+        compiled.decide(decisions, ctx_of, distinct, |j, action, qc_sat| {
+            let (i, prepared) = &items[j];
             let (cwnd, by_agent) = drivers[*i].apply_decision(sim, action, qc_sat);
-            let Some(rec) = recorder else { continue };
+            let Some(rec) = recorder else { return };
             let state = &prepared.ctx.state;
             rec.borrow_mut().record_decision(&DecisionRecord {
                 t_ns,
@@ -1016,12 +911,8 @@ impl DriverPool {
                 qc_sat,
                 fallback: !by_agent,
             });
-        }
-        BatchDispatch {
-            at,
-            decisions: items.len(),
-            groups: groups.len(),
-        }
+        });
+        BatchDispatch { at, decisions }
     }
 }
 
@@ -1247,50 +1138,51 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_equal_policies_and_never_aliases() {
-        let layout = StateLayout::new(3);
+    fn a_pool_compiles_one_policy_by_exact_equality() {
+        let link = link(24e6);
+        let cfg = DriverConfig::new(Time::from_millis(40), 3);
+        let mut sim = Simulator::new(link.clone());
         let props = || Property::shallow_set(&PropertyParams::default());
         let monitored = |net: Mlp| {
             DriverPolicy::new(net).with_fallback(FallbackController::new(props(), 0.5, 4))
         };
-        let mut table = PolicyTable::default();
+        let mut pool = DriverPool::new();
 
-        // Equal actors built separately share one entry, and from then on
-        // one copy of the weights.
-        let (mut a, mut b) = (monitored(actor(3, 5)), monitored(actor(3, 5)));
-        assert!(!Arc::ptr_eq(&a.actor, &b.actor));
-        let slot = table.intern(&mut a, layout);
-        assert_eq!(table.intern(&mut b, layout), slot);
-        assert!(Arc::ptr_eq(&a.actor, &b.actor));
-
-        // The threshold is the driver's, not the entry's: an observing
-        // monitor over the same config shares it.
-        let observing = FallbackController::observing(props(), 4);
-        let mut e = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
-        assert_eq!(table.intern(&mut e, layout), slot);
-        table.release(slot);
+        // Equal actors built separately share the pool's copy of the
+        // weights, and an observing monitor over the same config compiles
+        // alike: the threshold is the driver's, not the pool's.
+        let observing =
+            DriverPolicy::new(actor(3, 5)).with_fallback(FallbackController::observing(props(), 4));
+        for policy in [monitored(actor(3, 5)), monitored(actor(3, 5)), observing] {
+            pool.push(driver_on(&link, &mut sim, &cfg).with_policy(policy));
+        }
+        let shared = |d: &OrcaDriver| Arc::as_ptr(&d.policy().expect("pooled").actor);
+        assert!(pool
+            .drivers()
+            .iter()
+            .all(|d| shared(d) == shared(&pool.drivers()[0])));
+        assert_eq!(pool.drivers()[2].fallback_rate(), None);
 
         // Equality is exact: an actor one weight bit away, and an equal
-        // actor under another monitor config, get their own entries.
+        // actor under another monitor config, compile otherwise.
+        let compiled = &pool.compiled.as_ref().expect("compiled on push").policy;
         let mut flipped = actor(3, 5);
         let w = flipped.layers_mut()[0].weights.get_mut(0, 0);
         *w = f64::from_bits(w.to_bits() ^ 1);
-        let mut c = monitored(flipped);
+        assert!(!monitored(flipped).compiles_like(compiled));
         let observing = FallbackController::observing(props(), 3);
-        let mut d = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
-        let slot_c = table.intern(&mut c, layout);
-        let slot_d = table.intern(&mut d, layout);
-        assert!(slot_c != slot && slot_d != slot && slot_c != slot_d);
-        assert!(!Arc::ptr_eq(&a.actor, &c.actor));
-        assert!(!Arc::ptr_eq(&a.actor, &d.actor));
+        let other = DriverPolicy::new(actor(3, 5)).with_fallback(observing);
+        assert!(!other.compiles_like(compiled));
+        assert!(!DriverPolicy::new(actor(3, 5)).compiles_like(compiled));
 
-        // An entry goes with its last user, and its slot is reused.
-        table.release(slot);
-        assert!(table.entries[slot].is_some());
-        table.release(slot);
-        assert!(table.entries[slot].is_none());
-        let mut plain = DriverPolicy::new(actor(3, 6));
-        assert_eq!(table.intern(&mut plain, layout), slot);
-        assert!(table.entries[slot].as_ref().unwrap().plan.is_none());
+        // A swap repoints every driver at one new copy and re-targets the
+        // compiled policy at it.
+        pool.swap_actor_all(actor(3, 6));
+        let compiled = &pool.compiled.as_ref().expect("still compiled").policy;
+        assert!(pool
+            .drivers()
+            .iter()
+            .all(|d| shared(d) == Arc::as_ptr(&compiled.actor)));
+        assert!(monitored(actor(3, 6)).compiles_like(compiled));
     }
 }

@@ -1,7 +1,8 @@
 //! The measurement vocabulary behind every evaluation figure: the scheme
 //! under test ([`Scheme`]), per-flow and per-link metrics read off a
 //! finished simulation ([`flow_metrics`], [`link_metrics`]), and the
-//! shared-bottleneck competition/fairness runs ([`run_multiflow`]).
+//! shared-bottleneck competition/fairness runs of one learned policy
+//! against classic kernels or copies of itself ([`run_multiflow`]).
 //! Single-flow conditions are `canopy_scenarios::ScenarioSpec`s run through
 //! `canopy_scenarios::run_scenario`/`run_matrix` — on the same
 //! [`DriverPool`] over a [`world`]-built simulator as the multi-flow runs
@@ -212,49 +213,38 @@ pub fn link_metrics(sim: &Simulator) -> Vec<LinkMetrics> {
 /// Per-flow, per-bin throughput (Mbps) from a shared-bottleneck run — the
 /// raw material for the friendliness (Fig. 14) and fairness (Fig. 15)
 /// experiments. Steered flows are multiplexed over the shared simulator by
-/// a [`DriverPool`], so they honour each spec's observation noise and
-/// policy exactly like every other harness — and flows sharing one policy
-/// that decide at the same instant ride the pool's batched actor path
-/// (bitwise identical to serial dispatch, substantially faster at fleet
-/// scale).
+/// a [`DriverPool`], so they honour each spec's observation noise exactly
+/// like every other harness, and steered flows that decide at the same
+/// instant ride the pool's batched actor path (bitwise identical to serial
+/// dispatch, substantially faster at fleet scale). A pool serves one
+/// policy, so every steered flow carries the same learned one: a run
+/// races one learned scheme against classic kernels, or copies of it.
 ///
 /// Errors on a flow [`world::spawn_all`] rejects, on a steered flow
-/// without a policy, and on a zero `bin`.
+/// without a policy or with a policy other than the first steered flow's,
+/// and on a zero `bin`.
 pub fn run_multiflow(
     link: LinkConfig,
     flows: &[FlowSpec],
     duration: Time,
     bin: Time,
 ) -> Result<Vec<Vec<f64>>, WorldError> {
-    run_multiflow_recorded(link, flows, duration, bin, None)
-}
-
-/// [`run_multiflow`] with an optional flight recorder: the pool records
-/// every decision and the simulator emits link samples
-/// every [`LINK_CADENCE_NS`](canopy_telemetry::LINK_CADENCE_NS), which
-/// the pool hands to the recorder in sim-time order. A no-op recorder
-/// leaves the series bitwise identical to [`run_multiflow`].
-pub fn run_multiflow_recorded(
-    link: LinkConfig,
-    flows: &[FlowSpec],
-    duration: Time,
-    bin: Time,
-    recorder: Option<canopy_telemetry::SharedRecorder>,
-) -> Result<Vec<Vec<f64>>, WorldError> {
     if bin == Time::ZERO {
         return Err(WorldError::ZeroBin);
     }
-    let unsteered = |f: &FlowSpec| matches!(f.controller, Controller::Orca { policy: None, .. });
-    if let Some(flow) = flows.iter().position(unsteered) {
-        return Err(WorldError::NoPolicy { flow });
+    let mut first = None;
+    for (flow, spec) in flows.iter().enumerate() {
+        let Controller::Orca { policy, .. } = &spec.controller else {
+            continue;
+        };
+        let policy = policy.as_ref().ok_or(WorldError::NoPolicy { flow })?;
+        if !policy.compiles_like(first.get_or_insert(policy)) {
+            return Err(WorldError::MixedPolicies { flow });
+        }
     }
     let world = world::spawn_all(&Topology::dumbbell(link), flows)?;
     let (mut sim, ids) = (world.sim, world.flows);
-    if recorder.is_some() {
-        sim.enable_link_sampling(Time::from_nanos(canopy_telemetry::LINK_CADENCE_NS));
-    }
     let mut pool: DriverPool = world.drivers.into_iter().collect();
-    pool.set_recorder(recorder);
 
     let bins = (duration.as_nanos() / bin.as_nanos()) as usize;
     let mut series = vec![Vec::with_capacity(bins); flows.len()];

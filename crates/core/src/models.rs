@@ -225,11 +225,11 @@ pub fn train_model(kind: ModelKind, seed: u64, budget: TrainBudget) -> TrainingR
 
 /// Loads a cached model from `dir`, training and caching it on a miss.
 ///
-/// The cache file is keyed by a hash of the full trainer configuration,
-/// so changing the kind, seed, budget or anything else
-/// `trainer_config` sets retrains rather than serving a stale model. A
-/// failed save is reported on stderr; the trained model is returned
-/// either way.
+/// The cache file is keyed by a hash of the full trainer configuration
+/// and of the trainer's source, so changing the kind, seed, budget or
+/// anything else `trainer_config` sets, or the code that trains, retrains
+/// rather than serving a stale model. A failed save is reported on
+/// stderr; the trained model is returned either way.
 pub fn load_or_train(
     dir: &Path,
     kind: ModelKind,
@@ -237,7 +237,7 @@ pub fn load_or_train(
     budget: TrainBudget,
 ) -> (TrainedModel, TrainingHistory) {
     let config = trainer_config(kind, seed, budget);
-    let path = cache_path(dir, &config);
+    let path = cache_path(dir, &config, TRAINER_SOURCE_HASH);
     if let Ok((model, history)) = TrainedModel::load(&path) {
         return (model, history);
     }
@@ -251,11 +251,15 @@ pub fn load_or_train(
     (result.model, result.history)
 }
 
-/// The cache file for `config`: its name, seed and budget for the reader,
-/// then the FNV-1a hash of its `Debug` text, which prints every field —
-/// each `f64` round-trip exact — so two configurations share a file only
-/// when they are equal.
-fn cache_path(dir: &Path, config: &TrainerConfig) -> PathBuf {
+include!(concat!(env!("OUT_DIR"), "/trainer_source.rs"));
+
+/// The cache file for `config` trained by the code whose source hashes to
+/// `source` (`build.rs`): its name, seed and budget for the reader, then
+/// the FNV-1a hash of its `Debug` text, which prints every field — each
+/// `f64` round-trip exact — followed by `source`, so two configurations
+/// share a file only when they are equal and trained by the same code.
+fn cache_path(dir: &Path, config: &TrainerConfig, source: u64) -> PathBuf {
+    let key = format!("{config:?} {source:016x}");
     dir.join(format!(
         "{}-s{}-e{}x{}x{}-{:016x}.json",
         config.name,
@@ -263,7 +267,7 @@ fn cache_path(dir: &Path, config: &TrainerConfig) -> PathBuf {
         config.epochs,
         config.steps_per_epoch,
         config.envs.len(),
-        canopy_netsim::traces::fnv1a(format!("{config:?}").bytes())
+        canopy_netsim::traces::fnv1a(key.bytes())
     ))
 }
 
@@ -328,19 +332,35 @@ mod tests {
         };
         let dir = Path::new("cache");
         let config = trainer_config(ModelKind::Shallow, 4, budget);
-        let path = cache_path(dir, &config);
+        let path = cache_path(dir, &config, 7);
         assert_eq!(
             path,
-            cache_path(dir, &trainer_config(ModelKind::Shallow, 4, budget))
+            cache_path(dir, &trainer_config(ModelKind::Shallow, 4, budget), 7)
         );
         let name = path.file_name().unwrap().to_str().unwrap();
         assert!(name.starts_with("canopy-shallow-s4-e1x10x1-"), "{name}");
         let mut other = config.clone();
         other.td3.tau *= 1.0 + f64::EPSILON;
-        assert_ne!(cache_path(dir, &other), path);
+        assert_ne!(cache_path(dir, &other, 7), path);
         let mut other = config;
         other.td3.policy_delay += 1;
-        assert_ne!(cache_path(dir, &other), path);
+        assert_ne!(cache_path(dir, &other, 7), path);
+    }
+
+    /// One configuration trained by two versions of the trainer's code
+    /// gets two files: a trainer change never serves a stale actor.
+    #[test]
+    fn cache_file_is_keyed_by_the_trainer_source() {
+        let config = trainer_config(ModelKind::Orca, 2, TrainBudget::smoke());
+        let dir = Path::new("cache");
+        let (a, b) = (cache_path(dir, &config, 1), cache_path(dir, &config, 2));
+        assert_ne!(a, b);
+        let prefix = |p: &Path| {
+            p.to_string_lossy()
+                .rsplit_once('-')
+                .map(|(p, _)| p.to_owned())
+        };
+        assert_eq!(prefix(&a), prefix(&b), "only the hash differs");
     }
 
     #[test]
@@ -359,7 +379,11 @@ mod tests {
         // It is served from the file, not retrained: plant a different
         // model there and the next call returns that one.
         let planted = train_model(ModelKind::Orca, 3, budget);
-        let path = cache_path(&dir, &trainer_config(ModelKind::Orca, 2, budget));
+        let path = cache_path(
+            &dir,
+            &trainer_config(ModelKind::Orca, 2, budget),
+            TRAINER_SOURCE_HASH,
+        );
         planted.model.save(&path, &planted.history).unwrap();
         let (c, _) = load_or_train(&dir, ModelKind::Orca, 2, budget);
         assert_eq!(c.seed, 3);
@@ -379,7 +403,11 @@ mod tests {
             n_envs: 1,
         };
         let fresh = train_model(ModelKind::Orca, 2, budget);
-        let path = cache_path(&dir, &trainer_config(ModelKind::Orca, 2, budget));
+        let path = cache_path(
+            &dir,
+            &trainer_config(ModelKind::Orca, 2, budget),
+            TRAINER_SOURCE_HASH,
+        );
         let mut broken = fresh.model.clone();
         broken.actor.layers_mut()[0].bias.pop();
         broken.save(&path, &fresh.history).unwrap();

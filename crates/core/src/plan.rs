@@ -18,7 +18,7 @@
 //!
 //! This is the **only** fixed-partition certification path:
 //! [`Verifier::certify_all_many`] compiles a plan, runs it and drops it;
-//! [`DriverPool`](crate::driver::DriverPool) keeps one per interned
+//! [`DriverPool`](crate::driver::DriverPool) keeps one for its one
 //! policy. Every bound is the same fused ascending-`k` reduction whichever
 //! way the rows are batched or chunked, so both agree bit for bit.
 

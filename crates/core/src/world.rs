@@ -134,6 +134,13 @@ pub enum WorldError {
         /// Index of the flow in its list.
         flow: usize,
     },
+    /// A self-driving run was handed steered flows with different
+    /// policies: its pool serves one.
+    MixedPolicies {
+        /// Index of the first flow whose policy differs from the first
+        /// steered flow's.
+        flow: usize,
+    },
     /// A binned run was asked for zero-width bins.
     ZeroBin,
 }
@@ -152,6 +159,10 @@ impl std::fmt::Display for WorldError {
             WorldError::NoPolicy { flow } => {
                 write!(f, "flow {flow}: a self-driving run needs a policy on every steered flow")
             }
+            WorldError::MixedPolicies { flow } => write!(
+                f,
+                "flow {flow}: a self-driving run serves one policy, the first steered flow's"
+            ),
             WorldError::ZeroBin => f.write_str("bin width must be positive"),
         }
     }

@@ -1,18 +1,18 @@
 //! Equivalence suite for the `DriverPool` dispatch engine.
 //!
-//! The pool (prepare every same-instant decision, group by compiled
-//! policy, one batched forward and at most one `CertPlan` pass per group,
-//! apply in insertion order) must be **bitwise** identical to deciding
-//! flow by flow with per-call certification. The pool is the only engine
-//! in the crate, so the oracle is rebuilt here from public primitives
-//! only: the earliest `next_decision`, then for each due driver in
-//! insertion order `prepare_decision` → `Mlp::forward` → the monitor's
+//! The pool (prepare every same-instant decision, one batched forward and
+//! at most one `CertPlan` pass of its one compiled policy, apply in
+//! insertion order) must be **bitwise** identical to deciding flow by flow
+//! with per-call certification. The pool is the only engine in the crate,
+//! so the oracle is rebuilt here from public primitives only: the earliest
+//! `next_decision`, then for each due driver in insertion order
+//! `prepare_decision` → `Mlp::forward` → the monitor's
 //! `Verifier::certify_all` → `apply_decision`. The suite races the two
 //! over plain × observed × arbitrated policies × noise × topology ×
-//! arrival-pattern × mid-run hot-swap combinations and compares every
-//! observable bit: decision counts, bookkeeping windows, the per-decision
-//! certificate stream, fallback monitor statistics, state vectors, and
-//! simulator flow stats.
+//! arrival-pattern × mid-run fleet-wide hot-swap combinations and compares
+//! every observable bit: decision counts, bookkeeping windows, the
+//! per-decision certificate stream, fallback monitor statistics, state
+//! vectors, and simulator flow stats.
 //!
 //! Thread invariance: this binary runs in CI under a `CANOPY_THREADS`
 //! matrix (1 and 4), so the equivalences here are also pinned at both
@@ -28,6 +28,7 @@ use canopy_core::env::NoiseConfig;
 use canopy_core::obs::StateLayout;
 use canopy_core::property::{Property, PropertyParams};
 use canopy_core::runtime::FallbackController;
+use canopy_core::world::{Controller, FlowSpec, WorldError};
 use canopy_netsim::{BandwidthTrace, FlowConfig, LinkConfig, Simulator, Time, Topology};
 use canopy_nn::{Activation, Mlp};
 
@@ -47,7 +48,9 @@ enum PolicyKind {
     Plain,
     /// QC evaluation: an observing monitor, which never falls back.
     Observed,
-    /// The runtime fallback: an arbitrating monitor.
+    /// The runtime fallback: an arbitrating monitor, its threshold 0.6 on
+    /// even flows and 0.4 on odd ones — one compiled policy, a threshold
+    /// per driver.
     Arbitrated,
 }
 
@@ -60,14 +63,11 @@ struct Scenario {
     /// Synchronized arrivals (every decision instant is a full batch) vs
     /// staggered arrivals and mixed RTTs (partial overlaps).
     aligned: bool,
-    /// Two distinct actors instead of one shared policy — exercises the
-    /// per-batch grouping.
-    mixed_actors: bool,
     /// One flow departs mid-run — exercises heap entry retirement, inside
     /// a batch when arrivals are aligned.
     departing: bool,
-    /// The last flow's actor is hot-swapped at 300 ms — exercises
-    /// re-interning (no stale compiled policy).
+    /// Every flow's actor is hot-swapped at 300 ms — exercises the
+    /// re-targeted compiled policy (no stale weights or plan).
     swap: bool,
     /// The bottleneck runs at half rate and is dark for its first `OUTAGE`:
     /// flows see empty monitor windows, and those whose first windows were
@@ -147,17 +147,15 @@ fn build(s: &Scenario) -> (Simulator, Vec<OrcaDriver>) {
                 seed: 40 + i as u64,
             });
         }
-        let actor_seed = if s.mixed_actors {
-            100 + (i % 2) as u64
-        } else {
-            100
-        };
-        let mut policy = DriverPolicy::new(actor(actor_seed));
+        let mut policy = DriverPolicy::new(actor(ACTOR_SEED));
         let props = Property::shallow_set(&PropertyParams::default());
         let monitor = match s.policy {
             PolicyKind::Plain => None,
             PolicyKind::Observed => Some(FallbackController::observing(props, COMPONENTS)),
-            PolicyKind::Arbitrated => Some(FallbackController::new(props, 0.6, COMPONENTS)),
+            PolicyKind::Arbitrated => {
+                let threshold = 0.6 - 0.2 * (i % 2) as f64;
+                Some(FallbackController::new(props, threshold, COMPONENTS))
+            }
         };
         if let Some(monitor) = monitor {
             policy = policy.with_fallback(monitor);
@@ -169,11 +167,7 @@ fn build(s: &Scenario) -> (Simulator, Vec<OrcaDriver>) {
 
 fn build_pool(s: &Scenario) -> (Simulator, DriverPool) {
     let (sim, drivers) = build(s);
-    let mut pool = DriverPool::new();
-    for driver in drivers {
-        pool.push(driver);
-    }
-    (sim, pool)
+    (sim, drivers.into_iter().collect())
 }
 
 /// Every observable bit of a finished run.
@@ -209,15 +203,17 @@ fn fingerprint(sim: &Simulator, drivers: &[OrcaDriver]) -> Fingerprint {
         .collect()
 }
 
-/// When the scenario swaps the last flow's actor, and to what.
+/// Every flow's actor, until the scenario swaps it.
+const ACTOR_SEED: u64 = 100;
+/// When the scenario swaps every flow's actor, and to what.
 const SWAP_AT: Time = Time::from_millis(300);
-const SWAP_SEED: u64 = 300;
+const SWAP_SEED: u64 = 101;
 
 fn run_pool(s: &Scenario) -> Fingerprint {
     let (mut sim, mut pool) = build_pool(s);
     if s.swap {
         pool.run_until(&mut sim, SWAP_AT);
-        pool.swap_actor(s.flows - 1, actor(SWAP_SEED));
+        pool.swap_actor_all(actor(SWAP_SEED));
     }
     pool.run_until(&mut sim, s.duration);
     assert_eq!(sim.now(), s.duration);
@@ -226,10 +222,16 @@ fn run_pool(s: &Scenario) -> Fingerprint {
 
 /// The oracle's `run_until`: every decision scheduled strictly before
 /// `horizon`, earliest first, same-instant ties in insertion order, each
-/// one computed on its own through the per-call entry points. Returns how
-/// many decisions repeat, bit for bit, the state of an earlier decision at
-/// the same instant (the pool forwards and certifies such a state once).
-fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Time) -> usize {
+/// one computed on its own through the per-call entry points with `net`,
+/// every driver's actor until the oracle swaps it. Returns how many
+/// decisions repeat, bit for bit, the state of an earlier decision at the
+/// same instant (the pool forwards and certifies such a state once).
+fn oracle_run_until(
+    sim: &mut Simulator,
+    drivers: &mut [OrcaDriver],
+    net: &Mlp,
+    horizon: Time,
+) -> usize {
     let due = |drivers: &[OrcaDriver]| {
         let next = drivers.iter().map(OrcaDriver::next_decision).min();
         next.filter(|&t| t < horizon)
@@ -249,11 +251,11 @@ fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Ti
                 seen.push(bits);
             }
             let policy = d.policy().expect("self-driving");
-            let action = policy.actor().forward(&prepared.ctx.state)[0];
+            let action = net.forward(&prepared.ctx.state)[0];
             let qc_sat = policy.monitor().map(|m| {
                 let ctx = &prepared.ctx;
                 m.verifier()
-                    .certify_all(policy.actor(), m.properties(), d.layout(), ctx)
+                    .certify_all(net, m.properties(), d.layout(), ctx)
                     .1
             });
             d.apply_decision(sim, action, qc_sat);
@@ -266,12 +268,13 @@ fn oracle_run_until(sim: &mut Simulator, drivers: &mut [OrcaDriver], horizon: Ti
 /// The oracle's fingerprint and its count of same-instant repeated states.
 fn run_oracle(s: &Scenario) -> (Fingerprint, usize) {
     let (mut sim, mut drivers) = build(s);
+    let mut net = actor(ACTOR_SEED);
     let mut repeats = 0;
     if s.swap {
-        repeats += oracle_run_until(&mut sim, &mut drivers, SWAP_AT);
-        drivers[s.flows - 1].swap_actor(actor(SWAP_SEED));
+        repeats += oracle_run_until(&mut sim, &mut drivers, &net, SWAP_AT);
+        net = actor(SWAP_SEED);
     }
-    repeats += oracle_run_until(&mut sim, &mut drivers, s.duration);
+    repeats += oracle_run_until(&mut sim, &mut drivers, &net, s.duration);
     assert_eq!(sim.now(), s.duration);
     (fingerprint(&sim, &drivers), repeats)
 }
@@ -286,7 +289,6 @@ proptest! {
         policy_pick in 0usize..3,
         noisy in [false, true],
         aligned in [false, true],
-        mixed_actors in [false, true],
         departing in [false, true],
         swap in [false, true],
     ) {
@@ -300,7 +302,6 @@ proptest! {
             ][policy_pick],
             noisy,
             aligned,
-            mixed_actors,
             departing,
             swap,
             outage: false,
@@ -320,7 +321,6 @@ fn synchronized_qc_fleet_matches_the_oracle_bitwise() {
         policy: PolicyKind::Observed,
         noisy: false,
         aligned: true,
-        mixed_actors: false,
         departing: false,
         swap: false,
         outage: false,
@@ -352,7 +352,6 @@ fn a_batch_of_repeated_states_matches_the_oracle_bitwise() {
         policy: PolicyKind::Arbitrated,
         noisy: false,
         aligned: true,
-        mixed_actors: false,
         departing: false,
         swap: false,
         outage: true,
@@ -375,7 +374,6 @@ fn fallback_arbitration_matches_the_oracle_bitwise() {
         policy: PolicyKind::Arbitrated,
         noisy: true,
         aligned: true,
-        mixed_actors: true,
         departing: true,
         swap: true,
         outage: false,
@@ -405,7 +403,6 @@ fn a_monitored_decision_is_certified_once() {
             policy,
             noisy: true,
             aligned: true,
-            mixed_actors: true,
             departing: true,
             swap: true,
             outage: false,
@@ -448,7 +445,6 @@ fn batched_runs_emit_consistent_batch_telemetry() {
         policy: PolicyKind::Plain,
         noisy: false,
         aligned: true,
-        mixed_actors: true,
         departing: false,
         swap: false,
         outage: false,
@@ -465,9 +461,8 @@ fn batched_runs_emit_consistent_batch_telemetry() {
     let recorded: u64 = batches.iter().map(|b| b.size).sum();
     let executed: u64 = pool.drivers().iter().map(|d| d.decisions()).sum();
     assert_eq!(recorded, executed, "batch sizes must cover every decision");
-    // Two distinct actors among five synchronized flows: every full batch
-    // splits into exactly two policy groups.
-    assert!(batches.iter().all(|b| b.groups == 2 && b.size == 5));
+    // Five synchronized flows: every batch is full.
+    assert!(batches.iter().all(|b| b.size == 5));
     let hist = rec
         .registry()
         .histogram("decisions_per_batch")
@@ -487,12 +482,13 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// The recorded decision stream of a pool with everything a committed
-/// artifact lacks — two policy groups per batch, fallback decisions next
-/// to agent ones, observation noise and a departing flow — pinned by the
-/// digest of its canonical report, so any change to what the pool
-/// records, in which order, or with which stamp shows up here.
+/// artifact lacks — several flows per batch, fallback decisions next to
+/// agent ones in one batch (per-driver thresholds), a fleet-wide swap to
+/// an actor the monitor keeps, observation noise and a departing flow —
+/// pinned by the digest of its canonical report, so any change to what
+/// the pool records, in which order, or with which stamp shows up here.
 #[test]
-fn recorded_stream_of_a_two_group_arbitrated_pool_is_pinned() {
+fn recorded_stream_of_an_arbitrated_pool_is_pinned() {
     use canopy_telemetry::{Artifact, FlightRecorder, TelemetryReport};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -503,15 +499,16 @@ fn recorded_stream_of_a_two_group_arbitrated_pool_is_pinned() {
         policy: PolicyKind::Arbitrated,
         noisy: true,
         aligned: true,
-        mixed_actors: true,
         departing: true,
-        swap: false,
+        swap: true,
         outage: false,
         duration: Time::from_millis(600),
     };
     let (mut sim, mut pool) = build_pool(&s);
     let recorder = Rc::new(RefCell::new(FlightRecorder::default()));
     pool.set_recorder(Some(recorder.clone()));
+    pool.run_until(&mut sim, SWAP_AT);
+    pool.swap_actor_all(actor(SWAP_SEED));
     pool.run_until(&mut sim, s.duration);
     let rec = recorder.borrow();
 
@@ -528,12 +525,67 @@ fn recorded_stream_of_a_two_group_arbitrated_pool_is_pinned() {
         .iter()
         .filter(|d| d.fallback)
         .all(|d| d.action_clamped == 0.0));
-    assert!(rec.batches().iter().any(|b| b.groups == 2));
+    let mixed = |t_ns| {
+        let batch = decisions.iter().filter(|d| d.t_ns == t_ns);
+        batch.clone().any(|d| d.fallback) && batch.clone().any(|d| !d.fallback)
+    };
+    assert!(decisions.iter().any(|d| mixed(d.t_ns)), "a batch splits");
 
-    let json = TelemetryReport::from_recorder(&rec, "pinned", "two-group").to_json();
+    let json = TelemetryReport::from_recorder(&rec, "pinned", "one-policy").to_json();
     assert_eq!(
         fnv1a(&json),
-        0xe0e7_684f_6fc5_de56,
+        0x496a_3cd5_efa0_b79e,
         "report digest moved; the report as found:\n{json}"
     );
+}
+
+/// A multi-flow run races one learned policy: copies of it (equal actors
+/// built separately) run, a second learned actor is refused before any
+/// flow is built, named by its index in the flow list.
+#[test]
+fn run_multiflow_refuses_a_second_learned_policy() {
+    use canopy_core::eval::run_multiflow;
+
+    let learned = |seed| Controller::Orca {
+        k: K,
+        policy: Some(DriverPolicy::new(actor(seed))),
+    };
+    let rtt = Time::from_millis(20);
+    let run = |second| {
+        let flows = [
+            FlowSpec::new(learned(ACTOR_SEED), rtt),
+            FlowSpec::new(Controller::Kernel("cubic".into()), rtt),
+            FlowSpec::new(learned(second), rtt),
+        ];
+        run_multiflow(
+            link("mf", 48e6),
+            &flows,
+            Time::from_secs(1),
+            Time::from_secs(1),
+        )
+    };
+    assert!(run(ACTOR_SEED).is_ok());
+    assert_eq!(run(SWAP_SEED), Err(WorldError::MixedPolicies { flow: 2 }));
+}
+
+/// A pool serves one policy: pushing a driver whose actor differs from
+/// the first driver's is a documented panic.
+#[test]
+#[should_panic(expected = "a pool serves one policy")]
+fn pushing_a_second_policy_panics() {
+    let s = Scenario {
+        flows: 2,
+        topo: Topo::Single,
+        policy: PolicyKind::Plain,
+        noisy: false,
+        aligned: true,
+        departing: false,
+        swap: false,
+        outage: false,
+        duration: Time::from_millis(100),
+    };
+    let (_, mut drivers) = build(&s);
+    let second = drivers.pop().expect("two flows");
+    let mut pool: DriverPool = drivers.into_iter().collect();
+    pool.push(second.with_policy(DriverPolicy::new(actor(SWAP_SEED))));
 }

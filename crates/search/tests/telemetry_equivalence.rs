@@ -1,18 +1,17 @@
 //! The telemetry layer's core contract, proven end to end: recording is
 //! observation, never input. A no-op recorder must leave every wired
-//! code path — the pooled multi-flow runner, the scenario runner, and a
-//! hardening-style adversarial search round — bitwise identical to
-//! running with no recorder at all; and the flight recorder's own output
-//! must be invariant to how the evaluation pool is partitioned across
-//! threads. And what it observes arrives in sim-time order: a learned
-//! scheme's link samples land in the same live windows as a baseline's.
+//! code path — the scenario runner and a hardening-style adversarial
+//! search round — bitwise identical to running with no recorder at all;
+//! and the flight recorder's own output must be invariant to how the
+//! evaluation pool is partitioned across threads. And what it observes
+//! arrives in sim-time order: a learned scheme's link samples land in
+//! the same live windows as a baseline's.
 
 use std::path::PathBuf;
 
-use canopy_core::eval::{run_multiflow, run_multiflow_recorded, Scheme};
+use canopy_core::eval::Scheme;
 use canopy_core::models::{self, ModelKind, TrainBudget, TrainedModel};
-use canopy_core::world::{Controller, FlowSpec};
-use canopy_netsim::{BandwidthTrace, LinkConfig, Time};
+use canopy_netsim::Time;
 use canopy_scenarios::{generate, run_scenario, run_scenario_recorded, Family};
 use canopy_search::{
     search, search_with_recorder, Objective, ObjectiveKind, SearchConfig, SearchSpace,
@@ -27,48 +26,6 @@ use canopy_telemetry::{
 fn smoke_model() -> TrainedModel {
     let cache = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/canopy-models");
     models::load_or_train(&cache, ModelKind::Shallow, 3, TrainBudget::smoke()).0
-}
-
-/// Exact textual image of an f64 sequence: `{:?}` prints the shortest
-/// string that round-trips, so two sequences render identically iff they
-/// are bitwise identical (modulo the sign of zero, which none of these
-/// paths produces).
-fn digest(series: &[Vec<f64>]) -> String {
-    format!("{series:?}")
-}
-
-#[test]
-fn run_multiflow_noop_recorder_is_bitwise_inert() {
-    let link = LinkConfig::with_bdp_buffer(
-        BandwidthTrace::constant("equiv-mf", 48e6),
-        Time::from_millis(20),
-        1.0,
-    );
-    let flows: Vec<FlowSpec> = (0..4)
-        .map(|i| {
-            let cubic = Controller::Kernel("cubic".into());
-            FlowSpec::new(cubic, Time::from_millis(10 + i * 5))
-                .starting_at(Time::from_millis(100 * i))
-        })
-        .collect();
-    let plain = run_multiflow(
-        link.clone(),
-        &flows,
-        Time::from_secs(2),
-        Time::from_millis(250),
-    )
-    .expect("runs");
-    // The recorded variant also turns on link sampling, so this proves
-    // the sampling grid itself never perturbs the event path.
-    let recorded = run_multiflow_recorded(
-        link,
-        &flows,
-        Time::from_secs(2),
-        Time::from_millis(250),
-        Some(shared(NoopRecorder)),
-    )
-    .expect("runs");
-    assert_eq!(digest(&plain), digest(&recorded));
 }
 
 #[test]

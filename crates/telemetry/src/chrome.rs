@@ -113,8 +113,7 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
     }
 
     // The batched pool's dispatch sizes as a counter track: how many
-    // decisions each simulation instant stacked through one actor call,
-    // and how many distinct policy groups the batch split into.
+    // decisions each simulation instant stacked through one actor call.
     for b in &report.batches {
         events.push(obj(vec![
             ("ph", Value::String("C".into())),
@@ -122,13 +121,7 @@ pub fn chrome_trace(report: &TelemetryReport) -> String {
             ("tid", Value::U64(0)),
             ("ts", us(b.t_ns)),
             ("name", Value::String("decisions per batch".into())),
-            (
-                "args",
-                obj(vec![
-                    ("decisions", Value::U64(b.size)),
-                    ("groups", Value::U64(b.groups)),
-                ]),
-            ),
+            ("args", obj(vec![("decisions", Value::U64(b.size))])),
         ]));
     }
 
@@ -210,7 +203,6 @@ mod tests {
         rec.record_batch(&BatchRecord {
             t_ns: 20_000_000,
             size: 4,
-            groups: 1,
         });
         let report = TelemetryReport::from_recorder(&rec, "unit", "cubic");
         let a = chrome_trace(&report);

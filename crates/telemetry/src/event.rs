@@ -60,9 +60,6 @@ pub struct BatchRecord {
     pub t_ns: u64,
     /// Decisions executed in this batch.
     pub size: u64,
-    /// Distinct policy groups the batch split into (one forward call per
-    /// group of drivers sharing actor weights and certification config).
-    pub groups: u64,
 }
 
 /// One trainer-loop event.

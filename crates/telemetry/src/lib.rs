@@ -30,7 +30,7 @@
 //!
 //! Two exporters turn a recording into artifacts: the canonical-JSON
 //! [`TelemetryReport`] (`TELEMETRY_report.json`, schema
-//! `canopy-telemetry/v3`) and a Chrome-trace/Perfetto JSON view
+//! `canopy-telemetry/v4`) and a Chrome-trace/Perfetto JSON view
 //! ([`chrome_trace`]) so a decision timeline can be opened in
 //! `ui.perfetto.dev` or `chrome://tracing`.
 //!

@@ -226,8 +226,8 @@ pub enum SloKind {
     /// Window packet drops per link sample must stay **at or below**
     /// the threshold (reads the `link_drops` and `link_samples_total`
     /// windowed counters). Only hosts that feed link samples give it
-    /// data: the scenario and multi-flow runners do, a `canopy_serve`
-    /// `Fleet` does not, so there this objective never evaluates.
+    /// data: the scenario runner does, a `canopy_serve` `Fleet` does
+    /// not, so there this objective never evaluates.
     MaxLinkDropRate,
 }
 

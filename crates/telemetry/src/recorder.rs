@@ -461,7 +461,6 @@ mod tests {
             rec.record_batch(&BatchRecord {
                 t_ns: t * 1_000_000,
                 size,
-                groups: 1,
             });
         }
         assert_eq!(rec.batches().seen(), 3);

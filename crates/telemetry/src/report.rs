@@ -21,7 +21,7 @@ pub struct CounterEntry {
 /// to tell "the ring wrapped" apart from "nothing happened".
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
-    /// Schema tag, `canopy-telemetry/v3`.
+    /// Schema tag, `canopy-telemetry/v4`.
     pub schema: String,
     /// What was recorded (scenario name, bench name, …).
     pub label: String,
@@ -127,7 +127,7 @@ impl TelemetryReport {
 }
 
 impl Artifact for TelemetryReport {
-    const SCHEMA: &'static str = "canopy-telemetry/v3";
+    const SCHEMA: &'static str = "canopy-telemetry/v4";
 
     fn schema(&self) -> &str {
         &self.schema
@@ -214,12 +214,6 @@ impl Artifact for TelemetryReport {
             if b.size == 0 {
                 return Err(format!("batch record {i} is empty"));
             }
-            if b.groups == 0 || b.groups > b.size {
-                return Err(format!(
-                    "batch record {i}: {} groups for {} decisions",
-                    b.groups, b.size
-                ));
-            }
         }
         for (i, e) in self.trainer.iter().enumerate() {
             if e.floats().iter().any(|x| !x.is_finite()) {
@@ -270,7 +264,6 @@ mod tests {
         rec.record_batch(&BatchRecord {
             t_ns: 20_000_000,
             size: 5,
-            groups: 2,
         });
         rec.record_trainer(&TrainerEvent::TdLoss {
             step: 10,
@@ -302,7 +295,7 @@ mod tests {
     fn validation_rejects_broken_reports() {
         let good = TelemetryReport::from_recorder(&recorded(), "unit", "cubic");
         let mut bad = good.clone();
-        bad.schema = "canopy-telemetry/v2".into();
+        bad.schema = "canopy-telemetry/v3".into();
         let err = bad.validate().expect_err("the previous tag is refused");
         assert!(err.to_string().contains("schema mismatch"), "{err}");
         let mut bad = good.clone();
@@ -321,8 +314,8 @@ mod tests {
         bad.batches_seen = 7;
         assert!(bad.validate().is_err(), "batch accounting must balance");
         let mut bad = good;
-        bad.batches[0].groups = 9;
-        assert!(bad.validate().is_err(), "more groups than decisions");
+        bad.batches[0].size = 0;
+        assert!(bad.validate().is_err(), "an empty batch");
     }
 
     #[test]

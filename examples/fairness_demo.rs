@@ -53,6 +53,6 @@ fn main() {
         jain_index(&sums)
     );
     println!(
-        "swap the kernel for `Scheme::Learned(model).controller(None)` to race learned models."
+        "swap the kernel for `Scheme::Learned(model).controller(None)` to race one learned policy."
     );
 }
