@@ -30,8 +30,9 @@
 //!   metrics reported in the paper's figures.
 //! * [`plan`] — compiled certification plans: the decision-independent
 //!   part of a runtime certificate, built once per policy.
-//! * [`pool`] — the std-only scoped worker pool behind parallel
-//!   certification and evaluation sweeps (`CANOPY_THREADS`).
+//! * [`pool`] — `canopy_nn`'s persistent worker pool, re-exported: it
+//!   runs parallel certification, evaluation sweeps and the TD3 update's
+//!   two lanes (`CANOPY_THREADS`).
 //! * [`models`] — deterministic scaled-down training recipes for the
 //!   shallow / deep / robust Canopy models and the Orca baseline, with
 //!   on-disk caching for the benchmark harness.
@@ -43,7 +44,6 @@ pub mod models;
 pub mod obs;
 pub mod orca;
 pub mod plan;
-pub mod pool;
 pub mod property;
 pub mod qc;
 pub mod runtime;
@@ -51,6 +51,7 @@ pub mod trainer;
 pub mod verifier;
 pub mod world;
 
+pub use canopy_nn::pool;
 pub use canopy_telemetry as telemetry;
 pub use driver::{
     BatchDispatch, DriverConfig, DriverPolicy, DriverPool, OrcaDriver, PreparedDecision,

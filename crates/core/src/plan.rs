@@ -25,11 +25,10 @@
 use std::ops::Range;
 
 use canopy_absint::{IbpBatchScratch, Interval, PreparedMlp};
-use canopy_nn::{Matrix, Mlp};
+use canopy_nn::{pool, Matrix, Mlp};
 
 use crate::obs::StateLayout;
 use crate::orca::cwnd_factor;
-use crate::pool;
 use crate::property::{Property, Stage};
 use crate::qc::{Certificate, ComponentResult};
 use crate::verifier::{AbstractDomain, StepContext, Verifier, CERT_CHUNK, PARALLEL_MIN_WORK};

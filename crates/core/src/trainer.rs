@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use canopy_absint::{BoundGrads, DiffIbp, IbpBatchScratch, PreparedMlp};
 use canopy_nn::Mlp;
-use canopy_rl::{ReplayBuffer, Td3, Td3Config, Transition};
+use canopy_rl::{ActorRegularizer, ReplayBuffer, Td3, Td3Config, Transition};
 use canopy_telemetry::{SharedRecorder, TrainerEvent};
 
 use crate::env::{CcEnv, EnvConfig, EpisodeSpec};
@@ -38,34 +38,33 @@ use crate::verifier::Verifier;
 /// hinge is active run the backward pass, in (state-major, property-minor)
 /// order, so the gradients accumulate bit for bit as a per-sample
 /// [`accumulate_qc_gradient`] loop would — which is the one-row call of
-/// this same type.
+/// this same type. As an [`ActorRegularizer`] its forward half is the
+/// bound pass, which reads the actor alone and so runs beside critic 1's
+/// lane of the TD3 update.
 struct QcLoss<'p> {
     properties: &'p [Property],
     /// Parallel to `properties`: how its rows are staged.
     stages: Vec<Stage>,
+    /// The loss weight; each property's rows are also scaled by its own.
+    weight: f64,
     engine: DiffIbp,
     grads: BoundGrads,
 }
 
 impl<'p> QcLoss<'p> {
-    fn new(properties: &'p [Property], layout: StateLayout) -> QcLoss<'p> {
+    fn new(properties: &'p [Property], layout: StateLayout, weight: f64) -> QcLoss<'p> {
         QcLoss {
             properties,
             stages: properties.iter().map(|p| p.stage(layout, 1)).collect(),
+            weight,
             engine: DiffIbp::default(),
             grads: BoundGrads::default(),
         }
     }
 
-    /// Adds the loss gradients of every (state × property) pair into
-    /// `actor`, each weighted by `weight · property.weight`; returns the
-    /// summed hinge loss.
-    fn accumulate<'s>(
-        &mut self,
-        actor: &mut Mlp,
-        states: impl ExactSizeIterator<Item = &'s [f64]>,
-        weight: f64,
-    ) -> f64 {
+    /// Binds the engine to `actor` and propagates one box per
+    /// (state × property) pair.
+    fn bound<'s>(&mut self, actor: &Mlp, states: impl ExactSizeIterator<Item = &'s [f64]>) {
         let per_state = self.properties.len();
         self.engine.bind(actor);
         let (in_lo, in_hi) = self.engine.stage(states.len() * per_state);
@@ -76,10 +75,18 @@ impl<'p> QcLoss<'p> {
             }
         }
         self.engine.forward();
+    }
+
+    /// Adds the hinge gradients of every bounded row into `actor` — the
+    /// network [`bound`](Self::bound) read, unchanged since — each
+    /// weighted by `weight · property.weight`; returns the summed hinge
+    /// loss.
+    fn descend(&mut self, actor: &mut Mlp) -> f64 {
+        let per_state = self.properties.len();
         let mut total = 0.0;
         for row in 0..self.engine.rows() {
             let property = &self.properties[row % per_state];
-            let weight = weight * property.weight;
+            let weight = self.weight * property.weight;
             let (z_lo, z_hi) = self.engine.pre_out_bounds(row);
             let (loss, g_lo, g_hi) = property.post.hinge(z_lo[0], z_hi[0], weight);
             if g_lo != 0.0 || g_hi != 0.0 {
@@ -89,6 +96,16 @@ impl<'p> QcLoss<'p> {
             total += loss;
         }
         total
+    }
+}
+
+impl ActorRegularizer for QcLoss<'_> {
+    fn forward(&mut self, actor: &Mlp, batch: &[&Transition]) {
+        self.bound(actor, batch.iter().map(|t| t.state.as_slice()));
+    }
+
+    fn accumulate(&mut self, actor: &mut Mlp, _batch: &[&Transition]) {
+        self.descend(actor);
     }
 }
 
@@ -102,11 +119,9 @@ pub fn accumulate_qc_gradient(
     state: &[f64],
     weight: f64,
 ) -> f64 {
-    QcLoss::new(std::slice::from_ref(property), layout).accumulate(
-        actor,
-        std::iter::once(state),
-        weight,
-    )
+    let mut loss = QcLoss::new(std::slice::from_ref(property), layout, weight);
+    loss.bound(actor, std::iter::once(state));
+    loss.descend(actor)
 }
 
 /// A pool of scenario-backed episodes mixed into the training curriculum
@@ -266,7 +281,7 @@ impl Trainer {
             let plan = CertPlan::compile(verifier, &net, &cfg.properties, layout);
             (net, plan, vec![IbpBatchScratch::new()])
         });
-        let mut qc_loss = QcLoss::new(&cfg.properties, layout);
+        let mut qc_loss = QcLoss::new(&cfg.properties, layout, cfg.qc_grad_weight);
 
         // The adversarial episode sampler draws from its own RNG stream so
         // the master stream (exploration, batch sampling) is untouched: a
@@ -352,10 +367,7 @@ impl Trainer {
                     }
                 }
                 let update = if cfg.qc_grad_weight > 0.0 && !cfg.properties.is_empty() {
-                    agent.update_with_actor_reg(&replay, &mut rng, |actor, batch| {
-                        let states = batch.iter().map(|t| t.state.as_slice());
-                        qc_loss.accumulate(actor, states, cfg.qc_grad_weight);
-                    })
+                    agent.update_regularized(&replay, &mut rng, &mut qc_loss)
                 } else {
                     agent.update(&replay, &mut rng)
                 };

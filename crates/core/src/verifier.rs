@@ -4,11 +4,10 @@
 use canopy_absint::{
     axis_slices, propagate_mlp_zonotope, BoxState, IbpBatchScratch, Interval, PreparedMlp,
 };
-use canopy_nn::{Matrix, Mlp};
+use canopy_nn::{pool, Matrix, Mlp};
 
 use crate::obs::StateLayout;
 use crate::plan::CertPlan;
-use crate::pool;
 use crate::property::Property;
 use crate::qc::{Certificate, ComponentResult};
 

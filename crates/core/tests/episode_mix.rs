@@ -1,9 +1,10 @@
 //! Determinism contract of the adversarial episode mix: a trainer whose
 //! sampler splices scenario episodes into the pool must stay exactly as
-//! reproducible as the plain trainer — bitwise in the seed, and bitwise
-//! *identical* to today's trainer when the mix draws nothing. (The thread
-//! count never reaches training: the in-loop certificate covers one state
-//! per step, below the verifier's fan-out threshold.)
+//! reproducible as the plain trainer — bitwise in the seed, invariant to
+//! the thread count (each TD3 update forks its two lanes), and bitwise
+//! *identical* to today's trainer when the mix draws nothing.
+
+use std::process::Command;
 
 use canopy_core::env::{EnvConfig, EpisodeSpec};
 use canopy_core::orca::RewardConfig;
@@ -143,4 +144,62 @@ fn rejects_pool_episodes_with_mismatched_k() {
         mix.pool[0].k = 5;
     }
     Trainer::new(cfg);
+}
+
+/// Passed to a child run of this test binary as an extra (exact) filter:
+/// the child trains and prints the actor's bits instead of spawning.
+const CHILD: &str = "thread-count-child";
+
+/// The Shallow model's learner shapes (hidden [32, 32], batch 64) with the
+/// mix on, trained in a child process at `CANOPY_THREADS` 1 and 2: one run
+/// takes both lanes of every update in turn on the calling thread, the
+/// other forks them to a helper. The worker count is read from the
+/// environment, so each count gets a process of its own.
+#[test]
+fn mixed_training_is_invariant_to_thread_count() {
+    const NAME: &str = "mixed_training_is_invariant_to_thread_count";
+    if std::env::args().any(|arg| arg == CHILD) {
+        let cfg = TrainerConfig {
+            steps_per_epoch: 100,
+            td3: Td3Config::default(),
+            ..mixed_config(0.5)
+        };
+        assert_eq!(
+            (cfg.td3.hidden.as_slice(), cfg.td3.batch_size),
+            (&[32, 32][..], 64)
+        );
+        let result = Trainer::new(cfg).train();
+        let bits: Vec<String> = result
+            .model
+            .actor
+            .params_flat()
+            .iter()
+            .chain(result.history.iter().map(|e| &e.critic_loss))
+            .map(|x| format!("{:016x}", x.to_bits()))
+            .collect();
+        println!("actor-bits {}", bits.join(","));
+        return;
+    }
+    let bits_at = |threads: &str| {
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let out = Command::new(exe)
+            .args(["--exact", NAME, CHILD, "--nocapture", "--test-threads=1"])
+            .env("CANOPY_THREADS", threads)
+            .output()
+            .expect("the test binary re-runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "child at CANOPY_THREADS={threads} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+            .lines()
+            .find_map(|line| {
+                line.split_once("actor-bits ")
+                    .map(|(_, bits)| bits.to_owned())
+            })
+            .unwrap_or_else(|| panic!("no actor bits at CANOPY_THREADS={threads}:\n{stdout}"))
+    };
+    assert_eq!(bits_at("1"), bits_at("2"));
 }

@@ -11,13 +11,18 @@
 //! caller-supplied seeded RNG, and no operation depends on iteration order
 //! of hash maps or on threading. The batched paths in [`batch`] are
 //! bitwise identical to the per-sample paths, so switching between them
-//! never changes a result.
+//! never changes a result. [`pool`] is the workspace's one worker pool:
+//! persistent helper threads whose forks give the same results at every
+//! thread count.
+
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod adam;
 pub mod batch;
 mod init;
 pub mod layer;
 pub mod mlp;
+pub mod pool;
 pub mod tensor;
 
 pub use adam::Adam;

@@ -18,4 +18,4 @@ pub mod replay;
 pub mod td3;
 
 pub use replay::{ReplayBuffer, Transition};
-pub use td3::{Td3, Td3Config, UpdateStats};
+pub use td3::{ActorRegularizer, Td3, Td3Config, UpdateStats};

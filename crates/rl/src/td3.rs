@@ -1,14 +1,41 @@
 //! The TD3 agent.
 //!
-//! [`Td3::update`] is the one update engine: batched GEMM passes over
-//! resident scratch. The per-transition loop it replaced is compiled only
-//! under `cfg(test)` (the `reference` module at the bottom of this file),
-//! where property tests hold the two bitwise equal.
+//! [`Td3::update_regularized`] is the one update engine: batched GEMM
+//! passes over resident scratch. The per-transition loop it replaced is
+//! compiled only under `cfg(test)` (the `reference` module at the bottom
+//! of this file), where property tests hold the two bitwise equal.
+//!
+//! **Two lanes.** What draws randomness — batch sampling and the
+//! smoothing noise — runs on the calling thread, so the RNG stream never
+//! leaves it, and so do the target actor's pass and both target critics'
+//! passes, which form the TD targets. Then the update forks once, over
+//! [`pool::join`]:
+//! - the caller runs critic 2's forward, backward and Adam step, and on an
+//!   actor step the regulariser's [`forward`](ActorRegularizer::forward)
+//!   half, which reads the actor alone;
+//! - a helper runs critic 1's step, and on an actor step critic 1's share
+//!   of the policy gradient: `−Σ Q₁(s, π(s))` and `∂(−Q₁)/∂a`, for the
+//!   pairs `[s ‖ π(s)]` the caller formed before the fork.
+//!
+//! The lanes meet at the critic-loss sum. The caller then chains
+//! `∂(−Q₁)/∂a` through the actor, runs the regulariser's
+//! [`accumulate`](ActorRegularizer::accumulate) half and the actor's Adam
+//! step, and soft-updates the three target networks, as before.
+//!
+//! Each critic keeps its lane from update to update: critic 1 is the one
+//! the policy gradient reads, so its step and that read share a core, and
+//! neither critic's weights, optimizer state and scratch cross between
+//! cores. Each lane runs the sequential update's operations on its own
+//! data in their order, so an update is bitwise the same at every
+//! `CANOPY_THREADS` — and at one worker both lanes simply run in turn on
+//! the caller.
+
+use std::ops::Range;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use canopy_nn::{Activation, Adam, BatchScratch, Matrix, Mlp};
+use canopy_nn::{pool, Activation, Adam, BatchScratch, Matrix, Mlp};
 
 use crate::noise::GaussianNoise;
 use crate::replay::{ReplayBuffer, Transition};
@@ -61,27 +88,116 @@ pub struct UpdateStats {
     pub actor_loss: Option<f64>,
 }
 
+/// An extra loss on the actor, added to the policy gradient of each
+/// delayed actor step (e.g. a differentiable certified-bound loss), in two
+/// halves split where it first writes the actor's gradient accumulators.
+///
+/// Both halves run on the thread that called the update, so a regulariser
+/// need not be `Send`. A closure `FnMut(&mut Mlp, &[&Transition])` is a
+/// regulariser whose forward half does nothing.
+pub trait ActorRegularizer {
+    /// The half that only reads the actor's weights — staging and
+    /// propagating bounds, say. It runs beside critic 1's lane of the same
+    /// update, before the actor changes.
+    fn forward(&mut self, _actor: &Mlp, _batch: &[&Transition]) {}
+
+    /// Adds the loss gradients into `actor`'s accumulators, after the
+    /// policy-gradient backward pass and before the optimizer step.
+    /// Whatever it adds is scaled by `1 / batch_size` together with the
+    /// policy gradient, so it should *sum* per-sample contributions.
+    fn accumulate(&mut self, actor: &mut Mlp, batch: &[&Transition]);
+}
+
+impl<F: FnMut(&mut Mlp, &[&Transition])> ActorRegularizer for F {
+    fn accumulate(&mut self, actor: &mut Mlp, batch: &[&Transition]) {
+        self(actor, batch);
+    }
+}
+
+/// One twin critic: its network, target network, optimizer and scratch.
+struct Critic {
+    net: Mlp,
+    target: Mlp,
+    opt: Adam,
+    /// `net`'s forward-trace scratch.
+    fwd: BatchScratch,
+    /// `target`'s forward scratch.
+    tgt: BatchScratch,
+    /// The TD error — the output gradient of the critic's loss — `N × 1`.
+    td: Matrix,
+    /// `∂(−Q)/∂Q = −1` per row, the output gradient of the policy step.
+    ascent: Matrix,
+}
+
+impl Critic {
+    fn new(net: Mlp, lr: f64) -> Critic {
+        Critic {
+            target: net.clone(),
+            opt: Adam::new(net.param_count(), lr),
+            net,
+            fwd: BatchScratch::default(),
+            tgt: BatchScratch::default(),
+            td: Matrix::default(),
+            ascent: Matrix::default(),
+        }
+    }
+
+    /// One step toward the TD `targets`: forward, TD error, backward and
+    /// the optimizer step, leaving the TD errors in `td`.
+    fn step(&mut self, xa: &Matrix, targets: &[f64]) {
+        let n = targets.len();
+        self.net.zero_grads();
+        let q = self.net.forward_trace_batch(xa, &mut self.fwd);
+        self.td.reshape(n, 1);
+        for (r, &y) in targets.iter().enumerate() {
+            *self.td.get_mut(r, 0) = q.get(r, 0) - y;
+        }
+        self.net
+            .backward_batch_params_only(xa, &mut self.fwd, &self.td);
+        self.opt.step(&mut self.net, 1.0 / n as f64);
+    }
+
+    /// The critic's share of the policy step on the pairs `[s ‖ π(s)]`:
+    /// writes `∂(−Q)/∂a` — the input gradient's `actions` columns — into
+    /// `grad_action` and returns `−Σ Q(s, π(s))`. The critic gradients
+    /// the pass accumulates belong to the actor's objective, so they are
+    /// discarded.
+    fn ascent(&mut self, xa_pi: &Matrix, actions: Range<usize>, grad_action: &mut Matrix) -> f64 {
+        let n = xa_pi.rows();
+        let q = self.net.forward_trace_batch(xa_pi, &mut self.fwd);
+        let mut loss = 0.0;
+        for r in 0..n {
+            loss -= q.get(r, 0);
+        }
+        self.ascent.reshape(n, 1);
+        self.ascent.as_mut_slice().fill(-1.0);
+        grad_action.copy_from(self.net.backward_batch_cols(
+            xa_pi,
+            &mut self.fwd,
+            &self.ascent,
+            actions,
+        ));
+        self.net.zero_grads();
+        loss
+    }
+}
+
 /// A TD3 agent with deterministic tanh-bounded actions in `[-1, 1]ᵈ`.
 pub struct Td3 {
     /// Configuration (immutable after construction).
     pub config: Td3Config,
     actor: Mlp,
     actor_target: Mlp,
-    critic1: Mlp,
-    critic2: Mlp,
-    critic1_target: Mlp,
-    critic2_target: Mlp,
     actor_opt: Adam,
-    critic1_opt: Adam,
-    critic2_opt: Adam,
+    critics: [Critic; 2],
     updates: u64,
     scratch: UpdateScratch,
 }
 
-/// Reusable buffers for the batched [`Td3::update`]: batch matrices, the
-/// propagated-gradient buffers, and one [`BatchScratch`] per network that
-/// runs a forward pass. Everything grows on the first update and is reused
-/// afterwards, so a steady-state update step allocates nothing.
+/// Reusable buffers for the batched update that are not a critic's own:
+/// batch matrices and the actor's [`BatchScratch`]es. Everything grows on
+/// the first update and is reused afterwards, so a steady-state update
+/// step allocates nothing.
 #[derive(Default)]
 struct UpdateScratch {
     /// Replay states, `N × s`.
@@ -92,21 +208,18 @@ struct UpdateScratch {
     next_states: Matrix,
     /// Smoothed target actions `ã`, `N × a`.
     next_actions: Matrix,
-    /// State–action pairs `[s ‖ a]`, `N × (s + a)` (reused for the target
-    /// pair, the critic pair, and the actor pair in turn).
+    /// State–action pairs `[s ‖ a]`, `N × (s + a)` (the target pair, then
+    /// the critic pair).
     xa: Matrix,
+    /// The policy's pairs `[s ‖ π(s)]`, `N × (s + a)`.
+    xa_pi: Matrix,
+    /// `∂(−Q₁)/∂a` at `π(s)`, `N × a`, handed from critic 1's lane to the
+    /// actor's backward pass.
+    grad_action: Matrix,
     /// TD targets `y`.
     targets: Vec<f64>,
-    /// Critic-1 output gradient / TD error, `N × 1`.
-    grad_q1: Matrix,
-    /// Critic-2 TD error, `N × 1`.
-    grad_q2: Matrix,
     actor_fwd: BatchScratch,
     actor_tgt: BatchScratch,
-    critic1_fwd: BatchScratch,
-    critic2_fwd: BatchScratch,
-    critic1_tgt: BatchScratch,
-    critic2_tgt: BatchScratch,
 }
 
 /// Writes the row-wise concatenation `[left ‖ right]` into `out`.
@@ -140,20 +253,15 @@ impl Td3 {
         let actor = Mlp::new(rng, &actor_widths, Activation::Tanh);
         let critic1 = Mlp::new(rng, &critic_widths, Activation::Identity);
         let critic2 = Mlp::new(rng, &critic_widths, Activation::Identity);
-        let actor_opt = Adam::new(actor.param_count(), config.actor_lr);
-        let critic1_opt = Adam::new(critic1.param_count(), config.critic_lr);
-        let critic2_opt = Adam::new(critic2.param_count(), config.critic_lr);
         Td3 {
-            config,
             actor_target: actor.clone(),
-            critic1_target: critic1.clone(),
-            critic2_target: critic2.clone(),
+            actor_opt: Adam::new(actor.param_count(), config.actor_lr),
             actor,
-            critic1,
-            critic2,
-            actor_opt,
-            critic1_opt,
-            critic2_opt,
+            critics: [
+                Critic::new(critic1, config.critic_lr),
+                Critic::new(critic2, config.critic_lr),
+            ],
+            config,
             updates: 0,
             scratch: UpdateScratch::default(),
         }
@@ -183,22 +291,29 @@ impl Td3 {
 
     /// Like [`update`](Self::update), but invokes `actor_reg` during the
     /// delayed actor step, between the policy-gradient backward pass and
-    /// the optimizer step.
-    ///
-    /// The closure may accumulate additional gradients into the actor
-    /// (e.g. a differentiable certified-bound loss); whatever it adds is
-    /// scaled by `1 / batch_size` together with the policy gradient, so it
-    /// should *sum* per-sample contributions over the provided batch.
-    ///
-    /// The whole update runs as batched GEMM passes over reusable scratch
-    /// buffers — zero heap allocation in steady state — and is bitwise
-    /// identical to the per-transition loop it replaced (kept as this
-    /// module's test-only `reference`) for the same RNG stream.
+    /// the optimizer step: [`update_regularized`](Self::update_regularized)
+    /// with a regulariser that has no forward half.
     pub fn update_with_actor_reg<R: Rng>(
         &mut self,
         replay: &ReplayBuffer,
         rng: &mut R,
         mut actor_reg: impl FnMut(&mut Mlp, &[&Transition]),
+    ) -> Option<UpdateStats> {
+        self.update_regularized(replay, rng, &mut actor_reg)
+    }
+
+    /// One TD3 update whose delayed actor step adds `reg`'s loss to the
+    /// policy gradient, on the two lanes of the module docs.
+    ///
+    /// The whole update runs as batched GEMM passes over reusable scratch
+    /// buffers — zero heap allocation in steady state — and is bitwise
+    /// identical to the per-transition loop it replaced (kept as this
+    /// module's test-only `reference`) for the same RNG stream.
+    pub fn update_regularized<R: Rng>(
+        &mut self,
+        replay: &ReplayBuffer,
+        rng: &mut R,
+        reg: &mut impl ActorRegularizer,
     ) -> Option<UpdateStats> {
         if replay.len() < self.config.batch_size {
             return None;
@@ -210,7 +325,15 @@ impl Td3 {
         let s_dim = self.actor.input_dim();
         let a_dim = self.actor.output_dim();
 
-        let sc = &mut self.scratch;
+        let Td3 {
+            config,
+            actor,
+            actor_target,
+            actor_opt,
+            critics,
+            updates,
+            scratch: sc,
+        } = self;
         sc.states.reshape(n, s_dim);
         sc.actions.reshape(n, a_dim);
         sc.next_states.reshape(n, s_dim);
@@ -220,110 +343,83 @@ impl Td3 {
             sc.next_states.set_row(r, &t.next_state);
         }
 
-        // --- Critic update -------------------------------------------------
-        // y = r + γ·(1−done)·min(Q₁'(s', ã), Q₂'(s', ã)),
-        // ã = clip(π'(s') + clip(ε, ±c)).
-        // The forward passes consume no randomness, so drawing all smoothing
-        // noise after the batched π'(s') pass — in sample-major, dim-minor
-        // order — replays the reference loop's RNG stream exactly.
-        let a_next = self
-            .actor_target
-            .forward_batch(&sc.next_states, &mut sc.actor_tgt);
+        // ã = clip(π'(s') + clip(ε, ±c)). The forward passes consume no
+        // randomness, so drawing all smoothing noise after the batched
+        // π'(s') pass — in sample-major, dim-minor order — replays the
+        // reference loop's RNG stream exactly.
+        let a_next = actor_target.forward_batch(&sc.next_states, &mut sc.actor_tgt);
         sc.next_actions.copy_from(a_next);
         for r in 0..n {
             for a in sc.next_actions.row_mut(r) {
-                *a = (*a + smoothing.sample_clipped(rng, self.config.target_noise_clip))
-                    .clamp(-1.0, 1.0);
+                *a =
+                    (*a + smoothing.sample_clipped(rng, config.target_noise_clip)).clamp(-1.0, 1.0);
             }
         }
+
+        *updates += 1;
+        let actor_step = updates.is_multiple_of(config.policy_delay);
+        if actor_step {
+            // The policy's pairs, formed before the fork for critic 1's
+            // lane; nothing changes the actor before its own step below.
+            actor.zero_grads();
+            let a = actor.forward_trace_batch(&sc.states, &mut sc.actor_fwd);
+            concat_rows_into(&sc.states, a, &mut sc.xa_pi);
+        }
+
+        // y = r + γ·(1−done)·min(Q₁'(s', ã), Q₂'(s', ã)).
+        let [c1, c2] = critics;
         concat_rows_into(&sc.next_states, &sc.next_actions, &mut sc.xa);
-        let q1t = self
-            .critic1_target
-            .forward_batch(&sc.xa, &mut sc.critic1_tgt);
-        let q2t = self
-            .critic2_target
-            .forward_batch(&sc.xa, &mut sc.critic2_tgt);
+        let q1t = c1.target.forward_batch(&sc.xa, &mut c1.tgt);
+        let q2t = c2.target.forward_batch(&sc.xa, &mut c2.tgt);
         sc.targets.clear();
         for (r, t) in batch.iter().enumerate() {
             let not_done = if t.done { 0.0 } else { 1.0 };
             let q = q1t.get(r, 0).min(q2t.get(r, 0));
-            sc.targets.push(t.reward + self.config.gamma * not_done * q);
+            sc.targets.push(t.reward + config.gamma * not_done * q);
         }
 
-        self.critic1.zero_grads();
-        self.critic2.zero_grads();
+        // The two lanes: critic 2's step (and on an actor step the
+        // regulariser's forward half) here, critic 1's step (and its share
+        // of the policy gradient) on a helper.
         concat_rows_into(&sc.states, &sc.actions, &mut sc.xa);
-        let q1 = self
-            .critic1
-            .forward_trace_batch(&sc.xa, &mut sc.critic1_fwd);
-        sc.grad_q1.reshape(n, 1);
-        for r in 0..n {
-            *sc.grad_q1.get_mut(r, 0) = q1.get(r, 0) - sc.targets[r];
-        }
-        self.critic1
-            .backward_batch_params_only(&sc.xa, &mut sc.critic1_fwd, &sc.grad_q1);
-        let q2 = self
-            .critic2
-            .forward_trace_batch(&sc.xa, &mut sc.critic2_fwd);
-        sc.grad_q2.reshape(n, 1);
-        for r in 0..n {
-            *sc.grad_q2.get_mut(r, 0) = q2.get(r, 0) - sc.targets[r];
-        }
-        self.critic2
-            .backward_batch_params_only(&sc.xa, &mut sc.critic2_fwd, &sc.grad_q2);
+        let (xa, xa_pi, targets) = (&sc.xa, &sc.xa_pi, sc.targets.as_slice());
+        let grad_action = &mut sc.grad_action;
+        let actor_view = &*actor;
+        let ((), actor_loss) = pool::join(
+            || {
+                c2.step(xa, targets);
+                if actor_step {
+                    reg.forward(actor_view, &batch);
+                }
+            },
+            || {
+                c1.step(xa, targets);
+                actor_step.then(|| c1.ascent(xa_pi, s_dim..s_dim + a_dim, grad_action) / nf)
+            },
+        );
         // Summed in the reference loop's interleaved order so the reported
         // loss also matches bitwise.
         let mut critic_loss = 0.0;
         for r in 0..n {
-            let e1 = sc.grad_q1.get(r, 0);
-            let e2 = sc.grad_q2.get(r, 0);
+            let e1 = c1.td.get(r, 0);
+            let e2 = c2.td.get(r, 0);
             critic_loss += e1 * e1;
             critic_loss += e2 * e2;
         }
         critic_loss /= 2.0 * nf;
-        self.critic1_opt.step(&mut self.critic1, 1.0 / nf);
-        self.critic2_opt.step(&mut self.critic2, 1.0 / nf);
-
-        self.updates += 1;
 
         // --- Delayed actor + target updates --------------------------------
-        let mut actor_loss = None;
-        if self.updates.is_multiple_of(self.config.policy_delay) {
-            self.actor.zero_grads();
-            let a = self
-                .actor
-                .forward_trace_batch(&sc.states, &mut sc.actor_fwd);
-            concat_rows_into(&sc.states, a, &mut sc.xa);
-            let q = self
-                .critic1
-                .forward_trace_batch(&sc.xa, &mut sc.critic1_fwd);
-            let mut loss = 0.0;
-            for r in 0..n {
-                loss -= q.get(r, 0);
-            }
-            // ∂(−Q)/∂a — only the action coordinates of the critic's input
-            // gradient — chained through the actor.
-            sc.grad_q1.reshape(n, 1);
-            sc.grad_q1.as_mut_slice().fill(-1.0);
-            let grad_action = self.critic1.backward_batch_cols(
-                &sc.xa,
-                &mut sc.critic1_fwd,
-                &sc.grad_q1,
-                s_dim..s_dim + a_dim,
-            );
-            self.actor
-                .backward_batch_params_only(&sc.states, &mut sc.actor_fwd, grad_action);
-            // The critic gradients accumulated above belong to the actor's
-            // objective, not the critic's; discard them.
-            self.critic1.zero_grads();
-            actor_reg(&mut self.actor, &batch);
-            self.actor_opt.step(&mut self.actor, 1.0 / nf);
-            actor_loss = Some(loss / nf);
+        if actor_step {
+            // ∂(−Q₁)/∂a chained through the actor, then the regulariser.
+            actor.backward_batch_params_only(&sc.states, &mut sc.actor_fwd, &sc.grad_action);
+            reg.accumulate(actor, &batch);
+            actor_opt.step(actor, 1.0 / nf);
 
-            let tau = self.config.tau;
-            self.actor_target.soft_update_from(&self.actor, tau);
-            self.critic1_target.soft_update_from(&self.critic1, tau);
-            self.critic2_target.soft_update_from(&self.critic2, tau);
+            let tau = config.tau;
+            actor_target.soft_update_from(actor, tau);
+            for critic in [c1, c2] {
+                critic.target.soft_update_from(&critic.net, tau);
+            }
         }
 
         Some(UpdateStats {
@@ -542,8 +638,8 @@ mod tests {
         assert_eq!(fast.actor().params_flat(), slow.actor().params_flat());
         assert_eq!(fast.actor().forward(&[0.3]), slow.actor().forward(&[0.3]));
         assert_eq!(
-            fast.critic1.forward_concat(&[0.3], &[0.1]),
-            slow.critic1.forward_concat(&[0.3], &[0.1])
+            fast.critics[0].net.forward_concat(&[0.3], &[0.1]),
+            slow.critics[0].net.forward_concat(&[0.3], &[0.1])
         );
     }
 
@@ -607,6 +703,7 @@ mod reference {
             let batch = replay.sample(rng, self.config.batch_size);
             let n = batch.len() as f64;
             let smoothing = GaussianNoise::new(self.config.target_noise_std);
+            let [c1, c2] = &mut self.critics;
 
             let mut targets = Vec::with_capacity(batch.len());
             for t in &batch {
@@ -616,29 +713,29 @@ mod reference {
                         .clamp(-1.0, 1.0);
                 }
                 let xa = concat(&t.next_state, &a_next);
-                let q1 = self.critic1_target.forward(&xa)[0];
-                let q2 = self.critic2_target.forward(&xa)[0];
+                let q1 = c1.target.forward(&xa)[0];
+                let q2 = c2.target.forward(&xa)[0];
                 let not_done = if t.done { 0.0 } else { 1.0 };
                 targets.push(t.reward + self.config.gamma * not_done * q1.min(q2));
             }
 
             let mut critic_loss = 0.0;
-            self.critic1.zero_grads();
-            self.critic2.zero_grads();
+            c1.net.zero_grads();
+            c2.net.zero_grads();
             for (t, &y) in batch.iter().zip(&targets) {
                 let xa = concat(&t.state, &t.action);
-                let (q1, trace1) = self.critic1.forward_trace(&xa);
+                let (q1, trace1) = c1.net.forward_trace(&xa);
                 let err1 = q1[0] - y;
                 critic_loss += err1 * err1;
-                self.critic1.backward(&trace1, &[err1]);
-                let (q2, trace2) = self.critic2.forward_trace(&xa);
+                c1.net.backward(&trace1, &[err1]);
+                let (q2, trace2) = c2.net.forward_trace(&xa);
                 let err2 = q2[0] - y;
                 critic_loss += err2 * err2;
-                self.critic2.backward(&trace2, &[err2]);
+                c2.net.backward(&trace2, &[err2]);
             }
             critic_loss /= 2.0 * n;
-            self.critic1_opt.step(&mut self.critic1, 1.0 / n);
-            self.critic2_opt.step(&mut self.critic2, 1.0 / n);
+            c1.opt.step(&mut c1.net, 1.0 / n);
+            c2.opt.step(&mut c2.net, 1.0 / n);
 
             self.updates += 1;
 
@@ -649,20 +746,20 @@ mod reference {
                 for t in &batch {
                     let (a, actor_trace) = self.actor.forward_trace(&t.state);
                     let xa = concat(&t.state, &a);
-                    let (q, critic_trace) = self.critic1.forward_trace(&xa);
+                    let (q, critic_trace) = c1.net.forward_trace(&xa);
                     loss -= q[0];
-                    let grad_in = self.critic1.backward(&critic_trace, &[-1.0]);
+                    let grad_in = c1.net.backward(&critic_trace, &[-1.0]);
                     let grad_action = &grad_in[t.state.len()..];
                     self.actor.backward(&actor_trace, grad_action);
                 }
-                self.critic1.zero_grads();
+                c1.net.zero_grads();
                 self.actor_opt.step(&mut self.actor, 1.0 / n);
                 actor_loss = Some(loss / n);
 
                 let tau = self.config.tau;
                 self.actor_target.soft_update_from(&self.actor, tau);
-                self.critic1_target.soft_update_from(&self.critic1, tau);
-                self.critic2_target.soft_update_from(&self.critic2, tau);
+                c1.target.soft_update_from(&c1.net, tau);
+                c2.target.soft_update_from(&c2.net, tau);
             }
 
             Some(UpdateStats {
@@ -742,11 +839,11 @@ mod reference {
         }
         assert_eq!(fast.actor().params_flat(), slow.actor().params_flat());
         for (f, s) in [
-            (&fast.critic1, &slow.critic1),
-            (&fast.critic2, &slow.critic2),
+            (&fast.critics[0].net, &slow.critics[0].net),
+            (&fast.critics[1].net, &slow.critics[1].net),
             (&fast.actor_target, &slow.actor_target),
-            (&fast.critic1_target, &slow.critic1_target),
-            (&fast.critic2_target, &slow.critic2_target),
+            (&fast.critics[0].target, &slow.critics[0].target),
+            (&fast.critics[1].target, &slow.critics[1].target),
         ] {
             assert_eq!(f.params_flat(), s.params_flat());
         }
@@ -784,7 +881,7 @@ mod reference {
             let probe: Vec<f64> = (0..state_dim).map(|d| d as f64 * 0.1 - 0.2).collect();
             prop_assert_eq!(fast.actor().forward(&probe), slow.actor().forward(&probe));
             let act_probe: Vec<f64> = (0..action_dim).map(|_| 0.25).collect();
-            prop_assert_eq!(fast.critic1.forward_concat(&probe, &act_probe), slow.critic1.forward_concat(&probe, &act_probe));
+            prop_assert_eq!(fast.critics[0].net.forward_concat(&probe, &act_probe), slow.critics[0].net.forward_concat(&probe, &act_probe));
         }
 
         /// The update consumes the RNG stream identically, so interleaving

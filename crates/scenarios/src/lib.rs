@@ -21,7 +21,8 @@
 //!   through JSON. Each family is one decoder in [`params`], run on seeded
 //!   draws by the fuzzer and on unit-cube points by adversarial search.
 //! * [`runner`] — a `Scheme × Scenario` matrix executor fanned over the
-//!   `canopy_core::pool` worker pool, emitting per-scenario metrics
+//!   persistent worker pool (`canopy_nn::pool`, re-exported as
+//!   `canopy_core::pool`), emitting per-scenario metrics
 //!   (throughput, p95 queuing delay, loss, Jain fairness, `QC_sat`,
 //!   fallback rate) and an aggregate stable-schema report.
 //!

@@ -1,8 +1,9 @@
 //! The scenario matrix executor.
 //!
 //! Runs every `Scheme × Scenario` cell as an independent deterministic
-//! simulation, fanned over the `canopy_core::pool` worker pool, and
-//! aggregates per-scenario metrics into a stable-schema report. Results
+//! simulation, fanned over the persistent worker pool (`canopy_nn::pool`,
+//! re-exported as `canopy_core::pool`), and aggregates per-scenario
+//! metrics into a stable-schema report. Results
 //! are bitwise identical at any `CANOPY_THREADS` because each cell owns
 //! all of its state (simulator, RNG streams, verifier) and the pool
 //! preserves job order.

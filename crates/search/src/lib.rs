@@ -7,8 +7,9 @@
 //! certificate collapse, fallback engagement, reward conceded to Cubic)
 //! computed through the existing shared-`OrcaDriver` matrix cell, and
 //! drives one seeded black-box optimizer ([`search`]: the cross-entropy
-//! method) whose population evaluations fan out over `canopy_core::pool`
-//! — bitwise reproducible at any `CANOPY_THREADS`. A found violation is
+//! method) whose population evaluations fan out over the persistent
+//! worker pool (`canopy_nn::pool`, re-exported as `canopy_core::pool`) —
+//! bitwise reproducible at any `CANOPY_THREADS`. A found violation is
 //! then minimized by a delta-debugging shrinker ([`shrink()`]) and
 //! committed as a self-contained serde fixture ([`AdversarialFixture`])
 //! that a regression test replays forever after; [`load_corpus`] reads

@@ -4,7 +4,8 @@
 //! CEM keeps a per-dimension Gaussian, samples a population, and refits
 //! mean/std to the elite fraction — pulling the whole search toward a
 //! family's bad region. Every generation's population is evaluated in one
-//! `canopy_core::pool` batch. All randomness lives on the coordinator
+//! fork of the persistent worker pool (`canopy_core::pool`, which is
+//! `canopy_nn::pool`). All randomness lives on the coordinator
 //! thread (one seeded [`StdRng`]), and batch evaluation goes through the
 //! order-preserving [`parallel_map`](canopy_core::pool::parallel_map), so
 //! a search is bitwise reproducible at any `CANOPY_THREADS`.
